@@ -31,9 +31,8 @@ from .models import (PoleProximityError, ProjectorQuery, ResolventQuery,
 from .quantize import HermiteBasisSpec, block_compare, weyl_quantize
 from .star import moyal_product, sharp_power, symmetrized_product
 from .symbols import PolySymbol
-from .torus import (PotentialSpec, SolverError, TorusModel,
-                    build_magnetic_laplacian, exact_landau_reference,
-                    solve_all, solve_lowest, spectra_payload)
+from .torus import (SOLVER_VERSION, PotentialSpec, SolverError, TorusModel,
+                    build_magnetic_laplacian, solve_all, solve_lowest)
 from .verify import (band_containment, band_gaps, check_cluster_law,
                      check_weyl_law, detect_clusters, sigma_bands)
 
@@ -503,22 +502,54 @@ def cmd_model_symbols(cfg: dict, jobs: int, dry_run: bool) -> int:
     return EXIT_PASS if all(c.passed for c in checks) else EXIT_TOLERANCE
 
 
+_CACHE_SCHEMA = "magweyl/spectra-cache-v1"
+
+
+def _cached_spectra(cache: Path, cfg: dict) -> dict | None:
+    """Spectra from a cache file of this config and solver version, else None.
+
+    A missing file, one written for another config, schema or solver
+    version, and one that cannot be parsed (a run killed mid-write by an
+    older version) are all cache misses; the last two are noted on stderr.
+    """
+    if not cache.exists():
+        return None
+    try:
+        payload = json.loads(cache.read_text())
+    except (OSError, ValueError) as exc:
+        print(f"note: {cache} is unreadable ({type(exc).__name__}); recomputing",
+              file=sys.stderr)
+        return None
+    if payload.get("config_hash") != config_hash(cfg):
+        return None
+    written_by = (payload.get("schema"), payload.get("solver_version", 1))
+    if written_by != (_CACHE_SCHEMA, SOLVER_VERSION):
+        print(f"note: {cache} is from schema {written_by[0]}, solver version "
+              f"{written_by[1]}, not {_CACHE_SCHEMA}, {SOLVER_VERSION}; recomputing",
+              file=sys.stderr)
+        return None
+    return {tuple(json.loads(k)): v for k, v in payload["spectra"].items()}
+
+
 def _torus_spectra(cfg: dict, jobs: int, out: Path) -> dict:
     cache = out / "spectra.json"
     job_list = _torus_jobs(cfg, int(cfg["seed"]))
-    if cache.exists():
-        payload = json.loads(cache.read_text())
-        if payload.get("config_hash") == config_hash(cfg):
-            return {tuple(json.loads(k)): v for k, v in payload["spectra"].items()}
+    cached = _cached_spectra(cache, cfg)
+    if cached is not None:
+        return cached
     solved = _run_jobs(job_list, jobs)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
-        "schema": "magweyl/spectra-cache-v1",
+        "schema": _CACHE_SCHEMA,
         "config_hash": config_hash(cfg),
+        "solver_version": SOLVER_VERSION,
         "timestamp": float(os.environ.get("SOURCE_DATE_EPOCH", time.time())),
         "spectra": {json.dumps(list(k)): v for k, v in sorted(solved.items())},
     }
-    cache.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    # write-then-rename, so a killed run never leaves a truncated cache
+    tmp = cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
+    tmp.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    os.replace(tmp, cache)
     return solved
 
 

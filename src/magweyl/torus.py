@@ -20,8 +20,14 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+
+# Bump when a solver change can alter computed spectra: spectra caches
+# written under another version are recomputed.
+SOLVER_VERSION = 2
 
 
 class SolverError(RuntimeError):
@@ -174,7 +180,6 @@ def build_magnetic_laplacian(model: TorusModel, k: int, npoints: int,
     a = L / N
     kb = k * model.field
     t = -1.0 / (2.0 * a * a)
-    site = lambda i, j: i + N * j
 
     diag = np.full(N * N, 2.0 / (a * a), dtype=complex)
     if potential is not None:
@@ -182,21 +187,18 @@ def build_magnetic_laplacian(model: TorusModel, k: int, npoints: int,
         vsamp = potential.sample(xs[:, None], xs[None, :], L)  # [i, j]
         diag += float(k) * vsamp.reshape(N * N, order="F")
 
-    rows, cols, vals = [], [], []
-    for j in range(N):
-        y = j * a
-        j2 = (j + 1) % N
-        for i in range(N):
-            s0 = site(i, j)
-            i2 = (i + 1) % N
-            ph = np.exp(-1j * kb * L * y) if i == N - 1 else 1.0 + 0.0j
-            rows += [site(i2, j), s0]
-            cols += [s0, site(i2, j)]
-            vals += [t * ph, t * np.conj(ph)]
-            ph = np.exp(1j * kb * a * (i * a))
-            rows += [site(i, j2), s0]
-            cols += [s0, site(i, j2)]
-            vals += [t * ph, t * np.conj(ph)]
+    # site s = i + N j in order; per site the +x hop, then the +y hop,
+    # each as the (to, from) entry followed by its conjugate
+    i = np.tile(np.arange(N), N)
+    j = np.repeat(np.arange(N), N)
+    s0 = i + N * j
+    sx = (i + 1) % N + N * j
+    sy = i + N * ((j + 1) % N)
+    phx = np.where(i == N - 1, np.exp(-1j * kb * L * (j * a)), 1.0 + 0.0j)
+    phy = np.exp(1j * kb * a * (i * a))
+    rows = np.stack([sx, s0, sy, s0], axis=1).ravel()
+    cols = np.stack([s0, sx, s0, sy], axis=1).ravel()
+    vals = np.stack([t * phx, t * np.conj(phx), t * phy, t * np.conj(phy)], axis=1).ravel()
     H = sp.coo_matrix((vals, (rows, cols)), shape=(N * N, N * N)).tocsr()
     H = (H + sp.diags(diag)).tocsr()
     return MagneticLatticeOperator(npoints=N, power=k,
@@ -238,74 +240,115 @@ class EigenResult:
         raise ValueError(f"unknown regime {regime!r}")
 
 
-def _sector_blocks(op: MagneticLatticeOperator):
+def _sector_chains(op: MagneticLatticeOperator):
     """Magnetic Bloch reduction in y for x-only potentials.
 
     The x-wrap twist shifts the y-momentum index by -k c (mod N), so the
-    operator block-diagonalizes over orbits of n -> n - k c; each block
-    is an N x len(orbit) chain.
+    operator block-diagonalizes over orbits of n -> n - k c.  Each block
+    is a real symmetric periodic chain of length L = N * len(orbit) with
+    uniform hop t = -1/(2 a^2), closed from site L-1 back to site 0; site
+    q N + i (momentum orbit[q], column x_i = i a) carries the diagonal
+    2/a^2 + 2 t cos(theta_n - k b a x_i) + k V(x_i).  Yields the orbit
+    and the chain in banded form (`_zigzag_band`).
     """
     N = op.npoints
-    model, k = op.model, op.power
-    a, L = op.spacing, op.model.side
-    kb = k * model.field
-    kc = k * model.chern
+    k, a = op.power, op.spacing
+    kb = k * op.model.field
+    kc = k * op.model.chern
     t = -1.0 / (2.0 * a * a)
-    vx = None
+    vx = 0.0
     if op.potential is not None:
-        xs = a * np.arange(N)
-        vx = float(k) * op.potential.sample(xs, 0.0, L)
-    done = np.zeros(N, dtype=bool)
-    for n0 in range(N):
-        if done[n0]:
-            continue
-        orbit = [n0]
-        done[n0] = True
-        n = (n0 - kc) % N
-        while n != n0:
-            orbit.append(n)
-            done[n] = True
-            n = (n - kc) % N
-        nb = len(orbit)
-        dim = N * nb
-        Hb = np.zeros((dim, dim), dtype=complex)
-        for q, n in enumerate(orbit):
-            th = 2.0 * np.pi * n / N
-            base = q * N
-            for i in range(N):
-                r = base + i
-                Hb[r, r] = 2.0 / (a * a) + 2.0 * t * np.cos(th - kb * a * (i * a))
-                if vx is not None:
-                    Hb[r, r] += vx[i]
-                if i + 1 < N:
-                    Hb[base + i + 1, r] += t
-                    Hb[r, base + i + 1] += t
-                else:
-                    q2 = ((q + 1) % nb) * N
-                    Hb[q2, r] += t
-                    Hb[r, q2] += t
-        yield orbit, Hb
+        vx = float(k) * op.potential.sample(a * np.arange(N), 0.0, op.model.side)
+    flux_phase = kb * a * (np.arange(N) * a)
+    nsectors = math.gcd(kc, N)
+    for n0 in range(nsectors):
+        orbit = (n0 - kc * np.arange(N // nsectors)) % N
+        theta = 2.0 * np.pi * orbit / N
+        diag = 2.0 / (a * a) + 2.0 * t * np.cos(theta[:, None] - flux_phase) + vx
+        yield (orbit, *_zigzag_band(diag.ravel(), t))
 
 
-def _sector_solve_all(op: MagneticLatticeOperator, want_vectors: int = 0):
-    """All eigenvalues via dense sector diagonalization (x-only potentials)."""
-    evs = []
-    vecs = []
+def _zigzag_band(diag: np.ndarray, hop: float) -> tuple[np.ndarray, np.ndarray]:
+    """Periodic chain in the order 0, 1, L-1, 2, L-2, ..., as a banded matrix.
+
+    In that order every chain link (r, r+1 mod L) joins positions at most
+    2 apart: all (p, p+2) pairs, plus (0, 1) and (L-2, L-1), which
+    coincide for L = 2 (the doubled hop of a two-site ring).  Returns the
+    order and the upper band form of bandwidth 2 (row 2 the diagonal).
+    """
+    L = diag.size
+    if L < 2:
+        raise ValueError("a periodic chain needs at least 2 sites")
+    perm = np.empty(L, dtype=np.intp)
+    perm[0] = 0
+    perm[1::2] = np.arange(1, L // 2 + 1)
+    perm[2::2] = L - np.arange(1, (L - 1) // 2 + 1)
+    band = np.zeros((3, L))
+    band[0, 2:] = hop
+    band[1, 1] += hop
+    band[1, L - 1] += hop
+    band[2] = diag[perm]
+    return perm, band
+
+
+def _chain_vector(band: np.ndarray, lam: float, steps: int = 3) -> np.ndarray:
+    """Unit eigenvector for the eigenvalue lam by inverse iteration, O(L) memory.
+
+    The shift sits a few ulps of the largest chain entry above lam, so
+    that an eigenvalue that is exact in floating point (a two-site ring at
+    zero flux has the eigenvalue 0) cannot make the factorization singular.
+    """
+    L = band.shape[1]
+    shifted = np.zeros((5, L))
+    shifted[:3] = band
+    shifted[2] -= lam + 8.0 * np.finfo(float).eps * np.abs(band).max()
+    shifted[3, :-1] = band[1, 1:]
+    shifted[4, :-2] = band[0, 2:]
+    v = np.random.default_rng(0).standard_normal(L)
+    for _ in range(steps):
+        try:
+            v = scipy.linalg.solve_banded((2, 2), shifted, v)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"inverse iteration at {lam:.6g} failed: {exc}") from exc
+        v /= np.linalg.norm(v)
+    return v
+
+
+def _sector_solve(op: MagneticLatticeOperator, count: int | None,
+                  samples: int) -> tuple[np.ndarray, tuple]:
+    """Sector eigenvalues (all, or the lowest `count`) and sampled residual norms.
+
+    Each chain gives its eigenvalues by banded LAPACK (no eigenvectors):
+    bisection for the lowest `count` when count < L/16, else the whole
+    chain spectrum, which was faster there at L = 256 to 2048;
+    `samples` of the returned eigenvalues, evenly spaced in rank, get an
+    eigenvector by inverse iteration on their chain, lifted to the lattice
+    as psi(i, j) = sum_q e^{i theta_q j} u_q(i) / sqrt(N) and checked
+    against the sparse operator.
+    """
     N = op.npoints
-    for orbit, Hb in _sector_blocks(op):
-        if want_vectors:
-            w, V = np.linalg.eigh(Hb)
-            for col in range(min(want_vectors, w.size)):
-                psi = np.zeros(N * N, dtype=complex)
-                for q, n in enumerate(orbit):
-                    phase = np.exp(2j * np.pi * n * np.arange(N) / N) / np.sqrt(N)
-                    # psi(i, j) = e^{i theta j} u(i); site index i + N j
-                    psi += np.kron(phase, V[q * N:(q + 1) * N, col])
-                vecs.append((w[col], psi))
+    chains, evs = [], []
+    for orbit, perm, band in _sector_chains(op):
+        if count is None or 16 * count >= perm.size:
+            w = scipy.linalg.eigvals_banded(band, check_finite=False)[:count]
         else:
-            w = np.linalg.eigvalsh(Hb)
+            w = scipy.linalg.eigvals_banded(band, select="i", select_range=(0, count - 1),
+                                            check_finite=False)
+        chains.append((orbit, perm, band))
         evs.append(w)
-    return np.sort(np.concatenate(evs)), vecs
+    lam = np.concatenate(evs)
+    owner = np.repeat(np.arange(len(evs)), [w.size for w in evs])
+    order = np.argsort(lam, kind="stable")[:count]
+    ranks = np.unique(np.linspace(0, order.size - 1, samples).round().astype(int))
+    residuals = []
+    for idx in order[ranks]:
+        orbit, perm, band = chains[owner[idx]]
+        u = np.empty(perm.size)
+        u[perm] = _chain_vector(band, lam[idx])
+        phases = np.exp(2j * np.pi * np.outer(orbit, np.arange(N)) / N) / np.sqrt(N)
+        psi = (phases.T @ u.reshape(orbit.size, N)).ravel()
+        residuals.append(float(np.linalg.norm(op.matrix @ psi - lam[idx] * psi)))
+    return lam[order], tuple(residuals)
 
 
 def solve_lowest(op: MagneticLatticeOperator, count: int, seed: int = 0,
@@ -313,27 +356,22 @@ def solve_lowest(op: MagneticLatticeOperator, count: int, seed: int = 0,
                  residual_tol: float = 1e-8) -> EigenResult:
     """Smallest `count` eigenvalues with verified residual norms.
 
-    method 'sparse' uses shift-invert Lanczos with a seeded start
-    vector; 'sectors' uses the exact magnetic Bloch reduction (available
-    when the potential depends on x only) and checks residuals on a
-    sample of reconstructed eigenvectors.  'auto' picks sectors for
-    large counts.
+    method 'sectors' uses the exact magnetic Bloch reduction (available
+    when the potential depends on x only): banded real periodic chains,
+    with residuals checked on 8 sampled eigenvectors.  'sparse' uses
+    shift-invert Lanczos with a seeded start vector and checks every
+    residual.  'auto' picks sectors whenever they apply.
     """
     dim = op.dim
     if count < 1 or count > dim // 4:
         raise ValueError(f"count must be in [1, dim/4] = [1, {dim // 4}]")
     sectors_ok = op.potential is None or op.potential.is_x_only
     if method == "auto":
-        method = "sectors" if (sectors_ok and count > 48) else "sparse"
+        method = "sectors" if sectors_ok else "sparse"
     if method == "sectors":
         if not sectors_ok:
             raise ValueError("sector solve needs an x-only potential")
-        allev, vecs = _sector_solve_all(op, want_vectors=2)
-        res = []
-        for lam, psi in sorted(vecs, key=lambda t: t[0])[:8]:
-            res.append(float(np.linalg.norm(op.matrix @ psi - lam * psi)))
-        raw = allev[:count]
-        residuals = tuple(res)
+        raw, residuals = _sector_solve(op, count, samples=8)
     elif method == "sparse":
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(dim)
@@ -350,18 +388,20 @@ def solve_lowest(op: MagneticLatticeOperator, count: int, seed: int = 0,
         raw = vals
     else:
         raise ValueError(f"unknown method {method!r}")
-    if residuals and max(residuals) > residual_tol:
-        raise SolverError(f"residual norm {max(residuals):.2e} exceeds {residual_tol:.0e}")
+    _check_residuals(residuals, residual_tol)
     return EigenResult(power=op.power, raw=np.sort(raw), regime=regime,
                        count_requested=count, residual_norms=residuals, method=method)
 
 
-def solve_all(op: MagneticLatticeOperator, regime: str = "k2") -> EigenResult:
-    """Complete spectrum (sector reduction, or dense for small lattices)."""
+def solve_all(op: MagneticLatticeOperator, regime: str = "k2",
+              residual_tol: float = 1e-8) -> EigenResult:
+    """Complete spectrum (sector reduction, or dense for small lattices).
+
+    Sector spectra carry 4 sampled residual norms, which must not exceed
+    `residual_tol`.
+    """
     if op.potential is None or op.potential.is_x_only:
-        allev, vecs = _sector_solve_all(op, want_vectors=1)
-        res = tuple(float(np.linalg.norm(op.matrix @ psi - lam * psi))
-                    for lam, psi in vecs[:4])
+        allev, res = _sector_solve(op, None, samples=4)
         method = "sectors"
     elif op.dim <= 4096:
         allev = np.sort(np.linalg.eigvalsh(op.matrix.toarray()))
@@ -369,8 +409,14 @@ def solve_all(op: MagneticLatticeOperator, regime: str = "k2") -> EigenResult:
         method = "dense"
     else:
         raise SolverError("full spectrum for y-dependent potentials needs dim <= 4096")
+    _check_residuals(res, residual_tol)
     return EigenResult(power=op.power, raw=allev, regime=regime,
                        count_requested=allev.size, residual_norms=res, method=method)
+
+
+def _check_residuals(residuals: tuple, tol: float):
+    if residuals and max(residuals) > tol:
+        raise SolverError(f"residual norm {max(residuals):.2e} exceeds {tol:.0e}")
 
 
 def exact_landau_reference(model: TorusModel, k: int, m_max: int):

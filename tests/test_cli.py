@@ -5,6 +5,7 @@ import pytest
 
 from magweyl.cli import (EXIT_CONFIG, EXIT_PASS, config_hash, load_config,
                          main)
+from magweyl.torus import SOLVER_VERSION
 
 SMALL = {
     "seed": 1,
@@ -117,6 +118,45 @@ def test_torus_cache_and_determinism(tmp_path, capsys):
     assert main(["--config", cfg, "--out", str(out2), "torus"]) == EXIT_PASS
     assert report_bytes(out2, cfg) == cold
     assert set(cold) == {"report.csv", "report.json", "report.svg"}
+
+
+def _torus_cache(tmp_path, out):
+    cfg = write_config(tmp_path, {"torus": {"cluster_pairs": [[2, 16]], "weyl_pairs": [],
+                                            "band_pairs": []}})
+    cfgdict = load_config(cfg)
+    cfgdict["out_dir"] = str(out)
+    return cfg, out / config_hash(cfgdict) / "spectra.json"
+
+
+def test_stale_spectra_cache_is_recomputed(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg, cache = _torus_cache(tmp_path, out)
+    assert main(["--config", cfg, "--out", str(out), "torus"]) == EXIT_PASS
+    cold = report_bytes(out, cfg)
+    payload = json.loads(cache.read_text())
+    assert payload["solver_version"] == SOLVER_VERSION
+    payload["solver_version"] = SOLVER_VERSION - 1
+    for rec in payload["spectra"].values():
+        rec["raw"] = [v + 1.0 for v in rec["raw"]]  # what an older solver returned
+    cache.write_text(json.dumps(payload))
+    assert main(["--config", cfg, "--out", str(out), "torus"]) == EXIT_PASS
+    assert "recomputing" in capsys.readouterr().err
+    assert json.loads(cache.read_text())["solver_version"] == SOLVER_VERSION
+    assert report_bytes(out, cfg) == cold
+
+
+def test_truncated_spectra_cache_is_rewritten(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg, cache = _torus_cache(tmp_path, out)
+    assert main(["--config", cfg, "--out", str(out), "torus"]) == EXIT_PASS
+    cold = report_bytes(out, cfg)
+    text = cache.read_text()
+    cache.write_text(text[: len(text) // 2])
+    assert main(["--config", cfg, "--out", str(out), "torus"]) == EXIT_PASS
+    assert "unreadable" in capsys.readouterr().err
+    assert json.loads(cache.read_text())["spectra"] == json.loads(text)["spectra"]
+    assert report_bytes(out, cfg) == cold
+    assert [p.name for p in cache.parent.iterdir() if p.name.endswith(".tmp")] == []
 
 
 def test_all_runs_and_reports(tmp_path, capsys):

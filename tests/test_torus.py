@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from magweyl import (EigenResult, PotentialSpec, SolverError, TorusModel,
                      build_magnetic_laplacian, exact_landau_reference,
@@ -45,6 +48,49 @@ def test_zero_flux_limit():
     assert np.max(np.abs(dense - expect)) < 1e-10
 
 
+def _reference_laplacian(model, k, N, potential=None):
+    """Site-by-site assembly of the Peierls operator, in the order the
+    vectorized builder emits its entries."""
+    L = model.side
+    a = L / N
+    kb = k * model.field
+    t = -1.0 / (2.0 * a * a)
+    site = lambda i, j: i + N * j
+    diag = np.full(N * N, 2.0 / (a * a), dtype=complex)
+    if potential is not None:
+        xs = a * np.arange(N)
+        vsamp = potential.sample(xs[:, None], xs[None, :], L)
+        diag += float(k) * vsamp.reshape(N * N, order="F")
+    rows, cols, vals = [], [], []
+    for j in range(N):
+        y = j * a
+        j2 = (j + 1) % N
+        for i in range(N):
+            s0 = site(i, j)
+            i2 = (i + 1) % N
+            ph = np.exp(-1j * kb * L * y) if i == N - 1 else 1.0 + 0.0j
+            rows += [site(i2, j), s0]
+            cols += [s0, site(i2, j)]
+            vals += [t * ph, t * np.conj(ph)]
+            ph = np.exp(1j * kb * a * (i * a))
+            rows += [site(i, j2), s0]
+            cols += [s0, site(i, j2)]
+            vals += [t * ph, t * np.conj(ph)]
+    H = sp.coo_matrix((vals, (rows, cols)), shape=(N * N, N * N)).tocsr()
+    return (H + sp.diags(diag)).tocsr()
+
+
+@pytest.mark.parametrize("k, npts, cos_x", [
+    (16, 96, None), (12, 96, 0.1), (0, 2, None), (3, 16, None), (4, 128, None)])
+def test_vectorized_assembly_is_exact(k, npts, cos_x):
+    model = TorusModel.compatible(1)
+    pot = PotentialSpec.cosine_x(cos_x) if cos_x is not None else None
+    got = build_magnetic_laplacian(model, k, npts, pot).matrix
+    ref = _reference_laplacian(model, k, npts, pot)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, part), getattr(ref, part)), part
+
+
 def test_plaquette_phases():
     model = TorusModel.compatible(1)
     op = build_magnetic_laplacian(model, 3, 8)
@@ -74,17 +120,51 @@ def test_landau_clusters_small():
     assert max(res.residual_norms) < 1e-8
 
 
-def test_sector_solver_matches_sparse_and_dense():
+@pytest.mark.parametrize("k, npts, cos_x", [
+    (3, 16, None),   # gcd(k c, N) = 1: the whole lattice is one sector
+    (4, 32, None),   # four sectors
+    (0, 2, None),    # two-site chains: the closing hop doubles the hop
+    (3, 16, 0.15),
+], ids=["one-sector", "four-sectors", "two-site", "cos_x"])
+def test_sector_solver_matches_sparse_and_dense(k, npts, cos_x):
     model = TorusModel.compatible(1)
-    pot = PotentialSpec.cosine_x(0.15)
-    op = build_magnetic_laplacian(model, 3, 16, pot)
+    pot = PotentialSpec.cosine_x(cos_x) if cos_x is not None else None
+    op = build_magnetic_laplacian(model, k, npts, pot)
     dense = np.sort(np.linalg.eigvalsh(op.matrix.toarray()))
     res_sec = solve_all(op)
+    assert res_sec.method == "sectors" and len(res_sec.residual_norms) == 4
     assert np.max(np.abs(res_sec.raw - dense)) < 1e-10
-    res_sml = solve_lowest(op, 12, method="sparse")
-    assert np.max(np.abs(res_sml.raw - dense[:12])) < 1e-8
-    res_sec2 = solve_lowest(op, 12, method="sectors")
-    assert np.max(np.abs(res_sec2.raw - dense[:12])) < 1e-10
+    count = min(12, op.dim // 4)
+    res_sec2 = solve_lowest(op, count, method="sectors")
+    assert np.max(np.abs(res_sec2.raw - dense[:count])) < 1e-10
+    assert solve_lowest(op, count).method == "sectors"
+    res_sml = solve_lowest(op, count, method="sparse")
+    assert np.max(np.abs(res_sml.raw - dense[:count])) < 1e-8
+
+
+def test_solve_all_enforces_residuals():
+    model = TorusModel.compatible(1)
+    op = build_magnetic_laplacian(model, 3, 16)
+    assert max(solve_all(op).residual_norms) < 1e-8
+    with pytest.raises(SolverError):
+        solve_all(op, residual_tol=0.0)
+
+
+def test_single_sector_lowest_is_banded():
+    # k=7, N=128: gcd(7, 128) = 1, so the only sector is a chain of
+    # L = 16384 sites (a dense complex block would need 4.3 GB)
+    model = TorusModel.compatible(1)
+    op = build_magnetic_laplacian(model, 7, 128)
+    tracemalloc.start()
+    try:
+        res = solve_lowest(op, 29)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.method == "sectors"
+    assert np.max(np.abs(res.scaled("k1")[:7] / 0.5 - 1.0)) < 0.02
+    assert len(res.residual_norms) == 8 and max(res.residual_norms) < 1e-8
+    assert peak < 64 * 2 ** 20
 
 
 def test_solver_determinism():
