@@ -9,7 +9,7 @@ eigenvalues against k to landau_clusters.svg.
 import numpy as np
 
 from magweyl import (TorusModel, build_magnetic_laplacian, check_cluster_law,
-                     detect_clusters, exact_landau_reference, solve_lowest)
+                     detect_clusters, exact_landau_reference, solve)
 from magweyl.reports import svg_plot, write_svg
 
 model = TorusModel.compatible(1)
@@ -20,7 +20,7 @@ spectra = {}
 series = []
 for k in (4, 8, 16):
     op = build_magnetic_laplacian(model, k, 64)
-    res = solve_lowest(op, 3 * k + 8)
+    res = solve(op, 3 * k + 8)
     spectra[(k, 64)] = res
     scaled = res.scaled("k1")
     rep = detect_clusters(scaled, 0.25)

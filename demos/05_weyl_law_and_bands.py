@@ -11,8 +11,7 @@ import numpy as np
 
 from magweyl import (PotentialSpec, TorusModel, band_gaps,
                      build_magnetic_laplacian, check_weyl_law, detect_clusters,
-                     sigma_bands, solve_all, solve_lowest,
-                     twisted_liouville_volume)
+                     sigma_bands, solve, twisted_liouville_volume)
 from magweyl.reports import svg_plot, write_svg
 
 model = TorusModel.compatible(1)
@@ -23,7 +22,7 @@ print("twisted Liouville volume at lambda=1:", twisted_liouville_volume(model, l
 spectra = {}
 for k, npts in ((4, 32), (8, 64), (12, 96)):
     op = build_magnetic_laplacian(model, k, npts)
-    spectra[(k, npts)] = solve_all(op)
+    spectra[(k, npts)] = solve(op)
 records = check_weyl_law(spectra, lam, model)
 for r in records:
     print(f"k={r.power}: measured {r.measured}, predicted {r.predicted:.1f}, "
@@ -41,7 +40,7 @@ print("predicted bands:", [(round(lo, 3), round(hi, 3)) for lo, hi in bands[:3]]
 print("predicted gaps:", [(round(a, 3), round(b, 3)) for a, b in band_gaps(bands)[:2]])
 
 op = build_magnetic_laplacian(model, 12, 96, pot)
-res = solve_lowest(op, 3 * 12 + 8)
+res = solve(op, 3 * 12 + 8)
 below = res.scaled("k1")
 below = below[below < 3.0]
 rep = detect_clusters(below, 0.25)

@@ -15,8 +15,7 @@ from .star import left_xi, moyal_product, sharp_power, symmetrized_product
 from .symbols import GridSymbol, PhaseGrid, PolySymbol
 from .torus import (EigenResult, MagneticLatticeOperator, PotentialSpec,
                     SolverError, TorusModel, build_magnetic_laplacian,
-                    exact_landau_reference, random_gauge_transform, solve_all,
-                    solve_lowest, spectra_payload)
+                    exact_landau_reference, random_gauge_transform, solve)
 from .verify import (ClusterReport, VerifyError, WeylLawRecord, band_containment,
                      band_gaps, check_cluster_law, check_weyl_law, detect_clusters,
                      sigma_bands, twisted_liouville_volume)

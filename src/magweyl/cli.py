@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,8 +32,8 @@ from .models import (PoleProximityError, ProjectorQuery, ResolventQuery,
 from .quantize import HermiteBasisSpec, block_compare, weyl_quantize
 from .star import moyal_product, sharp_power, symmetrized_product
 from .symbols import PolySymbol
-from .torus import (SOLVER_VERSION, PotentialSpec, SolverError, TorusModel,
-                    build_magnetic_laplacian, solve_all, solve_lowest)
+from .torus import (SOLVER_VERSION, EigenResult, PotentialSpec, SolverError,
+                    TorusModel, build_magnetic_laplacian, solve)
 from .verify import (band_containment, band_gaps, check_cluster_law,
                      check_weyl_law, detect_clusters, sigma_bands)
 
@@ -311,58 +312,55 @@ def run_model_checks(cfg: dict) -> list[Check]:
 # ---------------------------------------------------------------------------
 # torus pipelines
 
-def _solve_job(args) -> tuple:
-    (side, field, k, npts, potential_modes, purpose, count, seed) = args
-    model = TorusModel(side=side, field=field)
-    pot = PotentialSpec(potential_modes) if potential_modes is not None else None
-    op = build_magnetic_laplacian(model, k, npts, pot)
-    if purpose == "full":
-        res = solve_all(op)
-    else:
-        res = solve_lowest(op, count, seed=seed)
-    return (purpose, k, npts), {
-        "raw": [float(v) for v in res.raw],
-        "residual_norms": [float(r) for r in res.residual_norms],
-        "method": res.method,
-        "count_requested": res.count_requested,
-    }
+@dataclass(frozen=True)
+class TorusJob:
+    """One lattice solve: the lowest `count` eigenvalues, or all for None."""
+
+    model: TorusModel
+    potential: PotentialSpec | None
+    k: int
+    npoints: int
+    purpose: str
+    count: int | None
+    seed: int
+
+    @property
+    def key(self) -> tuple:
+        return (self.purpose, self.k, self.npoints)
 
 
-def _torus_jobs(cfg: dict, seed: int) -> list[tuple]:
+def _solve_job(job: TorusJob) -> EigenResult:
+    op = build_magnetic_laplacian(job.model, job.k, job.npoints, job.potential)
+    return solve(op, job.count, seed=job.seed)
+
+
+def _torus_jobs(cfg: dict) -> list[TorusJob]:
     tcfg = cfg["torus"]
     model = TorusModel.compatible(int(tcfg["chern"]), float(tcfg["field"]))
     cap = cfg["caps"]["max_lattice_dim"]
     pot = _potential_from_config(tcfg["potential"])
-    jobs = []
+    seed = int(cfg["seed"])
     kc = model.chern
-    for k, npts in tcfg["cluster_pairs"]:
-        count = 3 * k * kc + 8
-        jobs.append((model.side, model.field, int(k), int(npts), None,
-                     "clusters", count, seed))
-    for k, npts in tcfg["weyl_pairs"]:
-        jobs.append((model.side, model.field, int(k), int(npts), None, "full", 0, seed))
+    jobs = [TorusJob(model, None, int(k), int(npts), "clusters", 3 * int(k) * kc + 8, seed)
+            for k, npts in tcfg["cluster_pairs"]]
+    jobs += [TorusJob(model, None, int(k), int(npts), "full", None, seed)
+             for k, npts in tcfg["weyl_pairs"]]
     if pot is not None:
-        for k, npts in tcfg["band_pairs"]:
-            count = 3 * k * kc + 8
-            jobs.append((model.side, model.field, int(k), int(npts), pot.modes,
-                         "bands", count, seed))
+        jobs += [TorusJob(model, pot, int(k), int(npts), "bands", 3 * int(k) * kc + 8, seed)
+                 for k, npts in tcfg["band_pairs"]]
     for job in jobs:
-        if job[3] ** 2 > cap:
-            raise ResourceLimitError(f"lattice dimension {job[3] ** 2} exceeds cap {cap}")
+        if job.npoints ** 2 > cap:
+            raise ResourceLimitError(f"lattice dimension {job.npoints ** 2} exceeds cap {cap}")
     return jobs
 
 
-def _run_jobs(jobs: list, n_workers: int) -> dict:
-    out = {}
+def _run_jobs(jobs: list[TorusJob], n_workers: int) -> dict:
     if n_workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
-            for key, val in pool.map(_solve_job, jobs):
-                out[key] = val
+            results = list(pool.map(_solve_job, jobs))
     else:
-        for job in jobs:
-            key, val = _solve_job(job)
-            out[key] = val
-    return out
+        results = [_solve_job(job) for job in jobs]
+    return {job.key: res for job, res in zip(jobs, results)}
 
 
 def run_torus_checks(cfg: dict, spectra: dict) -> tuple[list[Check], dict]:
@@ -373,10 +371,8 @@ def run_torus_checks(cfg: dict, spectra: dict) -> tuple[list[Check], dict]:
     extras = {"clusters": [], "weyl": [], "bands": []}
 
     if tcfg["cluster_pairs"]:
-        cluster_spectra = {}
-        for k, npts in tcfg["cluster_pairs"]:
-            rec = spectra[("clusters", int(k), int(npts))]
-            cluster_spectra[(int(k), int(npts))] = np.asarray(rec["raw"]) / k
+        cluster_spectra = {(int(k), int(npts)): spectra[("clusters", int(k), int(npts))]
+                           for k, npts in tcfg["cluster_pairs"]}
         report = check_cluster_law(model, cluster_spectra, tcfg["cluster_levels"])
         worst_drift = max(r.relative_drift for r in report.rows)
         count_ok = all(r.measured_count == r.predicted_count for r in report.rows)
@@ -398,10 +394,8 @@ def run_torus_checks(cfg: dict, spectra: dict) -> tuple[list[Check], dict]:
 
     if tcfg["weyl_pairs"]:
         lam = float(tcfg["weyl_lambda"])
-        weyl_spectra = {}
-        for k, npts in tcfg["weyl_pairs"]:
-            rec = spectra[("full", int(k), int(npts))]
-            weyl_spectra[(int(k), int(npts))] = np.asarray(rec["raw"]) / k ** 2
+        weyl_spectra = {(int(k), int(npts)): spectra[("full", int(k), int(npts))]
+                        for k, npts in tcfg["weyl_pairs"]}
         records = check_weyl_law(weyl_spectra, lam, model)
         mid = records[len(records) // 2]
         checks.append(_leq("torus.weyl_ratio_mid_k", abs(mid.ratio - 1.0),
@@ -416,8 +410,7 @@ def run_torus_checks(cfg: dict, spectra: dict) -> tuple[list[Check], dict]:
         bands = sigma_bands(model, pot, int(tcfg["band_cutoff"]) + 1)
         eps_by_n = {}
         for k, npts in tcfg["band_pairs"]:
-            rec = spectra[("bands", int(k), int(npts))]
-            scaled = np.asarray(rec["raw"]) / k
+            scaled = spectra[("bands", int(k), int(npts))].scaled("k1")
             below = scaled[scaled < float(tcfg["band_cutoff"])]
             eps_by_n[(k, npts)] = band_containment(below, bands)
             cl = detect_clusters(below, 0.25 * model.field)
@@ -448,7 +441,8 @@ def run_torus_checks(cfg: dict, spectra: dict) -> tuple[list[Check], dict]:
 # commands
 
 def _emit(cfg: dict, command: str, checks: list[Check], out_dir: Path,
-          extras: dict | None = None, svg: str | None = None) -> Path:
+          extras: dict | None):
+    """report.{json,csv}, plus the details and report.svg when there are extras."""
     rows = [c.row() for c in checks]
     records = {
         "command": command,
@@ -456,12 +450,11 @@ def _emit(cfg: dict, command: str, checks: list[Check], out_dir: Path,
         "passed": all(c.passed for c in checks),
         "checks": rows,
     }
-    if extras:
+    if extras is not None:
         records["details"] = extras
     reports.emit_report(records, out_dir, rows=rows,
                         columns=["name", "value", "tolerance", "passed", "note"],
-                        svg=svg)
-    return out_dir
+                        svg=_weyl_svg(extras) if extras is not None else None)
 
 
 def _print_checks(checks: list[Check]):
@@ -470,39 +463,7 @@ def _print_checks(checks: list[Check]):
         print(f"{status}  {c.name}: value={c.value:.6g} tolerance={c.tolerance:.6g} {c.note}")
 
 
-def _cache_dir(cfg: dict, out_root: str) -> Path:
-    return Path(out_root) / config_hash(cfg)
-
-
-def cmd_star_check(cfg: dict, jobs: int, dry_run: bool) -> int:
-    out = _cache_dir(cfg, cfg["out_dir"])
-    if dry_run:
-        print(f"plan: {cfg['star']['instances']} random star-product property "
-              f"instances -> {out}")
-        return EXIT_PASS
-    checks = run_star_checks(cfg, int(cfg["seed"]))
-    out.mkdir(parents=True, exist_ok=True)
-    reports.write_json(out / "inputs.json", cfg)
-    _emit(cfg, "star-check", checks, out)
-    _print_checks(checks)
-    return EXIT_PASS if all(c.passed for c in checks) else EXIT_TOLERANCE
-
-
-def cmd_model_symbols(cfg: dict, jobs: int, dry_run: bool) -> int:
-    out = _cache_dir(cfg, cfg["out_dir"])
-    if dry_run:
-        print(f"plan: resolvent/projector/residue/inverse checks at "
-              f"N={cfg['models']['hermite_levels']} -> {out}")
-        return EXIT_PASS
-    checks = run_model_checks(cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    reports.write_json(out / "inputs.json", cfg)
-    _emit(cfg, "model-symbols", checks, out)
-    _print_checks(checks)
-    return EXIT_PASS if all(c.passed for c in checks) else EXIT_TOLERANCE
-
-
-_CACHE_SCHEMA = "magweyl/spectra-cache-v1"
+_CACHE_SCHEMA = "magweyl/spectra-cache-v2"
 
 
 def _cached_spectra(cache: Path, cfg: dict) -> dict | None:
@@ -528,23 +489,31 @@ def _cached_spectra(cache: Path, cfg: dict) -> dict | None:
               f"{written_by[1]}, not {_CACHE_SCHEMA}, {SOLVER_VERSION}; recomputing",
               file=sys.stderr)
         return None
-    return {tuple(json.loads(k)): v for k, v in payload["spectra"].items()}
+    spectra = {}
+    for key, rec in payload["spectra"].items():
+        purpose, k, npts = json.loads(key)
+        spectra[(purpose, k, npts)] = EigenResult(
+            power=k, raw=rec["raw"], residual_norms=tuple(rec["residual_norms"]),
+            method=rec["method"])
+    return spectra
 
 
-def _torus_spectra(cfg: dict, jobs: int, out: Path) -> dict:
+def _torus_spectra(cfg: dict, jobs: list[TorusJob], n_workers: int, out: Path) -> dict:
     cache = out / "spectra.json"
-    job_list = _torus_jobs(cfg, int(cfg["seed"]))
     cached = _cached_spectra(cache, cfg)
     if cached is not None:
         return cached
-    solved = _run_jobs(job_list, jobs)
+    solved = _run_jobs(jobs, n_workers)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
         "schema": _CACHE_SCHEMA,
         "config_hash": config_hash(cfg),
         "solver_version": SOLVER_VERSION,
         "timestamp": float(os.environ.get("SOURCE_DATE_EPOCH", time.time())),
-        "spectra": {json.dumps(list(k)): v for k, v in sorted(solved.items())},
+        "spectra": {json.dumps(list(key)): {"raw": [float(v) for v in solved[key].raw],
+                                            "residual_norms": list(solved[key].residual_norms),
+                                            "method": solved[key].method}
+                    for key in sorted(solved)},
     }
     # write-then-rename, so a killed run never leaves a truncated cache
     tmp = cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
@@ -564,37 +533,55 @@ def _weyl_svg(extras: dict) -> str:
                             "N_k / (k/2pi)^2 vol", reference_y=1.0)
 
 
-def cmd_torus(cfg: dict, jobs: int, dry_run: bool) -> int:
-    out = _cache_dir(cfg, cfg["out_dir"])
-    job_list = _torus_jobs(cfg, int(cfg["seed"]))
-    if dry_run:
-        for purpose, k, npts in [(j[5], j[2], j[3]) for j in job_list]:
-            print(f"plan: solve {purpose} spectrum at k={k}, N={npts}")
-        print(f"plan: reports -> {out}")
-        return EXIT_PASS
-    spectra = _torus_spectra(cfg, jobs, out)
-    checks, extras = run_torus_checks(cfg, spectra)
-    reports.write_json(out / "inputs.json", cfg)
-    _emit(cfg, "torus", checks, out, extras=extras, svg=_weyl_svg(extras))
-    _print_checks(checks)
-    return EXIT_PASS if all(c.passed for c in checks) else EXIT_TOLERANCE
+@dataclass(frozen=True)
+class Stage:
+    """A CLI stage: its dry-run plan lines, and its checks with report details.
+
+    `run(cfg, torus_jobs, n_workers, out)` returns (checks, details or None).
+    """
+
+    plan: Callable[[dict, list[TorusJob]], list[str]]
+    run: Callable[[dict, list[TorusJob], int, Path], tuple[list[Check], dict | None]]
 
 
-def cmd_all(cfg: dict, jobs: int, dry_run: bool) -> int:
-    out = _cache_dir(cfg, cfg["out_dir"])
+STAGES = {
+    "star-check": Stage(
+        plan=lambda cfg, _: [f"{cfg['star']['instances']} random star-product "
+                             f"property instances"],
+        run=lambda cfg, *_: (run_star_checks(cfg, int(cfg["seed"])), None)),
+    "model-symbols": Stage(
+        plan=lambda cfg, _: [f"resolvent/projector/residue/inverse checks at "
+                             f"N={cfg['models']['hermite_levels']}"],
+        run=lambda cfg, *_: (run_model_checks(cfg), None)),
+    "torus": Stage(
+        plan=lambda _, jobs: [f"solve {j.purpose} spectrum at k={j.k}, N={j.npoints}"
+                              for j in jobs],
+        run=lambda cfg, jobs, n_workers, out: run_torus_checks(
+            cfg, _torus_spectra(cfg, jobs, n_workers, out))),
+}
+COMMANDS = {**{name: (name,) for name in STAGES}, "all": tuple(STAGES)}
+
+
+def run_command(cfg: dict, command: str, n_workers: int, dry_run: bool) -> int:
+    """Run (or with dry_run only plan) the stages of `command` into one report."""
+    stages = COMMANDS[command]
+    out = Path(cfg["out_dir"]) / config_hash(cfg)
+    jobs = _torus_jobs(cfg) if "torus" in stages else []
     if dry_run:
-        print("plan: star-check, model-symbols, torus")
-        for job in _torus_jobs(cfg, int(cfg["seed"])):
-            print(f"plan: solve {job[5]} spectrum at k={job[2]}, N={job[3]}")
+        for name in stages:
+            for line in STAGES[name].plan(cfg, jobs):
+                print(f"plan: {name}: {line}")
         print(f"plan: reports -> {out}")
         return EXIT_PASS
-    checks = run_star_checks(cfg, int(cfg["seed"]))
-    checks += run_model_checks(cfg)
-    spectra = _torus_spectra(cfg, jobs, out)
-    torus_checks, extras = run_torus_checks(cfg, spectra)
-    checks += torus_checks
+    checks, extras = [], None
+    for name in stages:
+        stage_checks, details = STAGES[name].run(cfg, jobs, n_workers, out)
+        checks += stage_checks
+        if details is not None:
+            extras = details
+    out.mkdir(parents=True, exist_ok=True)
     reports.write_json(out / "inputs.json", cfg)
-    _emit(cfg, "all", checks, out, extras=extras, svg=_weyl_svg(extras))
+    _emit(cfg, command, checks, out, extras)
     _print_checks(checks)
     n_fail = sum(not c.passed for c in checks)
     print(f"summary: {len(checks) - n_fail}/{len(checks)} checks passed")
@@ -611,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes for (k, N) solves")
     p.add_argument("--dry-run", action="store_true", help="print the plan, no compute")
     p.add_argument("--seed", type=int, metavar="S", help="override config seed")
-    p.add_argument("command", choices=["star-check", "model-symbols", "torus", "all"])
+    p.add_argument("command", choices=list(COMMANDS))
     return p
 
 
@@ -627,13 +614,7 @@ def main(argv=None) -> int:
             cfg["out_dir"] = args.out
         if args.seed is not None:
             cfg["seed"] = args.seed
-        dispatch = {
-            "star-check": cmd_star_check,
-            "model-symbols": cmd_model_symbols,
-            "torus": cmd_torus,
-            "all": cmd_all,
-        }
-        return dispatch[args.command](cfg, max(1, args.jobs), args.dry_run)
+        return run_command(cfg, args.command, max(1, args.jobs), args.dry_run)
     except (ConfigError, PoleProximityError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

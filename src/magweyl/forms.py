@@ -144,23 +144,31 @@ def _schur_pairs(K: np.ndarray, tol: float):
     return pairs
 
 
-def williamson_eigenvalues(G: MetricForm, W: AntisymmetricForm) -> np.ndarray:
-    """Eigenvalues 0 < B_1 <= ... <= B_d of W with respect to G.
+def _williamson_pairs(G: MetricForm, W: AntisymmetricForm):
+    """L^{-1} for G = L L^T, and the Schur pairs of K = L^{-1} W L^{-T}.
 
-    +-i B_j are the eigenvalues of G^{-1} W.  Requires even dimension
-    and nondegenerate W.
+    Requires matching even dimension and nondegenerate W.
     """
     if G.dim != W.dim:
         raise ValueError("dimension mismatch")
     if G.dim % 2:
-        raise ValueError("Williamson eigenvalues need even dimension")
+        raise ValueError("Williamson normal form needs even dimension")
     L = np.linalg.cholesky(G.entries)
     Linv = scipy.linalg.solve_triangular(L, np.eye(G.dim), lower=True)
     K = Linv @ W.entries @ Linv.T
     scale = max(np.max(np.abs(K)), 1e-300)
     if np.max(np.abs(K)) < 1e-12 or np.min(np.abs(np.linalg.eigvals(K))) < 1e-12 * scale:
         raise DegenerateFormError("antisymmetric form is singular")
-    pairs = _schur_pairs(K, 1e-12 * scale)
+    return Linv, _schur_pairs(K, 1e-12 * scale)
+
+
+def williamson_eigenvalues(G: MetricForm, W: AntisymmetricForm) -> np.ndarray:
+    """Eigenvalues 0 < B_1 <= ... <= B_d of W with respect to G.
+
+    +-i B_j are the eigenvalues of G^{-1} W.  Requires even dimension
+    and nondegenerate W.
+    """
+    _, pairs = _williamson_pairs(G, W)
     return np.array([b for b, _, _ in pairs])
 
 
@@ -173,18 +181,8 @@ def symplectic_frame(G: MetricForm, W: AntisymmetricForm,
     generator applies random rotations in each (e_j, f_j) plane, giving
     an independent admissible frame for the same pair.
     """
-    if G.dim != W.dim:
-        raise ValueError("dimension mismatch")
-    if G.dim % 2:
-        raise ValueError("symplectic frame needs even dimension")
+    Linv, pairs = _williamson_pairs(G, W)
     d = G.dim // 2
-    L = np.linalg.cholesky(G.entries)
-    Linv = scipy.linalg.solve_triangular(L, np.eye(G.dim), lower=True)
-    K = Linv @ W.entries @ Linv.T
-    scale = max(np.max(np.abs(K)), 1e-300)
-    if np.max(np.abs(K)) < 1e-12:
-        raise DegenerateFormError("antisymmetric form is singular")
-    pairs = _schur_pairs(K, 1e-12 * scale)
     b = np.array([p[0] for p in pairs])
     Qp = np.column_stack([p[1] for p in pairs] + [p[2] for p in pairs])
     S = Linv.T @ Qp / np.sqrt(np.concatenate([b, b]))[None, :]

@@ -16,7 +16,6 @@ V = 0, spectrum(matrix)/k^2 is the spectrum of k^{-2} Delta_k.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +27,13 @@ import scipy.sparse.linalg as spla
 # Bump when a solver change can alter computed spectra: spectra caches
 # written under another version are recomputed.
 SOLVER_VERSION = 2
+
+# Every residual norm a solve returns must stay at or below this.
+RESIDUAL_TOL = 1e-8
+# Sector solves check this many eigenvectors, evenly spaced in rank.
+SECTOR_SAMPLES = 8
+# Largest lattice whose whole spectrum a y-dependent potential gets densely.
+DENSE_MAX_DIM = 4096
 
 
 class SolverError(RuntimeError):
@@ -99,14 +105,12 @@ class PotentialSpec:
             out = out + amp * np.exp(2j * np.pi * (p * x + q * y) / side)
         return out.real
 
-    def oscillation(self, side: float, samples: int = 4096) -> tuple[float, float]:
-        """(min, max) over the torus, on a fine sampling mesh."""
-        t = np.linspace(0.0, side, samples, endpoint=False)
+    def oscillation(self, side: float) -> tuple[float, float]:
+        """(min, max) over the torus: 4096 points in x, or a 512 x 512 mesh."""
         if self.is_x_only:
-            v = self.sample(t, 0.0, side)
+            v = self.sample(np.linspace(0.0, side, 4096, endpoint=False), 0.0, side)
         else:
-            n = 512
-            t = np.linspace(0.0, side, n, endpoint=False)
+            t = np.linspace(0.0, side, 512, endpoint=False)
             xx, yy = np.meshgrid(t, t, indexing="ij")
             v = self.sample(xx, yy, side)
         return float(np.min(v)), float(np.max(v))
@@ -145,20 +149,12 @@ class MagneticLatticeOperator:
         N = self.npoints
         t = -1.0 / (2.0 * self.spacing ** 2)
         M = self.matrix.tocsr()
-
-        def hop(frm, to):
-            return M[to, frm] / t
-
-        out = np.empty((N, N), dtype=complex)
-        site = lambda i, j: i + N * j
-        for j in range(N):
-            j2 = (j + 1) % N
-            for i in range(N):
-                i2 = (i + 1) % N
-                out[i, j] = (hop(site(i, j), site(i, j2))
-                             * hop(site(i, j2), site(i2, j2))
-                             * hop(site(i2, j2), site(i2, j))
-                             * hop(site(i2, j), site(i, j)))
+        i, j = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
+        i2, j2 = (i + 1) % N, (j + 1) % N
+        corners = [i + N * j, i + N * j2, i2 + N * j2, i2 + N * j, i + N * j]
+        out = np.ones((N, N), dtype=complex)
+        for frm, to in zip(corners, corners[1:]):
+            out = out * (np.asarray(M[to.ravel(), frm.ravel()]).reshape(N, N) / t)
         return out
 
 
@@ -208,12 +204,10 @@ def build_magnetic_laplacian(model: TorusModel, k: int, npoints: int,
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Sorted eigenvalues of a lattice operator with scaling bookkeeping."""
+    """Sorted eigenvalues of a lattice operator, the method and its residual norms."""
 
     power: int
     raw: np.ndarray = field(repr=False)
-    regime: str = "k1"
-    count_requested: int = 0
     residual_norms: tuple = ()
     method: str = "dense"
 
@@ -223,12 +217,6 @@ class EigenResult:
             raise ValueError("eigenvalues must be ascending")
         r.setflags(write=False)
         object.__setattr__(self, "raw", r)
-        if self.regime not in ("k1", "k2", "raw"):
-            raise ValueError("regime must be 'k1', 'k2' or 'raw'")
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.scaled(self.regime)
 
     def scaled(self, regime: str) -> np.ndarray:
         if regime == "raw" or self.power == 0:
@@ -314,14 +302,13 @@ def _chain_vector(band: np.ndarray, lam: float, steps: int = 3) -> np.ndarray:
     return v
 
 
-def _sector_solve(op: MagneticLatticeOperator, count: int | None,
-                  samples: int) -> tuple[np.ndarray, tuple]:
+def _sector_solve(op: MagneticLatticeOperator, count: int | None) -> tuple[np.ndarray, tuple]:
     """Sector eigenvalues (all, or the lowest `count`) and sampled residual norms.
 
     Each chain gives its eigenvalues by banded LAPACK (no eigenvectors):
     bisection for the lowest `count` when count < L/16, else the whole
     chain spectrum, which was faster there at L = 256 to 2048;
-    `samples` of the returned eigenvalues, evenly spaced in rank, get an
+    SECTOR_SAMPLES of the returned eigenvalues, evenly spaced in rank, get an
     eigenvector by inverse iteration on their chain, lifted to the lattice
     as psi(i, j) = sum_q e^{i theta_q j} u_q(i) / sqrt(N) and checked
     against the sparse operator.
@@ -339,7 +326,7 @@ def _sector_solve(op: MagneticLatticeOperator, count: int | None,
     lam = np.concatenate(evs)
     owner = np.repeat(np.arange(len(evs)), [w.size for w in evs])
     order = np.argsort(lam, kind="stable")[:count]
-    ranks = np.unique(np.linspace(0, order.size - 1, samples).round().astype(int))
+    ranks = np.unique(np.linspace(0, order.size - 1, SECTOR_SAMPLES).round().astype(int))
     residuals = []
     for idx in order[ranks]:
         orbit, perm, band = chains[owner[idx]]
@@ -351,72 +338,52 @@ def _sector_solve(op: MagneticLatticeOperator, count: int | None,
     return lam[order], tuple(residuals)
 
 
-def solve_lowest(op: MagneticLatticeOperator, count: int, seed: int = 0,
-                 regime: str = "k1", method: str = "auto",
-                 residual_tol: float = 1e-8) -> EigenResult:
-    """Smallest `count` eigenvalues with verified residual norms.
+def _sparse_solve(op: MagneticLatticeOperator, count: int,
+                  seed: int) -> tuple[np.ndarray, tuple]:
+    """Lowest `count` eigenvalues by seeded shift-invert Lanczos, every residual norm."""
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(op.dim)
+    scale = 1.0 / (2.0 * op.spacing ** 2)
+    try:
+        vals, vecs = spla.eigsh(op.matrix, k=count, sigma=-1e-3 * scale, which="LM", v0=v0)
+    except spla.ArpackNoConvergence as exc:
+        raise SolverError(f"ARPACK did not converge: {exc}") from exc
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
+    residuals = tuple(float(np.linalg.norm(op.matrix @ vecs[:, i] - vals[i] * vecs[:, i]))
+                      for i in range(count))
+    return vals, residuals
 
-    method 'sectors' uses the exact magnetic Bloch reduction (available
-    when the potential depends on x only): banded real periodic chains,
-    with residuals checked on 8 sampled eigenvectors.  'sparse' uses
-    shift-invert Lanczos with a seeded start vector and checks every
-    residual.  'auto' picks sectors whenever they apply.
+
+def solve(op: MagneticLatticeOperator, count: int | None = None, seed: int = 0) -> EigenResult:
+    """Lowest `count` eigenvalues, or the whole spectrum when count is None.
+
+    The method follows from the operator.  A potential depending on x
+    only (or none) takes the exact magnetic Bloch reduction ('sectors'):
+    banded real periodic chains, with residuals checked on
+    SECTOR_SAMPLES eigenvectors.  A y-dependent potential takes seeded
+    shift-invert Lanczos ('sparse', every residual checked) for a count,
+    and dense diagonalization ('dense') for the whole spectrum of at most
+    DENSE_MAX_DIM sites.  A residual above RESIDUAL_TOL is a SolverError.
     """
-    dim = op.dim
-    if count < 1 or count > dim // 4:
-        raise ValueError(f"count must be in [1, dim/4] = [1, {dim // 4}]")
-    sectors_ok = op.potential is None or op.potential.is_x_only
-    if method == "auto":
-        method = "sectors" if sectors_ok else "sparse"
-    if method == "sectors":
-        if not sectors_ok:
-            raise ValueError("sector solve needs an x-only potential")
-        raw, residuals = _sector_solve(op, count, samples=8)
-    elif method == "sparse":
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(dim)
-        scale = 1.0 / (2.0 * op.spacing ** 2)
-        try:
-            vals, vecs = spla.eigsh(op.matrix, k=count, sigma=-1e-3 * scale,
-                                    which="LM", v0=v0)
-        except spla.ArpackNoConvergence as exc:
-            raise SolverError(f"ARPACK did not converge: {exc}") from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        residuals = tuple(float(np.linalg.norm(op.matrix @ vecs[:, i] - vals[i] * vecs[:, i]))
-                          for i in range(count))
-        raw = vals
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    _check_residuals(residuals, residual_tol)
-    return EigenResult(power=op.power, raw=np.sort(raw), regime=regime,
-                       count_requested=count, residual_norms=residuals, method=method)
-
-
-def solve_all(op: MagneticLatticeOperator, regime: str = "k2",
-              residual_tol: float = 1e-8) -> EigenResult:
-    """Complete spectrum (sector reduction, or dense for small lattices).
-
-    Sector spectra carry 4 sampled residual norms, which must not exceed
-    `residual_tol`.
-    """
+    if count is not None and not 1 <= count <= op.dim // 4:
+        raise ValueError(f"count must be in [1, dim/4] = [1, {op.dim // 4}]")
     if op.potential is None or op.potential.is_x_only:
-        allev, res = _sector_solve(op, None, samples=4)
         method = "sectors"
-    elif op.dim <= 4096:
-        allev = np.sort(np.linalg.eigvalsh(op.matrix.toarray()))
-        res = ()
-        method = "dense"
+        raw, residuals = _sector_solve(op, count)
+    elif count is not None:
+        method = "sparse"
+        raw, residuals = _sparse_solve(op, count, seed)
+    elif op.dim <= DENSE_MAX_DIM:
+        method, residuals = "dense", ()
+        raw = np.linalg.eigvalsh(op.matrix.toarray())
     else:
-        raise SolverError("full spectrum for y-dependent potentials needs dim <= 4096")
-    _check_residuals(res, residual_tol)
-    return EigenResult(power=op.power, raw=allev, regime=regime,
-                       count_requested=allev.size, residual_norms=res, method=method)
-
-
-def _check_residuals(residuals: tuple, tol: float):
-    if residuals and max(residuals) > tol:
-        raise SolverError(f"residual norm {max(residuals):.2e} exceeds {tol:.0e}")
+        raise SolverError(f"full spectrum for y-dependent potentials needs dim <= "
+                          f"{DENSE_MAX_DIM}, not {op.dim}")
+    if residuals and max(residuals) > RESIDUAL_TOL:
+        raise SolverError(f"residual norm {max(residuals):.2e} exceeds {RESIDUAL_TOL:.0e}")
+    return EigenResult(power=op.power, raw=np.sort(raw), residual_norms=residuals,
+                       method=method)
 
 
 def exact_landau_reference(model: TorusModel, k: int, m_max: int):
@@ -434,31 +401,3 @@ def random_gauge_transform(op: MagneticLatticeOperator,
                                    flux_per_plaquette=op.flux_per_plaquette,
                                    spacing=op.spacing, matrix=mat,
                                    model=op.model, potential=op.potential)
-
-
-def spectra_payload(op: MagneticLatticeOperator, results: dict,
-                    timestamp: float | None = None) -> dict:
-    """JSON-ready record of a solved operator (documented schema)."""
-    payload = {
-        "schema": "magweyl/spectra-v1",
-        "model": {"side": op.model.side, "field": op.model.field,
-                  "chern": op.model.chern, "metric": op.model.metric},
-        "power": op.power,
-        "npoints": op.npoints,
-        "flux_per_plaquette": op.flux_per_plaquette,
-        "potential": ([[list(pq), [amp.real, amp.imag]] for pq, amp in op.potential.modes]
-                      if op.potential is not None else None),
-        "results": {},
-        "timestamp": timestamp if timestamp is not None else time.time(),
-    }
-    for name, res in results.items():
-        payload["results"][name] = {
-            "regime": res.regime,
-            "raw": [float(v) for v in res.raw],
-            "scaled_k1": [float(v) for v in res.scaled("k1")],
-            "scaled_k2": [float(v) for v in res.scaled("k2")],
-            "count_requested": res.count_requested,
-            "residual_norms": [float(r) for r in res.residual_norms],
-            "method": res.method,
-        }
-    return payload

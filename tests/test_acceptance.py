@@ -17,8 +17,8 @@ from magweyl import (AntisymmetricForm, GridSymbol, HermiteBasisSpec,
                      build_magnetic_laplacian, check_cluster_law,
                      check_weyl_law, moyal_product, projector_symbol,
                      residue_projector, resolvent_at, resolvent_symbol,
-                     sharp_inverse, sigma_bands, solve_all, solve_lowest,
-                     symmetrized_product, weyl_quantize, wigner_symbol)
+                     sharp_inverse, sigma_bands, solve, symmetrized_product,
+                     weyl_quantize, wigner_symbol)
 from magweyl.cli import config_hash, load_config, main
 from magweyl.models import harmonic_hamiltonian
 from magweyl.quantize import block_compare
@@ -186,7 +186,7 @@ def test_criterion_07_cluster_law(capsys, torus_model):
     for npts in (64, 128):
         for k in (4, 8, 16):
             op = build_magnetic_laplacian(torus_model, k, npts)
-            res = solve_lowest(op, 3 * k * torus_model.chern + 8)
+            res = solve(op, 3 * k * torus_model.chern + 8)
             spectra[(k, npts)] = res
     report = check_cluster_law(torus_model, spectra, [0, 1, 2])
     worst = max(r.relative_drift for r in report.rows)
@@ -207,7 +207,7 @@ def test_criterion_08_weyl_law(capsys, torus_model):
     spectra = {}
     for k, npts in ((8, 64), (16, 128), (24, 192)):
         op = build_magnetic_laplacian(torus_model, k, npts)
-        spectra[(k, npts)] = solve_all(op)
+        spectra[(k, npts)] = solve(op)
     records = check_weyl_law(spectra, 1.0, torus_model)
     devs = {r.power: abs(r.ratio - 1.0) for r in records}
     monotone = devs[24] <= devs[8] + 1e-12 and devs[16] <= devs[8] + 1e-12
@@ -230,7 +230,7 @@ def test_criterion_09_bands_and_gaps(capsys, torus_model):
     gaps_at_128 = None
     for npts in (64, 128):
         op = build_magnetic_laplacian(torus_model, 16, npts, pot)
-        res = solve_lowest(op, 3 * 16 + 8)
+        res = solve(op, 3 * 16 + 8)
         below = res.scaled("k1")
         below = below[below < 3.0]
         eps[npts] = band_containment(below, bands)
@@ -280,5 +280,5 @@ def test_criterion_10_determinism(capsys, tmp_path):
     ok = (code1 == 0 and code2 == 0 and first == second
           and set(first) == {"report.json", "report.csv", "report.svg"})
     _verdict(capsys, 10, ok,
-             f"determinism: consecutive cmd_all runs byte-identical over "
+             f"determinism: consecutive `all` runs byte-identical over "
              f"{sorted(first)} (exit codes {code1},{code2}), {elapsed:.0f}s")

@@ -5,7 +5,7 @@ import pytest
 
 from magweyl.cli import (EXIT_CONFIG, EXIT_PASS, config_hash, load_config,
                          main)
-from magweyl.torus import SOLVER_VERSION
+from magweyl.torus import RESIDUAL_TOL, SOLVER_VERSION
 
 SMALL = {
     "seed": 1,
@@ -80,6 +80,10 @@ def test_dry_run_no_compute(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out), "--dry-run", "torus"]) == EXIT_PASS
     assert "plan:" in capsys.readouterr().out
+    assert main(["--config", cfg, "--out", str(out), "--dry-run", "all"]) == EXIT_PASS
+    plan = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[1].strip() for line in plan[:2]] == ["star-check", "model-symbols"]
+    assert plan[-1].startswith("plan: reports -> ")
     assert not out.exists()
 
 
@@ -143,6 +147,38 @@ def test_stale_spectra_cache_is_recomputed(tmp_path, capsys):
     assert "recomputing" in capsys.readouterr().err
     assert json.loads(cache.read_text())["solver_version"] == SOLVER_VERSION
     assert report_bytes(out, cfg) == cold
+
+
+def test_spectra_cache_schema(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path)
+    assert main(["--config", cfg, "--out", str(out), "torus"]) == EXIT_PASS
+    cfgdict = load_config(cfg)
+    cfgdict["out_dir"] = str(out)
+    payload = json.loads((out / config_hash(cfgdict) / "spectra.json").read_text())
+    assert payload["schema"] == "magweyl/spectra-cache-v2"
+    assert payload["config_hash"] == config_hash(cfgdict)
+    assert payload["solver_version"] == SOLVER_VERSION
+    assert payload["timestamp"] == 0.0
+    spectra = {tuple(json.loads(key)): rec for key, rec in payload["spectra"].items()}
+    assert set(spectra) == {("clusters", 2, 16), ("clusters", 2, 32), ("full", 2, 16),
+                            ("full", 3, 24), ("bands", 4, 32), ("bands", 4, 48)}
+    for (purpose, k, npts), rec in spectra.items():
+        assert set(rec) == {"raw", "residual_norms", "method"}
+        assert rec["method"] == "sectors"  # no potential, or cos_x: x-only
+        assert len(rec["raw"]) == (npts ** 2 if purpose == "full" else 3 * k + 8)
+        assert rec["raw"] == sorted(rec["raw"])
+        assert 0 < len(rec["residual_norms"]) <= 8
+        assert max(rec["residual_norms"]) <= RESIDUAL_TOL
+    # a cache of the previous schema (records with count_requested) is a noted miss
+    payload["schema"] = "magweyl/spectra-cache-v1"
+    for rec in payload["spectra"].values():
+        rec["count_requested"] = len(rec["raw"])
+    (out / config_hash(cfgdict) / "spectra.json").write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["--config", cfg, "--out", str(out), "torus"]) == EXIT_PASS
+    assert "recomputing" in capsys.readouterr().err
 
 
 def test_truncated_spectra_cache_is_rewritten(tmp_path, capsys):

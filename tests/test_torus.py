@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import magweyl.torus
 from magweyl import (EigenResult, PotentialSpec, SolverError, TorusModel,
                      build_magnetic_laplacian, exact_landau_reference,
-                     random_gauge_transform, solve_all, solve_lowest,
-                     spectra_payload)
+                     random_gauge_transform, solve)
+from magweyl.torus import _sparse_solve
 
 
 def test_model_prequantization():
@@ -37,8 +38,9 @@ def test_zero_flux_limit():
     # constant vector is the zero mode
     ones = np.ones(64)
     assert np.max(np.abs(op.matrix @ ones)) < 1e-12
-    res = solve_lowest(op, 1, method="sparse")
-    assert abs(res.raw[0]) < 1e-8
+    raw, _ = _sparse_solve(op, 1, seed=0)
+    assert abs(raw[0]) < 1e-8
+    assert abs(solve(op, 1).raw[0]) < 1e-8
     # discrete Laplacian dispersion
     a = op.spacing
     theta = 2.0 * np.pi * np.arange(8) / 8.0
@@ -91,6 +93,27 @@ def test_vectorized_assembly_is_exact(k, npts, cos_x):
         assert np.array_equal(getattr(got, part), getattr(ref, part)), part
 
 
+def _reference_plaquettes(op):
+    """Plaquette products by one scalar CSR lookup per hop.
+
+    The vectorized products may round differently (complex array
+    multiplication can fuse operations), so comparisons allow 8 ulps: four
+    unit-modulus factors, a few roundings each.
+    """
+    N = op.npoints
+    t = -1.0 / (2.0 * op.spacing ** 2)
+    M = op.matrix.tocsr()
+    site = lambda i, j: i + N * j
+    out = np.empty((N, N), dtype=complex)
+    for j in range(N):
+        j2 = (j + 1) % N
+        for i in range(N):
+            i2 = (i + 1) % N
+            out[i, j] = (M[site(i, j2), site(i, j)] / t * (M[site(i2, j2), site(i, j2)] / t)
+                         * (M[site(i2, j), site(i2, j2)] / t) * (M[site(i, j), site(i2, j)] / t))
+    return out
+
+
 def test_plaquette_phases():
     model = TorusModel.compatible(1)
     op = build_magnetic_laplacian(model, 3, 8)
@@ -98,6 +121,17 @@ def test_plaquette_phases():
     assert np.max(np.abs(op.plaquette_phase_products() - target)) < 1e-12
     assert np.isclose(op.total_flux, 2.0 * np.pi * 3)
     assert op.hermiticity_defect() < 1e-12
+    ulps = 8 * np.finfo(float).eps
+    assert np.max(np.abs(op.plaquette_phase_products() - _reference_plaquettes(op))) <= ulps
+    # a larger lattice, and a potential (which only touches the diagonal)
+    for k, npts, pot in ((5, 24, PotentialSpec.cosine_x(0.1)), (16, 96, None),
+                         (16, 96, PotentialSpec.cosine_x(0.1))):
+        op = build_magnetic_laplacian(model, k, npts, pot)
+        phases = op.plaquette_phase_products()
+        assert phases.shape == (npts, npts)
+        assert np.max(np.abs(phases - np.exp(-1j * op.flux_per_plaquette))) < 1e-12
+        if npts <= 24:
+            assert np.max(np.abs(phases - _reference_plaquettes(op))) <= ulps
 
 
 def test_lattice_too_coarse():
@@ -109,7 +143,7 @@ def test_lattice_too_coarse():
 def test_landau_clusters_small():
     model = TorusModel.compatible(1)
     op = build_magnetic_laplacian(model, 8, 64)
-    res = solve_lowest(op, 24, method="sparse")
+    res = solve(op, 24)
     scaled = res.scaled("k1")
     for m in range(3):
         grp = scaled[8 * m:8 * (m + 1)]
@@ -131,23 +165,53 @@ def test_sector_solver_matches_sparse_and_dense(k, npts, cos_x):
     pot = PotentialSpec.cosine_x(cos_x) if cos_x is not None else None
     op = build_magnetic_laplacian(model, k, npts, pot)
     dense = np.sort(np.linalg.eigvalsh(op.matrix.toarray()))
-    res_sec = solve_all(op)
-    assert res_sec.method == "sectors" and len(res_sec.residual_norms) == 4
+    res_sec = solve(op)
+    assert res_sec.method == "sectors"
+    assert len(res_sec.residual_norms) == min(8, op.dim)
     assert np.max(np.abs(res_sec.raw - dense)) < 1e-10
     count = min(12, op.dim // 4)
-    res_sec2 = solve_lowest(op, count, method="sectors")
+    res_sec2 = solve(op, count)
+    assert res_sec2.method == "sectors"
     assert np.max(np.abs(res_sec2.raw - dense[:count])) < 1e-10
-    assert solve_lowest(op, count).method == "sectors"
-    res_sml = solve_lowest(op, count, method="sparse")
-    assert np.max(np.abs(res_sml.raw - dense[:count])) < 1e-8
+    sparse, _ = _sparse_solve(op, count, seed=0)
+    assert np.max(np.abs(sparse - dense[:count])) < 1e-8
 
 
-def test_solve_all_enforces_residuals():
+_Y_DEPENDENT = PotentialSpec((((1, 0), 0.025), ((-1, 0), 0.025),
+                              ((0, 1), 0.025), ((0, -1), 0.025)))
+
+
+@pytest.mark.parametrize("k, npts, count, method", [
+    (2, 16, None, "dense"),
+    (2, 16, 12, "sparse"),
+    (3, 24, None, "dense"),
+    (3, 24, 20, "sparse"),
+    (2, 72, None, None),     # dim 5184 > 4096: no dense full spectrum
+])
+def test_solve_dispatch_y_dependent(k, npts, count, method):
+    model = TorusModel.compatible(1)
+    op = build_magnetic_laplacian(model, k, npts, _Y_DEPENDENT)
+    if method is None:
+        with pytest.raises(SolverError):
+            solve(op)
+        return
+    res = solve(op, count)
+    dense = np.linalg.eigvalsh(op.matrix.toarray())
+    assert res.method == method
+    if count is None:
+        assert np.array_equal(res.raw, dense) and res.residual_norms == ()
+    else:
+        assert np.max(np.abs(res.raw - dense[:count])) < 1e-8
+        assert len(res.residual_norms) == count
+
+
+def test_solve_enforces_residuals(monkeypatch):
     model = TorusModel.compatible(1)
     op = build_magnetic_laplacian(model, 3, 16)
-    assert max(solve_all(op).residual_norms) < 1e-8
+    assert max(solve(op).residual_norms) < 1e-8
+    monkeypatch.setattr(magweyl.torus, "RESIDUAL_TOL", 0.0)
     with pytest.raises(SolverError):
-        solve_all(op, residual_tol=0.0)
+        solve(op)
 
 
 def test_single_sector_lowest_is_banded():
@@ -157,7 +221,7 @@ def test_single_sector_lowest_is_banded():
     op = build_magnetic_laplacian(model, 7, 128)
     tracemalloc.start()
     try:
-        res = solve_lowest(op, 29)
+        res = solve(op, 29)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -170,9 +234,9 @@ def test_single_sector_lowest_is_banded():
 def test_solver_determinism():
     model = TorusModel.compatible(1)
     op = build_magnetic_laplacian(model, 4, 32)
-    r1 = solve_lowest(op, 10, seed=5, method="sparse")
-    r2 = solve_lowest(op, 10, seed=5, method="sparse")
-    assert np.array_equal(r1.raw, r2.raw)
+    r1, _ = _sparse_solve(op, 10, seed=5)
+    r2, _ = _sparse_solve(op, 10, seed=5)
+    assert np.array_equal(r1, r2)
 
 
 def test_gauge_invariance():
@@ -199,7 +263,7 @@ def test_refinement_convergence():
     errs = []
     for npts in (32, 64):
         op = build_magnetic_laplacian(model, 8, npts)
-        res = solve_lowest(op, 8, method="sparse")
+        res = solve(op, 8)
         center = 0.5 * (res.scaled("k1")[0] + res.scaled("k1")[-1])
         errs.append(abs(center - 0.5))
     assert errs[1] < errs[0]
@@ -209,7 +273,8 @@ def test_band_containment_small():
     model = TorusModel.compatible(1)
     pot = PotentialSpec.cosine_x(0.1)
     op = build_magnetic_laplacian(model, 8, 64, pot)
-    res = solve_lowest(op, 28, method="sectors")
+    res = solve(op, 28)
+    assert res.method == "sectors"
     scaled = res.scaled("k1")
     grp0 = scaled[:8]
     assert grp0.min() > 0.4 - 0.05 and grp0.max() < 0.6 + 0.05
@@ -221,27 +286,15 @@ def test_count_guard():
     model = TorusModel.compatible(1)
     op = build_magnetic_laplacian(model, 2, 16)
     with pytest.raises(ValueError):
-        solve_lowest(op, 100)
+        solve(op, 100)
 
 
 def test_eigenresult_scalings():
-    res = EigenResult(power=4, raw=np.array([2.0, 4.0]), regime="k1")
-    assert np.allclose(res.eigenvalues, [0.5, 1.0])
+    res = EigenResult(power=4, raw=np.array([2.0, 4.0]))
+    assert np.allclose(res.scaled("k1"), [0.5, 1.0])
     assert np.allclose(res.scaled("k2"), [0.125, 0.25])
+    assert np.array_equal(res.scaled("raw"), [2.0, 4.0])
+    with pytest.raises(ValueError):
+        res.scaled("k3")
     with pytest.raises(ValueError):
         EigenResult(power=2, raw=np.array([1.0, 0.5]))
-
-
-def test_spectra_payload_schema():
-    model = TorusModel.compatible(1)
-    op = build_magnetic_laplacian(model, 2, 16, PotentialSpec.cosine_x(0.1))
-    res = solve_lowest(op, 6, method="sparse")
-    payload = spectra_payload(op, {"clusters": res}, timestamp=0.0)
-    assert payload["schema"] == "magweyl/spectra-v1"
-    assert payload["power"] == 2 and payload["npoints"] == 16
-    rec = payload["results"]["clusters"]
-    assert len(rec["raw"]) == 6
-    assert rec["scaled_k1"][0] == rec["raw"][0] / 2.0
-    assert rec["scaled_k2"][0] == rec["raw"][0] / 4.0
-    assert payload["timestamp"] == 0.0
-    assert payload["potential"] is not None
