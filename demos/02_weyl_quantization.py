@@ -1,7 +1,7 @@
 """Quantize symbols into the Hermite basis and transform back.
 
 The harmonic Hamiltonian quantizes to diag(m + 1/2) exactly through
-the ladder path; grid symbols go through cross-Wigner tables.  The
+the ladder path; grid symbols go through the Weyl kernel.  The
 inverse transform carries a smooth level window that suppresses basis
 truncation artifacts, so round trips are faithful on the resolved
 region |xi| <= R/2.

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import reports
-from .forms import AntisymmetricForm, MetricForm
+from .forms import AntisymmetricForm
 from .models import (PoleProximityError, ProjectorQuery, ResolventQuery,
                      SymbolNotInvertibleError, harmonic_hamiltonian,
                      projector_symbol, residue_projector, resolvent_at,
@@ -34,7 +34,7 @@ from .star import moyal_product, sharp_power, symmetrized_product
 from .symbols import PolySymbol
 from .torus import (SOLVER_VERSION, EigenResult, PotentialSpec, SolverError,
                     TorusModel, build_magnetic_laplacian, solve)
-from .verify import (band_containment, band_gaps, check_cluster_law,
+from .verify import (CLUSTER_GAP, band_containment, band_gaps, check_cluster_law,
                      check_weyl_law, detect_clusters, sigma_bands)
 
 EXIT_PASS = 0
@@ -413,7 +413,7 @@ def run_torus_checks(cfg: dict, spectra: dict) -> tuple[list[Check], dict]:
             scaled = spectra[("bands", int(k), int(npts))].scaled("k1")
             below = scaled[scaled < float(tcfg["band_cutoff"])]
             eps_by_n[(k, npts)] = band_containment(below, bands)
-            cl = detect_clusters(below, 0.25 * model.field)
+            cl = detect_clusters(below, CLUSTER_GAP * model.field)
             gaps = [cl.clusters[i + 1].lo - cl.clusters[i].hi
                     for i in range(len(cl.clusters) - 1)]
             extras["bands"].append({"k": k, "npoints": npts,

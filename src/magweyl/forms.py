@@ -60,9 +60,6 @@ class AntisymmetricForm:
     def scaled(self, t: float) -> "AntisymmetricForm":
         return AntisymmetricForm(self.dim, t * self.entries)
 
-    def is_zero(self) -> bool:
-        return not np.any(self.entries)
-
 
 @dataclass(frozen=True)
 class MetricForm:

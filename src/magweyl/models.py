@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import eval_genlaguerre
 
 from .forms import AntisymmetricForm, MetricForm, williamson_eigenvalues
-from .quantize import (HermiteBasisSpec, OperatorMatrix, level_weights,
-                       trusted_block_indices, weyl_quantize, wigner_symbol)
+from .quantize import (HermiteBasisSpec, OperatorMatrix, trusted_block_indices,
+                       weyl_quantize, wigner_symbol)
 from .symbols import GridSymbol, PhaseGrid, PolySymbol
 
 

@@ -2,13 +2,17 @@
 
 Polynomial symbols are quantized exactly through the normal-ordered
 ladder algebra, so stored matrix entries are those of the untruncated
-operator.  Grid symbols go through cross-Wigner functions of Hermite
-pairs, evaluated by a discrete Fourier transform over the momentum
-variable; the normalization is pinned by the quantize(1) = identity
-and quantize(H) = diag(m + d/2) anchors, not by convention.
+operator.  Grid symbols go through the Weyl kernel (Folland, Harmonic
+Analysis in Phase Space, 1989), K(x, y) = (2 pi)^-1 int a((x + y)/2, p)
+e^{i(x - y)p} dp on each axis: a discrete Fourier transform over p, a
+re-indexing from (midpoint, offset) to position pairs, and the Hermite
+rows on both sides, applied once per phase-space axis for every d.  The
+normalization is pinned by the quantize(1) = identity and
+quantize(H) = diag(m + d/2) anchors, not by convention.
 
-De-quantization (`wigner_symbol`) multiplies the matrix by a smooth
-flat-top window over the level index before transforming back.  A hard
+De-quantization (`wigner_symbol`) applies the exact adjoint map,
+<B, quantize(a)> = (h^2 / 2 pi)^d <wigner_symbol(B), a>, after a smooth
+flat-top window over the level index (unless disabled).  A hard
 basis cutoff leaves O(1) oscillatory artifacts for slowly decaying
 operators (the Weyl symbol of the truncated identity oscillates
 between 0 and 2 at the origin); the smooth cutoff suppresses them
@@ -211,74 +215,74 @@ def _quantize_poly(sym: PolySymbol, spec: HermiteBasisSpec) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# grid path: cross-Wigner tables by DFT over the momentum variable
+# grid path: the Weyl kernel, one phase-space axis at a time.  Midpoint a and
+# offset slot m (off_m = m - M//2) give the position pair (s, t) =
+# (a + off_m, a - off_m); a pair with odd s + t has no grid midpoint, so its
+# kernel entry is zero.
+
+_CHUNK = 1 << 18   # complex entries, in or out, per call of a one-axis map
+
 
 @functools.lru_cache(maxsize=2)
-def _axis_tables(levels: int, halfwidth: float, npoints: int):
-    """Shifted Hermite products and the DFT phase matrix for one axis."""
-    M = npoints
-    h = 2.0 * halfwidth / M
-    x = (np.arange(M) - M // 2) * h
-    T = _hermite_rows(levels, x)
-    base = np.arange(M)
+def _axis_map(spec: HermiteBasisSpec):
+    """T, E, am, st of the one-axis map (cached: at M = 512 the phases
+    cost as much to build as a d = 1 quantization).
+
+    T[level, s] holds the Hermite rows and E[b, m] = exp(i p_b 2h off_m)
+    the phases (the p grid equals the x grid), each with a zero column M.
+    am[s, t] is the flat (a, m) in X @ E, of shape [M, M + 1], and st[a, m]
+    the flat (s, t) in T^T B T, of shape [M + 1, M + 1]; index M reads a
+    padding zero, so each re-indexing is one take.
+    """
+    M, h, x = spec.npoints, spec.spacing, spec.axis()
     off = np.arange(M) - M // 2
-    Tp = np.zeros((levels, M, M))
-    Tm = np.zeros((levels, M, M))
-    for sign, out in ((+1, Tp), (-1, Tm)):
-        idx = base[:, None] + sign * off[None, :]
-        valid = (idx >= 0) & (idx < M)
-        iv = np.clip(idx, 0, M - 1)
-        for i in range(levels):
-            row = T[i][iv]
-            row[~valid] = 0.0
-            out[i] = row
-    # E[b, m] = exp(i p_b u_m) with u_m = 2 h (m - M/2); p grid equals x grid
-    E = np.exp(1j * np.outer(x, 2.0 * h * off))
-    return Tp, Tm, E
+    pad = ((0, 0), (0, 1))
+    T = np.pad(_hermite_rows(spec.levels, x), pad)
+    E = np.pad(np.exp(1j * np.outer(x, 2.0 * h * off)), pad)
+    s, t = np.ogrid[:M + 1, :M + 1]
+    am = np.where(((s + t) % 2 == 0) & (s < M) & (t < M),
+                  (s + t) // 2 * (M + 1) + (s - t) // 2 + M // 2, M)
+    s, t = np.arange(M)[:, None] + off, np.arange(M)[:, None] - off
+    st = np.where((np.minimum(s, t) >= 0) & (np.maximum(s, t) < M), s * (M + 1) + t, M)
+    return T, E, am, np.pad(st, pad, constant_values=M)
 
 
-def _tables(spec: HermiteBasisSpec):
-    return _axis_tables(spec.levels, spec.halfwidth, spec.npoints)
+def _each_axis(X: np.ndarray, one_axis, size: int) -> np.ndarray:
+    """Apply a map [B, u, v] -> [B, size, size] to each axis pair of X.
+
+    X has axes (u_1..u_d, v_1..v_d) and axis k pairs u_k with v_k.  The
+    map runs in chunks over the first batch axis (a lone pair gets one),
+    so no temporary grows with the whole array.
+    """
+    d = X.ndim // 2
+    for k in reversed(range(d)):   # the last pair is innermost: chunk copies stay contiguous
+        Xk = np.moveaxis(X, (k, d + k), (-2, -1))
+        out = np.empty(Xk.shape[:-2] + (size, size), dtype=complex)
+        Xb, ob = (Xk, out) if Xk.ndim > 2 else (Xk[None], out[None])
+        step = max(1, _CHUNK * len(Xb) // max(Xb.size, ob.size))
+        for c in range(0, len(Xb), step):
+            part = Xb[c:c + step]
+            ob[c:c + step] = one_axis(part.reshape((-1,) + part.shape[-2:])).reshape(
+                ob[c:c + step].shape)
+        X = np.moveaxis(out, (-2, -1), (k, d + k))
+    return X
 
 
-@functools.lru_cache(maxsize=2)
-def _cross_wigner_matrix(levels: int, halfwidth: float, npoints: int) -> np.ndarray:
-    """W[(i,j), (a,b)]: one-axis cross-Wigner values, DFT normalization."""
-    Tp, Tm, E = _axis_tables(levels, halfwidth, npoints)
-    M = npoints
-    h = 2.0 * halfwidth / M
-    W = np.empty((levels * levels, M * M), dtype=complex)
-    for a in range(M):
-        G = np.einsum("im,jm->ijm", Tp[:, a, :], Tm[:, a, :]).reshape(levels ** 2, M)
-        W[:, a * M:(a + 1) * M] = G @ E.T
-    W *= (2.0 * h) / (2.0 * np.pi)
-    return W
-
-
-def _require_grid(a: GridSymbol, spec: HermiteBasisSpec):
+def _quantize_grid(a: GridSymbol, spec: HermiteBasisSpec) -> np.ndarray:
     if a.dim != 2 * spec.d:
         raise ValueError(f"symbol dim {a.dim} != 2d = {2 * spec.d}")
     if a.npoints != spec.npoints or a.halfwidth != spec.halfwidth:
         raise ValueError("grid symbol geometry must match the basis spec")
+    N, M = spec.levels, spec.npoints
+    T, E, am, _ = _axis_map(spec)
+    scale = spec.spacing ** 3 / np.pi   # h^2 for the sums over s, t; 2h / 2pi for dp
 
+    def one_axis(X):   # DFT over p, (a, m) -> (s, t), then T K T^T
+        K = np.take((X.reshape(-1, M) @ E).reshape(len(X), -1), am, axis=1)
+        TK = (T @ K.view(float)).view(complex)   # real T on the float view of K
+        return scale * (TK.reshape(-1, M + 1) @ T.T).reshape(len(X), N, N)
 
-def _quantize_grid(a: GridSymbol, spec: HermiteBasisSpec) -> np.ndarray:
-    _require_grid(a, spec)
-    N, M, h = spec.levels, spec.npoints, spec.spacing
-    if spec.d == 1:
-        Tp, Tm, E = _tables(spec)
-        C = a.values @ E                       # [a, m]
-        G = Tp * C[None, :, :]
-        out = G.reshape(N, M * M) @ Tm.reshape(N, M * M).T
-        return out * (h * h * 2.0 * h / (2.0 * np.pi))
-    if spec.d == 2:
-        W1 = _cross_wigner_matrix(N, spec.halfwidth, M)
-        A2 = a.values.transpose(0, 2, 1, 3).reshape(M * M, M * M)
-        B = A2 @ W1.T                          # [(a1,b1), (i2,j2)]
-        out = W1 @ B                           # [(i1,j1), (i2,j2)]
-        out = out.reshape(N, N, N, N).transpose(0, 2, 1, 3).reshape(N * N, N * N)
-        return (h ** 4) * out
-    raise NotImplementedError("grid quantization implemented for d = 1, 2")
+    return _each_axis(a.values, one_axis, N).reshape(spec.size, spec.size)
 
 
 def weyl_quantize(a, spec: HermiteBasisSpec) -> OperatorMatrix:
@@ -338,18 +342,15 @@ def wigner_symbol(op: OperatorMatrix, spec: HermiteBasisSpec,
     if level_window is not None:
         w = level_weights(spec, level_window)
         mat = (w[:, None] * mat) * w[None, :]
-    if spec.d == 1:
-        Tp, Tm, E = _tables(spec)
-        Z = np.tensordot(mat, Tm, axes=(1, 0))     # [i, a, m]
-        Y = np.sum(Tp * Z, axis=0)                 # [a, m]
-        vals = 2.0 * h * (Y @ E.conj().T)          # [a, b]
-    elif spec.d == 2:
-        V1 = 2.0 * np.pi * _cross_wigner_matrix(N, spec.halfwidth, M).conj()
-        mm = mat.reshape(N, N, N, N).transpose(0, 2, 1, 3).reshape(N * N, N * N)
-        tmp = V1.T @ mm                             # [(a1,b1), (i2,j2)]
-        vals = (tmp @ V1).reshape(M, M, M, M).transpose(0, 2, 1, 3)
-    else:
-        raise NotImplementedError("wigner_symbol implemented for d = 1, 2")
+    T, E, _, st = _axis_map(spec)
+
+    def one_axis(X):   # adjoint of the quantize map: T^T B T, (s, t) -> (a, m), inverse DFT
+        # 2h: the quantize scale h^3 / pi over the pairing factor h^2 / 2pi
+        TBT = (T.T @ ((2.0 * h) * X)).reshape(-1, N) @ T
+        Y = np.take(TBT.reshape(len(X), -1), st, axis=1)
+        return (Y.reshape(-1, M + 1) @ E.conj().T).reshape(len(X), M, M)
+
+    vals = _each_axis(mat.reshape((N,) * (2 * spec.d)), one_axis, M)
     return GridSymbol(2 * spec.d, spec.halfwidth, spec.npoints, vals)
 
 
@@ -371,10 +372,6 @@ class BlockComparison:
     block_levels: int
     max_abs_error: float
     ref_scale: float
-
-    @property
-    def relative_error(self) -> float:
-        return self.max_abs_error / self.ref_scale if self.ref_scale else self.max_abs_error
 
 
 def trusted_block_indices(spec: HermiteBasisSpec, margin: int = 10) -> np.ndarray:

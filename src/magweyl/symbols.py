@@ -9,7 +9,7 @@ over [-R, R]^n centered at the origin, spacing 2R/M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from numbers import Number
 
 import numpy as np

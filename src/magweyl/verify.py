@@ -22,6 +22,7 @@ class VerifyError(ValueError):
 
 
 COUNT_TOL = 1e-9  # boundary tolerance for eigenvalue counting
+CLUSTER_GAP = 0.25  # scaled gaps wider than CLUSTER_GAP * b split Landau clusters
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ class ClusterReport:
         return sum(c.count for c in self.clusters)
 
 
-def detect_clusters(eigs, gap_threshold: float = 0.25) -> ClusterReport:
+def detect_clusters(eigs, gap_threshold: float = CLUSTER_GAP) -> ClusterReport:
     """Split a spectrum at gaps larger than the threshold.
 
     Sorting is internal, so the result is permutation-insensitive, and
@@ -96,8 +97,7 @@ class ClusterRow:
     width: float
 
 
-def check_cluster_law(model: TorusModel, spectra: dict, levels,
-                      gap_threshold: float = 0.25) -> ClusterReport:
+def check_cluster_law(model: TorusModel, spectra: dict, levels) -> ClusterReport:
     """Cluster verdicts for k^{-1}-scaled spectra.
 
     `spectra` maps (k, N) to an EigenResult (or an array already scaled
@@ -114,7 +114,7 @@ def check_cluster_law(model: TorusModel, spectra: dict, levels,
         eigs = res.scaled("k1") if isinstance(res, EigenResult) else np.asarray(res)
         if eigs.size == 0:
             raise VerifyError(f"missing data for k={k}, N={npts}")
-        rep = detect_clusters(eigs, gap_threshold * b)
+        rep = detect_clusters(eigs, CLUSTER_GAP * b)
         for m in levels:
             if m >= len(rep.clusters):
                 raise VerifyError(f"missing data: cluster m={m} not resolved for k={k}")
@@ -140,7 +140,7 @@ def check_cluster_law(model: TorusModel, spectra: dict, levels,
         "binomial_d": {"constant": float(np.mean(conv_d)), "relative_spread": float(spread(conv_d))},
         "matches": "binomial_d" if spread(conv_d) <= spread(conv_n) else "binomial_n",
     }
-    return ClusterReport(tuple(all_clusters), gap_threshold * b, tuple(rows), fit=fit)
+    return ClusterReport(tuple(all_clusters), CLUSTER_GAP * b, tuple(rows), fit=fit)
 
 
 def twisted_liouville_volume(model: TorusModel, lam: float) -> float:

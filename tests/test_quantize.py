@@ -1,3 +1,7 @@
+import functools
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -224,3 +228,132 @@ def test_geometry_mismatch_raises(spec16):
         weyl_quantize(bad, spec16)
     with pytest.raises(ValueError):
         weyl_quantize(PolySymbol.constant(4, 1.0), spec16)
+
+
+# ---------------------------------------------------------------------------
+# grid path references: the shifted-table sum over (a, m) of Tp C Tm, and
+# the factorization over axes
+
+def _shifted_tables(spec):
+    """Tp[i, a, m] = h_i(x_{a + off_m}), Tm[i, a, m] = h_i(x_{a - off_m}),
+    zero off the grid, and the phases E[b, m] = exp(i p_b 2 h off_m)."""
+    M, h, x = spec.npoints, spec.spacing, spec.axis()
+    T = hermite_table(spec)
+    off = np.arange(M) - M // 2
+
+    def shifted(sign):
+        idx = np.arange(M)[:, None] + sign * off
+        return np.where((idx >= 0) & (idx < M), T[:, np.clip(idx, 0, M - 1)], 0.0)
+
+    return shifted(+1), shifted(-1), np.exp(1j * np.outer(x, 2.0 * h * off))
+
+
+def _cross_wigner(spec):
+    """W[(i, j), (a, b)] = (2h / 2pi) sum_m Tp[i, a, m] Tm[j, a, m] E[b, m]."""
+    Tp, Tm, E = _shifted_tables(spec)
+    N, M = spec.levels, spec.npoints
+    W = np.einsum("iam,jam,bm->ijab", Tp, Tm, E).reshape(N * N, M * M)
+    return W * (2.0 * spec.spacing / (2.0 * np.pi))
+
+
+def _reference_quantize(values, spec):
+    W, N, M = _cross_wigner(spec), spec.levels, spec.npoints
+    if spec.d == 1:
+        return spec.spacing ** 2 * (W @ values.reshape(-1)).reshape(N, N)
+    A = values.transpose(0, 2, 1, 3).reshape(M * M, M * M)
+    out = spec.spacing ** 4 * (W @ A @ W.T)
+    return out.reshape(N, N, N, N).transpose(0, 2, 1, 3).reshape(N * N, N * N)
+
+
+def _reference_wigner(mat, spec):
+    V, N, M = 2.0 * np.pi * _cross_wigner(spec).conj(), spec.levels, spec.npoints
+    if spec.d == 1:
+        return (V.T @ mat.reshape(-1)).reshape(M, M)
+    mm = mat.reshape(N, N, N, N).transpose(0, 2, 1, 3).reshape(N * N, N * N)
+    return (V.T @ mm @ V).reshape(M, M, M, M).transpose(0, 2, 1, 3)
+
+
+def _rel(x, ref):
+    return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("d, levels, halfwidth, npoints", [
+    (1, 12, 7.5, 64), (1, 12, 7.5, 63), (2, 10, 7.5, 36), (2, 10, 7.5, 35)])
+def test_grid_path_matches_shifted_tables(d, levels, halfwidth, npoints):
+    # a non-radial complex symbol: decaying envelope times seeded noise
+    spec = HermiteBasisSpec(d=d, levels=levels, halfwidth=halfwidth, npoints=npoints)
+    grid = spec.grid()
+    rng = np.random.default_rng(11)
+    shape = (npoints,) * (2 * d)
+    vals = np.exp(-grid.radius2() / 4.0) * (rng.standard_normal(shape)
+                                           + 1j * rng.standard_normal(shape))
+    q = weyl_quantize(GridSymbol(2 * d, halfwidth, npoints, vals), spec)
+    assert _rel(q.entries, _reference_quantize(vals, spec)) < 1e-13
+    mat = rng.standard_normal((spec.size, spec.size)) + 1j * rng.standard_normal(
+        (spec.size, spec.size))
+    back = wigner_symbol(OperatorMatrix(d, levels, mat), spec, level_window=None)
+    assert _rel(back.values, _reference_wigner(mat, spec)) < 1e-13
+
+
+def _axis_product(u, v):
+    """u on axes (x_1..x_k, p_1..p_k) times v on (x, p), on (x_1..x_k, x, p_1..p_k, p)."""
+    k = u.ndim // 2
+    return np.einsum(u, list(range(2 * k)), v, [2 * k, 2 * k + 1],
+                     list(range(k)) + [2 * k] + list(range(k, 2 * k)) + [2 * k + 1])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_grid_path_factorizes_over_axes(d):
+    # a product symbol quantizes to the Kronecker product of its factors,
+    # and de-quantization factorizes the same way; the identity is
+    # algebraic, so this coarse grid need not resolve the basis
+    M, N = 10, 3
+    spec = HermiteBasisSpec(d=d, levels=N, halfwidth=3.0, npoints=M, mass_tol=1.0)
+    spec1 = HermiteBasisSpec(d=1, levels=N, halfwidth=3.0, npoints=M, mass_tol=1.0)
+    rng = np.random.default_rng(5)
+    factors = [rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))
+               for _ in range(d)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", QuantizationWarning)
+        q = weyl_quantize(GridSymbol(2 * d, 3.0, M, functools.reduce(_axis_product, factors)),
+                          spec)
+        q1 = [weyl_quantize(GridSymbol(2, 3.0, M, f), spec1).entries for f in factors]
+    assert _rel(q.entries, functools.reduce(np.kron, q1)) < 1e-13
+
+    mats = [rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)) for _ in range(d)]
+    back = wigner_symbol(OperatorMatrix(d, N, functools.reduce(np.kron, mats)), spec,
+                         level_window=None)
+    w1 = [wigner_symbol(OperatorMatrix(1, N, m), spec1, level_window=None).values
+          for m in mats]
+    assert _rel(back.values, functools.reduce(_axis_product, w1)) < 1e-13
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_wigner_symbol_is_adjoint_of_quantize(d, spec16, spec_d2):
+    # <B, Q(a)> = (h^2 / 2pi)^d <W(B), a> for the unwindowed transform
+    spec = spec16 if d == 1 else spec_d2
+    rng = np.random.default_rng(3)
+    shape = (spec.npoints,) * (2 * d)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    B = rng.standard_normal((spec.size, spec.size)) + 1j * rng.standard_normal(
+        (spec.size, spec.size))
+    with pytest.warns(QuantizationWarning):
+        qa = weyl_quantize(GridSymbol(2 * d, spec.halfwidth, spec.npoints, a), spec)
+    wb = wigner_symbol(OperatorMatrix(d, spec.levels, B), spec, level_window=None)
+    lhs = np.vdot(B, qa.entries)
+    rhs = (spec.spacing ** 2 / (2.0 * np.pi)) ** d * np.vdot(wb.values, a)
+    assert abs(lhs - rhs) <= 1e-11 * abs(lhs)
+
+
+def test_grid_round_trip_memory():
+    # quantizing and de-quantizing at N = 40, M = 512 holds no M x M x N table
+    spec = HermiteBasisSpec(d=1, levels=40, halfwidth=12.0, npoints=512)
+    grid = spec.grid()
+    sym = GridSymbol(2, grid.halfwidth, grid.npoints, 2.0 * np.exp(-grid.radius2()))
+    tracemalloc.start()
+    try:
+        wigner_symbol(weyl_quantize(sym, spec), spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
