@@ -26,10 +26,13 @@ import scipy.sparse.linalg as spla
 
 # Bump when a solver change can alter computed spectra: spectra caches
 # written under another version are recomputed.
-SOLVER_VERSION = 2
+SOLVER_VERSION = 3
 
 # Every residual norm a solve returns must stay at or below this.
 RESIDUAL_TOL = 1e-8
+# A Lanczos basis whose QR pivots fall below this share of the largest is
+# rank-deficient.
+RITZ_RANK_TOL = 1e-6
 # Sector solves check this many eigenvectors, evenly spaced in rank.
 SECTOR_SAMPLES = 8
 # Largest lattice whose whole spectrum a y-dependent potential gets densely.
@@ -340,19 +343,57 @@ def _sector_solve(op: MagneticLatticeOperator, count: int | None) -> tuple[np.nd
 
 def _sparse_solve(op: MagneticLatticeOperator, count: int,
                   seed: int) -> tuple[np.ndarray, tuple]:
-    """Lowest `count` eigenvalues by seeded shift-invert Lanczos, every residual norm."""
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(op.dim)
-    scale = 1.0 / (2.0 * op.spacing ** 2)
+    """Lowest `count` eigenvalues by seeded shift-invert Lanczos, every residual norm.
+
+    The shift sigma is the Gershgorin lower bound min_i (h_ii - sum_{j != i}
+    |h_ij|) of the matrix, less a margin of 1e-3/(2 a^2); for the lattice,
+    whose Delta_k is positive semidefinite by Gershgorin, that bound is
+    k min V over the sites.  So H - sigma I is Hermitian positive definite,
+    the largest 1/(lambda - sigma) belong to the lowest lambda, and its LU
+    factorization is stable without pivoting: it is factored once, in a
+    minimum-degree ordering of A^T + A with diagonal pivots (SuperLU's
+    symmetric mode), and its solve is the Lanczos operator.  The Ritz
+    vectors ARPACK returns for a complex matrix need not be orthonormal
+    inside a degenerate cluster, so they are replaced by a Rayleigh-Ritz
+    step on their span (`_rayleigh_ritz`).
+    """
+    H = op.matrix
+    n = op.dim
+    diag = H.diagonal().real
+    radius = np.asarray(abs(H).sum(axis=1)).ravel() - np.abs(diag)
+    sigma = float(np.min(diag - radius)) - 1e-3 / (2.0 * op.spacing ** 2)
+    lu = spla.splu((H - sigma * sp.identity(n, format="csr")).tocsc(),
+                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    shift_invert = spla.LinearOperator((n, n), matvec=lu.solve, dtype=H.dtype)
+    v0 = np.random.default_rng(seed).standard_normal(n)
     try:
-        vals, vecs = spla.eigsh(op.matrix, k=count, sigma=-1e-3 * scale, which="LM", v0=v0)
+        _, basis = spla.eigsh(H, k=count, sigma=sigma, which="LM", v0=v0,
+                              OPinv=shift_invert)
     except spla.ArpackNoConvergence as exc:
         raise SolverError(f"ARPACK did not converge: {exc}") from exc
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    residuals = tuple(float(np.linalg.norm(op.matrix @ vecs[:, i] - vals[i] * vecs[:, i]))
-                      for i in range(count))
+    vals, _, residuals = _rayleigh_ritz(H, basis)
     return vals, residuals
+
+
+def _rayleigh_ritz(matrix: sp.csr_matrix,
+                   basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Ritz values, orthonormal Ritz vectors and residual norms on span(basis).
+
+    QR of the basis, eigh of Q^H H Q, and every residual from one sparse
+    times dense product.  A basis whose QR has a diagonal entry below
+    RITZ_RANK_TOL times the largest (a repeated Ritz pair) is a SolverError.
+    """
+    q, r = np.linalg.qr(basis)
+    pivots = np.abs(np.diag(r))
+    if pivots.min() < RITZ_RANK_TOL * pivots.max():
+        raise SolverError(f"Ritz vectors are rank-deficient: QR pivot "
+                          f"{pivots.min() / pivots.max():.1e} of the largest")
+    hq = matrix @ q
+    vals, s = np.linalg.eigh(q.conj().T @ hq)
+    vecs = q @ s
+    residuals = np.linalg.norm(hq @ s - vecs * vals, axis=0)
+    return vals, vecs, tuple(float(x) for x in residuals)
 
 
 def solve(op: MagneticLatticeOperator, count: int | None = None, seed: int = 0) -> EigenResult:
@@ -362,9 +403,14 @@ def solve(op: MagneticLatticeOperator, count: int | None = None, seed: int = 0) 
     only (or none) takes the exact magnetic Bloch reduction ('sectors'):
     banded real periodic chains, with residuals checked on
     SECTOR_SAMPLES eigenvectors.  A y-dependent potential takes seeded
-    shift-invert Lanczos ('sparse', every residual checked) for a count,
-    and dense diagonalization ('dense') for the whole spectrum of at most
-    DENSE_MAX_DIM sites.  A residual above RESIDUAL_TOL is a SolverError.
+    shift-invert Lanczos ('sparse') for a count: the shift is the
+    Gershgorin lower bound of the matrix less a margin, so the shifted
+    matrix is positive definite and is factored once without pivoting in
+    a symmetric minimum-degree ordering, and a Rayleigh-Ritz step gives
+    orthonormal Ritz vectors, every one of them residual-checked.  The
+    whole spectrum of at most DENSE_MAX_DIM sites with a y-dependent
+    potential is dense diagonalization ('dense').  A residual above
+    RESIDUAL_TOL, or a rank-deficient Lanczos basis, is a SolverError.
     """
     if count is not None and not 1 <= count <= op.dim // 4:
         raise ValueError(f"count must be in [1, dim/4] = [1, {op.dim // 4}]")

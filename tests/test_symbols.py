@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -73,3 +75,21 @@ def test_boundary_decay():
     assert gauss.boundary_decay() < 1e-12
     flat = GridSymbol.constant(g, 1.0)
     assert flat.boundary_decay() == 1.0
+
+
+def test_boundary_decay_streams_the_grid():
+    # d = 2, M = 48: |values| of the whole grid would be a 42 MB copy
+    g = PhaseGrid(4, 3.0, 48)
+    sym = GridSymbol(4, 3.0, 48, np.exp(-g.radius2() / 4.0) * (1.0 - 0.5j))
+    v = np.abs(sym.values)
+    edge = max(float(np.max(np.take(v, i, axis=k))) for k in range(4) for i in (0, 47))
+    expect = edge / float(np.max(v))
+    del v
+    tracemalloc.start()
+    try:
+        got = sym.boundary_decay()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == expect and got > 0.0
+    assert peak < 8 * 2 ** 20

@@ -3,12 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import magweyl.torus
 from magweyl import (EigenResult, PotentialSpec, SolverError, TorusModel,
                      build_magnetic_laplacian, exact_landau_reference,
                      random_gauge_transform, solve)
-from magweyl.torus import _sparse_solve
+from magweyl.torus import _rayleigh_ritz, _sparse_solve
 
 
 def test_model_prequantization():
@@ -203,6 +204,59 @@ def test_solve_dispatch_y_dependent(k, npts, count, method):
     else:
         assert np.max(np.abs(res.raw - dense[:count])) < 1e-8
         assert len(res.residual_norms) == count
+
+
+def test_sparse_shift_lies_below_the_spectrum():
+    # k min V = -16 puts the lowest eigenvalue, -9.04, far below 0: a shift
+    # near 0 would return the eigenvalues nearest 0 instead of the lowest
+    pot = PotentialSpec((((1, 0), 1.0), ((-1, 0), 1.0), ((0, 1), 1.0), ((0, -1), 1.0)))
+    op = build_magnetic_laplacian(TorusModel.compatible(1), 4, 32, pot)
+    res = solve(op, 8)
+    dense = np.linalg.eigvalsh(op.matrix.toarray())
+    assert res.method == "sparse" and dense[0] < -9.0
+    assert np.max(np.abs(res.raw - dense[:8])) < 1e-10
+
+
+def test_sparse_ritz_vectors_are_orthonormal(monkeypatch):
+    # V = 0 at (16, 96): 20 eigenvalues in one 16-fold Landau cluster and
+    # part of the next, where ARPACK's complex Ritz vectors are far from
+    # orthonormal
+    op = build_magnetic_laplacian(TorusModel.compatible(1), 16, 96)
+    seen = {}
+    eigsh = spla.eigsh
+
+    def recording_eigsh(*args, **kwargs):
+        vals, seen["basis"] = eigsh(*args, **kwargs)
+        return vals, seen["basis"]
+
+    def recording_rayleigh_ritz(matrix, basis):
+        seen["ritz"] = _rayleigh_ritz(matrix, basis)
+        return seen["ritz"]
+
+    monkeypatch.setattr(magweyl.torus.spla, "eigsh", recording_eigsh)
+    monkeypatch.setattr(magweyl.torus, "_rayleigh_ritz", recording_rayleigh_ritz)
+    raw, residuals = _sparse_solve(op, 20, seed=0)
+    basis = seen["basis"]
+    assert np.max(np.abs(basis.conj().T @ basis - np.eye(20))) > 0.1
+    vals, vecs, ritz_residuals = seen["ritz"]
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(20))) < 1e-10
+    assert np.array_equal(raw, vals) and residuals == ritz_residuals
+    assert max(residuals) < 1e-8
+    assert np.max(np.abs(raw - solve(op, 20).raw)) < 1e-10
+
+
+def test_repeated_ritz_pair_is_an_error(monkeypatch):
+    op = build_magnetic_laplacian(TorusModel.compatible(1), 4, 32, _Y_DEPENDENT)
+    eigsh = spla.eigsh
+
+    def duplicating_eigsh(*args, **kwargs):
+        vals, vecs = eigsh(*args, **kwargs)
+        vecs[:, 1] = vecs[:, 0]
+        return vals, vecs
+
+    monkeypatch.setattr(magweyl.torus.spla, "eigsh", duplicating_eigsh)
+    with pytest.raises(SolverError, match="rank-deficient"):
+        solve(op, 8)
 
 
 def test_solve_enforces_residuals(monkeypatch):
