@@ -1,10 +1,13 @@
 """Command-line entry point: star-check, model-symbols, torus, all.
 
 A single JSON config file drives every pipeline; flags override config
-fields.  Results land in one subdirectory per config hash containing
-inputs.json, spectra.json (when spectra are computed) and
-report.{json,csv,svg}.  Exit codes: 0 pass, 1 tolerance failure,
-2 usage/config error, 3 resource/convergence error.
+fields.  Reports land in one subdirectory per config hash containing
+inputs.json and report.{json,csv,svg}.  Computed results (the star and
+model-symbol checks, and one spectrum per torus solve) are cached in
+out_dir/cache/<key>.json, keyed by a hash of the magweyl sources, the
+numpy and scipy versions and exactly the inputs each result reads; the
+torus verdicts are always recomputed.  Exit codes: 0 pass, 1 tolerance
+failure, 2 usage/config error, 3 resource/convergence error.
 """
 
 from __future__ import annotations
@@ -12,16 +15,17 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import copy
+import functools
 import hashlib
 import json
 import os
 import sys
-import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import reports
 from .forms import AntisymmetricForm
@@ -32,8 +36,8 @@ from .models import (PoleProximityError, ProjectorQuery, ResolventQuery,
 from .quantize import HermiteBasisSpec, block_compare, weyl_quantize
 from .star import moyal_product, sharp_power, symmetrized_product
 from .symbols import PolySymbol
-from .torus import (SOLVER_VERSION, EigenResult, PotentialSpec, SolverError,
-                    TorusModel, build_magnetic_laplacian, solve)
+from .torus import (EigenResult, PotentialSpec, SolverError, TorusModel,
+                    build_magnetic_laplacian, solve)
 from .verify import (CLUSTER_GAP, band_containment, band_gaps, check_cluster_law,
                      check_weyl_law, detect_clusters, sigma_bands)
 
@@ -152,9 +156,50 @@ def load_config(path: str | None) -> dict:
     return _merge(DEFAULT_CONFIG, user)
 
 
+def _sha256(obj) -> str:
+    return hashlib.sha256(reports.canonical_json(obj).encode()).hexdigest()
+
+
 def config_hash(cfg: dict) -> str:
-    payload = {k: v for k, v in cfg.items() if k != "out_dir"}
-    return hashlib.sha256(reports.canonical_json(payload).encode()).hexdigest()[:16]
+    return _sha256({k: v for k, v in cfg.items() if k != "out_dir"})[:16]
+
+
+@functools.cache
+def _source_digest() -> str:
+    """Hash of the magweyl sources and the numpy and scipy versions."""
+    files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+             for p in sorted(Path(__file__).parent.glob("*.py"))}
+    return _sha256({"files": files, "numpy": np.__version__, "scipy": scipy.__version__})
+
+
+def _cached(cache_dir: Path, inputs, compute: Callable):
+    """The JSON-decoded value of compute(), from the cache entry of `inputs`.
+
+    An entry is cache_dir/<key>.json holding {"inputs", "value"}; the
+    key hashes `inputs` with `_source_digest()`, so an entry written by
+    other sources is never read.  A missing entry is a miss, an
+    unreadable one a miss noted on stderr; a miss writes the entry to a
+    temporary file and renames it into place, so a killed run never
+    leaves a truncated entry.  Hit and miss both return the value read
+    back from JSON, so they build identical results.
+    """
+    path = Path(cache_dir) / f"{_sha256({'source': _source_digest(), 'inputs': inputs})}.json"
+    try:
+        return json.loads(path.read_text())["value"]
+    except FileNotFoundError:
+        pass
+    except (OSError, ValueError, KeyError) as exc:
+        print(f"note: {path} is unreadable ({type(exc).__name__}); recomputing",
+              file=sys.stderr)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    reports.write_json(tmp, {"inputs": inputs, "value": compute()})
+    os.replace(tmp, path)
+    return json.loads(path.read_text())["value"]
+
+
+def _cached_checks(cache_dir: Path, inputs, compute: Callable) -> list[Check]:
+    return [Check(**row) for row in _cached(cache_dir, inputs, compute)]
 
 
 def _potential_from_config(spec) -> PotentialSpec | None:
@@ -329,9 +374,11 @@ class TorusJob:
         return (self.purpose, self.k, self.npoints)
 
 
-def _solve_job(job: TorusJob) -> EigenResult:
-    op = build_magnetic_laplacian(job.model, job.k, job.npoints, job.potential)
-    return solve(op, job.count, seed=job.seed)
+def _solve_job(job: TorusJob, cache: Path) -> EigenResult:
+    def compute():
+        op = build_magnetic_laplacian(job.model, job.k, job.npoints, job.potential)
+        return solve(op, job.count, seed=job.seed)
+    return EigenResult(**_cached(cache, job, compute))
 
 
 def _torus_jobs(cfg: dict) -> list[TorusJob]:
@@ -354,12 +401,13 @@ def _torus_jobs(cfg: dict) -> list[TorusJob]:
     return jobs
 
 
-def _run_jobs(jobs: list[TorusJob], n_workers: int) -> dict:
+def _run_jobs(jobs: list[TorusJob], n_workers: int, cache: Path) -> dict:
+    solve_job = functools.partial(_solve_job, cache=cache)
     if n_workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_solve_job, jobs))
+            results = list(pool.map(solve_job, jobs))
     else:
-        results = [_solve_job(job) for job in jobs]
+        results = [solve_job(job) for job in jobs]
     return {job.key: res for job, res in zip(jobs, results)}
 
 
@@ -463,65 +511,6 @@ def _print_checks(checks: list[Check]):
         print(f"{status}  {c.name}: value={c.value:.6g} tolerance={c.tolerance:.6g} {c.note}")
 
 
-_CACHE_SCHEMA = "magweyl/spectra-cache-v2"
-
-
-def _cached_spectra(cache: Path, cfg: dict) -> dict | None:
-    """Spectra from a cache file of this config and solver version, else None.
-
-    A missing file, one written for another config, schema or solver
-    version, and one that cannot be parsed (a run killed mid-write by an
-    older version) are all cache misses; the last two are noted on stderr.
-    """
-    if not cache.exists():
-        return None
-    try:
-        payload = json.loads(cache.read_text())
-    except (OSError, ValueError) as exc:
-        print(f"note: {cache} is unreadable ({type(exc).__name__}); recomputing",
-              file=sys.stderr)
-        return None
-    if payload.get("config_hash") != config_hash(cfg):
-        return None
-    written_by = (payload.get("schema"), payload.get("solver_version", 1))
-    if written_by != (_CACHE_SCHEMA, SOLVER_VERSION):
-        print(f"note: {cache} is from schema {written_by[0]}, solver version "
-              f"{written_by[1]}, not {_CACHE_SCHEMA}, {SOLVER_VERSION}; recomputing",
-              file=sys.stderr)
-        return None
-    spectra = {}
-    for key, rec in payload["spectra"].items():
-        purpose, k, npts = json.loads(key)
-        spectra[(purpose, k, npts)] = EigenResult(
-            power=k, raw=rec["raw"], residual_norms=tuple(rec["residual_norms"]),
-            method=rec["method"])
-    return spectra
-
-
-def _torus_spectra(cfg: dict, jobs: list[TorusJob], n_workers: int, out: Path) -> dict:
-    cache = out / "spectra.json"
-    cached = _cached_spectra(cache, cfg)
-    if cached is not None:
-        return cached
-    solved = _run_jobs(jobs, n_workers)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "schema": _CACHE_SCHEMA,
-        "config_hash": config_hash(cfg),
-        "solver_version": SOLVER_VERSION,
-        "timestamp": float(os.environ.get("SOURCE_DATE_EPOCH", time.time())),
-        "spectra": {json.dumps(list(key)): {"raw": [float(v) for v in solved[key].raw],
-                                            "residual_norms": list(solved[key].residual_norms),
-                                            "method": solved[key].method}
-                    for key in sorted(solved)},
-    }
-    # write-then-rename, so a killed run never leaves a truncated cache
-    tmp = cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
-    tmp.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    os.replace(tmp, cache)
-    return solved
-
-
 def _weyl_svg(extras: dict) -> str:
     series = []
     if extras["weyl"]:
@@ -537,7 +526,7 @@ def _weyl_svg(extras: dict) -> str:
 class Stage:
     """A CLI stage: its dry-run plan lines, and its checks with report details.
 
-    `run(cfg, torus_jobs, n_workers, out)` returns (checks, details or None).
+    `run(cfg, torus_jobs, n_workers, cache)` returns (checks, details or None).
     """
 
     plan: Callable[[dict, list[TorusJob]], list[str]]
@@ -548,16 +537,20 @@ STAGES = {
     "star-check": Stage(
         plan=lambda cfg, _: [f"{cfg['star']['instances']} random star-product "
                              f"property instances"],
-        run=lambda cfg, *_: (run_star_checks(cfg, int(cfg["seed"])), None)),
+        run=lambda cfg, _jobs, _workers, cache: (_cached_checks(
+            cache, ["star-check", int(cfg["seed"]), cfg["star"]],
+            lambda: run_star_checks(cfg, int(cfg["seed"]))), None)),
     "model-symbols": Stage(
         plan=lambda cfg, _: [f"resolvent/projector/residue/inverse checks at "
                              f"N={cfg['models']['hermite_levels']}"],
-        run=lambda cfg, *_: (run_model_checks(cfg), None)),
+        run=lambda cfg, _jobs, _workers, cache: (_cached_checks(
+            cache, ["model-symbols", cfg["models"], cfg["caps"]],
+            lambda: run_model_checks(cfg)), None)),
     "torus": Stage(
         plan=lambda _, jobs: [f"solve {j.purpose} spectrum at k={j.k}, N={j.npoints}"
                               for j in jobs],
-        run=lambda cfg, jobs, n_workers, out: run_torus_checks(
-            cfg, _torus_spectra(cfg, jobs, n_workers, out))),
+        run=lambda cfg, jobs, n_workers, cache: run_torus_checks(
+            cfg, _run_jobs(jobs, n_workers, cache))),
 }
 COMMANDS = {**{name: (name,) for name in STAGES}, "all": tuple(STAGES)}
 
@@ -566,6 +559,7 @@ def run_command(cfg: dict, command: str, n_workers: int, dry_run: bool) -> int:
     """Run (or with dry_run only plan) the stages of `command` into one report."""
     stages = COMMANDS[command]
     out = Path(cfg["out_dir"]) / config_hash(cfg)
+    cache = Path(cfg["out_dir"]) / "cache"
     jobs = _torus_jobs(cfg) if "torus" in stages else []
     if dry_run:
         for name in stages:
@@ -575,7 +569,7 @@ def run_command(cfg: dict, command: str, n_workers: int, dry_run: bool) -> int:
         return EXIT_PASS
     checks, extras = [], None
     for name in stages:
-        stage_checks, details = STAGES[name].run(cfg, jobs, n_workers, out)
+        stage_checks, details = STAGES[name].run(cfg, jobs, n_workers, cache)
         checks += stage_checks
         if details is not None:
             extras = details

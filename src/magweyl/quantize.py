@@ -101,16 +101,11 @@ def hermite_table(spec: HermiteBasisSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Operator in the truncated tensor Hermite basis (size N^d x N^d).
-
-    The optional `hermitian` flag is validated against the entries at
-    construction when set.
-    """
+    """Operator in the truncated tensor Hermite basis (size N^d x N^d)."""
 
     d: int
     levels: int
     entries: np.ndarray = field(repr=False)
-    hermitian: bool | None = None
     meta: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -123,11 +118,6 @@ class OperatorMatrix:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
-        if self.hermitian is not None:
-            defect = float(np.max(np.abs(m - m.conj().T)))
-            scale = max(1.0, float(np.max(np.abs(m))))
-            if self.hermitian != (defect <= 1e-10 * scale):
-                raise ValueError("hermitian flag inconsistent with entries")
 
     @classmethod
     def identity(cls, spec: HermiteBasisSpec) -> "OperatorMatrix":
@@ -304,9 +294,7 @@ def weyl_quantize(a, spec: HermiteBasisSpec) -> OperatorMatrix:
         ent = _quantize_grid(a, spec)
     else:
         raise TypeError(f"unsupported symbol type {type(a).__name__}")
-    scale = max(1.0, float(np.max(np.abs(ent))))
-    herm = float(np.max(np.abs(ent - ent.conj().T))) <= 1e-10 * scale
-    return OperatorMatrix(spec.d, spec.levels, ent, hermitian=herm)
+    return OperatorMatrix(spec.d, spec.levels, ent)
 
 
 def _flattop(levels: int, flat: float) -> np.ndarray:

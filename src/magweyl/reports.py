@@ -26,8 +26,8 @@ def _plain(obj):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
+    if isinstance(obj, np.ndarray):  # real arrays convert to plain numbers directly
+        return obj.tolist() if obj.dtype.kind in "biuf" else _plain(obj.tolist())
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     if isinstance(obj, complex):

@@ -91,12 +91,7 @@ def left_xi(axis: int, f, A: AntisymmetricForm):
         raise ValueError(f"axis {axis} out of range 1..{A.dim}")
     if isinstance(f, PolySymbol):
         _check_dims(f.dim, A)
-        out = PolySymbol.coordinate(f.dim, axis) * f
-        for k in range(f.dim):
-            ajk = A.entries[axis - 1, k]
-            if ajk != 0.0:
-                out = out + (0.5j * ajk) * f.derivative(k + 1)
-        return out
+        return _left_linear(np.eye(f.dim)[axis - 1], f, A)
     if isinstance(f, GridSymbol):
         _check_dims(f.dim, A)
         x = f.grid.axis()

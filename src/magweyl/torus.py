@@ -24,10 +24,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 
-# Bump when a solver change can alter computed spectra: spectra caches
-# written under another version are recomputed.
-SOLVER_VERSION = 3
-
 # Every residual norm a solve returns must stay at or below this.
 RESIDUAL_TOL = 1e-8
 # A Lanczos basis whose QR pivots fall below this share of the largest is
@@ -49,7 +45,6 @@ class TorusModel:
 
     side: float
     field: float = 1.0
-    metric: str = "flat"
 
     def __post_init__(self):
         if self.side <= 0 or self.field <= 0:

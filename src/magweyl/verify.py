@@ -150,8 +150,6 @@ def twisted_liouville_volume(model: TorusModel, lam: float) -> float:
     curvature) wedge out, so the volume is the plain cotangent one:
     2 pi lam L^2.
     """
-    if model.metric != "flat":
-        raise NotImplementedError("twisted Liouville volume: flat torus only")
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     return 2.0 * np.pi * lam * model.side ** 2

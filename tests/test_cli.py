@@ -3,9 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from magweyl import cli
 from magweyl.cli import (EXIT_CONFIG, EXIT_PASS, config_hash, load_config,
                          main)
-from magweyl.torus import RESIDUAL_TOL, SOLVER_VERSION
+from magweyl.torus import RESIDUAL_TOL, solve
 
 SMALL = {
     "seed": 1,
@@ -102,97 +103,151 @@ def test_pole_proximity_is_config_error(tmp_path, capsys):
     assert "pole" in capsys.readouterr().err
 
 
-def test_torus_cache_and_determinism(tmp_path, capsys):
+def cache_entries(out_root: Path) -> dict:
+    """{file name: bytes} of every result-cache entry under out_root."""
+    return {p.name: p.read_bytes() for p in sorted((out_root / "cache").iterdir())}
+
+
+def _refuse(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} ran on a cache hit")
+    return fail
+
+
+def _count_solves(monkeypatch) -> list:
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+    monkeypatch.setattr(cli, "solve", counted)
+    return calls
+
+
+def test_torus_cache_and_determinism(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out), "torus"]) == EXIT_PASS
     cold = report_bytes(out, cfg)
-    cfgdict = load_config(cfg)
-    cfgdict["out_dir"] = str(out)
-    cache = out / config_hash(cfgdict) / "spectra.json"
-    assert cache.exists()
-    stamp = cache.stat().st_mtime_ns
-    # warm rerun: cache hit, byte-identical reports
-    assert main(["--config", cfg, "--out", str(out), "torus"]) == EXIT_PASS
-    assert cache.stat().st_mtime_ns == stamp
-    warm = report_bytes(out, cfg)
-    assert warm == cold
-    # cold run in a fresh directory gives the same reports
+    entries = cache_entries(out)
+    stamps = {p.name: p.stat().st_mtime_ns for p in (out / "cache").iterdir()}
+    # cold run in a fresh directory gives the same reports and entries
     out2 = tmp_path / "out2"
     assert main(["--config", cfg, "--out", str(out2), "torus"]) == EXIT_PASS
     assert report_bytes(out2, cfg) == cold
+    assert cache_entries(out2) == entries
     assert set(cold) == {"report.csv", "report.json", "report.svg"}
+    # warm rerun: every entry hits, nothing is solved or rewritten
+    monkeypatch.setattr(cli, "solve", _refuse("solve"))
+    assert main(["--config", cfg, "--out", str(out), "torus"]) == EXIT_PASS
+    assert {p.name: p.stat().st_mtime_ns for p in (out / "cache").iterdir()} == stamps
+    assert report_bytes(out, cfg) == cold
+    assert capsys.readouterr().err == ""
 
 
-def _torus_cache(tmp_path, out):
-    cfg = write_config(tmp_path, {"torus": {"cluster_pairs": [[2, 16]], "weyl_pairs": [],
-                                            "band_pairs": []}})
-    cfgdict = load_config(cfg)
-    cfgdict["out_dir"] = str(out)
-    return cfg, out / config_hash(cfgdict) / "spectra.json"
+def _one_job_config(tmp_path):
+    return write_config(tmp_path, {"torus": {"cluster_pairs": [[2, 16]], "weyl_pairs": [],
+                                             "band_pairs": []}})
 
 
-def test_stale_spectra_cache_is_recomputed(tmp_path, capsys):
+def test_stale_spectra_cache_is_recomputed(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
-    cfg, cache = _torus_cache(tmp_path, out)
+    cfg = _one_job_config(tmp_path)
     assert main(["--config", cfg, "--out", str(out), "torus"]) == EXIT_PASS
     cold = report_bytes(out, cfg)
-    payload = json.loads(cache.read_text())
-    assert payload["solver_version"] == SOLVER_VERSION
-    payload["solver_version"] = SOLVER_VERSION - 1
-    for rec in payload["spectra"].values():
-        rec["raw"] = [v + 1.0 for v in rec["raw"]]  # what an older solver returned
-    cache.write_text(json.dumps(payload))
+    [stale] = (out / "cache").iterdir()
+    payload = json.loads(stale.read_text())
+    payload["value"]["raw"] = [v + 1.0 for v in payload["value"]["raw"]]  # what older code returned
+    stale.write_text(json.dumps(payload))
+    # other sources: the key changes, so the stale entry is never read
+    monkeypatch.setattr(cli, "_source_digest", lambda: "other sources")
+    calls = _count_solves(monkeypatch)
     assert main(["--config", cfg, "--out", str(out), "torus"]) == EXIT_PASS
-    assert "recomputing" in capsys.readouterr().err
-    assert json.loads(cache.read_text())["solver_version"] == SOLVER_VERSION
+    assert len(calls) == 1
     assert report_bytes(out, cfg) == cold
+    assert len(cache_entries(out)) == 2
+    assert capsys.readouterr().err == ""  # a missing entry is a silent miss
 
 
 def test_spectra_cache_schema(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
     out = tmp_path / "out"
     cfg = write_config(tmp_path)
-    assert main(["--config", cfg, "--out", str(out), "torus"]) == EXIT_PASS
+    assert main(["--config", cfg, "--out", str(out), "all"]) == EXIT_PASS
     cfgdict = load_config(cfg)
-    cfgdict["out_dir"] = str(out)
-    payload = json.loads((out / config_hash(cfgdict) / "spectra.json").read_text())
-    assert payload["schema"] == "magweyl/spectra-cache-v2"
-    assert payload["config_hash"] == config_hash(cfgdict)
-    assert payload["solver_version"] == SOLVER_VERSION
-    assert payload["timestamp"] == 0.0
-    spectra = {tuple(json.loads(key)): rec for key, rec in payload["spectra"].items()}
+    entries = {name: json.loads(text) for name, text in cache_entries(out).items()}
+    # one entry per torus job plus the star and model-symbol stages
+    assert len(entries) == 6 + 2
+    assert all(len(name) == 64 + len(".json") for name in entries)
+    assert all(set(payload) == {"inputs", "value"} for payload in entries.values())
+    stages = {p["inputs"][0]: p for p in entries.values() if isinstance(p["inputs"], list)}
+    assert stages["star-check"]["inputs"] == ["star-check", 1, cfgdict["star"]]
+    assert stages["model-symbols"]["inputs"] == ["model-symbols", cfgdict["models"],
+                                                 cfgdict["caps"]]
+    for payload in stages.values():
+        assert all(set(row) == {"name", "value", "tolerance", "passed", "note"}
+                   for row in payload["value"])
+    spectra = {(p["inputs"]["purpose"], p["inputs"]["k"], p["inputs"]["npoints"]): p["value"]
+               for p in entries.values() if isinstance(p["inputs"], dict)}
     assert set(spectra) == {("clusters", 2, 16), ("clusters", 2, 32), ("full", 2, 16),
                             ("full", 3, 24), ("bands", 4, 32), ("bands", 4, 48)}
     for (purpose, k, npts), rec in spectra.items():
-        assert set(rec) == {"raw", "residual_norms", "method"}
+        assert set(rec) == {"power", "raw", "residual_norms", "method"}
+        assert rec["power"] == k
         assert rec["method"] == "sectors"  # no potential, or cos_x: x-only
         assert len(rec["raw"]) == (npts ** 2 if purpose == "full" else 3 * k + 8)
         assert rec["raw"] == sorted(rec["raw"])
         assert 0 < len(rec["residual_norms"]) <= 8
         assert max(rec["residual_norms"]) <= RESIDUAL_TOL
-    # a cache of the previous schema (records with count_requested) is a noted miss
-    payload["schema"] = "magweyl/spectra-cache-v1"
-    for rec in payload["spectra"].values():
-        rec["count_requested"] = len(rec["raw"])
-    (out / config_hash(cfgdict) / "spectra.json").write_text(json.dumps(payload))
+    # the reports sit apart from the cache; a leftover spectra.json of the
+    # old per-config layout is ignored
+    sub = out / config_hash(dict(cfgdict, out_dir=str(out)))
+    assert {p.name for p in sub.iterdir()} == {"inputs.json", "report.csv", "report.json",
+                                                "report.svg"}
+    (sub / "spectra.json").write_text("{}")
+    monkeypatch.setattr(cli, "solve", _refuse("solve"))
     capsys.readouterr()
-    assert main(["--config", cfg, "--out", str(out), "torus"]) == EXIT_PASS
-    assert "recomputing" in capsys.readouterr().err
+    assert main(["--config", cfg, "--out", str(out), "all"]) == EXIT_PASS
+    assert capsys.readouterr().err == ""
 
 
-def test_truncated_spectra_cache_is_rewritten(tmp_path, capsys):
+def test_truncated_spectra_cache_is_rewritten(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
-    cfg, cache = _torus_cache(tmp_path, out)
+    cfg = _one_job_config(tmp_path)
     assert main(["--config", cfg, "--out", str(out), "torus"]) == EXIT_PASS
     cold = report_bytes(out, cfg)
-    text = cache.read_text()
-    cache.write_text(text[: len(text) // 2])
+    [entry] = (out / "cache").iterdir()
+    text = entry.read_text()
+    entry.write_text(text[: len(text) // 2])
+    calls = _count_solves(monkeypatch)
     assert main(["--config", cfg, "--out", str(out), "torus"]) == EXIT_PASS
     assert "unreadable" in capsys.readouterr().err
-    assert json.loads(cache.read_text())["spectra"] == json.loads(text)["spectra"]
+    assert len(calls) == 1
+    assert json.loads(entry.read_text()) == json.loads(text)
     assert report_bytes(out, cfg) == cold
-    assert [p.name for p in cache.parent.iterdir() if p.name.endswith(".tmp")] == []
+    assert [p.name for p in entry.parent.iterdir() if p.name.endswith(".tmp")] == []
+
+
+def test_tolerance_only_change_runs_no_solves(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path)
+    assert main(["--config", cfg, "--out", str(out), "torus"]) == EXIT_PASS
+    entries = cache_entries(out)
+    looser = write_config(tmp_path, {"torus": {"weyl_tolerance": 0.2}})
+    monkeypatch.setattr(cli, "solve", _refuse("solve"))
+    assert main(["--config", looser, "--out", str(out), "torus"]) == EXIT_PASS
+    assert "torus.weyl_ratio_mid_k: value=" in capsys.readouterr().out
+    assert cache_entries(out) == entries
+
+
+def test_warm_all_skips_star_and_model_stages(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path)
+    assert main(["--config", cfg, "--out", str(out), "all"]) == EXIT_PASS
+    cold = report_bytes(out, cfg)
+    for name in ("run_star_checks", "run_model_checks", "solve"):
+        monkeypatch.setattr(cli, name, _refuse(name))
+    assert main(["--config", cfg, "--out", str(out), "all"]) == EXIT_PASS
+    assert report_bytes(out, cfg) == cold
 
 
 def test_all_runs_and_reports(tmp_path, capsys):
@@ -212,6 +267,8 @@ def test_torus_parallel_jobs_match_serial(tmp_path, capsys):
     assert main(["--config", cfg, "--out", str(out1), "torus"]) == EXIT_PASS
     assert main(["--config", cfg, "--out", str(out2), "--jobs", "2", "torus"]) == EXIT_PASS
     assert report_bytes(out1, cfg) == report_bytes(out2, cfg)
+    # the workers write the same cache entries as a serial run
+    assert cache_entries(out2) == cache_entries(out1)
 
 
 def test_potential_overrides(tmp_path, capsys):

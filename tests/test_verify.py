@@ -71,9 +71,6 @@ def test_liouville_volume():
     assert twisted_liouville_volume(model, 0.0) == 0.0
     assert np.isclose(twisted_liouville_volume(model, 2.0),
                       2.0 * twisted_liouville_volume(model, 1.0))
-    curved = TorusModel(model.side, model.field, metric="curved")
-    with pytest.raises(NotImplementedError):
-        twisted_liouville_volume(curved, 1.0)
 
 
 def _exact_k2_spectrum(model, k, m_top):
