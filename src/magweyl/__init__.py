@@ -1,5 +1,6 @@
 """magweyl: fiberwise star products, Weyl quantization, magnetic torus spectra."""
 
+from .errors import ResourceLimitError
 from .forms import (AntisymmetricForm, DegenerateFormError, MetricForm,
                     SymplecticFrame, symplectic_frame, williamson_eigenvalues)
 from .models import (FormulaDomainError, PoleProximityError, ProjectorQuery,

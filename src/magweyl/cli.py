@@ -28,6 +28,7 @@ import numpy as np
 import scipy
 
 from . import reports
+from .errors import ResourceLimitError
 from .forms import AntisymmetricForm
 from .models import (PoleProximityError, ProjectorQuery, ResolventQuery,
                      SymbolNotInvertibleError, harmonic_hamiltonian,
@@ -94,10 +95,6 @@ DEFAULT_CONFIG = {
 
 class ConfigError(ValueError):
     pass
-
-
-class ResourceLimitError(RuntimeError):
-    """A configured resource cap was exceeded."""
 
 
 @dataclass(frozen=True)
@@ -318,8 +315,8 @@ def run_model_checks(cfg: dict) -> list[Check]:
     for (d, m) in ((1, 0), (1, 1), (1, 2), (2, 0), (2, 1)):
         sp_d = spec if d == 1 else spec2
         pq = ProjectorQuery(d=d, energy=m + d / 2.0)
-        proj = projector_symbol(pq, sp_d.grid())
-        qp = weyl_quantize(proj, sp_d).entries
+        # the symbol dies with the call: no d = 2 symbol outlives its quantization
+        qp = weyl_quantize(projector_symbol(pq, sp_d.grid()), sp_d).entries
         idem = float(np.max(np.abs(qp @ qp - qp)))
         evals = np.linalg.eigvalsh(0.5 * (qp + qp.conj().T))
         rank = int(np.sum(np.abs(evals - 1.0) < 1e-4))

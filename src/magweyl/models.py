@@ -158,15 +158,29 @@ def _eval_combination(H: np.ndarray, d: int, zs: np.ndarray, coeffs: np.ndarray,
     return out.reshape(H.shape)
 
 
+def _radial_symbol(grid: PhaseGrid, profile, meta: dict) -> GridSymbol:
+    """The symbol profile(|xi|^2) on the grid.
+
+    `profile` maps a 1-D array of squared radii to values; it runs once per
+    distinct grid radius (`PhaseGrid.radial_index`), and the values are
+    gathered onto the grid into a fresh read-only array, which GridSymbol
+    keeps without a copy.
+    """
+    r2, index = grid.radial_index()
+    vals = np.asarray(profile(r2), dtype=complex)[index]
+    vals.setflags(write=False)
+    return GridSymbol(grid.dim, grid.halfwidth, grid.npoints, vals, meta=meta)
+
+
 def resolvent_symbol(query: ResolventQuery, grid: PhaseGrid) -> GridSymbol:
     """Radial resolvent symbol R_{d,z} sampled on the phase-space grid."""
     if grid.dim != 2 * query.d:
         raise ValueError(f"grid dim {grid.dim} != 2d = {2 * query.d}")
-    H = 0.5 * grid.radius2()
-    vals = _eval_combination(H, query.d, [query.z], [1.0], query.quad_nodes)
-    return GridSymbol(grid.dim, grid.halfwidth, grid.npoints, vals,
-                      meta={"kind": "resolvent", "d": query.d, "z": query.z,
-                            "quad_nodes": query.quad_nodes})
+    return _radial_symbol(
+        grid, lambda r2: _eval_combination(0.5 * r2, query.d, [query.z], [1.0],
+                                           query.quad_nodes),
+        meta={"kind": "resolvent", "d": query.d, "z": query.z,
+              "quad_nodes": query.quad_nodes})
 
 
 def resolvent_at(query: ResolventQuery, radius2: float) -> complex:
@@ -179,12 +193,11 @@ def projector_symbol(query: ProjectorQuery, grid: PhaseGrid) -> GridSymbol:
     """pi_{d,E} = 2^d (-1)^m e^{-|xi|^2} L_m^{d-1}(2 |xi|^2) on the grid."""
     if grid.dim != 2 * query.d:
         raise ValueError(f"grid dim {grid.dim} != 2d = {2 * query.d}")
-    r2 = grid.radius2()
-    vals = ((2.0 ** query.d) * ((-1.0) ** query.m) * np.exp(-r2)
-            * eval_genlaguerre(query.m, query.d - 1, 2.0 * r2))
-    return GridSymbol(grid.dim, grid.halfwidth, grid.npoints, vals.astype(complex),
-                      meta={"kind": "projector", "d": query.d, "energy": query.energy,
-                            "rank": query.rank})
+    return _radial_symbol(
+        grid, lambda r2: ((2.0 ** query.d) * ((-1.0) ** query.m) * np.exp(-r2)
+                          * eval_genlaguerre(query.m, query.d - 1, 2.0 * r2)),
+        meta={"kind": "projector", "d": query.d, "energy": query.energy,
+              "rank": query.rank})
 
 
 def residue_projector(d: int, energy: float, radius: float, contour_points: int,
@@ -214,13 +227,12 @@ def residue_projector(d: int, energy: float, radius: float, contour_points: int,
     zs = energy + radius * np.exp(1j * theta)
     # -(2 pi i)^{-1} * sum R(z_t) * (i r e^{i th} 2 pi / Q)
     coeffs = -(radius * np.exp(1j * theta)) / contour_points
-    H = 0.5 * grid.radius2()
-    vals = _eval_combination(H, d, zs, coeffs, quad_nodes=64)
-    return GridSymbol(grid.dim, grid.halfwidth, grid.npoints, vals,
-                      meta={"kind": "residue_projector", "d": d, "center": energy,
-                            "radius": radius, "nodes": contour_points,
-                            "residue_sign_convention": "projector = -(2*pi*i)^{-1} contour integral",
-                            "encloses_pole": bool(np.any(enclosed))})
+    return _radial_symbol(
+        grid, lambda r2: _eval_combination(0.5 * r2, d, zs, coeffs, quad_nodes=64),
+        meta={"kind": "residue_projector", "d": d, "center": energy,
+              "radius": radius, "nodes": contour_points,
+              "residue_sign_convention": "projector = -(2*pi*i)^{-1} contour integral",
+              "encloses_pole": bool(np.any(enclosed))})
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ResourceLimitError
 from .symbols import GridSymbol, PhaseGrid, PolySymbol
 
 
@@ -42,7 +43,8 @@ class HermiteBasisSpec:
 
     Construction fails if the top basis function has more than `mass_tol`
     of its L^2 mass outside [-R, R]; everything downstream assumes the
-    basis is resolved by the grid.
+    basis is resolved by the grid.  A d >= 2 grid of more than 64 points
+    per axis is a ResourceLimitError.
     """
 
     d: int
@@ -55,7 +57,7 @@ class HermiteBasisSpec:
         if self.d < 1 or self.levels < 1 or self.npoints < 4 or self.halfwidth <= 0:
             raise ValueError("invalid basis spec")
         if self.d >= 2 and self.npoints > 64:
-            raise ValueError("d >= 2 grids are capped at 64 points per axis")
+            raise ResourceLimitError("d >= 2 grids are capped at 64 points per axis")
         x = self.axis()
         top = _hermite_rows(self.levels, x)[-1]
         defect = abs(1.0 - self.spacing * float(np.sum(top * top)))
@@ -106,7 +108,6 @@ class OperatorMatrix:
     d: int
     levels: int
     entries: np.ndarray = field(repr=False)
-    meta: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)

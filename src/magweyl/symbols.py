@@ -9,6 +9,7 @@ over [-R, R]^n centered at the origin, spacing 2R/M.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from numbers import Number
 
@@ -185,6 +186,24 @@ class PhaseGrid:
             r2 = r2 + (x ** 2).reshape(shape)
         return r2
 
+    def radial_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct |xi|^2 of the grid, ascending, and each point's position among them.
+
+        The axis is n h with integer n, so |xi|^2 = h^2 sum_i n_i^2 and the
+        integer sum labels a radius exactly: a presence table over the sums
+        and its running count give the positions, in O(M^n) with no sort.
+        Both the sums and the positions use the smallest unsigned dtype.
+        """
+        n = np.arange(self.npoints) - self.npoints // 2
+        smax = self.dim * int(np.max(n * n))
+        sq = (n * n).astype(np.min_scalar_type(smax))
+        sums = functools.reduce(np.add.outer, [sq] * self.dim)
+        present = np.zeros(smax + 1, dtype=bool)
+        present[sums] = True
+        rank = np.cumsum(present) - 1
+        index = rank.astype(np.min_scalar_type(rank[-1]))[sums]
+        return self.spacing ** 2 * np.flatnonzero(present), index
+
 
 @dataclass(frozen=True)
 class GridSymbol:
@@ -197,13 +216,21 @@ class GridSymbol:
     meta: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        """Validate the values and keep a read-only copy of them.
+
+        A read-only array that owns its data is kept without a copy: it is
+        taken to be freshly built and handed over, with no writable view
+        left behind (as `models` builds its symbols).  At d = 2 the copy
+        would be the largest transient of a symbol's construction.
+        """
         v = np.asarray(self.values, dtype=complex)
         if v.shape != (self.npoints,) * self.dim:
             raise ValueError(f"values must have shape {(self.npoints,) * self.dim}")
         if not np.all(np.isfinite(v)):
             raise ValueError("values must be finite")
-        v = v.copy()
-        v.setflags(write=False)
+        if v.flags.writeable or not v.flags.owndata:
+            v = v.copy()
+            v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property

@@ -33,6 +33,9 @@ RITZ_RANK_TOL = 1e-6
 SECTOR_SAMPLES = 8
 # Largest lattice whose whole spectrum a y-dependent potential gets densely.
 DENSE_MAX_DIM = 4096
+# A whole spectrum's moment defect (`_moment_defect`) must stay at or below
+# this; measured defects of correct spectra are below 0.2.
+MOMENT_TOL = 10.0
 
 
 class SolverError(RuntimeError):
@@ -391,6 +394,21 @@ def _rayleigh_ritz(matrix: sp.csr_matrix,
     return vals, vecs, tuple(float(x) for x in residuals)
 
 
+def _moment_defect(matrix: sp.csr_matrix, lam: np.ndarray) -> float:
+    """How far a whole spectrum misses sum(lam) = tr H and sum(lam^2) = ||H||_F^2.
+
+    The larger of the two misses, relative to ||H||_F and ||H||_F^2, in
+    units of n * eps; both sides cost O(nnz).  A dropped or repeated
+    block of eigenvalues, which no residual shows, moves either sum by
+    many orders of magnitude more than rounding does.
+    """
+    fro2 = float(matrix.multiply(matrix.conj()).sum().real)
+    trace = float(matrix.diagonal().real.sum())
+    unit = lam.size * np.finfo(float).eps * math.sqrt(fro2)
+    return max(abs(float(lam.sum()) - trace) / unit,
+               abs(float(lam @ lam) - fro2) / (unit * math.sqrt(fro2)))
+
+
 def solve(op: MagneticLatticeOperator, count: int | None = None, seed: int = 0) -> EigenResult:
     """Lowest `count` eigenvalues, or the whole spectrum when count is None.
 
@@ -405,7 +423,8 @@ def solve(op: MagneticLatticeOperator, count: int | None = None, seed: int = 0) 
     orthonormal Ritz vectors, every one of them residual-checked.  The
     whole spectrum of at most DENSE_MAX_DIM sites with a y-dependent
     potential is dense diagonalization ('dense').  A residual above
-    RESIDUAL_TOL, or a rank-deficient Lanczos basis, is a SolverError.
+    RESIDUAL_TOL, a rank-deficient Lanczos basis, or a whole spectrum
+    whose moment defect exceeds MOMENT_TOL is a SolverError.
     """
     if count is not None and not 1 <= count <= op.dim // 4:
         raise ValueError(f"count must be in [1, dim/4] = [1, {op.dim // 4}]")
@@ -423,6 +442,10 @@ def solve(op: MagneticLatticeOperator, count: int | None = None, seed: int = 0) 
                           f"{DENSE_MAX_DIM}, not {op.dim}")
     if residuals and max(residuals) > RESIDUAL_TOL:
         raise SolverError(f"residual norm {max(residuals):.2e} exceeds {RESIDUAL_TOL:.0e}")
+    defect = _moment_defect(op.matrix, raw) if count is None else 0.0
+    if defect > MOMENT_TOL:
+        raise SolverError(f"whole spectrum misses the trace moments by {defect:.1e} "
+                          f"n*eps units (over {MOMENT_TOL:g}): eigenvalues dropped or repeated")
     return EigenResult(power=op.power, raw=np.sort(raw), residual_norms=residuals,
                        method=method)
 

@@ -302,6 +302,14 @@ def test_resource_cap(tmp_path, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_grid_cap_is_a_resource_error(tmp_path, capsys):
+    # the d >= 2 grid cap is a resource limit, not a config error
+    cfg = write_config(tmp_path, {"models": {"d2_npoints": 96}})
+    code = main(["--config", cfg, "--out", str(tmp_path / "out"), "model-symbols"])
+    assert code == 3
+    assert "capped at 64 points" in capsys.readouterr().err
+
+
 def test_config_round_trip(tmp_path):
     cfg = load_config(write_config(tmp_path))
     text = json.dumps(cfg, sort_keys=True)

@@ -51,6 +51,21 @@ def test_grid_geometry():
     assert r2.shape == (128, 128) and np.isclose(r2[64, 64], 0.0)
 
 
+@pytest.mark.parametrize("dim, npoints", [(2, 512), (2, 127), (4, 24)])
+def test_radial_index(dim, npoints):
+    g = PhaseGrid(dim, 6.0, npoints)
+    r2, index = g.radial_index()
+    assert np.all(np.diff(r2) > 0.0) and r2[0] == 0.0
+    assert index.shape == (npoints,) * dim and index.dtype.kind == "u"
+    assert index.max() == r2.size - 1
+    assert np.max(np.abs(r2[index] - g.radius2())) <= 1e-13 * r2[-1]
+    # every distinct radius occurs: the integer labels h^-2 |xi|^2
+    labels = np.unique(np.rint(g.radius2() / g.spacing ** 2))
+    assert r2.size == labels.size
+    if (dim, npoints) == (2, 512):
+        assert r2.size == 22026   # of 262,144 points
+
+
 def test_grid_symbol_validation():
     g = PhaseGrid(2, 4.0, 16)
     with pytest.raises(ValueError):
@@ -60,6 +75,17 @@ def test_grid_symbol_validation():
     s = GridSymbol.constant(g, 2.0)
     assert not s.values.flags.writeable
     assert np.isclose(s.integral().real, 2.0 * 8.0 ** 2)
+    # a fresh read-only array is kept; a writable one or a view is copied
+    fresh = np.ones((16, 16), dtype=complex)
+    assert GridSymbol(2, 4.0, 16, fresh).values is not fresh
+    fresh.setflags(write=False)
+    assert GridSymbol(2, 4.0, 16, fresh).values is fresh
+    base = np.ones((16, 32), dtype=complex)
+    view = base[:, :16]
+    view.setflags(write=False)
+    kept = GridSymbol(2, 4.0, 16, view).values
+    base[:] = 2.0
+    assert kept is not view and np.all(kept == 1.0) and not kept.flags.writeable
 
 
 def test_poly_on_grid_matches_eval():

@@ -9,7 +9,7 @@ import magweyl.torus
 from magweyl import (EigenResult, PotentialSpec, SolverError, TorusModel,
                      build_magnetic_laplacian, exact_landau_reference,
                      random_gauge_transform, solve)
-from magweyl.torus import _rayleigh_ritz, _sparse_solve
+from magweyl.torus import _moment_defect, _rayleigh_ritz, _sparse_solve
 
 
 def test_model_prequantization():
@@ -265,6 +265,29 @@ def test_solve_enforces_residuals(monkeypatch):
     assert max(solve(op).residual_norms) < 1e-8
     monkeypatch.setattr(magweyl.torus, "RESIDUAL_TOL", 0.0)
     with pytest.raises(SolverError):
+        solve(op)
+
+
+def test_dropped_sector_fails_the_moment_certificate(monkeypatch):
+    # k=4, N=32: gcd(4, 32) = 4 sector chains; without one the sampled
+    # residuals stay small, but the sum of the eigenvalues misses a quarter
+    # of the trace
+    op = build_magnetic_laplacian(TorusModel.compatible(1), 4, 32)
+    assert _moment_defect(op.matrix, solve(op).raw) < 1.0
+    chains = magweyl.torus._sector_chains
+    monkeypatch.setattr(magweyl.torus, "_sector_chains", lambda op: list(chains(op))[1:])
+    with pytest.raises(SolverError, match="moments"):
+        solve(op)
+
+
+def test_repeated_eigenvalue_fails_the_moment_certificate(monkeypatch):
+    # the dense path: one eigenvalue returned twice in place of the lowest
+    op = build_magnetic_laplacian(TorusModel.compatible(1), 2, 16, _Y_DEPENDENT)
+    assert _moment_defect(op.matrix, solve(op).raw) < 1.0
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: np.append(eigvalsh(a)[1:], eigvalsh(a)[-1]))
+    with pytest.raises(SolverError, match="moments"):
         solve(op)
 
 
