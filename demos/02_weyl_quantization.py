@@ -1,10 +1,10 @@
 """Quantize symbols into the Hermite basis and transform back.
 
 The harmonic Hamiltonian quantizes to diag(m + 1/2) exactly through
-the ladder path; grid symbols go through the Weyl kernel.  The
-inverse transform carries a smooth level window that suppresses basis
-truncation artifacts, so round trips are faithful on the resolved
-region |xi| <= R/2.
+McCoy's formula on the ladder matrices; grid symbols go through the
+Weyl kernel.  The inverse transform carries a smooth level window that
+suppresses basis truncation artifacts, so round trips are faithful on
+the resolved region |xi| <= R/2.
 """
 
 import numpy as np

@@ -35,8 +35,6 @@ for row in report.rows:
     print(f"  k={row.power} m={row.level}: center {row.measured_center:.5f} "
           f"(drift {row.relative_drift:.2%}), count {row.measured_count}"
           f"/{row.predicted_count}")
-print("asymptotic-count fit:", report.fit["matches"],
-      " constant", round(report.fit[report.fit["matches"]]["constant"], 4))
 
 write_svg("landau_clusters.svg",
           svg_plot(series, "scaled spectrum against k", "k", "spec(Delta_k)/k"))

@@ -364,7 +364,6 @@ class TorusJob:
     npoints: int
     purpose: str
     count: int | None
-    seed: int
 
     @property
     def key(self) -> tuple:
@@ -374,7 +373,7 @@ class TorusJob:
 def _solve_job(job: TorusJob, cache: Path) -> EigenResult:
     def compute():
         op = build_magnetic_laplacian(job.model, job.k, job.npoints, job.potential)
-        return solve(op, job.count, seed=job.seed)
+        return solve(op, job.count)
     return EigenResult(**_cached(cache, job, compute))
 
 
@@ -383,14 +382,13 @@ def _torus_jobs(cfg: dict) -> list[TorusJob]:
     model = TorusModel.compatible(int(tcfg["chern"]), float(tcfg["field"]))
     cap = cfg["caps"]["max_lattice_dim"]
     pot = _potential_from_config(tcfg["potential"])
-    seed = int(cfg["seed"])
     kc = model.chern
-    jobs = [TorusJob(model, None, int(k), int(npts), "clusters", 3 * int(k) * kc + 8, seed)
+    jobs = [TorusJob(model, None, int(k), int(npts), "clusters", 3 * int(k) * kc + 8)
             for k, npts in tcfg["cluster_pairs"]]
-    jobs += [TorusJob(model, None, int(k), int(npts), "full", None, seed)
+    jobs += [TorusJob(model, None, int(k), int(npts), "full", None)
              for k, npts in tcfg["weyl_pairs"]]
     if pot is not None:
-        jobs += [TorusJob(model, pot, int(k), int(npts), "bands", 3 * int(k) * kc + 8, seed)
+        jobs += [TorusJob(model, pot, int(k), int(npts), "bands", 3 * int(k) * kc + 8)
                  for k, npts in tcfg["band_pairs"]]
     for job in jobs:
         if job.npoints ** 2 > cap:
@@ -435,7 +433,6 @@ def run_torus_checks(cfg: dict, spectra: dict) -> tuple[list[Check], dict]:
         checks.append(Check("torus.cluster_drift_improves_with_N", float(improving),
                             1.0, improving, "N-doubling reduces drift"))
         extras["clusters"] = [r.__dict__ for r in report.rows]
-        extras["cluster_fit"] = report.fit
 
     if tcfg["weyl_pairs"]:
         lam = float(tcfg["weyl_lambda"])

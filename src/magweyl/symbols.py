@@ -242,10 +242,6 @@ class GridSymbol:
         return self.grid.spacing
 
     @classmethod
-    def from_function(cls, grid: PhaseGrid, fn, meta: dict | None = None) -> "GridSymbol":
-        return cls(grid.dim, grid.halfwidth, grid.npoints, fn(grid.points()), meta=meta)
-
-    @classmethod
     def constant(cls, grid: PhaseGrid, value: complex = 1.0) -> "GridSymbol":
         return cls(grid.dim, grid.halfwidth, grid.npoints,
                    np.full((grid.npoints,) * grid.dim, complex(value)))

@@ -89,10 +89,9 @@ class PotentialSpec:
         object.__setattr__(self, "modes", tuple(sorted(clean, key=lambda t: t[0])))
 
     @classmethod
-    def cosine_x(cls, amplitude: float, harmonics: int = 1) -> "PotentialSpec":
-        """amplitude * cos(2 pi p x / L)."""
-        p = harmonics
-        return cls((((p, 0), amplitude / 2.0), ((-p, 0), amplitude / 2.0)))
+    def cosine_x(cls, amplitude: float) -> "PotentialSpec":
+        """amplitude * cos(2 pi x / L)."""
+        return cls((((1, 0), amplitude / 2.0), ((-1, 0), amplitude / 2.0)))
 
     @property
     def is_x_only(self) -> bool:
@@ -132,14 +131,6 @@ class MagneticLatticeOperator:
     @property
     def dim(self) -> int:
         return self.npoints ** 2
-
-    @property
-    def total_flux(self) -> float:
-        return self.npoints ** 2 * self.flux_per_plaquette
-
-    def hermiticity_defect(self) -> float:
-        d = (self.matrix - self.matrix.conj().T).tocoo()
-        return float(np.max(np.abs(d.data))) if d.nnz else 0.0
 
     def plaquette_phase_products(self) -> np.ndarray:
         """Product of the four hop phases around every plaquette.
@@ -220,13 +211,11 @@ class EigenResult:
         object.__setattr__(self, "raw", r)
 
     def scaled(self, regime: str) -> np.ndarray:
-        if regime == "raw" or self.power == 0:
+        if regime not in ("k1", "k2"):
+            raise ValueError(f"unknown regime {regime!r}")
+        if self.power == 0:
             return self.raw
-        if regime == "k1":
-            return self.raw / self.power
-        if regime == "k2":
-            return self.raw / self.power ** 2
-        raise ValueError(f"unknown regime {regime!r}")
+        return self.raw / (self.power if regime == "k1" else self.power ** 2)
 
 
 def _sector_chains(op: MagneticLatticeOperator):
@@ -339,9 +328,8 @@ def _sector_solve(op: MagneticLatticeOperator, count: int | None) -> tuple[np.nd
     return lam[order], tuple(residuals)
 
 
-def _sparse_solve(op: MagneticLatticeOperator, count: int,
-                  seed: int) -> tuple[np.ndarray, tuple]:
-    """Lowest `count` eigenvalues by seeded shift-invert Lanczos, every residual norm.
+def _sparse_solve(op: MagneticLatticeOperator, count: int) -> tuple[np.ndarray, tuple]:
+    """Lowest `count` eigenvalues by shift-invert Lanczos, every residual norm.
 
     The shift sigma is the Gershgorin lower bound min_i (h_ii - sum_{j != i}
     |h_ij|) of the matrix, less a margin of 1e-3/(2 a^2); for the lattice,
@@ -353,7 +341,8 @@ def _sparse_solve(op: MagneticLatticeOperator, count: int,
     symmetric mode), and its solve is the Lanczos operator.  The Ritz
     vectors ARPACK returns for a complex matrix need not be orthonormal
     inside a degenerate cluster, so they are replaced by a Rayleigh-Ritz
-    step on their span (`_rayleigh_ritz`).
+    step on their span (`_rayleigh_ritz`).  Lanczos starts from a fixed
+    vector, so the result depends on the operator only.
     """
     H = op.matrix
     n = op.dim
@@ -364,7 +353,7 @@ def _sparse_solve(op: MagneticLatticeOperator, count: int,
                    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options={"SymmetricMode": True})
     shift_invert = spla.LinearOperator((n, n), matvec=lu.solve, dtype=H.dtype)
-    v0 = np.random.default_rng(seed).standard_normal(n)
+    v0 = np.random.default_rng(0).standard_normal(n)
     try:
         _, basis = spla.eigsh(H, k=count, sigma=sigma, which="LM", v0=v0,
                               OPinv=shift_invert)
@@ -409,13 +398,13 @@ def _moment_defect(matrix: sp.csr_matrix, lam: np.ndarray) -> float:
                abs(float(lam @ lam) - fro2) / (unit * math.sqrt(fro2)))
 
 
-def solve(op: MagneticLatticeOperator, count: int | None = None, seed: int = 0) -> EigenResult:
+def solve(op: MagneticLatticeOperator, count: int | None = None) -> EigenResult:
     """Lowest `count` eigenvalues, or the whole spectrum when count is None.
 
     The method follows from the operator.  A potential depending on x
     only (or none) takes the exact magnetic Bloch reduction ('sectors'):
     banded real periodic chains, with residuals checked on
-    SECTOR_SAMPLES eigenvectors.  A y-dependent potential takes seeded
+    SECTOR_SAMPLES eigenvectors.  A y-dependent potential takes
     shift-invert Lanczos ('sparse') for a count: the shift is the
     Gershgorin lower bound of the matrix less a margin, so the shifted
     matrix is positive definite and is factored once without pivoting in
@@ -433,7 +422,7 @@ def solve(op: MagneticLatticeOperator, count: int | None = None, seed: int = 0) 
         raw, residuals = _sector_solve(op, count)
     elif count is not None:
         method = "sparse"
-        raw, residuals = _sparse_solve(op, count, seed)
+        raw, residuals = _sparse_solve(op, count)
     elif op.dim <= DENSE_MAX_DIM:
         method, residuals = "dense", ()
         raw = np.linalg.eigvalsh(op.matrix.toarray())

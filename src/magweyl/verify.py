@@ -9,8 +9,7 @@ potentials.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +46,6 @@ class ClusterReport:
     clusters: tuple
     gap_threshold: float
     rows: tuple = ()
-    fit: dict | None = field(default=None, compare=False)
 
     def __post_init__(self):
         prev_hi = -np.inf
@@ -55,10 +53,6 @@ class ClusterReport:
             if c.lo < prev_hi:
                 raise ValueError("clusters must be disjoint and ordered")
             prev_hi = c.hi
-
-    @property
-    def total_count(self) -> int:
-        return sum(c.count for c in self.clusters)
 
 
 def detect_clusters(eigs, gap_threshold: float = CLUSTER_GAP) -> ClusterReport:
@@ -102,13 +96,10 @@ def check_cluster_law(model: TorusModel, spectra: dict, levels) -> ClusterReport
 
     `spectra` maps (k, N) to an EigenResult (or an array already scaled
     by k^{-1}).  For each requested level m the detected cluster is
-    compared with center b(m + 1/2) and count k c; the normalization of
-    the asymptotic count is fitted, not assumed: both binomial
-    conventions are evaluated and reported in the fit metadata.
+    compared with center b(m + 1/2) and count k c.
     """
     rows = []
     all_clusters = []
-    conv_n, conv_d = [], []
     b, c = model.field, model.chern
     for (k, npts), res in sorted(spectra.items()):
         eigs = res.scaled("k1") if isinstance(res, EigenResult) else np.asarray(res)
@@ -127,20 +118,8 @@ def check_cluster_law(model: TorusModel, spectra: dict, levels) -> ClusterReport
                 measured_center=cl.center, measured_count=cl.count,
                 center_drift=drift, relative_drift=drift / pred_center,
                 width=cl.width))
-            # asymptotic count (k/2pi)^{n/2} C(m+n-1, m): evaluate both readings
-            n_dim = 2
-            conv_n.append(cl.count / ((k / (2 * np.pi)) ** (n_dim / 2)
-                                      * math.comb(m + n_dim - 1, m)))
-            conv_d.append(cl.count / ((k / (2 * np.pi)) ** (n_dim / 2)
-                                      * math.comb(m + n_dim // 2 - 1, m)))
         all_clusters = rep.clusters
-    spread = lambda v: (max(v) - min(v)) / np.mean(v) if v else np.inf
-    fit = {
-        "binomial_n": {"constant": float(np.mean(conv_n)), "relative_spread": float(spread(conv_n))},
-        "binomial_d": {"constant": float(np.mean(conv_d)), "relative_spread": float(spread(conv_d))},
-        "matches": "binomial_d" if spread(conv_d) <= spread(conv_n) else "binomial_n",
-    }
-    return ClusterReport(tuple(all_clusters), CLUSTER_GAP * b, tuple(rows), fit=fit)
+    return ClusterReport(tuple(all_clusters), CLUSTER_GAP * b, tuple(rows))
 
 
 def twisted_liouville_volume(model: TorusModel, lam: float) -> float:

@@ -239,6 +239,17 @@ def test_tolerance_only_change_runs_no_solves(tmp_path, capsys, monkeypatch):
     assert cache_entries(out) == entries
 
 
+def test_seed_change_runs_no_solves(tmp_path, capsys, monkeypatch):
+    # the seed drives the star-check instances only; spectra do not depend on it
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path)
+    assert main(["--config", cfg, "--out", str(out), "--seed", "1", "torus"]) == EXIT_PASS
+    entries = cache_entries(out)
+    monkeypatch.setattr(cli, "solve", _refuse("solve"))
+    assert main(["--config", cfg, "--out", str(out), "--seed", "2", "torus"]) == EXIT_PASS
+    assert cache_entries(out) == entries
+
+
 def test_warm_all_skips_star_and_model_stages(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     cfg = write_config(tmp_path)

@@ -97,7 +97,7 @@ def test_poly_on_grid_matches_eval():
 
 def test_boundary_decay():
     g = PhaseGrid(2, 6.0, 64)
-    gauss = GridSymbol.from_function(g, lambda xi: np.exp(-np.sum(xi ** 2, axis=-1)))
+    gauss = GridSymbol(2, 6.0, 64, np.exp(-g.radius2()))
     assert gauss.boundary_decay() < 1e-12
     flat = GridSymbol.constant(g, 1.0)
     assert flat.boundary_decay() == 1.0
