@@ -7,7 +7,9 @@ model-symbol checks, and one spectrum per torus solve) are cached in
 out_dir/cache/<key>.json, keyed by a hash of the magweyl sources, the
 numpy and scipy versions and exactly the inputs each result reads; the
 torus verdicts are always recomputed.  Exit codes: 0 pass, 1 tolerance
-failure, 2 usage/config error, 3 resource/convergence error.
+failure, 2 usage/config error (raised before any compute, so --dry-run
+reports it too), 3 resource/convergence error, 4 internal error (any
+other ValueError: a broken invariant, not a bad config).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import scipy
 from . import reports
 from .errors import ResourceLimitError
 from .forms import AntisymmetricForm
-from .models import (PoleProximityError, ProjectorQuery, ResolventQuery,
+from .models import (ProjectorQuery, ResolventQuery,
                      SymbolNotInvertibleError, harmonic_hamiltonian,
                      projector_symbol, residue_projector, resolvent_at,
                      resolvent_symbol, sharp_inverse)
@@ -46,6 +48,7 @@ EXIT_PASS = 0
 EXIT_TOLERANCE = 1
 EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 DEFAULT_CONFIG = {
     "seed": 0,
@@ -274,33 +277,42 @@ def run_star_checks(cfg: dict, seed: int) -> list[Check]:
 # ---------------------------------------------------------------------------
 # model symbols
 
-def _models_spec(cfg: dict) -> HermiteBasisSpec:
+def _model_specs(cfg: dict) -> tuple[HermiteBasisSpec, HermiteBasisSpec,
+                                      ResolventQuery, ResolventQuery]:
+    """The d = 1 and d = 2 bases, and the anchor and oracle resolvent queries."""
     mcfg = cfg["models"]
     levels = int(mcfg["hermite_levels"])
     if levels > cfg["caps"]["max_hermite_levels"]:
         raise ResourceLimitError(f"hermite levels {levels} over cap "
                                  f"{cfg['caps']['max_hermite_levels']}")
-    return HermiteBasisSpec(d=1, levels=levels, halfwidth=float(mcfg["halfwidth"]),
-                            npoints=int(mcfg["npoints"]))
+    try:
+        z_oracle, z_anchor = (complex(z) for z in mcfg["resolvent_z"])
+        spec = HermiteBasisSpec(d=1, levels=levels, halfwidth=float(mcfg["halfwidth"]),
+                                npoints=int(mcfg["npoints"]))
+        spec2 = HermiteBasisSpec(d=2, levels=int(mcfg["d2_levels"]),
+                                 halfwidth=float(mcfg["d2_halfwidth"]),
+                                 npoints=int(mcfg["d2_npoints"]))
+        anchor = ResolventQuery(d=1, z=z_anchor, quad_nodes=int(mcfg["quad_nodes"]))
+        oracle = ResolventQuery(d=1, z=z_oracle, quad_nodes=int(mcfg["quad_nodes"]))
+        return spec, spec2, anchor, oracle
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"models: {exc}") from exc
 
 
 def run_model_checks(cfg: dict) -> list[Check]:
     mcfg = cfg["models"]
-    spec = _models_spec(cfg)
+    spec, spec2, q0, rq = _model_specs(cfg)
     grid = spec.grid()
     checks = []
 
     # pointwise anchor: R_{1,0}(0) = 2 arcsin(1) = pi, the closed form of
     # the s-integral over its full range [0, 2]
-    q0 = ResolventQuery(d=1, z=complex(mcfg["resolvent_z"][1]),
-                        quad_nodes=int(mcfg["quad_nodes"]))
     anchor = abs(resolvent_at(q0, 0.0) - np.pi)
     checks.append(_leq("models.resolvent_origin_anchor", anchor, 1e-8,
                        "closed form 2*arcsin(1)"))
 
     # matrix oracle: quantize(R_{1,z}) vs diag(1/(m + 1/2 - z))
-    z = complex(mcfg["resolvent_z"][0])
-    rq = ResolventQuery(d=1, z=z, quad_nodes=int(mcfg["quad_nodes"]))
+    z = rq.z
     rsym = resolvent_symbol(rq, grid)
     qr = weyl_quantize(rsym, spec)
     target = np.diag(1.0 / (np.arange(spec.levels) + 0.5 - z))
@@ -309,9 +321,6 @@ def run_model_checks(cfg: dict) -> list[Check]:
                        mcfg["matrix_tolerance"], f"block {comp.block_levels}, z={z}"))
 
     # projector checks (d = 1 on the main spec, d = 2 on its own spec)
-    spec2 = HermiteBasisSpec(d=2, levels=int(mcfg["d2_levels"]),
-                             halfwidth=float(mcfg["d2_halfwidth"]),
-                             npoints=int(mcfg["d2_npoints"]))
     for (d, m) in ((1, 0), (1, 1), (1, 2), (2, 0), (2, 1)):
         sp_d = spec if d == 1 else spec2
         pq = ProjectorQuery(d=d, energy=m + d / 2.0)
@@ -378,21 +387,31 @@ def _solve_job(job: TorusJob, cache: Path) -> EigenResult:
 
 
 def _torus_jobs(cfg: dict) -> list[TorusJob]:
+    """The solves of the torus stage; a (k, N) pair or count the lattice
+    rejects is a ConfigError here, before anything is solved."""
     tcfg = cfg["torus"]
-    model = TorusModel.compatible(int(tcfg["chern"]), float(tcfg["field"]))
     cap = cfg["caps"]["max_lattice_dim"]
-    pot = _potential_from_config(tcfg["potential"])
-    kc = model.chern
-    jobs = [TorusJob(model, None, int(k), int(npts), "clusters", 3 * int(k) * kc + 8)
-            for k, npts in tcfg["cluster_pairs"]]
-    jobs += [TorusJob(model, None, int(k), int(npts), "full", None)
-             for k, npts in tcfg["weyl_pairs"]]
-    if pot is not None:
-        jobs += [TorusJob(model, pot, int(k), int(npts), "bands", 3 * int(k) * kc + 8)
-                 for k, npts in tcfg["band_pairs"]]
+    try:
+        model = TorusModel.compatible(int(tcfg["chern"]), float(tcfg["field"]))
+        pot = _potential_from_config(tcfg["potential"])
+        kc = model.chern
+        jobs = [TorusJob(model, None, int(k), int(npts), "clusters", 3 * int(k) * kc + 8)
+                for k, npts in tcfg["cluster_pairs"]]
+        jobs += [TorusJob(model, None, int(k), int(npts), "full", None)
+                 for k, npts in tcfg["weyl_pairs"]]
+        if pot is not None:
+            jobs += [TorusJob(model, pot, int(k), int(npts), "bands", 3 * int(k) * kc + 8)
+                     for k, npts in tcfg["band_pairs"]]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"torus: {exc}") from exc
     for job in jobs:
         if job.npoints ** 2 > cap:
             raise ResourceLimitError(f"lattice dimension {job.npoints ** 2} exceeds cap {cap}")
+        try:
+            model.check_lattice(job.k, job.npoints, job.count)
+        except ValueError as exc:
+            raise ConfigError(f"torus {job.purpose} pair k={job.k}, N={job.npoints}: "
+                              f"{exc}") from exc
     return jobs
 
 
@@ -518,25 +537,42 @@ def _weyl_svg(extras: dict) -> str:
 
 @dataclass(frozen=True)
 class Stage:
-    """A CLI stage: its dry-run plan lines, and its checks with report details.
+    """A CLI stage: its plan lines, and its checks with report details.
 
-    `run(cfg, torus_jobs, n_workers, cache)` returns (checks, details or None).
+    `plan(cfg, torus_jobs)` builds the stage's inputs from the config, so
+    a bad value raises ConfigError before any stage computes, dry run or
+    not.  `run(cfg, torus_jobs, n_workers, cache)` returns (checks,
+    details or None).
     """
 
     plan: Callable[[dict, list[TorusJob]], list[str]]
     run: Callable[[dict, list[TorusJob], int, Path], tuple[list[Check], dict | None]]
 
 
+def _star_plan(cfg: dict, _jobs) -> list[str]:
+    scfg = cfg["star"]
+    try:
+        valid = int(scfg["max_dim"]) >= 2 and int(scfg["max_degree"]) >= 0
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise ConfigError("star: max_dim must be an integer >= 2 and max_degree one >= 0")
+    return [f"{scfg['instances']} random star-product property instances"]
+
+
+def _model_plan(cfg: dict, _jobs) -> list[str]:
+    spec = _model_specs(cfg)[0]
+    return [f"resolvent/projector/residue/inverse checks at N={spec.levels}"]
+
+
 STAGES = {
     "star-check": Stage(
-        plan=lambda cfg, _: [f"{cfg['star']['instances']} random star-product "
-                             f"property instances"],
+        plan=_star_plan,
         run=lambda cfg, _jobs, _workers, cache: (_cached_checks(
             cache, ["star-check", int(cfg["seed"]), cfg["star"]],
             lambda: run_star_checks(cfg, int(cfg["seed"]))), None)),
     "model-symbols": Stage(
-        plan=lambda cfg, _: [f"resolvent/projector/residue/inverse checks at "
-                             f"N={cfg['models']['hermite_levels']}"],
+        plan=_model_plan,
         run=lambda cfg, _jobs, _workers, cache: (_cached_checks(
             cache, ["model-symbols", cfg["models"], cfg["caps"]],
             lambda: run_model_checks(cfg)), None)),
@@ -555,9 +591,10 @@ def run_command(cfg: dict, command: str, n_workers: int, dry_run: bool) -> int:
     out = Path(cfg["out_dir"]) / config_hash(cfg)
     cache = Path(cfg["out_dir"]) / "cache"
     jobs = _torus_jobs(cfg) if "torus" in stages else []
+    plans = {name: STAGES[name].plan(cfg, jobs) for name in stages}
     if dry_run:
         for name in stages:
-            for line in STAGES[name].plan(cfg, jobs):
+            for line in plans[name]:
                 print(f"plan: {name}: {line}")
         print(f"plan: reports -> {out}")
         return EXIT_PASS
@@ -603,12 +640,15 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg["seed"] = args.seed
         return run_command(cfg, args.command, max(1, args.jobs), args.dry_run)
-    except (ConfigError, PoleProximityError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SolverError, ResourceLimitError, MemoryError) as exc:
         print(f"resource/convergence error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except ValueError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -6,20 +6,33 @@ exponential series
     (f #_A g)(xi) = [exp((i/2) A(d_xi, d_eta)) f(xi) g(eta)]_{eta=xi}
 
 which truncates exactly on polynomials.  For A = 0 it is the pointwise
-product.  Left multiplication by a coordinate acts on any symbol as
+product.  On the coefficient vectors of `symbols.PolySymbol` the whole
+series is a fixed number of array operations:
+
+    f #_A g = scatter_{m + m'} (D_f W(A) D_g^T)[m, m'],
+
+where D_f[m, alpha] is the coefficient of xi^m in d^alpha f (one gather
+of f's coefficients), W(A) holds the weights of the bidifferential
+operator, block-diagonal in |alpha| = |beta| = r and built by r lifts
+of A, and the scatter is one bincount into the product's basis.  The
+product runs block by block, D_f W D_g^T = sum_r D_r(f) W_r D_r(g)^T,
+and the block r of D_f has only the rows |m| <= deg f - r.  Left
+multiplication by a coordinate acts on any symbol as
 xi_j #_A f = (xi_j + (i/2) sum_k A_jk d_k) f, which is also available
 on grid symbols via finite differences.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 import numpy as np
 
 from .forms import AntisymmetricForm
-from .symbols import GridSymbol, PolySymbol, multi_index
+from .symbols import (GridSymbol, PolySymbol, monomial_basis, monomial_rank,
+                      multi_index, product_sum)
 
 # 6th-order central first derivative; the 4th-order stencil leaves
 # ~7e-6 error on exp(-|xi|^2) at M=256, R=8, above the 1e-6 target.
@@ -32,43 +45,62 @@ def _check_dims(f_dim: int, A: AntisymmetricForm):
         raise ValueError(f"dimension mismatch: symbol dim {f_dim}, form dim {A.dim}")
 
 
+@functools.lru_cache(maxsize=None)
+def _lift(dim: int, r: int) -> np.ndarray:
+    """0/1 matrix from the pairs (j, alpha'), |alpha'| = r - 1, ordered
+    j-major (as the rows of np.kron(A, Q)), to the degree-r monomials
+    alpha' + e_j."""
+    lower = monomial_basis(dim, r - 1)[math.comb(r - 2 + dim, dim):]
+    rows = monomial_rank(lower[None, :, :] + np.eye(dim, dtype=int)[:, None, :])
+    lift = np.zeros((math.comb(r - 1 + dim, dim - 1), dim * len(lower)))
+    lift[rows.ravel() - math.comb(r - 1 + dim, dim), np.arange(lift.shape[1])] = 1.0
+    lift.setflags(write=False)
+    return lift
+
+
+@functools.lru_cache(maxsize=64)
+def _moyal_weights(entries: bytes, dim: int, order: int) -> tuple[np.ndarray, ...]:
+    """The blocks W_r[alpha, beta] = (i/2)^r [x^alpha y^beta] (x^T a y)^r / r!,
+    |alpha| = |beta| = r, for r = 0..order and the form a with these
+    float64 bytes (cached: the products of one form share their weights).
+
+    W_r = (i/2)^r Q_r, where Q_r is the real coefficient table of
+    (x^T a y)^r / r! = (x^T a y) Q_{r-1} / r; multiplying by x_j a_jk y_k
+    lifts (alpha', beta') to (alpha' + e_j, beta' + e_k).
+    """
+    a = np.frombuffer(entries).reshape(dim, dim)
+    q = np.ones((1, 1))
+    blocks = [q.astype(complex)]
+    for r in range(1, order + 1):
+        lift = _lift(dim, r)
+        pairs = (a[:, None, :, None] * q[None, :, None, :]).reshape(lift.shape[1], -1)
+        q = (lift @ pairs @ lift.T) / r
+        blocks.append((0.5j) ** r * q)
+    for w in blocks:
+        w.setflags(write=False)
+    return tuple(blocks)
+
+
 def moyal_product(f: PolySymbol, g: PolySymbol, A: AntisymmetricForm) -> PolySymbol:
     """f #_A g for exact polynomials.
 
-    The bidifferential series is applied term by term; it stops after
-    min(deg f, deg g) applications, so the result is exact.
+    The series is sum_{alpha, beta} W[alpha, beta] d^alpha f d^beta g
+    with W block-diagonal in |alpha| = |beta| = r (`_moyal_weights`); it
+    stops at order r = min(deg f, deg g), so the result is exact.  In
+    coefficients it is the table sum_r D_r(f) W_r D_r(g)^T, with the
+    derivative blocks of `PolySymbol.derivatives` (D_r(f) has the rows
+    |m| <= deg f - r), whose entry (m, m') goes to xi^(m + m').
     """
     if f.dim != g.dim:
         raise ValueError("dimension mismatch between factors")
     _check_dims(f.dim, A)
-    n = f.dim
-    a = A.entries
-    links = [(j, k, a[j, k]) for j in range(n) for k in range(n) if a[j, k] != 0.0]
-
-    # state: {(alpha, beta): coeff} representing sum c * d^alpha f x d^beta g
-    state = {(ia, ib): ca * cb for ia, ca in f.terms.items() for ib, cb in g.terms.items()}
-    result = {}
-    factor = 1.0 + 0.0j
-    r = 0
-    while state:
-        for (ia, ib), c in state.items():
-            idx = tuple(p + q for p, q in zip(ia, ib))
-            result[idx] = result.get(idx, 0.0 + 0.0j) + factor * c
-        r += 1
-        factor *= (0.5j) / r
-        nxt = {}
-        for (ia, ib), c in state.items():
-            for j, k, ajk in links:
-                if ia[j] == 0 or ib[k] == 0:
-                    continue
-                la = list(ia)
-                la[j] -= 1
-                lb = list(ib)
-                lb[k] -= 1
-                key = (tuple(la), tuple(lb))
-                nxt[key] = nxt.get(key, 0.0 + 0.0j) + c * ajk * ia[j] * ib[k]
-        state = {k: v for k, v in nxt.items() if v != 0}
-    return PolySymbol(f.dim, result)
+    order = min(f.degree, g.degree)
+    weights = _moyal_weights(A.entries.tobytes(), A.dim, order)
+    table = np.outer(f.coeffs, g.coeffs)   # r = 0: W_0 = 1, the pointwise product
+    blocks = zip(f.derivatives(order), weights, g.derivatives(order))
+    for d_f, w, d_g in itertools.islice(blocks, 1, None):
+        table[:len(d_f), :len(d_g)] += d_f @ w @ d_g.T
+    return product_sum(f.dim, table, f.degree, g.degree)
 
 
 def _grid_derivative(values: np.ndarray, axis: int, spacing: float) -> np.ndarray:
@@ -121,13 +153,14 @@ def sharp_power(alpha, A: AntisymmetricForm) -> PolySymbol:
 
 
 def _left_linear(v: np.ndarray, g: PolySymbol, A: AntisymmetricForm) -> PolySymbol:
-    """(v . xi) #_A g for a real covector v."""
-    out = PolySymbol.from_covector(v) * g
-    w = v @ A.entries  # w_k = sum_j v_j A_jk
-    for k in range(g.dim):
-        if w[k] != 0.0:
-            out = out + (0.5j * w[k]) * g.derivative(k + 1)
-    return out
+    """(v . xi) #_A g for a real covector v, as (v . xi) g + (i/2) sum_k (v A)_k d_k g.
+
+    Kept apart from `moyal_product`, so that the sharp-power and
+    symmetrization checks compare two different computations.
+    """
+    # the columns of the first-order block are d_1 g, ..., d_n g
+    shift = g.derivatives(1)[1] @ (0.5j * (v @ A.entries))
+    return PolySymbol.from_covector(v) * g + PolySymbol.from_coeffs(g.dim, shift)
 
 
 def symmetrized_product(linear_forms, A: AntisymmetricForm) -> PolySymbol:

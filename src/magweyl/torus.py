@@ -42,6 +42,11 @@ class SolverError(RuntimeError):
     """Eigensolver failed to converge; never silently truncated."""
 
 
+def _check_count(count: int, dim: int):
+    if not 1 <= count <= dim // 4:
+        raise ValueError(f"count must be in [1, dim/4] = [1, {dim // 4}]")
+
+
 @dataclass(frozen=True)
 class TorusModel:
     """Flat torus [0, L]^2 with uniform field strength b (curvature b dx^dy)."""
@@ -60,6 +65,21 @@ class TorusModel:
     @property
     def chern(self) -> int:
         return round(self.field * self.side ** 2 / (2.0 * np.pi))
+
+    def check_lattice(self, k: int, npoints: int, count: int | None = None):
+        """Raise ValueError unless Delta_k fits an N x N lattice and `count`
+        (lowest eigenvalues wanted, None for all) is a valid solve count.
+
+        N^2 >= 20 k c keeps the flux per plaquette in the continuum-fidelity
+        regime; a count lies in [1, N^2/4].
+        """
+        if k < 0:
+            raise ValueError("tensor power k must be nonnegative")
+        kc = k * self.chern
+        if k > 0 and npoints * npoints < 20 * kc:
+            raise ValueError(f"lattice too coarse: N^2 = {npoints * npoints} < 20 k c = {20 * kc}")
+        if count is not None:
+            _check_count(count, npoints * npoints)
 
     @classmethod
     def compatible(cls, chern: int, field: float = 1.0) -> "TorusModel":
@@ -158,12 +178,9 @@ def build_magnetic_laplacian(model: TorusModel, k: int, npoints: int,
     -phase/(2 a^2).  Requires N^2 >= 20 k c so the flux per plaquette
     stays in the continuum-fidelity regime.
     """
+    model.check_lattice(k, npoints)
     N = npoints
-    if k < 0:
-        raise ValueError("tensor power k must be nonnegative")
     kc = k * model.chern
-    if k > 0 and N * N < 20 * kc:
-        raise ValueError(f"lattice too coarse: N^2 = {N*N} < 20 k c = {20*kc}")
     L = model.side
     a = L / N
     kb = k * model.field
@@ -415,8 +432,8 @@ def solve(op: MagneticLatticeOperator, count: int | None = None) -> EigenResult:
     RESIDUAL_TOL, a rank-deficient Lanczos basis, or a whole spectrum
     whose moment defect exceeds MOMENT_TOL is a SolverError.
     """
-    if count is not None and not 1 <= count <= op.dim // 4:
-        raise ValueError(f"count must be in [1, dim/4] = [1, {op.dim // 4}]")
+    if count is not None:
+        _check_count(count, op.dim)
     if op.potential is None or op.potential.is_x_only:
         method = "sectors"
         raw, residuals = _sector_solve(op, count)

@@ -1,11 +1,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from magweyl import cli
-from magweyl.cli import (EXIT_CONFIG, EXIT_PASS, config_hash, load_config,
-                         main)
+from magweyl import cli, star
+from magweyl.cli import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_PASS, EXIT_TOLERANCE,
+                         config_hash, load_config, main)
 from magweyl.torus import RESIDUAL_TOL, solve
 
 SMALL = {
@@ -329,3 +330,48 @@ def test_config_round_trip(tmp_path):
     # out_dir does not affect the hash
     cfg2 = dict(cfg, out_dir="elsewhere")
     assert config_hash(cfg2) == config_hash(cfg)
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"torus": {"cluster_pairs": [[16, 16]]}}, "torus clusters pair k=16, N=16: lattice too coarse"),
+    ({"torus": {"cluster_pairs": [[3, 8]]}}, "torus clusters pair k=3, N=8: count must be in"),
+    ({"torus": {"potential": {"modes": [[[1, 0], [0.1, 0]]]}}}, "torus: mode (1,0) breaks realness"),
+    ({"torus": {"potential": {"modes": 5}}}, "torus: "),
+    ({"models": {"resolvent_z": [-1.0, 0.5]}}, "models: z = (0.5+0j) within"),
+    ({"models": {"halfwidth": 2.0}}, "models: halfwidth 2.0 too small"),
+    ({"star": {"max_dim": 1}}, "star: max_dim must be"),
+])
+def test_bad_config_value_is_config_error_in_dry_run(tmp_path, capsys, override, message):
+    cfg = write_config(tmp_path, override)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--dry-run", "all"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not out.exists()
+
+
+def test_internal_value_error_exits_4(tmp_path, capsys, monkeypatch):
+    def broken(cfg, seed):
+        raise ValueError("broken invariant")
+    monkeypatch.setattr(cli, "run_star_checks", broken)
+    cfg = write_config(tmp_path)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), "star-check"]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == "internal error: broken invariant\n"
+
+
+def test_first_order_star_product_fails_associativity(tmp_path, capsys, monkeypatch):
+    # keep the Moyal series only through first order: the product is then
+    # not associative on the degree <= 4 triples, so the verdict must fail
+    full = star._moyal_weights
+
+    def first_order(entries, dim, order):
+        return tuple(w if r < 2 else np.zeros_like(w)
+                     for r, w in enumerate(full(entries, dim, order)))
+    monkeypatch.setattr(star, "_moyal_weights", first_order)
+    cfg = load_config(write_config(tmp_path))
+    checks = {c.name: c for c in cli.run_star_checks(cfg, int(cfg["seed"]))}
+    assert not checks["star.associativity"].passed
+    assert checks["star.associativity"].value > 1e-3
+    code = main(["--config", write_config(tmp_path), "--out", str(tmp_path / "out"),
+                 "star-check"])
+    assert code == EXIT_TOLERANCE
+    assert "FAIL  star.associativity" in capsys.readouterr().out

@@ -20,6 +20,63 @@ def random_form(rng, dim):
     return AntisymmetricForm(dim, m - m.T)
 
 
+def reference_moyal(f, g, A):
+    """f #_A g by the term-by-term series over {exponent: coefficient} maps.
+
+    The state {(alpha, beta): c} stands for sum c d^alpha f d^beta g; each
+    order applies A(d_xi, d_eta) once to every pair and adds the
+    (i/2)^r / r! weighted state into the result.
+    """
+    n = f.dim
+    a = A.entries
+    links = [(j, k, a[j, k]) for j in range(n) for k in range(n) if a[j, k] != 0.0]
+    state = {(ia, ib): ca * cb for ia, ca in f.terms.items() for ib, cb in g.terms.items()}
+    result = {}
+    factor = 1.0 + 0.0j
+    r = 0
+    while state:
+        for (ia, ib), c in state.items():
+            idx = tuple(p + q for p, q in zip(ia, ib))
+            result[idx] = result.get(idx, 0.0 + 0.0j) + factor * c
+        r += 1
+        factor *= 0.5j / r
+        nxt = {}
+        for (ia, ib), c in state.items():
+            for j, k, ajk in links:
+                if ia[j] and ib[k]:
+                    la, lb = list(ia), list(ib)
+                    la[j] -= 1
+                    lb[k] -= 1
+                    key = (tuple(la), tuple(lb))
+                    nxt[key] = nxt.get(key, 0.0 + 0.0j) + c * ajk * ia[j] * ib[k]
+        state = {key: v for key, v in nxt.items() if v != 0}
+    return PolySymbol(n, result)
+
+
+def poly_of_degree(rng, dim, degree, n_terms=6):
+    """A random polynomial with one term of exactly `degree` and others below."""
+    top = rng.multinomial(degree, np.full(dim, 1.0 / dim))
+    terms = {tuple(int(v) for v in top): complex(*rng.standard_normal(2))}
+    for _ in range(n_terms):
+        idx = rng.multinomial(int(rng.integers(0, degree + 1)), np.full(dim, 1.0 / dim))
+        terms[tuple(int(v) for v in idx)] = complex(*rng.standard_normal(2))
+    return PolySymbol(dim, terms)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_moyal_matches_reference_series(rng, dim):
+    forms = [AntisymmetricForm.zero(dim), random_form(rng, dim), random_form(rng, dim)]
+    if dim % 2 == 0:
+        forms.append(AntisymmetricForm.standard(dim // 2))
+    for A in forms:
+        for p in range(7):
+            q = int(rng.integers(0, 7))
+            f, g = poly_of_degree(rng, dim, p), poly_of_degree(rng, dim, q)
+            got, ref = moyal_product(f, g, A), reference_moyal(f, g, A)
+            assert got.degree == ref.degree <= p + q
+            assert got.distance(ref) <= 1e-13 * ref.max_abs_coeff()
+
+
 def test_zero_form_is_pointwise(J2):
     x1 = PolySymbol.coordinate(2, 1)
     x2 = PolySymbol.coordinate(2, 2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from magweyl import GridSymbol, PhaseGrid, PolySymbol
+from magweyl.symbols import monomial_basis, monomial_rank
 
 
 def test_poly_zero_pruning():
@@ -11,6 +12,30 @@ def test_poly_zero_pruning():
     assert (1, 0) not in p.terms
     q = p - PolySymbol.constant(2, 1.0)
     assert q.terms == {} and q.degree == 0
+
+
+def test_poly_coefficient_vector():
+    x = PolySymbol.coordinate(3, 1)
+    y = PolySymbol.coordinate(3, 3)
+    p = (x + y) * (x - y) + y * y          # x^2 after the y^2 terms cancel
+    assert p.terms == {(2, 0, 0): 1.0} and p.degree == 2
+    assert p.coeffs.shape == (10,)          # the monomials of degree <= 2 in 3 variables
+    assert (0, 0, 2) not in p.terms and p.coefficient((0, 0, 2)) == 0.0
+    assert p.coefficient((0, 0, 5)) == 0.0  # above the degree
+    with pytest.raises(ValueError):
+        p.coeffs[0] = 1.0
+    with pytest.raises(ValueError):
+        PolySymbol.from_coeffs(3, np.zeros(5))  # no graded basis has 5 entries
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 6])
+def test_monomial_basis_is_graded(dim):
+    basis = monomial_basis(dim, 5)
+    orders = basis.sum(axis=1)
+    assert np.all(np.diff(orders) >= 0) and orders[-1] == 5
+    assert len({tuple(e) for e in basis.tolist()}) == len(basis)
+    assert np.array_equal(monomial_rank(basis), np.arange(len(basis)))
+    assert np.array_equal(monomial_basis(dim, 3), basis[:len(monomial_basis(dim, 3))])
 
 
 def test_poly_arithmetic_and_eval():
