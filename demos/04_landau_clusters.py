@@ -20,7 +20,7 @@ spectra = {}
 series = []
 for k in (4, 8, 16):
     op = build_magnetic_laplacian(model, k, 64)
-    res = solve(op, 3 * k + 8)
+    res = solve(op, 3.0 * model.field * k)  # every eigenvalue below the cluster m = 3
     spectra[(k, 64)] = res
     scaled = res.scaled("k1")
     rep = detect_clusters(scaled, 0.25)

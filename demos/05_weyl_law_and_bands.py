@@ -40,9 +40,7 @@ print("predicted bands:", [(round(lo, 3), round(hi, 3)) for lo, hi in bands[:3]]
 print("predicted gaps:", [(round(a, 3), round(b, 3)) for a, b in band_gaps(bands)[:2]])
 
 op = build_magnetic_laplacian(model, 12, 96, pot)
-res = solve(op, 3 * 12 + 8)
-below = res.scaled("k1")
-below = below[below < 3.0]
+below = solve(op, 3.0 * 12).scaled("k1")  # every eigenvalue below 3 k
 rep = detect_clusters(below, 0.25)
 for m, c in enumerate(rep.clusters):
     print(f"measured band {m}: [{c.lo:.4f}, {c.hi:.4f}] with {c.count} states")

@@ -16,7 +16,7 @@ from .star import left_xi, moyal_product, sharp_power, symmetrized_product
 from .symbols import GridSymbol, PhaseGrid, PolySymbol
 from .torus import (EigenResult, MagneticLatticeOperator, PotentialSpec,
                     SolverError, TorusModel, build_magnetic_laplacian,
-                    exact_landau_reference, random_gauge_transform, solve)
+                    count_below, exact_landau_reference, solve)
 from .verify import (ClusterReport, VerifyError, WeylLawRecord, band_containment,
                      band_gaps, check_cluster_law, check_weyl_law, detect_clusters,
                      sigma_bands, twisted_liouville_volume)

@@ -226,6 +226,11 @@ def _random_poly(rng, dim, max_degree) -> PolySymbol:
     return PolySymbol(dim, terms)
 
 
+def _moduli(p: PolySymbol) -> PolySymbol:
+    """The polynomial with the moduli of p's coefficients."""
+    return PolySymbol.from_coeffs(p.dim, np.abs(p.coeffs))
+
+
 def _random_antisymmetric(rng, dim) -> AntisymmetricForm:
     m = rng.standard_normal((dim, dim))
     return AntisymmetricForm(dim, m - m.T)
@@ -234,6 +239,9 @@ def _random_antisymmetric(rng, dim) -> AntisymmetricForm:
 def run_star_checks(cfg: dict, seed: int) -> list[Check]:
     scfg = cfg["star"]
     rng = np.random.default_rng(seed)
+    # the evaluation points of the zero-form check have their own stream,
+    # so that they leave every other instance unchanged
+    points = np.random.default_rng([seed, 1])
     tol = scfg["tolerance"]
     worst_assoc = 0.0
     worst_zero = 0.0
@@ -247,9 +255,15 @@ def run_star_checks(cfg: dict, seed: int) -> list[Check]:
         lhs = moyal_product(moyal_product(f, g, A), h, A)
         rhs = moyal_product(f, moyal_product(g, h, A), A)
         worst_assoc = max(worst_assoc, lhs.distance(rhs) / scale)
-        # A = 0 must be the plain pointwise product
-        zero = AntisymmetricForm.zero(dim)
-        worst_zero = max(worst_zero, moyal_product(f, g, zero).distance(f * g))
+        # A = 0 must be the plain pointwise product, compared by value at
+        # random points, relative to the sum of the terms' moduli there: the
+        # coefficients of both products come from one scatter, so comparing
+        # them could not fail
+        xi = points.standard_normal((4, dim))
+        pointwise = moyal_product(f, g, AntisymmetricForm.zero(dim))(xi)
+        envelope = _moduli(f)(np.abs(xi)).real * _moduli(g)(np.abs(xi)).real
+        worst_zero = max(worst_zero, float(np.max(np.abs(pointwise - f(xi) * g(xi))
+                                                  / np.maximum(1.0, envelope))))
         # symmetrization collapses to the plain monomial
         vs = [rng.standard_normal(dim) for _ in range(int(rng.integers(1, 4)))]
         sym = symmetrized_product(vs, A)
@@ -365,14 +379,14 @@ def run_model_checks(cfg: dict) -> list[Check]:
 
 @dataclass(frozen=True)
 class TorusJob:
-    """One lattice solve: the lowest `count` eigenvalues, or all for None."""
+    """One lattice solve: every eigenvalue below `below`, or all for None."""
 
     model: TorusModel
     potential: PotentialSpec | None
     k: int
     npoints: int
     purpose: str
-    count: int | None
+    below: float | None
 
     @property
     def key(self) -> tuple:
@@ -382,25 +396,32 @@ class TorusJob:
 def _solve_job(job: TorusJob, cache: Path) -> EigenResult:
     def compute():
         op = build_magnetic_laplacian(job.model, job.k, job.npoints, job.potential)
-        return solve(op, job.count)
+        return solve(op, job.below)
     return EigenResult(**_cached(cache, job, compute))
 
 
 def _torus_jobs(cfg: dict) -> list[TorusJob]:
-    """The solves of the torus stage; a (k, N) pair or count the lattice
-    rejects is a ConfigError here, before anything is solved."""
+    """The solves of the torus stage; a (k, N) pair the lattice rejects is
+    a ConfigError here, before anything is solved.
+
+    A `clusters` job solves below (max cluster level + 1) b k, a `bands`
+    job below band_cutoff * k: levels in the gaps above the last Landau
+    cluster and the last band the verdicts read.  A `full` job solves the
+    whole spectrum.
+    """
     tcfg = cfg["torus"]
     cap = cfg["caps"]["max_lattice_dim"]
     try:
         model = TorusModel.compatible(int(tcfg["chern"]), float(tcfg["field"]))
         pot = _potential_from_config(tcfg["potential"])
-        kc = model.chern
-        jobs = [TorusJob(model, None, int(k), int(npts), "clusters", 3 * int(k) * kc + 8)
+        top = max(map(int, tcfg["cluster_levels"]), default=0) + 1
+        jobs = [TorusJob(model, None, int(k), int(npts), "clusters", top * model.field * int(k))
                 for k, npts in tcfg["cluster_pairs"]]
         jobs += [TorusJob(model, None, int(k), int(npts), "full", None)
                  for k, npts in tcfg["weyl_pairs"]]
         if pot is not None:
-            jobs += [TorusJob(model, pot, int(k), int(npts), "bands", 3 * int(k) * kc + 8)
+            cutoff = float(tcfg["band_cutoff"])
+            jobs += [TorusJob(model, pot, int(k), int(npts), "bands", cutoff * int(k))
                      for k, npts in tcfg["band_pairs"]]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"torus: {exc}") from exc
@@ -408,7 +429,7 @@ def _torus_jobs(cfg: dict) -> list[TorusJob]:
         if job.npoints ** 2 > cap:
             raise ResourceLimitError(f"lattice dimension {job.npoints ** 2} exceeds cap {cap}")
         try:
-            model.check_lattice(job.k, job.npoints, job.count)
+            model.check_lattice(job.k, job.npoints)
         except ValueError as exc:
             raise ConfigError(f"torus {job.purpose} pair k={job.k}, N={job.npoints}: "
                               f"{exc}") from exc
@@ -471,8 +492,7 @@ def run_torus_checks(cfg: dict, spectra: dict) -> tuple[list[Check], dict]:
         bands = sigma_bands(model, pot, int(tcfg["band_cutoff"]) + 1)
         eps_by_n = {}
         for k, npts in tcfg["band_pairs"]:
-            scaled = spectra[("bands", int(k), int(npts))].scaled("k1")
-            below = scaled[scaled < float(tcfg["band_cutoff"])]
+            below = spectra[("bands", int(k), int(npts))].scaled("k1")
             eps_by_n[(k, npts)] = band_containment(below, bands)
             cl = detect_clusters(below, CLUSTER_GAP * model.field)
             gaps = [cl.clusters[i + 1].lo - cl.clusters[i].hi

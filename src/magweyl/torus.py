@@ -42,11 +42,6 @@ class SolverError(RuntimeError):
     """Eigensolver failed to converge; never silently truncated."""
 
 
-def _check_count(count: int, dim: int):
-    if not 1 <= count <= dim // 4:
-        raise ValueError(f"count must be in [1, dim/4] = [1, {dim // 4}]")
-
-
 @dataclass(frozen=True)
 class TorusModel:
     """Flat torus [0, L]^2 with uniform field strength b (curvature b dx^dy)."""
@@ -66,20 +61,17 @@ class TorusModel:
     def chern(self) -> int:
         return round(self.field * self.side ** 2 / (2.0 * np.pi))
 
-    def check_lattice(self, k: int, npoints: int, count: int | None = None):
-        """Raise ValueError unless Delta_k fits an N x N lattice and `count`
-        (lowest eigenvalues wanted, None for all) is a valid solve count.
+    def check_lattice(self, k: int, npoints: int):
+        """Raise ValueError unless Delta_k fits an N x N lattice.
 
         N^2 >= 20 k c keeps the flux per plaquette in the continuum-fidelity
-        regime; a count lies in [1, N^2/4].
+        regime.
         """
         if k < 0:
             raise ValueError("tensor power k must be nonnegative")
         kc = k * self.chern
         if k > 0 and npoints * npoints < 20 * kc:
             raise ValueError(f"lattice too coarse: N^2 = {npoints * npoints} < 20 k c = {20 * kc}")
-        if count is not None:
-            _check_count(count, npoints * npoints)
 
     @classmethod
     def compatible(cls, chern: int, field: float = 1.0) -> "TorusModel":
@@ -235,16 +227,16 @@ class EigenResult:
         return self.raw / (self.power if regime == "k1" else self.power ** 2)
 
 
-def _sector_chains(op: MagneticLatticeOperator):
+def _sector_rings(op: MagneticLatticeOperator):
     """Magnetic Bloch reduction in y for x-only potentials.
 
     The x-wrap twist shifts the y-momentum index by -k c (mod N), so the
     operator block-diagonalizes over orbits of n -> n - k c.  Each block
-    is a real symmetric periodic chain of length L = N * len(orbit) with
-    uniform hop t = -1/(2 a^2), closed from site L-1 back to site 0; site
-    q N + i (momentum orbit[q], column x_i = i a) carries the diagonal
-    2/a^2 + 2 t cos(theta_n - k b a x_i) + k V(x_i).  Yields the orbit
-    and the chain in banded form (`_zigzag_band`).
+    is a real symmetric periodic chain (a ring) of length L = N * len(orbit)
+    with uniform hop t = -1/(2 a^2), closed from site L-1 back to site 0;
+    site q N + i (momentum orbit[q], column x_i = i a) carries the diagonal
+    2/a^2 + 2 t cos(theta_n - k b a x_i) + k V(x_i).  Yields the orbit,
+    the ring's diagonal and its hop.
     """
     N = op.npoints
     k, a = op.power, op.spacing
@@ -260,7 +252,14 @@ def _sector_chains(op: MagneticLatticeOperator):
         orbit = (n0 - kc * np.arange(N // nsectors)) % N
         theta = 2.0 * np.pi * orbit / N
         diag = 2.0 / (a * a) + 2.0 * t * np.cos(theta[:, None] - flux_phase) + vx
-        yield (orbit, *_zigzag_band(diag.ravel(), t))
+        yield orbit, diag.ravel(), t
+
+
+def _sector_chains(op: MagneticLatticeOperator):
+    """The rings of `_sector_rings`, each as its orbit and banded form
+    (`_zigzag_band`)."""
+    for orbit, diag, hop in _sector_rings(op):
+        yield (orbit, *_zigzag_band(diag, hop))
 
 
 def _zigzag_band(diag: np.ndarray, hop: float) -> tuple[np.ndarray, np.ndarray]:
@@ -309,31 +308,31 @@ def _chain_vector(band: np.ndarray, lam: float, steps: int = 3) -> np.ndarray:
     return v
 
 
-def _sector_solve(op: MagneticLatticeOperator, count: int | None) -> tuple[np.ndarray, tuple]:
-    """Sector eigenvalues (all, or the lowest `count`) and sampled residual norms.
+def _sector_solve(op: MagneticLatticeOperator,
+                  below: float | None) -> tuple[np.ndarray, tuple]:
+    """Sector eigenvalues (all, or those below `below`) and sampled residual norms.
 
     Each chain gives its eigenvalues by banded LAPACK (no eigenvectors):
-    bisection for the lowest `count` when count < L/16, else the whole
-    chain spectrum, which was faster there at L = 256 to 2048;
-    SECTOR_SAMPLES of the returned eigenvalues, evenly spaced in rank, get an
-    eigenvector by inverse iteration on their chain, lifted to the lattice
-    as psi(i, j) = sum_q e^{i theta_q j} u_q(i) / sqrt(N) and checked
-    against the sparse operator.
+    the whole chain spectrum, or bisection for the eigenvalues in
+    (-inf, below]; SECTOR_SAMPLES of the returned eigenvalues, evenly
+    spaced in rank, get an eigenvector by inverse iteration on their
+    chain, lifted to the lattice as psi(i, j) = sum_q e^{i theta_q j}
+    u_q(i) / sqrt(N) and checked against the sparse operator.
     """
     N = op.npoints
     chains, evs = [], []
     for orbit, perm, band in _sector_chains(op):
-        if count is None or 16 * count >= perm.size:
-            w = scipy.linalg.eigvals_banded(band, check_finite=False)[:count]
+        if below is None:
+            w = scipy.linalg.eigvals_banded(band, check_finite=False)
         else:
-            w = scipy.linalg.eigvals_banded(band, select="i", select_range=(0, count - 1),
+            w = scipy.linalg.eigvals_banded(band, select="v", select_range=(-np.inf, below),
                                             check_finite=False)
         chains.append((orbit, perm, band))
         evs.append(w)
     lam = np.concatenate(evs)
     owner = np.repeat(np.arange(len(evs)), [w.size for w in evs])
-    order = np.argsort(lam, kind="stable")[:count]
-    ranks = np.unique(np.linspace(0, order.size - 1, SECTOR_SAMPLES).round().astype(int))
+    order = np.argsort(lam, kind="stable")
+    ranks = np.linspace(0, order.size - 1, min(SECTOR_SAMPLES, order.size)).round().astype(int)
     residuals = []
     for idx in order[ranks]:
         orbit, perm, band = chains[owner[idx]]
@@ -359,8 +358,12 @@ def _sparse_solve(op: MagneticLatticeOperator, count: int) -> tuple[np.ndarray, 
     vectors ARPACK returns for a complex matrix need not be orthonormal
     inside a degenerate cluster, so they are replaced by a Rayleigh-Ritz
     step on their span (`_rayleigh_ritz`).  Lanczos starts from a fixed
-    vector, so the result depends on the operator only.
+    vector, so the result depends on the operator only.  `solve` takes
+    `count` from the inertia count of its level (`count_below`), whose
+    factorization is freed before this one is built.
     """
+    if count == 0:
+        return np.empty(0), ()
     H = op.matrix
     n = op.dim
     diag = H.diagonal().real
@@ -415,29 +418,82 @@ def _moment_defect(matrix: sp.csr_matrix, lam: np.ndarray) -> float:
                abs(float(lam @ lam) - fro2) / (unit * math.sqrt(fro2)))
 
 
-def solve(op: MagneticLatticeOperator, count: int | None = None) -> EigenResult:
-    """Lowest `count` eigenvalues, or the whole spectrum when count is None.
+def _ring_matrix(diag: np.ndarray, hop: float) -> sp.csc_matrix:
+    """A periodic chain in natural order: site r linked to r + 1 mod L."""
+    r = np.arange(diag.size)
+    link = sp.coo_matrix((np.full(diag.size, hop), (r, (r + 1) % diag.size)),
+                         shape=(diag.size, diag.size))
+    return (link + link.T + sp.diags(diag)).tocsc()
+
+
+def _negative_pivots(matrix: sp.spmatrix, level: float) -> int:
+    """Eigenvalues of a Hermitian matrix below `level`, by Sylvester inertia.
+
+    SuperLU in symmetric mode with diagonal pivots factors P (H - level) P^T
+    = L U, whose U has the diagonal D of an L D L^H factorization; the
+    number of negative pivots is the number of negative eigenvalues.  A
+    factorization that left the diagonal (row and column orders differ)
+    or hit an exactly singular pivot is a SolverError.
+    """
+    shifted = (matrix - level * sp.identity(matrix.shape[0], format="csc")).tocsc()
+    try:
+        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SolverError(f"inertia factorization at {level:.6g} failed: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SolverError(f"inertia factorization at {level:.6g} left the diagonal: "
+                          "row and column orders differ")
+    return int(np.count_nonzero(lu.U.diagonal().real < 0.0))
+
+
+def count_below(op: MagneticLatticeOperator, level: float) -> int:
+    """Number of eigenvalues of the lattice operator below `level`.
+
+    Sylvester inertia (`_negative_pivots`): summed over the sector rings,
+    assembled as sparse matrices in natural order and apart from the
+    banded chains the sector solve uses, for a potential depending on x
+    only (or none); on the site matrix otherwise.
+    """
+    if op.potential is None or op.potential.is_x_only:
+        return sum(_negative_pivots(_ring_matrix(diag, hop), level)
+                   for _, diag, hop in _sector_rings(op))
+    return _negative_pivots(op.matrix, level)
+
+
+def solve(op: MagneticLatticeOperator, below: float | None = None) -> EigenResult:
+    """Every eigenvalue below the level `below`, or the whole spectrum for None.
 
     The method follows from the operator.  A potential depending on x
     only (or none) takes the exact magnetic Bloch reduction ('sectors'):
-    banded real periodic chains, with residuals checked on
-    SECTOR_SAMPLES eigenvectors.  A y-dependent potential takes
-    shift-invert Lanczos ('sparse') for a count: the shift is the
-    Gershgorin lower bound of the matrix less a margin, so the shifted
-    matrix is positive definite and is factored once without pivoting in
-    a symmetric minimum-degree ordering, and a Rayleigh-Ritz step gives
-    orthonormal Ritz vectors, every one of them residual-checked.  The
-    whole spectrum of at most DENSE_MAX_DIM sites with a y-dependent
-    potential is dense diagonalization ('dense').  A residual above
-    RESIDUAL_TOL, a rank-deficient Lanczos basis, or a whole spectrum
-    whose moment defect exceeds MOMENT_TOL is a SolverError.
+    banded real periodic chains, each bisected for its eigenvalues below
+    the level, with residuals checked on SECTOR_SAMPLES eigenvectors.  A
+    y-dependent potential takes shift-invert Lanczos ('sparse') for a
+    level: the shift is the Gershgorin lower bound of the matrix less a
+    margin, so the shifted matrix is positive definite and is factored
+    once without pivoting in a symmetric minimum-degree ordering, and a
+    Rayleigh-Ritz step gives orthonormal Ritz vectors, every one of them
+    residual-checked.  The whole spectrum of at most DENSE_MAX_DIM sites
+    with a y-dependent potential is dense diagonalization ('dense').
+
+    A level carries a count certificate: `count_below` counts the
+    eigenvalues below it by inertia, that count sizes the Lanczos run,
+    and the result must hold exactly that many values, all below the
+    level.  A count above dim/4, a result that misses the count, a
+    residual above RESIDUAL_TOL, a rank-deficient Lanczos basis, or a
+    whole spectrum whose moment defect exceeds MOMENT_TOL is a
+    SolverError.
     """
-    if count is not None:
-        _check_count(count, op.dim)
+    count = None
+    if below is not None:
+        count = count_below(op, below)
+        if count > op.dim // 4:
+            raise SolverError(f"{count} eigenvalues below {below:.6g} exceed dim/4 = "
+                              f"{op.dim // 4}: solve the whole spectrum instead")
     if op.potential is None or op.potential.is_x_only:
         method = "sectors"
-        raw, residuals = _sector_solve(op, count)
-    elif count is not None:
+        raw, residuals = _sector_solve(op, below)
+    elif below is not None:
         method = "sparse"
         raw, residuals = _sparse_solve(op, count)
     elif op.dim <= DENSE_MAX_DIM:
@@ -448,7 +504,11 @@ def solve(op: MagneticLatticeOperator, count: int | None = None) -> EigenResult:
                           f"{DENSE_MAX_DIM}, not {op.dim}")
     if residuals and max(residuals) > RESIDUAL_TOL:
         raise SolverError(f"residual norm {max(residuals):.2e} exceeds {RESIDUAL_TOL:.0e}")
-    defect = _moment_defect(op.matrix, raw) if count is None else 0.0
+    if count is not None and (raw.size != count or np.any(raw >= below)):
+        raise SolverError(f"{method} solve returned {raw.size} eigenvalues, "
+                          f"{int(np.count_nonzero(raw < below))} of them below {below:.6g}, "
+                          f"where the inertia counts {count}")
+    defect = _moment_defect(op.matrix, raw) if below is None else 0.0
     if defect > MOMENT_TOL:
         raise SolverError(f"whole spectrum misses the trace moments by {defect:.1e} "
                           f"n*eps units (over {MOMENT_TOL:g}): eigenvalues dropped or repeated")
@@ -459,15 +519,3 @@ def solve(op: MagneticLatticeOperator, count: int | None = None) -> EigenResult:
 def exact_landau_reference(model: TorusModel, k: int, m_max: int):
     """Continuum Landau levels (b(m + 1/2), multiplicity k c), m <= m_max."""
     return tuple((model.field * (m + 0.5), k * model.chern) for m in range(m_max + 1))
-
-
-def random_gauge_transform(op: MagneticLatticeOperator,
-                           rng: np.random.Generator) -> MagneticLatticeOperator:
-    """Conjugate by a random site-dependent phase; spectrum is unchanged."""
-    phases = np.exp(2j * np.pi * rng.random(op.dim))
-    U = sp.diags(phases)
-    mat = (U.conj().T @ (op.matrix @ U)).tocsr()
-    return MagneticLatticeOperator(npoints=op.npoints, power=op.power,
-                                   flux_per_plaquette=op.flux_per_plaquette,
-                                   spacing=op.spacing, matrix=mat,
-                                   model=op.model, potential=op.potential)

@@ -186,7 +186,7 @@ def test_criterion_07_cluster_law(capsys, torus_model):
     for npts in (64, 128):
         for k in (4, 8, 16):
             op = build_magnetic_laplacian(torus_model, k, npts)
-            res = solve(op, 3 * k * torus_model.chern + 8)
+            res = solve(op, 3.0 * torus_model.field * k)
             spectra[(k, npts)] = res
     report = check_cluster_law(torus_model, spectra, [0, 1, 2])
     worst = max(r.relative_drift for r in report.rows)
@@ -230,9 +230,7 @@ def test_criterion_09_bands_and_gaps(capsys, torus_model):
     gaps_at_128 = None
     for npts in (64, 128):
         op = build_magnetic_laplacian(torus_model, 16, npts, pot)
-        res = solve(op, 3 * 16 + 8)
-        below = res.scaled("k1")
-        below = below[below < 3.0]
+        below = solve(op, 3.0 * 16).scaled("k1")
         eps[npts] = band_containment(below, bands)
         rep = detect_clusters(below, 0.25)
         if npts == 128:

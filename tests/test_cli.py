@@ -4,9 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magweyl import cli, star
-from magweyl.cli import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_PASS, EXIT_TOLERANCE,
-                         config_hash, load_config, main)
+import magweyl.torus
+from magweyl import AntisymmetricForm, PolySymbol, cli, moyal_product, star, symbols
+from magweyl.cli import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_PASS, EXIT_RESOURCE,
+                         EXIT_TOLERANCE, config_hash, load_config, main)
 from magweyl.torus import RESIDUAL_TOL, solve
 
 SMALL = {
@@ -191,11 +192,15 @@ def test_spectra_cache_schema(tmp_path, capsys, monkeypatch):
                for p in entries.values() if isinstance(p["inputs"], dict)}
     assert set(spectra) == {("clusters", 2, 16), ("clusters", 2, 32), ("full", 2, 16),
                             ("full", 3, 24), ("bands", 4, 32), ("bands", 4, 48)}
+    levels = {(p["inputs"]["purpose"], p["inputs"]["k"]): p["inputs"]["below"]
+              for p in entries.values() if isinstance(p["inputs"], dict)}
     for (purpose, k, npts), rec in spectra.items():
         assert set(rec) == {"power", "raw", "residual_norms", "method"}
         assert rec["power"] == k
         assert rec["method"] == "sectors"  # no potential, or cos_x: x-only
-        assert len(rec["raw"]) == (npts ** 2 if purpose == "full" else 3 * k + 8)
+        # below 3 b k (clusters m = 0, 1, 2) or band_cutoff k (bands m = 0, 1, 2)
+        assert levels[(purpose, k)] == (None if purpose == "full" else 3.0 * k)
+        assert len(rec["raw"]) == (npts ** 2 if purpose == "full" else 3 * k)
         assert rec["raw"] == sorted(rec["raw"])
         assert 0 < len(rec["residual_norms"]) <= 8
         assert max(rec["residual_norms"]) <= RESIDUAL_TOL
@@ -334,7 +339,7 @@ def test_config_round_trip(tmp_path):
 
 @pytest.mark.parametrize("override, message", [
     ({"torus": {"cluster_pairs": [[16, 16]]}}, "torus clusters pair k=16, N=16: lattice too coarse"),
-    ({"torus": {"cluster_pairs": [[3, 8]]}}, "torus clusters pair k=3, N=8: count must be in"),
+    ({"torus": {"cluster_pairs": [[3, 7]]}}, "torus clusters pair k=3, N=7: lattice too coarse"),
     ({"torus": {"potential": {"modes": [[[1, 0], [0.1, 0]]]}}}, "torus: mode (1,0) breaks realness"),
     ({"torus": {"potential": {"modes": 5}}}, "torus: "),
     ({"models": {"resolvent_z": [-1.0, 0.5]}}, "models: z = (0.5+0j) within"),
@@ -375,3 +380,68 @@ def test_first_order_star_product_fails_associativity(tmp_path, capsys, monkeypa
                  "star-check"])
     assert code == EXIT_TOLERANCE
     assert "FAIL  star.associativity" in capsys.readouterr().out
+
+
+_Y_DEPENDENT = {"modes": [[[1, 0], [0.025, 0]], [[-1, 0], [0.025, 0]],
+                          [[0, 1], [0.025, 0]], [[0, -1], [0.025, 0]]]}
+
+
+def test_band_cutoff_above_the_third_band_sees_every_band(tmp_path, capsys):
+    # bands m = 0..5 lie below the cutoff 6: five gaps per pair, which a
+    # solve of a fixed count such as 3 k c + 8 eigenvalues would cut to three
+    cfg = write_config(tmp_path, {"torus": {"band_pairs": [[8, 32], [8, 64]],
+                                            "potential": _Y_DEPENDENT, "band_cutoff": 6.0}})
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "torus"]) == EXIT_PASS
+    report = json.loads(report_bytes(out, cfg)["report.json"])
+    assert [len(b["observed_gaps"]) for b in report["details"]["bands"]] == [5, 5]
+
+
+def test_inertia_count_over_a_quarter_is_a_resource_error(tmp_path, capsys):
+    # below 6 b k at k = 3, N = 8: 18 eigenvalues, over dim/4 = 16
+    cfg = write_config(tmp_path, {"torus": {"cluster_pairs": [[3, 8]],
+                                            "cluster_levels": [0, 1, 2, 3, 4, 5]}})
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), "torus"]) == EXIT_RESOURCE
+    assert "exceed dim/4 = 16" in capsys.readouterr().err
+
+
+def test_dropped_sector_in_a_bands_job_exits_3(tmp_path, capsys, monkeypatch):
+    # k = 4, N = 32: four sector chains; without one the sampled residuals
+    # stay small, but the inertia count of the rings sees the missing values
+    chains = magweyl.torus._sector_chains
+    monkeypatch.setattr(magweyl.torus, "_sector_chains", lambda op: list(chains(op))[1:])
+    cfg = write_config(tmp_path, {"torus": {"cluster_pairs": [], "weyl_pairs": [],
+                                            "band_pairs": [[4, 32]]}})
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), "torus"]) == EXIT_RESOURCE
+    assert "sectors solve returned 9 eigenvalues" in capsys.readouterr().err
+
+
+def test_lanczos_missing_a_ritz_vector_exits_3(tmp_path, capsys, monkeypatch):
+    eigsh = magweyl.torus.spla.eigsh
+
+    def dropping_eigsh(*args, **kwargs):
+        vals, vecs = eigsh(*args, **kwargs)
+        return vals[1:], vecs[:, 1:]
+    monkeypatch.setattr(magweyl.torus.spla, "eigsh", dropping_eigsh)
+    cfg = write_config(tmp_path, {"torus": {"cluster_pairs": [], "weyl_pairs": [],
+                                            "potential": _Y_DEPENDENT,
+                                            "band_pairs": [[4, 32]]}})
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), "torus"]) == EXIT_RESOURCE
+    assert "sparse solve returned 11 eigenvalues" in capsys.readouterr().err
+
+
+def test_corrupt_product_scatter_fails_the_zero_form_check(tmp_path, monkeypatch):
+    # send every coefficient pair of a product to the monomial of the next
+    # pair: the Moyal product at A = 0 and the pointwise product share the
+    # corruption, so their coefficients still agree and only their values
+    # at points can tell
+    pair_index = symbols._pair_index
+    monkeypatch.setattr(symbols, "_pair_index",
+                        lambda dim, p, q: np.roll(pair_index(dim, p, q), 2))
+    f = PolySymbol(2, {(1, 0): 1.0, (0, 2): 2.0j})
+    g = PolySymbol(2, {(0, 0): 3.0, (2, 1): -1.0})
+    assert moyal_product(f, g, AntisymmetricForm.zero(2)).distance(f * g) == 0.0
+    cfg = load_config(write_config(tmp_path))
+    checks = {c.name: c for c in cli.run_star_checks(cfg, int(cfg["seed"]))}
+    assert not checks["star.pointwise_at_zero_form"].passed
+    assert checks["star.pointwise_at_zero_form"].value > 1e-3

@@ -2,14 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import magweyl.torus
 from magweyl import (EigenResult, PotentialSpec, SolverError, TorusModel,
-                     build_magnetic_laplacian, exact_landau_reference,
-                     random_gauge_transform, solve)
-from magweyl.torus import _moment_defect, _rayleigh_ritz, _sparse_solve
+                     build_magnetic_laplacian, count_below, exact_landau_reference,
+                     solve)
+from magweyl.torus import _moment_defect, _rayleigh_ritz, _sector_chains, _sparse_solve
 
 
 def test_model_prequantization():
@@ -41,7 +42,8 @@ def test_zero_flux_limit():
     assert np.max(np.abs(op.matrix @ ones)) < 1e-12
     raw, _ = _sparse_solve(op, 1)
     assert abs(raw[0]) < 1e-8
-    assert abs(solve(op, 1).raw[0]) < 1e-8
+    res = solve(op, 1.0)  # the next eigenvalue is 2.98
+    assert res.raw.size == 1 and abs(res.raw[0]) < 1e-8
     # discrete Laplacian dispersion
     a = op.spacing
     theta = 2.0 * np.pi * np.arange(8) / 8.0
@@ -144,8 +146,9 @@ def test_lattice_too_coarse():
 def test_landau_clusters_small():
     model = TorusModel.compatible(1)
     op = build_magnetic_laplacian(model, 8, 64)
-    res = solve(op, 24)
+    res = solve(op, 3.0 * 8)
     scaled = res.scaled("k1")
+    assert scaled.size == 24
     for m in range(3):
         grp = scaled[8 * m:8 * (m + 1)]
         assert np.max(np.abs(grp / (m + 0.5) - 1.0)) < 0.02
@@ -171,15 +174,82 @@ def test_sector_solver_matches_sparse_and_dense(k, npts, cos_x):
     assert len(res_sec.residual_norms) == min(8, op.dim)
     assert np.max(np.abs(res_sec.raw - dense)) < 1e-10
     count = min(12, op.dim // 4)
-    res_sec2 = solve(op, count)
+    level = _level_above(dense, count)
+    res_sec2 = solve(op, level)
     assert res_sec2.method == "sectors"
+    assert res_sec2.raw.size == count
     assert np.max(np.abs(res_sec2.raw - dense[:count])) < 1e-10
     sparse, _ = _sparse_solve(op, count)
-    assert np.max(np.abs(sparse - dense[:count])) < 1e-8
+    assert np.max(np.abs(sparse - res_sec2.raw)) < 1e-8
 
 
 _Y_DEPENDENT = PotentialSpec((((1, 0), 0.025), ((-1, 0), 0.025),
                               ((0, 1), 0.025), ((0, -1), 0.025)))
+
+
+def _level_above(spectrum, count):
+    """A level 0.4 of the way from the count-th eigenvalue to the next,
+    at least 1e-8 ||H|| from both (the midpoint of the two-site ring is
+    a vanishing pivot: `test_vanishing_pivot_is_an_error`)."""
+    lo, hi = spectrum[count - 1], spectrum[count]
+    assert hi - lo > 5e-8 * np.abs(spectrum).max()
+    return lo + 0.4 * (hi - lo)
+
+
+def _levels_off_spectrum(spectrum, top, norm, rng, n):
+    """n random levels from below the spectrum up to `top`, each at least
+    1e-8 ||H|| from it."""
+    levels = rng.uniform(spectrum[0] - 1.0, top, 4 * n)
+    gap = np.abs(levels[:, None] - spectrum[None, :]).min(axis=1)
+    levels = levels[gap >= 1e-8 * norm][:n]
+    assert levels.size == n
+    return levels
+
+
+@pytest.mark.parametrize("k, npts, cos_x", [(4, 128, None), (16, 128, 0.1), (7, 128, None)],
+                         ids=["four-rings", "cos_x", "one-ring"])
+def test_count_below_matches_ring_eigenvalue_counts(k, npts, cos_x):
+    # (7, 128): gcd(7, 128) = 1, a single ring of 16384 sites
+    pot = PotentialSpec.cosine_x(cos_x) if cos_x is not None else None
+    op = build_magnetic_laplacian(TorusModel.compatible(1), k, npts, pot)
+    # every ring eigenvalue below 8 b k, by bisection
+    top = 8.0 * k
+    spectrum = np.sort(np.concatenate([
+        scipy.linalg.eigvals_banded(band, select="v", select_range=(-np.inf, top))
+        for _, _, band in _sector_chains(op)]))
+    norm = abs(op.matrix).sum(axis=1).max()  # a bound on ||H||
+    levels = _levels_off_spectrum(spectrum, top, norm, np.random.default_rng(k), 12)
+    # and one in each of the gaps below the Landau clusters m = 1, 2, 3, 4
+    levels = np.concatenate([levels, (np.arange(4) + 1.0) * k])
+    for level in levels:
+        assert count_below(op, level) == np.count_nonzero(spectrum < level), level
+
+
+def test_count_below_matches_site_matrix_eigenvalue_counts():
+    op = build_magnetic_laplacian(TorusModel.compatible(1), 8, 40, _Y_DEPENDENT)
+    spectrum = np.linalg.eigvalsh(op.matrix.toarray())
+    norm = np.abs(spectrum).max()
+    for level in _levels_off_spectrum(spectrum, spectrum[-1] + 1.0, norm,
+                                      np.random.default_rng(1), 12):
+        assert count_below(op, level) == np.count_nonzero(spectrum < level), level
+
+
+@pytest.mark.parametrize("potential", [None, _Y_DEPENDENT], ids=["sectors", "sparse"])
+def test_level_below_the_spectrum_gives_no_eigenvalues(potential):
+    op = build_magnetic_laplacian(TorusModel.compatible(1), 4, 32, potential)
+    res = solve(op, 0.0)  # the lowest eigenvalue is near b k / 2 - k max|V|
+    assert res.raw.size == 0 and res.residual_norms == ()
+
+
+def test_vanishing_pivot_is_an_error():
+    # k=0, N=2: the ring of momentum 0 is [[d, 2t], [2t, d]] with d = -2t, so
+    # at the level d midway between its eigenvalues 0 and 2d the shifted
+    # ring has a zero diagonal, which no diagonal pivot order factors
+    op = build_magnetic_laplacian(TorusModel.compatible(1), 0, 2)
+    level = 1.0 / op.spacing ** 2
+    assert count_below(op, 0.9 * level) == 1
+    with pytest.raises(SolverError, match="left the diagonal"):
+        count_below(op, level)
 
 
 @pytest.mark.parametrize("k, npts, count, method", [
@@ -196,12 +266,13 @@ def test_solve_dispatch_y_dependent(k, npts, count, method):
         with pytest.raises(SolverError):
             solve(op)
         return
-    res = solve(op, count)
     dense = np.linalg.eigvalsh(op.matrix.toarray())
+    res = solve(op, None if count is None else _level_above(dense, count))
     assert res.method == method
     if count is None:
         assert np.array_equal(res.raw, dense) and res.residual_norms == ()
     else:
+        assert res.raw.size == count
         assert np.max(np.abs(res.raw - dense[:count])) < 1e-8
         assert len(res.residual_norms) == count
 
@@ -211,8 +282,8 @@ def test_sparse_shift_lies_below_the_spectrum():
     # near 0 would return the eigenvalues nearest 0 instead of the lowest
     pot = PotentialSpec((((1, 0), 1.0), ((-1, 0), 1.0), ((0, 1), 1.0), ((0, -1), 1.0)))
     op = build_magnetic_laplacian(TorusModel.compatible(1), 4, 32, pot)
-    res = solve(op, 8)
     dense = np.linalg.eigvalsh(op.matrix.toarray())
+    res = solve(op, _level_above(dense, 8))
     assert res.method == "sparse" and dense[0] < -9.0
     assert np.max(np.abs(res.raw - dense[:8])) < 1e-10
 
@@ -242,7 +313,8 @@ def test_sparse_ritz_vectors_are_orthonormal(monkeypatch):
     assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(20))) < 1e-10
     assert np.array_equal(raw, vals) and residuals == ritz_residuals
     assert max(residuals) < 1e-8
-    assert np.max(np.abs(raw - solve(op, 20).raw)) < 1e-10
+    # the two lowest clusters, 32 eigenvalues below 2 b k
+    assert np.max(np.abs(raw - solve(op, 2.0 * 16).raw[:20])) < 1e-10
 
 
 def test_repeated_ritz_pair_is_an_error(monkeypatch):
@@ -256,7 +328,7 @@ def test_repeated_ritz_pair_is_an_error(monkeypatch):
 
     monkeypatch.setattr(magweyl.torus.spla, "eigsh", duplicating_eigsh)
     with pytest.raises(SolverError, match="rank-deficient"):
-        solve(op, 8)
+        solve(op, 2.0 * 4)  # the two lowest clusters, 8 eigenvalues
 
 
 def test_solve_enforces_residuals(monkeypatch):
@@ -298,11 +370,11 @@ def test_single_sector_lowest_is_banded():
     op = build_magnetic_laplacian(model, 7, 128)
     tracemalloc.start()
     try:
-        res = solve(op, 29)
+        res = solve(op, 4.0 * 7)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert res.method == "sectors"
+    assert res.method == "sectors" and res.raw.size == 28
     assert np.max(np.abs(res.scaled("k1")[:7] / 0.5 - 1.0)) < 0.02
     assert len(res.residual_norms) == 8 and max(res.residual_norms) < 1e-8
     assert peak < 64 * 2 ** 20
@@ -319,9 +391,11 @@ def test_solver_determinism():
 def test_gauge_invariance():
     model = TorusModel.compatible(1)
     op = build_magnetic_laplacian(model, 2, 16)
-    op2 = random_gauge_transform(op, np.random.default_rng(0))
+    # conjugate by a random site-dependent phase
+    phases = sp.diags(np.exp(2j * np.pi * np.random.default_rng(0).random(op.dim)))
+    gauged = phases.conj().T @ (op.matrix @ phases)
     e1 = np.sort(np.linalg.eigvalsh(op.matrix.toarray()))
-    e2 = np.sort(np.linalg.eigvalsh(op2.matrix.toarray()))
+    e2 = np.sort(np.linalg.eigvalsh(gauged.toarray()))
     assert np.max(np.abs(e1 - e2)) < 1e-10
 
 
@@ -340,7 +414,7 @@ def test_refinement_convergence():
     errs = []
     for npts in (32, 64):
         op = build_magnetic_laplacian(model, 8, npts)
-        res = solve(op, 8)
+        res = solve(op, 1.0 * 8)  # the lowest cluster
         center = 0.5 * (res.scaled("k1")[0] + res.scaled("k1")[-1])
         errs.append(abs(center - 0.5))
     assert errs[1] < errs[0]
@@ -350,8 +424,8 @@ def test_band_containment_small():
     model = TorusModel.compatible(1)
     pot = PotentialSpec.cosine_x(0.1)
     op = build_magnetic_laplacian(model, 8, 64, pot)
-    res = solve(op, 28)
-    assert res.method == "sectors"
+    res = solve(op, 3.0 * 8)
+    assert res.method == "sectors" and res.raw.size == 24
     scaled = res.scaled("k1")
     grp0 = scaled[:8]
     assert grp0.min() > 0.4 - 0.05 and grp0.max() < 0.6 + 0.05
@@ -360,10 +434,13 @@ def test_band_containment_small():
 
 
 def test_count_guard():
+    # a level with more than dim/4 = 64 eigenvalues below it
     model = TorusModel.compatible(1)
     op = build_magnetic_laplacian(model, 2, 16)
-    with pytest.raises(ValueError):
-        solve(op, 100)
+    dense = np.linalg.eigvalsh(op.matrix.toarray())
+    assert solve(op, _level_above(dense, 64)).raw.size == 64
+    with pytest.raises(SolverError, match="exceed dim/4"):
+        solve(op, _level_above(dense, 66))
 
 
 def test_eigenresult_scalings():
