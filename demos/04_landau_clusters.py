@@ -22,7 +22,7 @@ for k in (4, 8, 16):
     op = build_magnetic_laplacian(model, k, 64)
     res = solve(op, 3.0 * model.field * k)  # every eigenvalue below the cluster m = 3
     spectra[(k, 64)] = res
-    scaled = res.scaled("k1")
+    scaled = res.scaled()
     rep = detect_clusters(scaled, 0.25)
     print(f"\nk={k}: clusters "
           + ", ".join(f"[{c.lo:.4f},{c.hi:.4f}] x{c.count}" for c in rep.clusters[:3]))

@@ -3,7 +3,7 @@
 A single JSON config file drives every pipeline; flags override config
 fields.  Reports land in one subdirectory per config hash containing
 inputs.json and report.{json,csv,svg}.  Computed results (the star and
-model-symbol checks, and one spectrum per torus solve) are cached in
+model-symbol checks, and the eigenvalues of each torus solve) are cached in
 out_dir/cache/<key>.json, keyed by a hash of the magweyl sources, the
 numpy and scipy versions and exactly the inputs each result reads; the
 torus verdicts are always recomputed.  Exit codes: 0 pass, 1 tolerance
@@ -379,14 +379,14 @@ def run_model_checks(cfg: dict) -> list[Check]:
 
 @dataclass(frozen=True)
 class TorusJob:
-    """One lattice solve: every eigenvalue below `below`, or all for None."""
+    """One lattice solve: every eigenvalue below the level `below`."""
 
     model: TorusModel
     potential: PotentialSpec | None
     k: int
     npoints: int
     purpose: str
-    below: float | None
+    below: float
 
     @property
     def key(self) -> tuple:
@@ -406,18 +406,22 @@ def _torus_jobs(cfg: dict) -> list[TorusJob]:
 
     A `clusters` job solves below (max cluster level + 1) b k, a `bands`
     job below band_cutoff * k: levels in the gaps above the last Landau
-    cluster and the last band the verdicts read.  A `full` job solves the
-    whole spectrum.
+    cluster and the last band the verdicts read.  A `weyl` job solves
+    below weyl_lambda * k^2, and its verdict reads only the count.
     """
     tcfg = cfg["torus"]
     cap = cfg["caps"]["max_lattice_dim"]
     try:
         model = TorusModel.compatible(int(tcfg["chern"]), float(tcfg["field"]))
         pot = _potential_from_config(tcfg["potential"])
-        top = max(map(int, tcfg["cluster_levels"]), default=0) + 1
+        levels = [int(m) for m in tcfg["cluster_levels"]]
+        if tcfg["cluster_pairs"] and not (levels and min(levels) >= 0):
+            raise ValueError(f"cluster_levels {levels} must name one or more levels m >= 0")
+        top = max(levels, default=0) + 1
         jobs = [TorusJob(model, None, int(k), int(npts), "clusters", top * model.field * int(k))
                 for k, npts in tcfg["cluster_pairs"]]
-        jobs += [TorusJob(model, None, int(k), int(npts), "full", None)
+        lam = float(tcfg["weyl_lambda"])
+        jobs += [TorusJob(model, None, int(k), int(npts), "weyl", lam * int(k) ** 2)
                  for k, npts in tcfg["weyl_pairs"]]
         if pot is not None:
             cutoff = float(tcfg["band_cutoff"])
@@ -475,10 +479,9 @@ def run_torus_checks(cfg: dict, spectra: dict) -> tuple[list[Check], dict]:
         extras["clusters"] = [r.__dict__ for r in report.rows]
 
     if tcfg["weyl_pairs"]:
-        lam = float(tcfg["weyl_lambda"])
-        weyl_spectra = {(int(k), int(npts)): spectra[("full", int(k), int(npts))]
-                        for k, npts in tcfg["weyl_pairs"]}
-        records = check_weyl_law(weyl_spectra, lam, model)
+        counts = {(int(k), int(npts)): spectra[("weyl", int(k), int(npts))].raw.size
+                  for k, npts in tcfg["weyl_pairs"]}
+        records = check_weyl_law(counts, float(tcfg["weyl_lambda"]), model)
         mid = records[len(records) // 2]
         checks.append(_leq("torus.weyl_ratio_mid_k", abs(mid.ratio - 1.0),
                            tcfg["weyl_tolerance"], f"k={mid.power}"))
@@ -492,7 +495,7 @@ def run_torus_checks(cfg: dict, spectra: dict) -> tuple[list[Check], dict]:
         bands = sigma_bands(model, pot, int(tcfg["band_cutoff"]) + 1)
         eps_by_n = {}
         for k, npts in tcfg["band_pairs"]:
-            below = spectra[("bands", int(k), int(npts))].scaled("k1")
+            below = spectra[("bands", int(k), int(npts))].scaled()
             eps_by_n[(k, npts)] = band_containment(below, bands)
             cl = detect_clusters(below, CLUSTER_GAP * model.field)
             gaps = [cl.clusters[i + 1].lo - cl.clusters[i].hi
@@ -597,8 +600,8 @@ STAGES = {
             cache, ["model-symbols", cfg["models"], cfg["caps"]],
             lambda: run_model_checks(cfg)), None)),
     "torus": Stage(
-        plan=lambda _, jobs: [f"solve {j.purpose} spectrum at k={j.k}, N={j.npoints}"
-                              for j in jobs],
+        plan=lambda _, jobs: [f"solve {j.purpose} eigenvalues below {j.below:.6g} at "
+                              f"k={j.k}, N={j.npoints}" for j in jobs],
         run=lambda cfg, jobs, n_workers, cache: run_torus_checks(
             cfg, _run_jobs(jobs, n_workers, cache))),
 }

@@ -31,11 +31,6 @@ RESIDUAL_TOL = 1e-8
 RITZ_RANK_TOL = 1e-6
 # Sector solves check this many eigenvectors, evenly spaced in rank.
 SECTOR_SAMPLES = 8
-# Largest lattice whose whole spectrum a y-dependent potential gets densely.
-DENSE_MAX_DIM = 4096
-# A whole spectrum's moment defect (`_moment_defect`) must stay at or below
-# this; measured defects of correct spectra are below 0.2.
-MOMENT_TOL = 10.0
 
 
 class SolverError(RuntimeError):
@@ -209,8 +204,8 @@ class EigenResult:
 
     power: int
     raw: np.ndarray = field(repr=False)
+    method: str
     residual_norms: tuple = ()
-    method: str = "dense"
 
     def __post_init__(self):
         r = np.array(self.raw, dtype=float)
@@ -219,12 +214,9 @@ class EigenResult:
         r.setflags(write=False)
         object.__setattr__(self, "raw", r)
 
-    def scaled(self, regime: str) -> np.ndarray:
-        if regime not in ("k1", "k2"):
-            raise ValueError(f"unknown regime {regime!r}")
-        if self.power == 0:
-            return self.raw
-        return self.raw / (self.power if regime == "k1" else self.power ** 2)
+    def scaled(self) -> np.ndarray:
+        """The eigenvalues divided by k, those of k^{-1} Delta_k + V (k = 0: as is)."""
+        return self.raw if self.power == 0 else self.raw / self.power
 
 
 def _sector_rings(op: MagneticLatticeOperator):
@@ -308,27 +300,21 @@ def _chain_vector(band: np.ndarray, lam: float, steps: int = 3) -> np.ndarray:
     return v
 
 
-def _sector_solve(op: MagneticLatticeOperator,
-                  below: float | None) -> tuple[np.ndarray, tuple]:
-    """Sector eigenvalues (all, or those below `below`) and sampled residual norms.
+def _sector_solve(op: MagneticLatticeOperator, below: float) -> tuple[np.ndarray, tuple]:
+    """Sector eigenvalues below `below` and sampled residual norms.
 
-    Each chain gives its eigenvalues by banded LAPACK (no eigenvectors):
-    the whole chain spectrum, or bisection for the eigenvalues in
-    (-inf, below]; SECTOR_SAMPLES of the returned eigenvalues, evenly
-    spaced in rank, get an eigenvector by inverse iteration on their
-    chain, lifted to the lattice as psi(i, j) = sum_q e^{i theta_q j}
-    u_q(i) / sqrt(N) and checked against the sparse operator.
+    Each chain gives its eigenvalues in (-inf, below] by banded LAPACK
+    bisection (no eigenvectors); SECTOR_SAMPLES of the returned
+    eigenvalues, evenly spaced in rank, get an eigenvector by inverse
+    iteration on their chain, lifted to the lattice as psi(i, j) =
+    sum_q e^{i theta_q j} u_q(i) / sqrt(N) and checked against the
+    sparse operator.
     """
     N = op.npoints
-    chains, evs = [], []
-    for orbit, perm, band in _sector_chains(op):
-        if below is None:
-            w = scipy.linalg.eigvals_banded(band, check_finite=False)
-        else:
-            w = scipy.linalg.eigvals_banded(band, select="v", select_range=(-np.inf, below),
-                                            check_finite=False)
-        chains.append((orbit, perm, band))
-        evs.append(w)
+    chains = list(_sector_chains(op))
+    evs = [scipy.linalg.eigvals_banded(band, select="v", select_range=(-np.inf, below),
+                                       check_finite=False)
+           for _, _, band in chains]
     lam = np.concatenate(evs)
     owner = np.repeat(np.arange(len(evs)), [w.size for w in evs])
     order = np.argsort(lam, kind="stable")
@@ -403,21 +389,6 @@ def _rayleigh_ritz(matrix: sp.csr_matrix,
     return vals, vecs, tuple(float(x) for x in residuals)
 
 
-def _moment_defect(matrix: sp.csr_matrix, lam: np.ndarray) -> float:
-    """How far a whole spectrum misses sum(lam) = tr H and sum(lam^2) = ||H||_F^2.
-
-    The larger of the two misses, relative to ||H||_F and ||H||_F^2, in
-    units of n * eps; both sides cost O(nnz).  A dropped or repeated
-    block of eigenvalues, which no residual shows, moves either sum by
-    many orders of magnitude more than rounding does.
-    """
-    fro2 = float(matrix.multiply(matrix.conj()).sum().real)
-    trace = float(matrix.diagonal().real.sum())
-    unit = lam.size * np.finfo(float).eps * math.sqrt(fro2)
-    return max(abs(float(lam.sum()) - trace) / unit,
-               abs(float(lam @ lam) - fro2) / (unit * math.sqrt(fro2)))
-
-
 def _ring_matrix(diag: np.ndarray, hop: float) -> sp.csc_matrix:
     """A periodic chain in natural order: site r linked to r + 1 mod L."""
     r = np.arange(diag.size)
@@ -461,59 +432,45 @@ def count_below(op: MagneticLatticeOperator, level: float) -> int:
     return _negative_pivots(op.matrix, level)
 
 
-def solve(op: MagneticLatticeOperator, below: float | None = None) -> EigenResult:
-    """Every eigenvalue below the level `below`, or the whole spectrum for None.
+def solve(op: MagneticLatticeOperator, below: float) -> EigenResult:
+    """Every eigenvalue below the level `below`, certified by inertia.
 
     The method follows from the operator.  A potential depending on x
     only (or none) takes the exact magnetic Bloch reduction ('sectors'):
     banded real periodic chains, each bisected for its eigenvalues below
     the level, with residuals checked on SECTOR_SAMPLES eigenvectors.  A
-    y-dependent potential takes shift-invert Lanczos ('sparse') for a
-    level: the shift is the Gershgorin lower bound of the matrix less a
-    margin, so the shifted matrix is positive definite and is factored
-    once without pivoting in a symmetric minimum-degree ordering, and a
-    Rayleigh-Ritz step gives orthonormal Ritz vectors, every one of them
-    residual-checked.  The whole spectrum of at most DENSE_MAX_DIM sites
-    with a y-dependent potential is dense diagonalization ('dense').
+    y-dependent potential takes shift-invert Lanczos ('sparse'): the
+    shift is the Gershgorin lower bound of the matrix less a margin, so
+    the shifted matrix is positive definite and is factored once without
+    pivoting in a symmetric minimum-degree ordering, and a Rayleigh-Ritz
+    step gives orthonormal Ritz vectors, every one of them
+    residual-checked.
 
-    A level carries a count certificate: `count_below` counts the
+    The level carries a count certificate: `count_below` counts the
     eigenvalues below it by inertia, that count sizes the Lanczos run,
     and the result must hold exactly that many values, all below the
     level.  A count above dim/4, a result that misses the count, a
-    residual above RESIDUAL_TOL, a rank-deficient Lanczos basis, or a
-    whole spectrum whose moment defect exceeds MOMENT_TOL is a
+    residual above RESIDUAL_TOL or a rank-deficient Lanczos basis is a
     SolverError.
     """
-    count = None
-    if below is not None:
-        count = count_below(op, below)
-        if count > op.dim // 4:
-            raise SolverError(f"{count} eigenvalues below {below:.6g} exceed dim/4 = "
-                              f"{op.dim // 4}: solve the whole spectrum instead")
+    count = count_below(op, below)
+    if count > op.dim // 4:
+        raise SolverError(f"{count} eigenvalues below {below:.6g} exceed dim/4 = "
+                          f"{op.dim // 4}")
     if op.potential is None or op.potential.is_x_only:
         method = "sectors"
         raw, residuals = _sector_solve(op, below)
-    elif below is not None:
+    else:
         method = "sparse"
         raw, residuals = _sparse_solve(op, count)
-    elif op.dim <= DENSE_MAX_DIM:
-        method, residuals = "dense", ()
-        raw = np.linalg.eigvalsh(op.matrix.toarray())
-    else:
-        raise SolverError(f"full spectrum for y-dependent potentials needs dim <= "
-                          f"{DENSE_MAX_DIM}, not {op.dim}")
     if residuals and max(residuals) > RESIDUAL_TOL:
         raise SolverError(f"residual norm {max(residuals):.2e} exceeds {RESIDUAL_TOL:.0e}")
-    if count is not None and (raw.size != count or np.any(raw >= below)):
+    if raw.size != count or np.any(raw >= below):
         raise SolverError(f"{method} solve returned {raw.size} eigenvalues, "
                           f"{int(np.count_nonzero(raw < below))} of them below {below:.6g}, "
                           f"where the inertia counts {count}")
-    defect = _moment_defect(op.matrix, raw) if below is None else 0.0
-    if defect > MOMENT_TOL:
-        raise SolverError(f"whole spectrum misses the trace moments by {defect:.1e} "
-                          f"n*eps units (over {MOMENT_TOL:g}): eigenvalues dropped or repeated")
-    return EigenResult(power=op.power, raw=np.sort(raw), residual_norms=residuals,
-                       method=method)
+    return EigenResult(power=op.power, raw=np.sort(raw), method=method,
+                       residual_norms=residuals)
 
 
 def exact_landau_reference(model: TorusModel, k: int, m_max: int):

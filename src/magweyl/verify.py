@@ -1,10 +1,10 @@
 """Spectral verdicts: cluster structure, eigenvalue counting, bands.
 
-Turns eigenvalue lists into comparisons against the model predictions:
-clusters of k^{-1} Delta_k near b(m + 1/2) with multiplicity k c, the
-k^{-2} counting law N_k(lambda) ~ (k/2pi)^n vol{|xi|^2/2 <= lambda}
-with the twisted Liouville volume, and band/gap containment for scalar
-potentials.
+Turns eigenvalue lists and counts into comparisons with the model
+predictions: clusters of k^{-1} Delta_k near b(m + 1/2) with
+multiplicity k c, the k^{-2} counting law N_k(lambda) ~ (k/2pi)^n
+vol{|xi|^2/2 <= lambda} with the twisted Liouville volume, and band/gap
+containment for scalar potentials.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ class VerifyError(ValueError):
     """Missing or insufficient spectral data for a verdict."""
 
 
-COUNT_TOL = 1e-9  # boundary tolerance for eigenvalue counting
 CLUSTER_GAP = 0.25  # scaled gaps wider than CLUSTER_GAP * b split Landau clusters
 
 
@@ -102,7 +101,7 @@ def check_cluster_law(model: TorusModel, spectra: dict, levels) -> ClusterReport
     all_clusters = []
     b, c = model.field, model.chern
     for (k, npts), res in sorted(spectra.items()):
-        eigs = res.scaled("k1") if isinstance(res, EigenResult) else np.asarray(res)
+        eigs = res.scaled() if isinstance(res, EigenResult) else np.asarray(res)
         if eigs.size == 0:
             raise VerifyError(f"missing data for k={k}, N={npts}")
         rep = detect_clusters(eigs, CLUSTER_GAP * b)
@@ -149,26 +148,18 @@ class WeylLawRecord:
             raise ValueError("counting record needs a positive prediction")
 
 
-def check_weyl_law(spectra: dict, lam: float, model: TorusModel) -> list[WeylLawRecord]:
+def check_weyl_law(counts: dict, lam: float, model: TorusModel) -> list[WeylLawRecord]:
     """Counting-law records N_k(lam) vs (k/2pi)^2 vol, one per k.
 
-    `spectra` maps (k, N) to an EigenResult holding enough of the
-    spectrum to certify the count: the top computed eigenvalue must
-    exceed the threshold after k^{-2} scaling.
+    `counts` maps (k, N) to N_k(lam), the number of eigenvalues of
+    k^{-2} Delta_k below lam: `solve(op, lam * k**2).raw.size`, which
+    the solve certifies by inertia.
     """
     vol = twisted_liouville_volume(model, lam)
     out = []
-    for (k, npts), res in sorted(spectra.items()):
-        scaled = res.scaled("k2") if isinstance(res, EigenResult) else np.asarray(res)
-        if scaled.size == 0:
-            raise VerifyError(f"missing data for k={k}")
+    for (k, npts), measured in sorted(counts.items()):
         predicted = (k / (2.0 * np.pi)) ** 2 * vol
-        if scaled[-1] <= lam:
-            raise VerifyError(
-                f"insufficient spectrum depth for k={k}: need eigenvalues beyond "
-                f"lambda={lam}, about {int(1.2 * predicted) + 1} of them")
-        measured = int(np.sum(scaled <= lam + COUNT_TOL))
-        out.append(WeylLawRecord(power=k, lam=lam, measured=measured,
+        out.append(WeylLawRecord(power=k, lam=lam, measured=int(measured),
                                  predicted=predicted, ratio=measured / predicted))
     return out
 

@@ -190,17 +190,18 @@ def test_spectra_cache_schema(tmp_path, capsys, monkeypatch):
                    for row in payload["value"])
     spectra = {(p["inputs"]["purpose"], p["inputs"]["k"], p["inputs"]["npoints"]): p["value"]
                for p in entries.values() if isinstance(p["inputs"], dict)}
-    assert set(spectra) == {("clusters", 2, 16), ("clusters", 2, 32), ("full", 2, 16),
-                            ("full", 3, 24), ("bands", 4, 32), ("bands", 4, 48)}
+    assert set(spectra) == {("clusters", 2, 16), ("clusters", 2, 32), ("weyl", 2, 16),
+                            ("weyl", 3, 24), ("bands", 4, 32), ("bands", 4, 48)}
     levels = {(p["inputs"]["purpose"], p["inputs"]["k"]): p["inputs"]["below"]
               for p in entries.values() if isinstance(p["inputs"], dict)}
     for (purpose, k, npts), rec in spectra.items():
         assert set(rec) == {"power", "raw", "residual_norms", "method"}
         assert rec["power"] == k
         assert rec["method"] == "sectors"  # no potential, or cos_x: x-only
-        # below 3 b k (clusters m = 0, 1, 2) or band_cutoff k (bands m = 0, 1, 2)
-        assert levels[(purpose, k)] == (None if purpose == "full" else 3.0 * k)
-        assert len(rec["raw"]) == (npts ** 2 if purpose == "full" else 3 * k)
+        # below 3 b k (clusters m = 0, 1, 2), band_cutoff k (bands m = 0, 1, 2)
+        # or weyl_lambda k^2 (weyl: k^2 c eigenvalues, the clusters m < k/2)
+        assert levels[(purpose, k)] == (1.0 * k ** 2 if purpose == "weyl" else 3.0 * k)
+        assert len(rec["raw"]) == (k ** 2 if purpose == "weyl" else 3 * k)
         assert rec["raw"] == sorted(rec["raw"])
         assert 0 < len(rec["residual_norms"]) <= 8
         assert max(rec["residual_norms"]) <= RESIDUAL_TOL
@@ -345,13 +346,16 @@ def test_config_round_trip(tmp_path):
     ({"models": {"resolvent_z": [-1.0, 0.5]}}, "models: z = (0.5+0j) within"),
     ({"models": {"halfwidth": 2.0}}, "models: halfwidth 2.0 too small"),
     ({"star": {"max_dim": 1}}, "star: max_dim must be"),
+    ({"torus": {"cluster_levels": []}}, "torus: cluster_levels [] must name"),
+    ({"torus": {"cluster_levels": [-1]}}, "torus: cluster_levels [-1] must name"),
 ])
 def test_bad_config_value_is_config_error_in_dry_run(tmp_path, capsys, override, message):
     cfg = write_config(tmp_path, override)
     out = tmp_path / "out"
-    assert main(["--config", cfg, "--out", str(out), "--dry-run", "all"]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith(f"config error: {message}")
-    assert not out.exists()
+    for dry_run in (["--dry-run"], []):
+        assert main(["--config", cfg, "--out", str(out), *dry_run, "all"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not out.exists()
 
 
 def test_internal_value_error_exits_4(tmp_path, capsys, monkeypatch):
@@ -405,15 +409,19 @@ def test_inertia_count_over_a_quarter_is_a_resource_error(tmp_path, capsys):
     assert "exceed dim/4 = 16" in capsys.readouterr().err
 
 
-def test_dropped_sector_in_a_bands_job_exits_3(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("pairs, returned", [
+    ({"band_pairs": [[4, 32]]}, 9),   # 12 eigenvalues below band_cutoff k = 12
+    ({"weyl_pairs": [[4, 32]]}, 12),  # 16 eigenvalues below weyl_lambda k^2 = 16
+], ids=["bands", "weyl"])
+def test_dropped_sector_in_a_level_job_exits_3(tmp_path, capsys, monkeypatch, pairs, returned):
     # k = 4, N = 32: four sector chains; without one the sampled residuals
     # stay small, but the inertia count of the rings sees the missing values
     chains = magweyl.torus._sector_chains
     monkeypatch.setattr(magweyl.torus, "_sector_chains", lambda op: list(chains(op))[1:])
     cfg = write_config(tmp_path, {"torus": {"cluster_pairs": [], "weyl_pairs": [],
-                                            "band_pairs": [[4, 32]]}})
+                                            "band_pairs": [], **pairs}})
     assert main(["--config", cfg, "--out", str(tmp_path / "out"), "torus"]) == EXIT_RESOURCE
-    assert "sectors solve returned 9 eigenvalues" in capsys.readouterr().err
+    assert f"sectors solve returned {returned} eigenvalues" in capsys.readouterr().err
 
 
 def test_lanczos_missing_a_ritz_vector_exits_3(tmp_path, capsys, monkeypatch):

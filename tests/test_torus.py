@@ -10,7 +10,7 @@ import magweyl.torus
 from magweyl import (EigenResult, PotentialSpec, SolverError, TorusModel,
                      build_magnetic_laplacian, count_below, exact_landau_reference,
                      solve)
-from magweyl.torus import _moment_defect, _rayleigh_ritz, _sector_chains, _sparse_solve
+from magweyl.torus import _rayleigh_ritz, _sector_chains, _sector_solve, _sparse_solve
 
 
 def test_model_prequantization():
@@ -147,7 +147,7 @@ def test_landau_clusters_small():
     model = TorusModel.compatible(1)
     op = build_magnetic_laplacian(model, 8, 64)
     res = solve(op, 3.0 * 8)
-    scaled = res.scaled("k1")
+    scaled = res.scaled()
     assert scaled.size == 24
     for m in range(3):
         grp = scaled[8 * m:8 * (m + 1)]
@@ -169,10 +169,9 @@ def test_sector_solver_matches_sparse_and_dense(k, npts, cos_x):
     pot = PotentialSpec.cosine_x(cos_x) if cos_x is not None else None
     op = build_magnetic_laplacian(model, k, npts, pot)
     dense = np.sort(np.linalg.eigvalsh(op.matrix.toarray()))
-    res_sec = solve(op)
-    assert res_sec.method == "sectors"
-    assert len(res_sec.residual_norms) == min(8, op.dim)
-    assert np.max(np.abs(res_sec.raw - dense)) < 1e-10
+    every, residuals = _sector_solve(op, np.inf)
+    assert len(residuals) == min(8, op.dim)
+    assert np.max(np.abs(every - dense)) < 1e-10
     count = min(12, op.dim // 4)
     level = _level_above(dense, count)
     res_sec2 = solve(op, level)
@@ -253,28 +252,18 @@ def test_vanishing_pivot_is_an_error():
 
 
 @pytest.mark.parametrize("k, npts, count, method", [
-    (2, 16, None, "dense"),
     (2, 16, 12, "sparse"),
-    (3, 24, None, "dense"),
     (3, 24, 20, "sparse"),
-    (2, 72, None, None),     # dim 5184 > 4096: no dense full spectrum
 ])
 def test_solve_dispatch_y_dependent(k, npts, count, method):
     model = TorusModel.compatible(1)
     op = build_magnetic_laplacian(model, k, npts, _Y_DEPENDENT)
-    if method is None:
-        with pytest.raises(SolverError):
-            solve(op)
-        return
     dense = np.linalg.eigvalsh(op.matrix.toarray())
-    res = solve(op, None if count is None else _level_above(dense, count))
+    res = solve(op, _level_above(dense, count))
     assert res.method == method
-    if count is None:
-        assert np.array_equal(res.raw, dense) and res.residual_norms == ()
-    else:
-        assert res.raw.size == count
-        assert np.max(np.abs(res.raw - dense[:count])) < 1e-8
-        assert len(res.residual_norms) == count
+    assert res.raw.size == count
+    assert np.max(np.abs(res.raw - dense[:count])) < 1e-8
+    assert len(res.residual_norms) == count
 
 
 def test_sparse_shift_lies_below_the_spectrum():
@@ -334,33 +323,23 @@ def test_repeated_ritz_pair_is_an_error(monkeypatch):
 def test_solve_enforces_residuals(monkeypatch):
     model = TorusModel.compatible(1)
     op = build_magnetic_laplacian(model, 3, 16)
-    assert max(solve(op).residual_norms) < 1e-8
+    assert max(solve(op, 3.0 * 3).residual_norms) < 1e-8
     monkeypatch.setattr(magweyl.torus, "RESIDUAL_TOL", 0.0)
-    with pytest.raises(SolverError):
-        solve(op)
+    with pytest.raises(SolverError, match="residual norm"):
+        solve(op, 3.0 * 3)
 
 
-def test_dropped_sector_fails_the_moment_certificate(monkeypatch):
+def test_dropped_sector_fails_the_inertia_count(monkeypatch):
     # k=4, N=32: gcd(4, 32) = 4 sector chains; without one the sampled
-    # residuals stay small, but the sum of the eigenvalues misses a quarter
-    # of the trace
+    # residuals stay small, but the rings' inertia still counts all 16
+    # eigenvalues below k^2 (the level of a Weyl job at lambda = 1)
     op = build_magnetic_laplacian(TorusModel.compatible(1), 4, 32)
-    assert _moment_defect(op.matrix, solve(op).raw) < 1.0
+    assert solve(op, 4.0 ** 2).raw.size == 16
     chains = magweyl.torus._sector_chains
     monkeypatch.setattr(magweyl.torus, "_sector_chains", lambda op: list(chains(op))[1:])
-    with pytest.raises(SolverError, match="moments"):
-        solve(op)
-
-
-def test_repeated_eigenvalue_fails_the_moment_certificate(monkeypatch):
-    # the dense path: one eigenvalue returned twice in place of the lowest
-    op = build_magnetic_laplacian(TorusModel.compatible(1), 2, 16, _Y_DEPENDENT)
-    assert _moment_defect(op.matrix, solve(op).raw) < 1.0
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh",
-                        lambda a: np.append(eigvalsh(a)[1:], eigvalsh(a)[-1]))
-    with pytest.raises(SolverError, match="moments"):
-        solve(op)
+    with pytest.raises(SolverError, match="returned 12 eigenvalues, 12 of them below 16, "
+                                          "where the inertia counts 16"):
+        solve(op, 4.0 ** 2)
 
 
 def test_single_sector_lowest_is_banded():
@@ -375,7 +354,7 @@ def test_single_sector_lowest_is_banded():
     finally:
         tracemalloc.stop()
     assert res.method == "sectors" and res.raw.size == 28
-    assert np.max(np.abs(res.scaled("k1")[:7] / 0.5 - 1.0)) < 0.02
+    assert np.max(np.abs(res.scaled()[:7] / 0.5 - 1.0)) < 0.02
     assert len(res.residual_norms) == 8 and max(res.residual_norms) < 1e-8
     assert peak < 64 * 2 ** 20
 
@@ -415,7 +394,7 @@ def test_refinement_convergence():
     for npts in (32, 64):
         op = build_magnetic_laplacian(model, 8, npts)
         res = solve(op, 1.0 * 8)  # the lowest cluster
-        center = 0.5 * (res.scaled("k1")[0] + res.scaled("k1")[-1])
+        center = 0.5 * (res.scaled()[0] + res.scaled()[-1])
         errs.append(abs(center - 0.5))
     assert errs[1] < errs[0]
 
@@ -426,7 +405,7 @@ def test_band_containment_small():
     op = build_magnetic_laplacian(model, 8, 64, pot)
     res = solve(op, 3.0 * 8)
     assert res.method == "sectors" and res.raw.size == 24
-    scaled = res.scaled("k1")
+    scaled = res.scaled()
     grp0 = scaled[:8]
     assert grp0.min() > 0.4 - 0.05 and grp0.max() < 0.6 + 0.05
     # groups widen compared to the flat case
@@ -444,13 +423,12 @@ def test_count_guard():
 
 
 def test_eigenresult_scalings():
-    res = EigenResult(power=4, raw=np.array([2.0, 4.0]))
-    assert np.allclose(res.scaled("k1"), [0.5, 1.0])
-    assert np.allclose(res.scaled("k2"), [0.125, 0.25])
+    res = EigenResult(power=4, raw=np.array([2.0, 4.0]), method="sectors")
+    assert np.allclose(res.scaled(), [0.5, 1.0])
     assert np.array_equal(res.raw, [2.0, 4.0])
+    assert np.array_equal(EigenResult(power=0, raw=np.array([2.0]), method="sectors").scaled(),
+                          [2.0])
+    with pytest.raises(TypeError):
+        EigenResult(power=4, raw=np.array([2.0]))  # the method has no default
     with pytest.raises(ValueError):
-        res.scaled("k3")
-    with pytest.raises(ValueError):
-        EigenResult(power=0, raw=np.array([2.0])).scaled("raw")
-    with pytest.raises(ValueError):
-        EigenResult(power=2, raw=np.array([1.0, 0.5]))
+        EigenResult(power=2, raw=np.array([1.0, 0.5]), method="sectors")
