@@ -401,8 +401,10 @@ def _solve_job(job: TorusJob, cache: Path) -> EigenResult:
 
 
 def _torus_jobs(cfg: dict) -> list[TorusJob]:
-    """The solves of the torus stage; a (k, N) pair the lattice rejects is
-    a ConfigError here, before anything is solved.
+    """The solves of the torus stage; a (k, N) pair with k < 1 or one the
+    lattice rejects is a ConfigError here, before anything is solved (at
+    k = 0 every job's level is 0, an exact eigenvalue of Delta_0, so no
+    inertia count can be taken there).
 
     A `clusters` job solves below (max cluster level + 1) b k, a `bands`
     job below band_cutoff * k: levels in the gaps above the last Landau
@@ -430,6 +432,9 @@ def _torus_jobs(cfg: dict) -> list[TorusJob]:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"torus: {exc}") from exc
     for job in jobs:
+        if job.k < 1:
+            raise ConfigError(f"torus {job.purpose} pair k={job.k}, N={job.npoints}: "
+                              "k must be a positive tensor power")
         if job.npoints ** 2 > cap:
             raise ResourceLimitError(f"lattice dimension {job.npoints ** 2} exceeds cap {cap}")
         try:

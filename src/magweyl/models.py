@@ -159,17 +159,14 @@ def _eval_combination(H: np.ndarray, d: int, zs: np.ndarray, coeffs: np.ndarray,
 
 
 def _radial_symbol(grid: PhaseGrid, profile, meta: dict) -> GridSymbol:
-    """The symbol profile(|xi|^2) on the grid.
+    """The symbol profile(|xi|^2) on the grid, as a radial GridSymbol.
 
-    `profile` maps a 1-D array of squared radii to values; it runs once per
-    distinct grid radius (`PhaseGrid.radial_index`), and the values are
-    gathered onto the grid into a fresh read-only array, which GridSymbol
-    keeps without a copy.
+    `profile` maps a 1-D array of squared radii to values; it runs once,
+    on the distinct grid radii (`PhaseGrid.radial_index`), and the symbol
+    keeps just those values: the quantizer gathers each slab of samples
+    from them, so the samples of the whole grid are never formed.
     """
-    r2, index = grid.radial_index()
-    vals = np.asarray(profile(r2), dtype=complex)[index]
-    vals.setflags(write=False)
-    return GridSymbol(grid.dim, grid.halfwidth, grid.npoints, vals, meta=meta)
+    return GridSymbol.from_radial(grid, profile(grid.radial_index()[0]), meta=meta)
 
 
 def resolvent_symbol(query: ResolventQuery, grid: PhaseGrid) -> GridSymbol:

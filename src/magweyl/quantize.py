@@ -197,24 +197,37 @@ def _axis_map(spec: HermiteBasisSpec):
     return T, E, am, np.pad(st, pad, constant_values=M)
 
 
-def _each_axis(X: np.ndarray, one_axis, size: int) -> np.ndarray:
-    """Apply a map [B, u, v] -> [B, size, size] to each axis pair of X.
+def _each_axis(rows, shape: tuple, one_axis, size: int) -> np.ndarray:
+    """Apply a map [B, u, v] -> [B, size, size] to each axis pair of an array.
 
-    X has axes (u_1..u_d, v_1..v_d) and axis k pairs u_k with v_k.  The
-    map runs in chunks over the first batch axis (a lone pair gets one),
-    so no temporary grows with the whole array.
+    The array has axes (u_1..u_d, v_1..v_d) and shape `shape`, and axis k
+    pairs u_k with v_k.  The map runs in chunks over the first batch axis
+    (a lone pair gets one), so no temporary grows with the whole array.
+    The first pass reads the array only through `rows(lo, hi, pair)`, its
+    slab [lo:hi] along u_1 with the pair's axes moved last: u_1 stays the
+    first batch axis of that pass, or (d = 1) the slab is the whole pair.
+    A radial GridSymbol gathers each slab from its table, so its samples
+    never exist whole.  Later passes read the output of the pass before.
     """
-    d = X.ndim // 2
+    d = len(shape) // 2
+    X = None
     for k in reversed(range(d)):   # the last pair is innermost: chunk copies stay contiguous
-        Xk = np.moveaxis(X, (k, d + k), (-2, -1))
-        out = np.empty(Xk.shape[:-2] + (size, size), dtype=complex)
-        Xb, ob = (Xk, out) if Xk.ndim > 2 else (Xk[None], out[None])
-        step = max(1, _CHUNK * len(Xb) // max(Xb.size, ob.size))
-        for c in range(0, len(Xb), step):
-            part = Xb[c:c + step]
+        pair = (k, d + k)
+        batch = tuple(n for i, n in enumerate(shape) if i not in pair)
+        out = np.empty(batch + (size, size), dtype=complex)
+        ob = out if batch else out[None]
+        step = max(1, _CHUNK * len(ob) // max(math.prod(shape), ob.size))
+        for c in range(0, len(ob), step):
+            if X is not None:
+                part = np.moveaxis(X, pair, (-2, -1))[c:c + step]
+            elif batch:
+                part = rows(c, c + step, pair)
+            else:
+                part = rows(0, shape[0], pair)[None]
             ob[c:c + step] = one_axis(part.reshape((-1,) + part.shape[-2:])).reshape(
                 ob[c:c + step].shape)
-        X = np.moveaxis(out, (-2, -1), (k, d + k))
+        X = np.moveaxis(out, (-2, -1), pair)
+        shape = X.shape
     return X
 
 
@@ -232,7 +245,7 @@ def _quantize_grid(a: GridSymbol, spec: HermiteBasisSpec) -> np.ndarray:
         TK = (T @ K.view(float)).view(complex)   # real T on the float view of K
         return scale * (TK.reshape(-1, M + 1) @ T.T).reshape(len(X), N, N)
 
-    return _each_axis(a.values, one_axis, N).reshape(spec.size, spec.size)
+    return _each_axis(a.rows, (M,) * a.dim, one_axis, N).reshape(spec.size, spec.size)
 
 
 def weyl_quantize(a, spec: HermiteBasisSpec) -> OperatorMatrix:
@@ -298,7 +311,9 @@ def wigner_symbol(op: OperatorMatrix, spec: HermiteBasisSpec,
         Y = np.take(TBT.reshape(len(X), -1), st, axis=1)
         return (Y.reshape(-1, M + 1) @ E.conj().T).reshape(len(X), M, M)
 
-    vals = _each_axis(mat.reshape((N,) * (2 * spec.d)), one_axis, M)
+    B = mat.reshape((N,) * (2 * spec.d))
+    vals = _each_axis(lambda lo, hi, pair: np.moveaxis(B[lo:hi], pair, (-2, -1)),
+                      B.shape, one_axis, M)
     return GridSymbol(2 * spec.d, spec.halfwidth, spec.npoints, vals)
 
 

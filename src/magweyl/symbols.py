@@ -307,6 +307,35 @@ class PolySymbol:
         return GridSymbol(self.dim, grid.halfwidth, grid.npoints, self(grid.points()))
 
 
+@functools.lru_cache(maxsize=8)
+def _label_table(dim: int, npoints: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The radius labels of a grid with `dim` axes of `npoints` points.
+
+    The axis points are n h with n = -M//2 .. M - 1 - M//2, so |xi|^2 =
+    h^2 s for the integer label s = n_1^2 + ... + n_dim^2.  Returns the
+    axis labels n^2, a presence table over s = 0 .. dim max n^2, and its
+    running count less one: the position of each present label among the
+    present ones (read-only).  The presence table is built one axis at a
+    time, as the union of its shifts by the distinct n^2, so no array
+    grows with the number of points.  Labels and positions use the
+    smallest unsigned dtype.
+    """
+    n = np.arange(npoints) - npoints // 2
+    steps = np.unique(n * n)
+    present = np.ones(1, dtype=bool)   # the empty sum
+    for _ in range(dim):
+        grown = np.zeros(present.size + int(steps[-1]), dtype=bool)
+        for t in steps:
+            grown[t:t + present.size] |= present
+        present = grown
+    position = np.cumsum(present) - 1
+    out = ((n * n).astype(np.min_scalar_type(present.size - 1)), present,
+           position.astype(np.min_scalar_type(position[-1])))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class PhaseGrid:
     """Geometry of a uniform tensor grid over [-R, R]^n centered at 0."""
@@ -341,51 +370,102 @@ class PhaseGrid:
         return r2
 
     def radial_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct |xi|^2 of the grid, ascending, and each point's position among them.
+        """The distinct |xi|^2 of the grid, ascending, and the position among
+        them of each integer radius label (`_label_table`, `radius_labels`).
 
-        The axis is n h with integer n, so |xi|^2 = h^2 sum_i n_i^2 and the
-        integer sum labels a radius exactly: a presence table over the sums
-        and its running count give the positions, in O(M^n) with no sort.
-        Both the sums and the positions use the smallest unsigned dtype.
+        The axis is n h with integer n, so |xi|^2 = h^2 s for the label
+        s = n_1^2 + ... + n_dim^2, and the label names a radius exactly:
+        the radii are h^2 times the labels that occur, and a point's
+        position among them is position[s].
         """
-        n = np.arange(self.npoints) - self.npoints // 2
-        smax = self.dim * int(np.max(n * n))
-        sq = (n * n).astype(np.min_scalar_type(smax))
-        sums = functools.reduce(np.add.outer, [sq] * self.dim)
-        present = np.zeros(smax + 1, dtype=bool)
-        present[sums] = True
-        rank = np.cumsum(present) - 1
-        index = rank.astype(np.min_scalar_type(rank[-1]))[sums]
-        return self.spacing ** 2 * np.flatnonzero(present), index
+        _, present, position = _label_table(self.dim, self.npoints)
+        return self.spacing ** 2 * np.flatnonzero(present), position
+
+    def radius_labels(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """The label n_1^2 + ... + n_dim^2 of each point whose first index lies
+        in [lo, hi) (every point by default), in the smallest unsigned dtype."""
+        sq = _label_table(self.dim, self.npoints)[0]
+        return functools.reduce(np.add.outer, [sq[lo:hi]] + [sq] * (self.dim - 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class GridSymbol:
-    """Complex samples of a symbol on a PhaseGrid."""
+    """Complex samples of a symbol on a PhaseGrid.
+
+    A dense symbol keeps every sample.  A radial symbol (`from_radial`)
+    keeps only its value at each distinct |xi|^2 of the grid, in `radial`
+    (ordered as `PhaseGrid.radial_index`): `rows` gathers a slab of samples from
+    that table, `boundary_decay` reads the table, and `values` builds the
+    whole array, afresh at every read, only for a caller that reads points.
+    """
 
     dim: int
     halfwidth: float
     npoints: int
-    values: np.ndarray = field(repr=False)
-    meta: dict | None = field(default=None, compare=False)
+    meta: dict | None = None
+    radial: np.ndarray | None = field(default=None, repr=False)
+    _dense: np.ndarray | None = field(default=None, repr=False)
 
-    def __post_init__(self):
-        """Validate the values and keep a read-only copy of them.
+    def __init__(self, dim: int, halfwidth: float, npoints: int, values,
+                 meta: dict | None = None):
+        """A dense symbol: validate the values and keep a read-only copy of them.
 
         A read-only array that owns its data is kept without a copy: it is
         taken to be freshly built and handed over, with no writable view
-        left behind (as `models` builds its symbols).  At d = 2 the copy
-        would be the largest transient of a symbol's construction.
+        left behind.
         """
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != (self.npoints,) * self.dim:
-            raise ValueError(f"values must have shape {(self.npoints,) * self.dim}")
+        v = np.asarray(values, dtype=complex)
+        if v.shape != (npoints,) * dim:
+            raise ValueError(f"values must have shape {(npoints,) * dim}")
         if not np.all(np.isfinite(v)):
             raise ValueError("values must be finite")
         if v.flags.writeable or not v.flags.owndata:
             v = v.copy()
             v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        self._assign(dim, halfwidth, npoints, meta, None, v)
+
+    def _assign(self, dim, halfwidth, npoints, meta, radial, dense):
+        for name, value in (("dim", dim), ("halfwidth", halfwidth), ("npoints", npoints),
+                            ("meta", meta), ("radial", radial), ("_dense", dense)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_radial(cls, grid: PhaseGrid, radial, meta: dict | None = None) -> "GridSymbol":
+        """The radial symbol with value radial[i] at the i-th distinct |xi|^2
+        of the grid (`PhaseGrid.radial_index`)."""
+        r = np.array(radial, dtype=complex)
+        radii = grid.radial_index()[0].size
+        if r.shape != (radii,):
+            raise ValueError(f"radial values must have shape {(radii,)}")
+        if not np.all(np.isfinite(r)):
+            raise ValueError("values must be finite")
+        r.setflags(write=False)
+        out = cls.__new__(cls)
+        out._assign(grid.dim, grid.halfwidth, grid.npoints, meta, r, None)
+        return out
+
+    @property
+    def values(self) -> np.ndarray:
+        """Every sample, read-only."""
+        if self.radial is None:
+            return self._dense
+        out = self.rows(0, self.npoints)
+        out.setflags(write=False)
+        return out
+
+    def rows(self, lo: int, hi: int, last: tuple = ()) -> np.ndarray:
+        """values[lo:hi], with the axes `last` moved to the end in that order.
+
+        A dense symbol gives a view.  A radial symbol's slab depends on its
+        points only through their radius labels, a symmetric function of
+        the indices, so it is the same array in any order of the axes
+        after the first: it is gathered once, contiguous, from a table of
+        its values over the labels.
+        """
+        if self.radial is None:
+            return np.moveaxis(self._dense[lo:hi], last, range(-len(last), 0))
+        position = _label_table(self.dim, self.npoints)[2]
+        return self.radial[position].take(self.grid.radius_labels(lo, hi))
 
     @property
     def grid(self) -> PhaseGrid:
@@ -418,13 +498,21 @@ class GridSymbol:
     def boundary_decay(self) -> float:
         """Largest magnitude on the grid boundary, relative to the peak.
 
-        The peak is a maximum over slices of the first axis and the edge
-        one over the 2 * dim boundary faces, so no |values| array of the
-        whole grid is formed.
+        No |values| array of the whole grid is formed.  For a dense symbol
+        the peak is a maximum over slices of the first axis and the edge
+        one over the 2 * dim boundary faces.  A radial symbol reads its
+        table: a boundary point has the first or last axis label n^2 on
+        some axis, so the boundary radii are those labels plus the labels
+        that occur on dim - 1 axes.
         """
-        peak = max(float(np.max(np.abs(s))) for s in self.values)
-        if peak == 0.0:
-            return 0.0
-        edge = max(float(np.max(np.abs(np.take(self.values, i, axis=k))))
-                   for k in range(self.dim) for i in (0, self.npoints - 1))
-        return edge / peak
+        if self.radial is not None:
+            sq, _, position = _label_table(self.dim, self.npoints)
+            rest = np.flatnonzero(_label_table(self.dim - 1, self.npoints)[1])
+            mags = np.abs(self.radial)
+            peak = float(np.max(mags))
+            edge = float(np.max(mags[position[np.concatenate([sq[0] + rest, sq[-1] + rest])]]))
+        else:
+            peak = max(float(np.max(np.abs(s))) for s in self._dense)
+            edge = max(float(np.max(np.abs(np.take(self._dense, i, axis=k))))
+                       for k in range(self.dim) for i in (0, self.npoints - 1))
+        return 0.0 if peak == 0.0 else edge / peak

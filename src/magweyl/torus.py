@@ -31,6 +31,8 @@ RESIDUAL_TOL = 1e-8
 RITZ_RANK_TOL = 1e-6
 # Sector solves check this many eigenvectors, evenly spaced in rank.
 SECTOR_SAMPLES = 8
+# Rayleigh-Ritz forms its residuals in blocks of about this many entries.
+_RESIDUAL_BLOCK = 1 << 16
 
 
 class SolverError(RuntimeError):
@@ -333,6 +335,24 @@ def _sector_solve(op: MagneticLatticeOperator, below: float) -> tuple[np.ndarray
 def _sparse_solve(op: MagneticLatticeOperator, count: int) -> tuple[np.ndarray, tuple]:
     """Lowest `count` eigenvalues by shift-invert Lanczos, every residual norm.
 
+    The Ritz vectors ARPACK returns for a complex matrix need not be
+    orthonormal inside a degenerate cluster, so they are replaced by a
+    Rayleigh-Ritz step on their span (`_rayleigh_ritz`).  The Lanczos
+    factorization and operator live only in `_lanczos_basis`, so they are
+    freed before that step, and its basis is handed straight over, so the
+    step can free it once factored.  `solve` takes `count` from the
+    inertia count of its level (`count_below`), whose factorization is
+    freed before the Lanczos one is built.
+    """
+    if count == 0:
+        return np.empty(0), ()
+    vals, _, residuals = _rayleigh_ritz(op.matrix, _lanczos_basis(op, count))
+    return vals, residuals
+
+
+def _lanczos_basis(op: MagneticLatticeOperator, count: int) -> np.ndarray:
+    """ARPACK's Ritz vectors for the lowest `count` eigenvalues.
+
     The shift sigma is the Gershgorin lower bound min_i (h_ii - sum_{j != i}
     |h_ij|) of the matrix, less a margin of 1e-3/(2 a^2); for the lattice,
     whose Delta_k is positive semidefinite by Gershgorin, that bound is
@@ -340,16 +360,9 @@ def _sparse_solve(op: MagneticLatticeOperator, count: int) -> tuple[np.ndarray, 
     the largest 1/(lambda - sigma) belong to the lowest lambda, and its LU
     factorization is stable without pivoting: it is factored once, in a
     minimum-degree ordering of A^T + A with diagonal pivots (SuperLU's
-    symmetric mode), and its solve is the Lanczos operator.  The Ritz
-    vectors ARPACK returns for a complex matrix need not be orthonormal
-    inside a degenerate cluster, so they are replaced by a Rayleigh-Ritz
-    step on their span (`_rayleigh_ritz`).  Lanczos starts from a fixed
-    vector, so the result depends on the operator only.  `solve` takes
-    `count` from the inertia count of its level (`count_below`), whose
-    factorization is freed before this one is built.
+    symmetric mode), and its solve is the Lanczos operator.  Lanczos
+    starts from a fixed vector, so the result depends on the operator only.
     """
-    if count == 0:
-        return np.empty(0), ()
     H = op.matrix
     n = op.dim
     diag = H.diagonal().real
@@ -361,12 +374,10 @@ def _sparse_solve(op: MagneticLatticeOperator, count: int) -> tuple[np.ndarray, 
     shift_invert = spla.LinearOperator((n, n), matvec=lu.solve, dtype=H.dtype)
     v0 = np.random.default_rng(0).standard_normal(n)
     try:
-        _, basis = spla.eigsh(H, k=count, sigma=sigma, which="LM", v0=v0,
-                              OPinv=shift_invert)
+        return spla.eigsh(H, k=count, sigma=sigma, which="LM", v0=v0,
+                          OPinv=shift_invert)[1]
     except spla.ArpackNoConvergence as exc:
         raise SolverError(f"ARPACK did not converge: {exc}") from exc
-    vals, _, residuals = _rayleigh_ritz(H, basis)
-    return vals, residuals
 
 
 def _rayleigh_ritz(matrix: sp.csr_matrix,
@@ -376,17 +387,34 @@ def _rayleigh_ritz(matrix: sp.csr_matrix,
     QR of the basis, eigh of Q^H H Q, and every residual from one sparse
     times dense product.  A basis whose QR has a diagonal entry below
     RITZ_RANK_TOL times the largest (a repeated Ritz pair) is a SolverError.
+
+    The step holds at most three n x count arrays at a time: the basis is
+    released after its QR (a caller that hands it over keeps no copy),
+    and the residuals H v - lambda v overwrite H Q S in blocks of rows.
+    Each block's squared magnitudes are summed down the columns after the
+    running sums, the order of np.linalg.norm(axis=0), so the norms are
+    the same to the last bit.
     """
     q, r = np.linalg.qr(basis)
+    del basis
     pivots = np.abs(np.diag(r))
     if pivots.min() < RITZ_RANK_TOL * pivots.max():
         raise SolverError(f"Ritz vectors are rank-deficient: QR pivot "
                           f"{pivots.min() / pivots.max():.1e} of the largest")
     hq = matrix @ q
     vals, s = np.linalg.eigh(q.conj().T @ hq)
+    hv = hq @ s
+    del hq
     vecs = q @ s
-    residuals = np.linalg.norm(hq @ s - vecs * vals, axis=0)
-    return vals, vecs, tuple(float(x) for x in residuals)
+    del q
+    sums = np.zeros((1, vals.size))
+    step = max(1, _RESIDUAL_BLOCK // vals.size)
+    for lo in range(0, len(vecs), step):
+        res = hv[lo:lo + step]
+        res -= vecs[lo:lo + step] * vals
+        sums = np.add.reduce(np.concatenate([sums, (res.conj() * res).real]), axis=0,
+                             keepdims=True)
+    return vals, vecs, tuple(float(x) for x in np.sqrt(sums[0]))
 
 
 def _ring_matrix(diag: np.ndarray, hop: float) -> sp.csc_matrix:

@@ -348,6 +348,7 @@ def test_config_round_trip(tmp_path):
     ({"star": {"max_dim": 1}}, "star: max_dim must be"),
     ({"torus": {"cluster_levels": []}}, "torus: cluster_levels [] must name"),
     ({"torus": {"cluster_levels": [-1]}}, "torus: cluster_levels [-1] must name"),
+    ({"torus": {"weyl_pairs": [[0, 8]]}}, "torus weyl pair k=0, N=8: k must be a positive"),
 ])
 def test_bad_config_value_is_config_error_in_dry_run(tmp_path, capsys, override, message):
     cfg = write_config(tmp_path, override)

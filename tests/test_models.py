@@ -130,11 +130,12 @@ def test_radial_symbols_match_direct_evaluation(dim, halfwidth, npoints):
 def test_radial_symbols_memory():
     # evaluating every grid point instead of every distinct radius peaks at
     # 154 MiB at d = 1, M = 512 (48 Taylor planes per 2^17-point chunk) and
-    # at 243 MiB at d = 2, M = 48 (float and complex 5.3 M-point temporaries)
+    # at 243 MiB at d = 2, M = 48 (float and complex 5.3 M-point temporaries);
+    # gathering the values onto the d = 2 grid would take 81 MiB
     cases = [(lambda: resolvent_symbol(ResolventQuery(1, -1.0), PhaseGrid(2, 12.0, 512)),
               32 * 2 ** 20),
              (lambda: projector_symbol(ProjectorQuery(2, 2.0), PhaseGrid(4, 7.5, 48)),
-              48 ** 4 * 16 + 24 * 2 ** 20)]   # the 81 MiB of values, plus 24 MiB
+              24 * 2 ** 20)]
     for build, bound in cases:
         tracemalloc.start()
         try:

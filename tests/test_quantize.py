@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from magweyl import (AntisymmetricForm, GridSymbol, HermiteBasisSpec,
-                     OperatorMatrix, PolySymbol, QuantizationWarning,
+                     OperatorMatrix, PhaseGrid, PolySymbol, QuantizationWarning,
                      block_compare, hermite_table, moyal_product,
                      weyl_product_grid, weyl_quantize, wigner_symbol)
-from magweyl.models import harmonic_hamiltonian
+from magweyl.models import (ProjectorQuery, ResolventQuery, harmonic_hamiltonian,
+                            projector_symbol, residue_projector, resolvent_symbol)
 from magweyl.quantize import trusted_block_indices
 
 
@@ -383,3 +384,33 @@ def test_grid_round_trip_memory():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
+
+
+@pytest.mark.parametrize("d, levels, halfwidth, npoints", [
+    (1, 40, 12.0, 512), (1, 16, 8.0, 127), (2, 12, 7.5, 48), (2, 10, 7.5, 35)])
+def test_radial_symbols_quantize_like_their_samples(d, levels, halfwidth, npoints):
+    # a radial symbol streams its slabs from one value per radius; the
+    # dense symbol of the same samples must quantize and decay alike
+    spec = HermiteBasisSpec(d=d, levels=levels, halfwidth=halfwidth, npoints=npoints)
+    grid = spec.grid()
+    for sym in (resolvent_symbol(ResolventQuery(d, -0.7), grid),
+                residue_projector(d, d / 2.0, 0.2, 64, grid),
+                projector_symbol(ProjectorQuery(d, d / 2.0 + 1), grid)):
+        assert sym.radial is not None
+        dense = GridSymbol(2 * d, halfwidth, npoints, sym.values)
+        assert dense.radial is None
+        assert _rel(weyl_quantize(sym, spec).entries, weyl_quantize(dense, spec).entries) <= 1e-15
+        assert sym.boundary_decay() == dense.boundary_decay()
+
+
+def test_radial_quantization_memory(spec_d2):
+    # the d = 2 projector of the CLI: gathering its samples onto the grid
+    # (81 MiB at M = 48) peaked at 96 MiB; streamed, the chunk buffers remain
+    grid = PhaseGrid(4, 7.5, 48)
+    tracemalloc.start()
+    try:
+        weyl_quantize(projector_symbol(ProjectorQuery(2, 2.0), grid), spec_d2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20

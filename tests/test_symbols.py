@@ -79,11 +79,13 @@ def test_grid_geometry():
 @pytest.mark.parametrize("dim, npoints", [(2, 512), (2, 127), (4, 24)])
 def test_radial_index(dim, npoints):
     g = PhaseGrid(dim, 6.0, npoints)
-    r2, index = g.radial_index()
+    r2, position = g.radial_index()
+    index = position[g.radius_labels()]
     assert np.all(np.diff(r2) > 0.0) and r2[0] == 0.0
     assert index.shape == (npoints,) * dim and index.dtype.kind == "u"
     assert index.max() == r2.size - 1
     assert np.max(np.abs(r2[index] - g.radius2())) <= 1e-13 * r2[-1]
+    assert np.array_equal(position[g.radius_labels(3, 7)], index[3:7])   # a slab
     # every distinct radius occurs: the integer labels h^-2 |xi|^2
     labels = np.unique(np.rint(g.radius2() / g.spacing ** 2))
     assert r2.size == labels.size

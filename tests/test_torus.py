@@ -359,6 +359,21 @@ def test_single_sector_lowest_is_banded():
     assert peak < 64 * 2 ** 20
 
 
+def test_sparse_solve_memory():
+    # count 48 at (16, 64): the Lanczos basis, Q, H Q and the Ritz vectors
+    # once peaked at 6.1 blocks of n x count complex; the ARPACK phase and
+    # Rayleigh-Ritz now stay under 4
+    op = build_magnetic_laplacian(TorusModel.compatible(1), 16, 64, _Y_DEPENDENT)
+    tracemalloc.start()
+    try:
+        raw, residuals = _sparse_solve(op, 48)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert raw.size == 48 and max(residuals) < 1e-8
+    assert peak < 4 * op.dim * 48 * 16
+
+
 def test_solver_determinism():
     model = TorusModel.compatible(1)
     op = build_magnetic_laplacian(model, 4, 32)
