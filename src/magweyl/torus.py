@@ -11,6 +11,14 @@ The assembled matrix is Delta_k + k V, so that spectrum(matrix)/k is
 the spectrum of k^{-1} Delta_k + V (the energy scale at which the
 scalar potential enters the cluster and band statements) and, for
 V = 0, spectrum(matrix)/k^2 is the spectrum of k^{-2} Delta_k.
+
+A Fourier transform in y (the magnetic Bloch reduction) writes the
+operator in the y-momentum basis: the kinetic part and the x-only part
+of V split into real periodic chains (rings) over the orbits of the
+momentum shift n -> n - k c that the x wrap makes, and each y-mode of V
+couples momentum n to n + q at the same column.  Those couplings are
+real exactly when V(x, -y) = V(x, y), so a potential even in y has a
+real symmetric operator in that basis.
 """
 
 from __future__ import annotations
@@ -31,7 +39,9 @@ RESIDUAL_TOL = 1e-8
 RITZ_RANK_TOL = 1e-6
 # Sector solves check this many eigenvectors, evenly spaced in rank.
 SECTOR_SAMPLES = 8
-# Rayleigh-Ritz forms its residuals in blocks of about this many entries.
+# Real Lanczos keeps this many basis vectors beyond the count it is asked for.
+_LANCZOS_EXTRA = 12
+# Site residuals are formed in column blocks of about this many entries.
 _RESIDUAL_BLOCK = 1 << 16
 
 
@@ -105,6 +115,12 @@ class PotentialSpec:
     @property
     def is_x_only(self) -> bool:
         return all(q == 0 for (_, q), _ in self.modes)
+
+    @property
+    def is_even_in_y(self) -> bool:
+        """V(x, -y) = V(x, y): amp(p, q) == amp(p, -q) for every mode."""
+        amps = dict(self.modes)
+        return all(amps.get((p, -q)) == amp for (p, q), amp in self.modes)
 
     def sample(self, x, y, side: float) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -221,32 +237,115 @@ class EigenResult:
         return self.raw if self.power == 0 else self.raw / self.power
 
 
+def _orbits(op: MagneticLatticeOperator) -> list[np.ndarray]:
+    """The y-momenta of each ring, orbits of n -> n - k c (mod N), in ring order."""
+    N = op.npoints
+    kc = op.power * op.model.chern
+    nsectors = math.gcd(kc, N)
+    return [(n0 - kc * np.arange(N // nsectors)) % N for n0 in range(nsectors)]
+
+
+def _momentum_index(op: MagneticLatticeOperator) -> np.ndarray:
+    """index[n, i]: the row of momentum n at column i in the y-momentum basis,
+    the rings of `_sector_rings` one after another."""
+    N = op.npoints
+    index = np.empty((N, N), dtype=np.intp)
+    index[np.concatenate(_orbits(op))] = np.arange(N * N).reshape(N, N)
+    return index
+
+
 def _sector_rings(op: MagneticLatticeOperator):
-    """Magnetic Bloch reduction in y for x-only potentials.
+    """Magnetic Bloch reduction in y of the kinetic part and the x-only part of V.
 
     The x-wrap twist shifts the y-momentum index by -k c (mod N), so the
-    operator block-diagonalizes over orbits of n -> n - k c.  Each block
-    is a real symmetric periodic chain (a ring) of length L = N * len(orbit)
-    with uniform hop t = -1/(2 a^2), closed from site L-1 back to site 0;
-    site q N + i (momentum orbit[q], column x_i = i a) carries the diagonal
-    2/a^2 + 2 t cos(theta_n - k b a x_i) + k V(x_i).  Yields the orbit,
-    the ring's diagonal and its hop.
+    operator block-diagonalizes over orbits of n -> n - k c (`_orbits`)
+    when V depends on x only.  Each block is a real symmetric periodic
+    chain (a ring) of length L = N * len(orbit) with uniform hop
+    t = -1/(2 a^2), closed from site L-1 back to site 0; site q N + i
+    (momentum orbit[q], column x_i = i a) carries the diagonal
+    2/a^2 + 2 t cos(theta_n - k b a x_i) + k V_0(x_i), where V_0 holds the
+    modes of V whose q is 0 on the lattice (q = 0 mod N).  Yields the
+    orbit, the ring's diagonal and its hop.
     """
     N = op.npoints
     k, a = op.power, op.spacing
     kb = k * op.model.field
-    kc = k * op.model.chern
     t = -1.0 / (2.0 * a * a)
     vx = 0.0
     if op.potential is not None:
-        vx = float(k) * op.potential.sample(a * np.arange(N), 0.0, op.model.side)
+        x_part = PotentialSpec(tuple(m for m in op.potential.modes if m[0][1] % N == 0))
+        vx = float(k) * x_part.sample(a * np.arange(N), 0.0, op.model.side)
     flux_phase = kb * a * (np.arange(N) * a)
-    nsectors = math.gcd(kc, N)
-    for n0 in range(nsectors):
-        orbit = (n0 - kc * np.arange(N // nsectors)) % N
+    for orbit in _orbits(op):
         theta = 2.0 * np.pi * orbit / N
         diag = 2.0 / (a * a) + 2.0 * t * np.cos(theta[:, None] - flux_phase) + vx
         yield orbit, diag.ravel(), t
+
+
+def _y_couplings(op: MagneticLatticeOperator) -> dict:
+    """{s: c_s} for the shifts s != 0 (mod N) of V's y-modes.
+
+    On the lattice k V(x_i, y_j) = sum_s c_s(x_i) e^{2 pi i s j / N} over
+    the shifts s mod N, so multiplication by k V couples momentum n at
+    column i to n + s at column i with coefficient c_s(x_i), k times the
+    sum of amp e^{2 pi i p x_i / L} over the modes (p, q) with q = s
+    (mod N).
+    The site matrix samples the real part of the mode sum, whose
+    coefficient is (c_s + conj c_{-s}) / 2; that is what is returned, so
+    the couplings are Hermitian to the last bit, and real when V is even
+    in y.
+    """
+    N = op.npoints
+    phase = 2j * np.pi * op.spacing * np.arange(N) / op.model.side
+    sums = {}
+    for (p, q), amp in op.potential.modes:
+        if q % N:
+            sums[q % N] = sums.get(q % N, 0.0) + amp * np.exp(p * phase)
+    return {s: 0.5 * float(op.power) * (c + np.conj(sums[-s % N])) for s, c in sums.items()}
+
+
+def _momentum_matrix(op: MagneticLatticeOperator) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The lattice operator in the y-momentum basis, and `_momentum_index`.
+
+    Block-diagonal over the rings of `_sector_rings`, plus the couplings
+    of `_y_couplings` from row index[n, i] to index[n + s, i].  Real when
+    the potential is even in y (`PotentialSpec.is_even_in_y`), complex
+    otherwise.  It is the site matrix conjugated by the unitary map
+    psi[j, i] = N^{-1/2} sum_n e^{2 pi i n j / N} v[index[n, i]].
+    """
+    N = op.npoints
+    index = _momentum_index(op)
+    rings = sp.block_diag([_ring_matrix(diag, hop) for _, diag, hop in _sector_rings(op)],
+                          format="csr")
+    couplings = {} if op.potential is None else _y_couplings(op)
+    if not couplings:
+        return rings, index
+    if op.potential.is_even_in_y:
+        couplings = {s: c.real for s, c in couplings.items()}
+    rows = np.concatenate([np.roll(index, -s, axis=0).ravel() for s in couplings])
+    vals = np.concatenate([np.broadcast_to(c, (N, N)).ravel() for c in couplings.values()])
+    cols = np.tile(index.ravel(), len(couplings))
+    y_part = sp.coo_matrix((vals, (rows, cols)), shape=rings.shape)
+    return (rings + y_part).tocsr(), index
+
+
+def _site_residuals(op: MagneticLatticeOperator, index: np.ndarray, vecs: np.ndarray,
+                    vals: np.ndarray) -> tuple:
+    """Residual norms ||H psi - lambda psi|| on the site matrix of
+    y-momentum vectors (the columns of `vecs`, rows as in `index`).
+
+    Each column is lifted to the sites by a unitary FFT along the
+    momentum axis, psi[j, i] = sqrt(N) ifft(v[index], axis=0)[j, i] at
+    site i + N j, in blocks of columns, and checked against `op.matrix`,
+    which is assembled apart from the momentum basis: a wrong coupling
+    there shows as a residual.
+    """
+    norms = []
+    step = max(1, _RESIDUAL_BLOCK // op.dim)
+    for lo in range(0, vals.size, step):
+        psi = np.fft.ifft(vecs[index, lo:lo + step], axis=0, norm="ortho").reshape(op.dim, -1)
+        norms.extend(np.linalg.norm(op.matrix @ psi - psi * vals[lo:lo + step], axis=0))
+    return tuple(float(x) for x in norms)
 
 
 def _sector_chains(op: MagneticLatticeOperator):
@@ -308,11 +407,9 @@ def _sector_solve(op: MagneticLatticeOperator, below: float) -> tuple[np.ndarray
     Each chain gives its eigenvalues in (-inf, below] by banded LAPACK
     bisection (no eigenvectors); SECTOR_SAMPLES of the returned
     eigenvalues, evenly spaced in rank, get an eigenvector by inverse
-    iteration on their chain, lifted to the lattice as psi(i, j) =
-    sum_q e^{i theta_q j} u_q(i) / sqrt(N) and checked against the
-    sparse operator.
+    iteration on their chain, placed at the ring's momentum rows (zero
+    elsewhere) and checked on the site matrix by `_site_residuals`.
     """
-    N = op.npoints
     chains = list(_sector_chains(op))
     evs = [scipy.linalg.eigvals_banded(band, select="v", select_range=(-np.inf, below),
                                        check_finite=False)
@@ -321,79 +418,93 @@ def _sector_solve(op: MagneticLatticeOperator, below: float) -> tuple[np.ndarray
     owner = np.repeat(np.arange(len(evs)), [w.size for w in evs])
     order = np.argsort(lam, kind="stable")
     ranks = np.linspace(0, order.size - 1, min(SECTOR_SAMPLES, order.size)).round().astype(int)
+    index = _momentum_index(op)
     residuals = []
     for idx in order[ranks]:
         orbit, perm, band = chains[owner[idx]]
         u = np.empty(perm.size)
         u[perm] = _chain_vector(band, lam[idx])
-        phases = np.exp(2j * np.pi * np.outer(orbit, np.arange(N)) / N) / np.sqrt(N)
-        psi = (phases.T @ u.reshape(orbit.size, N)).ravel()
-        residuals.append(float(np.linalg.norm(op.matrix @ psi - lam[idx] * psi)))
+        v = np.zeros((op.dim, 1))
+        v[index[orbit], 0] = u.reshape(orbit.size, op.npoints)
+        residuals.extend(_site_residuals(op, index, v, lam[idx:idx + 1]))
     return lam[order], tuple(residuals)
 
 
 def _sparse_solve(op: MagneticLatticeOperator, count: int) -> tuple[np.ndarray, tuple]:
     """Lowest `count` eigenvalues by shift-invert Lanczos, every residual norm.
 
-    The Ritz vectors ARPACK returns for a complex matrix need not be
-    orthonormal inside a degenerate cluster, so they are replaced by a
-    Rayleigh-Ritz step on their span (`_rayleigh_ritz`).  The Lanczos
-    factorization and operator live only in `_lanczos_basis`, so they are
-    freed before that step, and its basis is handed straight over, so the
-    step can free it once factored.  `solve` takes `count` from the
-    inertia count of its level (`count_below`), whose factorization is
-    freed before the Lanczos one is built.
+    Lanczos runs on the operator in the y-momentum basis
+    (`_momentum_matrix`): real symmetric when the potential is even in y,
+    so ARPACK runs its symmetric Lanczos in real arithmetic, and complex
+    Hermitian otherwise.  The Ritz vectors ARPACK returns for a complex
+    matrix need not be orthonormal inside a degenerate cluster, so they
+    are replaced by a Rayleigh-Ritz step on their span (`_rayleigh_ritz`).
+    The Lanczos factorization and operator live only in `_lanczos_basis`,
+    so they are freed before that step, and its basis is handed straight
+    over, so the step can free it once factored.  Every Ritz vector is
+    lifted to the sites and residual-checked on the site matrix
+    (`_site_residuals`).  `solve` takes `count` from the inertia count of
+    its level (`count_below`), whose factorization is freed before the
+    Lanczos one is built.
     """
     if count == 0:
         return np.empty(0), ()
-    vals, _, residuals = _rayleigh_ritz(op.matrix, _lanczos_basis(op, count))
-    return vals, residuals
+    matrix, index = _momentum_matrix(op)
+    margin = 1e-3 / (2.0 * op.spacing ** 2)
+    vals, vecs = _rayleigh_ritz(matrix, _lanczos_basis(matrix, count, margin))
+    return vals, _site_residuals(op, index, vecs, vals)
 
 
-def _lanczos_basis(op: MagneticLatticeOperator, count: int) -> np.ndarray:
-    """ARPACK's Ritz vectors for the lowest `count` eigenvalues.
+def _lanczos_basis(matrix: sp.csr_matrix, count: int, margin: float) -> np.ndarray:
+    """ARPACK's Ritz vectors for the lowest `count` eigenvalues of a Hermitian matrix.
 
     The shift sigma is the Gershgorin lower bound min_i (h_ii - sum_{j != i}
-    |h_ij|) of the matrix, less a margin of 1e-3/(2 a^2); for the lattice,
-    whose Delta_k is positive semidefinite by Gershgorin, that bound is
-    k min V over the sites.  So H - sigma I is Hermitian positive definite,
-    the largest 1/(lambda - sigma) belong to the lowest lambda, and its LU
+    |h_ij|) of the matrix, less `margin`.  In the y-momentum basis that
+    bound is the minimum over (n, i) of 2/a^2 + 2 t cos(theta_n - k b a
+    x_i) - 2|t| + c_0(x_i) - sum_{s != 0} |c_s(x_i)|, at least
+    min_i (c_0(x_i) - sum_{s != 0} |c_s(x_i)|) with c_0 the x-only part
+    of k V (`_y_couplings` gives the c_s), and the solve passes the
+    margin 1e-3/(2 a^2).  So H - sigma I is positive definite, the
+    largest 1/(lambda - sigma) belong to the lowest lambda, and its LU
     factorization is stable without pivoting: it is factored once, in a
     minimum-degree ordering of A^T + A with diagonal pivots (SuperLU's
-    symmetric mode), and its solve is the Lanczos operator.  Lanczos
-    starts from a fixed vector, so the result depends on the operator only.
+    symmetric mode), and its solve is the Lanczos operator.  A real
+    matrix takes ARPACK's real symmetric Lanczos, whose factor, basis and
+    Ritz vectors are all real.  Its eigenvector extraction (scipy's
+    `dseupd` call) holds the Lanczos basis and a second array of the same
+    size, so a real basis has count + _LANCZOS_EXTRA vectors, not
+    ARPACK's default 2 count + 1 (at count 48 the operator solves stay
+    about 145 either way); a complex one keeps the default, since its
+    peak is in Rayleigh-Ritz and a short complex basis converges slowly
+    inside a near-degenerate cluster.  Lanczos starts from a fixed vector, so the result depends
+    on the matrix only.
     """
-    H = op.matrix
-    n = op.dim
-    diag = H.diagonal().real
-    radius = np.asarray(abs(H).sum(axis=1)).ravel() - np.abs(diag)
-    sigma = float(np.min(diag - radius)) - 1e-3 / (2.0 * op.spacing ** 2)
-    lu = spla.splu((H - sigma * sp.identity(n, format="csr")).tocsc(),
+    n = matrix.shape[0]
+    diag = matrix.diagonal().real
+    radius = np.asarray(abs(matrix).sum(axis=1)).ravel() - np.abs(diag)
+    sigma = float(np.min(diag - radius)) - margin
+    lu = spla.splu((matrix - sigma * sp.identity(n, format="csr")).tocsc(),
                    permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options={"SymmetricMode": True})
-    shift_invert = spla.LinearOperator((n, n), matvec=lu.solve, dtype=H.dtype)
+    shift_invert = spla.LinearOperator((n, n), matvec=lu.solve, dtype=matrix.dtype)
     v0 = np.random.default_rng(0).standard_normal(n)
+    ncv = min(n, count + _LANCZOS_EXTRA) if matrix.dtype == np.float64 else None
     try:
-        return spla.eigsh(H, k=count, sigma=sigma, which="LM", v0=v0,
+        return spla.eigsh(matrix, k=count, sigma=sigma, which="LM", v0=v0, ncv=ncv,
                           OPinv=shift_invert)[1]
     except spla.ArpackNoConvergence as exc:
         raise SolverError(f"ARPACK did not converge: {exc}") from exc
 
 
-def _rayleigh_ritz(matrix: sp.csr_matrix,
-                   basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Ritz values, orthonormal Ritz vectors and residual norms on span(basis).
+def _rayleigh_ritz(matrix: sp.csr_matrix, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ritz values and orthonormal Ritz vectors on span(basis).
 
-    QR of the basis, eigh of Q^H H Q, and every residual from one sparse
-    times dense product.  A basis whose QR has a diagonal entry below
-    RITZ_RANK_TOL times the largest (a repeated Ritz pair) is a SolverError.
-
-    The step holds at most three n x count arrays at a time: the basis is
-    released after its QR (a caller that hands it over keeps no copy),
-    and the residuals H v - lambda v overwrite H Q S in blocks of rows.
-    Each block's squared magnitudes are summed down the columns after the
-    running sums, the order of np.linalg.norm(axis=0), so the norms are
-    the same to the last bit.
+    QR of the basis, then eigh of Q^H H Q.  A basis whose QR has a
+    diagonal entry below RITZ_RANK_TOL times the largest (a repeated
+    Ritz pair) is a SolverError.  The step holds at most three n x count
+    arrays at a time: the basis is released after its QR (a caller that
+    hands it over keeps no copy), and H Q before the Ritz vectors are
+    formed.
     """
     q, r = np.linalg.qr(basis)
     del basis
@@ -401,20 +512,8 @@ def _rayleigh_ritz(matrix: sp.csr_matrix,
     if pivots.min() < RITZ_RANK_TOL * pivots.max():
         raise SolverError(f"Ritz vectors are rank-deficient: QR pivot "
                           f"{pivots.min() / pivots.max():.1e} of the largest")
-    hq = matrix @ q
-    vals, s = np.linalg.eigh(q.conj().T @ hq)
-    hv = hq @ s
-    del hq
-    vecs = q @ s
-    del q
-    sums = np.zeros((1, vals.size))
-    step = max(1, _RESIDUAL_BLOCK // vals.size)
-    for lo in range(0, len(vecs), step):
-        res = hv[lo:lo + step]
-        res -= vecs[lo:lo + step] * vals
-        sums = np.add.reduce(np.concatenate([sums, (res.conj() * res).real]), axis=0,
-                             keepdims=True)
-    return vals, vecs, tuple(float(x) for x in np.sqrt(sums[0]))
+    vals, s = np.linalg.eigh(q.conj().T @ (matrix @ q))
+    return vals, q @ s
 
 
 def _ring_matrix(diag: np.ndarray, hop: float) -> sp.csc_matrix:
@@ -452,12 +551,15 @@ def count_below(op: MagneticLatticeOperator, level: float) -> int:
     Sylvester inertia (`_negative_pivots`): summed over the sector rings,
     assembled as sparse matrices in natural order and apart from the
     banded chains the sector solve uses, for a potential depending on x
-    only (or none); on the site matrix otherwise.
+    only (or none); otherwise one factorization of the operator in the
+    y-momentum basis (`_momentum_matrix`), a unitary similarity of the
+    site matrix with the same count, in real arithmetic when V is even
+    in y.
     """
     if op.potential is None or op.potential.is_x_only:
         return sum(_negative_pivots(_ring_matrix(diag, hop), level)
                    for _, diag, hop in _sector_rings(op))
-    return _negative_pivots(op.matrix, level)
+    return _negative_pivots(_momentum_matrix(op)[0], level)
 
 
 def solve(op: MagneticLatticeOperator, below: float) -> EigenResult:
@@ -467,12 +569,15 @@ def solve(op: MagneticLatticeOperator, below: float) -> EigenResult:
     only (or none) takes the exact magnetic Bloch reduction ('sectors'):
     banded real periodic chains, each bisected for its eigenvalues below
     the level, with residuals checked on SECTOR_SAMPLES eigenvectors.  A
-    y-dependent potential takes shift-invert Lanczos ('sparse'): the
-    shift is the Gershgorin lower bound of the matrix less a margin, so
-    the shifted matrix is positive definite and is factored once without
-    pivoting in a symmetric minimum-degree ordering, and a Rayleigh-Ritz
-    step gives orthonormal Ritz vectors, every one of them
-    residual-checked.
+    y-dependent potential takes shift-invert Lanczos ('sparse') on the
+    operator in the y-momentum basis, which is real symmetric when V is
+    even in y and complex Hermitian otherwise: the shift is the
+    Gershgorin lower bound of that matrix less a margin, so the shifted
+    matrix is positive definite and is factored once without pivoting in
+    a symmetric minimum-degree ordering, and a Rayleigh-Ritz step gives
+    orthonormal Ritz vectors.  Both methods lift their eigenvectors to
+    the sites by an FFT along the momentum axis and check their
+    residuals on the site matrix, every one for 'sparse'.
 
     The level carries a count certificate: `count_below` counts the
     eigenvalues below it by inertia, that count sizes the Lanczos run,

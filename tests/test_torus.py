@@ -10,7 +10,8 @@ import magweyl.torus
 from magweyl import (EigenResult, PotentialSpec, SolverError, TorusModel,
                      build_magnetic_laplacian, count_below, exact_landau_reference,
                      solve)
-from magweyl.torus import _rayleigh_ritz, _sector_chains, _sector_solve, _sparse_solve
+from magweyl.torus import (_momentum_matrix, _rayleigh_ritz, _sector_chains, _sector_solve,
+                           _sparse_solve)
 
 
 def test_model_prequantization():
@@ -278,10 +279,13 @@ def test_sparse_shift_lies_below_the_spectrum():
 
 
 def test_sparse_ritz_vectors_are_orthonormal(monkeypatch):
-    # V = 0 at (16, 96): 20 eigenvalues in one 16-fold Landau cluster and
-    # part of the next, where ARPACK's complex Ritz vectors are far from
-    # orthonormal
-    op = build_magnetic_laplacian(TorusModel.compatible(1), 16, 96)
+    # V = 0 plus a weak mode (1,1) at (16, 96): 20 eigenvalues in one
+    # 16-fold Landau cluster and part of the next.  The mode is not even in
+    # y, so the momentum matrix is complex, and ARPACK's complex Ritz
+    # vectors are far from orthonormal there
+    mixed = PotentialSpec((((1, 1), 1e-4), ((-1, -1), 1e-4)))
+    op = build_magnetic_laplacian(TorusModel.compatible(1), 16, 96, mixed)
+    assert _momentum_matrix(op)[0].dtype == np.complex128
     seen = {}
     eigsh = spla.eigsh
 
@@ -298,12 +302,53 @@ def test_sparse_ritz_vectors_are_orthonormal(monkeypatch):
     raw, residuals = _sparse_solve(op, 20)
     basis = seen["basis"]
     assert np.max(np.abs(basis.conj().T @ basis - np.eye(20))) > 0.1
-    vals, vecs, ritz_residuals = seen["ritz"]
+    vals, vecs = seen["ritz"]
     assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(20))) < 1e-10
-    assert np.array_equal(raw, vals) and residuals == ritz_residuals
+    assert np.array_equal(raw, vals) and len(residuals) == 20
     assert max(residuals) < 1e-8
     # the two lowest clusters, 32 eigenvalues below 2 b k
     assert np.max(np.abs(raw - solve(op, 2.0 * 16).raw[:20])) < 1e-10
+    # a potential even in y gives a real momentum matrix
+    even = build_magnetic_laplacian(TorusModel.compatible(1), 16, 96, _Y_DEPENDENT)
+    assert _momentum_matrix(even)[0].dtype == np.float64
+
+
+_MIXED = PotentialSpec((((1, 0), 0.025), ((-1, 0), 0.025), ((1, 1), 0.03), ((-1, -1), 0.03)))
+
+
+@pytest.mark.parametrize("k, npts, potential, dtype", [
+    (3, 24, PotentialSpec.cosine_x(0.1), np.float64),
+    (3, 24, _Y_DEPENDENT, np.float64),
+    (3, 24, _MIXED, np.complex128),
+    (4, 32, _MIXED, np.complex128),
+], ids=["x-only", "even-in-y", "mixed", "mixed-four-rings"])
+def test_momentum_matrix_is_the_site_operator(k, npts, potential, dtype):
+    op = build_magnetic_laplacian(TorusModel.compatible(1), k, npts, potential)
+    matrix, index = _momentum_matrix(op)
+    assert matrix.dtype == dtype
+    assert (dtype == np.float64) == potential.is_even_in_y
+
+    def lift(v):
+        return (np.sqrt(npts) * np.fft.ifft(v[index], axis=0)).reshape(op.dim, -1)
+
+    rng = np.random.default_rng(0)
+    u = rng.standard_normal((op.dim, 3)) + 1j * rng.standard_normal((op.dim, 3))
+    expect = op.matrix @ lift(u)
+    assert np.abs(expect - lift(matrix @ u)).max() < 1e-12 * np.abs(expect).max()
+    dense = np.linalg.eigvalsh(op.matrix.toarray())
+    assert np.max(np.abs(np.linalg.eigvalsh(matrix.toarray()) - dense)) < 1e-10
+
+
+def test_wrong_coupling_fails_the_site_residuals(monkeypatch):
+    # the momentum matrix counts and solves, but every residual is taken on
+    # the site matrix, so a 1% error in the y couplings cannot certify itself
+    op = build_magnetic_laplacian(TorusModel.compatible(1), 4, 32, _Y_DEPENDENT)
+    assert max(solve(op, 2.0 * 4).residual_norms) < 1e-8
+    couplings = magweyl.torus._y_couplings
+    monkeypatch.setattr(magweyl.torus, "_y_couplings",
+                        lambda op: {s: 1.01 * c for s, c in couplings(op).items()})
+    with pytest.raises(SolverError, match="residual norm"):
+        solve(op, 2.0 * 4)
 
 
 def test_repeated_ritz_pair_is_an_error(monkeypatch):
@@ -361,8 +406,9 @@ def test_single_sector_lowest_is_banded():
 
 def test_sparse_solve_memory():
     # count 48 at (16, 64): the Lanczos basis, Q, H Q and the Ritz vectors
-    # once peaked at 6.1 blocks of n x count complex; the ARPACK phase and
-    # Rayleigh-Ritz now stay under 4
+    # once peaked at 6.1 blocks of n x count complex, and the complex
+    # ARPACK phase at 3.3; the potential is even in y, so the momentum
+    # basis solve runs in real arithmetic and stays under 4 real blocks
     op = build_magnetic_laplacian(TorusModel.compatible(1), 16, 64, _Y_DEPENDENT)
     tracemalloc.start()
     try:
@@ -371,7 +417,7 @@ def test_sparse_solve_memory():
     finally:
         tracemalloc.stop()
     assert raw.size == 48 and max(residuals) < 1e-8
-    assert peak < 4 * op.dim * 48 * 16
+    assert peak < 4 * op.dim * 48 * 8
 
 
 def test_solver_determinism():
