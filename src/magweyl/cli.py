@@ -36,7 +36,7 @@ from .models import (ProjectorQuery, ResolventQuery,
                      SymbolNotInvertibleError, harmonic_hamiltonian,
                      projector_symbol, residue_projector, resolvent_at,
                      resolvent_symbol, sharp_inverse)
-from .quantize import HermiteBasisSpec, block_compare, weyl_quantize
+from .quantize import HermiteBasisSpec, _axis_map, block_compare, weyl_quantize
 from .star import moyal_product, sharp_power, symmetrized_product
 from .symbols import PolySymbol
 from .torus import (EigenResult, PotentialSpec, SolverError, TorusModel,
@@ -371,6 +371,9 @@ def run_model_checks(cfg: dict) -> list[Check]:
     except SymbolNotInvertibleError:
         checks.append(Check("models.sharp_inverse_pole_detected", 1.0, 1.0, True,
                             "H - 1/2 flagged singular"))
+    # no later stage quantizes on a grid: free the cached axis maps and
+    # the heap they pin before the torus stage builds on it
+    _axis_map.cache_clear()
     return checks
 
 

@@ -19,6 +19,12 @@ momentum shift n -> n - k c that the x wrap makes, and each y-mode of V
 couples momentum n to n + q at the same column.  Those couplings are
 real exactly when V(x, -y) = V(x, y), so a potential even in y has a
 real symmetric operator in that basis.
+
+A ring is an open path plus one bordering site, so its eigenvalues
+below a level follow in O(L) each: the path eigenvalues bracket them
+(Cauchy interlacing), and the Schur complement of the bordering site,
+one tridiagonal solve per evaluation, counts them (Haynsworth inertia)
+and locates each one in its bracket.
 """
 
 from __future__ import annotations
@@ -34,8 +40,8 @@ import scipy.sparse.linalg as spla
 
 # Every residual norm a solve returns must stay at or below this.
 RESIDUAL_TOL = 1e-8
-# A Lanczos basis whose QR pivots fall below this share of the largest is
-# rank-deficient.
+# A Lanczos basis whose QR pivots fall below this share of the largest, or
+# whose real Ritz vectors have a Gram defect above it, is rank-deficient.
 RITZ_RANK_TOL = 1e-6
 # Sector solves check this many eigenvectors, evenly spaced in rank.
 SECTOR_SAMPLES = 8
@@ -348,11 +354,14 @@ def _site_residuals(op: MagneticLatticeOperator, index: np.ndarray, vecs: np.nda
     return tuple(float(x) for x in norms)
 
 
-def _sector_chains(op: MagneticLatticeOperator):
-    """The rings of `_sector_rings`, each as its orbit and banded form
-    (`_zigzag_band`)."""
-    for orbit, diag, hop in _sector_rings(op):
-        yield (orbit, *_zigzag_band(diag, hop))
+def _sector_chains(op: MagneticLatticeOperator) -> list:
+    """The rings of `_sector_rings` as one list of (orbit, diagonal, hop).
+
+    The sector solve and its sampled eigenvectors read this one list;
+    `count_below` builds its rings from `_sector_rings` apart from it, so
+    a ring the solve misses is still counted.
+    """
+    return list(_sector_rings(op))
 
 
 def _zigzag_band(diag: np.ndarray, hop: float) -> tuple[np.ndarray, np.ndarray]:
@@ -384,6 +393,9 @@ def _chain_vector(band: np.ndarray, lam: float, steps: int = 3) -> np.ndarray:
     The shift sits a few ulps of the largest chain entry above lam, so
     that an eigenvalue that is exact in floating point (a two-site ring at
     zero flux has the eigenvalue 0) cannot make the factorization singular.
+    Norms and dot products of ring vectors go through `einsum`, not BLAS:
+    a threaded OpenBLAS `ddot` on a vector over 10,000 entries took about
+    8 ms on a 2-vCPU host (0.01 ms on one thread).
     """
     L = band.shape[1]
     shifted = np.zeros((5, L))
@@ -397,23 +409,117 @@ def _chain_vector(band: np.ndarray, lam: float, steps: int = 3) -> np.ndarray:
             v = scipy.linalg.solve_banded((2, 2), shifted, v)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"inverse iteration at {lam:.6g} failed: {exc}") from exc
-        v /= np.linalg.norm(v)
+        v /= np.sqrt(np.einsum("i,i", v, v))
     return v
+
+
+def _ring_eigenvalues(diag: np.ndarray, hop: float, level: float) -> np.ndarray:
+    """Eigenvalues of a ring below `level`, by path interlacing and the
+    Schur complement, in O(L) per eigenvalue.
+
+    The ring is [[d_0, b^T], [b, P]]: P is the open path on sites 1..L-1
+    with hop t, and b = t (e_1 + e_{L-1}), the single doubled link 2t for
+    L = 2.  One pivoted tridiagonal solve x = (P - lam)^{-1} b (LAPACK
+    `gtsv`) gives the Schur complement s(lam) = d_0 - lam - b^T x, with
+    b^T x = t (x_1 + x_{L-1}), and s'(lam) = -1 - x^T x.  By Haynsworth's
+    inertia formula the ring has count_P(lam) + [s(lam) < 0] eigenvalues
+    below lam, so with the m path eigenvalues mu_1 <= ... <= mu_m below
+    the level (LAPACK `stebz` bisection) it has m + [s(level) < 0].  By
+    Cauchy interlacing the j-th lies in [mu_{j-1}, mu_j], with mu_0 the
+    Gershgorin lower bound and mu_{m+1} the level, where s is smooth and
+    strictly decreasing: `_secular_root` finds it to 4 eps times the
+    Gershgorin bound on |H| (a level above that bound counts the whole
+    ring).  A shift at which P - lam is exactly singular is a
+    SolverError.
+    """
+    size = diag.size
+    scale = np.abs(diag).max() + 2.0 * abs(hop)
+    level = min(level, 2.0 * scale)
+    path = diag[1:]
+    # f2py's gtsv rejects an empty off-diagonal; a one-site path reads none
+    off = np.full(max(size - 2, 1), hop)
+    border = np.zeros(size - 1)
+    border[0] += hop
+    border[-1] += hop
+
+    def schur(lam):
+        *_, x, info = scipy.linalg.lapack.dgtsv(off, path - lam, off, border)
+        if info:
+            raise SolverError(f"ring solve at {lam:.6g}: the path is exactly singular")
+        return diag[0] - lam - hop * (x[0] + x[-1]), -1.0 - np.einsum("i,i", x, x)
+
+    mu = scipy.linalg.eigvalsh_tridiagonal(path, off[:size - 2], select="v",
+                                           select_range=(-np.inf, level), check_finite=False)
+    count = mu.size + int(schur(level)[0] < 0.0)
+    ends = np.concatenate([[diag.min() - 2.0 * abs(hop)], mu, [level]])
+    poles = np.concatenate([[-np.inf], mu, [level]])
+    tol = 4.0 * np.finfo(float).eps * scale
+    return np.array([_secular_root(schur, ends[j], ends[j + 1], poles[j], poles[j + 1], tol)
+                     for j in range(count)])
+
+
+def _secular_root(schur, lo: float, hi: float, pole_lo: float, pole_hi: float,
+                  tol: float) -> float:
+    """The ring eigenvalue in [lo, hi], where s = schur(lam)[0] decreases.
+
+    pole_lo and pole_hi bound the interval by path eigenvalues (or by
+    -inf, and by the level, which lies below the next one); each pole term
+    of s is w^2 / (lam - mu).  A step is Newton's on s (pole - lam) for
+    the nearer pole, exact when s is that pole's term plus a constant; a
+    step that leaves the bracket bisects it.  Where Newton's step on s
+    itself lands in the last quarter before an end that no evaluation
+    has moved, s is probed 2 tol inside that end (beyond the rounding of
+    a computed path eigenvalue), and if it keeps its sign there the
+    eigenvalue is the end: deflation, a path eigenvector with no weight
+    at sites 1 and L-1.  A step is the last one when it stays in the
+    bracket, agrees with Newton's step on s to tol/2, and Newton's step
+    is below tol/2 or its square below tol/2 times the distance to the
+    nearer pole, which bounds |s''/s'| by 2 / distance.  One model alone
+    can mislead beside a pole: Newton's step on s is tiny between a
+    weighted pole and the root, and the pole step runs into a pole of no
+    weight.
+    """
+    a, b = lo, hi
+    lam = 0.5 * (lo + hi)
+    while hi - lo > tol:
+        s, ds = schur(lam)
+        if s == 0.0:
+            return lam
+        if s > 0.0:
+            if lam == b - 2.0 * tol:
+                return b
+            lo = lam
+        else:
+            if lam == a + 2.0 * tol:
+                return a
+            hi = lam
+        newton = -s / ds
+        pole = pole_hi if pole_hi - lam < lam - pole_lo else pole_lo
+        step = -s / (ds - s / (pole - lam))
+        near = min(lam - pole_lo, pole_hi - lam)
+        if ((abs(newton) <= 0.5 * tol or newton * newton <= 0.5 * tol * (near - 2.0 * abs(newton)))
+                and abs(step - newton) <= 0.5 * tol and lo <= lam + step <= hi):
+            return lam + step
+        if hi == b and lam + newton >= b - 0.25 * (b - lam) and b - lam > 4.0 * tol:
+            lam = b - 2.0 * tol
+        elif lo == a and lam + newton <= a + 0.25 * (lam - a) and lam - a > 4.0 * tol:
+            lam = a + 2.0 * tol
+        else:
+            lam = lam + step if lo < lam + step < hi else 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
 
 
 def _sector_solve(op: MagneticLatticeOperator, below: float) -> tuple[np.ndarray, tuple]:
     """Sector eigenvalues below `below` and sampled residual norms.
 
-    Each chain gives its eigenvalues in (-inf, below] by banded LAPACK
-    bisection (no eigenvectors); SECTOR_SAMPLES of the returned
-    eigenvalues, evenly spaced in rank, get an eigenvector by inverse
-    iteration on their chain, placed at the ring's momentum rows (zero
-    elsewhere) and checked on the site matrix by `_site_residuals`.
+    Each ring gives its eigenvalues below the level by `_ring_eigenvalues`
+    (no eigenvectors); SECTOR_SAMPLES of the returned eigenvalues, evenly
+    spaced in rank, get an eigenvector by inverse iteration on their ring
+    in banded form (`_zigzag_band`), placed at the ring's momentum rows
+    (zero elsewhere) and checked on the site matrix by `_site_residuals`.
     """
-    chains = list(_sector_chains(op))
-    evs = [scipy.linalg.eigvals_banded(band, select="v", select_range=(-np.inf, below),
-                                       check_finite=False)
-           for _, _, band in chains]
+    chains = _sector_chains(op)
+    evs = [_ring_eigenvalues(diag, hop, below) for _, diag, hop in chains]
     lam = np.concatenate(evs)
     owner = np.repeat(np.arange(len(evs)), [w.size for w in evs])
     order = np.argsort(lam, kind="stable")
@@ -421,7 +527,8 @@ def _sector_solve(op: MagneticLatticeOperator, below: float) -> tuple[np.ndarray
     index = _momentum_index(op)
     residuals = []
     for idx in order[ranks]:
-        orbit, perm, band = chains[owner[idx]]
+        orbit, diag, hop = chains[owner[idx]]
+        perm, band = _zigzag_band(diag, hop)
         u = np.empty(perm.size)
         u[perm] = _chain_vector(band, lam[idx])
         v = np.zeros((op.dim, 1))
@@ -430,28 +537,30 @@ def _sector_solve(op: MagneticLatticeOperator, below: float) -> tuple[np.ndarray
     return lam[order], tuple(residuals)
 
 
-def _sparse_solve(op: MagneticLatticeOperator, count: int) -> tuple[np.ndarray, tuple]:
+def _sparse_solve(op: MagneticLatticeOperator, count: int, matrix: sp.csr_matrix,
+                  index: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Lowest `count` eigenvalues by shift-invert Lanczos, every residual norm.
 
-    Lanczos runs on the operator in the y-momentum basis
-    (`_momentum_matrix`): real symmetric when the potential is even in y,
-    so ARPACK runs its symmetric Lanczos in real arithmetic, and complex
-    Hermitian otherwise.  The Ritz vectors ARPACK returns for a complex
-    matrix need not be orthonormal inside a degenerate cluster, so they
-    are replaced by a Rayleigh-Ritz step on their span (`_rayleigh_ritz`).
-    The Lanczos factorization and operator live only in `_lanczos_basis`,
-    so they are freed before that step, and its basis is handed straight
-    over, so the step can free it once factored.  Every Ritz vector is
-    lifted to the sites and residual-checked on the site matrix
-    (`_site_residuals`).  `solve` takes `count` from the inertia count of
-    its level (`count_below`), whose factorization is freed before the
-    Lanczos one is built.
+    Lanczos runs on the operator in the y-momentum basis, `matrix` and
+    `index` from `_momentum_matrix`: real symmetric when the potential is
+    even in y, so ARPACK runs its symmetric Lanczos in real arithmetic,
+    and complex Hermitian otherwise.  Real symmetric Ritz vectors come
+    back orthonormal, so they are only checked (`_real_ritz_pairs`); the
+    ones ARPACK returns for a complex matrix need not be orthonormal
+    inside a degenerate cluster, so they are replaced by a Rayleigh-Ritz
+    step on their span (`_rayleigh_ritz`).  The Lanczos factorization and
+    operator live only in `_lanczos_basis`, so they are freed before that
+    step, and its basis is handed straight over, so the step can free it
+    once factored.  Every Ritz vector is lifted to the sites and
+    residual-checked on the site matrix (`_site_residuals`).  `solve`
+    takes `count` from the inertia count of its level on the same matrix,
+    whose factorization is freed before the Lanczos one is built.
     """
     if count == 0:
         return np.empty(0), ()
-    matrix, index = _momentum_matrix(op)
     margin = 1e-3 / (2.0 * op.spacing ** 2)
-    vals, vecs = _rayleigh_ritz(matrix, _lanczos_basis(matrix, count, margin))
+    ritz = _real_ritz_pairs if matrix.dtype == np.float64 else _rayleigh_ritz
+    vals, vecs = ritz(matrix, _lanczos_basis(matrix, count, margin))
     return vals, _site_residuals(op, index, vecs, vals)
 
 
@@ -516,12 +625,36 @@ def _rayleigh_ritz(matrix: sp.csr_matrix, basis: np.ndarray) -> tuple[np.ndarray
     return vals, q @ s
 
 
+def _real_ritz_pairs(matrix: sp.csr_matrix, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real symmetric Ritz pairs as ARPACK returns them, checked orthonormal.
+
+    A Gram defect max |V^T V - I| above RITZ_RANK_TOL (a repeated Ritz
+    pair) is a SolverError; otherwise the Ritz values are the Rayleigh
+    quotients v^T H v, sorted with their vectors.
+    """
+    defect = np.abs(vecs.T @ vecs - np.eye(vecs.shape[1])).max()
+    if defect > RITZ_RANK_TOL:
+        raise SolverError(f"Ritz vectors are rank-deficient: Gram defect {defect:.1e}")
+    vals = np.einsum("ij,ij->j", vecs, matrix @ vecs)
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
+
+
 def _ring_matrix(diag: np.ndarray, hop: float) -> sp.csc_matrix:
-    """A periodic chain in natural order: site r linked to r + 1 mod L."""
-    r = np.arange(diag.size)
-    link = sp.coo_matrix((np.full(diag.size, hop), (r, (r + 1) % diag.size)),
-                         shape=(diag.size, diag.size))
-    return (link + link.T + sp.diags(diag)).tocsc()
+    """A periodic chain in natural order: site r linked to r + 1 mod L.
+
+    Column c holds rows c - 1, c and c + 1 (mod L); the wrapped columns 0
+    and L - 1 are put in row order, and a two-site ring sums its doubled
+    link.
+    """
+    size = diag.size
+    col = np.arange(size)
+    rows = np.stack([col - 1, col, col + 1], axis=1) % size
+    vals = np.stack([np.full(size, hop), diag, np.full(size, hop)], axis=1)
+    matrix = sp.csc_matrix((vals.ravel(), rows.ravel(), 3 * np.arange(size + 1)),
+                           shape=(size, size))
+    matrix.sum_duplicates()
+    return matrix
 
 
 def _negative_pivots(matrix: sp.spmatrix, level: float) -> int:
@@ -529,11 +662,13 @@ def _negative_pivots(matrix: sp.spmatrix, level: float) -> int:
 
     SuperLU in symmetric mode with diagonal pivots factors P (H - level) P^T
     = L U, whose U has the diagonal D of an L D L^H factorization; the
-    number of negative pivots is the number of negative eigenvalues.  A
-    factorization that left the diagonal (row and column orders differ)
-    or hit an exactly singular pivot is a SolverError.
+    number of negative pivots is the number of negative eigenvalues.  The
+    level is subtracted on a copy's diagonal.  A factorization that left
+    the diagonal (row and column orders differ) or hit an exactly
+    singular pivot is a SolverError.
     """
-    shifted = (matrix - level * sp.identity(matrix.shape[0], format="csc")).tocsc()
+    shifted = matrix.tocsc(copy=True)
+    shifted.setdiag(shifted.diagonal() - level)
     try:
         lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
@@ -550,7 +685,7 @@ def count_below(op: MagneticLatticeOperator, level: float) -> int:
 
     Sylvester inertia (`_negative_pivots`): summed over the sector rings,
     assembled as sparse matrices in natural order and apart from the
-    banded chains the sector solve uses, for a potential depending on x
+    ring list the sector solve reads, for a potential depending on x
     only (or none); otherwise one factorization of the operator in the
     y-momentum basis (`_momentum_matrix`), a unitary similarity of the
     site matrix with the same count, in real arithmetic when V is even
@@ -567,38 +702,46 @@ def solve(op: MagneticLatticeOperator, below: float) -> EigenResult:
 
     The method follows from the operator.  A potential depending on x
     only (or none) takes the exact magnetic Bloch reduction ('sectors'):
-    banded real periodic chains, each bisected for its eigenvalues below
-    the level, with residuals checked on SECTOR_SAMPLES eigenvectors.  A
-    y-dependent potential takes shift-invert Lanczos ('sparse') on the
-    operator in the y-momentum basis, which is real symmetric when V is
-    even in y and complex Hermitian otherwise: the shift is the
-    Gershgorin lower bound of that matrix less a margin, so the shifted
-    matrix is positive definite and is factored once without pivoting in
-    a symmetric minimum-degree ordering, and a Rayleigh-Ritz step gives
-    orthonormal Ritz vectors.  Both methods lift their eigenvectors to
-    the sites by an FFT along the momentum axis and check their
-    residuals on the site matrix, every one for 'sparse'.
+    real periodic chains, each solved for its eigenvalues below the level
+    in O(L) per eigenvalue by path interlacing and the Schur complement
+    (`_ring_eigenvalues`), with residuals checked on SECTOR_SAMPLES
+    eigenvectors.  A y-dependent potential takes shift-invert Lanczos
+    ('sparse') on the operator in the y-momentum basis, built once for
+    the count and the solve, which is real symmetric when V is even in y
+    and complex Hermitian otherwise: the shift is the Gershgorin lower
+    bound of that matrix less a margin, so the shifted matrix is positive
+    definite and is factored once without pivoting in a symmetric
+    minimum-degree ordering; real Ritz vectors are checked orthonormal,
+    complex ones replaced by a Rayleigh-Ritz step.  Both methods lift
+    their eigenvectors to the sites by an FFT along the momentum axis and
+    check their residuals on the site matrix, every one for 'sparse'.
 
-    The level carries a count certificate: `count_below` counts the
-    eigenvalues below it by inertia, that count sizes the Lanczos run,
-    and the result must hold exactly that many values, all below the
-    level.  A count above dim/4, a result that misses the count, a
-    residual above RESIDUAL_TOL or a rank-deficient Lanczos basis is a
-    SolverError.
+    The level carries a count certificate: the eigenvalues below it are
+    counted by inertia (`count_below`, apart from the ring solve; on the
+    momentum matrix for 'sparse'), that count sizes the Lanczos run, and
+    the result must hold exactly that many values, all below the level.
+    A count above dim/4, a result that misses the count, a residual above
+    RESIDUAL_TOL or a rank-deficient Lanczos basis is a SolverError.
     """
-    count = count_below(op, below)
+    sectors = op.potential is None or op.potential.is_x_only
+    if sectors:
+        count = count_below(op, below)
+    else:
+        matrix, index = _momentum_matrix(op)
+        count = _negative_pivots(matrix, below)
     if count > op.dim // 4:
         raise SolverError(f"{count} eigenvalues below {below:.6g} exceed dim/4 = "
                           f"{op.dim // 4}")
-    if op.potential is None or op.potential.is_x_only:
+    if sectors:
         method = "sectors"
         raw, residuals = _sector_solve(op, below)
     else:
         method = "sparse"
-        raw, residuals = _sparse_solve(op, count)
-    if residuals and max(residuals) > RESIDUAL_TOL:
-        raise SolverError(f"residual norm {max(residuals):.2e} exceeds {RESIDUAL_TOL:.0e}")
-    if raw.size != count or np.any(raw >= below):
+        raw, residuals = _sparse_solve(op, count, matrix, index)
+    # written so that a NaN fails both checks
+    if residuals and not np.max(residuals) <= RESIDUAL_TOL:
+        raise SolverError(f"residual norm {np.max(residuals):.2e} exceeds {RESIDUAL_TOL:.0e}")
+    if raw.size != count or not np.all(raw < below):
         raise SolverError(f"{method} solve returned {raw.size} eigenvalues, "
                           f"{int(np.count_nonzero(raw < below))} of them below {below:.6g}, "
                           f"where the inertia counts {count}")

@@ -1,4 +1,7 @@
+import inspect
+import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -10,8 +13,9 @@ import magweyl.torus
 from magweyl import (EigenResult, PotentialSpec, SolverError, TorusModel,
                      build_magnetic_laplacian, count_below, exact_landau_reference,
                      solve)
-from magweyl.torus import (_momentum_matrix, _rayleigh_ritz, _sector_chains, _sector_solve,
-                           _sparse_solve)
+from magweyl.torus import (_momentum_matrix, _rayleigh_ritz, _ring_eigenvalues, _ring_matrix,
+                           _sector_chains, _sector_rings, _sector_solve, _sparse_solve,
+                           _zigzag_band)
 
 
 def test_model_prequantization():
@@ -41,7 +45,7 @@ def test_zero_flux_limit():
     # constant vector is the zero mode
     ones = np.ones(64)
     assert np.max(np.abs(op.matrix @ ones)) < 1e-12
-    raw, _ = _sparse_solve(op, 1)
+    raw, _ = _sparse_solve(op, 1, *_momentum_matrix(op))
     assert abs(raw[0]) < 1e-8
     res = solve(op, 1.0)  # the next eigenvalue is 2.98
     assert res.raw.size == 1 and abs(res.raw[0]) < 1e-8
@@ -179,7 +183,7 @@ def test_sector_solver_matches_sparse_and_dense(k, npts, cos_x):
     assert res_sec2.method == "sectors"
     assert res_sec2.raw.size == count
     assert np.max(np.abs(res_sec2.raw - dense[:count])) < 1e-10
-    sparse, _ = _sparse_solve(op, count)
+    sparse, _ = _sparse_solve(op, count, *_momentum_matrix(op))
     assert np.max(np.abs(sparse - res_sec2.raw)) < 1e-8
 
 
@@ -215,8 +219,9 @@ def test_count_below_matches_ring_eigenvalue_counts(k, npts, cos_x):
     # every ring eigenvalue below 8 b k, by bisection
     top = 8.0 * k
     spectrum = np.sort(np.concatenate([
-        scipy.linalg.eigvals_banded(band, select="v", select_range=(-np.inf, top))
-        for _, _, band in _sector_chains(op)]))
+        scipy.linalg.eigvals_banded(_zigzag_band(diag, hop)[1], select="v",
+                                    select_range=(-np.inf, top))
+        for _, diag, hop in _sector_chains(op)]))
     norm = abs(op.matrix).sum(axis=1).max()  # a bound on ||H||
     levels = _levels_off_spectrum(spectrum, top, norm, np.random.default_rng(k), 12)
     # and one in each of the gaps below the Landau clusters m = 1, 2, 3, 4
@@ -299,7 +304,7 @@ def test_sparse_ritz_vectors_are_orthonormal(monkeypatch):
 
     monkeypatch.setattr(magweyl.torus.spla, "eigsh", recording_eigsh)
     monkeypatch.setattr(magweyl.torus, "_rayleigh_ritz", recording_rayleigh_ritz)
-    raw, residuals = _sparse_solve(op, 20)
+    raw, residuals = _sparse_solve(op, 20, *_momentum_matrix(op))
     basis = seen["basis"]
     assert np.max(np.abs(basis.conj().T @ basis - np.eye(20))) > 0.1
     vals, vecs = seen["ritz"]
@@ -404,6 +409,90 @@ def test_single_sector_lowest_is_banded():
     assert peak < 64 * 2 ** 20
 
 
+def _dense_ring_case(name):
+    """(diag, hop) of one ring case for the ring-solve tests."""
+    if name == "two-site":
+        return np.array([1.3, 0.4]), -0.7
+    if name == "three-site":
+        return np.array([0.2, 1.1, -0.5]), -0.9
+    if name == "constant":
+        # k = 0: a constant diagonal, eigenvalues c + 2 t cos(2 pi j / L)
+        # doubly degenerate, whose antisymmetric states vanish at site 0
+        return np.full(12, 2.0), -0.5
+    k, npts, cos_x, ring = {"four-rings": (4, 32, None, 1), "four-rings-cos_x": (4, 32, 0.1, 2),
+                            "sixteen-rings": (16, 64, None, 3),
+                            "sixteen-rings-cos_x": (16, 64, 0.1, 5)}[name]
+    pot = PotentialSpec.cosine_x(cos_x) if cos_x is not None else None
+    op = build_magnetic_laplacian(TorusModel.compatible(1), k, npts, pot)
+    _, diag, hop = list(_sector_rings(op))[ring]
+    return diag, hop
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["two-site", "three-site", "constant", "four-rings",
+                                  "four-rings-cos_x", "sixteen-rings", "sixteen-rings-cos_x"])
+def test_ring_eigenvalues_match_dense(name):
+    diag, hop = _dense_ring_case(name)
+    dense = np.linalg.eigvalsh(_ring_matrix(diag, hop).toarray())
+    # every eigenvalue, and the levels midway in each gap of the lower half
+    assert np.max(np.abs(_ring_eigenvalues(diag, hop, np.inf) - dense)) < 1e-10
+    gaps = np.flatnonzero(np.diff(dense) > 1e-6)
+    for j in gaps[:max(1, gaps.size // 2)]:
+        level = 0.5 * (dense[j] + dense[j + 1])
+        got = _ring_eigenvalues(diag, hop, level)
+        assert got.size == j + 1, level
+        assert np.max(np.abs(got - dense[:j + 1])) < 1e-10, level
+
+
+@pytest.mark.filterwarnings("error")
+def test_single_ring_matches_banded_bisection():
+    # k = 7, N = 128: one ring of 16384 sites, where every Landau cluster
+    # is degenerate to rounding and most ring eigenvalues are deflated path
+    # eigenvalues; with V = 0 and with cos_x
+    for pot, level in ((None, 4.0 * 7), (PotentialSpec.cosine_x(0.1), 3.0 * 7)):
+        op = build_magnetic_laplacian(TorusModel.compatible(1), 7, 128, pot)
+        (_, diag, hop), = _sector_chains(op)
+        banded = scipy.linalg.eigvals_banded(_zigzag_band(diag, hop)[1], select="v",
+                                             select_range=(-np.inf, level))
+        got = _ring_eigenvalues(diag, hop, level)
+        assert got.size == banded.size == int(level)  # k c = 7 per cluster, level / 7 clusters
+        assert np.max(np.abs(got - banded)) < 1e-10
+
+
+def _mutated_torus(monkeypatch, edits):
+    """magweyl.torus with each (old, new) of `edits` applied to its source,
+    `old` occurring exactly once, loaded as a module of its own."""
+    source = inspect.getsource(magweyl.torus)
+    for old, new in edits:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    module = types.ModuleType("magweyl._mutated_torus")
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(source, magweyl.torus.__file__, "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize("edits", [
+    # the sign of the Schur complement flipped, in the count and the search
+    [("return diag[0] - lam - hop * (x[0] + x[-1]),",
+      "return lam - diag[0] + hop * (x[0] + x[-1]),")],
+    # no endpoint rule: where s keeps one sign up to an end, the middle of
+    # the interval instead of the end
+    [("            if lam == b - 2.0 * tol:\n                return b\n",
+      "            if lam == b - 2.0 * tol:\n                return 0.5 * (a + b)\n"),
+     ("            if lam == a + 2.0 * tol:\n                return a\n",
+      "            if lam == a + 2.0 * tol:\n                return 0.5 * (a + b)\n")],
+], ids=["flipped-schur-sign", "no-endpoint-rule"])
+def test_broken_ring_solve_fails_a_certificate(monkeypatch, edits):
+    # k = 3, N = 16: one ring, 9 eigenvalues below 3 b k, 8 of them sampled
+    op = build_magnetic_laplacian(TorusModel.compatible(1), 3, 16)
+    assert solve(op, 3.0 * 3).raw.size == 9
+    mutated = _mutated_torus(monkeypatch, edits)
+    with pytest.raises(mutated.SolverError):
+        mutated.solve(mutated.build_magnetic_laplacian(mutated.TorusModel.compatible(1), 3, 16),
+                      3.0 * 3)
+
+
 def test_sparse_solve_memory():
     # count 48 at (16, 64): the Lanczos basis, Q, H Q and the Ritz vectors
     # once peaked at 6.1 blocks of n x count complex, and the complex
@@ -412,7 +501,7 @@ def test_sparse_solve_memory():
     op = build_magnetic_laplacian(TorusModel.compatible(1), 16, 64, _Y_DEPENDENT)
     tracemalloc.start()
     try:
-        raw, residuals = _sparse_solve(op, 48)
+        raw, residuals = _sparse_solve(op, 48, *_momentum_matrix(op))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -423,8 +512,8 @@ def test_sparse_solve_memory():
 def test_solver_determinism():
     model = TorusModel.compatible(1)
     op = build_magnetic_laplacian(model, 4, 32)
-    r1, _ = _sparse_solve(op, 10)
-    r2, _ = _sparse_solve(op, 10)
+    r1, _ = _sparse_solve(op, 10, *_momentum_matrix(op))
+    r2, _ = _sparse_solve(op, 10, *_momentum_matrix(op))
     assert np.array_equal(r1, r2)
 
 
