@@ -9,23 +9,24 @@ the resolved region |xi| <= R/2.
 
 import numpy as np
 
-from magweyl import (GridSymbol, HermiteBasisSpec, OperatorMatrix,
-                     hermite_table, weyl_quantize, wigner_symbol)
+from magweyl import GridSymbol, HermiteBasisSpec, OperatorMatrix, weyl_quantize, wigner_symbol
 from magweyl.models import harmonic_hamiltonian
 
 spec = HermiteBasisSpec(d=1, levels=32, halfwidth=11.0, npoints=256)
 grid = spec.grid()
 
 print("== basis health ==")
-T = hermite_table(spec)
-gram = spec.spacing * (T @ T.T)
-print("orthonormality defect:", np.max(np.abs(gram - np.eye(spec.levels))))
+try:
+    HermiteBasisSpec(d=1, levels=32, halfwidth=8.0, npoints=256)
+except ValueError as exc:
+    print("refused:", exc)
 
 print("\n== anchors ==")
 H = harmonic_hamiltonian(1)
 q = weyl_quantize(H, spec)
 print("quantize(H) diagonal head:", np.diag(q.entries).real[:5])
-one = weyl_quantize(GridSymbol.constant(grid, 1.0), spec)  # warns: no decay
+one = weyl_quantize(GridSymbol(2, grid.halfwidth, grid.npoints,
+                               np.ones((grid.npoints,) * 2)), spec)  # warns: no decay
 print("quantize(1) vs identity (trusted 20x20):",
       np.max(np.abs(one.entries - np.eye(spec.levels))[:20, :20]))
 

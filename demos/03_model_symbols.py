@@ -11,8 +11,7 @@ import numpy as np
 
 from magweyl import (HermiteBasisSpec, ProjectorQuery, ResolventQuery,
                      projector_symbol, residue_projector, resolvent_at,
-                     resolvent_symbol, sharp_inverse, spectral_window_symbol,
-                     weyl_quantize)
+                     resolvent_symbol, sharp_inverse, weyl_quantize)
 from magweyl.models import harmonic_hamiltonian
 from magweyl.quantize import block_compare
 from magweyl.reports import svg_plot, write_svg
@@ -47,10 +46,11 @@ mask = grid.radius2() <= (grid.halfwidth / 2.0) ** 2
 print("sharp_inverse(H+1) vs Mehler inside |xi| <= R/2:",
       inv.sup_distance(rsym, mask=mask))
 
-print("\n== spectral window ==")
-win = spectral_window_symbol(H, 0.0, 2.0, spec)
-both = ref.values + projector_symbol(ProjectorQuery(1, 1.5), grid).values
-print("window [0,2] vs pi_{1/2} + pi_{3/2}:", np.max(np.abs(win.values - both)))
+print("\n== projector symbols quantize to projectors ==")
+for energy in (0.5, 1.5):
+    P = weyl_quantize(projector_symbol(ProjectorQuery(1, energy), grid), spec).entries
+    print(f"E={energy}: |P^2 - P| = {np.max(np.abs(P @ P - P)):.2e}, "
+          f"trace {np.trace(P).real:.6f}")
 
 # radial profiles along the positive s-axis
 mid = grid.npoints // 2

@@ -114,7 +114,7 @@ class Check:
 
 
 def _leq(name, value, tol, note="") -> Check:
-    return Check(name, float(value), float(tol), bool(value <= tol), note)
+    return Check(name, float(value), float(tol), float(value) <= float(tol), note)
 
 
 # fields replaced wholesale instead of deep-merged (their sub-schema is
@@ -137,6 +137,19 @@ def _merge(base: dict, override: dict, path="") -> dict:
         else:
             out[key] = val
     return out
+
+
+def _require(cfg: dict, fields: dict):
+    """Convert each field ("section.name": int or float) as the stage that
+    reads it does; a value that does not convert is a ConfigError."""
+    for path, kind in fields.items():
+        value = functools.reduce(dict.__getitem__, path.split("."), cfg)
+        try:
+            kind(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config field {path!r} must be "
+                              f"{'an integer' if kind is int else 'a number'}, "
+                              f"not {value!r}") from exc
 
 
 def load_config(path: str | None) -> dict:
@@ -248,9 +261,9 @@ def run_star_checks(cfg: dict, seed: int) -> list[Check]:
     worst_symm = 0.0
     worst_power = 0.0
     for _ in range(int(scfg["instances"])):
-        dim = int(rng.integers(2, scfg["max_dim"] + 1))
+        dim = int(rng.integers(2, int(scfg["max_dim"]) + 1))
         A = _random_antisymmetric(rng, dim)
-        f, g, h = (_random_poly(rng, dim, scfg["max_degree"]) for _ in range(3))
+        f, g, h = (_random_poly(rng, dim, int(scfg["max_degree"])) for _ in range(3))
         scale = max(1.0, f.max_abs_coeff() * g.max_abs_coeff() * h.max_abs_coeff())
         lhs = moyal_product(moyal_product(f, g, A), h, A)
         rhs = moyal_product(f, moyal_product(g, h, A), A)
@@ -296,9 +309,9 @@ def _model_specs(cfg: dict) -> tuple[HermiteBasisSpec, HermiteBasisSpec,
     """The d = 1 and d = 2 bases, and the anchor and oracle resolvent queries."""
     mcfg = cfg["models"]
     levels = int(mcfg["hermite_levels"])
-    if levels > cfg["caps"]["max_hermite_levels"]:
-        raise ResourceLimitError(f"hermite levels {levels} over cap "
-                                 f"{cfg['caps']['max_hermite_levels']}")
+    cap = int(cfg["caps"]["max_hermite_levels"])
+    if levels > cap:
+        raise ResourceLimitError(f"hermite levels {levels} over cap {cap}")
     try:
         z_oracle, z_anchor = (complex(z) for z in mcfg["resolvent_z"])
         spec = HermiteBasisSpec(d=1, levels=levels, halfwidth=float(mcfg["halfwidth"]),
@@ -415,8 +428,8 @@ def _torus_jobs(cfg: dict) -> list[TorusJob]:
     below weyl_lambda * k^2, and its verdict reads only the count.
     """
     tcfg = cfg["torus"]
-    cap = cfg["caps"]["max_lattice_dim"]
     try:
+        cap = int(cfg["caps"]["max_lattice_dim"])
         model = TorusModel.compatible(int(tcfg["chern"]), float(tcfg["field"]))
         pot = _potential_from_config(tcfg["potential"])
         levels = [int(m) for m in tcfg["cluster_levels"]]
@@ -468,7 +481,8 @@ def run_torus_checks(cfg: dict, spectra: dict) -> tuple[list[Check], dict]:
     if tcfg["cluster_pairs"]:
         cluster_spectra = {(int(k), int(npts)): spectra[("clusters", int(k), int(npts))]
                            for k, npts in tcfg["cluster_pairs"]}
-        report = check_cluster_law(model, cluster_spectra, tcfg["cluster_levels"])
+        report = check_cluster_law(model, cluster_spectra,
+                                   [int(m) for m in tcfg["cluster_levels"]])
         worst_drift = max(r.relative_drift for r in report.rows)
         count_ok = all(r.measured_count == r.predicted_count for r in report.rows)
         checks.append(_leq("torus.cluster_center_drift", worst_drift,
@@ -500,7 +514,8 @@ def run_torus_checks(cfg: dict, spectra: dict) -> tuple[list[Check], dict]:
         extras["weyl"] = [r.__dict__ for r in records]
 
     if pot is not None and tcfg["band_pairs"]:
-        bands = sigma_bands(model, pot, int(tcfg["band_cutoff"]) + 1)
+        gap_minimum = float(tcfg["gap_minimum"])
+        bands = sigma_bands(model, pot, int(float(tcfg["band_cutoff"])) + 1)
         eps_by_n = {}
         for k, npts in tcfg["band_pairs"]:
             below = spectra[("bands", int(k), int(npts))].scaled()
@@ -514,9 +529,8 @@ def run_torus_checks(cfg: dict, spectra: dict) -> tuple[list[Check], dict]:
                                     "predicted_bands": bands,
                                     "predicted_gaps": band_gaps(bands)})
             if gaps:
-                checks.append(Check(f"torus.gap_width_k{k}_N{npts}", min(gaps),
-                                    tcfg["gap_minimum"],
-                                    min(gaps) >= tcfg["gap_minimum"],
+                checks.append(Check(f"torus.gap_width_k{k}_N{npts}", min(gaps), gap_minimum,
+                                    min(gaps) >= gap_minimum,
                                     "observed gap >= required minimum"))
         finest = max(eps_by_n, key=lambda t: t[1])
         checks.append(_leq("torus.band_containment", eps_by_n[finest],
@@ -582,18 +596,27 @@ class Stage:
 
 def _star_plan(cfg: dict, _jobs) -> list[str]:
     scfg = cfg["star"]
-    try:
-        valid = int(scfg["max_dim"]) >= 2 and int(scfg["max_degree"]) >= 0
-    except (TypeError, ValueError):
-        valid = False
-    if not valid:
+    _require(cfg, {"seed": int, "star.instances": int, "star.max_dim": int,
+                   "star.max_degree": int, "star.tolerance": float})
+    if int(scfg["max_dim"]) < 2 or int(scfg["max_degree"]) < 0:
         raise ConfigError("star: max_dim must be an integer >= 2 and max_degree one >= 0")
     return [f"{scfg['instances']} random star-product property instances"]
 
 
 def _model_plan(cfg: dict, _jobs) -> list[str]:
+    _require(cfg, {"caps.max_hermite_levels": int, "models.hermite_levels": int,
+                   "models.block_size": int, "models.matrix_tolerance": float,
+                   "models.projector_tolerance": float, "models.residue_tolerance": float,
+                   "models.inverse_tolerance": float})
     spec = _model_specs(cfg)[0]
     return [f"resolvent/projector/residue/inverse checks at N={spec.levels}"]
+
+
+def _torus_plan(cfg: dict, jobs: list[TorusJob]) -> list[str]:
+    _require(cfg, {"torus.center_tolerance": float, "torus.weyl_tolerance": float,
+                   "torus.band_margin": float, "torus.gap_minimum": float})
+    return [f"solve {j.purpose} eigenvalues below {j.below:.6g} at k={j.k}, N={j.npoints}"
+            for j in jobs]
 
 
 STAGES = {
@@ -608,8 +631,7 @@ STAGES = {
             cache, ["model-symbols", cfg["models"], cfg["caps"]],
             lambda: run_model_checks(cfg)), None)),
     "torus": Stage(
-        plan=lambda _, jobs: [f"solve {j.purpose} eigenvalues below {j.below:.6g} at "
-                              f"k={j.k}, N={j.npoints}" for j in jobs],
+        plan=_torus_plan,
         run=lambda cfg, jobs, n_workers, cache: run_torus_checks(
             cfg, _run_jobs(jobs, n_workers, cache))),
 }

@@ -57,9 +57,6 @@ class AntisymmetricForm:
         j[d:, :d] = -np.eye(d)
         return cls(2 * d, j)
 
-    def scaled(self, t: float) -> "AntisymmetricForm":
-        return AntisymmetricForm(self.dim, t * self.entries)
-
 
 @dataclass(frozen=True)
 class MetricForm:
@@ -81,10 +78,6 @@ class MetricForm:
             raise ValueError("entries must be positive definite")
         object.__setattr__(self, "entries", _readonly(m))
 
-    @classmethod
-    def identity(cls, dim: int) -> "MetricForm":
-        return cls(dim, np.eye(dim))
-
 
 @dataclass(frozen=True)
 class SymplecticFrame:
@@ -105,20 +98,6 @@ class SymplecticFrame:
         if m.shape != (self.dim, self.dim):
             raise ValueError("matrix has wrong shape")
         object.__setattr__(self, "matrix", _readonly(m))
-
-    def coordinates(self, xi: np.ndarray) -> np.ndarray:
-        """Frame coordinates (s_1..s_d, sig_1..sig_d) of covectors xi.
-
-        `xi` has the covector components along the last axis.
-        """
-        return np.asarray(xi) @ self.matrix
-
-    def normal_form_energy(self, xi: np.ndarray) -> np.ndarray:
-        """sum_j B_j (s_j^2 + sig_j^2)/2 evaluated through this frame."""
-        d = self.dim // 2
-        co = self.coordinates(xi)
-        b = np.asarray(self.frequencies)
-        return 0.5 * np.sum(b * (co[..., :d] ** 2 + co[..., d:] ** 2), axis=-1)
 
 
 def _schur_pairs(K: np.ndarray, tol: float):

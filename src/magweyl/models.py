@@ -33,6 +33,12 @@ from .quantize import (HermiteBasisSpec, OperatorMatrix, trusted_block_indices,
 from .symbols import GridSymbol, PhaseGrid, PolySymbol
 
 
+# A spectral point or contour closer than this to a pole d/2 + N is refused.
+POLE_TOL = 1e-3
+# A trusted block whose condition number exceeds this is numerically singular.
+COND_LIMIT = 1e8
+
+
 class PoleProximityError(ValueError):
     """z is too close to the oscillator spectrum d/2 + N."""
 
@@ -43,10 +49,6 @@ class FormulaDomainError(ValueError):
 
 class SymbolNotInvertibleError(ArithmeticError):
     """Quantized symbol is numerically singular: 0 lies in its spectrum."""
-
-
-class WindowBoundaryError(ValueError):
-    """Spectral window boundary falls on an eigenvalue."""
 
 
 def harmonic_hamiltonian(d: int) -> PolySymbol:
@@ -71,7 +73,6 @@ class ResolventQuery:
     d: int
     z: complex
     quad_nodes: int = 64
-    pole_tol: float = 1e-3
 
     def __post_init__(self):
         if self.d < 1 or self.quad_nodes < 4:
@@ -80,8 +81,8 @@ class ResolventQuery:
         object.__setattr__(self, "z", z)
         if z.real >= self.d:
             raise FormulaDomainError(f"Re z = {z.real} >= d = {self.d}: formula invalid")
-        if _pole_distance(z, self.d) < self.pole_tol:
-            raise PoleProximityError(f"z = {z} within {self.pole_tol} of a pole d/2 + N")
+        if _pole_distance(z, self.d) < POLE_TOL:
+            raise PoleProximityError(f"z = {z} within {POLE_TOL} of a pole d/2 + N")
 
 
 @dataclass(frozen=True)
@@ -198,7 +199,7 @@ def projector_symbol(query: ProjectorQuery, grid: PhaseGrid) -> GridSymbol:
 
 
 def residue_projector(d: int, energy: float, radius: float, contour_points: int,
-                      grid: PhaseGrid, pole_tol: float = 1e-3) -> GridSymbol:
+                      grid: PhaseGrid) -> GridSymbol:
     """-(2 pi i)^{-1} times the contour integral of R_{d,z} around `energy`.
 
     Trapezoid rule on the circle |z - energy| = radius.  When the circle
@@ -216,7 +217,7 @@ def residue_projector(d: int, energy: float, radius: float, contour_points: int,
     poles = np.arange(0, max(1, int(energy + radius - d / 2.0) + 2)) + d / 2.0
     dist = np.abs(poles - energy)
     enclosed = dist < radius
-    if np.any((dist >= radius) & (dist < radius + pole_tol)):
+    if np.any((dist >= radius) & (dist < radius + POLE_TOL)):
         raise PoleProximityError("contour passes too close to a pole")
     if np.sum(enclosed) > 1:
         raise ValueError("contour encloses more than one pole")
@@ -246,9 +247,6 @@ class SymbolSpectrum:
         for v, m in self.values:
             if v > self.cutoff or m < 1:
                 raise ValueError("inconsistent spectrum record")
-
-    def flat(self) -> np.ndarray:
-        return np.array([v for v, m in self.values for _ in range(m)])
 
 
 def spectrum_of_symbol(G: MetricForm, W: AntisymmetricForm, potential_eigenvalues,
@@ -287,7 +285,7 @@ def spectrum_of_symbol(G: MetricForm, W: AntisymmetricForm, potential_eigenvalue
 
 
 # ---------------------------------------------------------------------------
-# sharp-inverse and spectral windows
+# sharp inverse
 
 def _grid_values(a, grid: PhaseGrid) -> np.ndarray:
     if isinstance(a, PolySymbol):
@@ -297,8 +295,7 @@ def _grid_values(a, grid: PhaseGrid) -> np.ndarray:
     raise TypeError(f"unsupported symbol type {type(a).__name__}")
 
 
-def sharp_inverse(a, spec: HermiteBasisSpec, cond_limit: float = 1e8,
-                  level_window: float | None = 0.5) -> GridSymbol:
+def sharp_inverse(a, spec: HermiteBasisSpec) -> GridSymbol:
     """Inverse of an elliptic symbol under the Weyl product.
 
     The quantized matrix is inverted; the slowly decaying part of the
@@ -310,7 +307,7 @@ def sharp_inverse(a, spec: HermiteBasisSpec, cond_limit: float = 1e8,
     op = weyl_quantize(a, spec)
     sel = trusted_block_indices(spec)
     sv = np.linalg.svd(op.entries[np.ix_(sel, sel)], compute_uv=False)
-    if sv[-1] == 0.0 or sv[0] / sv[-1] > cond_limit:
+    if sv[-1] == 0.0 or sv[0] / sv[-1] > COND_LIMIT:
         raise SymbolNotInvertibleError(
             "quantized symbol numerically singular on the trusted block "
             "(0 in the symbol spectrum)")
@@ -324,42 +321,11 @@ def sharp_inverse(a, spec: HermiteBasisSpec, cond_limit: float = 1e8,
             # 1/a decays polynomially; its trusted-block elements are fine
             warnings.simplefilter("ignore")
             q0 = weyl_quantize(GridSymbol(grid.dim, grid.halfwidth, grid.npoints, b0), spec)
-        corr = wigner_symbol(OperatorMatrix(spec.d, spec.levels, inv - q0.entries),
-                             spec, level_window=level_window)
+        corr = wigner_symbol(OperatorMatrix(spec.d, spec.levels, inv - q0.entries), spec)
         vals = b0 + corr.values
         realization = "pointwise reciprocal + de-quantized correction"
     else:
-        vals = wigner_symbol(OperatorMatrix(spec.d, spec.levels, inv), spec,
-                             level_window=level_window).values
+        vals = wigner_symbol(OperatorMatrix(spec.d, spec.levels, inv), spec).values
         realization = "de-quantized matrix inverse"
     return GridSymbol(grid.dim, grid.halfwidth, grid.npoints, vals,
                       meta={"kind": "sharp_inverse", "realization": realization})
-
-
-def spectral_window_symbol(a, e_minus: float, e_plus: float, spec: HermiteBasisSpec,
-                           level_window: float | None = 0.5) -> GridSymbol:
-    """Symbol of 1_{[e_minus, e_plus]}(a^w) on the spec grid.
-
-    Diagonalizes the quantization, keeps eigenvalues inside the window,
-    and de-quantizes the resulting orthogonal projector.  The window
-    boundaries must stay clear of the matrix spectrum.
-    """
-    if e_minus >= e_plus:
-        raise ValueError("need e_minus < e_plus")
-    op = weyl_quantize(a, spec)
-    herm = 0.5 * (op.entries + op.entries.conj().T)
-    if float(np.max(np.abs(op.entries - herm))) > 1e-8 * max(1.0, float(np.max(np.abs(herm)))):
-        raise ValueError("spectral windows need a real (Hermitian-quantizing) symbol")
-    evals, evecs = np.linalg.eigh(herm)
-    resolution = max(float(np.max(np.abs(evals))), 1.0) * np.finfo(float).eps * op.entries.shape[0]
-    for edge in (e_minus, e_plus):
-        if float(np.min(np.abs(evals - edge))) < 10.0 * resolution:
-            raise WindowBoundaryError(f"window boundary {edge} sits on an eigenvalue")
-    keep = (evals >= e_minus) & (evals <= e_plus)
-    V = evecs[:, keep]
-    proj = V @ V.conj().T
-    out = wigner_symbol(OperatorMatrix(spec.d, spec.levels, proj), spec,
-                        level_window=level_window)
-    return out.with_values(out.values, meta={"kind": "spectral_window",
-                                             "window": (e_minus, e_plus),
-                                             "rank": int(np.sum(keep))})

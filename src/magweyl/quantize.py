@@ -92,16 +92,6 @@ def _hermite_rows(levels: int, x: np.ndarray) -> np.ndarray:
     return T
 
 
-def hermite_table(spec: HermiteBasisSpec) -> np.ndarray:
-    """Orthonormal Hermite functions h_0..h_{N-1} sampled on the axis grid.
-
-    Stable three-term recurrence; rows are levels.  Under trapezoid
-    quadrature the sampled functions are orthonormal to ~1e-8 or better
-    whenever the spec invariant holds.
-    """
-    return _hermite_rows(spec.levels, spec.axis())
-
-
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Operator in the truncated tensor Hermite basis (size N^d x N^d)."""
@@ -120,15 +110,6 @@ class OperatorMatrix:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
-
-    @classmethod
-    def identity(cls, spec: HermiteBasisSpec) -> "OperatorMatrix":
-        return cls(spec.d, spec.levels, np.eye(spec.size, dtype=complex))
-
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if (self.d, self.levels) != (other.d, other.levels):
-            raise ValueError("operator size mismatch")
-        return OperatorMatrix(self.d, self.levels, self.entries @ other.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +296,6 @@ def wigner_symbol(op: OperatorMatrix, spec: HermiteBasisSpec,
     vals = _each_axis(lambda lo, hi, pair: np.moveaxis(B[lo:hi], pair, (-2, -1)),
                       B.shape, one_axis, M)
     return GridSymbol(2 * spec.d, spec.halfwidth, spec.npoints, vals)
-
-
-def weyl_product_grid(a: GridSymbol, b: GridSymbol, spec: HermiteBasisSpec,
-                      level_window: float | None = 0.5) -> GridSymbol:
-    """Weyl product of two decaying grid symbols via operator composition."""
-    qa = weyl_quantize(a, spec)
-    qb = weyl_quantize(b, spec)
-    return wigner_symbol(qa @ qb, spec, level_window=level_window)
 
 
 # ---------------------------------------------------------------------------

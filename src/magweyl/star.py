@@ -17,9 +17,8 @@ operator, block-diagonal in |alpha| = |beta| = r and built by r lifts
 of A, and the scatter is one bincount into the product's basis.  The
 product runs block by block, D_f W D_g^T = sum_r D_r(f) W_r D_r(g)^T,
 and the block r of D_f has only the rows |m| <= deg f - r.  Left
-multiplication by a coordinate acts on any symbol as
-xi_j #_A f = (xi_j + (i/2) sum_k A_jk d_k) f, which is also available
-on grid symbols via finite differences.
+multiplication by a coordinate acts as
+xi_j #_A f = (xi_j + (i/2) sum_k A_jk d_k) f.
 """
 
 from __future__ import annotations
@@ -31,13 +30,7 @@ import math
 import numpy as np
 
 from .forms import AntisymmetricForm
-from .symbols import (GridSymbol, PolySymbol, monomial_basis, monomial_rank,
-                      multi_index, product_sum)
-
-# 6th-order central first derivative; the 4th-order stencil leaves
-# ~7e-6 error on exp(-|xi|^2) at M=256, R=8, above the 1e-6 target.
-_D6 = (np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0,
-       (-3, -2, -1, 0, 1, 2, 3))
+from .symbols import PolySymbol, monomial_basis, monomial_rank, multi_index, product_sum
 
 
 def _check_dims(f_dim: int, A: AntisymmetricForm):
@@ -103,39 +96,12 @@ def moyal_product(f: PolySymbol, g: PolySymbol, A: AntisymmetricForm) -> PolySym
     return product_sum(f.dim, table, f.degree, g.degree)
 
 
-def _grid_derivative(values: np.ndarray, axis: int, spacing: float) -> np.ndarray:
-    """Central finite difference along `axis` (0-based numpy axis).
-
-    Uses periodic rolls; legitimate because grid symbols are required
-    to decay near the boundary.
-    """
-    coeffs, offsets = _D6
-    out = np.zeros_like(values, dtype=complex)
-    for c, o in zip(coeffs, offsets):
-        if c != 0.0:
-            out += c * np.roll(values, -o, axis=axis)
-    return out / spacing
-
-
-def left_xi(axis: int, f, A: AntisymmetricForm):
-    """xi_axis #_A f for a polynomial or grid symbol (axis is 1-based)."""
+def left_xi(axis: int, f: PolySymbol, A: AntisymmetricForm) -> PolySymbol:
+    """xi_axis #_A f for a polynomial symbol (axis is 1-based)."""
     if not 1 <= axis <= A.dim:
         raise ValueError(f"axis {axis} out of range 1..{A.dim}")
-    if isinstance(f, PolySymbol):
-        _check_dims(f.dim, A)
-        return _left_linear(np.eye(f.dim)[axis - 1], f, A)
-    if isinstance(f, GridSymbol):
-        _check_dims(f.dim, A)
-        x = f.grid.axis()
-        shape = [1] * f.dim
-        shape[axis - 1] = f.npoints
-        out = x.reshape(shape) * f.values
-        for k in range(f.dim):
-            ajk = A.entries[axis - 1, k]
-            if ajk != 0.0:
-                out = out + (0.5j * ajk) * _grid_derivative(f.values, k, f.spacing)
-        return f.with_values(out)
-    raise TypeError(f"unsupported symbol type {type(f).__name__}")
+    _check_dims(f.dim, A)
+    return _left_linear(np.eye(f.dim)[axis - 1], f, A)
 
 
 def sharp_power(alpha, A: AntisymmetricForm) -> PolySymbol:

@@ -205,16 +205,6 @@ class PolySymbol:
         exps = monomial_basis(self.dim, self.degree)[nonzero].tolist()
         return dict(zip(map(tuple, exps), self.coeffs[nonzero].tolist()))
 
-    def coefficient(self, idx) -> complex:
-        pos = int(monomial_rank(multi_index(idx, self.dim)))
-        return complex(self.coeffs[pos]) if pos < self.coeffs.size else 0.0 + 0.0j
-
-    def __eq__(self, other):
-        return (isinstance(other, PolySymbol) and self.dim == other.dim
-                and np.array_equal(self.coeffs, other.coeffs))
-
-    __hash__ = None
-
     def _aligned(self, other: "PolySymbol") -> tuple[np.ndarray, np.ndarray]:
         """Both coefficient vectors over the basis of the larger degree."""
         if self.dim != other.dim:
@@ -242,9 +232,6 @@ class PolySymbol:
             other = PolySymbol.constant(self.dim, other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         """Pointwise (commutative) product; scalars allowed."""
         if isinstance(other, Number):
@@ -269,13 +256,6 @@ class PolySymbol:
             blocks.append(flat[start:start + rows * cols].reshape(rows, cols))
             start += rows * cols
         return blocks
-
-    def derivative(self, axis: int) -> "PolySymbol":
-        """d/d xi_axis (axis 1-based)."""
-        if not 1 <= axis <= self.dim:
-            raise ValueError(f"axis {axis} out of range 1..{self.dim}")
-        # the degree-1 monomials are xi_1, ..., xi_n, in that order
-        return PolySymbol.from_coeffs(self.dim, self.derivatives(1)[1][:, axis - 1])
 
     def __call__(self, xi) -> np.ndarray:
         """Evaluate at points with coordinates along the last axis.
@@ -470,22 +450,6 @@ class GridSymbol:
     @property
     def grid(self) -> PhaseGrid:
         return PhaseGrid(self.dim, self.halfwidth, self.npoints)
-
-    @property
-    def spacing(self) -> float:
-        return self.grid.spacing
-
-    @classmethod
-    def constant(cls, grid: PhaseGrid, value: complex = 1.0) -> "GridSymbol":
-        return cls(grid.dim, grid.halfwidth, grid.npoints,
-                   np.full((grid.npoints,) * grid.dim, complex(value)))
-
-    def with_values(self, values: np.ndarray, meta: dict | None = None) -> "GridSymbol":
-        return GridSymbol(self.dim, self.halfwidth, self.npoints, values, meta=meta)
-
-    def integral(self) -> complex:
-        """Trapezoid quadrature over the full grid (periodic-decay symbols)."""
-        return complex(np.sum(self.values) * self.spacing ** self.dim)
 
     def sup_distance(self, other: "GridSymbol", mask: np.ndarray | None = None) -> float:
         if (self.dim, self.halfwidth, self.npoints) != (other.dim, other.halfwidth, other.npoints):

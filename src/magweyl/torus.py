@@ -163,23 +163,6 @@ class MagneticLatticeOperator:
     def dim(self) -> int:
         return self.npoints ** 2
 
-    def plaquette_phase_products(self) -> np.ndarray:
-        """Product of the four hop phases around every plaquette.
-
-        Traversal (i,j) -> (i,j+1) -> (i+1,j+1) -> (i+1,j) -> (i,j);
-        gauge consistency means every product equals e^{-i phi}.
-        """
-        N = self.npoints
-        t = -1.0 / (2.0 * self.spacing ** 2)
-        M = self.matrix.tocsr()
-        i, j = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
-        i2, j2 = (i + 1) % N, (j + 1) % N
-        corners = [i + N * j, i + N * j2, i2 + N * j2, i2 + N * j, i + N * j]
-        out = np.ones((N, N), dtype=complex)
-        for frm, to in zip(corners, corners[1:]):
-            out = out * (np.asarray(M[to.ravel(), frm.ravel()]).reshape(N, N) / t)
-        return out
-
 
 def build_magnetic_laplacian(model: TorusModel, k: int, npoints: int,
                              potential: PotentialSpec | None = None) -> MagneticLatticeOperator:
@@ -747,8 +730,3 @@ def solve(op: MagneticLatticeOperator, below: float) -> EigenResult:
                           f"where the inertia counts {count}")
     return EigenResult(power=op.power, raw=np.sort(raw), method=method,
                        residual_norms=residuals)
-
-
-def exact_landau_reference(model: TorusModel, k: int, m_max: int):
-    """Continuum Landau levels (b(m + 1/2), multiplicity k c), m <= m_max."""
-    return tuple((model.field * (m + 0.5), k * model.chern) for m in range(m_max + 1))

@@ -31,4 +31,4 @@ def J2():
 
 @pytest.fixture
 def eye2():
-    return MetricForm.identity(2)
+    return MetricForm(2, np.eye(2))

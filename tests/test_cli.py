@@ -32,7 +32,10 @@ def write_config(tmp_path, extra=None) -> str:
     cfg = json.loads(json.dumps(SMALL))
     if extra:
         for key, val in extra.items():
-            cfg.setdefault(key, {}).update(val)
+            if isinstance(val, dict):
+                cfg.setdefault(key, {}).update(val)
+            else:   # a top-level field such as the seed
+                cfg[key] = val
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return str(path)
@@ -349,6 +352,16 @@ def test_config_round_trip(tmp_path):
     ({"torus": {"cluster_levels": []}}, "torus: cluster_levels [] must name"),
     ({"torus": {"cluster_levels": [-1]}}, "torus: cluster_levels [-1] must name"),
     ({"torus": {"weyl_pairs": [[0, 8]]}}, "torus weyl pair k=0, N=8: k must be a positive"),
+    # fields a stage's run converts are parsed by its plan, before any compute
+    ({"seed": "abc"}, "config field 'seed' must be an integer, not 'abc'"),
+    ({"star": {"instances": "abc"}}, "config field 'star.instances' must be an integer"),
+    ({"star": {"tolerance": "abc"}}, "config field 'star.tolerance' must be a number"),
+    ({"models": {"block_size": "abc"}}, "config field 'models.block_size' must be an integer"),
+    ({"models": {"matrix_tolerance": None}}, "config field 'models.matrix_tolerance' must be"),
+    ({"torus": {"center_tolerance": "abc"}}, "config field 'torus.center_tolerance' must be"),
+    ({"torus": {"gap_minimum": [0.6]}}, "config field 'torus.gap_minimum' must be a number"),
+    ({"caps": {"max_hermite_levels": "abc"}}, "config field 'caps.max_hermite_levels' must be"),
+    ({"caps": {"max_lattice_dim": "abc"}}, "torus: invalid literal for int()"),
 ])
 def test_bad_config_value_is_config_error_in_dry_run(tmp_path, capsys, override, message):
     cfg = write_config(tmp_path, override)

@@ -5,8 +5,12 @@ from magweyl import (AntisymmetricForm, DegenerateFormError, MetricForm,
                      symplectic_frame, williamson_eigenvalues)
 
 
-def standard_j(d):
-    return AntisymmetricForm.standard(d)
+def normal_form_energy(frame, xi):
+    """sum_j B_j (s_j^2 + sig_j^2)/2 in the frame coordinates (s, sig) = xi S."""
+    d = frame.dim // 2
+    co = np.asarray(xi) @ frame.matrix
+    return 0.5 * np.sum(np.asarray(frame.frequencies) * (co[..., :d] ** 2 + co[..., d:] ** 2),
+                        axis=-1)
 
 
 def test_antisymmetric_validation():
@@ -45,12 +49,12 @@ def test_williamson_scaling(rng):
     B = williamson_eigenvalues(G, W)
     assert np.all(np.diff(B) >= 0) and np.all(B > 0)
     for t in (0.5, 3.0):
-        assert np.allclose(williamson_eigenvalues(G, W.scaled(t)), t * B)
+        assert np.allclose(williamson_eigenvalues(G, AntisymmetricForm(4, t * W.entries)), t * B)
 
 
 def test_williamson_errors(eye2):
     with pytest.raises(ValueError):
-        williamson_eigenvalues(MetricForm.identity(3), AntisymmetricForm.zero(3))
+        williamson_eigenvalues(MetricForm(3, np.eye(3)), AntisymmetricForm.zero(3))
     with pytest.raises(DegenerateFormError):
         williamson_eigenvalues(eye2, AntisymmetricForm.zero(2))
 
@@ -94,7 +98,7 @@ def test_frame_anisotropic(J2):
     # quadratic-form identity: (1/2) xi G^{-1} xi = sum B (s^2+sig^2)/2
     xi = np.random.default_rng(3).standard_normal((50, 2))
     direct = 0.5 * np.einsum("ni,ij,nj->n", xi, np.linalg.inv(G.entries), xi)
-    assert np.max(np.abs(frame.normal_form_energy(xi) - direct)) < 1e-12
+    assert np.max(np.abs(normal_form_energy(frame, xi) - direct)) < 1e-12
 
 
 def test_frame_random_pair_invariants(rng):
@@ -117,6 +121,6 @@ def test_frame_choice_independence(rng):
     f2 = symplectic_frame(G, W, rng=np.random.default_rng(2))
     assert not np.allclose(f1.matrix, f2.matrix)
     xi = rng.standard_normal((200, 4))
-    v1 = np.exp(-f1.normal_form_energy(xi))
-    v2 = np.exp(-f2.normal_form_energy(xi))
+    v1 = np.exp(-normal_form_energy(f1, xi))
+    v2 = np.exp(-normal_form_energy(f2, xi))
     assert np.max(np.abs(v1 - v2)) < 1e-8

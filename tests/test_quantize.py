@@ -8,11 +8,21 @@ import pytest
 
 from magweyl import (AntisymmetricForm, GridSymbol, HermiteBasisSpec,
                      OperatorMatrix, PhaseGrid, PolySymbol, QuantizationWarning,
-                     block_compare, hermite_table, moyal_product,
-                     weyl_product_grid, weyl_quantize, wigner_symbol)
+                     block_compare, moyal_product, weyl_quantize, wigner_symbol)
 from magweyl.models import (ProjectorQuery, ResolventQuery, harmonic_hamiltonian,
                             projector_symbol, residue_projector, resolvent_symbol)
-from magweyl.quantize import trusted_block_indices
+from magweyl.quantize import _hermite_rows, trusted_block_indices
+
+
+def _weyl_product(a, b, spec):
+    """Weyl symbol of Op(a) Op(b): the quantized product, de-quantized."""
+    qa, qb = weyl_quantize(a, spec), weyl_quantize(b, spec)
+    return wigner_symbol(OperatorMatrix(spec.d, spec.levels, qa.entries @ qb.entries), spec)
+
+
+def _constant(grid, value):
+    return GridSymbol(grid.dim, grid.halfwidth, grid.npoints,
+                      np.full((grid.npoints,) * grid.dim, complex(value)))
 
 
 def test_spec_rejects_small_halfwidth():
@@ -23,8 +33,8 @@ def test_spec_rejects_small_halfwidth():
 
 
 def test_hermite_table_closed_forms(spec16):
-    T = hermite_table(spec16)
     x = spec16.axis()
+    T = _hermite_rows(spec16.levels, x)
     assert np.allclose(T[0], np.pi ** -0.25 * np.exp(-x * x / 2.0), atol=1e-14)
     # h_1 is odd: vanishes at the origin
     assert abs(T[1][spec16.npoints // 2]) < 1e-15
@@ -32,7 +42,7 @@ def test_hermite_table_closed_forms(spec16):
 
 def test_hermite_orthonormality():
     spec = HermiteBasisSpec(d=1, levels=40, halfwidth=12.0, npoints=512)
-    T = hermite_table(spec)
+    T = _hermite_rows(spec.levels, spec.axis())
     gram = spec.spacing * (T @ T.T)
     assert np.max(np.abs(gram - np.eye(spec.levels))) < 1e-8
 
@@ -132,8 +142,9 @@ def test_round_trip_gaussian_windowed(spec24):
 def test_wigner_of_identity_needs_window(spec24):
     # hard truncation leaves O(1) oscillation (the truncated-projector
     # symbol); the flat-top window brings it down to the 1e-3 scale
-    raw = wigner_symbol(OperatorMatrix.identity(spec24), spec24, level_window=None)
-    win = wigner_symbol(OperatorMatrix.identity(spec24), spec24)
+    identity = OperatorMatrix(1, spec24.levels, np.eye(spec24.size))
+    raw = wigner_symbol(identity, spec24, level_window=None)
+    win = wigner_symbol(identity, spec24)
     mask = spec24.grid().radius2() <= 9.0
     assert np.max(np.abs(raw.values - 1.0)[mask]) > 0.5
     assert np.max(np.abs(win.values - 1.0)[mask]) < 2e-2
@@ -220,7 +231,7 @@ def test_moyal_closed_form_for_hamiltonian_square():
 def test_weyl_product_grid_projector_idempotent(spec24):
     grid = spec24.grid()
     pi = GridSymbol(2, grid.halfwidth, grid.npoints, 2.0 * np.exp(-grid.radius2()))
-    prod = weyl_product_grid(pi, pi, spec24)
+    prod = _weyl_product(pi, pi, spec24)
     assert prod.sup_distance(pi) < 1e-10
 
 
@@ -229,8 +240,7 @@ def test_weyl_product_grid_constant(spec16):
     g = GridSymbol(2, grid.halfwidth, grid.npoints,
                    np.exp(-grid.radius2() / 2.0))
     with pytest.warns(QuantizationWarning):
-        one = GridSymbol.constant(grid, 1.0)
-        prod = weyl_product_grid(one, g, spec16)
+        prod = _weyl_product(_constant(grid, 1.0), g, spec16)
     mask = grid.radius2() <= 4.0
     assert prod.sup_distance(g, mask=mask) < 1e-3
 
@@ -238,7 +248,7 @@ def test_weyl_product_grid_constant(spec16):
 def test_boundary_decay_warning(spec16):
     grid = spec16.grid()
     with pytest.warns(QuantizationWarning):
-        weyl_quantize(GridSymbol.constant(grid, 1.0), spec16)
+        weyl_quantize(_constant(grid, 1.0), spec16)
 
 
 def test_trusted_block_indices_d2(spec_d2):
@@ -265,7 +275,7 @@ def _shifted_tables(spec):
     """Tp[i, a, m] = h_i(x_{a + off_m}), Tm[i, a, m] = h_i(x_{a - off_m}),
     zero off the grid, and the phases E[b, m] = exp(i p_b 2 h off_m)."""
     M, h, x = spec.npoints, spec.spacing, spec.axis()
-    T = hermite_table(spec)
+    T = _hermite_rows(spec.levels, x)
     off = np.arange(M) - M // 2
 
     def shifted(sign):

@@ -11,8 +11,7 @@ import scipy.sparse.linalg as spla
 
 import magweyl.torus
 from magweyl import (EigenResult, PotentialSpec, SolverError, TorusModel,
-                     build_magnetic_laplacian, count_below, exact_landau_reference,
-                     solve)
+                     build_magnetic_laplacian, count_below, solve)
 from magweyl.torus import (_momentum_matrix, _rayleigh_ritz, _ring_eigenvalues, _ring_matrix,
                            _sector_chains, _sector_rings, _sector_solve, _sparse_solve,
                            _zigzag_band)
@@ -101,6 +100,24 @@ def test_vectorized_assembly_is_exact(k, npts, cos_x):
         assert np.array_equal(getattr(got, part), getattr(ref, part)), part
 
 
+def plaquette_phase_products(op):
+    """Product of the four hop phases around every plaquette.
+
+    Traversal (i,j) -> (i,j+1) -> (i+1,j+1) -> (i+1,j) -> (i,j);
+    gauge consistency means every product equals e^{-i phi}.
+    """
+    N = op.npoints
+    t = -1.0 / (2.0 * op.spacing ** 2)
+    M = op.matrix.tocsr()
+    i, j = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
+    i2, j2 = (i + 1) % N, (j + 1) % N
+    corners = [i + N * j, i + N * j2, i2 + N * j2, i2 + N * j, i + N * j]
+    out = np.ones((N, N), dtype=complex)
+    for frm, to in zip(corners, corners[1:]):
+        out = out * (np.asarray(M[to.ravel(), frm.ravel()]).reshape(N, N) / t)
+    return out
+
+
 def _reference_plaquettes(op):
     """Plaquette products by one scalar CSR lookup per hop.
 
@@ -126,16 +143,16 @@ def test_plaquette_phases():
     model = TorusModel.compatible(1)
     op = build_magnetic_laplacian(model, 3, 8)
     target = np.exp(-1j * op.flux_per_plaquette)
-    assert np.max(np.abs(op.plaquette_phase_products() - target)) < 1e-12
+    assert np.max(np.abs(plaquette_phase_products(op) - target)) < 1e-12
     assert np.isclose(op.npoints ** 2 * op.flux_per_plaquette, 2.0 * np.pi * 3)
     assert abs(op.matrix - op.matrix.conj().T).max() < 1e-12
     ulps = 8 * np.finfo(float).eps
-    assert np.max(np.abs(op.plaquette_phase_products() - _reference_plaquettes(op))) <= ulps
+    assert np.max(np.abs(plaquette_phase_products(op) - _reference_plaquettes(op))) <= ulps
     # a larger lattice, and a potential (which only touches the diagonal)
     for k, npts, pot in ((5, 24, PotentialSpec.cosine_x(0.1)), (16, 96, None),
                          (16, 96, PotentialSpec.cosine_x(0.1))):
         op = build_magnetic_laplacian(model, k, npts, pot)
-        phases = op.plaquette_phase_products()
+        phases = plaquette_phase_products(op)
         assert phases.shape == (npts, npts)
         assert np.max(np.abs(phases - np.exp(-1j * op.flux_per_plaquette))) < 1e-12
         if npts <= 24:
@@ -526,16 +543,6 @@ def test_gauge_invariance():
     e1 = np.sort(np.linalg.eigvalsh(op.matrix.toarray()))
     e2 = np.sort(np.linalg.eigvalsh(gauged.toarray()))
     assert np.max(np.abs(e1 - e2)) < 1e-10
-
-
-def test_exact_landau_reference():
-    model = TorusModel.compatible(1)
-    ref = exact_landau_reference(model, 5, 2)
-    assert ref == ((0.5, 5), (1.5, 5), (2.5, 5))
-    model2 = TorusModel.compatible(1, field=2.0)
-    ref2 = exact_landau_reference(model2, 5, 1)
-    assert ref2 == ((1.0, 5), (3.0, 5))
-    assert len({mult for _, mult in ref}) == 1  # multiplicity independent of m
 
 
 def test_refinement_convergence():

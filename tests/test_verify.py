@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from magweyl import (TorusModel, VerifyError, band_containment, band_gaps,
-                     check_cluster_law, check_weyl_law, detect_clusters,
-                     exact_landau_reference, sigma_bands,
+                     check_cluster_law, check_weyl_law, detect_clusters, sigma_bands,
                      twisted_liouville_volume)
 from magweyl.torus import PotentialSpec
+
+
+def exact_landau_reference(model, k, m_max):
+    """Continuum Landau levels (b(m + 1/2), multiplicity k c), m <= m_max."""
+    return tuple((model.field * (m + 0.5), k * model.chern) for m in range(m_max + 1))
 
 
 def test_detect_clusters_basic():
