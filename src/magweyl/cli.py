@@ -1,15 +1,16 @@
 """Command-line entry point: star-check, model-symbols, torus, all.
 
 A single JSON config file drives every pipeline; flags override config
-fields.  Reports land in one subdirectory per config hash containing
-inputs.json and report.{json,csv,svg}.  Computed results (the star and
-model-symbol checks, and the eigenvalues of each torus solve) are cached in
-out_dir/cache/<key>.json, keyed by a hash of the magweyl sources, the
-numpy and scipy versions and exactly the inputs each result reads; the
-torus verdicts are always recomputed.  Exit codes: 0 pass, 1 tolerance
-failure, 2 usage/config error (raised before any compute, so --dry-run
-reports it too), 3 resource/convergence error, 4 internal error (any
-other ValueError: a broken invariant, not a bad config).
+fields, and each field takes the type of its default at load.  Reports
+land in one subdirectory per config hash containing inputs.json and
+report.{json,csv,svg}.  Computed results (the star and model-symbol
+checks, and the eigenvalues of each torus operator, solved once) are
+cached in out_dir/cache/<key>.json, keyed by a hash of the magweyl
+sources, the numpy and scipy versions and exactly the inputs each result
+reads; the torus verdicts are always recomputed.  Exit codes: 0 pass, 1
+tolerance failure, 2 usage/config error (raised before any compute, so
+--dry-run reports it too), 3 resource/convergence error, 4 internal error
+(any other ValueError: a broken invariant, not a bad config).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import copy
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 from collections.abc import Callable
@@ -114,15 +116,35 @@ class Check:
 
 
 def _leq(name, value, tol, note="") -> Check:
-    return Check(name, float(value), float(tol), float(value) <= float(tol), note)
+    return Check(name, float(value), tol, float(value) <= tol, note)
 
 
-# fields replaced wholesale instead of deep-merged (their sub-schema is
-# a union of shapes, e.g. null / {"cos_x": v} / {"modes": [...]})
-_OPAQUE_FIELDS = {"torus.potential"}
+# fields taken as given instead of typed or deep-merged (their schema is
+# a union of shapes, e.g. null / {"cos_x": v} / {"modes": [...]}, or
+# complex numbers as [re, im] or strings)
+_OPAQUE_FIELDS = {"torus.potential", "models.resolvent_z"}
+
+
+def _typed(where: str, default, val):
+    """`val` converted to the type of `default`: a string, an int (a float
+    only when integral), a float, or a list of the type of the default's
+    first item."""
+    if isinstance(default, list) and isinstance(val, list):
+        return [_typed(where, default[0], v) for v in val]
+    if isinstance(default, str) and isinstance(val, str):
+        return val
+    if (isinstance(default, (int, float)) and isinstance(val, (int, float))
+            and not isinstance(val, bool)):
+        if isinstance(default, float):
+            return float(val)
+        if isinstance(val, int) or val.is_integer():
+            return int(val)
+    kind = {list: "a list", str: "a string", int: "an integer", float: "a number"}
+    raise ConfigError(f"config field {where!r} must be {kind[type(default)]}, not {val!r}")
 
 
 def _merge(base: dict, override: dict, path="") -> dict:
+    """`override` deep-merged over `base`, each leaf typed as its default."""
     out = copy.deepcopy(base)
     for key, val in override.items():
         where = f"{path}.{key}" if path else key
@@ -135,21 +157,8 @@ def _merge(base: dict, override: dict, path="") -> dict:
                 raise ConfigError(f"config field {where!r} must be an object")
             out[key] = _merge(base[key], val, where)
         else:
-            out[key] = val
+            out[key] = _typed(where, base[key], val)
     return out
-
-
-def _require(cfg: dict, fields: dict):
-    """Convert each field ("section.name": int or float) as the stage that
-    reads it does; a value that does not convert is a ConfigError."""
-    for path, kind in fields.items():
-        value = functools.reduce(dict.__getitem__, path.split("."), cfg)
-        try:
-            kind(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config field {path!r} must be "
-                              f"{'an integer' if kind is int else 'a number'}, "
-                              f"not {value!r}") from exc
 
 
 def load_config(path: str | None) -> dict:
@@ -260,10 +269,10 @@ def run_star_checks(cfg: dict, seed: int) -> list[Check]:
     worst_zero = 0.0
     worst_symm = 0.0
     worst_power = 0.0
-    for _ in range(int(scfg["instances"])):
-        dim = int(rng.integers(2, int(scfg["max_dim"]) + 1))
+    for _ in range(scfg["instances"]):
+        dim = int(rng.integers(2, scfg["max_dim"] + 1))
         A = _random_antisymmetric(rng, dim)
-        f, g, h = (_random_poly(rng, dim, int(scfg["max_degree"])) for _ in range(3))
+        f, g, h = (_random_poly(rng, dim, scfg["max_degree"]) for _ in range(3))
         scale = max(1.0, f.max_abs_coeff() * g.max_abs_coeff() * h.max_abs_coeff())
         lhs = moyal_product(moyal_product(f, g, A), h, A)
         rhs = moyal_product(f, moyal_product(g, h, A), A)
@@ -308,19 +317,18 @@ def _model_specs(cfg: dict) -> tuple[HermiteBasisSpec, HermiteBasisSpec,
                                       ResolventQuery, ResolventQuery]:
     """The d = 1 and d = 2 bases, and the anchor and oracle resolvent queries."""
     mcfg = cfg["models"]
-    levels = int(mcfg["hermite_levels"])
-    cap = int(cfg["caps"]["max_hermite_levels"])
+    levels = mcfg["hermite_levels"]
+    cap = cfg["caps"]["max_hermite_levels"]
     if levels > cap:
         raise ResourceLimitError(f"hermite levels {levels} over cap {cap}")
     try:
         z_oracle, z_anchor = (complex(z) for z in mcfg["resolvent_z"])
-        spec = HermiteBasisSpec(d=1, levels=levels, halfwidth=float(mcfg["halfwidth"]),
-                                npoints=int(mcfg["npoints"]))
-        spec2 = HermiteBasisSpec(d=2, levels=int(mcfg["d2_levels"]),
-                                 halfwidth=float(mcfg["d2_halfwidth"]),
-                                 npoints=int(mcfg["d2_npoints"]))
-        anchor = ResolventQuery(d=1, z=z_anchor, quad_nodes=int(mcfg["quad_nodes"]))
-        oracle = ResolventQuery(d=1, z=z_oracle, quad_nodes=int(mcfg["quad_nodes"]))
+        spec = HermiteBasisSpec(d=1, levels=levels, halfwidth=mcfg["halfwidth"],
+                                npoints=mcfg["npoints"])
+        spec2 = HermiteBasisSpec(d=2, levels=mcfg["d2_levels"],
+                                 halfwidth=mcfg["d2_halfwidth"], npoints=mcfg["d2_npoints"])
+        anchor = ResolventQuery(d=1, z=z_anchor, quad_nodes=mcfg["quad_nodes"])
+        oracle = ResolventQuery(d=1, z=z_oracle, quad_nodes=mcfg["quad_nodes"])
         return spec, spec2, anchor, oracle
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"models: {exc}") from exc
@@ -343,7 +351,7 @@ def run_model_checks(cfg: dict) -> list[Check]:
     rsym = resolvent_symbol(rq, grid)
     qr = weyl_quantize(rsym, spec)
     target = np.diag(1.0 / (np.arange(spec.levels) + 0.5 - z))
-    comp = block_compare(qr, target, spec, margin=spec.levels - int(mcfg["block_size"]))
+    comp = block_compare(qr, target, spec, margin=spec.levels - mcfg["block_size"])
     checks.append(_leq("models.resolvent_matrix_oracle", comp.max_abs_error,
                        mcfg["matrix_tolerance"], f"block {comp.block_levels}, z={z}"))
 
@@ -395,18 +403,17 @@ def run_model_checks(cfg: dict) -> list[Check]:
 
 @dataclass(frozen=True)
 class TorusJob:
-    """One lattice solve: every eigenvalue below the level `below`."""
+    """One lattice operator's solve: every eigenvalue below the level `below`."""
 
     model: TorusModel
     potential: PotentialSpec | None
     k: int
     npoints: int
-    purpose: str
     below: float
 
     @property
     def key(self) -> tuple:
-        return (self.purpose, self.k, self.npoints)
+        return (self.potential, self.k, self.npoints)
 
 
 def _solve_job(job: TorusJob, cache: Path) -> EigenResult:
@@ -417,52 +424,57 @@ def _solve_job(job: TorusJob, cache: Path) -> EigenResult:
 
 
 def _torus_jobs(cfg: dict) -> list[TorusJob]:
-    """The solves of the torus stage; a (k, N) pair with k < 1 or one the
-    lattice rejects is a ConfigError here, before anything is solved (at
-    k = 0 every job's level is 0, an exact eigenvalue of Delta_0, so no
-    inertia count can be taken there).
+    """The solves of the torus stage: one per operator (potential or none,
+    k, N), below the highest level a verdict reads of it.  A (k, N) pair
+    with k < 1 or one the lattice rejects is a ConfigError here, before
+    anything is solved (at k = 0 every level is 0, an exact eigenvalue of
+    Delta_0, so no inertia count can be taken there).
 
-    A `clusters` job solves below (max cluster level + 1) b k, a `bands`
-    job below band_cutoff * k: levels in the gaps above the last Landau
-    cluster and the last band the verdicts read.  A `weyl` job solves
-    below weyl_lambda * k^2, and its verdict reads only the count.
+    The verdicts read V = 0 below (max cluster level + 1) b k and V below
+    band_cutoff * k, gap levels above the last cluster and band they read,
+    and count V = 0 below weyl_lambda * k^2, a gap level too, so any solve
+    at or above it gives the exact count.
     """
     tcfg = cfg["torus"]
     try:
-        cap = int(cfg["caps"]["max_lattice_dim"])
-        model = TorusModel.compatible(int(tcfg["chern"]), float(tcfg["field"]))
+        model = TorusModel.compatible(tcfg["chern"], tcfg["field"])
         pot = _potential_from_config(tcfg["potential"])
-        levels = [int(m) for m in tcfg["cluster_levels"]]
-        if tcfg["cluster_pairs"] and not (levels and min(levels) >= 0):
-            raise ValueError(f"cluster_levels {levels} must name one or more levels m >= 0")
-        top = max(levels, default=0) + 1
-        jobs = [TorusJob(model, None, int(k), int(npts), "clusters", top * model.field * int(k))
-                for k, npts in tcfg["cluster_pairs"]]
-        lam = float(tcfg["weyl_lambda"])
-        jobs += [TorusJob(model, None, int(k), int(npts), "weyl", lam * int(k) ** 2)
-                 for k, npts in tcfg["weyl_pairs"]]
-        if pot is not None:
-            cutoff = float(tcfg["band_cutoff"])
-            jobs += [TorusJob(model, pot, int(k), int(npts), "bands", cutoff * int(k))
-                     for k, npts in tcfg["band_pairs"]]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"torus: {exc}") from exc
-    for job in jobs:
-        if job.k < 1:
-            raise ConfigError(f"torus {job.purpose} pair k={job.k}, N={job.npoints}: "
-                              "k must be a positive tensor power")
-        if job.npoints ** 2 > cap:
-            raise ResourceLimitError(f"lattice dimension {job.npoints ** 2} exceeds cap {cap}")
-        try:
-            model.check_lattice(job.k, job.npoints)
-        except ValueError as exc:
-            raise ConfigError(f"torus {job.purpose} pair k={job.k}, N={job.npoints}: "
-                              f"{exc}") from exc
-    return jobs
+    levels = tcfg["cluster_levels"]
+    if tcfg["cluster_pairs"] and not (levels and min(levels) >= 0):
+        raise ConfigError(f"torus: cluster_levels {levels} must name one or more levels m >= 0")
+    top = max(levels, default=0) + 1
+    reads = [("clusters", None, tcfg["cluster_pairs"], lambda k: top * model.field * k),
+             ("weyl", None, tcfg["weyl_pairs"], lambda k: tcfg["weyl_lambda"] * k ** 2)]
+    if pot is not None:
+        reads.append(("bands", pot, tcfg["band_pairs"], lambda k: tcfg["band_cutoff"] * k))
+    cap = cfg["caps"]["max_lattice_dim"]
+    jobs = {}
+    for verdict, potential, pairs, level in reads:
+        for pair in pairs:
+            if len(pair) != 2:
+                raise ConfigError(f"torus {verdict} pair {pair} must be [k, N]")
+            k, npoints = pair
+            if k < 1:
+                raise ConfigError(f"torus {verdict} pair k={k}, N={npoints}: "
+                                  "k must be a positive tensor power")
+            if npoints ** 2 > cap:
+                raise ResourceLimitError(f"lattice dimension {npoints ** 2} exceeds cap {cap}")
+            try:
+                model.check_lattice(k, npoints)
+            except ValueError as exc:
+                raise ConfigError(f"torus {verdict} pair k={k}, N={npoints}: {exc}") from exc
+            old = jobs.get((potential, k, npoints))
+            below = level(k) if old is None else max(old.below, level(k))
+            jobs[(potential, k, npoints)] = TorusJob(model, potential, k, npoints, below)
+    return list(jobs.values())
 
 
 def _run_jobs(jobs: list[TorusJob], n_workers: int, cache: Path) -> dict:
+    """{job.key: its EigenResult}, over at most one worker process per job."""
     solve_job = functools.partial(_solve_job, cache=cache)
+    n_workers = min(n_workers, len(jobs))
     if n_workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(solve_job, jobs))
@@ -472,17 +484,18 @@ def _run_jobs(jobs: list[TorusJob], n_workers: int, cache: Path) -> dict:
 
 
 def run_torus_checks(cfg: dict, spectra: dict) -> tuple[list[Check], dict]:
+    """The torus verdicts from `spectra`, which maps each operator
+    (potential or None, k, N) to its EigenResult."""
     tcfg = cfg["torus"]
-    model = TorusModel.compatible(int(tcfg["chern"]), float(tcfg["field"]))
+    model = TorusModel.compatible(tcfg["chern"], tcfg["field"])
     pot = _potential_from_config(tcfg["potential"])
     checks = []
     extras = {"clusters": [], "weyl": [], "bands": []}
 
     if tcfg["cluster_pairs"]:
-        cluster_spectra = {(int(k), int(npts)): spectra[("clusters", int(k), int(npts))]
+        cluster_spectra = {(k, npts): spectra[(None, k, npts)]
                            for k, npts in tcfg["cluster_pairs"]}
-        report = check_cluster_law(model, cluster_spectra,
-                                   [int(m) for m in tcfg["cluster_levels"]])
+        report = check_cluster_law(model, cluster_spectra, tcfg["cluster_levels"])
         worst_drift = max(r.relative_drift for r in report.rows)
         count_ok = all(r.measured_count == r.predicted_count for r in report.rows)
         checks.append(_leq("torus.cluster_center_drift", worst_drift,
@@ -501,9 +514,10 @@ def run_torus_checks(cfg: dict, spectra: dict) -> tuple[list[Check], dict]:
         extras["clusters"] = [r.__dict__ for r in report.rows]
 
     if tcfg["weyl_pairs"]:
-        counts = {(int(k), int(npts)): spectra[("weyl", int(k), int(npts))].raw.size
+        lam = tcfg["weyl_lambda"]
+        counts = {(k, npts): int(np.count_nonzero(spectra[(None, k, npts)].raw < lam * k ** 2))
                   for k, npts in tcfg["weyl_pairs"]}
-        records = check_weyl_law(counts, float(tcfg["weyl_lambda"]), model)
+        records = check_weyl_law(counts, lam, model)
         mid = records[len(records) // 2]
         checks.append(_leq("torus.weyl_ratio_mid_k", abs(mid.ratio - 1.0),
                            tcfg["weyl_tolerance"], f"k={mid.power}"))
@@ -514,11 +528,12 @@ def run_torus_checks(cfg: dict, spectra: dict) -> tuple[list[Check], dict]:
         extras["weyl"] = [r.__dict__ for r in records]
 
     if pot is not None and tcfg["band_pairs"]:
-        gap_minimum = float(tcfg["gap_minimum"])
-        bands = sigma_bands(model, pot, int(float(tcfg["band_cutoff"])) + 1)
+        gap_minimum = tcfg["gap_minimum"]
+        # the bands m = 0, ..., floor(band_cutoff)
+        bands = sigma_bands(model, pot, math.floor(tcfg["band_cutoff"]) + 1)
         eps_by_n = {}
         for k, npts in tcfg["band_pairs"]:
-            below = spectra[("bands", int(k), int(npts))].scaled()
+            below = spectra[(pot, k, npts)].scaled()
             eps_by_n[(k, npts)] = band_containment(below, bands)
             cl = detect_clusters(below, CLUSTER_GAP * model.field)
             gaps = [cl.clusters[i + 1].lo - cl.clusters[i].hi
@@ -596,35 +611,27 @@ class Stage:
 
 def _star_plan(cfg: dict, _jobs) -> list[str]:
     scfg = cfg["star"]
-    _require(cfg, {"seed": int, "star.instances": int, "star.max_dim": int,
-                   "star.max_degree": int, "star.tolerance": float})
-    if int(scfg["max_dim"]) < 2 or int(scfg["max_degree"]) < 0:
+    if scfg["max_dim"] < 2 or scfg["max_degree"] < 0:
         raise ConfigError("star: max_dim must be an integer >= 2 and max_degree one >= 0")
     return [f"{scfg['instances']} random star-product property instances"]
 
 
 def _model_plan(cfg: dict, _jobs) -> list[str]:
-    _require(cfg, {"caps.max_hermite_levels": int, "models.hermite_levels": int,
-                   "models.block_size": int, "models.matrix_tolerance": float,
-                   "models.projector_tolerance": float, "models.residue_tolerance": float,
-                   "models.inverse_tolerance": float})
     spec = _model_specs(cfg)[0]
     return [f"resolvent/projector/residue/inverse checks at N={spec.levels}"]
 
 
 def _torus_plan(cfg: dict, jobs: list[TorusJob]) -> list[str]:
-    _require(cfg, {"torus.center_tolerance": float, "torus.weyl_tolerance": float,
-                   "torus.band_margin": float, "torus.gap_minimum": float})
-    return [f"solve {j.purpose} eigenvalues below {j.below:.6g} at k={j.k}, N={j.npoints}"
-            for j in jobs]
+    return [f"solve {'V = 0' if j.potential is None else 'V'} eigenvalues below "
+            f"{j.below:.6g} at k={j.k}, N={j.npoints}" for j in jobs]
 
 
 STAGES = {
     "star-check": Stage(
         plan=_star_plan,
         run=lambda cfg, _jobs, _workers, cache: (_cached_checks(
-            cache, ["star-check", int(cfg["seed"]), cfg["star"]],
-            lambda: run_star_checks(cfg, int(cfg["seed"]))), None)),
+            cache, ["star-check", cfg["seed"], cfg["star"]],
+            lambda: run_star_checks(cfg, cfg["seed"])), None)),
     "model-symbols": Stage(
         plan=_model_plan,
         run=lambda cfg, _jobs, _workers, cache: (_cached_checks(

@@ -159,7 +159,7 @@ def _eval_combination(H: np.ndarray, d: int, zs: np.ndarray, coeffs: np.ndarray,
     return out.reshape(H.shape)
 
 
-def _radial_symbol(grid: PhaseGrid, profile, meta: dict) -> GridSymbol:
+def _radial_symbol(grid: PhaseGrid, profile) -> GridSymbol:
     """The symbol profile(|xi|^2) on the grid, as a radial GridSymbol.
 
     `profile` maps a 1-D array of squared radii to values; it runs once,
@@ -167,7 +167,7 @@ def _radial_symbol(grid: PhaseGrid, profile, meta: dict) -> GridSymbol:
     keeps just those values: the quantizer gathers each slab of samples
     from them, so the samples of the whole grid are never formed.
     """
-    return GridSymbol.from_radial(grid, profile(grid.radial_index()[0]), meta=meta)
+    return GridSymbol.from_radial(grid, profile(grid.radial_index()[0]))
 
 
 def resolvent_symbol(query: ResolventQuery, grid: PhaseGrid) -> GridSymbol:
@@ -176,9 +176,7 @@ def resolvent_symbol(query: ResolventQuery, grid: PhaseGrid) -> GridSymbol:
         raise ValueError(f"grid dim {grid.dim} != 2d = {2 * query.d}")
     return _radial_symbol(
         grid, lambda r2: _eval_combination(0.5 * r2, query.d, [query.z], [1.0],
-                                           query.quad_nodes),
-        meta={"kind": "resolvent", "d": query.d, "z": query.z,
-              "quad_nodes": query.quad_nodes})
+                                           query.quad_nodes))
 
 
 def resolvent_at(query: ResolventQuery, radius2: float) -> complex:
@@ -193,9 +191,7 @@ def projector_symbol(query: ProjectorQuery, grid: PhaseGrid) -> GridSymbol:
         raise ValueError(f"grid dim {grid.dim} != 2d = {2 * query.d}")
     return _radial_symbol(
         grid, lambda r2: ((2.0 ** query.d) * ((-1.0) ** query.m) * np.exp(-r2)
-                          * eval_genlaguerre(query.m, query.d - 1, 2.0 * r2)),
-        meta={"kind": "projector", "d": query.d, "energy": query.energy,
-              "rank": query.rank})
+                          * eval_genlaguerre(query.m, query.d - 1, 2.0 * r2)))
 
 
 def residue_projector(d: int, energy: float, radius: float, contour_points: int,
@@ -205,8 +201,7 @@ def residue_projector(d: int, energy: float, radius: float, contour_points: int,
     Trapezoid rule on the circle |z - energy| = radius.  When the circle
     encloses the pole at E in d/2 + N this reproduces pi_{d,E}; the
     leading minus sign is the convention that makes the residues equal
-    the projectors (recorded in the output metadata).  An empty contour
-    integrates to zero.
+    the projectors.  An empty contour integrates to zero.
     """
     if grid.dim != 2 * d:
         raise ValueError(f"grid dim {grid.dim} != 2d = {2 * d}")
@@ -226,11 +221,7 @@ def residue_projector(d: int, energy: float, radius: float, contour_points: int,
     # -(2 pi i)^{-1} * sum R(z_t) * (i r e^{i th} 2 pi / Q)
     coeffs = -(radius * np.exp(1j * theta)) / contour_points
     return _radial_symbol(
-        grid, lambda r2: _eval_combination(0.5 * r2, d, zs, coeffs, quad_nodes=64),
-        meta={"kind": "residue_projector", "d": d, "center": energy,
-              "radius": radius, "nodes": contour_points,
-              "residue_sign_convention": "projector = -(2*pi*i)^{-1} contour integral",
-              "encloses_pole": bool(np.any(enclosed))})
+        grid, lambda r2: _eval_combination(0.5 * r2, d, zs, coeffs, quad_nodes=64))
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +314,6 @@ def sharp_inverse(a, spec: HermiteBasisSpec) -> GridSymbol:
             q0 = weyl_quantize(GridSymbol(grid.dim, grid.halfwidth, grid.npoints, b0), spec)
         corr = wigner_symbol(OperatorMatrix(spec.d, spec.levels, inv - q0.entries), spec)
         vals = b0 + corr.values
-        realization = "pointwise reciprocal + de-quantized correction"
     else:
         vals = wigner_symbol(OperatorMatrix(spec.d, spec.levels, inv), spec).values
-        realization = "de-quantized matrix inverse"
-    return GridSymbol(grid.dim, grid.halfwidth, grid.npoints, vals,
-                      meta={"kind": "sharp_inverse", "realization": realization})
+    return GridSymbol(grid.dim, grid.halfwidth, grid.npoints, vals)

@@ -382,12 +382,10 @@ class GridSymbol:
     dim: int
     halfwidth: float
     npoints: int
-    meta: dict | None = None
     radial: np.ndarray | None = field(default=None, repr=False)
     _dense: np.ndarray | None = field(default=None, repr=False)
 
-    def __init__(self, dim: int, halfwidth: float, npoints: int, values,
-                 meta: dict | None = None):
+    def __init__(self, dim: int, halfwidth: float, npoints: int, values):
         """A dense symbol: validate the values and keep a read-only copy of them.
 
         A read-only array that owns its data is kept without a copy: it is
@@ -402,15 +400,15 @@ class GridSymbol:
         if v.flags.writeable or not v.flags.owndata:
             v = v.copy()
             v.setflags(write=False)
-        self._assign(dim, halfwidth, npoints, meta, None, v)
+        self._assign(dim, halfwidth, npoints, None, v)
 
-    def _assign(self, dim, halfwidth, npoints, meta, radial, dense):
+    def _assign(self, dim, halfwidth, npoints, radial, dense):
         for name, value in (("dim", dim), ("halfwidth", halfwidth), ("npoints", npoints),
-                            ("meta", meta), ("radial", radial), ("_dense", dense)):
+                            ("radial", radial), ("_dense", dense)):
             object.__setattr__(self, name, value)
 
     @classmethod
-    def from_radial(cls, grid: PhaseGrid, radial, meta: dict | None = None) -> "GridSymbol":
+    def from_radial(cls, grid: PhaseGrid, radial) -> "GridSymbol":
         """The radial symbol with value radial[i] at the i-th distinct |xi|^2
         of the grid (`PhaseGrid.radial_index`)."""
         r = np.array(radial, dtype=complex)
@@ -421,7 +419,7 @@ class GridSymbol:
             raise ValueError("values must be finite")
         r.setflags(write=False)
         out = cls.__new__(cls)
-        out._assign(grid.dim, grid.halfwidth, grid.npoints, meta, r, None)
+        out._assign(grid.dim, grid.halfwidth, grid.npoints, r, None)
         return out
 
     @property

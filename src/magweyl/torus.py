@@ -91,6 +91,8 @@ class TorusModel:
         """b and the flat metric compatible: side = sqrt(2 pi c / b)."""
         if chern < 1:
             raise ValueError("chern number must be a positive integer")
+        if not field > 0:
+            raise ValueError(f"field {field} must be positive")
         return cls(side=math.sqrt(2.0 * np.pi * chern / field), field=field)
 
 

@@ -180,8 +180,9 @@ def test_spectra_cache_schema(tmp_path, capsys, monkeypatch):
     assert main(["--config", cfg, "--out", str(out), "all"]) == EXIT_PASS
     cfgdict = load_config(cfg)
     entries = {name: json.loads(text) for name, text in cache_entries(out).items()}
-    # one entry per torus job plus the star and model-symbol stages
-    assert len(entries) == 6 + 2
+    # one entry per torus operator plus the star and model-symbol stages:
+    # the V = 0 operator at (2, 16) serves the cluster and the Weyl verdicts
+    assert len(entries) == 5 + 2
     assert all(len(name) == 64 + len(".json") for name in entries)
     assert all(set(payload) == {"inputs", "value"} for payload in entries.values())
     stages = {p["inputs"][0]: p for p in entries.values() if isinstance(p["inputs"], list)}
@@ -191,20 +192,23 @@ def test_spectra_cache_schema(tmp_path, capsys, monkeypatch):
     for payload in stages.values():
         assert all(set(row) == {"name", "value", "tolerance", "passed", "note"}
                    for row in payload["value"])
-    spectra = {(p["inputs"]["purpose"], p["inputs"]["k"], p["inputs"]["npoints"]): p["value"]
-               for p in entries.values() if isinstance(p["inputs"], dict)}
-    assert set(spectra) == {("clusters", 2, 16), ("clusters", 2, 32), ("weyl", 2, 16),
-                            ("weyl", 3, 24), ("bands", 4, 32), ("bands", 4, 48)}
-    levels = {(p["inputs"]["purpose"], p["inputs"]["k"]): p["inputs"]["below"]
-              for p in entries.values() if isinstance(p["inputs"], dict)}
-    for (purpose, k, npts), rec in spectra.items():
+    solves = [p for p in entries.values() if isinstance(p["inputs"], dict)]
+    assert all(set(p["inputs"]) == {"model", "potential", "k", "npoints", "below"}
+               for p in solves)
+    spectra = {(p["inputs"]["potential"] is None, p["inputs"]["k"], p["inputs"]["npoints"]):
+               (p["inputs"]["below"], p["value"]) for p in solves}
+    # below 3 b k (clusters m = 0, 1, 2, and bands m = 0, 1, 2 at band_cutoff 3)
+    # or weyl_lambda k^2 (k^2 c eigenvalues, the clusters m < k/2), whichever
+    # is higher for an operator two verdicts read
+    assert {key: below for key, (below, _) in spectra.items()} == {
+        (True, 2, 16): 6.0, (True, 2, 32): 6.0, (True, 3, 24): 9.0,
+        (False, 4, 32): 12.0, (False, 4, 48): 12.0}
+    for (_, k, npts), (below, rec) in spectra.items():
         assert set(rec) == {"power", "raw", "residual_norms", "method"}
         assert rec["power"] == k
         assert rec["method"] == "sectors"  # no potential, or cos_x: x-only
-        # below 3 b k (clusters m = 0, 1, 2), band_cutoff k (bands m = 0, 1, 2)
-        # or weyl_lambda k^2 (weyl: k^2 c eigenvalues, the clusters m < k/2)
-        assert levels[(purpose, k)] == (1.0 * k ** 2 if purpose == "weyl" else 3.0 * k)
-        assert len(rec["raw"]) == (k ** 2 if purpose == "weyl" else 3 * k)
+        # below / (b k) clusters of k c eigenvalues each, with b = c = 1
+        assert len(rec["raw"]) == below
         assert rec["raw"] == sorted(rec["raw"])
         assert 0 < len(rec["residual_norms"]) <= 8
         assert max(rec["residual_norms"]) <= RESIDUAL_TOL
@@ -352,7 +356,7 @@ def test_config_round_trip(tmp_path):
     ({"torus": {"cluster_levels": []}}, "torus: cluster_levels [] must name"),
     ({"torus": {"cluster_levels": [-1]}}, "torus: cluster_levels [-1] must name"),
     ({"torus": {"weyl_pairs": [[0, 8]]}}, "torus weyl pair k=0, N=8: k must be a positive"),
-    # fields a stage's run converts are parsed by its plan, before any compute
+    # every field is typed as its default at load, before any stage plans
     ({"seed": "abc"}, "config field 'seed' must be an integer, not 'abc'"),
     ({"star": {"instances": "abc"}}, "config field 'star.instances' must be an integer"),
     ({"star": {"tolerance": "abc"}}, "config field 'star.tolerance' must be a number"),
@@ -361,7 +365,13 @@ def test_config_round_trip(tmp_path):
     ({"torus": {"center_tolerance": "abc"}}, "config field 'torus.center_tolerance' must be"),
     ({"torus": {"gap_minimum": [0.6]}}, "config field 'torus.gap_minimum' must be a number"),
     ({"caps": {"max_hermite_levels": "abc"}}, "config field 'caps.max_hermite_levels' must be"),
-    ({"caps": {"max_lattice_dim": "abc"}}, "torus: invalid literal for int()"),
+    ({"caps": {"max_lattice_dim": "abc"}}, "config field 'caps.max_lattice_dim' must be"),
+    ({"torus": {"field": 0}}, "torus: field 0.0 must be positive"),
+    ({"torus": {"weyl_pairs": [[4, 32, 1]]}}, "torus weyl pair [4, 32, 1] must be [k, N]"),
+    # a non-integral number is not truncated
+    ({"torus": {"band_pairs": [[16.5, 128]]}},
+     "config field 'torus.band_pairs' must be an integer, not 16.5"),
+    ({"out_dir": 5}, "config field 'out_dir' must be a string, not 5"),
 ])
 def test_bad_config_value_is_config_error_in_dry_run(tmp_path, capsys, override, message):
     cfg = write_config(tmp_path, override)
@@ -370,6 +380,89 @@ def test_bad_config_value_is_config_error_in_dry_run(tmp_path, capsys, override,
         assert main(["--config", cfg, "--out", str(out), *dry_run, "all"]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: {message}")
         assert not out.exists()
+
+
+def _config_leaves(section: dict, path=""):
+    """The dotted path of every field of a config section, potential as one."""
+    for key, val in section.items():
+        where = f"{path}.{key}" if path else key
+        if isinstance(val, dict) and where != "torus.potential":
+            yield from _config_leaves(val, where)
+        else:
+            yield where
+
+
+@pytest.mark.parametrize("path", [
+    path for path in _config_leaves(cli.DEFAULT_CONFIG)
+    if path not in {"out_dir", "torus.potential", "models.resolvent_z"}])
+def test_every_config_field_is_typed_at_load(tmp_path, capsys, path):
+    *sections, name = path.split(".")
+    override = {name: "abc"}
+    for section in reversed(sections):
+        override = {section: override}
+    cfg = write_config(tmp_path, override)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), "--dry-run",
+                 "all"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: config field {path!r} must be")
+
+
+def test_a_bad_field_of_another_stage_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"torus": {"gap_minimum": "abc"}})
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), "star-check"]) == EXIT_CONFIG
+    assert "config field 'torus.gap_minimum' must be a number" in capsys.readouterr().err
+
+
+def test_integral_numbers_are_integers(tmp_path, capsys):
+    from_int, from_float = (load_config(write_config(tmp_path, {"torus": {
+        "cluster_pairs": [], "weyl_pairs": [], "band_pairs": [[k, 32]]}})) for k in (4, 4.0))
+    assert type(from_float["torus"]["band_pairs"][0][0]) is int
+    assert config_hash(from_float) == config_hash(from_int)
+    cfg = write_config(tmp_path, {"torus": {"cluster_pairs": [], "weyl_pairs": [],
+                                            "band_pairs": [[4.0, 32]]}})
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), "torus"]) == EXIT_PASS
+    assert "PASS  torus.gap_width_k4_N32:" in capsys.readouterr().out
+
+
+def test_default_plan_solves_each_operator_once(tmp_path, capsys):
+    # the V = 0 operators at (8, 64) and (16, 128) serve the cluster and the
+    # Weyl verdicts: 6 + 3 + 2 pairs, 9 operators
+    assert main(["--out", str(tmp_path / "out"), "--dry-run", "all"]) == EXIT_PASS
+    solves = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("plan: torus: solve")]
+    assert len(solves) == 9
+    assert "plan: torus: solve V = 0 eigenvalues below 256 at k=16, N=128" in solves
+
+
+class _SerialPool:
+    """A stand-in for ProcessPoolExecutor that records its size and maps in
+    this process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+def test_jobs_start_no_more_workers_than_solves(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    cfg = write_config(tmp_path)
+    assert main(["--config", cfg, "--out", str(tmp_path / "a"), "--jobs", "64",
+                 "torus"]) == EXIT_PASS
+    assert _SerialPool.sizes == [5]  # SMALL's five operators
+    # one solve runs in this process: no pool at all
+    assert main(["--config", _one_job_config(tmp_path), "--out", str(tmp_path / "b"),
+                 "--jobs", "64", "torus"]) == EXIT_PASS
+    assert _SerialPool.sizes == [5]
 
 
 def test_internal_value_error_exits_4(tmp_path, capsys, monkeypatch):
