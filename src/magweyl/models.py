@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre
 
 from .forms import AntisymmetricForm, MetricForm, williamson_eigenvalues
 from .quantize import (HermiteBasisSpec, OperatorMatrix, trusted_block_indices,
@@ -185,13 +184,23 @@ def resolvent_at(query: ResolventQuery, radius2: float) -> complex:
     return complex(_eval_combination(H, query.d, [query.z], [1.0], query.quad_nodes)[0])
 
 
+def _genlaguerre(m: int, alpha: float, x: np.ndarray) -> np.ndarray:
+    """The generalized Laguerre polynomial L_m^alpha(x), by the three-term
+    recurrence (k+1) L_{k+1} = (2k + 1 + alpha - x) L_k - (k + alpha) L_{k-1}
+    from L_{-1} = 0 and L_0 = 1."""
+    prev, cur = np.zeros_like(x), np.ones_like(x)
+    for k in range(m):
+        prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
+    return cur
+
+
 def projector_symbol(query: ProjectorQuery, grid: PhaseGrid) -> GridSymbol:
     """pi_{d,E} = 2^d (-1)^m e^{-|xi|^2} L_m^{d-1}(2 |xi|^2) on the grid."""
     if grid.dim != 2 * query.d:
         raise ValueError(f"grid dim {grid.dim} != 2d = {2 * query.d}")
     return _radial_symbol(
         grid, lambda r2: ((2.0 ** query.d) * ((-1.0) ** query.m) * np.exp(-r2)
-                          * eval_genlaguerre(query.m, query.d - 1, 2.0 * r2)))
+                          * _genlaguerre(query.m, query.d - 1, 2.0 * r2)))
 
 
 def residue_projector(d: int, energy: float, radius: float, contour_points: int,

@@ -24,7 +24,15 @@ A ring is an open path plus one bordering site, so its eigenvalues
 below a level follow in O(L) each: the path eigenvalues bracket them
 (Cauchy interlacing), and the Schur complement of the bordering site,
 one tridiagonal solve per evaluation, counts them (Haynsworth inertia)
-and locates each one in its bracket.
+and locates each one in its bracket.  The same solve gives each one's
+eigenvector, the bordered vector (1, -x).
+
+A y-dependent potential couples the rings only through its few y-modes,
+and a smooth one couples a Landau level only to nearby ones, so its
+operator is solved by Rayleigh-Ritz on the ring eigenvectors below a
+cutoff that doubles until the Ritz pairs converge: one inertia
+factorization for the count, O(L) work per ring eigenpair, and one
+small dense eigenproblem per round.
 """
 
 from __future__ import annotations
@@ -40,13 +48,18 @@ import scipy.sparse.linalg as spla
 
 # Every residual norm a solve returns must stay at or below this.
 RESIDUAL_TOL = 1e-8
-# A Lanczos basis whose QR pivots fall below this share of the largest, or
-# whose real Ritz vectors have a Gram defect above it, is rank-deficient.
+# A ring block of the Rayleigh-Ritz basis whose Gram defect max |B^T B - I|
+# exceeds this is rank-deficient.
 RITZ_RANK_TOL = 1e-6
+# A Rayleigh-Ritz basis of more ring eigenvectors than this is a SolverError.
+RITZ_MAX_DIM = 4096
 # Sector solves check this many eigenvectors, evenly spaced in rank.
 SECTOR_SAMPLES = 8
-# Real Lanczos keeps this many basis vectors beyond the count it is asked for.
-_LANCZOS_EXTRA = 12
+# Path eigenvalues are bisected to this share of the ring's Gershgorin bound,
+# until a ring root lands beside one.
+_BRACKET_TOL = 1e-7
+# Ring eigenvalues closer than this share of the Gershgorin bound are a cluster.
+_CLUSTER_GAP = 1e-6
 # Site residuals are formed in column blocks of about this many entries.
 _RESIDUAL_BLOCK = 1 << 16
 
@@ -139,13 +152,21 @@ class PotentialSpec:
         return out.real
 
     def oscillation(self, side: float) -> tuple[float, float]:
-        """(min, max) over the torus: 4096 points in x, or a 512 x 512 mesh."""
+        """(min, max) over the torus: 4096 points in x, or a 512 x 512 mesh.
+
+        The mesh is the real part of a sum of outer products, one per mode,
+        of an exp table in x and one in y: Re(X Y^T) = X_r Y_r^T - X_i Y_i^T
+        with the columns amp e^{2 pi i p x / L} of X and e^{2 pi i q y / L}
+        of Y, so no exp is taken on the mesh.
+        """
         if self.is_x_only:
             v = self.sample(np.linspace(0.0, side, 4096, endpoint=False), 0.0, side)
         else:
-            t = np.linspace(0.0, side, 512, endpoint=False)
-            xx, yy = np.meshgrid(t, t, indexing="ij")
-            v = self.sample(xx, yy, side)
+            phase = 2j * np.pi * np.linspace(0.0, side, 512, endpoint=False)[:, None] / side
+            p, q = np.array([pq for pq, _ in self.modes]).T
+            amps = np.array([amp for _, amp in self.modes])
+            x_table, y_table = amps * np.exp(p * phase), np.exp(q * phase)
+            v = x_table.real @ y_table.real.T - x_table.imag @ y_table.imag.T
         return float(np.min(v)), float(np.max(v))
 
 
@@ -372,35 +393,42 @@ def _zigzag_band(diag: np.ndarray, hop: float) -> tuple[np.ndarray, np.ndarray]:
     return perm, band
 
 
-def _chain_vector(band: np.ndarray, lam: float, steps: int = 3) -> np.ndarray:
+def _chain_vector(band: np.ndarray, lam: float, against: np.ndarray | None = None,
+                  steps: int = 3) -> np.ndarray:
     """Unit eigenvector for the eigenvalue lam by inverse iteration, O(L) memory.
 
     The shift sits a few ulps of the largest chain entry above lam, so
     that an eigenvalue that is exact in floating point (a two-site ring at
     zero flux has the eigenvalue 0) cannot make the factorization singular.
-    Norms and dot products of ring vectors go through `einsum`, not BLAS:
-    a threaded OpenBLAS `ddot` on a vector over 10,000 entries took about
-    8 ms on a 2-vCPU host (0.01 ms on one thread).
+    Each step projects out the orthonormal columns of `against` (the
+    earlier vectors of a cluster, in band order), from a start vector
+    seeded by their number, so that the vectors of a degenerate cluster
+    span it.  Norms and dot products of ring vectors go through `einsum`,
+    not BLAS: a threaded OpenBLAS `ddot` on a vector over 10,000 entries
+    took about 8 ms on a 2-vCPU host (0.01 ms on one thread).
     """
     L = band.shape[1]
-    shifted = np.zeros((5, L))
-    shifted[:3] = band
-    shifted[2] -= lam + 8.0 * np.finfo(float).eps * np.abs(band).max()
-    shifted[3, :-1] = band[1, 1:]
-    shifted[4, :-2] = band[0, 2:]
-    v = np.random.default_rng(0).standard_normal(L)
+    # LAPACK band storage with two rows of room for the fill of pivoting
+    shifted = np.zeros((7, L))
+    shifted[2:5] = band
+    shifted[4] -= lam + 8.0 * np.finfo(float).eps * np.abs(band).max()
+    shifted[5, :-1] = band[1, 1:]
+    shifted[6, :-2] = band[0, 2:]
+    lu, piv, info = scipy.linalg.lapack.dgbtrf(shifted, 2, 2)
+    if info:
+        raise SolverError(f"inverse iteration at {lam:.6g} failed: singular factor at {info}")
+    k = 0 if against is None else against.shape[1]
+    v = np.random.default_rng(k).standard_normal(L)
     for _ in range(steps):
-        try:
-            v = scipy.linalg.solve_banded((2, 2), shifted, v)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"inverse iteration at {lam:.6g} failed: {exc}") from exc
+        v = scipy.linalg.lapack.dgbtrs(lu, 2, 2, v, piv)[0]
+        if k:
+            v -= np.einsum("ij,j->i", against, np.einsum("ij,i->j", against, v))
         v /= np.sqrt(np.einsum("i,i", v, v))
     return v
 
 
-def _ring_eigenvalues(diag: np.ndarray, hop: float, level: float) -> np.ndarray:
-    """Eigenvalues of a ring below `level`, by path interlacing and the
-    Schur complement, in O(L) per eigenvalue.
+class _Ring:
+    """A ring of `_sector_rings` and its eigenpairs below a level that only grows.
 
     The ring is [[d_0, b^T], [b, P]]: P is the open path on sites 1..L-1
     with hop t, and b = t (e_1 + e_{L-1}), the single doubled link 2t for
@@ -409,38 +437,136 @@ def _ring_eigenvalues(diag: np.ndarray, hop: float, level: float) -> np.ndarray:
     b^T x = t (x_1 + x_{L-1}), and s'(lam) = -1 - x^T x.  By Haynsworth's
     inertia formula the ring has count_P(lam) + [s(lam) < 0] eigenvalues
     below lam, so with the m path eigenvalues mu_1 <= ... <= mu_m below
-    the level (LAPACK `stebz` bisection) it has m + [s(level) < 0].  By
-    Cauchy interlacing the j-th lies in [mu_{j-1}, mu_j], with mu_0 the
-    Gershgorin lower bound and mu_{m+1} the level, where s is smooth and
-    strictly decreasing: `_secular_root` finds it to 4 eps times the
-    Gershgorin bound on |H| (a level above that bound counts the whole
-    ring).  A shift at which P - lam is exactly singular is a
-    SolverError.
-    """
-    size = diag.size
-    scale = np.abs(diag).max() + 2.0 * abs(hop)
-    level = min(level, 2.0 * scale)
-    path = diag[1:]
-    # f2py's gtsv rejects an empty off-diagonal; a one-site path reads none
-    off = np.full(max(size - 2, 1), hop)
-    border = np.zeros(size - 1)
-    border[0] += hop
-    border[-1] += hop
+    the level (LAPACK `stebz` bisection, whose Sturm counts are exact) it
+    has m + [s(level) < 0].  By Cauchy interlacing the j-th lies in
+    [mu_{j-1}, mu_j], with mu_0 the Gershgorin lower bound and mu_{m+1}
+    the level, where s is smooth and strictly decreasing: `_secular_root`
+    finds it to 4 eps times the Gershgorin bound on |H| (a level above
+    that bound counts the whole ring).  A shift at which P - lam is
+    exactly singular is a SolverError.
 
-    def schur(lam):
-        *_, x, info = scipy.linalg.lapack.dgtsv(off, path - lam, off, border)
+    `stebz` bisects the path eigenvalues only to _BRACKET_TOL times that
+    bound.  A root that lands within twice that of a bracketing path
+    eigenvalue (where a pole of s may lie just inside the bracket, and
+    where the endpoint rule acts) has the ring switch to full precision
+    for good: its path eigenvalues are bisected again, and the root is
+    searched again.  Growing the level keeps the path eigenvalues and
+    roots already found and bisects only the new range.
+
+    Site 0, the bordering site, is the one after the least diagonal entry
+    (the ring is rotated so): an eigenvector of the bottom of the well
+    has weight there, and none vanishes on it by a mirror symmetry of the
+    well, so few roots deflate or need refined brackets.  The ring's sites
+    are in that rotated order, in `diag` and in `block`.
+    """
+
+    def __init__(self, diag: np.ndarray, hop: float):
+        size = diag.size
+        self.start = (int(np.argmin(diag)) + 1) % size
+        diag = np.roll(diag, -self.start)
+        self.diag, self.hop = diag, hop
+        self.scale = np.abs(diag).max() + 2.0 * abs(hop)
+        self.tol = 4.0 * np.finfo(float).eps * self.scale
+        self.path = diag[1:]
+        # f2py's gtsv rejects an empty off-diagonal; a one-site path reads none
+        self.off = np.full(max(size - 2, 1), hop)
+        self.border = np.zeros(size - 1)
+        self.border[0] += hop
+        self.border[-1] += hop
+        self.level = -np.inf
+        self.bracket = _BRACKET_TOL * self.scale  # `stebz` tolerance; 0 is full precision
+        self.mu = np.empty(0)                  # path eigenvalues below the level
+        self.values = np.empty(0)              # ring eigenvalues below the level
+        self.deflated = np.empty(0, dtype=bool)
+        self.block = np.empty((size, 0))       # unit eigenvectors, by `extend_block`
+
+    def path_solve(self, lam: float) -> np.ndarray:
+        *_, x, info = scipy.linalg.lapack.dgtsv(self.off, self.path - lam, self.off, self.border)
         if info:
             raise SolverError(f"ring solve at {lam:.6g}: the path is exactly singular")
+        return x
+
+    def schur(self, lam: float) -> tuple[float, float]:
+        diag, hop = self.diag, self.hop
+        x = self.path_solve(lam)
         return diag[0] - lam - hop * (x[0] + x[-1]), -1.0 - np.einsum("i,i", x, x)
 
-    mu = scipy.linalg.eigvalsh_tridiagonal(path, off[:size - 2], select="v",
-                                           select_range=(-np.inf, level), check_finite=False)
-    count = mu.size + int(schur(level)[0] < 0.0)
-    ends = np.concatenate([[diag.min() - 2.0 * abs(hop)], mu, [level]])
-    poles = np.concatenate([[-np.inf], mu, [level]])
-    tol = 4.0 * np.finfo(float).eps * scale
-    return np.array([_secular_root(schur, ends[j], ends[j + 1], poles[j], poles[j + 1], tol)
-                     for j in range(count)])
+    def grow(self, level: float) -> np.ndarray:
+        """The ring eigenvalues from the last level up to `level`, appended
+        to `values`."""
+        level = min(level, 2.0 * self.scale)
+        if level <= self.level:
+            return np.empty(0)
+        self.mu = np.concatenate([self.mu, self._path_eigenvalues(self.level, level)])
+        count = self.mu.size + int(self.schur(level)[0] < 0.0)
+        roots = [self._root(j, level) for j in range(self.values.size, count)]
+        new = np.array([root for root, _ in roots])
+        self.values = np.concatenate([self.values, new])
+        self.deflated = np.concatenate([self.deflated, [flag for _, flag in roots]]).astype(bool)
+        self.level = level
+        return new
+
+    def _root(self, j: int, level: float) -> tuple[float, bool]:
+        """The j-th ring eigenvalue, and whether it is a path eigenvalue
+        (deflated: the endpoint rule returned a bracket end)."""
+        while True:
+            mu = self.mu
+            lo = mu[j - 1] if j else self.diag.min() - 2.0 * abs(self.hop)
+            hi = mu[j] if j < mu.size else level
+            root = _secular_root(self.schur, lo, hi, lo if j else -np.inf, hi, self.tol)
+            if not self.bracket or not any(0 <= i < mu.size
+                                           and abs(root - mu[i]) <= 2.0 * self.bracket
+                                           for i in (j - 1, j)):
+                return root, bool((j and root == lo) or (j < mu.size and root == hi))
+            self.bracket = 0.0
+            self.mu = self._path_eigenvalues(-np.inf, level)
+
+    def _path_eigenvalues(self, lo: float, hi: float) -> np.ndarray:
+        return scipy.linalg.eigvalsh_tridiagonal(
+            self.path, self.off[:self.diag.size - 2], select="v", select_range=(lo, hi),
+            tol=self.bracket, check_finite=False)
+
+    def extend_block(self):
+        """Unit eigenvectors (`_vector`) for the eigenvalues that have none
+        yet, appended to `block`.  A block whose Gram defect max |B^T B - I|
+        exceeds RITZ_RANK_TOL is a SolverError."""
+        old = self.block.shape[1]
+        block = np.empty((self.diag.size, self.values.size))
+        block[:, :old] = self.block
+        for j in range(old, self.values.size):
+            block[:, j] = self._vector(j, block)
+        gram = np.einsum("ij,ik->jk", block, block[:, old:])
+        gram[old:] -= np.eye(self.values.size - old)
+        defect = np.abs(gram).max(initial=0.0)
+        if defect > RITZ_RANK_TOL:
+            raise SolverError(f"ring eigenvectors are rank-deficient: Gram defect {defect:.1e}")
+        self.block = block
+
+    def _vector(self, j: int, block: np.ndarray) -> np.ndarray:
+        """Unit eigenvector for the j-th eigenvalue, the earlier ones in `block`.
+
+        A root that is not deflated, with no earlier root within
+        _CLUSTER_GAP times the Gershgorin bound, takes the bordered vector
+        (1, -x) of its Schur complement, normalized, if its residual
+        |s(lam)| / ||(1, -x)|| is at most 64 eps times that bound.  Any
+        other root takes inverse iteration on the ring in banded form
+        (`_chain_vector`), orthogonal to the earlier vectors of its
+        cluster: a deflated root's vector has no weight on site 0, and the
+        bordered vector of a root with little weight there, or beside
+        another root, is inaccurate.
+        """
+        lam = self.values[j]
+        near = np.flatnonzero(np.abs(self.values[:j] - lam) <= _CLUSTER_GAP * self.scale)
+        if not self.deflated[j] and near.size == 0:
+            x = self.path_solve(lam)
+            norm = np.sqrt(1.0 + np.einsum("i,i", x, x))
+            s = self.diag[0] - lam - self.hop * (x[0] + x[-1])
+            if abs(s) <= 64.0 * np.finfo(float).eps * self.scale * norm:
+                return np.concatenate([[1.0], -x]) / norm
+        perm, band = _zigzag_band(self.diag, self.hop)
+        v = np.empty(perm.size)
+        v[perm] = _chain_vector(band, lam, block[np.ix_(perm, near)])
+        return v
 
 
 def _secular_root(schur, lo: float, hi: float, pole_lo: float, pole_hi: float,
@@ -497,14 +623,14 @@ def _secular_root(schur, lo: float, hi: float, pole_lo: float, pole_hi: float,
 def _sector_solve(op: MagneticLatticeOperator, below: float) -> tuple[np.ndarray, tuple]:
     """Sector eigenvalues below `below` and sampled residual norms.
 
-    Each ring gives its eigenvalues below the level by `_ring_eigenvalues`
-    (no eigenvectors); SECTOR_SAMPLES of the returned eigenvalues, evenly
+    Each ring gives its eigenvalues below the level by `_Ring.grow` (no
+    eigenvectors); SECTOR_SAMPLES of the returned eigenvalues, evenly
     spaced in rank, get an eigenvector by inverse iteration on their ring
     in banded form (`_zigzag_band`), placed at the ring's momentum rows
     (zero elsewhere) and checked on the site matrix by `_site_residuals`.
     """
     chains = _sector_chains(op)
-    evs = [_ring_eigenvalues(diag, hop, below) for _, diag, hop in chains]
+    evs = [_Ring(diag, hop).grow(below) for _, diag, hop in chains]
     lam = np.concatenate(evs)
     owner = np.repeat(np.arange(len(evs)), [w.size for w in evs])
     order = np.argsort(lam, kind="stable")
@@ -522,107 +648,130 @@ def _sector_solve(op: MagneticLatticeOperator, below: float) -> tuple[np.ndarray
     return lam[order], tuple(residuals)
 
 
-def _sparse_solve(op: MagneticLatticeOperator, count: int, matrix: sp.csr_matrix,
-                  index: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """Lowest `count` eigenvalues by shift-invert Lanczos, every residual norm.
+def _sparse_solve(op: MagneticLatticeOperator, below: float, count: int,
+                  matrix: sp.csr_matrix, index: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The lowest `count` eigenvalues, all below `below`, by Rayleigh-Ritz
+    on the ring eigenbasis below a growing cutoff Lambda, and every
+    residual norm.
 
-    Lanczos runs on the operator in the y-momentum basis, `matrix` and
-    `index` from `_momentum_matrix`: real symmetric when the potential is
-    even in y, so ARPACK runs its symmetric Lanczos in real arithmetic,
-    and complex Hermitian otherwise.  Real symmetric Ritz vectors come
-    back orthonormal, so they are only checked (`_real_ritz_pairs`); the
-    ones ARPACK returns for a complex matrix need not be orthonormal
-    inside a degenerate cluster, so they are replaced by a Rayleigh-Ritz
-    step on their span (`_rayleigh_ritz`).  The Lanczos factorization and
-    operator live only in `_lanczos_basis`, so they are freed before that
-    step, and its basis is handed straight over, so the step can free it
-    once factored.  Every Ritz vector is lifted to the sites and
-    residual-checked on the site matrix (`_site_residuals`).  `solve`
-    takes `count` from the inertia count of its level on the same matrix,
-    whose factorization is freed before the Lanczos one is built.
+    `matrix` and `index` are from `_momentum_matrix`; `solve` takes
+    `count` from the inertia count of its level on `matrix`.  The basis is
+    the eigenvectors of the rings of `_sector_chains` (the x-only
+    operator) below Lambda, in blocks per ring (`_Ring.extend_block`); the
+    projected matrix is diag(ring eigenvalues) + Psi^H Y Psi, with Y the
+    couplings of `_y_couplings`, built ring pair by ring pair
+    (`_projected_matrix`): real when V is even in y, complex Hermitian
+    otherwise.  Lambda starts at `below` + (`below` - g), with g the
+    Gershgorin lower bound min_i (h_ii - sum_{j != i} |h_ij|) of `matrix`,
+    and each round doubles Lambda - `below`, extending the ring blocks
+    already found.  Growth stops when `count` Ritz values lie below
+    `below` and their residuals on `matrix` are at most RESIDUAL_TOL / 2,
+    or when the basis holds every ring eigenvector, where the Ritz pairs
+    are exact; a basis over RITZ_MAX_DIM vectors is a SolverError.  The
+    Ritz pairs below `below` are returned, each lifted to the sites and
+    residual-checked on the site matrix (`_site_residuals`) once the ring
+    blocks are freed.
     """
     if count == 0:
         return np.empty(0), ()
-    margin = 1e-3 / (2.0 * op.spacing ** 2)
-    ritz = _real_ritz_pairs if matrix.dtype == np.float64 else _rayleigh_ritz
-    vals, vecs = ritz(matrix, _lanczos_basis(matrix, count, margin))
-    return vals, _site_residuals(op, index, vecs, vals)
-
-
-def _lanczos_basis(matrix: sp.csr_matrix, count: int, margin: float) -> np.ndarray:
-    """ARPACK's Ritz vectors for the lowest `count` eigenvalues of a Hermitian matrix.
-
-    The shift sigma is the Gershgorin lower bound min_i (h_ii - sum_{j != i}
-    |h_ij|) of the matrix, less `margin`.  In the y-momentum basis that
-    bound is the minimum over (n, i) of 2/a^2 + 2 t cos(theta_n - k b a
-    x_i) - 2|t| + c_0(x_i) - sum_{s != 0} |c_s(x_i)|, at least
-    min_i (c_0(x_i) - sum_{s != 0} |c_s(x_i)|) with c_0 the x-only part
-    of k V (`_y_couplings` gives the c_s), and the solve passes the
-    margin 1e-3/(2 a^2).  So H - sigma I is positive definite, the
-    largest 1/(lambda - sigma) belong to the lowest lambda, and its LU
-    factorization is stable without pivoting: it is factored once, in a
-    minimum-degree ordering of A^T + A with diagonal pivots (SuperLU's
-    symmetric mode), and its solve is the Lanczos operator.  A real
-    matrix takes ARPACK's real symmetric Lanczos, whose factor, basis and
-    Ritz vectors are all real.  Its eigenvector extraction (scipy's
-    `dseupd` call) holds the Lanczos basis and a second array of the same
-    size, so a real basis has count + _LANCZOS_EXTRA vectors, not
-    ARPACK's default 2 count + 1 (at count 48 the operator solves stay
-    about 145 either way); a complex one keeps the default, since its
-    peak is in Rayleigh-Ritz and a short complex basis converges slowly
-    inside a near-degenerate cluster.  Lanczos starts from a fixed vector, so the result depends
-    on the matrix only.
-    """
-    n = matrix.shape[0]
+    chains = _sector_chains(op)
+    rings = [_Ring(diag, hop) for _, diag, hop in chains]
+    rows = [np.roll(index[orbit].ravel(), -ring.start)
+            for (orbit, _, _), ring in zip(chains, rings)]
+    links = _ring_links(op, rows, index)
     diag = matrix.diagonal().real
     radius = np.asarray(abs(matrix).sum(axis=1)).ravel() - np.abs(diag)
-    sigma = float(np.min(diag - radius)) - margin
-    lu = spla.splu((matrix - sigma * sp.identity(n, format="csr")).tocsc(),
-                   permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": True})
-    shift_invert = spla.LinearOperator((n, n), matvec=lu.solve, dtype=matrix.dtype)
-    v0 = np.random.default_rng(0).standard_normal(n)
-    ncv = min(n, count + _LANCZOS_EXTRA) if matrix.dtype == np.float64 else None
-    try:
-        return spla.eigsh(matrix, k=count, sigma=sigma, which="LM", v0=v0, ncv=ncv,
-                          OPinv=shift_invert)[1]
-    except spla.ArpackNoConvergence as exc:
-        raise SolverError(f"ARPACK did not converge: {exc}") from exc
+    width = below - float(np.min(diag - radius))
+    while True:
+        for ring in rings:
+            ring.grow(below + width)
+        size = sum(ring.values.size for ring in rings)
+        if size > RITZ_MAX_DIM:
+            raise SolverError(f"Rayleigh-Ritz basis of {size} ring eigenvectors exceeds "
+                              f"RITZ_MAX_DIM = {RITZ_MAX_DIM}")
+        for ring in rings:
+            ring.extend_block()
+        width *= 2.0
+        if not size:
+            continue
+        # the count + 1 lowest Ritz pairs, or all of them: one past the count
+        # shows a basis that is not orthonormal
+        theta, coef = scipy.linalg.eigh(_projected_matrix(rings, links, matrix.dtype),
+                                        overwrite_a=True,
+                                        subset_by_index=(0, min(count, size - 1)))
+        found = int(np.count_nonzero(theta < below))
+        done = all(ring.values.size == ring.diag.size for ring in rings)
+        if done or found >= count:
+            theta = theta[:found]
+            vecs = np.zeros((op.dim, found), dtype=coef.dtype)
+            lo = 0
+            for ring, rr in zip(rings, rows):
+                vecs[rr] = ring.block @ coef[lo:lo + ring.values.size, :found]
+                lo += ring.values.size
+            if done or found > count or _momentum_converged(matrix, vecs, theta,
+                                                            RESIDUAL_TOL / 2):
+                break
+            del vecs
+    del rings, links, coef  # the ring blocks are freed before the site residuals
+    return theta, _site_residuals(op, index, vecs, theta)
 
 
-def _rayleigh_ritz(matrix: sp.csr_matrix, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ritz values and orthonormal Ritz vectors on span(basis).
+def _ring_links(op: MagneticLatticeOperator, rows: list, index: np.ndarray) -> list:
+    """The couplings of `_y_couplings` between rings, ring r at the rows
+    `rows[r]` of the momentum basis (in its own site order).
 
-    QR of the basis, then eigh of Q^H H Q.  A basis whose QR has a
-    diagonal entry below RITZ_RANK_TOL times the largest (a repeated
-    Ritz pair) is a SolverError.  The step holds at most three n x count
-    arrays at a time: the basis is released after its QR (a caller that
-    hands it over keeps no copy), and H Q before the Ritz vectors are
-    formed.
+    The shift n -> n + s carries a whole ring onto the rows of one other
+    ring.  Returns (r2, r, where, coef): site p of ring r goes to site
+    where[p] of ring r2 with coefficient coef[p], c_s at the column of p
+    (its real part when V is even in y, as in `_momentum_matrix`).  Rows
+    outside every ring receive nothing.
     """
-    q, r = np.linalg.qr(basis)
-    del basis
-    pivots = np.abs(np.diag(r))
-    if pivots.min() < RITZ_RANK_TOL * pivots.max():
-        raise SolverError(f"Ritz vectors are rank-deficient: QR pivot "
-                          f"{pivots.min() / pivots.max():.1e} of the largest")
-    vals, s = np.linalg.eigh(q.conj().T @ (matrix @ q))
-    return vals, q @ s
+    if op.potential is None:
+        return []
+    N = op.npoints
+    momentum, column = np.divmod(np.argsort(index, axis=None), N)
+    owner = np.full(op.dim, -1)
+    local = np.empty(op.dim, dtype=np.intp)
+    for r, rr in enumerate(rows):
+        owner[rr] = r
+        local[rr] = np.arange(rr.size)
+    links = []
+    for s, c in _y_couplings(op).items():
+        c = c.real if op.potential.is_even_in_y else c
+        for r, rr in enumerate(rows):
+            dest = index[(momentum[rr] + s) % N, column[rr]]
+            if owner[dest[0]] >= 0:
+                links.append((owner[dest[0]], r, local[dest], c[column[rr]]))
+    return links
 
 
-def _real_ritz_pairs(matrix: sp.csr_matrix, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real symmetric Ritz pairs as ARPACK returns them, checked orthonormal.
+def _projected_matrix(rings: list, links: list, dtype) -> np.ndarray:
+    """diag(ring eigenvalues) + Psi^H Y Psi on the ring blocks, the block
+    (r2, r) of each link of `_ring_links` as B_r2[where]^T (coef B_r)."""
+    values = np.concatenate([ring.values for ring in rings])
+    offsets = np.cumsum([0] + [ring.values.size for ring in rings])
+    # Fortran order: LAPACK factors it in place
+    proj = np.zeros((values.size, values.size), dtype=dtype, order="F")
+    proj[np.diag_indices(values.size)] = values
+    for r2, r, where, coef in links:
+        proj[offsets[r2]:offsets[r2 + 1], offsets[r]:offsets[r + 1]] += (
+            rings[r2].block[where].T @ (coef[:, None] * rings[r].block))
+    return proj
 
-    A Gram defect max |V^T V - I| above RITZ_RANK_TOL (a repeated Ritz
-    pair) is a SolverError; otherwise the Ritz values are the Rayleigh
-    quotients v^T H v, sorted with their vectors.
-    """
-    defect = np.abs(vecs.T @ vecs - np.eye(vecs.shape[1])).max()
-    if defect > RITZ_RANK_TOL:
-        raise SolverError(f"Ritz vectors are rank-deficient: Gram defect {defect:.1e}")
-    vals = np.einsum("ij,ij->j", vecs, matrix @ vecs)
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+
+def _momentum_converged(matrix: sp.csr_matrix, vecs: np.ndarray, vals: np.ndarray,
+                        bound: float) -> bool:
+    """Whether every residual norm ||M v - lambda v|| in the momentum basis
+    is at most `bound`, in column blocks from the highest Ritz value down
+    (the slowest to converge), stopping at the first block over it."""
+    step = max(1, _RESIDUAL_BLOCK // matrix.shape[0])
+    for hi in range(vals.size, 0, -step):
+        lo = max(0, hi - step)
+        res = matrix @ vecs[:, lo:hi]
+        res -= vecs[:, lo:hi] * vals[lo:hi]
+        if not np.sqrt(np.einsum("ij,ij->j", res.conj(), res).real).max() <= bound:
+            return False
+    return True
 
 
 def _ring_matrix(diag: np.ndarray, hop: float) -> sp.csc_matrix:
@@ -689,24 +838,23 @@ def solve(op: MagneticLatticeOperator, below: float) -> EigenResult:
     only (or none) takes the exact magnetic Bloch reduction ('sectors'):
     real periodic chains, each solved for its eigenvalues below the level
     in O(L) per eigenvalue by path interlacing and the Schur complement
-    (`_ring_eigenvalues`), with residuals checked on SECTOR_SAMPLES
-    eigenvectors.  A y-dependent potential takes shift-invert Lanczos
-    ('sparse') on the operator in the y-momentum basis, built once for
-    the count and the solve, which is real symmetric when V is even in y
-    and complex Hermitian otherwise: the shift is the Gershgorin lower
-    bound of that matrix less a margin, so the shifted matrix is positive
-    definite and is factored once without pivoting in a symmetric
-    minimum-degree ordering; real Ritz vectors are checked orthonormal,
-    complex ones replaced by a Rayleigh-Ritz step.  Both methods lift
-    their eigenvectors to the sites by an FFT along the momentum axis and
-    check their residuals on the site matrix, every one for 'sparse'.
+    (`_Ring`), with residuals checked on SECTOR_SAMPLES eigenvectors.  A
+    y-dependent potential takes Rayleigh-Ritz ('sparse') on the
+    eigenvectors of those rings below a cutoff that doubles until the
+    Ritz pairs converge (`_sparse_solve`), with the operator in the
+    y-momentum basis built once for the count and the residuals: real
+    symmetric when V is even in y and complex Hermitian otherwise.  Both
+    methods lift their eigenvectors to the sites by an FFT along the
+    momentum axis and check their residuals on the site matrix, every one
+    for 'sparse'.
 
     The level carries a count certificate: the eigenvalues below it are
     counted by inertia (`count_below`, apart from the ring solve; on the
-    momentum matrix for 'sparse'), that count sizes the Lanczos run, and
-    the result must hold exactly that many values, all below the level.
-    A count above dim/4, a result that misses the count, a residual above
-    RESIDUAL_TOL or a rank-deficient Lanczos basis is a SolverError.
+    momentum matrix for 'sparse'), that count is the number of Ritz pairs
+    sought, and the result must hold exactly that many values, all below
+    the level.  A count above dim/4, a result that misses the count, a
+    residual above RESIDUAL_TOL, a rank-deficient ring block or a basis
+    over RITZ_MAX_DIM is a SolverError.
     """
     sectors = op.potential is None or op.potential.is_x_only
     if sectors:
@@ -722,13 +870,13 @@ def solve(op: MagneticLatticeOperator, below: float) -> EigenResult:
         raw, residuals = _sector_solve(op, below)
     else:
         method = "sparse"
-        raw, residuals = _sparse_solve(op, count, matrix, index)
-    # written so that a NaN fails both checks
-    if residuals and not np.max(residuals) <= RESIDUAL_TOL:
-        raise SolverError(f"residual norm {np.max(residuals):.2e} exceeds {RESIDUAL_TOL:.0e}")
+        raw, residuals = _sparse_solve(op, below, count, matrix, index)
     if raw.size != count or not np.all(raw < below):
         raise SolverError(f"{method} solve returned {raw.size} eigenvalues, "
                           f"{int(np.count_nonzero(raw < below))} of them below {below:.6g}, "
                           f"where the inertia counts {count}")
+    # written so that a NaN fails both checks
+    if residuals and not np.max(residuals) <= RESIDUAL_TOL:
+        raise SolverError(f"residual norm {np.max(residuals):.2e} exceeds {RESIDUAL_TOL:.0e}")
     return EigenResult(power=op.power, raw=np.sort(raw), method=method,
                        residual_norms=residuals)

@@ -531,18 +531,18 @@ def test_dropped_sector_in_a_level_job_exits_3(tmp_path, capsys, monkeypatch, pa
     assert f"sectors solve returned {returned} eigenvalues" in capsys.readouterr().err
 
 
-def test_lanczos_missing_a_ritz_vector_exits_3(tmp_path, capsys, monkeypatch):
-    eigsh = magweyl.torus.spla.eigsh
-
-    def dropping_eigsh(*args, **kwargs):
-        vals, vecs = eigsh(*args, **kwargs)
-        return vals[1:], vecs[:, 1:]
-    monkeypatch.setattr(magweyl.torus.spla, "eigsh", dropping_eigsh)
+def test_dropped_ring_block_exits_3(tmp_path, capsys, monkeypatch):
+    # k = 4, N = 32 with a y-dependent potential: the Rayleigh-Ritz basis
+    # misses one of the four rings, so fewer Ritz values than the 12 the
+    # momentum matrix's inertia counts fall below band_cutoff k = 12
+    chains = magweyl.torus._sector_chains
+    monkeypatch.setattr(magweyl.torus, "_sector_chains", lambda op: list(chains(op))[1:])
     cfg = write_config(tmp_path, {"torus": {"cluster_pairs": [], "weyl_pairs": [],
                                             "potential": _Y_DEPENDENT,
                                             "band_pairs": [[4, 32]]}})
     assert main(["--config", cfg, "--out", str(tmp_path / "out"), "torus"]) == EXIT_RESOURCE
-    assert "sparse solve returned 11 eigenvalues" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "sparse solve returned 9 eigenvalues" in err and "where the inertia counts 12" in err
 
 
 def test_corrupt_product_scatter_fails_the_zero_form_check(tmp_path, monkeypatch):

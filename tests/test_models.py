@@ -10,7 +10,7 @@ from magweyl import (AntisymmetricForm, FormulaDomainError, GridSymbol,
                      residue_projector, resolvent_at, resolvent_symbol,
                      sharp_inverse, spectrum_of_symbol, weyl_quantize,
                      wigner_symbol)
-from magweyl.models import _eval_combination, harmonic_hamiltonian
+from magweyl.models import _eval_combination, _genlaguerre, harmonic_hamiltonian
 from magweyl.quantize import block_compare
 
 
@@ -69,6 +69,17 @@ def test_resolvent_matches_diagonal_series():
                            / (m + 0.5 - z) for m in range(2001)])
     abel = 0.5 * (series_to[-1] + series_to[-2])
     assert abs(resolvent_at(q, r2) - abel) < 1e-3
+
+
+def test_laguerre_recurrence_matches_scipy():
+    # the projector symbols evaluate L_m^{d-1} by its three-term recurrence
+    from scipy.special import eval_genlaguerre
+    x = np.linspace(0.0, 120.0, 2001)
+    for d in (1, 2, 3):
+        for m in range(13):
+            ref = eval_genlaguerre(m, d - 1, x)
+            got = _genlaguerre(m, d - 1, x)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (m, d)
 
 
 def test_resolvent_leading_order_decay():

@@ -12,9 +12,8 @@ import scipy.sparse.linalg as spla
 import magweyl.torus
 from magweyl import (EigenResult, PotentialSpec, SolverError, TorusModel,
                      build_magnetic_laplacian, count_below, solve)
-from magweyl.torus import (_momentum_matrix, _rayleigh_ritz, _ring_eigenvalues, _ring_matrix,
-                           _sector_chains, _sector_rings, _sector_solve, _sparse_solve,
-                           _zigzag_band)
+from magweyl.torus import (_momentum_matrix, _Ring, _ring_matrix, _sector_chains, _sector_rings,
+                           _sector_solve, _sparse_solve, _zigzag_band)
 
 
 def test_model_prequantization():
@@ -38,13 +37,26 @@ def test_potential_realness():
     assert p.is_x_only
 
 
+@pytest.mark.parametrize("potential", [
+    PotentialSpec((((1, 0), 0.025), ((-1, 0), 0.025), ((1, 1), 0.03), ((-1, -1), 0.03))),
+    PotentialSpec((((2, 3), 0.1 + 0.2j), ((-2, -3), 0.1 - 0.2j), ((0, 1), 0.3j), ((0, -1), -0.3j),
+                   ((0, 0), 0.5))),
+], ids=["mixed", "complex-amplitudes"])
+def test_oscillation_mesh_matches_sampling(potential):
+    # the separable mesh against the potential sampled at every mesh point
+    side = TorusModel.compatible(1).side
+    t = np.linspace(0.0, side, 512, endpoint=False)
+    v = potential.sample(t[:, None], t[None, :], side)
+    assert np.allclose(potential.oscillation(side), (v.min(), v.max()), rtol=0.0, atol=1e-15)
+
+
 def test_zero_flux_limit():
     model = TorusModel.compatible(1)
     op = build_magnetic_laplacian(model, 0, 8)
     # constant vector is the zero mode
     ones = np.ones(64)
     assert np.max(np.abs(op.matrix @ ones)) < 1e-12
-    raw, _ = _sparse_solve(op, 1, *_momentum_matrix(op))
+    raw, _ = _sparse_solve(op, 1.0, 1, *_momentum_matrix(op))
     assert abs(raw[0]) < 1e-8
     res = solve(op, 1.0)  # the next eigenvalue is 2.98
     assert res.raw.size == 1 and abs(res.raw[0]) < 1e-8
@@ -200,12 +212,27 @@ def test_sector_solver_matches_sparse_and_dense(k, npts, cos_x):
     assert res_sec2.method == "sectors"
     assert res_sec2.raw.size == count
     assert np.max(np.abs(res_sec2.raw - dense[:count])) < 1e-10
-    sparse, _ = _sparse_solve(op, count, *_momentum_matrix(op))
-    assert np.max(np.abs(sparse - res_sec2.raw)) < 1e-8
+    assert np.max(np.abs(_arpack_lowest(op, count) - res_sec2.raw)) < 1e-8
+
+
+def _arpack_lowest(op, count):
+    """The lowest `count` eigenvalues of the site matrix by shift-invert
+    Lanczos (ARPACK) below its Gershgorin bound: a reference apart from
+    the ring solves."""
+    H = op.matrix
+    diag = H.diagonal().real
+    radius = np.asarray(abs(H).sum(axis=1)).ravel() - np.abs(diag)
+    sigma = float(np.min(diag - radius)) - 1.0
+    v0 = np.random.default_rng(0).standard_normal(op.dim)
+    return np.sort(spla.eigsh(H, k=count, sigma=sigma, which="LM", v0=v0,
+                              return_eigenvectors=False))
 
 
 _Y_DEPENDENT = PotentialSpec((((1, 0), 0.025), ((-1, 0), 0.025),
                               ((0, 1), 0.025), ((0, -1), 0.025)))
+
+
+_MIXED = PotentialSpec((((1, 0), 0.025), ((-1, 0), 0.025), ((1, 1), 0.03), ((-1, -1), 0.03)))
 
 
 def _level_above(spectrum, count):
@@ -277,6 +304,10 @@ def test_vanishing_pivot_is_an_error():
 @pytest.mark.parametrize("k, npts, count, method", [
     (2, 16, 12, "sparse"),
     (3, 24, 20, "sparse"),
+    # gcd(k c, N) < k c: rings of several wells, whose Landau clusters are
+    # near-degenerate within a ring (deflated roots, clustered vectors)
+    (3, 16, 6, "sparse"),
+    (5, 24, 10, "sparse"),
 ])
 def test_solve_dispatch_y_dependent(k, npts, count, method):
     model = TorusModel.compatible(1)
@@ -290,52 +321,58 @@ def test_solve_dispatch_y_dependent(k, npts, count, method):
 
 
 def test_sparse_shift_lies_below_the_spectrum():
-    # k min V = -16 puts the lowest eigenvalue, -9.04, far below 0: a shift
-    # near 0 would return the eigenvalues nearest 0 instead of the lowest
+    # k min V = -16 puts the lowest eigenvalue, -9.04, far below 0, and the
+    # amplitude-1.0 y-modes mix many Landau levels: the ring basis grows
+    # over several rounds, to about two thirds of the 1024 dimensions
     pot = PotentialSpec((((1, 0), 1.0), ((-1, 0), 1.0), ((0, 1), 1.0), ((0, -1), 1.0)))
     op = build_magnetic_laplacian(TorusModel.compatible(1), 4, 32, pot)
     dense = np.linalg.eigvalsh(op.matrix.toarray())
     res = solve(op, _level_above(dense, 8))
     assert res.method == "sparse" and dense[0] < -9.0
     assert np.max(np.abs(res.raw - dense[:8])) < 1e-10
+    assert len(res.residual_norms) == 8 and max(res.residual_norms) < 1e-8
 
 
 def test_sparse_ritz_vectors_are_orthonormal(monkeypatch):
-    # V = 0 plus a weak mode (1,1) at (16, 96): 20 eigenvalues in one
-    # 16-fold Landau cluster and part of the next.  The mode is not even in
-    # y, so the momentum matrix is complex, and ARPACK's complex Ritz
-    # vectors are far from orthonormal there
-    mixed = PotentialSpec((((1, 1), 1e-4), ((-1, -1), 1e-4)))
-    op = build_magnetic_laplacian(TorusModel.compatible(1), 16, 96, mixed)
+    # a mode (1,1) is not even in y, so the momentum matrix and the
+    # projected matrix are complex; at (16, 96) 32 eigenvalues lie below
+    # 2 b k, the two lowest Landau bands, each 16-fold near-degenerate
+    op = build_magnetic_laplacian(TorusModel.compatible(1), 16, 96, _MIXED)
     assert _momentum_matrix(op)[0].dtype == np.complex128
     seen = {}
-    eigsh = spla.eigsh
+    site_residuals = magweyl.torus._site_residuals
 
-    def recording_eigsh(*args, **kwargs):
-        vals, seen["basis"] = eigsh(*args, **kwargs)
-        return vals, seen["basis"]
+    def recording_site_residuals(op, index, vecs, vals):
+        seen["pairs"] = vals, vecs
+        return site_residuals(op, index, vecs, vals)
 
-    def recording_rayleigh_ritz(matrix, basis):
-        seen["ritz"] = _rayleigh_ritz(matrix, basis)
-        return seen["ritz"]
-
-    monkeypatch.setattr(magweyl.torus.spla, "eigsh", recording_eigsh)
-    monkeypatch.setattr(magweyl.torus, "_rayleigh_ritz", recording_rayleigh_ritz)
-    raw, residuals = _sparse_solve(op, 20, *_momentum_matrix(op))
-    basis = seen["basis"]
-    assert np.max(np.abs(basis.conj().T @ basis - np.eye(20))) > 0.1
-    vals, vecs = seen["ritz"]
-    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(20))) < 1e-10
-    assert np.array_equal(raw, vals) and len(residuals) == 20
-    assert max(residuals) < 1e-8
-    # the two lowest clusters, 32 eigenvalues below 2 b k
-    assert np.max(np.abs(raw - solve(op, 2.0 * 16).raw[:20])) < 1e-10
+    monkeypatch.setattr(magweyl.torus, "_site_residuals", recording_site_residuals)
+    res = solve(op, 2.0 * 16)
+    vals, vecs = seen["pairs"]
+    assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(32))) < 1e-10
+    assert res.method == "sparse" and np.array_equal(res.raw, vals)
+    assert len(res.residual_norms) == 32 and max(res.residual_norms) < 1e-8
+    assert np.max(np.abs(res.raw - _arpack_lowest(op, 32))) < 1e-9
     # a potential even in y gives a real momentum matrix
     even = build_magnetic_laplacian(TorusModel.compatible(1), 16, 96, _Y_DEPENDENT)
     assert _momentum_matrix(even)[0].dtype == np.float64
 
 
-_MIXED = PotentialSpec((((1, 0), 0.025), ((-1, 0), 0.025), ((1, 1), 0.03), ((-1, -1), 0.03)))
+def test_basis_over_the_limit_is_an_error(monkeypatch):
+    # amplitude-128 y-modes at (8, 72): 1249 eigenvalues below 16, the
+    # lowest near -3984, all within dim/4 = 1296.  Shift-invert Lanczos,
+    # the solver Rayleigh-Ritz replaced, found them (in about 800 s on 2
+    # vCPUs); the first cutoff already holds 4831 ring eigenvalues, so the
+    # solve stops at RITZ_MAX_DIM (exit 3 in the CLI) before it forms any
+    # ring eigenvector or projected matrix
+    amp = 128.0
+    pot = PotentialSpec((((1, 0), amp), ((-1, 0), amp), ((0, 1), amp), ((0, -1), amp)))
+    op = build_magnetic_laplacian(TorusModel.compatible(1), 8, 72, pot)
+    monkeypatch.setattr(magweyl.torus._Ring, "extend_block",
+                        lambda ring: pytest.fail("a ring eigenvector was formed"))
+    with pytest.raises(SolverError, match=r"basis of \d+ ring eigenvectors exceeds "
+                                          r"RITZ_MAX_DIM = 4096"):
+        solve(op, 16.0)
 
 
 @pytest.mark.parametrize("k, npts, potential, dtype", [
@@ -373,17 +410,15 @@ def test_wrong_coupling_fails_the_site_residuals(monkeypatch):
         solve(op, 2.0 * 4)
 
 
-def test_repeated_ritz_pair_is_an_error(monkeypatch):
+def test_repeated_basis_vector_is_an_error(monkeypatch):
     op = build_magnetic_laplacian(TorusModel.compatible(1), 4, 32, _Y_DEPENDENT)
-    eigsh = spla.eigsh
+    vector = magweyl.torus._Ring._vector
 
-    def duplicating_eigsh(*args, **kwargs):
-        vals, vecs = eigsh(*args, **kwargs)
-        vecs[:, 1] = vecs[:, 0]
-        return vals, vecs
+    def repeating_vector(ring, j, block):
+        return block[:, 0] if j == 1 else vector(ring, j, block)
 
-    monkeypatch.setattr(magweyl.torus.spla, "eigsh", duplicating_eigsh)
-    with pytest.raises(SolverError, match="rank-deficient"):
+    monkeypatch.setattr(magweyl.torus._Ring, "_vector", repeating_vector)
+    with pytest.raises(SolverError, match="rank-deficient: Gram defect"):
         solve(op, 2.0 * 4)  # the two lowest clusters, 8 eigenvalues
 
 
@@ -452,11 +487,11 @@ def test_ring_eigenvalues_match_dense(name):
     diag, hop = _dense_ring_case(name)
     dense = np.linalg.eigvalsh(_ring_matrix(diag, hop).toarray())
     # every eigenvalue, and the levels midway in each gap of the lower half
-    assert np.max(np.abs(_ring_eigenvalues(diag, hop, np.inf) - dense)) < 1e-10
+    assert np.max(np.abs(_Ring(diag, hop).grow(np.inf) - dense)) < 1e-10
     gaps = np.flatnonzero(np.diff(dense) > 1e-6)
     for j in gaps[:max(1, gaps.size // 2)]:
         level = 0.5 * (dense[j] + dense[j + 1])
-        got = _ring_eigenvalues(diag, hop, level)
+        got = _Ring(diag, hop).grow(level)
         assert got.size == j + 1, level
         assert np.max(np.abs(got - dense[:j + 1])) < 1e-10, level
 
@@ -471,7 +506,7 @@ def test_single_ring_matches_banded_bisection():
         (_, diag, hop), = _sector_chains(op)
         banded = scipy.linalg.eigvals_banded(_zigzag_band(diag, hop)[1], select="v",
                                              select_range=(-np.inf, level))
-        got = _ring_eigenvalues(diag, hop, level)
+        got = _Ring(diag, hop).grow(level)
         assert got.size == banded.size == int(level)  # k c = 7 per cluster, level / 7 clusters
         assert np.max(np.abs(got - banded)) < 1e-10
 
@@ -511,14 +546,16 @@ def test_broken_ring_solve_fails_a_certificate(monkeypatch, edits):
 
 
 def test_sparse_solve_memory():
-    # count 48 at (16, 64): the Lanczos basis, Q, H Q and the Ritz vectors
-    # once peaked at 6.1 blocks of n x count complex, and the complex
-    # ARPACK phase at 3.3; the potential is even in y, so the momentum
-    # basis solve runs in real arithmetic and stays under 4 real blocks
+    # count 48 at (16, 64): the momentum basis solve once held the Lanczos
+    # basis and its Ritz vectors, under 4 blocks of n x count real; the
+    # Rayleigh-Ritz solve holds the ring blocks, the projected matrix and
+    # the Ritz vectors, and frees the ring blocks before the site
+    # residuals.  The momentum matrix and its index, held throughout, are
+    # built inside the traced window and count too.
     op = build_magnetic_laplacian(TorusModel.compatible(1), 16, 64, _Y_DEPENDENT)
     tracemalloc.start()
     try:
-        raw, residuals = _sparse_solve(op, 48, *_momentum_matrix(op))
+        raw, residuals = _sparse_solve(op, 3.0 * 16, 48, *_momentum_matrix(op))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -527,11 +564,11 @@ def test_sparse_solve_memory():
 
 
 def test_solver_determinism():
-    model = TorusModel.compatible(1)
-    op = build_magnetic_laplacian(model, 4, 32)
-    r1, _ = _sparse_solve(op, 10, *_momentum_matrix(op))
-    r2, _ = _sparse_solve(op, 10, *_momentum_matrix(op))
-    assert np.array_equal(r1, r2)
+    for potential in (_Y_DEPENDENT, _MIXED):
+        op = build_magnetic_laplacian(TorusModel.compatible(1), 4, 32, potential)
+        r1, n1 = _sparse_solve(op, 2.0 * 4, 8, *_momentum_matrix(op))
+        r2, n2 = _sparse_solve(op, 2.0 * 4, 8, *_momentum_matrix(op))
+        assert r1.size == 8 and np.array_equal(r1, r2) and n1 == n2
 
 
 def test_gauge_invariance():
