@@ -36,6 +36,8 @@ from .symbols import GridSymbol, PhaseGrid, PolySymbol
 POLE_TOL = 1e-3
 # A trusted block whose condition number exceeds this is numerically singular.
 COND_LIMIT = 1e8
+# Gauss-Legendre nodes of every Mehler evaluation on [1/2, 1].
+QUAD_NODES = 64
 
 
 class PoleProximityError(ValueError):
@@ -71,10 +73,9 @@ class ResolventQuery:
 
     d: int
     z: complex
-    quad_nodes: int = 64
 
     def __post_init__(self):
-        if self.d < 1 or self.quad_nodes < 4:
+        if self.d < 1:
             raise ValueError("invalid query")
         z = complex(self.z)
         object.__setattr__(self, "z", z)
@@ -112,6 +113,7 @@ class ProjectorQuery:
 
 _W0 = 0.5          # split point of the w-integral
 _SERIES_TERMS = 48  # Taylor terms on [0, w0]; tail < (w0)^J relative
+_CHUNK = 1 << 17    # H values evaluated at once
 
 
 def _phi(w, H, d: int):
@@ -130,15 +132,14 @@ def _phi_series(H: np.ndarray, d: int, terms: int) -> np.ndarray:
     return c
 
 
-def _eval_combination(H: np.ndarray, d: int, zs: np.ndarray, coeffs: np.ndarray,
-                      quad_nodes: int, chunk: int = 1 << 17) -> np.ndarray:
+def _eval_combination(H: np.ndarray, d: int, zs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """sum_t coeffs[t] * R_{d, zs[t]} evaluated at H = |xi|^2/2 values."""
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
     s = d / 2.0 - zs
     if np.any(s.real <= -(_SERIES_TERMS - 4)):
         raise FormulaDomainError("z too far right of the spectrum for the series split")
-    xg, wg = np.polynomial.legendre.leggauss(quad_nodes)
+    xg, wg = np.polynomial.legendre.leggauss(QUAD_NODES)
     wn = _W0 + (1.0 - _W0) * (xg + 1.0) / 2.0
     wa = wg * (1.0 - _W0) / 2.0
     gl_coef = (wa[:, None] * wn[:, None] ** (s[None, :] - 1.0)) @ coeffs
@@ -147,14 +148,14 @@ def _eval_combination(H: np.ndarray, d: int, zs: np.ndarray, coeffs: np.ndarray,
 
     flat = H.ravel()
     out = np.empty(flat.shape, dtype=complex)
-    for lo in range(0, flat.size, chunk):
-        hc = flat[lo:lo + chunk]
+    for lo in range(0, flat.size, _CHUNK):
+        hc = flat[lo:lo + _CHUNK]
         acc = np.zeros(hc.shape, dtype=complex)
-        for k in range(quad_nodes):
+        for k in range(QUAD_NODES):
             acc += gl_coef[k] * _phi(wn[k], hc, d)
         cs = _phi_series(hc, d, _SERIES_TERMS)
         acc += np.tensordot(pole_coef, cs, axes=(0, 0))
-        out[lo:lo + chunk] = acc
+        out[lo:lo + _CHUNK] = acc
     return out.reshape(H.shape)
 
 
@@ -173,15 +174,13 @@ def resolvent_symbol(query: ResolventQuery, grid: PhaseGrid) -> GridSymbol:
     """Radial resolvent symbol R_{d,z} sampled on the phase-space grid."""
     if grid.dim != 2 * query.d:
         raise ValueError(f"grid dim {grid.dim} != 2d = {2 * query.d}")
-    return _radial_symbol(
-        grid, lambda r2: _eval_combination(0.5 * r2, query.d, [query.z], [1.0],
-                                           query.quad_nodes))
+    return _radial_symbol(grid, lambda r2: _eval_combination(0.5 * r2, query.d, [query.z], [1.0]))
 
 
 def resolvent_at(query: ResolventQuery, radius2: float) -> complex:
     """R_{d,z} at a single phase-space radius (|xi|^2 = radius2)."""
     H = np.array([0.5 * radius2])
-    return complex(_eval_combination(H, query.d, [query.z], [1.0], query.quad_nodes)[0])
+    return complex(_eval_combination(H, query.d, [query.z], [1.0])[0])
 
 
 def _genlaguerre(m: int, alpha: float, x: np.ndarray) -> np.ndarray:
@@ -229,8 +228,7 @@ def residue_projector(d: int, energy: float, radius: float, contour_points: int,
     zs = energy + radius * np.exp(1j * theta)
     # -(2 pi i)^{-1} * sum R(z_t) * (i r e^{i th} 2 pi / Q)
     coeffs = -(radius * np.exp(1j * theta)) / contour_points
-    return _radial_symbol(
-        grid, lambda r2: _eval_combination(0.5 * r2, d, zs, coeffs, quad_nodes=64))
+    return _radial_symbol(grid, lambda r2: _eval_combination(0.5 * r2, d, zs, coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,9 @@ import numpy as np
 from .errors import ResourceLimitError
 from .symbols import GridSymbol, PhaseGrid, PolySymbol
 
+# The most L^2 mass the top basis function may have outside [-R, R].
+MASS_TOL = 1e-10
+
 
 class QuantizationWarning(UserWarning):
     pass
@@ -42,7 +45,7 @@ class QuantizationWarning(UserWarning):
 class HermiteBasisSpec:
     """Truncated Hermite basis: N levels per axis, M-point axis grid on [-R, R].
 
-    Construction fails if the top basis function has more than `mass_tol`
+    Construction fails if the top basis function has more than `MASS_TOL`
     of its L^2 mass outside [-R, R]; everything downstream assumes the
     basis is resolved by the grid.  A d >= 2 grid of more than 64 points
     per axis is a ResourceLimitError.
@@ -52,7 +55,6 @@ class HermiteBasisSpec:
     levels: int
     halfwidth: float
     npoints: int
-    mass_tol: float = 1e-10
 
     def __post_init__(self):
         if self.d < 1 or self.levels < 1 or self.npoints < 4 or self.halfwidth <= 0:
@@ -62,10 +64,10 @@ class HermiteBasisSpec:
         x = self.axis()
         top = _hermite_rows(self.levels, x)[-1]
         defect = abs(1.0 - self.spacing * float(np.sum(top * top)))
-        if defect > self.mass_tol:
+        if defect > MASS_TOL:
             raise ValueError(
                 f"halfwidth {self.halfwidth} too small for {self.levels} levels: "
-                f"boundary mass defect {defect:.2e} > {self.mass_tol:.0e}")
+                f"boundary mass defect {defect:.2e} > {MASS_TOL:.0e}")
 
     @property
     def spacing(self) -> float:

@@ -62,6 +62,8 @@ _BRACKET_TOL = 1e-7
 _CLUSTER_GAP = 1e-6
 # Site residuals are formed in column blocks of about this many entries.
 _RESIDUAL_BLOCK = 1 << 16
+# Inverse-iteration steps of a ring eigenvector.
+_INVERSE_STEPS = 3
 
 
 class SolverError(RuntimeError):
@@ -176,7 +178,6 @@ class MagneticLatticeOperator:
 
     npoints: int
     power: int
-    flux_per_plaquette: float
     spacing: float
     matrix: sp.csr_matrix = field(repr=False, compare=False)
     model: TorusModel = None
@@ -197,7 +198,6 @@ def build_magnetic_laplacian(model: TorusModel, k: int, npoints: int,
     """
     model.check_lattice(k, npoints)
     N = npoints
-    kc = k * model.chern
     L = model.side
     a = L / N
     kb = k * model.field
@@ -223,9 +223,8 @@ def build_magnetic_laplacian(model: TorusModel, k: int, npoints: int,
     vals = np.stack([t * phx, t * np.conj(phx), t * phy, t * np.conj(phy)], axis=1).ravel()
     H = sp.coo_matrix((vals, (rows, cols)), shape=(N * N, N * N)).tocsr()
     H = (H + sp.diags(diag)).tocsr()
-    return MagneticLatticeOperator(npoints=N, power=k,
-                                   flux_per_plaquette=2.0 * np.pi * kc / (N * N),
-                                   spacing=a, matrix=H, model=model, potential=potential)
+    return MagneticLatticeOperator(npoints=N, power=k, spacing=a, matrix=H, model=model,
+                                   potential=potential)
 
 
 @dataclass(frozen=True)
@@ -393,8 +392,7 @@ def _zigzag_band(diag: np.ndarray, hop: float) -> tuple[np.ndarray, np.ndarray]:
     return perm, band
 
 
-def _chain_vector(band: np.ndarray, lam: float, against: np.ndarray | None = None,
-                  steps: int = 3) -> np.ndarray:
+def _chain_vector(band: np.ndarray, lam: float, against: np.ndarray | None = None) -> np.ndarray:
     """Unit eigenvector for the eigenvalue lam by inverse iteration, O(L) memory.
 
     The shift sits a few ulps of the largest chain entry above lam, so
@@ -419,7 +417,7 @@ def _chain_vector(band: np.ndarray, lam: float, against: np.ndarray | None = Non
         raise SolverError(f"inverse iteration at {lam:.6g} failed: singular factor at {info}")
     k = 0 if against is None else against.shape[1]
     v = np.random.default_rng(k).standard_normal(L)
-    for _ in range(steps):
+    for _ in range(_INVERSE_STEPS):
         v = scipy.linalg.lapack.dgbtrs(lu, 2, 2, v, piv)[0]
         if k:
             v -= np.einsum("ij,j->i", against, np.einsum("ij,i->j", against, v))

@@ -43,7 +43,6 @@ class ClusterReport:
     """Detected clusters plus predicted-vs-measured comparison rows."""
 
     clusters: tuple
-    gap_threshold: float
     rows: tuple = ()
 
     def __post_init__(self):
@@ -54,7 +53,7 @@ class ClusterReport:
             prev_hi = c.hi
 
 
-def detect_clusters(eigs, gap_threshold: float = CLUSTER_GAP) -> ClusterReport:
+def detect_clusters(eigs, gap_threshold: float) -> ClusterReport:
     """Split a spectrum at gaps larger than the threshold.
 
     Sorting is internal, so the result is permutation-insensitive, and
@@ -63,7 +62,7 @@ def detect_clusters(eigs, gap_threshold: float = CLUSTER_GAP) -> ClusterReport:
     """
     e = np.sort(np.asarray(list(eigs), dtype=float))
     if e.size == 0:
-        return ClusterReport((), gap_threshold)
+        return ClusterReport(())
     clusters = []
     start = 0
     for i in range(1, e.size):
@@ -71,7 +70,7 @@ def detect_clusters(eigs, gap_threshold: float = CLUSTER_GAP) -> ClusterReport:
             clusters.append(Cluster(float(e[start]), float(e[i - 1]), i - start))
             start = i
     clusters.append(Cluster(float(e[start]), float(e[-1]), e.size - start))
-    return ClusterReport(tuple(clusters), gap_threshold)
+    return ClusterReport(tuple(clusters))
 
 
 @dataclass(frozen=True)
@@ -118,7 +117,7 @@ def check_cluster_law(model: TorusModel, spectra: dict, levels) -> ClusterReport
                 center_drift=drift, relative_drift=drift / pred_center,
                 width=cl.width))
         all_clusters = rep.clusters
-    return ClusterReport(tuple(all_clusters), CLUSTER_GAP * b, tuple(rows))
+    return ClusterReport(tuple(all_clusters), tuple(rows))
 
 
 def twisted_liouville_volume(model: TorusModel, lam: float) -> float:

@@ -8,7 +8,7 @@ import magweyl.torus
 from magweyl import AntisymmetricForm, PolySymbol, cli, moyal_product, star, symbols
 from magweyl.cli import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_PASS, EXIT_RESOURCE,
                          EXIT_TOLERANCE, config_hash, load_config, main)
-from magweyl.torus import RESIDUAL_TOL, solve
+from magweyl.torus import RESIDUAL_TOL, PotentialSpec, solve
 
 SMALL = {
     "seed": 1,
@@ -111,6 +111,12 @@ def test_pole_proximity_is_config_error(tmp_path, capsys):
 def cache_entries(out_root: Path) -> dict:
     """{file name: bytes} of every result-cache entry under out_root."""
     return {p.name: p.read_bytes() for p in sorted((out_root / "cache").iterdir())}
+
+
+def _verdict(stdout: str, name: str) -> str:
+    """The verdict line of the check `name`."""
+    [line] = [line for line in stdout.splitlines() if f"  {name}: " in line]
+    return line
 
 
 def _refuse(name):
@@ -241,15 +247,19 @@ def test_truncated_spectra_cache_is_rewritten(tmp_path, capsys, monkeypatch):
     assert [p.name for p in entry.parent.iterdir() if p.name.endswith(".tmp")] == []
 
 
-def test_tolerance_only_change_runs_no_solves(tmp_path, capsys, monkeypatch):
+def test_verdict_only_change_runs_no_solves(tmp_path, capsys, monkeypatch):
+    # without the Weyl pair (3, 24) every operator left is one already
+    # solved, below the same level; the verdicts are recomputed, and the
+    # middle Weyl pair is now k = 2
     out = tmp_path / "out"
     cfg = write_config(tmp_path)
     assert main(["--config", cfg, "--out", str(out), "torus"]) == EXIT_PASS
+    assert _verdict(capsys.readouterr().out, "torus.weyl_ratio_mid_k").endswith(" k=3")
     entries = cache_entries(out)
-    looser = write_config(tmp_path, {"torus": {"weyl_tolerance": 0.2}})
+    fewer = write_config(tmp_path, {"torus": {"weyl_pairs": [[2, 16]]}})
     monkeypatch.setattr(cli, "solve", _refuse("solve"))
-    assert main(["--config", looser, "--out", str(out), "torus"]) == EXIT_PASS
-    assert "torus.weyl_ratio_mid_k: value=" in capsys.readouterr().out
+    assert main(["--config", fewer, "--out", str(out), "torus"]) == EXIT_PASS
+    assert _verdict(capsys.readouterr().out, "torus.weyl_ratio_mid_k").endswith(" k=2")
     assert cache_entries(out) == entries
 
 
@@ -359,11 +369,11 @@ def test_config_round_trip(tmp_path):
     # every field is typed as its default at load, before any stage plans
     ({"seed": "abc"}, "config field 'seed' must be an integer, not 'abc'"),
     ({"star": {"instances": "abc"}}, "config field 'star.instances' must be an integer"),
-    ({"star": {"tolerance": "abc"}}, "config field 'star.tolerance' must be a number"),
+    ({"star": {"max_degree": "abc"}}, "config field 'star.max_degree' must be an integer"),
     ({"models": {"block_size": "abc"}}, "config field 'models.block_size' must be an integer"),
-    ({"models": {"matrix_tolerance": None}}, "config field 'models.matrix_tolerance' must be"),
-    ({"torus": {"center_tolerance": "abc"}}, "config field 'torus.center_tolerance' must be"),
-    ({"torus": {"gap_minimum": [0.6]}}, "config field 'torus.gap_minimum' must be a number"),
+    ({"models": {"d2_halfwidth": None}}, "config field 'models.d2_halfwidth' must be"),
+    ({"torus": {"weyl_lambda": "abc"}}, "config field 'torus.weyl_lambda' must be"),
+    ({"torus": {"band_cutoff": [3.0]}}, "config field 'torus.band_cutoff' must be a number"),
     ({"caps": {"max_hermite_levels": "abc"}}, "config field 'caps.max_hermite_levels' must be"),
     ({"caps": {"max_lattice_dim": "abc"}}, "config field 'caps.max_lattice_dim' must be"),
     ({"torus": {"field": 0}}, "torus: field 0.0 must be positive"),
@@ -372,6 +382,8 @@ def test_config_round_trip(tmp_path):
     ({"torus": {"band_pairs": [[16.5, 128]]}},
      "config field 'torus.band_pairs' must be an integer, not 16.5"),
     ({"out_dir": 5}, "config field 'out_dir' must be a string, not 5"),
+    # tolerances are fixed beside their checks, not config fields
+    ({"torus": {"gap_minimum": 0.0}}, "unknown config field 'torus.gap_minimum'"),
 ])
 def test_bad_config_value_is_config_error_in_dry_run(tmp_path, capsys, override, message):
     cfg = write_config(tmp_path, override)
@@ -407,9 +419,9 @@ def test_every_config_field_is_typed_at_load(tmp_path, capsys, path):
 
 
 def test_a_bad_field_of_another_stage_is_a_config_error(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"torus": {"gap_minimum": "abc"}})
+    cfg = write_config(tmp_path, {"torus": {"band_cutoff": "abc"}})
     assert main(["--config", cfg, "--out", str(tmp_path / "out"), "star-check"]) == EXIT_CONFIG
-    assert "config field 'torus.gap_minimum' must be a number" in capsys.readouterr().err
+    assert "config field 'torus.band_cutoff' must be a number" in capsys.readouterr().err
 
 
 def test_integral_numbers_are_integers(tmp_path, capsys):
@@ -506,6 +518,43 @@ def test_band_cutoff_above_the_third_band_sees_every_band(tmp_path, capsys):
     assert main(["--config", cfg, "--out", str(out), "torus"]) == EXIT_PASS
     report = json.loads(report_bytes(out, cfg)["report.json"])
     assert [len(b["observed_gaps"]) for b in report["details"]["bands"]] == [5, 5]
+
+
+def test_potential_that_closes_a_predicted_gap_fails_the_gap_verdict(tmp_path, capsys,
+                                                                    monkeypatch):
+    # cos_x 0.1 predicts the gaps (0.6, 1.4) and (1.6, 2.4) below band_cutoff 3;
+    # the operator is built with cos_x 0.6 instead, whose bands overlap, so
+    # the spectrum below 3 shows no gap wider than CLUSTER_GAP b at all
+    build = cli.build_magnetic_laplacian
+
+    def stronger(model, k, npoints, potential=None):
+        if potential is not None:
+            potential = PotentialSpec(tuple((pq, 6.0 * amp) for pq, amp in potential.modes))
+        return build(model, k, npoints, potential)
+    monkeypatch.setattr(cli, "build_magnetic_laplacian", stronger)
+    cfg = write_config(tmp_path, {"torus": {"cluster_pairs": [], "weyl_pairs": [],
+                                            "band_pairs": [[16, 64]]}})
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "torus"]) == EXIT_TOLERANCE
+    assert _verdict(capsys.readouterr().out, "torus.gap_width_k16_N64").startswith(
+        "FAIL  torus.gap_width_k16_N64: value=0 tolerance=0.6")
+    [bands] = json.loads(report_bytes(out, cfg)["report.json"])["details"]["bands"]
+    assert bands["observed_gaps"] == []
+    assert np.allclose(bands["predicted_gaps"][:2], [[0.6, 1.4], [1.6, 2.4]])
+
+
+def test_overlapping_predicted_bands_report_no_gap_verdict(tmp_path, capsys):
+    # cos_x 0.6 spans 1.2 > b: the predicted bands merge into one, so no gap
+    # is predicted and none is checked, though the spectrum has spacings
+    # wider than CLUSTER_GAP b
+    cfg = write_config(tmp_path, {"torus": {"cluster_pairs": [], "weyl_pairs": [],
+                                            "potential": {"cos_x": 0.6}}})
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "torus"]) == EXIT_PASS
+    assert "gap_width" not in capsys.readouterr().out
+    details = json.loads(report_bytes(out, cfg)["report.json"])["details"]["bands"]
+    assert [len(b["observed_gaps"]) for b in details] == [4, 4]
+    assert all(b["predicted_gaps"] == [] for b in details)
 
 
 def test_inertia_count_over_a_quarter_is_a_resource_error(tmp_path, capsys):

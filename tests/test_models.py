@@ -149,9 +149,9 @@ def test_radial_symbols_match_direct_evaluation(dim, halfwidth, npoints):
     from scipy.special import eval_genlaguerre
     cases = [
         (resolvent_symbol(ResolventQuery(d, -0.7), grid),
-         _eval_combination(0.5 * r2, d, [-0.7], [1.0], 64)),
+         _eval_combination(0.5 * r2, d, [-0.7], [1.0])),
         (residue_projector(d, d / 2.0, 0.2, 64, grid),
-         _eval_combination(0.5 * r2, d, zs, -0.2 * np.exp(1j * theta) / 64, 64)),
+         _eval_combination(0.5 * r2, d, zs, -0.2 * np.exp(1j * theta) / 64)),
         (projector_symbol(ProjectorQuery(d, d / 2.0 + 1), grid),
          -(2.0 ** d) * np.exp(-r2) * eval_genlaguerre(1, d - 1, 2.0 * r2)),
     ]

@@ -8,7 +8,7 @@ import pytest
 
 from magweyl import (AntisymmetricForm, GridSymbol, HermiteBasisSpec,
                      OperatorMatrix, PhaseGrid, PolySymbol, QuantizationWarning,
-                     block_compare, moyal_product, weyl_quantize, wigner_symbol)
+                     block_compare, moyal_product, quantize, weyl_quantize, wigner_symbol)
 from magweyl.models import (ProjectorQuery, ResolventQuery, harmonic_hamiltonian,
                             projector_symbol, residue_projector, resolvent_symbol)
 from magweyl.quantize import _hermite_rows, trusted_block_indices
@@ -340,13 +340,14 @@ def _axis_product(u, v):
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_grid_path_factorizes_over_axes(d):
+def test_grid_path_factorizes_over_axes(d, monkeypatch):
     # a product symbol quantizes to the Kronecker product of its factors,
     # and de-quantization factorizes the same way; the identity is
     # algebraic, so this coarse grid need not resolve the basis
     M, N = 10, 3
-    spec = HermiteBasisSpec(d=d, levels=N, halfwidth=3.0, npoints=M, mass_tol=1.0)
-    spec1 = HermiteBasisSpec(d=1, levels=N, halfwidth=3.0, npoints=M, mass_tol=1.0)
+    monkeypatch.setattr(quantize, "MASS_TOL", 1.0)
+    spec = HermiteBasisSpec(d=d, levels=N, halfwidth=3.0, npoints=M)
+    spec1 = HermiteBasisSpec(d=1, levels=N, halfwidth=3.0, npoints=M)
     rng = np.random.default_rng(5)
     factors = [rng.standard_normal((M, M)) + 1j * rng.standard_normal((M, M))
                for _ in range(d)]

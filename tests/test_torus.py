@@ -154,9 +154,9 @@ def _reference_plaquettes(op):
 def test_plaquette_phases():
     model = TorusModel.compatible(1)
     op = build_magnetic_laplacian(model, 3, 8)
-    target = np.exp(-1j * op.flux_per_plaquette)
+    # the flux per plaquette is 2 pi k c / N^2
+    target = np.exp(-2j * np.pi * 3 / 8 ** 2)
     assert np.max(np.abs(plaquette_phase_products(op) - target)) < 1e-12
-    assert np.isclose(op.npoints ** 2 * op.flux_per_plaquette, 2.0 * np.pi * 3)
     assert abs(op.matrix - op.matrix.conj().T).max() < 1e-12
     ulps = 8 * np.finfo(float).eps
     assert np.max(np.abs(plaquette_phase_products(op) - _reference_plaquettes(op))) <= ulps
@@ -166,7 +166,7 @@ def test_plaquette_phases():
         op = build_magnetic_laplacian(model, k, npts, pot)
         phases = plaquette_phase_products(op)
         assert phases.shape == (npts, npts)
-        assert np.max(np.abs(phases - np.exp(-1j * op.flux_per_plaquette))) < 1e-12
+        assert np.max(np.abs(phases - np.exp(-2j * np.pi * k / npts ** 2))) < 1e-12
         if npts <= 24:
             assert np.max(np.abs(phases - _reference_plaquettes(op))) <= ulps
 
