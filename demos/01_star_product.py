@@ -3,19 +3,17 @@
 The product depends on an antisymmetric form A: at A = 0 it is the
 plain pointwise product, and for nondegenerate A it picks up the
 familiar i/2-graded corrections.  Symmetrized products of linear forms
-collapse back to ordinary monomials, and Williamson frames reduce any
-(metric, form) pair to normal-form coordinates.
+collapse back to ordinary monomials.
 """
 
 import numpy as np
 
-from magweyl import (AntisymmetricForm, MetricForm, PolySymbol, moyal_product,
-                     sharp_power, symmetrized_product, symplectic_frame,
-                     williamson_eigenvalues)
+from magweyl import (AntisymmetricForm, PolySymbol, moyal_product, sharp_power,
+                     symmetrized_product)
 
 xi1 = PolySymbol.coordinate(2, 1)
 xi2 = PolySymbol.coordinate(2, 2)
-J = AntisymmetricForm.standard(1)
+J = AntisymmetricForm(2, np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 print("== products ==")
 print("xi1 # xi2 at A=0:", moyal_product(xi1, xi2, AntisymmetricForm.zero(2)).terms)
@@ -51,14 +49,3 @@ print("|symmetrized - plain monomial| =", sym.distance(mono))
 
 print("\n== ordered powers ==")
 print("xi^{#(1,1)} at A=J:", sharp_power((1, 1), J).terms)
-
-print("\n== Williamson data ==")
-G = MetricForm(2, np.diag([1.0, 4.0]))
-B = williamson_eigenvalues(G, J)
-print("eigenvalues of J against diag(1,4):", B)
-frame = symplectic_frame(G, J)
-xi = rng.standard_normal((5, 2))
-direct = 0.5 * np.einsum("ni,ij,nj->n", xi, np.linalg.inv(G.entries), xi)
-co = xi @ frame.matrix   # frame coordinates (s, sig)
-energy = 0.5 * np.sum(np.asarray(frame.frequencies) * (co[:, :1] ** 2 + co[:, 1:] ** 2), axis=1)
-print("normal-form energy == (1/2) xi G^{-1} xi :", np.allclose(energy, direct))

@@ -33,13 +33,12 @@ import scipy
 
 from . import reports
 from .errors import ResourceLimitError
-from .forms import AntisymmetricForm
 from .models import (ProjectorQuery, ResolventQuery,
                      SymbolNotInvertibleError, harmonic_hamiltonian,
                      projector_symbol, residue_projector, resolvent_at,
                      resolvent_symbol, sharp_inverse)
 from .quantize import HermiteBasisSpec, _axis_map, block_compare, weyl_quantize
-from .star import moyal_product, sharp_power, symmetrized_product
+from .star import AntisymmetricForm, moyal_product, sharp_power, symmetrized_product
 from .symbols import PolySymbol
 from .torus import (EigenResult, PotentialSpec, SolverError, TorusModel,
                     build_magnetic_laplacian, solve)
@@ -531,11 +530,16 @@ def run_torus_checks(cfg: dict, spectra: dict) -> tuple[list[Check], dict]:
                                     "observed_gaps": gaps,
                                     "predicted_bands": bands,
                                     "predicted_gaps": band_gaps(bands)})
-            # a predicted gap the spectrum closes is a width of 0
-            if predicted:
-                checks.append(_geq(f"torus.gap_width_k{k}_N{npts}",
-                                   min(gaps) if len(gaps) >= len(predicted) else 0.0, 0.6,
-                                   "observed gap >= required minimum"))
+            # the spacing of the eigenvalues on either side of each predicted
+            # gap's midpoint, over the gap's width; no eigenvalue on a side is 0
+            ratios = []
+            for lo, hi in predicted:
+                i = int(np.searchsorted(below, 0.5 * (lo + hi)))
+                ratios.append((below[i] - below[i - 1]) / (hi - lo)
+                              if 0 < i < below.size else 0.0)
+            if ratios:
+                checks.append(_geq(f"torus.gap_width_k{k}_N{npts}", min(ratios), 0.75,
+                                   "spacing across a predicted gap / its width"))
         finest = max(eps_by_n, key=lambda t: t[1])
         checks.append(_leq("torus.band_containment", eps_by_n[finest], 0.05,
                            f"margin at N={finest[1]}"))
@@ -578,8 +582,7 @@ def _weyl_svg(extras: dict) -> str:
     if extras["weyl"]:
         ks = [r["power"] for r in extras["weyl"]]
         ratios = [r["ratio"] for r in extras["weyl"]]
-        series = [{"label": "measured / predicted", "x": ks, "y": ratios,
-                   "kind": "line"}]
+        series = [{"label": "measured / predicted", "x": ks, "y": ratios}]
     return reports.svg_plot(series, "eigenvalue counting ratio", "k",
                             "N_k / (k/2pi)^2 vol", reference_y=1.0)
 

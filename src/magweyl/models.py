@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import AntisymmetricForm, MetricForm, williamson_eigenvalues
 from .quantize import (HermiteBasisSpec, OperatorMatrix, trusted_block_indices,
                        weyl_quantize, wigner_symbol)
 from .symbols import GridSymbol, PhaseGrid, PolySymbol
@@ -229,57 +228,6 @@ def residue_projector(d: int, energy: float, radius: float, contour_points: int,
     # -(2 pi i)^{-1} * sum R(z_t) * (i r e^{i th} 2 pi / Q)
     coeffs = -(radius * np.exp(1j * theta)) / contour_points
     return _radial_symbol(grid, lambda r2: _eval_combination(0.5 * r2, d, zs, coeffs))
-
-
-# ---------------------------------------------------------------------------
-# symbol spectra
-
-@dataclass(frozen=True)
-class SymbolSpectrum:
-    """Sorted (value, multiplicity) pairs below a cutoff."""
-
-    values: tuple
-    cutoff: float
-
-    def __post_init__(self):
-        for v, m in self.values:
-            if v > self.cutoff or m < 1:
-                raise ValueError("inconsistent spectrum record")
-
-
-def spectrum_of_symbol(G: MetricForm, W: AntisymmetricForm, potential_eigenvalues,
-                       cutoff: float, merge_tol: float = 1e-9) -> SymbolSpectrum:
-    """Spectrum {sum_i B_i (alpha_i + 1/2) + V_j} below the cutoff.
-
-    B are the Williamson eigenvalues of (G, W); complete enumeration
-    with multiplicities, collisions merged at `merge_tol`.
-    """
-    B = williamson_eigenvalues(G, W)
-    vs = list(potential_eigenvalues) if len(list(potential_eigenvalues)) else [0.0]
-    base = 0.5 * float(np.sum(B))
-    levels: list[float] = []
-
-    def descend(i: int, acc: float):
-        if acc > cutoff:
-            return
-        if i == len(B):
-            levels.append(acc)
-            return
-        val = acc
-        while val <= cutoff:
-            descend(i + 1, val)
-            val += B[i]
-
-    for v in sorted(vs):
-        descend(0, base + v)
-    levels.sort()
-    merged: list[list] = []
-    for v in levels:
-        if merged and v - merged[-1][0] <= merge_tol:
-            merged[-1][1] += 1
-        else:
-            merged.append([v, 1])
-    return SymbolSpectrum(tuple((v, m) for v, m in merged), cutoff)
 
 
 # ---------------------------------------------------------------------------

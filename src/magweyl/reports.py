@@ -153,8 +153,7 @@ def write_svg(path, svg_text: str) -> Path:
     return Path(path)
 
 
-def emit_report(records: dict, out_dir, basename: str = "report",
-                rows: list[dict] | None = None, columns: list[str] | None = None,
+def emit_report(records: dict, out_dir, rows: list[dict], columns: list[str],
                 svg: str | None = None) -> dict:
     """Write report.{json,csv,svg} under out_dir; returns path map.
 
@@ -164,12 +163,8 @@ def emit_report(records: dict, out_dir, basename: str = "report",
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {}
-    body = {"schema": SCHEMA, **records}
-    paths["json"] = str(write_json(out_dir / f"{basename}.json", body))
-    if rows is not None:
-        cols = columns or sorted({k for r in rows for k in r})
-        paths["csv"] = str(write_csv(out_dir / f"{basename}.csv", rows, cols))
+    paths = {"json": str(write_json(out_dir / "report.json", {"schema": SCHEMA, **records})),
+             "csv": str(write_csv(out_dir / "report.csv", rows, columns))}
     if svg is not None:
-        paths["svg"] = str(write_svg(out_dir / f"{basename}.svg", svg))
+        paths["svg"] = str(write_svg(out_dir / "report.svg", svg))
     return paths

@@ -26,11 +26,36 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forms import AntisymmetricForm
 from .symbols import PolySymbol, monomial_basis, monomial_rank, multi_index, product_sum
+
+
+@dataclass(frozen=True)
+class AntisymmetricForm:
+    """Real antisymmetric bilinear form on R^n, stored as its matrix:
+    the parameter A of #_A (the curvature at a point)."""
+
+    dim: int
+    entries: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
+        m = np.array(self.entries, dtype=float, copy=True)
+        if m.shape != (self.dim, self.dim):
+            raise ValueError(f"entries must be {self.dim}x{self.dim}")
+        scale = max(1.0, float(np.max(np.abs(m))))
+        if np.max(np.abs(m + m.T)) > 1e-12 * scale:
+            raise ValueError("entries must be antisymmetric")
+        m.setflags(write=False)
+        object.__setattr__(self, "entries", m)
+
+    @classmethod
+    def zero(cls, dim: int) -> "AntisymmetricForm":
+        return cls(dim, np.zeros((dim, dim)))
 
 
 def _check_dims(f_dim: int, A: AntisymmetricForm):

@@ -362,9 +362,10 @@ def _site_residuals(op: MagneticLatticeOperator, index: np.ndarray, vecs: np.nda
 def _sector_chains(op: MagneticLatticeOperator) -> list:
     """The rings of `_sector_rings` as one list of (orbit, diagonal, hop).
 
-    The sector solve and its sampled eigenvectors read this one list;
-    `count_below` builds its rings from `_sector_rings` apart from it, so
-    a ring the solve misses is still counted.
+    The sector solve and its sampled eigenvectors, and the ring basis of
+    the sparse solve, read this one list; `_momentum_matrix`, which the
+    inertia count factors, builds its rings from `_sector_rings` apart
+    from it, so a ring the solve misses is still counted.
     """
     return list(_sector_rings(op))
 
@@ -797,36 +798,23 @@ def _negative_pivots(matrix: sp.spmatrix, level: float) -> int:
     number of negative pivots is the number of negative eigenvalues.  The
     level is subtracted on a copy's diagonal.  A factorization that left
     the diagonal (row and column orders differ) or hit an exactly
-    singular pivot is a SolverError.
+    singular pivot is a SolverError.  Column panels and relaxed
+    supernodes are off (panel_size=1, relax=1): on the block-diagonal
+    ring matrix of an x-only operator, whose factors hold about as many
+    entries as the matrix, their work areas raised the peak RSS by 3-5 MB
+    per factorization at 9,216-16,384 rows and made no count faster.
     """
     shifted = matrix.tocsc(copy=True)
     shifted.setdiag(shifted.diagonal() - level)
     try:
         lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
+                       panel_size=1, relax=1, options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError(f"inertia factorization at {level:.6g} failed: {exc}") from exc
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise SolverError(f"inertia factorization at {level:.6g} left the diagonal: "
                           "row and column orders differ")
     return int(np.count_nonzero(lu.U.diagonal().real < 0.0))
-
-
-def count_below(op: MagneticLatticeOperator, level: float) -> int:
-    """Number of eigenvalues of the lattice operator below `level`.
-
-    Sylvester inertia (`_negative_pivots`): summed over the sector rings,
-    assembled as sparse matrices in natural order and apart from the
-    ring list the sector solve reads, for a potential depending on x
-    only (or none); otherwise one factorization of the operator in the
-    y-momentum basis (`_momentum_matrix`), a unitary similarity of the
-    site matrix with the same count, in real arithmetic when V is even
-    in y.
-    """
-    if op.potential is None or op.potential.is_x_only:
-        return sum(_negative_pivots(_ring_matrix(diag, hop), level)
-                   for _, diag, hop in _sector_rings(op))
-    return _negative_pivots(_momentum_matrix(op)[0], level)
 
 
 def solve(op: MagneticLatticeOperator, below: float) -> EigenResult:
@@ -839,31 +827,28 @@ def solve(op: MagneticLatticeOperator, below: float) -> EigenResult:
     (`_Ring`), with residuals checked on SECTOR_SAMPLES eigenvectors.  A
     y-dependent potential takes Rayleigh-Ritz ('sparse') on the
     eigenvectors of those rings below a cutoff that doubles until the
-    Ritz pairs converge (`_sparse_solve`), with the operator in the
-    y-momentum basis built once for the count and the residuals: real
-    symmetric when V is even in y and complex Hermitian otherwise.  Both
-    methods lift their eigenvectors to the sites by an FFT along the
-    momentum axis and check their residuals on the site matrix, every one
-    for 'sparse'.
+    Ritz pairs converge (`_sparse_solve`).  Both methods lift their
+    eigenvectors to the sites by an FFT along the momentum axis and check
+    their residuals on the site matrix, every one for 'sparse'.
 
     The level carries a count certificate: the eigenvalues below it are
-    counted by inertia (`count_below`, apart from the ring solve; on the
-    momentum matrix for 'sparse'), that count is the number of Ritz pairs
-    sought, and the result must hold exactly that many values, all below
-    the level.  A count above dim/4, a result that misses the count, a
-    residual above RESIDUAL_TOL, a rank-deficient ring block or a basis
-    over RITZ_MAX_DIM is a SolverError.
+    counted by Sylvester inertia (`_negative_pivots`) in one
+    factorization of the operator in the y-momentum basis
+    (`_momentum_matrix`, built apart from the ring list the solves read):
+    block-diagonal over the rings when V depends on x only, real
+    symmetric when V is even in y and complex Hermitian otherwise.  That
+    count is the number of Ritz pairs sought, and the result must hold
+    exactly that many values, all below the level.  A count above dim/4,
+    a result that misses the count, a residual above RESIDUAL_TOL, a
+    rank-deficient ring block or a basis over RITZ_MAX_DIM is a
+    SolverError.
     """
-    sectors = op.potential is None or op.potential.is_x_only
-    if sectors:
-        count = count_below(op, below)
-    else:
-        matrix, index = _momentum_matrix(op)
-        count = _negative_pivots(matrix, below)
+    matrix, index = _momentum_matrix(op)
+    count = _negative_pivots(matrix, below)
     if count > op.dim // 4:
         raise SolverError(f"{count} eigenvalues below {below:.6g} exceed dim/4 = "
                           f"{op.dim // 4}")
-    if sectors:
+    if op.potential is None or op.potential.is_x_only:
         method = "sectors"
         raw, residuals = _sector_solve(op, below)
     else:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from magweyl import AntisymmetricForm, HermiteBasisSpec, MetricForm
+from magweyl import AntisymmetricForm, HermiteBasisSpec
 
 
 @pytest.fixture(scope="session")
@@ -24,11 +24,11 @@ def rng():
     return np.random.default_rng(7)
 
 
+def standard_form(d: int) -> AntisymmetricForm:
+    """The standard block form J on R^{2d}: J(e_i, f_j) = delta_ij."""
+    return AntisymmetricForm(2 * d, np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(d)))
+
+
 @pytest.fixture
 def J2():
-    return AntisymmetricForm.standard(1)
-
-
-@pytest.fixture
-def eye2():
-    return MetricForm(2, np.eye(2))
+    return standard_form(1)

@@ -524,7 +524,8 @@ def test_potential_that_closes_a_predicted_gap_fails_the_gap_verdict(tmp_path, c
                                                                     monkeypatch):
     # cos_x 0.1 predicts the gaps (0.6, 1.4) and (1.6, 2.4) below band_cutoff 3;
     # the operator is built with cos_x 0.6 instead, whose bands overlap, so
-    # the spectrum below 3 shows no gap wider than CLUSTER_GAP b at all
+    # the spectrum below 3 shows no gap wider than CLUSTER_GAP b at all, and
+    # the spacing across a predicted gap is a small part of its width
     build = cli.build_magnetic_laplacian
 
     def stronger(model, k, npoints, potential=None):
@@ -537,10 +538,24 @@ def test_potential_that_closes_a_predicted_gap_fails_the_gap_verdict(tmp_path, c
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out), "torus"]) == EXIT_TOLERANCE
     assert _verdict(capsys.readouterr().out, "torus.gap_width_k16_N64").startswith(
-        "FAIL  torus.gap_width_k16_N64: value=0 tolerance=0.6")
+        "FAIL  torus.gap_width_k16_N64: value=0.0641647 tolerance=0.75")
     [bands] = json.loads(report_bytes(out, cfg)["report.json"])["details"]["bands"]
     assert bands["observed_gaps"] == []
     assert np.allclose(bands["predicted_gaps"][:2], [[0.6, 1.4], [1.6, 2.4]])
+
+
+@pytest.mark.parametrize("amplitude, pair", [(0.3, [16, 64]), (0.45, [8, 32])])
+def test_gap_verdict_reads_each_predicted_gap_at_its_midpoint(tmp_path, capsys, amplitude, pair):
+    # cos_x 0.3 predicts gaps 0.4 wide, narrower than the spectrum's 0.5 and
+    # 0.6; at (8, 32) cos_x 0.45 has an in-band spacing wider than
+    # CLUSTER_GAP b, which is no predicted gap.  Both spectra are correct.
+    k, npoints = pair
+    cfg = write_config(tmp_path, {"torus": {"cluster_pairs": [], "weyl_pairs": [],
+                                            "potential": {"cos_x": amplitude},
+                                            "band_pairs": [pair]}})
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), "torus"]) == EXIT_PASS
+    assert _verdict(capsys.readouterr().out, f"torus.gap_width_k{k}_N{npoints}").startswith(
+        f"PASS  torus.gap_width_k{k}_N{npoints}:")
 
 
 def test_overlapping_predicted_bands_report_no_gap_verdict(tmp_path, capsys):

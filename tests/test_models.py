@@ -3,13 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from magweyl import (AntisymmetricForm, FormulaDomainError, GridSymbol,
-                     MetricForm, OperatorMatrix, PhaseGrid,
+from magweyl import (FormulaDomainError, GridSymbol, OperatorMatrix, PhaseGrid,
                      PoleProximityError, ProjectorQuery, ResolventQuery,
                      SymbolNotInvertibleError, projector_symbol,
                      residue_projector, resolvent_at, resolvent_symbol,
-                     sharp_inverse, spectrum_of_symbol, weyl_quantize,
-                     wigner_symbol)
+                     sharp_inverse, weyl_quantize, wigner_symbol)
 from magweyl.models import _eval_combination, _genlaguerre, harmonic_hamiltonian
 from magweyl.quantize import block_compare
 
@@ -26,14 +24,6 @@ def _window_symbol(spec, lo, hi):
     evals, evecs = np.linalg.eigh(weyl_quantize(harmonic_hamiltonian(spec.d), spec).entries)
     V = evecs[:, (evals >= lo) & (evals <= hi)]
     return wigner_symbol(OperatorMatrix(spec.d, spec.levels, V @ V.conj().T), spec), V.shape[1]
-
-
-def normal_form_energy(frame, xi):
-    """sum_j B_j (s_j^2 + sig_j^2)/2 in the frame coordinates (s, sig) = xi S."""
-    d = frame.dim // 2
-    co = np.asarray(xi) @ frame.matrix
-    return 0.5 * np.sum(np.asarray(frame.frequencies) * (co[..., :d] ** 2 + co[..., d:] ** 2),
-                        axis=-1)
 
 
 def test_query_validation():
@@ -225,31 +215,6 @@ def test_residue_domain_errors(spec16):
         residue_projector(1, 0.5, 0.8, 64, grid)  # encloses two poles
 
 
-def test_spectrum_of_symbol_simple(eye2, J2):
-    sp = spectrum_of_symbol(eye2, J2, [], 4.0)
-    assert sp.values == ((0.5, 1), (1.5, 1), (2.5, 1), (3.5, 1))
-
-
-def test_spectrum_of_symbol_isotropic_d2():
-    G = MetricForm(4, np.eye(4))
-    W = AntisymmetricForm.standard(2)
-    sp = spectrum_of_symbol(G, W, [0.0], 4.0)
-    assert sp.values == ((1.0, 1), (2.0, 2), (3.0, 3), (4.0, 4))
-
-
-def test_spectrum_of_symbol_with_potential(eye2, J2):
-    sp = spectrum_of_symbol(eye2, J2, [-0.1, 0.1], 2.0)
-    assert np.allclose([v for v, _ in sp.values], [0.4, 0.6, 1.4, 1.6])
-    assert all(m == 1 for _, m in sp.values)
-
-
-def test_spectrum_merges_collisions():
-    G = MetricForm(2, np.eye(2))
-    W = AntisymmetricForm.standard(1)
-    sp = spectrum_of_symbol(G, W, [0.0, 0.0], 1.0)
-    assert sp.values == ((0.5, 2),)
-
-
 def test_sharp_inverse_constant(spec16):
     from magweyl import PolySymbol
     inv = sharp_inverse(PolySymbol.constant(2, 2.0), spec16)
@@ -306,20 +271,3 @@ def test_spectral_window_idempotent(spec24):
     sym, _ = _window_symbol(spec24, 0.0, 2.0)
     prod = _weyl_product(sym, sym, spec24)
     assert prod.sup_distance(sym) < 1e-4
-
-
-def test_frame_independent_projector_profiles(rng):
-    # pi_{d,E} evaluated through two frames of the same fiber data gives
-    # identical grid values, because the normal-form energy is
-    # frame-independent
-    from magweyl import symplectic_frame
-    m = rng.standard_normal((2, 2))
-    W = AntisymmetricForm(2, m - m.T)
-    g = rng.standard_normal((2, 2))
-    G = MetricForm(2, g @ g.T + 2.0 * np.eye(2))
-    f1 = symplectic_frame(G, W, rng=np.random.default_rng(11))
-    f2 = symplectic_frame(G, W, rng=np.random.default_rng(12))
-    xi = rng.standard_normal((300, 2))
-    prof = lambda q: 2.0 * np.exp(-2.0 * q)  # pi_{1,1/2} as a function of energy
-    assert np.max(np.abs(prof(normal_form_energy(f1, xi))
-                         - prof(normal_form_energy(f2, xi)))) < 1e-8

@@ -6,12 +6,14 @@ import warnings
 import numpy as np
 import pytest
 
-from magweyl import (AntisymmetricForm, GridSymbol, HermiteBasisSpec,
-                     OperatorMatrix, PhaseGrid, PolySymbol, QuantizationWarning,
-                     block_compare, moyal_product, quantize, weyl_quantize, wigner_symbol)
+from magweyl import (GridSymbol, HermiteBasisSpec, OperatorMatrix, PhaseGrid,
+                     PolySymbol, QuantizationWarning, block_compare, moyal_product,
+                     quantize, weyl_quantize, wigner_symbol)
 from magweyl.models import (ProjectorQuery, ResolventQuery, harmonic_hamiltonian,
                             projector_symbol, residue_projector, resolvent_symbol)
 from magweyl.quantize import _hermite_rows, trusted_block_indices
+
+from conftest import standard_form
 
 
 def _weyl_product(a, b, spec):
@@ -168,7 +170,7 @@ def test_wigner_of_number_operator(spec24):
 def test_weyl_product_matches_star_product_on_polynomials(spec24, rng):
     # operator product against the closed-formula product, compared on
     # the trusted block where basis truncation cannot leak in
-    J = AntisymmetricForm.standard(1)
+    J = standard_form(1)
     for _ in range(5):
         terms_f = {(int(a), int(b)): complex(rng.standard_normal())
                    for a, b in rng.integers(0, 3, size=(3, 2))}
@@ -213,7 +215,7 @@ def test_degree_12_product_quantizes_to_operator_product():
     rng = np.random.default_rng(12)
     f, g = (PolySymbol(2, {(a, b): complex(*rng.standard_normal(2))
                            for a in range(7) for b in range(7 - a)}) for _ in range(2))
-    fg = moyal_product(f, g, AntisymmetricForm.standard(1))
+    fg = moyal_product(f, g, standard_form(1))
     assert fg.degree == 12
     ref = weyl_quantize(f, spec).entries @ weyl_quantize(g, spec).entries
     comp = block_compare(weyl_quantize(fg, spec), ref, spec, margin=12)
@@ -223,7 +225,7 @@ def test_degree_12_product_quantizes_to_operator_product():
 
 def test_moyal_closed_form_for_hamiltonian_square():
     H = harmonic_hamiltonian(1)
-    J = AntisymmetricForm.standard(1)
+    J = standard_form(1)
     prod = moyal_product(H, H, J)
     assert prod.distance(H * H - 0.25) < 1e-14
 

@@ -5,6 +5,8 @@ from magweyl import (AntisymmetricForm, PolySymbol, left_xi, moyal_product, shar
                      symmetrized_product)
 from magweyl.symbols import monomial_rank
 
+from conftest import standard_form
+
 
 def random_poly(rng, dim, max_degree=4):
     terms = {}
@@ -19,6 +21,18 @@ def random_poly(rng, dim, max_degree=4):
 def random_form(rng, dim):
     m = rng.standard_normal((dim, dim))
     return AntisymmetricForm(dim, m - m.T)
+
+
+def test_antisymmetric_validation():
+    with pytest.raises(ValueError):
+        AntisymmetricForm(2, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError):
+        AntisymmetricForm(2, np.zeros((3, 3)))
+    m = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    a = AntisymmetricForm(2, m)
+    m[0, 1] = 2.0
+    assert a.dim == 2 and a.entries[0, 1] == 1.0
+    assert not a.entries.flags.writeable
 
 
 def reference_moyal(f, g, A):
@@ -68,7 +82,7 @@ def poly_of_degree(rng, dim, degree, n_terms=6):
 def test_moyal_matches_reference_series(rng, dim):
     forms = [AntisymmetricForm.zero(dim), random_form(rng, dim), random_form(rng, dim)]
     if dim % 2 == 0:
-        forms.append(AntisymmetricForm.standard(dim // 2))
+        forms.append(standard_form(dim // 2))
     for A in forms:
         for p in range(7):
             q = int(rng.integers(0, 7))

@@ -3,9 +3,9 @@
 `test_every_function_feeds_a_stage` runs `all` on the small test config
 and `torus` on a potential even in y and on one that is not (the real and
 the complex momentum basis), with a profile hook that records each code
-object called.  The functions and class members of `src/magweyl` that no
-run reaches must be exactly `ALLOWED_UNCALLED`, each with its reason.
-`test_no_unused_imports` keeps deletions from leaving imports behind.
+object called.  Every function and class member of `src/magweyl` must be
+reached by some run.  `test_no_unused_imports` keeps deletions from
+leaving imports behind.
 """
 
 import ast
@@ -23,19 +23,6 @@ from test_cli import SMALL
 
 CONFIGS = Path(__file__).resolve().parent / "configs"
 PACKAGE = Path(magweyl.__file__).resolve().parent
-
-_FIBER_MODEL = "ROADMAP item 4: frame check and fiber model"
-ALLOWED_UNCALLED = {
-    "forms.williamson_eigenvalues": _FIBER_MODEL,
-    "forms.symplectic_frame": _FIBER_MODEL,
-    "forms._williamson_pairs": _FIBER_MODEL,
-    "forms._schur_pairs": _FIBER_MODEL,
-    "forms.AntisymmetricForm.standard": _FIBER_MODEL,
-    "forms.MetricForm.__post_init__": _FIBER_MODEL,
-    "forms.SymplecticFrame.__post_init__": _FIBER_MODEL,
-    "models.spectrum_of_symbol": _FIBER_MODEL,
-    "models.SymbolSpectrum.__post_init__": _FIBER_MODEL,
-}
 
 
 def _modules():
@@ -106,7 +93,7 @@ def test_every_function_feeds_a_stage(tmp_path, capsys):
         assert code == 0, (config.name, capsys.readouterr())
     capsys.readouterr()
     uncalled = {name for code, name in functions.items() if code not in called}
-    assert uncalled == set(ALLOWED_UNCALLED)
+    assert uncalled == set()
 
 
 def _imported_names(tree: ast.Module) -> dict:

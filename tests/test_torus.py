@@ -11,9 +11,10 @@ import scipy.sparse.linalg as spla
 
 import magweyl.torus
 from magweyl import (EigenResult, PotentialSpec, SolverError, TorusModel,
-                     build_magnetic_laplacian, count_below, solve)
-from magweyl.torus import (_momentum_matrix, _Ring, _ring_matrix, _sector_chains, _sector_rings,
-                           _sector_solve, _sparse_solve, _zigzag_band)
+                     build_magnetic_laplacian, solve)
+from magweyl.torus import (_momentum_matrix, _negative_pivots, _Ring, _ring_matrix,
+                           _sector_chains, _sector_rings, _sector_solve, _sparse_solve,
+                           _zigzag_band)
 
 
 def test_model_prequantization():
@@ -242,6 +243,12 @@ def _level_above(spectrum, count):
     lo, hi = spectrum[count - 1], spectrum[count]
     assert hi - lo > 5e-8 * np.abs(spectrum).max()
     return lo + 0.4 * (hi - lo)
+
+
+def count_below(op, level):
+    """The inertia count `solve` takes: eigenvalues of the operator below
+    the level, by one factorization of its momentum matrix."""
+    return _negative_pivots(_momentum_matrix(op)[0], level)
 
 
 def _levels_off_spectrum(spectrum, top, norm, rng, n):
