@@ -27,12 +27,14 @@ one tridiagonal solve per evaluation, counts them (Haynsworth inertia)
 and locates each one in its bracket.  The same solve gives each one's
 eigenvector, the bordered vector (1, -x).
 
-A y-dependent potential couples the rings only through its few y-modes,
-and a smooth one couples a Landau level only to nearby ones, so its
-operator is solved by Rayleigh-Ritz on the ring eigenvectors below a
-cutoff that doubles until the Ritz pairs converge: one inertia
-factorization for the count, O(L) work per ring eigenpair, and one
-small dense eigenproblem per round.
+Every operator is solved from those ring eigenpairs, after one inertia
+factorization for the count.  With no y-modes the rings are the
+operator and their pairs below the level are exact.  A y-dependent
+potential couples the rings only through its few y-modes, and a smooth
+one couples a Landau level only to nearby ones, so its operator is
+solved by Rayleigh-Ritz on the ring eigenvectors below a cutoff that
+doubles until the Ritz pairs converge: O(L) work per ring eigenpair,
+and one small dense eigenproblem per round.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ RESIDUAL_TOL = 1e-8
 RITZ_RANK_TOL = 1e-6
 # A Rayleigh-Ritz basis of more ring eigenvectors than this is a SolverError.
 RITZ_MAX_DIM = 4096
-# Sector solves check this many eigenvectors, evenly spaced in rank.
+# Exact ring solves (no y-modes) also lift this many eigenvectors, evenly
+# spaced in rank, to the sites and check them on the site matrix.
 SECTOR_SAMPLES = 8
 # Path eigenvalues are bisected to this share of the ring's Gershgorin bound,
 # until a ring root lands beside one.
@@ -315,19 +318,18 @@ def _y_couplings(op: MagneticLatticeOperator) -> dict:
     return {s: 0.5 * float(op.power) * (c + np.conj(sums[-s % N])) for s, c in sums.items()}
 
 
-def _momentum_matrix(op: MagneticLatticeOperator) -> tuple[sp.csr_matrix, np.ndarray]:
+def _momentum_matrix(op: MagneticLatticeOperator) -> tuple[sp.spmatrix, np.ndarray]:
     """The lattice operator in the y-momentum basis, and `_momentum_index`.
 
-    Block-diagonal over the rings of `_sector_rings`, plus the couplings
-    of `_y_couplings` from row index[n, i] to index[n + s, i].  Real when
-    the potential is even in y (`PotentialSpec.is_even_in_y`), complex
-    otherwise.  It is the site matrix conjugated by the unitary map
+    The rings of `_sector_rings` in one CSC block-diagonal (`_ring_matrix`),
+    plus in CSR the couplings of `_y_couplings` from row index[n, i] to
+    index[n + s, i], real when V is even in y (`PotentialSpec.is_even_in_y`)
+    and complex otherwise: the site matrix conjugated by the unitary map
     psi[j, i] = N^{-1/2} sum_n e^{2 pi i n j / N} v[index[n, i]].
     """
     N = op.npoints
     index = _momentum_index(op)
-    rings = sp.block_diag([_ring_matrix(diag, hop) for _, diag, hop in _sector_rings(op)],
-                          format="csr")
+    rings = _ring_matrix([(diag, hop) for _, diag, hop in _sector_rings(op)])
     couplings = {} if op.potential is None else _y_couplings(op)
     if not couplings:
         return rings, index
@@ -362,8 +364,7 @@ def _site_residuals(op: MagneticLatticeOperator, index: np.ndarray, vecs: np.nda
 def _sector_chains(op: MagneticLatticeOperator) -> list:
     """The rings of `_sector_rings` as one list of (orbit, diagonal, hop).
 
-    The sector solve and its sampled eigenvectors, and the ring basis of
-    the sparse solve, read this one list; `_momentum_matrix`, which the
+    `_ring_solve` reads this one list; `_momentum_matrix`, which the
     inertia count factors, builds its rings from `_sector_rings` apart
     from it, so a ring the solve misses is still counted.
     """
@@ -393,7 +394,7 @@ def _zigzag_band(diag: np.ndarray, hop: float) -> tuple[np.ndarray, np.ndarray]:
     return perm, band
 
 
-def _chain_vector(band: np.ndarray, lam: float, against: np.ndarray | None = None) -> np.ndarray:
+def _chain_vector(band: np.ndarray, lam: float, against: np.ndarray) -> np.ndarray:
     """Unit eigenvector for the eigenvalue lam by inverse iteration, O(L) memory.
 
     The shift sits a few ulps of the largest chain entry above lam, so
@@ -416,7 +417,7 @@ def _chain_vector(band: np.ndarray, lam: float, against: np.ndarray | None = Non
     lu, piv, info = scipy.linalg.lapack.dgbtrf(shifted, 2, 2)
     if info:
         raise SolverError(f"inverse iteration at {lam:.6g} failed: singular factor at {info}")
-    k = 0 if against is None else against.shape[1]
+    k = against.shape[1]
     v = np.random.default_rng(k).standard_normal(L)
     for _ in range(_INVERSE_STEPS):
         v = scipy.linalg.lapack.dgbtrs(lu, 2, 2, v, piv)[0]
@@ -541,6 +542,13 @@ class _Ring:
             raise SolverError(f"ring eigenvectors are rank-deficient: Gram defect {defect:.1e}")
         self.block = block
 
+    def residuals(self) -> np.ndarray:
+        """Residual norms ||R v - lam v|| of the pairs in `block`, R the ring."""
+        block = self.block
+        res = self.diag[:, None] * block - block * self.values
+        res += self.hop * (np.roll(block, 1, axis=0) + np.roll(block, -1, axis=0))
+        return np.sqrt(np.einsum("ij,ij->j", res, res))
+
     def _vector(self, j: int, block: np.ndarray) -> np.ndarray:
         """Unit eigenvector for the j-th eigenvalue, the earlier ones in `block`.
 
@@ -619,65 +627,58 @@ def _secular_root(schur, lo: float, hi: float, pole_lo: float, pole_hi: float,
     return 0.5 * (lo + hi)
 
 
-def _sector_solve(op: MagneticLatticeOperator, below: float) -> tuple[np.ndarray, tuple]:
-    """Sector eigenvalues below `below` and sampled residual norms.
+def _ring_solve(op: MagneticLatticeOperator, below: float, count: int,
+                matrix: sp.spmatrix, index: np.ndarray) -> EigenResult:
+    """The eigenvalues below `below` from the eigenpairs of the rings of
+    `_sector_chains` (the x-only operator), with residual norms that
+    check every one.
 
-    Each ring gives its eigenvalues below the level by `_Ring.grow` (no
-    eigenvectors); SECTOR_SAMPLES of the returned eigenvalues, evenly
-    spaced in rank, get an eigenvector by inverse iteration on their ring
-    in banded form (`_zigzag_band`), placed at the ring's momentum rows
-    (zero elsewhere) and checked on the site matrix by `_site_residuals`.
+    `matrix` and `index` are from `_momentum_matrix`, and `count` is the
+    inertia count of `below` on `matrix`.  With no y couplings
+    (`_ring_links` empty) the rings are the operator ('sectors'): their
+    pairs below `below` are exact and final, each is residual-checked on
+    its ring (`_Ring.residuals`, its residual on the block-diagonal
+    `matrix`), one ring block held at a time, and SECTOR_SAMPLES of them,
+    evenly spaced in rank, also on the site matrix (`_site_residuals`),
+    which is built apart from the rings.
+
+    Otherwise ('sparse') Rayleigh-Ritz runs on the ring eigenvectors below
+    a cutoff Lambda: the projected matrix is diag(ring eigenvalues) +
+    Psi^H Y Psi, Y the couplings of `_y_couplings` (`_projected_matrix`),
+    real when V is even in y and complex Hermitian otherwise.  Lambda
+    starts at `below` + (`below` - g), g the Gershgorin lower bound
+    min_i (h_ii - sum_{j != i} |h_ij|) of `matrix`, and each round doubles
+    Lambda - `below`, extending the ring blocks.  Growth stops when `count`
+    Ritz values lie below `below` with residuals on `matrix` at most
+    RESIDUAL_TOL / 2, or when the basis holds every ring eigenvector (the
+    Ritz pairs are exact); a basis over RITZ_MAX_DIM vectors is a
+    SolverError.  Each Ritz pair below `below` is lifted to the sites and
+    checked on the site matrix once the ring blocks are freed.
     """
-    chains = _sector_chains(op)
-    evs = [_Ring(diag, hop).grow(below) for _, diag, hop in chains]
-    lam = np.concatenate(evs)
-    owner = np.repeat(np.arange(len(evs)), [w.size for w in evs])
-    order = np.argsort(lam, kind="stable")
-    ranks = np.linspace(0, order.size - 1, min(SECTOR_SAMPLES, order.size)).round().astype(int)
-    index = _momentum_index(op)
-    residuals = []
-    for idx in order[ranks]:
-        orbit, diag, hop = chains[owner[idx]]
-        perm, band = _zigzag_band(diag, hop)
-        u = np.empty(perm.size)
-        u[perm] = _chain_vector(band, lam[idx])
-        v = np.zeros((op.dim, 1))
-        v[index[orbit], 0] = u.reshape(orbit.size, op.npoints)
-        residuals.extend(_site_residuals(op, index, v, lam[idx:idx + 1]))
-    return lam[order], tuple(residuals)
-
-
-def _sparse_solve(op: MagneticLatticeOperator, below: float, count: int,
-                  matrix: sp.csr_matrix, index: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """The lowest `count` eigenvalues, all below `below`, by Rayleigh-Ritz
-    on the ring eigenbasis below a growing cutoff Lambda, and every
-    residual norm.
-
-    `matrix` and `index` are from `_momentum_matrix`; `solve` takes
-    `count` from the inertia count of its level on `matrix`.  The basis is
-    the eigenvectors of the rings of `_sector_chains` (the x-only
-    operator) below Lambda, in blocks per ring (`_Ring.extend_block`); the
-    projected matrix is diag(ring eigenvalues) + Psi^H Y Psi, with Y the
-    couplings of `_y_couplings`, built ring pair by ring pair
-    (`_projected_matrix`): real when V is even in y, complex Hermitian
-    otherwise.  Lambda starts at `below` + (`below` - g), with g the
-    Gershgorin lower bound min_i (h_ii - sum_{j != i} |h_ij|) of `matrix`,
-    and each round doubles Lambda - `below`, extending the ring blocks
-    already found.  Growth stops when `count` Ritz values lie below
-    `below` and their residuals on `matrix` are at most RESIDUAL_TOL / 2,
-    or when the basis holds every ring eigenvector, where the Ritz pairs
-    are exact; a basis over RITZ_MAX_DIM vectors is a SolverError.  The
-    Ritz pairs below `below` are returned, each lifted to the sites and
-    residual-checked on the site matrix (`_site_residuals`) once the ring
-    blocks are freed.
-    """
-    if count == 0:
-        return np.empty(0), ()
     chains = _sector_chains(op)
     rings = [_Ring(diag, hop) for _, diag, hop in chains]
     rows = [np.roll(index[orbit].ravel(), -ring.start)
             for (orbit, _, _), ring in zip(chains, rings)]
     links = _ring_links(op, rows, index)
+    if not links:
+        theta = np.concatenate([ring.grow(below) for ring in rings])
+        order = np.argsort(theta, kind="stable")
+        ranks = np.linspace(0, theta.size - 1, min(SECTOR_SAMPLES, theta.size)).round()
+        picked = np.isin(np.arange(theta.size), order[ranks.astype(int)])
+        residuals, lifted, first = [], (), 0
+        for ring, rr in zip(rings, rows):
+            ring.extend_block()
+            residuals.extend(float(x) for x in ring.residuals())
+            for j in np.flatnonzero(picked[first:first + ring.values.size]):
+                v = np.zeros((op.dim, 1))
+                v[rr, 0] = ring.block[:, j]
+                lifted += _site_residuals(op, index, v, ring.values[j:j + 1])
+            first += ring.values.size
+            ring.block = None
+        return EigenResult(power=op.power, raw=theta[order], method="sectors",
+                           residual_norms=tuple(residuals) + lifted)
+    if count == 0:
+        return EigenResult(power=op.power, raw=np.empty(0), method="sparse")
     diag = matrix.diagonal().real
     radius = np.asarray(abs(matrix).sum(axis=1)).ravel() - np.abs(diag)
     width = below - float(np.min(diag - radius))
@@ -712,7 +713,8 @@ def _sparse_solve(op: MagneticLatticeOperator, below: float, count: int,
                 break
             del vecs
     del rings, links, coef  # the ring blocks are freed before the site residuals
-    return theta, _site_residuals(op, index, vecs, theta)
+    return EigenResult(power=op.power, raw=theta, method="sparse",
+                       residual_norms=_site_residuals(op, index, vecs, theta))
 
 
 def _ring_links(op: MagneticLatticeOperator, rows: list, index: np.ndarray) -> list:
@@ -773,19 +775,19 @@ def _momentum_converged(matrix: sp.csr_matrix, vecs: np.ndarray, vals: np.ndarra
     return True
 
 
-def _ring_matrix(diag: np.ndarray, hop: float) -> sp.csc_matrix:
-    """A periodic chain in natural order: site r linked to r + 1 mod L.
-
-    Column c holds rows c - 1, c and c + 1 (mod L); the wrapped columns 0
-    and L - 1 are put in row order, and a two-site ring sums its doubled
-    link.
-    """
-    size = diag.size
-    col = np.arange(size)
-    rows = np.stack([col - 1, col, col + 1], axis=1) % size
-    vals = np.stack([np.full(size, hop), diag, np.full(size, hop)], axis=1)
-    matrix = sp.csc_matrix((vals.ravel(), rows.ravel(), 3 * np.arange(size + 1)),
-                           shape=(size, size))
+def _ring_matrix(chains: list) -> sp.csc_matrix:
+    """Periodic chains (diagonal, hop) in natural order, one diagonal block
+    each: column c of a block holds its rows c - 1, c and c + 1 (mod L),
+    the wrapped columns 0 and L - 1 in row order, and a two-site ring sums
+    its doubled link."""
+    sizes = [diag.size for diag, _ in chains]
+    first, size = np.repeat(np.cumsum(sizes) - sizes, sizes), np.repeat(sizes, sizes)
+    col = np.arange(first.size) - first
+    rows = first[:, None] + (col[:, None] + np.array([-1, 0, 1])) % size[:, None]
+    hops = np.repeat([hop for _, hop in chains], sizes)
+    vals = np.stack([hops, np.concatenate([diag for diag, _ in chains]), hops], axis=1)
+    matrix = sp.csc_matrix((vals.ravel(), rows.ravel(), 3 * np.arange(first.size + 1)),
+                           shape=(first.size, first.size))
     matrix.sum_duplicates()
     return matrix
 
@@ -818,23 +820,19 @@ def _negative_pivots(matrix: sp.spmatrix, level: float) -> int:
 
 
 def solve(op: MagneticLatticeOperator, below: float) -> EigenResult:
-    """Every eigenvalue below the level `below`, certified by inertia.
+    """Every eigenvalue below the level `below`, certified by inertia and
+    by a residual norm for each one.
 
-    The method follows from the operator.  A potential depending on x
-    only (or none) takes the exact magnetic Bloch reduction ('sectors'):
-    real periodic chains, each solved for its eigenvalues below the level
-    in O(L) per eigenvalue by path interlacing and the Schur complement
-    (`_Ring`), with residuals checked on SECTOR_SAMPLES eigenvectors.  A
-    y-dependent potential takes Rayleigh-Ritz ('sparse') on the
-    eigenvectors of those rings below a cutoff that doubles until the
-    Ritz pairs converge (`_sparse_solve`).  Both methods lift their
-    eigenvectors to the sites by an FFT along the momentum axis and check
-    their residuals on the site matrix, every one for 'sparse'.
+    Every operator takes `_ring_solve`, on the real periodic chains
+    (rings) of its magnetic Bloch reduction, each solved for its
+    eigenpairs below a level in O(L) per pair (`_Ring`): exact for a
+    potential of x only, or none ('sectors'), and the basis of
+    Rayleigh-Ritz for a y-dependent one ('sparse').
 
     The level carries a count certificate: the eigenvalues below it are
     counted by Sylvester inertia (`_negative_pivots`) in one
     factorization of the operator in the y-momentum basis
-    (`_momentum_matrix`, built apart from the ring list the solves read):
+    (`_momentum_matrix`, built apart from the ring list the solve reads):
     block-diagonal over the rings when V depends on x only, real
     symmetric when V is even in y and complex Hermitian otherwise.  That
     count is the number of Ritz pairs sought, and the result must hold
@@ -848,18 +846,13 @@ def solve(op: MagneticLatticeOperator, below: float) -> EigenResult:
     if count > op.dim // 4:
         raise SolverError(f"{count} eigenvalues below {below:.6g} exceed dim/4 = "
                           f"{op.dim // 4}")
-    if op.potential is None or op.potential.is_x_only:
-        method = "sectors"
-        raw, residuals = _sector_solve(op, below)
-    else:
-        method = "sparse"
-        raw, residuals = _sparse_solve(op, below, count, matrix, index)
+    res = _ring_solve(op, below, count, matrix, index)
+    raw, residuals = res.raw, res.residual_norms
     if raw.size != count or not np.all(raw < below):
-        raise SolverError(f"{method} solve returned {raw.size} eigenvalues, "
+        raise SolverError(f"{res.method} solve returned {raw.size} eigenvalues, "
                           f"{int(np.count_nonzero(raw < below))} of them below {below:.6g}, "
                           f"where the inertia counts {count}")
     # written so that a NaN fails both checks
     if residuals and not np.max(residuals) <= RESIDUAL_TOL:
         raise SolverError(f"residual norm {np.max(residuals):.2e} exceeds {RESIDUAL_TOL:.0e}")
-    return EigenResult(power=op.power, raw=np.sort(raw), method=method,
-                       residual_norms=residuals)
+    return res

@@ -216,7 +216,8 @@ def test_spectra_cache_schema(tmp_path, capsys, monkeypatch):
         # below / (b k) clusters of k c eigenvalues each, with b = c = 1
         assert len(rec["raw"]) == below
         assert rec["raw"] == sorted(rec["raw"])
-        assert 0 < len(rec["residual_norms"]) <= 8
+        # one residual on its ring per eigenvalue, and up to 8 on the sites
+        assert len(rec["residual_norms"]) == below + min(8, below)
         assert max(rec["residual_norms"]) <= RESIDUAL_TOL
     # the reports sit apart from the cache; a leftover spectra.json of the
     # old per-config layout is ignored
@@ -585,8 +586,9 @@ def test_inertia_count_over_a_quarter_is_a_resource_error(tmp_path, capsys):
     ({"weyl_pairs": [[4, 32]]}, 12),  # 16 eigenvalues below weyl_lambda k^2 = 16
 ], ids=["bands", "weyl"])
 def test_dropped_sector_in_a_level_job_exits_3(tmp_path, capsys, monkeypatch, pairs, returned):
-    # k = 4, N = 32: four sector chains; without one the sampled residuals
-    # stay small, but the inertia count of the rings sees the missing values
+    # k = 4, N = 32: four sector chains; without one the residuals of the
+    # pairs returned stay small, but the inertia count of the rings sees the
+    # missing values
     chains = magweyl.torus._sector_chains
     monkeypatch.setattr(magweyl.torus, "_sector_chains", lambda op: list(chains(op))[1:])
     cfg = write_config(tmp_path, {"torus": {"cluster_pairs": [], "weyl_pairs": [],

@@ -12,8 +12,8 @@ import scipy.sparse.linalg as spla
 import magweyl.torus
 from magweyl import (EigenResult, PotentialSpec, SolverError, TorusModel,
                      build_magnetic_laplacian, solve)
-from magweyl.torus import (_momentum_matrix, _negative_pivots, _Ring, _ring_matrix,
-                           _sector_chains, _sector_rings, _sector_solve, _sparse_solve,
+from magweyl.torus import (RESIDUAL_TOL, SECTOR_SAMPLES, _momentum_matrix, _negative_pivots,
+                           _Ring, _ring_matrix, _ring_solve, _sector_chains, _sector_rings,
                            _zigzag_band)
 
 
@@ -57,7 +57,7 @@ def test_zero_flux_limit():
     # constant vector is the zero mode
     ones = np.ones(64)
     assert np.max(np.abs(op.matrix @ ones)) < 1e-12
-    raw, _ = _sparse_solve(op, 1.0, 1, *_momentum_matrix(op))
+    raw = _ring_solve(op, 1.0, 1, *_momentum_matrix(op)).raw
     assert abs(raw[0]) < 1e-8
     res = solve(op, 1.0)  # the next eigenvalue is 2.98
     assert res.raw.size == 1 and abs(res.raw[0]) < 1e-8
@@ -204,14 +204,17 @@ def test_sector_solver_matches_sparse_and_dense(k, npts, cos_x):
     pot = PotentialSpec.cosine_x(cos_x) if cos_x is not None else None
     op = build_magnetic_laplacian(model, k, npts, pot)
     dense = np.sort(np.linalg.eigvalsh(op.matrix.toarray()))
-    every, residuals = _sector_solve(op, np.inf)
-    assert len(residuals) == min(8, op.dim)
+    every = np.sort(np.concatenate([_Ring(diag, hop).grow(np.inf)
+                                    for _, diag, hop in _sector_chains(op)]))
     assert np.max(np.abs(every - dense)) < 1e-10
     count = min(12, op.dim // 4)
     level = _level_above(dense, count)
     res_sec2 = solve(op, level)
     assert res_sec2.method == "sectors"
     assert res_sec2.raw.size == count
+    # one residual on its ring per eigenvalue, and the site-lifted samples
+    assert len(res_sec2.residual_norms) == count + min(SECTOR_SAMPLES, count)
+    assert max(res_sec2.residual_norms) <= RESIDUAL_TOL
     assert np.max(np.abs(res_sec2.raw - dense[:count])) < 1e-10
     assert np.max(np.abs(_arpack_lowest(op, count) - res_sec2.raw)) < 1e-8
 
@@ -439,9 +442,10 @@ def test_solve_enforces_residuals(monkeypatch):
 
 
 def test_dropped_sector_fails_the_inertia_count(monkeypatch):
-    # k=4, N=32: gcd(4, 32) = 4 sector chains; without one the sampled
-    # residuals stay small, but the rings' inertia still counts all 16
-    # eigenvalues below k^2 (the level of a Weyl job at lambda = 1)
+    # k=4, N=32: gcd(4, 32) = 4 sector chains; without one the residuals
+    # of the pairs the solve returns stay small, but the rings' inertia
+    # still counts all 16 eigenvalues below k^2 (the level of a Weyl job
+    # at lambda = 1)
     op = build_magnetic_laplacian(TorusModel.compatible(1), 4, 32)
     assert solve(op, 4.0 ** 2).raw.size == 16
     chains = magweyl.torus._sector_chains
@@ -464,7 +468,7 @@ def test_single_sector_lowest_is_banded():
         tracemalloc.stop()
     assert res.method == "sectors" and res.raw.size == 28
     assert np.max(np.abs(res.scaled()[:7] / 0.5 - 1.0)) < 0.02
-    assert len(res.residual_norms) == 8 and max(res.residual_norms) < 1e-8
+    assert len(res.residual_norms) == 28 + 8 and max(res.residual_norms) < 1e-8
     assert peak < 64 * 2 ** 20
 
 
@@ -492,7 +496,7 @@ def _dense_ring_case(name):
                                   "four-rings-cos_x", "sixteen-rings", "sixteen-rings-cos_x"])
 def test_ring_eigenvalues_match_dense(name):
     diag, hop = _dense_ring_case(name)
-    dense = np.linalg.eigvalsh(_ring_matrix(diag, hop).toarray())
+    dense = np.linalg.eigvalsh(_ring_matrix([(diag, hop)]).toarray())
     # every eigenvalue, and the levels midway in each gap of the lower half
     assert np.max(np.abs(_Ring(diag, hop).grow(np.inf) - dense)) < 1e-10
     gaps = np.flatnonzero(np.diff(dense) > 1e-6)
@@ -543,13 +547,37 @@ def _mutated_torus(monkeypatch, edits):
       "            if lam == a + 2.0 * tol:\n                return 0.5 * (a + b)\n")],
 ], ids=["flipped-schur-sign", "no-endpoint-rule"])
 def test_broken_ring_solve_fails_a_certificate(monkeypatch, edits):
-    # k = 3, N = 16: one ring, 9 eigenvalues below 3 b k, 8 of them sampled
+    # k = 3, N = 16: one ring, 9 eigenvalues below 3 b k, each residual-checked
+    # on the ring and 8 of them on the sites
     op = build_magnetic_laplacian(TorusModel.compatible(1), 3, 16)
-    assert solve(op, 3.0 * 3).raw.size == 9
+    res = solve(op, 3.0 * 3)
+    assert res.raw.size == 9 and len(res.residual_norms) == 9 + 8
     mutated = _mutated_torus(monkeypatch, edits)
     with pytest.raises(mutated.SolverError):
         mutated.solve(mutated.build_magnetic_laplacian(mutated.TorusModel.compatible(1), 3, 16),
                       3.0 * 3)
+
+
+def test_shifted_ring_eigenvalue_fails_the_ring_residuals(monkeypatch):
+    # k = 16, N = 64: sixteen rings of three eigenvalues below 3 b k.  Rank 1
+    # of the first ring moved by 0.016 keeps the inertia count (48) and its
+    # global rank (31) is not one of the 8 site-lifted samples; only the
+    # residual of every pair on its ring sees it
+    op = build_magnetic_laplacian(TorusModel.compatible(1), 16, 64)
+    assert max(solve(op, 3.0 * 16).residual_norms) < 1e-8
+    grow, grown = _Ring.grow, []
+
+    def shifted_grow(ring, level):
+        new = grow(ring, level)
+        if not grown:
+            new[1] += 0.016
+            ring.values[1] += 0.016
+        grown.append(ring)
+        return new
+
+    monkeypatch.setattr(magweyl.torus._Ring, "grow", shifted_grow)
+    with pytest.raises(SolverError, match="residual norm"):
+        solve(op, 3.0 * 16)
 
 
 def test_sparse_solve_memory():
@@ -562,20 +590,21 @@ def test_sparse_solve_memory():
     op = build_magnetic_laplacian(TorusModel.compatible(1), 16, 64, _Y_DEPENDENT)
     tracemalloc.start()
     try:
-        raw, residuals = _sparse_solve(op, 3.0 * 16, 48, *_momentum_matrix(op))
+        res = _ring_solve(op, 3.0 * 16, 48, *_momentum_matrix(op))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert raw.size == 48 and max(residuals) < 1e-8
+    assert res.raw.size == 48 and max(res.residual_norms) < 1e-8
     assert peak < 4 * op.dim * 48 * 8
 
 
 def test_solver_determinism():
     for potential in (_Y_DEPENDENT, _MIXED):
         op = build_magnetic_laplacian(TorusModel.compatible(1), 4, 32, potential)
-        r1, n1 = _sparse_solve(op, 2.0 * 4, 8, *_momentum_matrix(op))
-        r2, n2 = _sparse_solve(op, 2.0 * 4, 8, *_momentum_matrix(op))
-        assert r1.size == 8 and np.array_equal(r1, r2) and n1 == n2
+        r1 = _ring_solve(op, 2.0 * 4, 8, *_momentum_matrix(op))
+        r2 = _ring_solve(op, 2.0 * 4, 8, *_momentum_matrix(op))
+        assert r1.raw.size == 8 and np.array_equal(r1.raw, r2.raw)
+        assert r1.residual_norms == r2.residual_norms
 
 
 def test_gauge_invariance():
