@@ -480,7 +480,7 @@ def run_torus_checks(cfg: dict, spectra: dict) -> tuple[list[Check], dict]:
     extras = {"clusters": [], "weyl": [], "bands": []}
 
     if tcfg["cluster_pairs"]:
-        cluster_spectra = {(k, npts): spectra[(None, k, npts)]
+        cluster_spectra = {(k, npts): spectra[(None, k, npts)].scaled()
                            for k, npts in tcfg["cluster_pairs"]}
         report = check_cluster_law(model, cluster_spectra, tcfg["cluster_levels"])
         worst_drift = max(r.relative_drift for r in report.rows)

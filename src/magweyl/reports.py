@@ -86,7 +86,7 @@ def _ticks(lo: float, hi: float, n: int = 5):
 
 def svg_plot(series: list[dict], title: str, xlabel: str, ylabel: str,
              reference_y: float | None = None) -> str:
-    """Line/scatter plot; each series is {label, x, y, kind: line|scatter}.
+    """Line plot with markers; each series is {label, x, y}.
 
     Output is a deterministic function of the inputs.
     """
@@ -134,10 +134,9 @@ def svg_plot(series: list[dict], title: str, xlabel: str, ylabel: str,
         color = _COLORS[idx % len(_COLORS)]
         X = np.asarray(s["x"], dtype=float)
         Y = np.asarray(s["y"], dtype=float)
-        if s.get("kind", "line") == "line":
-            pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(X, Y))
-            out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                       f'stroke-width="1.5"/>')
+        pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(X, Y))
+        out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                   f'stroke-width="1.5"/>')
         for x, y in zip(X, Y):
             out.append(f'<circle cx="{_fmt(px(x))}" cy="{_fmt(py(y))}" r="2.5" '
                        f'fill="{color}"/>')

@@ -25,7 +25,8 @@ below a level follow in O(L) each: the path eigenvalues bracket them
 (Cauchy interlacing), and the Schur complement of the bordering site,
 one tridiagonal solve per evaluation, counts them (Haynsworth inertia)
 and locates each one in its bracket.  The same solve gives each one's
-eigenvector, the bordered vector (1, -x).
+eigenvector: the bordered vector (1, -x), or, for a root it cannot
+resolve, inverse iteration through the same path.
 
 Every operator is solved from those ring eigenpairs, after one inertia
 factorization for the count.  With no y-modes the rings are the
@@ -306,8 +307,9 @@ def _y_couplings(op: MagneticLatticeOperator) -> dict:
     (mod N).
     The site matrix samples the real part of the mode sum, whose
     coefficient is (c_s + conj c_{-s}) / 2; that is what is returned, so
-    the couplings are Hermitian to the last bit, and real when V is even
-    in y.
+    the couplings are Hermitian to the last bit.  When V is even in y
+    (`PotentialSpec.is_even_in_y`) they are real, and returned as real
+    arrays: the one place that decides the momentum basis's dtype.
     """
     N = op.npoints
     phase = 2j * np.pi * op.spacing * np.arange(N) / op.model.side
@@ -315,7 +317,8 @@ def _y_couplings(op: MagneticLatticeOperator) -> dict:
     for (p, q), amp in op.potential.modes:
         if q % N:
             sums[q % N] = sums.get(q % N, 0.0) + amp * np.exp(p * phase)
-    return {s: 0.5 * float(op.power) * (c + np.conj(sums[-s % N])) for s, c in sums.items()}
+    couplings = {s: 0.5 * float(op.power) * (c + np.conj(sums[-s % N])) for s, c in sums.items()}
+    return {s: c.real for s, c in couplings.items()} if op.potential.is_even_in_y else couplings
 
 
 def _momentum_matrix(op: MagneticLatticeOperator) -> tuple[sp.spmatrix, np.ndarray]:
@@ -323,8 +326,8 @@ def _momentum_matrix(op: MagneticLatticeOperator) -> tuple[sp.spmatrix, np.ndarr
 
     The rings of `_sector_rings` in one CSC block-diagonal (`_ring_matrix`),
     plus in CSR the couplings of `_y_couplings` from row index[n, i] to
-    index[n + s, i], real when V is even in y (`PotentialSpec.is_even_in_y`)
-    and complex otherwise: the site matrix conjugated by the unitary map
+    index[n + s, i], real when V is even in y and complex otherwise
+    (`_y_couplings`): the site matrix conjugated by the unitary map
     psi[j, i] = N^{-1/2} sum_n e^{2 pi i n j / N} v[index[n, i]].
     """
     N = op.npoints
@@ -333,8 +336,6 @@ def _momentum_matrix(op: MagneticLatticeOperator) -> tuple[sp.spmatrix, np.ndarr
     couplings = {} if op.potential is None else _y_couplings(op)
     if not couplings:
         return rings, index
-    if op.potential.is_even_in_y:
-        couplings = {s: c.real for s, c in couplings.items()}
     rows = np.concatenate([np.roll(index, -s, axis=0).ravel() for s in couplings])
     vals = np.concatenate([np.broadcast_to(c, (N, N)).ravel() for c in couplings.values()])
     cols = np.tile(index.ravel(), len(couplings))
@@ -369,62 +370,6 @@ def _sector_chains(op: MagneticLatticeOperator) -> list:
     from it, so a ring the solve misses is still counted.
     """
     return list(_sector_rings(op))
-
-
-def _zigzag_band(diag: np.ndarray, hop: float) -> tuple[np.ndarray, np.ndarray]:
-    """Periodic chain in the order 0, 1, L-1, 2, L-2, ..., as a banded matrix.
-
-    In that order every chain link (r, r+1 mod L) joins positions at most
-    2 apart: all (p, p+2) pairs, plus (0, 1) and (L-2, L-1), which
-    coincide for L = 2 (the doubled hop of a two-site ring).  Returns the
-    order and the upper band form of bandwidth 2 (row 2 the diagonal).
-    """
-    L = diag.size
-    if L < 2:
-        raise ValueError("a periodic chain needs at least 2 sites")
-    perm = np.empty(L, dtype=np.intp)
-    perm[0] = 0
-    perm[1::2] = np.arange(1, L // 2 + 1)
-    perm[2::2] = L - np.arange(1, (L - 1) // 2 + 1)
-    band = np.zeros((3, L))
-    band[0, 2:] = hop
-    band[1, 1] += hop
-    band[1, L - 1] += hop
-    band[2] = diag[perm]
-    return perm, band
-
-
-def _chain_vector(band: np.ndarray, lam: float, against: np.ndarray) -> np.ndarray:
-    """Unit eigenvector for the eigenvalue lam by inverse iteration, O(L) memory.
-
-    The shift sits a few ulps of the largest chain entry above lam, so
-    that an eigenvalue that is exact in floating point (a two-site ring at
-    zero flux has the eigenvalue 0) cannot make the factorization singular.
-    Each step projects out the orthonormal columns of `against` (the
-    earlier vectors of a cluster, in band order), from a start vector
-    seeded by their number, so that the vectors of a degenerate cluster
-    span it.  Norms and dot products of ring vectors go through `einsum`,
-    not BLAS: a threaded OpenBLAS `ddot` on a vector over 10,000 entries
-    took about 8 ms on a 2-vCPU host (0.01 ms on one thread).
-    """
-    L = band.shape[1]
-    # LAPACK band storage with two rows of room for the fill of pivoting
-    shifted = np.zeros((7, L))
-    shifted[2:5] = band
-    shifted[4] -= lam + 8.0 * np.finfo(float).eps * np.abs(band).max()
-    shifted[5, :-1] = band[1, 1:]
-    shifted[6, :-2] = band[0, 2:]
-    lu, piv, info = scipy.linalg.lapack.dgbtrf(shifted, 2, 2)
-    if info:
-        raise SolverError(f"inverse iteration at {lam:.6g} failed: singular factor at {info}")
-    k = against.shape[1]
-    v = np.random.default_rng(k).standard_normal(L)
-    for _ in range(_INVERSE_STEPS):
-        v = scipy.linalg.lapack.dgbtrs(lu, 2, 2, v, piv)[0]
-        if k:
-            v -= np.einsum("ij,j->i", against, np.einsum("ij,i->j", against, v))
-        v /= np.sqrt(np.einsum("i,i", v, v))
-    return v
 
 
 class _Ring:
@@ -480,16 +425,20 @@ class _Ring:
         self.deflated = np.empty(0, dtype=bool)
         self.block = np.empty((size, 0))       # unit eigenvectors, by `extend_block`
 
-    def path_solve(self, lam: float) -> np.ndarray:
-        *_, x, info = scipy.linalg.lapack.dgtsv(self.off, self.path - lam, self.off, self.border)
+    def path_solve(self, lam: float, rhs: np.ndarray) -> np.ndarray:
+        """(P - lam)^{-1} rhs, of one column or of each column of rhs."""
+        *_, x, info = scipy.linalg.lapack.dgtsv(self.off, self.path - lam, self.off, rhs)
         if info:
             raise SolverError(f"ring solve at {lam:.6g}: the path is exactly singular")
         return x
 
+    def complement(self, lam: float, x: np.ndarray) -> float:
+        """The Schur complement s(lam) = d_0 - lam - b^T x of x = (P - lam)^{-1} b."""
+        return self.diag[0] - lam - self.hop * (x[0] + x[-1])
+
     def schur(self, lam: float) -> tuple[float, float]:
-        diag, hop = self.diag, self.hop
-        x = self.path_solve(lam)
-        return diag[0] - lam - hop * (x[0] + x[-1]), -1.0 - np.einsum("i,i", x, x)
+        x = self.path_solve(lam, self.border)
+        return self.complement(lam, x), -1.0 - np.einsum("i,i", x, x)
 
     def grow(self, level: float) -> np.ndarray:
         """The ring eigenvalues from the last level up to `level`, appended
@@ -556,23 +505,39 @@ class _Ring:
         _CLUSTER_GAP times the Gershgorin bound, takes the bordered vector
         (1, -x) of its Schur complement, normalized, if its residual
         |s(lam)| / ||(1, -x)|| is at most 64 eps times that bound.  Any
-        other root takes inverse iteration on the ring in banded form
-        (`_chain_vector`), orthogonal to the earlier vectors of its
-        cluster: a deflated root's vector has no weight on site 0, and the
-        bordered vector of a root with little weight there, or beside
-        another root, is inaccurate.
+        other root takes inverse iteration on the ring, orthogonal to the
+        earlier vectors of its cluster: a deflated root's vector has no
+        weight on site 0, and the bordered vector of a root with little
+        weight there, or beside another root, is inaccurate.
+
+        Each of the _INVERSE_STEPS steps solves (R - mu) v = w through the
+        path, by block elimination on site 0: v_0 = (w_0 - b^T y) / s(mu)
+        and v' = y - x v_0, with [x, y] = (P - mu)^{-1} [b, w'] from one
+        `path_solve` of two columns.  The shift mu = lam + 2 tol sits a few
+        ulps of the Gershgorin bound above lam, so that an eigenvalue that
+        is exact in floating point (a two-site ring at zero flux has the
+        eigenvalue 0) cannot make s(mu) vanish.  Each step projects out the
+        earlier vectors of the cluster, from a start vector seeded by their
+        number, so that the vectors of a degenerate cluster span it.  Norms
+        and dot products of ring vectors go through `einsum`, not BLAS: a
+        threaded OpenBLAS `ddot` on a vector over 10,000 entries took about
+        8 ms on a 2-vCPU host (0.01 ms on one thread).
         """
         lam = self.values[j]
         near = np.flatnonzero(np.abs(self.values[:j] - lam) <= _CLUSTER_GAP * self.scale)
         if not self.deflated[j] and near.size == 0:
-            x = self.path_solve(lam)
+            x = self.path_solve(lam, self.border)
             norm = np.sqrt(1.0 + np.einsum("i,i", x, x))
-            s = self.diag[0] - lam - self.hop * (x[0] + x[-1])
-            if abs(s) <= 64.0 * np.finfo(float).eps * self.scale * norm:
+            if abs(self.complement(lam, x)) <= 64.0 * np.finfo(float).eps * self.scale * norm:
                 return np.concatenate([[1.0], -x]) / norm
-        perm, band = _zigzag_band(self.diag, self.hop)
-        v = np.empty(perm.size)
-        v[perm] = _chain_vector(band, lam, block[np.ix_(perm, near)])
+        against, mu = block[:, near], lam + 2.0 * self.tol
+        v = np.random.default_rng(near.size).standard_normal(self.diag.size)
+        for _ in range(_INVERSE_STEPS):
+            x, y = self.path_solve(mu, np.column_stack([self.border, v[1:]])).T
+            head = (v[0] - self.hop * (y[0] + y[-1])) / self.complement(mu, x)
+            v = np.concatenate([[head], y - head * x])
+            v -= np.einsum("ij,j->i", against, np.einsum("ij,i->j", against, v))
+            v /= np.sqrt(np.einsum("i,i", v, v))
         return v
 
 
@@ -723,9 +688,8 @@ def _ring_links(op: MagneticLatticeOperator, rows: list, index: np.ndarray) -> l
 
     The shift n -> n + s carries a whole ring onto the rows of one other
     ring.  Returns (r2, r, where, coef): site p of ring r goes to site
-    where[p] of ring r2 with coefficient coef[p], c_s at the column of p
-    (its real part when V is even in y, as in `_momentum_matrix`).  Rows
-    outside every ring receive nothing.
+    where[p] of ring r2 with coefficient coef[p], c_s at the column of p.
+    Rows outside every ring receive nothing.
     """
     if op.potential is None:
         return []
@@ -738,7 +702,6 @@ def _ring_links(op: MagneticLatticeOperator, rows: list, index: np.ndarray) -> l
         local[rr] = np.arange(rr.size)
     links = []
     for s, c in _y_couplings(op).items():
-        c = c.real if op.potential.is_even_in_y else c
         for r, rr in enumerate(rows):
             dest = index[(momentum[rr] + s) % N, column[rr]]
             if owner[dest[0]] >= 0:

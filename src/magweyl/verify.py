@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import EigenResult, PotentialSpec, TorusModel
+from .torus import PotentialSpec, TorusModel
 
 
 class VerifyError(ValueError):
@@ -92,16 +92,15 @@ class ClusterRow:
 def check_cluster_law(model: TorusModel, spectra: dict, levels) -> ClusterReport:
     """Cluster verdicts for k^{-1}-scaled spectra.
 
-    `spectra` maps (k, N) to an EigenResult (or an array already scaled
-    by k^{-1}).  For each requested level m the detected cluster is
-    compared with center b(m + 1/2) and count k c.
+    `spectra` maps (k, N) to the spectrum scaled by k^{-1}
+    (`EigenResult.scaled`).  For each requested level m the detected
+    cluster is compared with center b(m + 1/2) and count k c.
     """
     rows = []
     all_clusters = []
     b, c = model.field, model.chern
-    for (k, npts), res in sorted(spectra.items()):
-        eigs = res.scaled() if isinstance(res, EigenResult) else np.asarray(res)
-        if eigs.size == 0:
+    for (k, npts), eigs in sorted(spectra.items()):
+        if len(eigs) == 0:
             raise VerifyError(f"missing data for k={k}, N={npts}")
         rep = detect_clusters(eigs, CLUSTER_GAP * b)
         for m in levels:

@@ -187,7 +187,7 @@ def test_criterion_07_cluster_law(capsys, torus_model):
         for k in (4, 8, 16):
             op = build_magnetic_laplacian(torus_model, k, npts)
             res = solve(op, 3.0 * torus_model.field * k)
-            spectra[(k, npts)] = res
+            spectra[(k, npts)] = res.scaled()
     report = check_cluster_law(torus_model, spectra, [0, 1, 2])
     worst = max(r.relative_drift for r in report.rows)
     counts_ok = all(r.measured_count == r.predicted_count for r in report.rows)

@@ -13,8 +13,7 @@ import magweyl.torus
 from magweyl import (EigenResult, PotentialSpec, SolverError, TorusModel,
                      build_magnetic_laplacian, solve)
 from magweyl.torus import (RESIDUAL_TOL, SECTOR_SAMPLES, _momentum_matrix, _negative_pivots,
-                           _Ring, _ring_matrix, _ring_solve, _sector_chains, _sector_rings,
-                           _zigzag_band)
+                           _Ring, _ring_matrix, _ring_solve, _sector_chains, _sector_rings)
 
 
 def test_model_prequantization():
@@ -254,6 +253,27 @@ def count_below(op, level):
     return _negative_pivots(_momentum_matrix(op)[0], level)
 
 
+def _zigzag_band(diag, hop):
+    """The upper band form, bandwidth 2, of a periodic chain in the site
+    order 0, 1, L-1, 2, L-2, ..., for `scipy.linalg.eigvals_banded`.
+
+    In that order every chain link (r, r+1 mod L) joins positions at most
+    2 apart: all (p, p+2) pairs, plus (0, 1) and (L-2, L-1), which
+    coincide for L = 2 (the doubled hop of a two-site ring).
+    """
+    L = diag.size
+    perm = np.empty(L, dtype=np.intp)
+    perm[0] = 0
+    perm[1::2] = np.arange(1, L // 2 + 1)
+    perm[2::2] = L - np.arange(1, (L - 1) // 2 + 1)
+    band = np.zeros((3, L))
+    band[0, 2:] = hop
+    band[1, 1] += hop
+    band[1, L - 1] += hop
+    band[2] = diag[perm]
+    return band
+
+
 def _levels_off_spectrum(spectrum, top, norm, rng, n):
     """n random levels from below the spectrum up to `top`, each at least
     1e-8 ||H|| from it."""
@@ -273,7 +293,7 @@ def test_count_below_matches_ring_eigenvalue_counts(k, npts, cos_x):
     # every ring eigenvalue below 8 b k, by bisection
     top = 8.0 * k
     spectrum = np.sort(np.concatenate([
-        scipy.linalg.eigvals_banded(_zigzag_band(diag, hop)[1], select="v",
+        scipy.linalg.eigvals_banded(_zigzag_band(diag, hop), select="v",
                                     select_range=(-np.inf, top))
         for _, diag, hop in _sector_chains(op)]))
     norm = abs(op.matrix).sum(axis=1).max()  # a bound on ||H||
@@ -515,11 +535,30 @@ def test_single_ring_matches_banded_bisection():
     for pot, level in ((None, 4.0 * 7), (PotentialSpec.cosine_x(0.1), 3.0 * 7)):
         op = build_magnetic_laplacian(TorusModel.compatible(1), 7, 128, pot)
         (_, diag, hop), = _sector_chains(op)
-        banded = scipy.linalg.eigvals_banded(_zigzag_band(diag, hop)[1], select="v",
+        banded = scipy.linalg.eigvals_banded(_zigzag_band(diag, hop), select="v",
                                              select_range=(-np.inf, level))
         got = _Ring(diag, hop).grow(level)
         assert got.size == banded.size == int(level)  # k c = 7 per cluster, level / 7 clusters
         assert np.max(np.abs(got - banded)) < 1e-10
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("size", [2, 3, 4, 7, 50])
+def test_fallback_vectors_of_random_rings(size):
+    # every eigenvalue marked deflated, so every vector takes inverse
+    # iteration through the path; L = 2 is the one-site path with the
+    # doubled link 2t
+    rng = np.random.default_rng(size)
+    ring = _Ring(rng.standard_normal(size), -rng.uniform(0.5, 1.5))
+    ring.grow(np.inf)
+    ring.deflated[:] = True
+    ring.extend_block()
+    dense = _ring_matrix([(ring.diag, ring.hop)]).toarray()  # in the ring's site order
+    block = ring.block
+    assert block.shape == (size, size)
+    residuals = np.linalg.norm(dense @ block - block * np.linalg.eigvalsh(dense), axis=0)
+    assert residuals.max() < 1e-13
+    assert np.abs(block.T @ block - np.eye(size)).max() < 1e-13
 
 
 def _mutated_torus(monkeypatch, edits):
@@ -537,8 +576,8 @@ def _mutated_torus(monkeypatch, edits):
 
 @pytest.mark.parametrize("edits", [
     # the sign of the Schur complement flipped, in the count and the search
-    [("return diag[0] - lam - hop * (x[0] + x[-1]),",
-      "return lam - diag[0] + hop * (x[0] + x[-1]),")],
+    [("return self.diag[0] - lam - self.hop * (x[0] + x[-1])",
+      "return lam - self.diag[0] + self.hop * (x[0] + x[-1])")],
     # no endpoint rule: where s keeps one sign up to an end, the middle of
     # the interval instead of the end
     [("            if lam == b - 2.0 * tol:\n                return b\n",
@@ -556,6 +595,19 @@ def test_broken_ring_solve_fails_a_certificate(monkeypatch, edits):
     with pytest.raises(mutated.SolverError):
         mutated.solve(mutated.build_magnetic_laplacian(mutated.TorusModel.compatible(1), 3, 16),
                       3.0 * 3)
+
+
+def test_unprojected_fallback_is_rank_deficient(monkeypatch):
+    # k = 7, N = 128, V = 0: each Landau cluster of the single ring is 7
+    # eigenvalues degenerate to rounding, whose vectors take inverse
+    # iteration; without the projection against the earlier vectors of the
+    # cluster they repeat, and the ring block's Gram check fails
+    mutated = _mutated_torus(monkeypatch, [(
+        '            v -= np.einsum("ij,j->i", against, np.einsum("ij,i->j", against, v))\n',
+        "")])
+    op = mutated.build_magnetic_laplacian(mutated.TorusModel.compatible(1), 7, 128)
+    with pytest.raises(mutated.SolverError, match="rank-deficient"):
+        mutated.solve(op, 4.0 * 7)
 
 
 def test_shifted_ring_eigenvalue_fails_the_ring_residuals(monkeypatch):
