@@ -30,9 +30,9 @@ for k in (4, 8, 16):
     series.append({"label": f"k={k}", "x": np.arange(scaled.size) / (k * model.chern),
                    "y": scaled})
 
-report = check_cluster_law(model, spectra, [0, 1, 2])
+rows = check_cluster_law(model, spectra, [0, 1, 2])
 print("\nper-(k,m) drift and counts:")
-for row in report.rows:
+for row in rows:
     print(f"  k={row.power} m={row.level}: center {row.measured_center:.5f} "
           f"(drift {row.relative_drift:.2%}), count {row.measured_count}"
           f"/{row.predicted_count}")

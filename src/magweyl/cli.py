@@ -482,22 +482,22 @@ def run_torus_checks(cfg: dict, spectra: dict) -> tuple[list[Check], dict]:
     if tcfg["cluster_pairs"]:
         cluster_spectra = {(k, npts): spectra[(None, k, npts)].scaled()
                            for k, npts in tcfg["cluster_pairs"]}
-        report = check_cluster_law(model, cluster_spectra, tcfg["cluster_levels"])
-        worst_drift = max(r.relative_drift for r in report.rows)
-        count_ok = all(r.measured_count == r.predicted_count for r in report.rows)
+        rows = check_cluster_law(model, cluster_spectra, tcfg["cluster_levels"])
+        worst_drift = max(r.relative_drift for r in rows)
+        count_ok = all(r.measured_count == r.predicted_count for r in rows)
         checks.append(_leq("torus.cluster_center_drift", worst_drift, 0.02))
         checks.append(Check("torus.cluster_counts_exact", float(count_ok), 1.0,
                             count_ok, "count == k*c for every (k, m)"))
         # refinement: drift shrinks when N doubles at fixed k
         by_k = {}
-        for r in report.rows:
+        for r in rows:
             by_k.setdefault((r.power, r.level), {})[r.npoints] = r.relative_drift
         improving = all(d[n] >= d[n2] - 1e-12
                         for d in by_k.values()
                         for n in d for n2 in d if n2 > n)
         checks.append(Check("torus.cluster_drift_improves_with_N", float(improving),
                             1.0, improving, "N-doubling reduces drift"))
-        extras["clusters"] = [r.__dict__ for r in report.rows]
+        extras["clusters"] = [r.__dict__ for r in rows]
 
     if tcfg["weyl_pairs"]:
         lam = tcfg["weyl_lambda"]

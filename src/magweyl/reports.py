@@ -39,13 +39,11 @@ def canonical_json(obj) -> str:
     return json.dumps(_plain(obj), sort_keys=True, indent=2, ensure_ascii=True) + "\n"
 
 
-def write_json(path, obj) -> Path:
-    path = Path(path)
-    path.write_text(canonical_json(obj), encoding="ascii")
-    return path
+def write_json(path, obj):
+    Path(path).write_text(canonical_json(obj), encoding="ascii")
 
 
-def write_csv(path, rows: list[dict], columns: list[str]) -> Path:
+def write_csv(path, rows: list[dict], columns: list[str]):
     """Flat table; missing cells are empty, extras are dropped."""
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=columns, extrasaction="ignore",
@@ -54,7 +52,6 @@ def write_csv(path, rows: list[dict], columns: list[str]) -> Path:
     for row in rows:
         writer.writerow({k: _fmt_cell(row.get(k, "")) for k in columns})
     Path(path).write_text(buf.getvalue(), encoding="ascii")
-    return Path(path)
 
 
 def _fmt_cell(v) -> str:
@@ -147,14 +144,14 @@ def svg_plot(series: list[dict], title: str, xlabel: str, ylabel: str,
     return "\n".join(out) + "\n"
 
 
-def write_svg(path, svg_text: str) -> Path:
+def write_svg(path, svg_text: str):
     Path(path).write_text(svg_text, encoding="ascii")
-    return Path(path)
 
 
 def emit_report(records: dict, out_dir, rows: list[dict], columns: list[str],
-                svg: str | None = None) -> dict:
-    """Write report.{json,csv,svg} under out_dir; returns path map.
+                svg: str | None = None):
+    """Write report.json and report.csv, and report.svg if `svg` is given,
+    under out_dir.
 
     The JSON carries full fidelity; the CSV is the flat row table; the
     SVG is whatever plot the caller rendered.  Deterministic byte
@@ -162,8 +159,7 @@ def emit_report(records: dict, out_dir, rows: list[dict], columns: list[str],
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {"json": str(write_json(out_dir / "report.json", {"schema": SCHEMA, **records})),
-             "csv": str(write_csv(out_dir / "report.csv", rows, columns))}
+    write_json(out_dir / "report.json", {"schema": SCHEMA, **records})
+    write_csv(out_dir / "report.csv", rows, columns)
     if svg is not None:
-        paths["svg"] = str(write_svg(out_dir / "report.svg", svg))
-    return paths
+        write_svg(out_dir / "report.svg", svg)

@@ -40,10 +40,9 @@ class Cluster:
 
 @dataclass(frozen=True)
 class ClusterReport:
-    """Detected clusters plus predicted-vs-measured comparison rows."""
+    """Detected clusters, disjoint and in ascending order."""
 
     clusters: tuple
-    rows: tuple = ()
 
     def __post_init__(self):
         prev_hi = -np.inf
@@ -89,15 +88,15 @@ class ClusterRow:
     width: float
 
 
-def check_cluster_law(model: TorusModel, spectra: dict, levels) -> ClusterReport:
-    """Cluster verdicts for k^{-1}-scaled spectra.
+def check_cluster_law(model: TorusModel, spectra: dict, levels) -> tuple:
+    """Cluster verdicts for k^{-1}-scaled spectra, one `ClusterRow` per
+    (k, N) and level.
 
     `spectra` maps (k, N) to the spectrum scaled by k^{-1}
     (`EigenResult.scaled`).  For each requested level m the detected
     cluster is compared with center b(m + 1/2) and count k c.
     """
     rows = []
-    all_clusters = []
     b, c = model.field, model.chern
     for (k, npts), eigs in sorted(spectra.items()):
         if len(eigs) == 0:
@@ -115,8 +114,7 @@ def check_cluster_law(model: TorusModel, spectra: dict, levels) -> ClusterReport
                 measured_center=cl.center, measured_count=cl.count,
                 center_drift=drift, relative_drift=drift / pred_center,
                 width=cl.width))
-        all_clusters = rep.clusters
-    return ClusterReport(tuple(all_clusters), tuple(rows))
+    return tuple(rows)
 
 
 def twisted_liouville_volume(model: TorusModel, lam: float) -> float:

@@ -11,20 +11,20 @@ def test_canonical_json_deterministic(tmp_path):
     assert s1 == s2
     assert '"a"' in s1 and s1.index('"a"') < s1.index('"b"')
     assert '"re": 1.0' in s1
-    p = reports.write_json(tmp_path / "r.json", obj)
-    assert p.read_text() == s1
+    reports.write_json(tmp_path / "r.json", obj)
+    assert (tmp_path / "r.json").read_text() == s1
 
 
 def test_csv_stable(tmp_path):
     rows = [{"name": "x", "value": 0.1234567890123, "passed": True},
             {"name": "y", "value": 2, "extra": "dropped"}]
-    p = reports.write_csv(tmp_path / "t.csv", rows, ["name", "value", "passed"])
-    text = p.read_text()
+    reports.write_csv(tmp_path / "t.csv", rows, ["name", "value", "passed"])
+    text = (tmp_path / "t.csv").read_text()
     assert text.splitlines()[0] == "name,value,passed"
     assert "0.123456789012" in text  # .12g cell format
     assert "dropped" not in text
-    assert p.read_bytes() == reports.write_csv(tmp_path / "t2.csv", rows,
-                                               ["name", "value", "passed"]).read_bytes()
+    reports.write_csv(tmp_path / "t2.csv", rows, ["name", "value", "passed"])
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
 
 
 def test_svg_plot_deterministic():
@@ -40,12 +40,12 @@ def test_emit_report_files(tmp_path):
     rows = [{"name": "check", "value": 0.5, "tolerance": 1.0, "passed": True}]
     svg = reports.svg_plot([{"label": "s", "x": [0, 1], "y": [0, 1]}],
                            "t", "x", "y")
-    paths = reports.emit_report({"command": "test", "checks": rows}, tmp_path,
-                                rows=rows, columns=["name", "value"], svg=svg)
-    assert set(paths) == {"json", "csv", "svg"}
-    first = {k: open(v, "rb").read() for k, v in paths.items()}
-    paths2 = reports.emit_report({"command": "test", "checks": rows}, tmp_path,
-                                 rows=rows, columns=["name", "value"], svg=svg)
-    second = {k: open(v, "rb").read() for k, v in paths2.items()}
-    assert first == second
-    assert b'"schema"' in first["json"]
+    names = ("report.json", "report.csv", "report.svg")
+    reports.emit_report({"command": "test", "checks": rows}, tmp_path,
+                        rows=rows, columns=["name", "value"], svg=svg)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    first = {name: (tmp_path / name).read_bytes() for name in names}
+    reports.emit_report({"command": "test", "checks": rows}, tmp_path,
+                        rows=rows, columns=["name", "value"], svg=svg)
+    assert first == {name: (tmp_path / name).read_bytes() for name in names}
+    assert b'"schema"' in first["report.json"]

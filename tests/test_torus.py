@@ -56,7 +56,7 @@ def test_zero_flux_limit():
     # constant vector is the zero mode
     ones = np.ones(64)
     assert np.max(np.abs(op.matrix @ ones)) < 1e-12
-    raw = _ring_solve(op, 1.0, 1, *_momentum_matrix(op)).raw
+    raw = _ring_solve(op, 1.0, 1, _momentum_matrix(op)).raw
     assert abs(raw[0]) < 1e-8
     res = solve(op, 1.0)  # the next eigenvalue is 2.98
     assert res.raw.size == 1 and abs(res.raw[0]) < 1e-8
@@ -203,8 +203,8 @@ def test_sector_solver_matches_sparse_and_dense(k, npts, cos_x):
     pot = PotentialSpec.cosine_x(cos_x) if cos_x is not None else None
     op = build_magnetic_laplacian(model, k, npts, pot)
     dense = np.sort(np.linalg.eigvalsh(op.matrix.toarray()))
-    every = np.sort(np.concatenate([_Ring(diag, hop).grow(np.inf)
-                                    for _, diag, hop in _sector_chains(op)]))
+    every = np.sort(np.concatenate([_Ring(rows, diag, hop).grow(np.inf)
+                                    for rows, diag, hop in _sector_chains(op)]))
     assert np.max(np.abs(every - dense)) < 1e-10
     count = min(12, op.dim // 4)
     level = _level_above(dense, count)
@@ -250,7 +250,7 @@ def _level_above(spectrum, count):
 def count_below(op, level):
     """The inertia count `solve` takes: eigenvalues of the operator below
     the level, by one factorization of its momentum matrix."""
-    return _negative_pivots(_momentum_matrix(op)[0], level)
+    return _negative_pivots(_momentum_matrix(op), level)
 
 
 def _zigzag_band(diag, hop):
@@ -368,13 +368,13 @@ def test_sparse_ritz_vectors_are_orthonormal(monkeypatch):
     # projected matrix are complex; at (16, 96) 32 eigenvalues lie below
     # 2 b k, the two lowest Landau bands, each 16-fold near-degenerate
     op = build_magnetic_laplacian(TorusModel.compatible(1), 16, 96, _MIXED)
-    assert _momentum_matrix(op)[0].dtype == np.complex128
+    assert _momentum_matrix(op).dtype == np.complex128
     seen = {}
     site_residuals = magweyl.torus._site_residuals
 
-    def recording_site_residuals(op, index, vecs, vals):
+    def recording_site_residuals(op, vecs, vals):
         seen["pairs"] = vals, vecs
-        return site_residuals(op, index, vecs, vals)
+        return site_residuals(op, vecs, vals)
 
     monkeypatch.setattr(magweyl.torus, "_site_residuals", recording_site_residuals)
     res = solve(op, 2.0 * 16)
@@ -385,7 +385,7 @@ def test_sparse_ritz_vectors_are_orthonormal(monkeypatch):
     assert np.max(np.abs(res.raw - _arpack_lowest(op, 32))) < 1e-9
     # a potential even in y gives a real momentum matrix
     even = build_magnetic_laplacian(TorusModel.compatible(1), 16, 96, _Y_DEPENDENT)
-    assert _momentum_matrix(even)[0].dtype == np.float64
+    assert _momentum_matrix(even).dtype == np.float64
 
 
 def test_basis_over_the_limit_is_an_error(monkeypatch):
@@ -413,12 +413,12 @@ def test_basis_over_the_limit_is_an_error(monkeypatch):
 ], ids=["x-only", "even-in-y", "mixed", "mixed-four-rings"])
 def test_momentum_matrix_is_the_site_operator(k, npts, potential, dtype):
     op = build_magnetic_laplacian(TorusModel.compatible(1), k, npts, potential)
-    matrix, index = _momentum_matrix(op)
+    matrix = _momentum_matrix(op)
     assert matrix.dtype == dtype
     assert (dtype == np.float64) == potential.is_even_in_y
 
     def lift(v):
-        return (np.sqrt(npts) * np.fft.ifft(v[index], axis=0)).reshape(op.dim, -1)
+        return (np.sqrt(npts) * np.fft.ifft(v.reshape(npts, npts, -1), axis=0)).reshape(op.dim, -1)
 
     rng = np.random.default_rng(0)
     u = rng.standard_normal((op.dim, 3)) + 1j * rng.standard_normal((op.dim, 3))
@@ -450,6 +450,22 @@ def test_repeated_basis_vector_is_an_error(monkeypatch):
     monkeypatch.setattr(magweyl.torus._Ring, "_vector", repeating_vector)
     with pytest.raises(SolverError, match="rank-deficient: Gram defect"):
         solve(op, 2.0 * 4)  # the two lowest clusters, 8 eigenvalues
+
+
+def test_nan_basis_vector_is_an_error(monkeypatch):
+    # a NaN Gram defect fails the rank check, so the solve stops with a
+    # SolverError before the projected eigenproblem sees the NaN
+    op = build_magnetic_laplacian(TorusModel.compatible(1), 4, 32, _Y_DEPENDENT)
+    vector = magweyl.torus._Ring._vector
+
+    def nan_vector(ring, j, block):
+        v = vector(ring, j, block)
+        v[0] = np.nan
+        return v
+
+    monkeypatch.setattr(magweyl.torus._Ring, "_vector", nan_vector)
+    with pytest.raises(SolverError, match="rank-deficient"):
+        solve(op, 2.0 * 4)
 
 
 def test_solve_enforces_residuals(monkeypatch):
@@ -516,13 +532,14 @@ def _dense_ring_case(name):
                                   "four-rings-cos_x", "sixteen-rings", "sixteen-rings-cos_x"])
 def test_ring_eigenvalues_match_dense(name):
     diag, hop = _dense_ring_case(name)
-    dense = np.linalg.eigvalsh(_ring_matrix([(diag, hop)]).toarray())
+    rows = np.arange(diag.size)
+    dense = np.linalg.eigvalsh(_ring_matrix([(rows, diag, hop)], diag.size).toarray())
     # every eigenvalue, and the levels midway in each gap of the lower half
-    assert np.max(np.abs(_Ring(diag, hop).grow(np.inf) - dense)) < 1e-10
+    assert np.max(np.abs(_Ring(rows, diag, hop).grow(np.inf) - dense)) < 1e-10
     gaps = np.flatnonzero(np.diff(dense) > 1e-6)
     for j in gaps[:max(1, gaps.size // 2)]:
         level = 0.5 * (dense[j] + dense[j + 1])
-        got = _Ring(diag, hop).grow(level)
+        got = _Ring(rows, diag, hop).grow(level)
         assert got.size == j + 1, level
         assert np.max(np.abs(got - dense[:j + 1])) < 1e-10, level
 
@@ -534,10 +551,10 @@ def test_single_ring_matches_banded_bisection():
     # eigenvalues; with V = 0 and with cos_x
     for pot, level in ((None, 4.0 * 7), (PotentialSpec.cosine_x(0.1), 3.0 * 7)):
         op = build_magnetic_laplacian(TorusModel.compatible(1), 7, 128, pot)
-        (_, diag, hop), = _sector_chains(op)
+        (rows, diag, hop), = _sector_chains(op)
         banded = scipy.linalg.eigvals_banded(_zigzag_band(diag, hop), select="v",
                                              select_range=(-np.inf, level))
-        got = _Ring(diag, hop).grow(level)
+        got = _Ring(rows, diag, hop).grow(level)
         assert got.size == banded.size == int(level)  # k c = 7 per cluster, level / 7 clusters
         assert np.max(np.abs(got - banded)) < 1e-10
 
@@ -549,11 +566,12 @@ def test_fallback_vectors_of_random_rings(size):
     # iteration through the path; L = 2 is the one-site path with the
     # doubled link 2t
     rng = np.random.default_rng(size)
-    ring = _Ring(rng.standard_normal(size), -rng.uniform(0.5, 1.5))
+    ring = _Ring(np.arange(size), rng.standard_normal(size), -rng.uniform(0.5, 1.5))
     ring.grow(np.inf)
     ring.deflated[:] = True
     ring.extend_block()
-    dense = _ring_matrix([(ring.diag, ring.hop)]).toarray()  # in the ring's site order
+    # in the ring's site order
+    dense = _ring_matrix([(np.arange(size), ring.diag, ring.hop)], size).toarray()
     block = ring.block
     assert block.shape == (size, size)
     residuals = np.linalg.norm(dense @ block - block * np.linalg.eigvalsh(dense), axis=0)
@@ -637,12 +655,12 @@ def test_sparse_solve_memory():
     # basis and its Ritz vectors, under 4 blocks of n x count real; the
     # Rayleigh-Ritz solve holds the ring blocks, the projected matrix and
     # the Ritz vectors, and frees the ring blocks before the site
-    # residuals.  The momentum matrix and its index, held throughout, are
-    # built inside the traced window and count too.
+    # residuals.  The momentum matrix, held throughout, is
+    # built inside the traced window and counts too.
     op = build_magnetic_laplacian(TorusModel.compatible(1), 16, 64, _Y_DEPENDENT)
     tracemalloc.start()
     try:
-        res = _ring_solve(op, 3.0 * 16, 48, *_momentum_matrix(op))
+        res = _ring_solve(op, 3.0 * 16, 48, _momentum_matrix(op))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -653,8 +671,8 @@ def test_sparse_solve_memory():
 def test_solver_determinism():
     for potential in (_Y_DEPENDENT, _MIXED):
         op = build_magnetic_laplacian(TorusModel.compatible(1), 4, 32, potential)
-        r1 = _ring_solve(op, 2.0 * 4, 8, *_momentum_matrix(op))
-        r2 = _ring_solve(op, 2.0 * 4, 8, *_momentum_matrix(op))
+        r1 = _ring_solve(op, 2.0 * 4, 8, _momentum_matrix(op))
+        r2 = _ring_solve(op, 2.0 * 4, 8, _momentum_matrix(op))
         assert r1.raw.size == 8 and np.array_equal(r1.raw, r2.raw)
         assert r1.residual_norms == r2.residual_norms
 

@@ -53,9 +53,9 @@ def test_cluster_law_on_exact_input():
         flat = [lvl for lvl, mult in exact_landau_reference(model, k, 3)
                 for _ in range(mult)]
         spectra[(k, 0)] = np.array(flat)
-    rep = check_cluster_law(model, spectra, [0, 1, 2])
-    assert all(r.center_drift == 0.0 for r in rep.rows)
-    assert all(r.measured_count == r.predicted_count for r in rep.rows)
+    rows = check_cluster_law(model, spectra, [0, 1, 2])
+    assert all(r.center_drift == 0.0 for r in rows)
+    assert all(r.measured_count == r.predicted_count for r in rows)
 
 
 def test_cluster_law_missing_data():
