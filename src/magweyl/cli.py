@@ -39,7 +39,7 @@ from .models import (ProjectorQuery, ResolventQuery,
                      resolvent_symbol, sharp_inverse)
 from .quantize import HermiteBasisSpec, _axis_map, block_compare, weyl_quantize
 from .star import AntisymmetricForm, moyal_product, sharp_power, symmetrized_product
-from .symbols import PolySymbol
+from .symbols import PolySymbol, _derivative_table, _pair_index
 from .torus import (EigenResult, PotentialSpec, SolverError, TorusModel,
                     build_magnetic_laplacian, solve)
 from .verify import (CLUSTER_GAP, band_containment, band_gaps, check_cluster_law,
@@ -293,6 +293,10 @@ def run_star_checks(cfg: dict, seed: int) -> list[Check]:
             for _ in range(alpha[axis - 1]):
                 q = moyal_product(PolySymbol.coordinate(dim, axis), q, A)
         worst_power = max(worst_power, p.distance(q))
+    # the scatter and derivative tables of the random triples (about 5 MB in
+    # 150 entries) serve no later stage: free them before the model stage
+    _pair_index.cache_clear()
+    _derivative_table.cache_clear()
     return [
         _leq("star.associativity", worst_assoc, 1e-10,
              f"{scfg['instances']} random triples"),

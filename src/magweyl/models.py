@@ -112,7 +112,9 @@ class ProjectorQuery:
 
 _W0 = 0.5          # split point of the w-integral
 _SERIES_TERMS = 48  # Taylor terms on [0, w0]; tail < (w0)^J relative
-_CHUNK = 1 << 17    # H values evaluated at once
+# H values per Taylor table: 48 planes of 2^12 floats (1.5 MiB, 3 MiB as the
+# complex operand of its contraction)
+_CHUNK = 1 << 12
 
 
 def _phi(w, H, d: int):
@@ -123,11 +125,12 @@ def _phi_series(H: np.ndarray, d: int, terms: int) -> np.ndarray:
     """Taylor coefficients c_j of phi(., H) at w = 0, by the recurrence
     (j+1) c_{j+1} = (4H - d - 2j) c_j - (d + j - 1) c_{j-1}."""
     c = np.empty((terms,) + H.shape)
+    slope = 4.0 * H - d
     c[0] = (2.0 ** d) * np.exp(-2.0 * H)
     if terms > 1:
-        c[1] = (4.0 * H - d) * c[0]
+        c[1] = slope * c[0]
     for j in range(1, terms - 1):
-        c[j + 1] = ((4.0 * H - d - 2.0 * j) * c[j] - (d + j - 1.0) * c[j - 1]) / (j + 1.0)
+        c[j + 1] = ((slope - 2.0 * j) * c[j] - (d + j - 1.0) * c[j - 1]) / (j + 1.0)
     return c
 
 
@@ -146,15 +149,12 @@ def _eval_combination(H: np.ndarray, d: int, zs: np.ndarray, coeffs: np.ndarray)
     pole_coef = (_W0 ** (jj[:, None] + s[None, :]) / (jj[:, None] + s[None, :])) @ coeffs
 
     flat = H.ravel()
-    out = np.empty(flat.shape, dtype=complex)
+    out = np.zeros(flat.shape, dtype=complex)
+    for k in range(QUAD_NODES):   # temporaries the size of H, one node at a time
+        out += gl_coef[k] * _phi(wn[k], flat, d)
     for lo in range(0, flat.size, _CHUNK):
-        hc = flat[lo:lo + _CHUNK]
-        acc = np.zeros(hc.shape, dtype=complex)
-        for k in range(QUAD_NODES):
-            acc += gl_coef[k] * _phi(wn[k], hc, d)
-        cs = _phi_series(hc, d, _SERIES_TERMS)
-        acc += np.tensordot(pole_coef, cs, axes=(0, 0))
-        out[lo:lo + _CHUNK] = acc
+        cs = _phi_series(flat[lo:lo + _CHUNK], d, _SERIES_TERMS)
+        out[lo:lo + _CHUNK] += np.tensordot(pole_coef, cs, axes=(0, 0))
     return out.reshape(H.shape)
 
 
@@ -249,6 +249,9 @@ def sharp_inverse(a, spec: HermiteBasisSpec) -> GridSymbol:
     1/a, and only the difference (a Schwartz-class correction) is
     de-quantized.  Fails when the quantization is numerically singular
     on the trusted block, which signals 0 in the symbol spectrum.
+
+    Each grid array is dropped once it is read, and the arrays handed to
+    GridSymbol are owned and read-only, so it keeps them without a copy.
     """
     op = weyl_quantize(a, spec)
     sel = trusted_block_indices(spec)
@@ -260,15 +263,19 @@ def sharp_inverse(a, spec: HermiteBasisSpec) -> GridSymbol:
     inv = np.linalg.inv(op.entries)
     grid = spec.grid()
     avals = _grid_values(a, grid)
-    amax = float(np.max(np.abs(avals)))
-    if float(np.min(np.abs(avals))) > 1e-8 * amax:
-        b0 = 1.0 / avals
-        with warnings.catch_warnings():
-            # 1/a decays polynomially; its trusted-block elements are fine
-            warnings.simplefilter("ignore")
-            q0 = weyl_quantize(GridSymbol(grid.dim, grid.halfwidth, grid.npoints, b0), spec)
-        corr = wigner_symbol(OperatorMatrix(spec.d, spec.levels, inv - q0.entries), spec)
-        vals = b0 + corr.values
-    else:
-        vals = wigner_symbol(OperatorMatrix(spec.d, spec.levels, inv), spec).values
+    mags = np.abs(avals)
+    if not float(np.min(mags)) > 1e-8 * float(np.max(mags)):
+        return wigner_symbol(OperatorMatrix(spec.d, spec.levels, inv), spec)
+    del mags
+    b0 = 1.0 / avals
+    del avals
+    b0.setflags(write=False)
+    with warnings.catch_warnings():
+        # 1/a decays polynomially; its trusted-block elements are fine
+        warnings.simplefilter("ignore")
+        q0 = weyl_quantize(GridSymbol(grid.dim, grid.halfwidth, grid.npoints, b0), spec)
+    corr = wigner_symbol(OperatorMatrix(spec.d, spec.levels, inv - q0.entries), spec).values
+    vals = b0 + corr
+    del b0, corr
+    vals.setflags(write=False)
     return GridSymbol(grid.dim, grid.halfwidth, grid.npoints, vals)

@@ -153,7 +153,9 @@ def _quantize_poly(sym: PolySymbol, spec: HermiteBasisSpec) -> np.ndarray:
 # (a + off_m, a - off_m); a pair with odd s + t has no grid midpoint, so its
 # kernel entry is zero.
 
-_CHUNK = 1 << 18   # complex entries, in or out, per call of a one-axis map
+# complex entries, in or out, per call of a one-axis map, with one batch row
+# at the least: at d = 2, M = 48 a call takes one row of 48^3 entries (1.7 MiB)
+_CHUNK = 1 << 15
 
 
 @functools.lru_cache(maxsize=2)
@@ -191,6 +193,7 @@ def _each_axis(rows, shape: tuple, one_axis, size: int) -> np.ndarray:
     first batch axis of that pass, or (d = 1) the slab is the whole pair.
     A radial GridSymbol gathers each slab from its table, so its samples
     never exist whole.  Later passes read the output of the pass before.
+    A lone pair's result is the map's output array itself, not a view.
     """
     d = len(shape) // 2
     X = None
@@ -209,7 +212,7 @@ def _each_axis(rows, shape: tuple, one_axis, size: int) -> np.ndarray:
                 part = rows(0, shape[0], pair)[None]
             ob[c:c + step] = one_axis(part.reshape((-1,) + part.shape[-2:])).reshape(
                 ob[c:c + step].shape)
-        X = np.moveaxis(out, (-2, -1), pair)
+        X = np.moveaxis(out, (-2, -1), pair) if batch else out
         shape = X.shape
     return X
 
@@ -292,11 +295,16 @@ def wigner_symbol(op: OperatorMatrix, spec: HermiteBasisSpec,
         # 2h: the quantize scale h^3 / pi over the pairing factor h^2 / 2pi
         TBT = (T.T @ ((2.0 * h) * X)).reshape(-1, N) @ T
         Y = np.take(TBT.reshape(len(X), -1), st, axis=1)
-        return (Y.reshape(-1, M + 1) @ E.conj().T).reshape(len(X), M, M)
+        del TBT
+        # Y E^H as conj(conj(Y) E^T): no conjugated copy of E
+        Y = np.conjugate(Y, out=Y).reshape(-1, M + 1) @ E.T
+        return np.conjugate(Y, out=Y).reshape(len(X), M, M)
 
     B = mat.reshape((N,) * (2 * spec.d))
-    vals = _each_axis(lambda lo, hi, pair: np.moveaxis(B[lo:hi], pair, (-2, -1)),
-                      B.shape, one_axis, M)
+    # owned and read-only (at d = 1 the output of the map itself): GridSymbol keeps it
+    vals = np.ascontiguousarray(_each_axis(
+        lambda lo, hi, pair: np.moveaxis(B[lo:hi], pair, (-2, -1)), B.shape, one_axis, M))
+    vals.setflags(write=False)
     return GridSymbol(2 * spec.d, spec.halfwidth, spec.npoints, vals)
 
 

@@ -284,7 +284,9 @@ class PolySymbol:
     def on_grid(self, grid: "PhaseGrid") -> "GridSymbol":
         if grid.dim != self.dim:
             raise ValueError("dimension mismatch")
-        return GridSymbol(self.dim, grid.halfwidth, grid.npoints, self(grid.points()))
+        values = self(grid.points())
+        values.setflags(write=False)   # owned and fresh: GridSymbol keeps it
+        return GridSymbol(self.dim, grid.halfwidth, grid.npoints, values)
 
 
 @functools.lru_cache(maxsize=8)
@@ -452,9 +454,14 @@ class GridSymbol:
     def sup_distance(self, other: "GridSymbol", mask: np.ndarray | None = None) -> float:
         if (self.dim, self.halfwidth, self.npoints) != (other.dim, other.halfwidth, other.npoints):
             raise ValueError("grid mismatch")
-        diff = np.abs(self.values - other.values)
-        if mask is not None:
-            diff = diff[mask]
+        if mask is None and self.radial is not None and other.radial is not None:
+            # each table holds the values at the radii that occur on the grid,
+            # so the samples differ by the same set of values as the tables
+            diff = np.abs(self.radial - other.radial)
+        else:
+            diff = np.abs(self.values - other.values)
+            if mask is not None:
+                diff = diff[mask]
         return float(np.max(diff)) if diff.size else 0.0
 
     def boundary_decay(self) -> float:

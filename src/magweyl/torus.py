@@ -308,26 +308,27 @@ def _y_couplings(op: MagneticLatticeOperator) -> dict:
     return {s: c.real for s, c in couplings.items()} if op.potential.is_even_in_y else couplings
 
 
-def _momentum_matrix(op: MagneticLatticeOperator) -> sp.spmatrix:
+def _momentum_matrix(op: MagneticLatticeOperator) -> sp.csc_matrix:
     """The lattice operator in the y-momentum basis, row n N + i holding
-    momentum n at column x_i.
+    momentum n at column x_i, in CSC with every diagonal entry stored.
 
-    The rings of `_sector_rings` at their rows in one CSC (`_ring_matrix`),
-    plus in CSR the couplings of `_y_couplings` from row r to
-    (r + s N) mod N^2, real when V is even in y and complex otherwise
-    (`_y_couplings`): the site matrix conjugated by the unitary map
-    psi[j, i] = N^{-1/2} sum_n e^{2 pi i n j / N} v[n N + i].
+    The rings of `_sector_rings` at their rows (`_ring_matrix`), plus the
+    couplings of `_y_couplings` from row r to (r + s N) mod N^2, real when
+    V is even in y and complex otherwise (`_y_couplings`), in one COO to
+    CSC build, which keeps explicit zeros: the site matrix conjugated by
+    the unitary map psi[j, i] = N^{-1/2} sum_n e^{2 pi i n j / N} v[n N + i].
     """
     N, dim = op.npoints, op.dim
     rings = _ring_matrix(list(_sector_rings(op)), dim)
     couplings = {} if op.potential is None else _y_couplings(op)
-    if not couplings:
-        return rings
-    rows = np.concatenate([(np.arange(dim) + s * N) % dim for s in couplings])
-    vals = np.concatenate([np.tile(c, N) for c in couplings.values()])
-    cols = np.tile(np.arange(dim), len(couplings))
-    y_part = sp.coo_matrix((vals, (rows, cols)), shape=rings.shape)
-    return (rings + y_part).tocsr()
+    if couplings:
+        rows = np.concatenate([(np.arange(dim) + s * N) % dim for s in couplings])
+        vals = np.concatenate([np.tile(c, N) for c in couplings.values()])
+        cols = np.tile(np.arange(dim), len(couplings))
+        rings = sp.coo_matrix((np.concatenate([rings.data, vals]),
+                               (np.concatenate([rings.row, rows]),
+                                np.concatenate([rings.col, cols]))), shape=rings.shape)
+    return rings.tocsc()
 
 
 def _site_residuals(op: MagneticLatticeOperator, vecs: np.ndarray, vals: np.ndarray) -> tuple:
@@ -584,7 +585,7 @@ def _secular_root(schur, lo: float, hi: float, pole_lo: float, pole_hi: float,
 
 
 def _ring_solve(op: MagneticLatticeOperator, below: float, count: int,
-                matrix: sp.spmatrix) -> EigenResult:
+                matrix: sp.csc_matrix) -> EigenResult:
     """The eigenvalues below `below` from the eigenpairs of the rings of
     `_sector_chains` (the x-only operator), with residual norms that
     check every one.
@@ -633,7 +634,8 @@ def _ring_solve(op: MagneticLatticeOperator, below: float, count: int,
     if count == 0:
         return EigenResult(power=op.power, raw=np.empty(0), method="sparse")
     diag = matrix.diagonal().real
-    radius = np.asarray(abs(matrix).sum(axis=1)).ravel() - np.abs(diag)
+    # the column sums of |matrix|, Hermitian: its row sums, in the order of a row
+    radius = np.asarray(abs(matrix).sum(axis=0)).ravel() - np.abs(diag)
     width = below - float(np.min(diag - radius))
     while True:
         for ring in rings:
@@ -711,7 +713,7 @@ def _projected_matrix(rings: list, links: list, dtype) -> np.ndarray:
     return proj
 
 
-def _momentum_converged(matrix: sp.csr_matrix, vecs: np.ndarray, vals: np.ndarray,
+def _momentum_converged(matrix: sp.csc_matrix, vecs: np.ndarray, vals: np.ndarray,
                         bound: float) -> bool:
     """Whether every residual norm ||M v - lambda v|| in the momentum basis
     is at most `bound`, in column blocks from the highest Ritz value down
@@ -726,25 +728,28 @@ def _momentum_converged(matrix: sp.csr_matrix, vecs: np.ndarray, vals: np.ndarra
     return True
 
 
-def _ring_matrix(chains: list, dim: int) -> sp.csc_matrix:
+def _ring_matrix(chains: list, dim: int) -> sp.coo_matrix:
     """Periodic chains (rows, diagonal, hop) at their rows of a dim x dim
-    matrix: site p of a chain links both ways to site p + 1 (mod L), and
-    a two-site ring sums its doubled link."""
+    matrix, in COO: site p of a chain links both ways to site p + 1
+    (mod L), and a two-site ring's doubled link is two entries."""
     here = np.concatenate([rows for rows, _, _ in chains])
     ahead = np.concatenate([np.roll(rows, -1) for rows, _, _ in chains])
     hops = np.repeat([hop for _, _, hop in chains], [rows.size for rows, _, _ in chains])
     vals = np.concatenate([np.concatenate([diag for _, diag, _ in chains]), hops, hops])
     return sp.coo_matrix((vals, (np.concatenate([here, here, ahead]),
-                                 np.concatenate([here, ahead, here]))), shape=(dim, dim)).tocsc()
+                                 np.concatenate([here, ahead, here]))), shape=(dim, dim))
 
 
-def _negative_pivots(matrix: sp.spmatrix, level: float) -> int:
+def _negative_pivots(matrix: sp.csc_matrix, level: float) -> int:
     """Eigenvalues of a Hermitian matrix below `level`, by Sylvester inertia.
 
     SuperLU in symmetric mode with diagonal pivots factors P (H - level) P^T
     = L U, whose U has the diagonal D of an L D L^H factorization; the
     number of negative pivots is the number of negative eigenvalues.  The
-    level is subtracted on a copy's diagonal.  A factorization that left
+    level is subtracted from the stored diagonal of `matrix` in place (a
+    CSC with every diagonal entry stored, `_momentum_matrix`), and the
+    saved diagonal is written back however the factorization ends, so the
+    count holds no second copy of the matrix.  A factorization that left
     the diagonal (row and column orders differ) or hit an exactly
     singular pivot is a SolverError.  Column panels and relaxed
     supernodes are off (panel_size=1, relax=1): on the ring matrix of an
@@ -753,13 +758,15 @@ def _negative_pivots(matrix: sp.spmatrix, level: float) -> int:
     peak RSS by 3-5 MB per factorization at 9,216-16,384 rows and made no
     count faster.
     """
-    shifted = matrix.tocsc(copy=True)
-    shifted.setdiag(shifted.diagonal() - level)
+    diag = matrix.diagonal()
+    matrix.setdiag(diag - level)
     try:
-        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        lu = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                        panel_size=1, relax=1, options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError(f"inertia factorization at {level:.6g} failed: {exc}") from exc
+    finally:
+        matrix.setdiag(diag)
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise SolverError(f"inertia factorization at {level:.6g} left the diagonal: "
                           "row and column orders differ")

@@ -8,8 +8,10 @@ from magweyl import (FormulaDomainError, GridSymbol, OperatorMatrix, PhaseGrid,
                      SymbolNotInvertibleError, projector_symbol,
                      residue_projector, resolvent_at, resolvent_symbol,
                      sharp_inverse, weyl_quantize, wigner_symbol)
+import magweyl.models
+from magweyl import cli
 from magweyl.models import _eval_combination, _genlaguerre, harmonic_hamiltonian
-from magweyl.quantize import block_compare
+from magweyl.quantize import HermiteBasisSpec, _axis_map, block_compare
 
 
 def _weyl_product(a, b, spec):
@@ -151,9 +153,11 @@ def test_radial_symbols_match_direct_evaluation(dim, halfwidth, npoints):
 
 def test_radial_symbols_memory():
     # evaluating every grid point instead of every distinct radius peaks at
-    # 154 MiB at d = 1, M = 512 (48 Taylor planes per 2^17-point chunk) and
-    # at 243 MiB at d = 2, M = 48 (float and complex 5.3 M-point temporaries);
-    # gathering the values onto the d = 2 grid would take 81 MiB
+    # 243 MiB at d = 2, M = 48 (float and complex 5.3 M-point temporaries);
+    # gathering the values onto the d = 2 grid would take 81 MiB.  At d = 1,
+    # M = 512 it peaked at 154 MiB with Taylor tables of 2^17 points, but with
+    # tables of 2^12 points it peaks at 12 MiB, under this bound, so the d = 1
+    # evaluator is bounded at 7 MiB by test_residue_projector_memory
     cases = [(lambda: resolvent_symbol(ResolventQuery(1, -1.0), PhaseGrid(2, 12.0, 512)),
               32 * 2 ** 20),
              (lambda: projector_symbol(ProjectorQuery(2, 2.0), PhaseGrid(4, 7.5, 48)),
@@ -166,6 +170,81 @@ def test_radial_symbols_memory():
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+
+def _traced_peak(build) -> int:
+    """The tracemalloc peak, in bytes, of one call of `build`."""
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_residue_projector_memory():
+    # the residue symbol on the d = 1 grid of the CLI (22,026 radii): with
+    # the Taylor table of 2^12 radii at a time it peaks at 5.6 MiB (25.6 MiB
+    # with 2^17); bound 7 MiB, a 24% margin
+    grid = PhaseGrid(2, 12.0, 512)
+    assert _traced_peak(lambda: residue_projector(1, 0.5, 0.2, 64, grid)) < 7 * 2 ** 20
+
+
+def test_sharp_inverse_memory():
+    # at the d = 1 spec of the CLI, with the axis map built inside the call
+    # (8 MiB kept), the inverse drops each grid array once read and hands
+    # GridSymbol owned read-only arrays: 24.4 MiB peak (36.4 MiB when it kept
+    # them and the symbols copied them); bound 28 MiB, a 15% margin
+    spec = HermiteBasisSpec(d=1, levels=40, halfwidth=12.0, npoints=512)
+    _axis_map.cache_clear()
+    try:
+        peak = _traced_peak(lambda: sharp_inverse(harmonic_hamiltonian(1) + 1.0, spec))
+    finally:
+        _axis_map.cache_clear()
+    assert peak < 28 * 2 ** 20
+
+
+def test_model_checks_memory():
+    # the whole model stage of the default config: 26.4 MiB peak (38.6 MiB
+    # before its steps were bounded); bound 31 MiB, a 17% margin
+    cfg = cli.load_config(None)
+    assert _traced_peak(lambda: cli.run_model_checks(cfg)) < 31 * 2 ** 20
+
+
+def test_eval_combination_is_chunk_invariant(monkeypatch):
+    # 22,026 radii: five full chunks of 2^12 and a partial one, against one
+    # chunk of 2^17; each value is a sum over the same terms in the same order
+    radii = PhaseGrid(2, 12.0, 512).radial_index()[0]
+    assert radii.size % 2 ** 12
+    theta = 2.0 * np.pi * (np.arange(64) + 0.5) / 64
+    cases = [([-0.7], [1.0]), (0.5 + 0.2 * np.exp(1j * theta), -0.2 * np.exp(1j * theta) / 64)]
+    for zs, coeffs in cases:
+        monkeypatch.setattr(magweyl.models, "_CHUNK", 1 << 17)
+        whole = _eval_combination(0.5 * radii, 1, zs, coeffs)
+        monkeypatch.setattr(magweyl.models, "_CHUNK", 1 << 12)
+        chunked = _eval_combination(0.5 * radii, 1, zs, coeffs)
+        # at most 2 ulp of the largest value, for a BLAS whose contraction
+        # kernel sums the tail of a chunk in another order; bit-identical here
+        assert np.max(np.abs(chunked - whole)) <= 2 * np.finfo(float).eps * np.max(np.abs(whole))
+
+
+def _slab_sup_distance(a, b) -> float:
+    """max |a - b| over every grid sample, one slab of the first axis at a time."""
+    return max(float(np.max(np.abs(a.rows(i, i + 1) - b.rows(i, i + 1))))
+               for i in range(a.npoints))
+
+
+@pytest.mark.parametrize("d, halfwidth, npoints", [(1, 12.0, 512), (2, 7.5, 48)])
+def test_radial_sup_distance_matches_the_samples(d, halfwidth, npoints):
+    # two radial symbols are compared through their tables, which hold the
+    # same set of values as their samples: the same maximum, bit for bit
+    grid = PhaseGrid(2 * d, halfwidth, npoints)
+    res = residue_projector(d, d / 2.0, 0.2, 64, grid)
+    ref = projector_symbol(ProjectorQuery(d, d / 2.0), grid)
+    other = resolvent_symbol(ResolventQuery(d, -0.7), grid)
+    for a, b in ((res, ref), (ref, other), (other, res), (res, res)):
+        assert a.radial is not None and b.radial is not None
+        assert a.sup_distance(b) == _slab_sup_distance(a, b)
 
 
 def test_projector_quantization_spectrum(spec16):

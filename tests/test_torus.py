@@ -247,10 +247,22 @@ def _level_above(spectrum, count):
     return lo + 0.4 * (hi - lo)
 
 
+def _storage(matrix) -> tuple:
+    """Format, dtype and the bytes of every stored array of a sparse matrix."""
+    return (matrix.format, matrix.dtype.str, matrix.data.tobytes(),
+            matrix.indices.tobytes(), matrix.indptr.tobytes())
+
+
 def count_below(op, level):
     """The inertia count `solve` takes: eigenvalues of the operator below
-    the level, by one factorization of its momentum matrix."""
-    return _negative_pivots(_momentum_matrix(op), level)
+    the level, by one factorization of its momentum matrix, which must be
+    bit-identical after the count, also after a SolverError."""
+    matrix = _momentum_matrix(op)
+    before = _storage(matrix)
+    try:
+        return _negative_pivots(matrix, level)
+    finally:
+        assert _storage(matrix) == before
 
 
 def _zigzag_band(diag, hop):
@@ -311,6 +323,41 @@ def test_count_below_matches_site_matrix_eigenvalue_counts():
     for level in _levels_off_spectrum(spectrum, spectrum[-1] + 1.0, norm,
                                       np.random.default_rng(1), 12):
         assert count_below(op, level) == np.count_nonzero(spectrum < level), level
+
+
+@pytest.mark.parametrize("potential", [_Y_DEPENDENT, _MIXED], ids=["real", "complex"])
+def test_inertia_count_factors_the_momentum_matrix_in_place(potential, monkeypatch):
+    # the level is subtracted from the stored diagonal of the momentum matrix
+    # itself, with no copy, and the saved diagonal is written back after each
+    # factorization, so one matrix serves every count, also past a failure
+    op = build_magnetic_laplacian(TorusModel.compatible(1), 8, 40, potential)
+    matrix = _momentum_matrix(op)
+    coo = matrix.tocoo()
+    assert matrix.format == "csc" and np.count_nonzero(coo.row == coo.col) == op.dim
+    before, diag = _storage(matrix), matrix.diagonal()
+    spectrum = np.linalg.eigvalsh(op.matrix.toarray())
+    levels = _levels_off_spectrum(spectrum, spectrum[-1] + 1.0, np.abs(spectrum).max(),
+                                  np.random.default_rng(2), 6)
+    factored = []
+    splu = spla.splu
+
+    def recording_splu(a, **options):
+        factored.append(a is matrix and np.array_equal(a.diagonal(), diag - level))
+        return splu(a, **options)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    for level in levels:
+        assert _negative_pivots(matrix, level) == np.count_nonzero(spectrum < level)
+        assert _storage(matrix) == before
+    assert factored == [True] * levels.size
+
+    def failing_splu(a, **options):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "splu", failing_splu)
+    with pytest.raises(SolverError, match="exactly singular"):
+        _negative_pivots(matrix, levels[0])
+    assert _storage(matrix) == before
 
 
 @pytest.mark.parametrize("potential", [None, _Y_DEPENDENT], ids=["sectors", "sparse"])
