@@ -463,15 +463,24 @@ def _torus_jobs(cfg: dict) -> list[TorusJob]:
 
 
 def _run_jobs(jobs: list[TorusJob], n_workers: int, cache: Path) -> dict:
-    """{job.key: its EigenResult}, over at most one worker process per job."""
+    """{job.key: its EigenResult} in the order of `jobs`, over at most one
+    worker process per job.
+
+    The jobs run largest first: by decreasing N, and at equal N an operator
+    with a potential (its count factors the coupled momentum matrix) before
+    V = 0.  So the largest factorization starts on the smallest resident
+    set, and the later, smaller jobs reuse the heap it frees.
+    """
     solve_job = functools.partial(_solve_job, cache=cache)
+    order = sorted(jobs, key=lambda job: (-job.npoints, job.potential is None))
     n_workers = min(n_workers, len(jobs))
     if n_workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(solve_job, jobs))
+            results = list(pool.map(solve_job, order))
     else:
-        results = [solve_job(job) for job in jobs]
-    return {job.key: res for job, res in zip(jobs, results)}
+        results = [solve_job(job) for job in order]
+    by_key = {job.key: res for job, res in zip(order, results)}
+    return {job.key: by_key[job.key] for job in jobs}
 
 
 def run_torus_checks(cfg: dict, spectra: dict) -> tuple[list[Check], dict]:

@@ -6,9 +6,12 @@ matrices on enough extra levels that the stored entries are those of
 the untruncated operator.  Grid symbols go through the Weyl kernel
 (Folland, Harmonic Analysis in Phase Space, 1989), K(x, y) =
 (2 pi)^-1 int a((x + y)/2, p) e^{i(x - y)p} dp on each axis: a discrete
-Fourier transform over p, a re-indexing from (midpoint, offset) to
-position pairs, and the Hermite rows on both sides, applied once per
-phase-space axis for every d.  The normalization is pinned by the
+Fourier transform over p, one chunk of midpoint rows at a time, whose
+rows strided slices place into the kernel's two parity blocks (a grid
+midpoint pairs positions of equal parity), and the Hermite rows of each
+parity on both sides, applied once per phase-space axis for every d.
+The working set of a map is its output, the cached phases, the two
+parity blocks and one row chunk.  The normalization is pinned by the
 quantize(1) = identity and quantize(H) = diag(m + d/2) anchors, not by
 convention.
 
@@ -149,70 +152,137 @@ def _quantize_poly(sym: PolySymbol, spec: HermiteBasisSpec) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # grid path: the Weyl kernel, one phase-space axis at a time.  Midpoint a and
-# offset slot m (off_m = m - M//2) give the position pair (s, t) =
-# (a + off_m, a - off_m); a pair with odd s + t has no grid midpoint, so its
-# kernel entry is zero.
+# offset off give the position pair (s, t) = (a + off, a - off), and the DFT
+# over p takes the phases E(b, off) = exp(i p_b 2h off) (the p grid equals
+# the x grid).  As s + t = 2a, s and t share a parity rho, so the kernel is two
+# parity blocks: with s = 2i + rho and t = 2j + rho, K[s, t] is entry (i, j)
+# of K_rho, at a = i + j + rho and off = i - j, and a pair of unequal parity
+# has no grid midpoint, so its kernel entry is zero.
 
 # complex entries, in or out, per call of a one-axis map, with one batch row
-# at the least: at d = 2, M = 48 a call takes one row of 48^3 entries (1.7 MiB)
+# at the least: at d = 2, M = 48 a call takes one row of 48^3 entries (1.7 MiB).
+# A call maps its midpoint rows in chunks of at most this many entries too.
 _CHUNK = 1 << 15
 
 
 @functools.lru_cache(maxsize=2)
 def _axis_map(spec: HermiteBasisSpec):
-    """T, E, am, st of the one-axis map (cached: at M = 512 the phases
-    cost as much to build as a d = 1 quantization).
+    """T and E of the one-axis map (cached: at M = 512 the phases take as
+    long to build as a d = 1 map).
 
-    T[level, s] holds the Hermite rows and E[b, m] = exp(i p_b 2h off_m)
-    the phases (the p grid equals the x grid), each with a zero column M.
-    am[s, t] is the flat (a, m) in X @ E, of shape [M, M + 1], and st[a, m]
-    the flat (s, t) in T^T B T, of shape [M + 1, M + 1]; index M reads a
-    padding zero, so each re-indexing is one take.
+    T[level, s] holds the Hermite rows and E[b, off] = E(b, off) the phases
+    over off = 0 .. (M - 1)//2, the offsets a map reads: E(b, -off) is the
+    conjugate of E(b, off).  Beside them a map call holds its output, the
+    two parity blocks of ceil(M/2)^2 and floor(M/2)^2 entries per pair of
+    its batch, and one chunk of midpoint rows (`_CHUNK` entries, and its
+    DFT).
     """
     M, h, x = spec.npoints, spec.spacing, spec.axis()
-    off = np.arange(M) - M // 2
-    pad = ((0, 0), (0, 1))
-    T = np.pad(_hermite_rows(spec.levels, x), pad)
-    E = np.pad(np.exp(1j * np.outer(x, 2.0 * h * off)), pad)
-    s, t = np.ogrid[:M + 1, :M + 1]
-    am = np.where(((s + t) % 2 == 0) & (s < M) & (t < M),
-                  (s + t) // 2 * (M + 1) + (s - t) // 2 + M // 2, M)
-    s, t = np.arange(M)[:, None] + off, np.arange(M)[:, None] - off
-    st = np.where((np.minimum(s, t) >= 0) & (np.maximum(s, t) < M), s * (M + 1) + t, M)
-    return T, E, am, np.pad(st, pad, constant_values=M)
+    off = np.arange((M + 1) // 2)
+    return _hermite_rows(spec.levels, x), np.exp(1j * np.outer(x, 2.0 * h * off))
+
+
+def _row_chunks(M: int, batch: int) -> tuple:
+    """The chunks of midpoint rows of a map call on `batch` pairs, and where
+    each row meets the two parity blocks.
+
+    A chunk holds rows [lo, hi), at most `_CHUNK` entries with its batch.
+    Row a holds the offsets |off| <= r_a = min(a, M - 1 - a), so the rows of
+    a chunk share the window of offsets -r .. r, r = max r_a, at window
+    slots off + r.  On a row, the offsets of parity rho - a go to block rho,
+    and as off steps by 2, (i, j) steps by (1, -1): the row's part of block
+    rho is the strided slice [k0::n_rho - 1] of the flat block (n_rho =
+    ceil(M/2), floor(M/2)) and [q0::2] of the row's window.  Returns
+    (lo, hi, r, places) for each chunk, `places` holding (a - lo, rho,
+    block slice, window slice) for each row and block it meets.
+    """
+    step = max(1, _CHUNK // (batch * M))
+    chunks = []
+    for lo in range(0, M, step):
+        hi = min(lo + step, M)
+        r = min(hi - 1, M - 1 - lo, (M - 1) // 2)
+        places = []
+        for a in range(lo, hi):
+            ra = min(a, M - 1 - a)
+            for rho, n in ((0, (M + 1) // 2), (1, M // 2)):
+                off = -ra + (rho - a + ra) % 2
+                if off > ra:
+                    continue
+                count = (ra - off) // 2 + 1
+                k0 = (a + off - rho) // 2 * n + (a - off - rho) // 2
+                places.append((a - lo, rho, slice(k0, k0 + (count - 1) * (n - 1) + 1, n - 1),
+                               slice(off + r, off + r + 2 * count - 1, 2)))
+        chunks.append((lo, hi, r, places))
+    return tuple(chunks)
+
+
+def _window_dft(X: np.ndarray, E: np.ndarray, r: int) -> np.ndarray:
+    """Y[off + r] = sum_b E(b, off) X[b] for |off| <= r, of X [M, L] with p first.
+
+    The float view of E interleaves the cosine and sine of each offset, so
+    one real product with the float view of X gives P = sum_b cos X[b] and
+    Q = sum_b sin X[b] at off >= 0, and Y = P + iQ there and P - iQ at
+    -off: half the flops of the complex product over every offset.
+    """
+    PQ = E[:, :r + 1].view(float).T @ X.view(float)
+    P, Q = PQ[0::2].view(complex), PQ[1::2].view(complex)
+    Q *= 1j
+    Y = np.empty((2 * r + 1, X.shape[1]), dtype=complex)
+    np.add(P, Q, out=Y[r:])
+    np.subtract(P, Q, out=Y[r::-1])
+    return Y
+
+
+def _window_adjoint(Y: np.ndarray, E: np.ndarray, r: int) -> np.ndarray:
+    """sum over |off| <= r of conj(E(b, off)) Y[off + r], [M, L]: the adjoint
+    of `_window_dft`, the sum over off >= 0 of cos (Y(off) + Y(-off)) and
+    sin (-i) (Y(off) - Y(-off)), one real product with the float views."""
+    Z = np.empty((2 * r + 2, Y.shape[1]), dtype=complex)
+    np.add(Y[r:], Y[r::-1], out=Z[0::2])
+    Z[0] = Y[r]
+    np.subtract(Y[r::-1], Y[r:], out=Z[1::2])
+    Z[1::2] *= 1j
+    return (E[:, :r + 1].view(float) @ Z.view(float)).view(complex)
 
 
 def _each_axis(rows, shape: tuple, one_axis, size: int) -> np.ndarray:
-    """Apply a map [B, u, v] -> [B, size, size] to each axis pair of an array.
+    """Apply a one-axis map to each axis pair of an array.
 
     The array has axes (u_1..u_d, v_1..v_d) and shape `shape`, and axis k
-    pairs u_k with v_k.  The map runs in chunks over the first batch axis
-    (a lone pair gets one), so no temporary grows with the whole array.
-    The first pass reads the array only through `rows(lo, hi, pair)`, its
-    slab [lo:hi] along u_1 with the pair's axes moved last: u_1 stays the
-    first batch axis of that pass, or (d = 1) the slab is the whole pair.
-    A radial GridSymbol gathers each slab from its table, so its samples
-    never exist whole.  Later passes read the output of the pass before.
-    A lone pair's result is the map's output array itself, not a view.
+    pairs u_k with v_k.  A pass maps pair k with the other axes as its
+    batch, last: `one_axis(read, out)` maps a batch of B pairs into `out`
+    [size, size, B] (u, v), and `read(lo, hi)` gives their rows [lo:hi]
+    along u_k, v first: [v, hi - lo, B].  The pass runs in chunks over its
+    first batch axis (a lone pair is one chunk), so no temporary grows with
+    the whole array.  The first pass reads the array only through
+    `rows(lo, hi, order)`, its slab [lo:hi] along u_1 with the axes in
+    `order`, (v_k, u_k, batch): u_1 is the first batch axis of that pass,
+    or (d = 1) the pair's own u, whose slabs the map reads as its rows.  A
+    radial GridSymbol gathers each slab in that order from its table, so
+    its samples never exist whole.  Later passes read the output of the
+    pass before.  A lone pair's result is the map's output array itself,
+    not a view.
     """
     d = len(shape) // 2
     X = None
-    for k in reversed(range(d)):   # the last pair is innermost: chunk copies stay contiguous
+    for k in reversed(range(d)):   # the last pair first: u_1 is a batch axis to chunk
         pair = (k, d + k)
-        batch = tuple(n for i, n in enumerate(shape) if i not in pair)
-        out = np.empty(batch + (size, size), dtype=complex)
-        ob = out if batch else out[None]
-        step = max(1, _CHUNK * len(ob) // max(math.prod(shape), ob.size))
-        for c in range(0, len(ob), step):
-            if X is not None:
-                part = np.moveaxis(X, pair, (-2, -1))[c:c + step]
-            elif batch:
-                part = rows(c, c + step, pair)
+        order = (d + k, k) + tuple(i for i in range(2 * d) if i not in pair)
+        batch = tuple(shape[i] for i in order[2:])
+        out = np.empty((size, size) + batch, dtype=complex)
+        if not batch:
+            one_axis(lambda lo, hi: np.ascontiguousarray(rows(lo, hi, order))[..., None],
+                     out[..., None])
+            return out
+        step = max(1, _CHUNK * batch[0] // max(math.prod(shape), out.size))
+        for c in range(0, batch[0], step):
+            if X is None:
+                part = rows(c, c + step, order)
             else:
-                part = rows(0, shape[0], pair)[None]
-            ob[c:c + step] = one_axis(part.reshape((-1,) + part.shape[-2:])).reshape(
-                ob[c:c + step].shape)
-        X = np.moveaxis(out, (-2, -1), pair) if batch else out
+                part = np.transpose(X, order)[:, :, c:c + step]
+            part = np.ascontiguousarray(part).reshape(part.shape[:2] + (-1,))
+            one_axis(lambda lo, hi: part[:, lo:hi], out[:, :, c:c + step].reshape(size, size, -1))
+        X = np.moveaxis(out, (0, 1), pair)
         shape = X.shape
     return X
 
@@ -223,13 +293,25 @@ def _quantize_grid(a: GridSymbol, spec: HermiteBasisSpec) -> np.ndarray:
     if a.npoints != spec.npoints or a.halfwidth != spec.halfwidth:
         raise ValueError("grid symbol geometry must match the basis spec")
     N, M = spec.levels, spec.npoints
-    T, E, am, _ = _axis_map(spec)
+    T, E = _axis_map(spec)
     scale = spec.spacing ** 3 / np.pi   # h^2 for the sums over s, t; 2h / 2pi for dp
+    chunks = functools.cache(lambda nb: _row_chunks(M, nb))
 
-    def one_axis(X):   # DFT over p, (a, m) -> (s, t), then T K T^T
-        K = np.take((X.reshape(-1, M) @ E).reshape(len(X), -1), am, axis=1)
-        TK = (T @ K.view(float)).view(complex)   # real T on the float view of K
-        return scale * (TK.reshape(-1, M + 1) @ T.T).reshape(len(X), N, N)
+    def one_axis(read, out):   # DFT over p by chunks of midpoint rows into K_rho, then T K T^T
+        nb = out.shape[-1]   # batch last: each slice copy moves whole rows of it
+        K = [np.empty((n * n, nb), dtype=complex) for n in ((M + 1) // 2, M // 2)]
+        for lo, hi, r, places in chunks(nb):
+            Y = _window_dft(read(lo, hi).reshape(M, -1), E, r)
+            Y = Y.reshape(2 * r + 1, hi - lo, nb)
+            for row, rho, block, slots in places:
+                K[rho][block] = Y[slots, row]
+            del Y   # before the next chunk is read
+        acc = 0.0
+        for rho, k in enumerate(K):   # real T on the float views of K and of T K
+            Tr = np.ascontiguousarray(T[:, rho::2])
+            TK = (Tr @ k.reshape(Tr.shape[1], -1).view(float)).reshape(Tr.shape + (-1,))
+            acc = acc + (Tr @ TK).view(complex)   # [level, level', pair]
+        out[...] = scale * acc
 
     return _each_axis(a.rows, (M,) * a.dim, one_axis, N).reshape(spec.size, spec.size)
 
@@ -289,21 +371,30 @@ def wigner_symbol(op: OperatorMatrix, spec: HermiteBasisSpec,
     if level_window is not None:
         w = level_weights(spec, level_window)
         mat = (w[:, None] * mat) * w[None, :]
-    T, E, _, st = _axis_map(spec)
+    T, E = _axis_map(spec)
+    chunks = functools.cache(lambda nb: _row_chunks(M, nb))
 
-    def one_axis(X):   # adjoint of the quantize map: T^T B T, (s, t) -> (a, m), inverse DFT
-        # 2h: the quantize scale h^3 / pi over the pairing factor h^2 / 2pi
-        TBT = (T.T @ ((2.0 * h) * X)).reshape(-1, N) @ T
-        Y = np.take(TBT.reshape(len(X), -1), st, axis=1)
-        del TBT
-        # Y E^H as conj(conj(Y) E^T): no conjugated copy of E
-        Y = np.conjugate(Y, out=Y).reshape(-1, M + 1) @ E.T
-        return np.conjugate(Y, out=Y).reshape(len(X), M, M)
+    def one_axis(read, out):   # adjoint: T_rho^T B T_rho, K_rho -> midpoint rows, inverse DFT
+        nb = out.shape[-1]   # the batch axis is last in the map, as in the quantize map
+        # 2h: the quantize scale h^3 / pi over the pairing factor h^2 / 2pi; u first
+        X = np.ascontiguousarray(((2.0 * h) * read(0, N)).transpose(1, 0, 2)).reshape(N, -1)
+        K = []
+        for rho in (0, 1):   # real T on the float views of B and of T^T B
+            Tr = np.ascontiguousarray(T[:, rho::2].T)
+            TB = (Tr @ X.view(float)).reshape(len(Tr), N, -1)
+            K.append((Tr @ TB).view(complex).reshape(len(Tr) ** 2, nb))
+        for lo, hi, r, places in chunks(nb):
+            Y = np.zeros((2 * r + 1, hi - lo, nb), dtype=complex)
+            for row, rho, block, slots in places:
+                Y[slots, row] = K[rho][block]
+            Y = _window_adjoint(Y.reshape(2 * r + 1, -1), E, r)
+            out[lo:hi] = Y.reshape(M, hi - lo, nb).transpose(1, 0, 2)
+            del Y   # before the next chunk is allocated
 
     B = mat.reshape((N,) * (2 * spec.d))
     # owned and read-only (at d = 1 the output of the map itself): GridSymbol keeps it
     vals = np.ascontiguousarray(_each_axis(
-        lambda lo, hi, pair: np.moveaxis(B[lo:hi], pair, (-2, -1)), B.shape, one_axis, M))
+        lambda lo, hi, order: np.transpose(B[lo:hi], order), B.shape, one_axis, M))
     vals.setflags(write=False)
     return GridSymbol(2 * spec.d, spec.halfwidth, spec.npoints, vals)
 

@@ -363,11 +363,14 @@ class PhaseGrid:
         _, present, position = _label_table(self.dim, self.npoints)
         return self.spacing ** 2 * np.flatnonzero(present), position
 
-    def radius_labels(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    def radius_labels(self, lo: int = 0, hi: int | None = None,
+                      order: tuple | None = None) -> np.ndarray:
         """The label n_1^2 + ... + n_dim^2 of each point whose first index lies
-        in [lo, hi) (every point by default), in the smallest unsigned dtype."""
+        in [lo, hi) (every point by default), in the smallest unsigned dtype,
+        with the axes in `order` (a permutation; as they are by default)."""
         sq = _label_table(self.dim, self.npoints)[0]
-        return functools.reduce(np.add.outer, [sq[lo:hi]] + [sq] * (self.dim - 1))
+        return functools.reduce(np.add.outer, [sq[lo:hi] if axis == 0 else sq
+                                               for axis in order or range(self.dim)])
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -433,19 +436,23 @@ class GridSymbol:
         out.setflags(write=False)
         return out
 
-    def rows(self, lo: int, hi: int, last: tuple = ()) -> np.ndarray:
-        """values[lo:hi], with the axes `last` moved to the end in that order.
+    def rows(self, lo: int, hi: int, order: tuple | None = None) -> np.ndarray:
+        """values[lo:hi], with the axes in `order` (a permutation of the axes;
+        as they are by default).
 
         A dense symbol gives a view.  A radial symbol's slab depends on its
-        points only through their radius labels, a symmetric function of
-        the indices, so it is the same array in any order of the axes
-        after the first: it is gathered once, contiguous, from a table of
-        its values over the labels.
+        points only through their radius labels, so it is gathered,
+        contiguous in that order, from its values at the labels: through a
+        table over every label when that is smaller than the slab (d = 2
+        rows), else through the position of each label (d = 1 row chunks).
         """
         if self.radial is None:
-            return np.moveaxis(self._dense[lo:hi], last, range(-len(last), 0))
+            return np.transpose(self._dense[lo:hi], order or range(self.dim))
         position = _label_table(self.dim, self.npoints)[2]
-        return self.radial[position].take(self.grid.radius_labels(lo, hi))
+        labels = self.grid.radius_labels(lo, hi, order)
+        if position.size < labels.size:
+            return self.radial[position].take(labels)
+        return self.radial.take(position.take(labels))
 
     @property
     def grid(self) -> PhaseGrid:

@@ -8,7 +8,7 @@ import magweyl.torus
 from magweyl import AntisymmetricForm, PolySymbol, cli, moyal_product, star, symbols
 from magweyl.cli import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_PASS, EXIT_RESOURCE,
                          EXIT_TOLERANCE, config_hash, load_config, main)
-from magweyl.torus import RESIDUAL_TOL, PotentialSpec, solve
+from magweyl.torus import RESIDUAL_TOL, EigenResult, PotentialSpec, solve
 
 SMALL = {
     "seed": 1,
@@ -444,6 +444,45 @@ def test_default_plan_solves_each_operator_once(tmp_path, capsys):
               if line.startswith("plan: torus: solve")]
     assert len(solves) == 9
     assert "plan: torus: solve V = 0 eigenvalues below 256 at k=16, N=128" in solves
+
+
+# the torus override of the symbols-sparse benchmark workload: V = 0 at
+# k = 4, 8 and N = 64, 128, and a y-dependent potential at (16, 64), (16, 128)
+SPARSE_TORUS = {"cluster_pairs": [[4, 64], [8, 64], [4, 128], [8, 128]], "weyl_pairs": [],
+                "potential": {"modes": [[[1, 0], [0.025, 0]], [[-1, 0], [0.025, 0]],
+                                        [[0, 1], [0.025, 0]], [[0, -1], [0.025, 0]]]},
+                "band_pairs": [[16, 64], [16, 128]]}
+
+
+def test_torus_jobs_run_largest_first(tmp_path, capsys, monkeypatch):
+    # the largest factorization, V at (16, 128), starts on the smallest
+    # resident set; the spectra map and the plan keep the config's order
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps({"torus": SPARSE_TORUS}))
+    jobs = cli._torus_jobs(load_config(str(path)))
+    solved = []
+
+    def recording(op, below):
+        solved.append((op.potential is not None, op.power, op.npoints))
+        return EigenResult(op.power, [below], "recorded")
+    monkeypatch.setattr(cli, "solve", recording)
+    spectra = cli._run_jobs(jobs, 1, tmp_path / "a")
+    assert solved == [(True, 16, 128), (False, 4, 128), (False, 8, 128),
+                      (True, 16, 64), (False, 4, 64), (False, 8, 64)]
+    in_config_order = {job.key: cli._solve_job(job, tmp_path / "b") for job in jobs}
+    assert list(spectra) == list(in_config_order)
+    assert all(spectra[key].raw.tolist() == res.raw.tolist() == [job.below]
+               for job, (key, res) in zip(jobs, in_config_order.items()))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "--dry-run",
+                 "torus"]) == EXIT_PASS
+    assert [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("plan: torus")] == [
+        "plan: torus: solve V = 0 eigenvalues below 12 at k=4, N=64",
+        "plan: torus: solve V = 0 eigenvalues below 24 at k=8, N=64",
+        "plan: torus: solve V = 0 eigenvalues below 12 at k=4, N=128",
+        "plan: torus: solve V = 0 eigenvalues below 24 at k=8, N=128",
+        "plan: torus: solve V eigenvalues below 48 at k=16, N=64",
+        "plan: torus: solve V eigenvalues below 48 at k=16, N=128"]
 
 
 class _SerialPool:

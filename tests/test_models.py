@@ -155,11 +155,11 @@ def test_radial_symbols_memory():
     # evaluating every grid point instead of every distinct radius peaks at
     # 243 MiB at d = 2, M = 48 (float and complex 5.3 M-point temporaries);
     # gathering the values onto the d = 2 grid would take 81 MiB.  At d = 1,
-    # M = 512 it peaked at 154 MiB with Taylor tables of 2^17 points, but with
-    # tables of 2^12 points it peaks at 12 MiB, under this bound, so the d = 1
-    # evaluator is bounded at 7 MiB by test_residue_projector_memory
+    # M = 512 it peaked at 154 MiB with Taylor tables of 2^17 points; with
+    # tables of 2^12 points, evaluating every point peaks at 12.1 MiB and
+    # every distinct radius at 5.6 MiB, so the bound is 8 MiB
     cases = [(lambda: resolvent_symbol(ResolventQuery(1, -1.0), PhaseGrid(2, 12.0, 512)),
-              32 * 2 ** 20),
+              8 * 2 ** 20),
              (lambda: projector_symbol(ProjectorQuery(2, 2.0), PhaseGrid(4, 7.5, 48)),
               24 * 2 ** 20)]
     for build, bound in cases:
@@ -192,23 +192,27 @@ def test_residue_projector_memory():
 
 def test_sharp_inverse_memory():
     # at the d = 1 spec of the CLI, with the axis map built inside the call
-    # (8 MiB kept), the inverse drops each grid array once read and hands
-    # GridSymbol owned read-only arrays: 24.4 MiB peak (36.4 MiB when it kept
-    # them and the symbols copied them); bound 28 MiB, a 15% margin
+    # (2 MiB kept), the inverse drops each grid array once read and hands
+    # GridSymbol owned read-only arrays, and each grid map holds two parity
+    # blocks and one chunk of midpoint rows: 14.4 MiB peak (24.4 MiB when a
+    # map held its whole slab, DFT and kernel, and the axis map 8 MiB; 36.4
+    # MiB when the inverse also kept its arrays and the symbols copied them);
+    # bound 16.5 MiB, a 15% margin
     spec = HermiteBasisSpec(d=1, levels=40, halfwidth=12.0, npoints=512)
     _axis_map.cache_clear()
     try:
         peak = _traced_peak(lambda: sharp_inverse(harmonic_hamiltonian(1) + 1.0, spec))
     finally:
         _axis_map.cache_clear()
-    assert peak < 28 * 2 ** 20
+    assert peak < 16.5 * 2 ** 20
 
 
 def test_model_checks_memory():
-    # the whole model stage of the default config: 26.4 MiB peak (38.6 MiB
-    # before its steps were bounded); bound 31 MiB, a 17% margin
+    # the whole model stage of the default config: 18.5 MiB peak (26.4 MiB
+    # when each d = 1 grid map held its whole slab, DFT and kernel, 38.6 MiB
+    # before the stage's steps were bounded); bound 21.5 MiB, a 16% margin
     cfg = cli.load_config(None)
-    assert _traced_peak(lambda: cli.run_model_checks(cfg)) < 31 * 2 ** 20
+    assert _traced_peak(lambda: cli.run_model_checks(cfg)) < 21.5 * 2 ** 20
 
 
 def test_eval_combination_is_chunk_invariant(monkeypatch):

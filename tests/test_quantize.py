@@ -316,10 +316,19 @@ def _rel(x, ref):
     return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
 
 
-@pytest.mark.parametrize("d, levels, halfwidth, npoints", [
-    (1, 12, 7.5, 64), (1, 12, 7.5, 63), (2, 10, 7.5, 36), (2, 10, 7.5, 35)])
-def test_grid_path_matches_shifted_tables(d, levels, halfwidth, npoints):
+@pytest.mark.parametrize("d, levels, halfwidth, npoints, chunk", [
+    (1, 12, 7.5, 64, None), (1, 12, 7.5, 63, None), (2, 10, 7.5, 36, None),
+    (2, 10, 7.5, 35, None),
+    # M = 2 (mod 4): M//2 is odd, so the zero offset of an even midpoint row
+    # lands in block 1 where at M = 0 (mod 4) it lands in block 0
+    (1, 12, 7.5, 62, None), (2, 10, 7.2, 34, None),
+    # midpoint rows in chunks of 10 (the last of 4 at M = 64, of 2 at M = 62),
+    # so each chunk has its own offset window
+    (1, 12, 7.5, 64, 640), (1, 12, 7.5, 62, 620)])
+def test_grid_path_matches_shifted_tables(d, levels, halfwidth, npoints, chunk, monkeypatch):
     # a non-radial complex symbol: decaying envelope times seeded noise
+    if chunk is not None:
+        monkeypatch.setattr(quantize, "_CHUNK", chunk)
     spec = HermiteBasisSpec(d=d, levels=levels, halfwidth=halfwidth, npoints=npoints)
     grid = spec.grid()
     rng = np.random.default_rng(11)
@@ -385,18 +394,42 @@ def test_wigner_symbol_is_adjoint_of_quantize(d, spec16, spec_d2):
     assert abs(lhs - rhs) <= 1e-11 * abs(lhs)
 
 
+def _traced_peak(build) -> int:
+    """The tracemalloc peak, in bytes, of one call of `build`, with the axis
+    maps built inside it."""
+    quantize._axis_map.cache_clear()
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        quantize._axis_map.cache_clear()
+
+
 def test_grid_round_trip_memory():
-    # quantizing and de-quantizing at N = 40, M = 512 holds no M x M x N table
+    # quantizing and de-quantizing a dense symbol at N = 40, M = 512, with
+    # the axis map built inside the call (2 MiB kept): 10.1 MiB peak, the
+    # de-quantization's (20.3 MiB when the map held E and two int64 index
+    # tables, and each call a whole slab, DFT and kernel); bound 12 MiB,
+    # an 18% margin
     spec = HermiteBasisSpec(d=1, levels=40, halfwidth=12.0, npoints=512)
     grid = spec.grid()
     sym = GridSymbol(2, grid.halfwidth, grid.npoints, 2.0 * np.exp(-grid.radius2()))
-    tracemalloc.start()
-    try:
-        wigner_symbol(weyl_quantize(sym, spec), spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2 ** 20
+    assert _traced_peak(lambda: wigner_symbol(weyl_quantize(sym, spec), spec)) < 12 * 2 ** 20
+
+
+def test_d1_grid_maps_memory():
+    # the d = 1 maps of the CLI (N = 40, M = 512), each with the axis map
+    # built inside the call: the quantization holds the phases, two parity
+    # blocks and one chunk of midpoint rows (6.2 MiB peak), the
+    # de-quantization its 4 MiB output beside them (10.1 MiB); both peaked
+    # at 20.2 MiB when a call held the whole slab, its DFT and the kernel
+    spec = HermiteBasisSpec(d=1, levels=40, halfwidth=12.0, npoints=512)
+    sym = resolvent_symbol(ResolventQuery(1, -1.0), spec.grid())
+    op = OperatorMatrix(1, 40, np.diag(1.0 / (np.arange(40) + 1.5)))
+    assert _traced_peak(lambda: weyl_quantize(sym, spec)) < 12 * 2 ** 20
+    assert _traced_peak(lambda: wigner_symbol(op, spec)) < 12 * 2 ** 20
 
 
 @pytest.mark.parametrize("d, levels, halfwidth, npoints", [
