@@ -316,19 +316,8 @@ def _rel(x, ref):
     return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
 
 
-@pytest.mark.parametrize("d, levels, halfwidth, npoints, chunk", [
-    (1, 12, 7.5, 64, None), (1, 12, 7.5, 63, None), (2, 10, 7.5, 36, None),
-    (2, 10, 7.5, 35, None),
-    # M = 2 (mod 4): M//2 is odd, so the zero offset of an even midpoint row
-    # lands in block 1 where at M = 0 (mod 4) it lands in block 0
-    (1, 12, 7.5, 62, None), (2, 10, 7.2, 34, None),
-    # midpoint rows in chunks of 10 (the last of 4 at M = 64, of 2 at M = 62),
-    # so each chunk has its own offset window
-    (1, 12, 7.5, 64, 640), (1, 12, 7.5, 62, 620)])
-def test_grid_path_matches_shifted_tables(d, levels, halfwidth, npoints, chunk, monkeypatch):
+def _check_grid_path(d, levels, halfwidth, npoints):
     # a non-radial complex symbol: decaying envelope times seeded noise
-    if chunk is not None:
-        monkeypatch.setattr(quantize, "_CHUNK", chunk)
     spec = HermiteBasisSpec(d=d, levels=levels, halfwidth=halfwidth, npoints=npoints)
     grid = spec.grid()
     rng = np.random.default_rng(11)
@@ -341,6 +330,23 @@ def test_grid_path_matches_shifted_tables(d, levels, halfwidth, npoints, chunk, 
         (spec.size, spec.size))
     back = wigner_symbol(OperatorMatrix(d, levels, mat), spec, level_window=None)
     assert _rel(back.values, _reference_wigner(mat, spec)) < 1e-13
+
+
+@pytest.mark.parametrize("d, levels, halfwidth, npoints", [
+    (1, 12, 7.5, 64), (1, 12, 7.5, 63), (2, 10, 7.5, 36), (2, 10, 7.5, 35),
+    # M = 2 (mod 4): M//2 is odd, so the zero offset of an even midpoint row
+    # lands in block 1 where at M = 0 (mod 4) it lands in block 0
+    (1, 12, 7.5, 62), (2, 10, 7.2, 34)])
+def test_grid_path_matches_shifted_tables(d, levels, halfwidth, npoints):
+    _check_grid_path(d, levels, halfwidth, npoints)
+
+
+@pytest.mark.parametrize("npoints", [64, 62])
+def test_grid_path_matches_shifted_tables_in_row_chunks(npoints, monkeypatch):
+    # midpoint rows in chunks of 10 (the last of 4 at M = 64, of 2 at M = 62),
+    # so each chunk has its own offset window
+    monkeypatch.setattr(quantize, "_CHUNK", 10 * npoints)
+    _check_grid_path(1, 12, 7.5, npoints)
 
 
 def _axis_product(u, v):
