@@ -419,7 +419,7 @@ def _torus_jobs(cfg: dict) -> list[TorusJob]:
     k, N), below the highest level a verdict reads of it.  A (k, N) pair
     with k < 1 or one the lattice rejects is a ConfigError here, before
     anything is solved (at k = 0 every level is 0, an exact eigenvalue of
-    Delta_0, so no inertia count can be taken there).
+    Delta_0, so no count can be certified there).
 
     The verdicts read V = 0 below (max cluster level + 1) b k and V below
     band_cutoff * k, gap levels above the last cluster and band they read,
@@ -467,9 +467,10 @@ def _run_jobs(jobs: list[TorusJob], n_workers: int, cache: Path) -> dict:
     worker process per job.
 
     The jobs run largest first: by decreasing N, and at equal N an operator
-    with a potential (its count factors the coupled momentum matrix) before
-    V = 0.  So the largest factorization starts on the smallest resident
-    set, and the later, smaller jobs reuse the heap it frees.
+    with a potential (its Rayleigh-Ritz solve holds the coupled momentum
+    matrix and the ring blocks) before V = 0.  So the largest solve starts
+    on the smallest resident set, and the later, smaller jobs reuse the
+    heap it frees.
     """
     solve_job = functools.partial(_solve_job, cache=cache)
     order = sorted(jobs, key=lambda job: (-job.npoints, job.potential is None))

@@ -28,14 +28,17 @@ and locates each one in its bracket.  The same solve gives each one's
 eigenvector: the bordered vector (1, -x), or, for a root it cannot
 resolve, inverse iteration through the same path.
 
-Every operator is solved from those ring eigenpairs, after one inertia
-factorization for the count.  With no y-modes the rings are the
-operator and their pairs below the level are exact.  A y-dependent
-potential couples the rings only through its few y-modes, and a smooth
-one couples a Landau level only to nearby ones, so its operator is
-solved by Rayleigh-Ritz on the ring eigenvectors below a cutoff that
-doubles until the Ritz pairs converge: O(L) work per ring eigenpair,
-and one small dense eigenproblem per round.
+Every operator is solved and counted from its rings; no matrix of the
+lattice's size is factored.  With no y-modes the rings are the operator:
+their pairs below the level are exact, and the sum of their Haynsworth
+counts is the operator's count.  A y-dependent potential couples the
+rings only through its few y-modes, and a smooth one couples a Landau
+level only to nearby ones, so its operator is solved by Rayleigh-Ritz on
+the ring eigenvectors below a cutoff that doubles until the Ritz pairs
+converge: O(L) work per ring eigenpair, and one small dense eigenproblem
+per round.  Its count is Haynsworth's formula again, on the block of the
+ring eigenvectors above the cutoff, which the cutoff's spectral gap makes
+positive definite (`_ring_solve`).
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 
 # Every residual norm a solve returns must stay at or below this.
@@ -310,13 +312,15 @@ def _y_couplings(op: MagneticLatticeOperator) -> dict:
 
 def _momentum_matrix(op: MagneticLatticeOperator) -> sp.csc_matrix:
     """The lattice operator in the y-momentum basis, row n N + i holding
-    momentum n at column x_i, in CSC with every diagonal entry stored.
+    momentum n at column x_i, in CSC.
 
     The rings of `_sector_rings` at their rows (`_ring_matrix`), plus the
     couplings of `_y_couplings` from row r to (r + s N) mod N^2, real when
     V is even in y and complex otherwise (`_y_couplings`), in one COO to
-    CSC build, which keeps explicit zeros: the site matrix conjugated by
-    the unitary map psi[j, i] = N^{-1/2} sum_n e^{2 pi i n j / N} v[n N + i].
+    CSC build: the site matrix conjugated by the unitary map
+    psi[j, i] = N^{-1/2} sum_n e^{2 pi i n j / N} v[n N + i].  Only a
+    y-dependent solve builds it, for the Gershgorin bound of its first
+    cutoff and the Ritz residuals (`_ring_solve`); nothing factors it.
     """
     N, dim = op.npoints, op.dim
     rings = _ring_matrix(list(_sector_rings(op)), dim)
@@ -355,11 +359,27 @@ def _site_residuals(op: MagneticLatticeOperator, vecs: np.ndarray, vals: np.ndar
 def _sector_chains(op: MagneticLatticeOperator) -> list:
     """The rings of `_sector_rings` as one list of (rows, diagonal, hop).
 
-    `_ring_solve` reads this one list; `_momentum_matrix`, which the
-    inertia count factors, builds its rings from `_sector_rings` apart
-    from it, so a ring the solve misses is still counted.
+    `_ring_solve` reads this one list; the counts (`_ring_count`) build
+    their rings from `_sector_rings` apart from it, so a ring the solve
+    misses is still counted.
     """
     return list(_sector_rings(op))
+
+
+def _ring_count(op: MagneticLatticeOperator, level: float) -> int:
+    """The eigenvalues below `level` of the rings of `_sector_rings`, the
+    sum of their `_Ring.count`, one ring held at a time: the count of an
+    operator with no y-modes, and the size a Rayleigh-Ritz basis of ring
+    eigenvectors below a cutoff must have."""
+    return sum(_Ring(rows, diag, hop).count(level) for rows, diag, hop in _sector_rings(op))
+
+
+def _coupling_norm(op: MagneticLatticeOperator) -> float:
+    """sum_s max_i |c_s(x_i)| over the couplings of `_y_couplings`: a bound
+    on the 2-norm of the y-part of the momentum matrix, which is the sum
+    over s of a diagonal (c_s at each row's column) times the shift of
+    momentum by s, a permutation."""
+    return sum(float(np.abs(c).max()) for c in _y_couplings(op).values())
 
 
 class _Ring:
@@ -377,8 +397,11 @@ class _Ring:
     [mu_{j-1}, mu_j], with mu_0 the Gershgorin lower bound and mu_{m+1}
     the level, where s is smooth and strictly decreasing: `_secular_root`
     finds it to 4 eps times the Gershgorin bound on |H| (a level above
-    that bound counts the whole ring).  A shift at which P - lam is
-    exactly singular is a SolverError.
+    that bound counts the whole ring).  A level at which P - level is
+    exactly singular is a path eigenvalue, which `stebz` counts (its range
+    is (lo, hi]), and s is taken just above it, where its pole makes s
+    +inf (`negative`): as a Sturm count takes a zero pivot.  Any other
+    shift at which P - lam is exactly singular is a SolverError.
 
     `stebz` bisects the path eigenvalues only to _BRACKET_TOL times that
     bound.  A root that lands within twice that of a bracketing path
@@ -415,6 +438,7 @@ class _Ring:
         self.values = np.empty(0)              # ring eigenvalues below the level
         self.deflated = np.empty(0, dtype=bool)
         self.block = np.empty((size, 0))       # unit eigenvectors, by `extend_block`
+        self.defect = 0.0                      # ||B^T B - I||_F of `block`
 
     def path_solve(self, lam: float, rhs: np.ndarray) -> np.ndarray:
         """(P - lam)^{-1} rhs, of one column or of each column of rhs."""
@@ -437,8 +461,9 @@ class _Ring:
         level = min(level, 2.0 * self.scale)
         if level <= self.level:
             return np.empty(0)
-        self.mu = np.concatenate([self.mu, self._path_eigenvalues(self.level, level)])
-        count = self.mu.size + int(self.schur(level)[0] < 0.0)
+        self.mu = np.concatenate([self.mu, self._path_eigenvalues(self.level, level,
+                                                                  self.bracket)])
+        count = self.mu.size + self.negative(level)
         roots = [self._root(j, level) for j in range(self.values.size, count)]
         new = np.array([root for root, _ in roots])
         self.values = np.concatenate([self.values, new])
@@ -459,17 +484,35 @@ class _Ring:
                                            for i in (j - 1, j)):
                 return root, bool((j and root == lo) or (j < mu.size and root == hi))
             self.bracket = 0.0
-            self.mu = self._path_eigenvalues(-np.inf, level)
+            self.mu = self._path_eigenvalues(-np.inf, level, 0.0)
 
-    def _path_eigenvalues(self, lo: float, hi: float) -> np.ndarray:
+    def count(self, level: float) -> int:
+        """The ring eigenvalues below `level`: the path's Sturm count, from
+        `stebz` at a tolerance wider than the path's Gershgorin interval
+        (the count is fixed before it bisects, and it bisects no further),
+        plus `negative(level)`."""
+        level = min(level, 2.0 * self.scale)
+        return self._path_eigenvalues(-np.inf, level, 4.0 * self.scale).size + self.negative(level)
+
+    def negative(self, level: float) -> int:
+        """1 if the Schur complement s(level) is negative, else 0; 0 also
+        where P - level is exactly singular, as s is +inf just above the
+        path eigenvalue at the level."""
+        try:
+            x = self.path_solve(level, self.border)
+        except SolverError:
+            return 0
+        return int(self.complement(level, x) < 0.0)
+
+    def _path_eigenvalues(self, lo: float, hi: float, tol: float) -> np.ndarray:
         return scipy.linalg.eigvalsh_tridiagonal(
             self.path, self.off[:self.diag.size - 2], select="v", select_range=(lo, hi),
-            tol=self.bracket, check_finite=False)
+            tol=tol, check_finite=False)
 
     def extend_block(self):
         """Unit eigenvectors (`_vector`) for the eigenvalues that have none
-        yet, appended to `block`.  A block whose Gram defect max |B^T B - I|
-        exceeds RITZ_RANK_TOL is a SolverError."""
+        yet, appended to `block`, and `defect` updated.  A block whose Gram
+        defect max |B^T B - I| exceeds RITZ_RANK_TOL is a SolverError."""
         old = self.block.shape[1]
         block = np.empty((self.diag.size, self.values.size))
         block[:, :old] = self.block
@@ -481,6 +524,9 @@ class _Ring:
         # written so that a NaN fails the check
         if not defect <= RITZ_RANK_TOL:
             raise SolverError(f"ring eigenvectors are rank-deficient: Gram defect {defect:.1e}")
+        # B^T B - I is symmetric: its new columns above row `old` count twice
+        self.defect = math.sqrt(self.defect ** 2 + 2.0 * np.einsum("ij,ij", gram[:old], gram[:old])
+                                + np.einsum("ij,ij", gram[old:], gram[old:]))
         self.block = block
 
     def residuals(self) -> np.ndarray:
@@ -584,37 +630,67 @@ def _secular_root(schur, lo: float, hi: float, pole_lo: float, pole_hi: float,
     return 0.5 * (lo + hi)
 
 
-def _ring_solve(op: MagneticLatticeOperator, below: float, count: int,
-                matrix: sp.csc_matrix) -> EigenResult:
+def _ring_solve(op: MagneticLatticeOperator, below: float) -> tuple[EigenResult, int]:
     """The eigenvalues below `below` from the eigenpairs of the rings of
     `_sector_chains` (the x-only operator), with residual norms that
-    check every one.
+    check every one, and the count of the operator's eigenvalues below
+    `below` that certifies them.
 
-    `matrix` is from `_momentum_matrix`, and `count` is the inertia count
-    of `below` on `matrix`.  With no y couplings (`_ring_links` empty) the
-    rings are the operator ('sectors'): their pairs below `below` are
-    exact and final, each is residual-checked on its ring
-    (`_Ring.residuals`, its residual on `matrix`, block-diagonal up to a
+    With no y couplings (`_ring_links` empty) the rings are the operator
+    ('sectors').  The count is `_ring_count`, on rings built apart from
+    the solve's, and one above dim/4 is a SolverError before any
+    eigenpair is formed.  The ring pairs below `below` are exact and
+    final, each is residual-checked on its ring (`_Ring.residuals`, its
+    residual on the operator, block-diagonal over the rings up to a
     permutation), one ring block held at a time, and SECTOR_SAMPLES of
     them, evenly spaced in rank, also on the site matrix
     (`_site_residuals`), which is built apart from the rings.
 
     Otherwise ('sparse') Rayleigh-Ritz runs on the ring eigenvectors below
-    a cutoff Lambda: the projected matrix is diag(ring eigenvalues) +
+    a cutoff Lambda: the projected matrix P is diag(ring eigenvalues) +
     Psi^H Y Psi, Y the couplings of `_y_couplings` (`_projected_matrix`),
     real when V is even in y and complex Hermitian otherwise.  Lambda
     starts at `below` + (`below` - g), g the Gershgorin lower bound
-    min_i (h_ii - sum_{j != i} |h_ij|) of `matrix`, and each round doubles
-    Lambda - `below`, extending the ring blocks.  Growth stops when `count`
-    Ritz values lie below `below` with residuals on `matrix` at most
-    RESIDUAL_TOL / 2, or when the basis holds every ring eigenvector (the
-    Ritz pairs are exact); a basis over RITZ_MAX_DIM vectors is a
-    SolverError.  Each Ritz pair below `below` is lifted to the sites and
-    checked on the site matrix once the ring blocks are freed.
+    min_i (h_ii - sum_{j != i} |h_ij|) of the momentum matrix H
+    (`_momentum_matrix`), and each round doubles Lambda - `below`,
+    extending the ring blocks.  The basis must hold as many vectors as
+    `_ring_count` counts below Lambda, and no more than RITZ_MAX_DIM;
+    otherwise the solve is a SolverError.
+
+    Each round certifies the count at lambda = `below` by Haynsworth's
+    formula on H - lambda in the basis [Q, W]: Q the basis orthonormalized
+    ring by ring, W the ring eigenvectors above Lambda.  While the block
+    C of W lies above lambda, the count is the number of negative
+    eigenvalues of S = A - lambda - B (C - lambda)^{-1} B^H, A the block
+    of Q and B the one between them.  With
+      ||Y|| <= `_coupling_norm`, h = max_r scale_r + ||Y|| >= ||H||,
+      rho = 4 max_r (||R_r Psi_r - Psi_r Theta_r||_F + ||Psi_r^T Psi_r - I||_F h)
+        over the ring blocks Psi_r (`_Ring.residuals`, `_Ring.defect`): at
+        least twice ||R Q - Q Theta||, R the rings, and at least ||A - P||,
+      delta = Lambda - lambda - ||Y|| - rho: C - lambda >= delta, given
+        the ring count at Lambda and every basis eigenvalue below
+        Lambda - rho,
+      epsilon = (||Y|| + rho)^2 / delta >= ||B||^2 / delta, and
+      eta = rho + m L eps h, rho plus a margin for the rounding of
+        forming and solving the m x m matrix P from ring vectors of at
+        most L sites,
+    S lies between A - lambda - epsilon and A - lambda, so by Weyl's
+    inequality the count is the number of Ritz values below lambda
+    whenever none lies in [lambda - eta, lambda + epsilon + eta).  A basis
+    that holds every ring eigenvector has no W and needs no epsilon.  A
+    round whose certificate fails grows the cutoff; once the basis holds
+    every ring eigenvector that is a SolverError: the level lies within
+    eta of an eigenvalue.  Growth stops when the Ritz pairs of the
+    certified count have residuals on H at most RESIDUAL_TOL / 2, or when
+    the basis holds every ring eigenvector (the Ritz pairs are exact).
+    Each Ritz pair below `below` is lifted to the sites and checked on
+    the site matrix once the ring blocks are freed.
     """
     rings = [_Ring(rows, diag, hop) for rows, diag, hop in _sector_chains(op)]
     links = _ring_links(op, rings)
     if not links:
+        count = _ring_count(op, below)
+        _check_quarter(op, count, below)
         theta = np.concatenate([ring.grow(below) for ring in rings])
         order = np.argsort(theta, kind="stable")
         ranks = np.linspace(0, theta.size - 1, min(SECTOR_SAMPLES, theta.size)).round()
@@ -630,46 +706,65 @@ def _ring_solve(op: MagneticLatticeOperator, below: float, count: int,
             first += ring.values.size
             ring.block = None
         return EigenResult(power=op.power, raw=theta[order], method="sectors",
-                           residual_norms=tuple(residuals) + lifted)
-    if count == 0:
-        return EigenResult(power=op.power, raw=np.empty(0), method="sparse")
+                           residual_norms=tuple(residuals) + lifted), count
+    matrix = _momentum_matrix(op)
     diag = matrix.diagonal().real
     # the column sums of |matrix|, Hermitian: its row sums, in the order of a row
     radius = np.asarray(abs(matrix).sum(axis=0)).ravel() - np.abs(diag)
     width = below - float(np.min(diag - radius))
+    y_norm = _coupling_norm(op)
+    h_norm = max(ring.scale for ring in rings) + y_norm  # h, at least ||H||
+    longest = max(ring.diag.size for ring in rings)
     while True:
+        cutoff = below + width
+        width *= 2.0
         for ring in rings:
-            ring.grow(below + width)
+            ring.grow(cutoff)
         size = sum(ring.values.size for ring in rings)
         if size > RITZ_MAX_DIM:
             raise SolverError(f"Rayleigh-Ritz basis of {size} ring eigenvectors exceeds "
                               f"RITZ_MAX_DIM = {RITZ_MAX_DIM}")
+        counted = _ring_count(op, cutoff)
+        if size != counted:
+            raise SolverError(f"Rayleigh-Ritz basis holds {size} ring eigenvectors below "
+                              f"{cutoff:.6g}, where the rings count {counted}")
         for ring in rings:
             ring.extend_block()
-        width *= 2.0
-        if not size:
-            continue
-        # the count + 1 lowest Ritz pairs, or all of them: one past the count
-        # shows a basis that is not orthonormal
-        theta, coef = scipy.linalg.eigh(_projected_matrix(rings, links, matrix.dtype),
-                                        overwrite_a=True,
-                                        subset_by_index=(0, min(count, size - 1)))
-        found = int(np.count_nonzero(theta < below))
         done = all(ring.values.size == ring.diag.size for ring in rings)
-        if done or found >= count:
-            theta = theta[:found]
-            vecs = np.zeros((op.dim, found), dtype=coef.dtype)
-            lo = 0
-            for ring in rings:
-                vecs[ring.rows] = ring.block @ coef[lo:lo + ring.values.size, :found]
-                lo += ring.values.size
-            if done or found > count or _momentum_converged(matrix, vecs, theta,
-                                                            RESIDUAL_TOL / 2):
-                break
-            del vecs
-    del rings, links, coef  # the ring blocks are freed before the site residuals
+        rho = 4.0 * max(math.hypot(*ring.residuals()) + ring.defect * h_norm for ring in rings)
+        eta = rho + size * longest * np.finfo(float).eps * h_norm
+        delta = cutoff - below - y_norm - rho
+        highest = max((ring.values[-1] for ring in rings if ring.values.size), default=-np.inf)
+        if not (done or (delta > 0.0 and highest < cutoff - rho)):
+            continue
+        top = below + eta + (0.0 if done else (y_norm + rho) ** 2 / delta)
+        # by Weyl's inequality every Ritz value below `top` is among the
+        # lowest `wanted`, as many as ring eigenvalues below top + ||Y|| + eta
+        wanted = sum(int(np.count_nonzero(ring.values < top + y_norm + eta)) for ring in rings)
+        theta = np.empty(0)
+        if wanted:
+            theta, coef = scipy.linalg.eigh(_projected_matrix(rings, links, matrix.dtype),
+                                            overwrite_a=True, subset_by_index=(0, wanted - 1))
+        if np.any((theta >= below - eta) & (theta < top)):
+            if done:
+                raise SolverError(f"a Ritz value of the whole ring basis lies within {eta:.1e} "
+                                  f"of the level {below:.6g}")
+            continue
+        count = int(np.count_nonzero(theta < below))
+        if count == 0:
+            return EigenResult(power=op.power, raw=np.empty(0), method="sparse"), 0
+        theta = theta[:count]
+        vecs = np.zeros((op.dim, count), dtype=coef.dtype)
+        lo = 0
+        for ring in rings:
+            vecs[ring.rows] = ring.block @ coef[lo:lo + ring.values.size, :count]
+            lo += ring.values.size
+        if done or _momentum_converged(matrix, vecs, theta, RESIDUAL_TOL / 2):
+            break
+        del vecs
+    del rings, links, coef, matrix  # the ring blocks are freed before the site residuals
     return EigenResult(power=op.power, raw=theta, method="sparse",
-                       residual_norms=_site_residuals(op, vecs, theta))
+                       residual_norms=_site_residuals(op, vecs, theta)), count
 
 
 def _ring_links(op: MagneticLatticeOperator, rings: list) -> list:
@@ -740,41 +835,15 @@ def _ring_matrix(chains: list, dim: int) -> sp.coo_matrix:
                                  np.concatenate([here, ahead, here]))), shape=(dim, dim))
 
 
-def _negative_pivots(matrix: sp.csc_matrix, level: float) -> int:
-    """Eigenvalues of a Hermitian matrix below `level`, by Sylvester inertia.
-
-    SuperLU in symmetric mode with diagonal pivots factors P (H - level) P^T
-    = L U, whose U has the diagonal D of an L D L^H factorization; the
-    number of negative pivots is the number of negative eigenvalues.  The
-    level is subtracted from the stored diagonal of `matrix` in place (a
-    CSC with every diagonal entry stored, `_momentum_matrix`), and the
-    saved diagonal is written back however the factorization ends, so the
-    count holds no second copy of the matrix.  A factorization that left
-    the diagonal (row and column orders differ) or hit an exactly
-    singular pivot is a SolverError.  Column panels and relaxed
-    supernodes are off (panel_size=1, relax=1): on the ring matrix of an
-    x-only operator, block-diagonal up to a permutation, whose factors
-    hold about as many entries as the matrix, their work areas raised the
-    peak RSS by 3-5 MB per factorization at 9,216-16,384 rows and made no
-    count faster.
-    """
-    diag = matrix.diagonal()
-    matrix.setdiag(diag - level)
-    try:
-        lu = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       panel_size=1, relax=1, options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise SolverError(f"inertia factorization at {level:.6g} failed: {exc}") from exc
-    finally:
-        matrix.setdiag(diag)
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise SolverError(f"inertia factorization at {level:.6g} left the diagonal: "
-                          "row and column orders differ")
-    return int(np.count_nonzero(lu.U.diagonal().real < 0.0))
+def _check_quarter(op: MagneticLatticeOperator, count: int, below: float):
+    """A SolverError if `count` eigenvalues below `below` exceed dim/4."""
+    if count > op.dim // 4:
+        raise SolverError(f"{count} eigenvalues below {below:.6g} exceed dim/4 = "
+                          f"{op.dim // 4}")
 
 
 def solve(op: MagneticLatticeOperator, below: float) -> EigenResult:
-    """Every eigenvalue below the level `below`, certified by inertia and
+    """Every eigenvalue below the level `below`, certified by a count and
     by a residual norm for each one.
 
     Every operator takes `_ring_solve`, on the real periodic chains
@@ -783,30 +852,25 @@ def solve(op: MagneticLatticeOperator, below: float) -> EigenResult:
     potential of x only, or none ('sectors'), and the basis of
     Rayleigh-Ritz for a y-dependent one ('sparse').
 
-    The level carries a count certificate: the eigenvalues below it are
-    counted by Sylvester inertia (`_negative_pivots`) in one
-    factorization of the operator in the y-momentum basis
-    (`_momentum_matrix`, built apart from the ring list the solve reads):
-    block-diagonal over the rings up to a permutation when V depends on x
-    only, real symmetric when V is even in y and complex Hermitian
-    otherwise.  That
-    count is the number of Ritz pairs sought, and the result must hold
-    exactly that many values, all below the level.  A count above dim/4,
-    a result that misses the count, a residual above RESIDUAL_TOL, a
-    rank-deficient ring block or a basis over RITZ_MAX_DIM is a
-    SolverError.
+    The level carries a count certificate, taken from the rings by
+    Haynsworth's inertia formula, with no factorization: for a potential
+    of x only the sum of the rings' Sturm counts (`_ring_count`, on rings
+    built apart from the ring list the solve reads), for a y-dependent
+    one the count `_ring_solve` certifies on its Rayleigh-Ritz basis,
+    whose margin keeps rounding and the ring residuals from moving it.
+    The result must hold exactly that many values, all below the level.
+    A count above dim/4, a result that misses the count, a residual above
+    RESIDUAL_TOL, a rank-deficient ring block, a basis over RITZ_MAX_DIM
+    or of another size than the rings count, and a level within the
+    margin of a Ritz value of the whole ring basis are SolverErrors.
     """
-    matrix = _momentum_matrix(op)
-    count = _negative_pivots(matrix, below)
-    if count > op.dim // 4:
-        raise SolverError(f"{count} eigenvalues below {below:.6g} exceed dim/4 = "
-                          f"{op.dim // 4}")
-    res = _ring_solve(op, below, count, matrix)
+    res, count = _ring_solve(op, below)
+    _check_quarter(op, count, below)
     raw, residuals = res.raw, res.residual_norms
     if raw.size != count or not np.all(raw < below):
         raise SolverError(f"{res.method} solve returned {raw.size} eigenvalues, "
                           f"{int(np.count_nonzero(raw < below))} of them below {below:.6g}, "
-                          f"where the inertia counts {count}")
+                          f"where the count is {count}")
     # written so that a NaN fails both checks
     if residuals and not np.max(residuals) <= RESIDUAL_TOL:
         raise SolverError(f"residual norm {np.max(residuals):.2e} exceeds {RESIDUAL_TOL:.0e}")

@@ -149,7 +149,7 @@ def check_weyl_law(counts: dict, lam: float, model: TorusModel) -> list[WeylLawR
 
     `counts` maps (k, N) to N_k(lam), the number of eigenvalues of
     k^{-2} Delta_k below lam: `solve(op, lam * k**2).raw.size`, which
-    the solve certifies by inertia.
+    the solve certifies by a count on its rings.
     """
     vol = twisted_liouville_volume(model, lam)
     out = []

@@ -626,8 +626,8 @@ def test_inertia_count_over_a_quarter_is_a_resource_error(tmp_path, capsys):
 ], ids=["bands", "weyl"])
 def test_dropped_sector_in_a_level_job_exits_3(tmp_path, capsys, monkeypatch, pairs, returned):
     # k = 4, N = 32: four sector chains; without one the residuals of the
-    # pairs returned stay small, but the inertia count of the rings sees the
-    # missing values
+    # pairs returned stay small, but the count of the rings, built apart
+    # from the solve's, sees the missing values
     chains = magweyl.torus._sector_chains
     monkeypatch.setattr(magweyl.torus, "_sector_chains", lambda op: list(chains(op))[1:])
     cfg = write_config(tmp_path, {"torus": {"cluster_pairs": [], "weyl_pairs": [],
@@ -638,8 +638,8 @@ def test_dropped_sector_in_a_level_job_exits_3(tmp_path, capsys, monkeypatch, pa
 
 def test_dropped_ring_block_exits_3(tmp_path, capsys, monkeypatch):
     # k = 4, N = 32 with a y-dependent potential: the Rayleigh-Ritz basis
-    # misses one of the four rings, so fewer Ritz values than the 12 the
-    # momentum matrix's inertia counts fall below band_cutoff k = 12
+    # misses one of the four rings, so it holds fewer ring eigenvectors
+    # below its cutoff than the rings, built apart from the solve's, count
     chains = magweyl.torus._sector_chains
     monkeypatch.setattr(magweyl.torus, "_sector_chains", lambda op: list(chains(op))[1:])
     cfg = write_config(tmp_path, {"torus": {"cluster_pairs": [], "weyl_pairs": [],
@@ -647,7 +647,7 @@ def test_dropped_ring_block_exits_3(tmp_path, capsys, monkeypatch):
                                             "band_pairs": [[4, 32]]}})
     assert main(["--config", cfg, "--out", str(tmp_path / "out"), "torus"]) == EXIT_RESOURCE
     err = capsys.readouterr().err
-    assert "sparse solve returned 9 eigenvalues" in err and "where the inertia counts 12" in err
+    assert "basis holds 18 ring eigenvectors below 24.4" in err and "where the rings count 24" in err
 
 
 def test_corrupt_product_scatter_fails_the_zero_form_check(tmp_path, monkeypatch):

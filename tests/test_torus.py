@@ -1,4 +1,6 @@
 import inspect
+import os
+import subprocess
 import sys
 import tracemalloc
 import types
@@ -12,8 +14,9 @@ import scipy.sparse.linalg as spla
 import magweyl.torus
 from magweyl import (EigenResult, PotentialSpec, SolverError, TorusModel,
                      build_magnetic_laplacian, solve)
-from magweyl.torus import (RESIDUAL_TOL, SECTOR_SAMPLES, _momentum_matrix, _negative_pivots,
-                           _Ring, _ring_matrix, _ring_solve, _sector_chains, _sector_rings)
+from magweyl.torus import (RESIDUAL_TOL, SECTOR_SAMPLES, _coupling_norm, _momentum_matrix,
+                           _Ring, _ring_count, _ring_matrix, _ring_solve, _sector_chains,
+                           _sector_rings)
 
 
 def test_model_prequantization():
@@ -56,7 +59,7 @@ def test_zero_flux_limit():
     # constant vector is the zero mode
     ones = np.ones(64)
     assert np.max(np.abs(op.matrix @ ones)) < 1e-12
-    raw = _ring_solve(op, 1.0, 1, _momentum_matrix(op)).raw
+    raw = _ring_solve(op, 1.0)[0].raw
     assert abs(raw[0]) < 1e-8
     res = solve(op, 1.0)  # the next eigenvalue is 2.98
     assert res.raw.size == 1 and abs(res.raw[0]) < 1e-8
@@ -240,29 +243,19 @@ _MIXED = PotentialSpec((((1, 0), 0.025), ((-1, 0), 0.025), ((1, 1), 0.03), ((-1,
 
 def _level_above(spectrum, count):
     """A level 0.4 of the way from the count-th eigenvalue to the next,
-    at least 1e-8 ||H|| from both (the midpoint of the two-site ring is
-    a vanishing pivot: `test_vanishing_pivot_is_an_error`)."""
+    at least 1e-8 ||H|| from both."""
     lo, hi = spectrum[count - 1], spectrum[count]
     assert hi - lo > 5e-8 * np.abs(spectrum).max()
     return lo + 0.4 * (hi - lo)
 
 
-def _storage(matrix) -> tuple:
-    """Format, dtype and the bytes of every stored array of a sparse matrix."""
-    return (matrix.format, matrix.dtype.str, matrix.data.tobytes(),
-            matrix.indices.tobytes(), matrix.indptr.tobytes())
-
-
 def count_below(op, level):
-    """The inertia count `solve` takes: eigenvalues of the operator below
-    the level, by one factorization of its momentum matrix, which must be
-    bit-identical after the count, also after a SolverError."""
-    matrix = _momentum_matrix(op)
-    before = _storage(matrix)
-    try:
-        return _negative_pivots(matrix, level)
-    finally:
-        assert _storage(matrix) == before
+    """The count `solve` takes of the eigenvalues below the level: with no
+    y-modes the sum of the rings' Haynsworth counts, and for a y-dependent
+    potential the count the Rayleigh-Ritz solve certifies."""
+    if op.potential is None or op.potential.is_x_only:
+        return _ring_count(op, level)
+    return _ring_solve(op, level)[1]
 
 
 def _zigzag_band(diag, hop):
@@ -325,41 +318,6 @@ def test_count_below_matches_site_matrix_eigenvalue_counts():
         assert count_below(op, level) == np.count_nonzero(spectrum < level), level
 
 
-@pytest.mark.parametrize("potential", [_Y_DEPENDENT, _MIXED], ids=["real", "complex"])
-def test_inertia_count_factors_the_momentum_matrix_in_place(potential, monkeypatch):
-    # the level is subtracted from the stored diagonal of the momentum matrix
-    # itself, with no copy, and the saved diagonal is written back after each
-    # factorization, so one matrix serves every count, also past a failure
-    op = build_magnetic_laplacian(TorusModel.compatible(1), 8, 40, potential)
-    matrix = _momentum_matrix(op)
-    coo = matrix.tocoo()
-    assert matrix.format == "csc" and np.count_nonzero(coo.row == coo.col) == op.dim
-    before, diag = _storage(matrix), matrix.diagonal()
-    spectrum = np.linalg.eigvalsh(op.matrix.toarray())
-    levels = _levels_off_spectrum(spectrum, spectrum[-1] + 1.0, np.abs(spectrum).max(),
-                                  np.random.default_rng(2), 6)
-    factored = []
-    splu = spla.splu
-
-    def recording_splu(a, **options):
-        factored.append(a is matrix and np.array_equal(a.diagonal(), diag - level))
-        return splu(a, **options)
-
-    monkeypatch.setattr(spla, "splu", recording_splu)
-    for level in levels:
-        assert _negative_pivots(matrix, level) == np.count_nonzero(spectrum < level)
-        assert _storage(matrix) == before
-    assert factored == [True] * levels.size
-
-    def failing_splu(a, **options):
-        raise RuntimeError("Factor is exactly singular")
-
-    monkeypatch.setattr(spla, "splu", failing_splu)
-    with pytest.raises(SolverError, match="exactly singular"):
-        _negative_pivots(matrix, levels[0])
-    assert _storage(matrix) == before
-
-
 @pytest.mark.parametrize("potential", [None, _Y_DEPENDENT], ids=["sectors", "sparse"])
 def test_level_below_the_spectrum_gives_no_eigenvalues(potential):
     op = build_magnetic_laplacian(TorusModel.compatible(1), 4, 32, potential)
@@ -367,15 +325,20 @@ def test_level_below_the_spectrum_gives_no_eigenvalues(potential):
     assert res.raw.size == 0 and res.residual_norms == ()
 
 
-def test_vanishing_pivot_is_an_error():
+def test_zero_diagonal_level_is_counted():
     # k=0, N=2: the ring of momentum 0 is [[d, 2t], [2t, d]] with d = -2t, so
     # at the level d midway between its eigenvalues 0 and 2d the shifted
-    # ring has a zero diagonal, which no diagonal pivot order factors
+    # ring has a zero diagonal: its one-site path is exactly singular there,
+    # a path eigenvalue the Sturm count holds, and the Schur complement is
+    # taken just above it (a diagonal pivot order, as SuperLU's, fails)
     op = build_magnetic_laplacian(TorusModel.compatible(1), 0, 2)
     level = 1.0 / op.spacing ** 2
-    assert count_below(op, 0.9 * level) == 1
-    with pytest.raises(SolverError, match="left the diagonal"):
-        count_below(op, level)
+    rows, diag, hop = next(_sector_rings(op))
+    assert np.array_equal(diag, [level, level])
+    assert _Ring(rows, diag, hop).count(level) == 1
+    assert count_below(op, 0.9 * level) == count_below(op, level) == 1
+    res = solve(op, level)
+    assert res.raw.size == 1 and abs(res.raw[0]) < 1e-12
 
 
 @pytest.mark.parametrize("k, npts, count, method", [
@@ -526,16 +489,101 @@ def test_solve_enforces_residuals(monkeypatch):
 
 def test_dropped_sector_fails_the_inertia_count(monkeypatch):
     # k=4, N=32: gcd(4, 32) = 4 sector chains; without one the residuals
-    # of the pairs the solve returns stay small, but the rings' inertia
-    # still counts all 16 eigenvalues below k^2 (the level of a Weyl job
-    # at lambda = 1)
+    # of the pairs the solve returns stay small, but the rings' Haynsworth
+    # counts, on rings built apart from the solve's, still count all 16
+    # eigenvalues below k^2 (the level of a Weyl job at lambda = 1)
     op = build_magnetic_laplacian(TorusModel.compatible(1), 4, 32)
     assert solve(op, 4.0 ** 2).raw.size == 16
     chains = magweyl.torus._sector_chains
     monkeypatch.setattr(magweyl.torus, "_sector_chains", lambda op: list(chains(op))[1:])
     with pytest.raises(SolverError, match="returned 12 eigenvalues, 12 of them below 16, "
-                                          "where the inertia counts 16"):
+                                          "where the count is 16"):
         solve(op, 4.0 ** 2)
+
+
+def test_dropped_ring_block_fails_the_basis_count(monkeypatch):
+    # k=4, N=32 with a y-dependent potential: without one of the four rings
+    # the Rayleigh-Ritz basis holds 3/4 of the ring eigenvectors below the
+    # first cutoff that the rings of `_sector_rings` count there, so no
+    # count is certified on it
+    op = build_magnetic_laplacian(TorusModel.compatible(1), 4, 32, _Y_DEPENDENT)
+    assert solve(op, 3.0 * 4).raw.size == 12
+    chains = magweyl.torus._sector_chains
+    monkeypatch.setattr(magweyl.torus, "_sector_chains", lambda op: list(chains(op))[1:])
+    with pytest.raises(SolverError, match=r"basis holds 18 ring eigenvectors below 24\.4, "
+                                          r"where the rings count 24"):
+        solve(op, 3.0 * 4)
+
+
+_STRONG = PotentialSpec((((0, 1), 1.0), ((0, -1), 1.0)))
+
+
+@pytest.mark.parametrize("potential", [_Y_DEPENDENT, _MIXED, _STRONG],
+                         ids=["y-dependent", "mixed", "amplitude-1.0"])
+def test_coupling_norm_bounds_the_y_part(potential):
+    # the certificate's bound on ||Y||, Y the momentum matrix less its
+    # rings; each of these potentials has one y-mode pair whose coupling
+    # has constant modulus, so the bound is its exact norm and may exceed
+    # the dense one only by the rounding of the dense eigenvalues
+    op = build_magnetic_laplacian(TorusModel.compatible(1), 8, 40, potential)
+    rings = _ring_matrix(list(_sector_rings(op)), op.dim)
+    y_part = (_momentum_matrix(op) - rings).toarray()
+    dense = np.abs(np.linalg.eigvalsh(y_part)).max()
+    assert dense > 0.0 and _coupling_norm(op) >= dense * (1.0 - 1e-13)
+
+
+def test_level_on_an_eigenvalue_fails_the_count_certificate():
+    # a y-dependent level on an eigenvalue: a Ritz value lies within the
+    # certificate's margin of it in every round, so the cutoff grows until
+    # the basis holds every ring eigenvector, and then no count is returned
+    op = build_magnetic_laplacian(TorusModel.compatible(1), 2, 16, _Y_DEPENDENT)
+    dense = np.linalg.eigvalsh(op.matrix.toarray())
+    assert solve(op, _level_above(dense, 6)).raw.size == 6
+    with pytest.raises(SolverError, match=r"a Ritz value of the whole ring basis lies within "
+                                          r"\S+ of the level"):
+        solve(op, dense[5])
+
+
+def test_level_just_above_an_eigenvalue_waits_for_the_basis(monkeypatch):
+    # (2, 16): the lowest Ritz value of the first certified round lies
+    # about 7e-4 above the lowest eigenvalue, so a level 1e-4 above that
+    # eigenvalue has no Ritz value below it there.  Only epsilon, the bound
+    # on the coupling to the ring eigenvectors above the cutoff, keeps that
+    # round from certifying a count of 0
+    op = build_magnetic_laplacian(TorusModel.compatible(1), 2, 16, _Y_DEPENDENT)
+    dense = np.linalg.eigvalsh(op.matrix.toarray())
+    level = dense[0] + 1e-4
+    assert dense[1] > level
+    lowest = []
+    projected = magweyl.torus._projected_matrix
+
+    def recording_projected(rings, links, dtype):
+        proj = projected(rings, links, dtype)
+        lowest.append(np.linalg.eigvalsh(proj)[0])
+        return proj
+
+    monkeypatch.setattr(magweyl.torus, "_projected_matrix", recording_projected)
+    res = solve(op, level)
+    assert lowest[0] > level
+    assert res.raw.size == 1 and abs(res.raw[0] - dense[0]) < 1e-10
+
+
+def test_solve_imports_no_sparse_factorization():
+    # every count comes from the rings, so the CLI and a y-dependent solve
+    # import no SuperLU or ARPACK (scipy.sparse.linalg), in a fresh process
+    script = "\n".join([
+        "import sys",
+        "import magweyl.cli",
+        "from magweyl import PotentialSpec, TorusModel, build_magnetic_laplacian, solve",
+        "pot = PotentialSpec((((1, 0), 0.025), ((-1, 0), 0.025), ((0, 1), 0.025), ((0, -1), 0.025)))",
+        "res = solve(build_magnetic_laplacian(TorusModel.compatible(1), 4, 32, pot), 8.0)",
+        "assert res.method == 'sparse' and res.raw.size == 8",
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse.linalg')))"])
+    paths = [os.path.dirname(os.path.dirname(magweyl.torus.__file__)), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_single_sector_lowest_is_banded():
@@ -677,7 +725,7 @@ def test_unprojected_fallback_is_rank_deficient(monkeypatch):
 
 def test_shifted_ring_eigenvalue_fails_the_ring_residuals(monkeypatch):
     # k = 16, N = 64: sixteen rings of three eigenvalues below 3 b k.  Rank 1
-    # of the first ring moved by 0.016 keeps the inertia count (48) and its
+    # of the first ring moved by 0.016 keeps the count (48) and its
     # global rank (31) is not one of the 8 site-lifted samples; only the
     # residual of every pair on its ring sees it
     op = build_magnetic_laplacian(TorusModel.compatible(1), 16, 64)
@@ -699,28 +747,28 @@ def test_shifted_ring_eigenvalue_fails_the_ring_residuals(monkeypatch):
 
 def test_sparse_solve_memory():
     # count 48 at (16, 64): the momentum basis solve once held the Lanczos
-    # basis and its Ritz vectors, under 4 blocks of n x count real; the
-    # Rayleigh-Ritz solve holds the ring blocks, the projected matrix and
-    # the Ritz vectors, and frees the ring blocks before the site
-    # residuals.  The momentum matrix, held throughout, is
-    # built inside the traced window and counts too.
+    # basis and its Ritz vectors, under 4 blocks of n x count real.  The
+    # Rayleigh-Ritz solve builds the momentum matrix, for its first cutoff
+    # and the Ritz residuals, and holds it with the ring blocks, the
+    # projected matrix and the Ritz vectors; it frees the blocks and the
+    # matrix before the site residuals.  Its count, on the rings and the
+    # projected matrix, adds no factorization: the peak is 3.2 blocks.
     op = build_magnetic_laplacian(TorusModel.compatible(1), 16, 64, _Y_DEPENDENT)
     tracemalloc.start()
     try:
-        res = _ring_solve(op, 3.0 * 16, 48, _momentum_matrix(op))
+        res, count = _ring_solve(op, 3.0 * 16)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert res.raw.size == 48 and max(res.residual_norms) < 1e-8
-    assert peak < 4 * op.dim * 48 * 8
+    assert count == res.raw.size == 48 and max(res.residual_norms) < 1e-8
+    assert peak < 3.5 * op.dim * 48 * 8
 
 
 def test_solver_determinism():
     for potential in (_Y_DEPENDENT, _MIXED):
         op = build_magnetic_laplacian(TorusModel.compatible(1), 4, 32, potential)
-        r1 = _ring_solve(op, 2.0 * 4, 8, _momentum_matrix(op))
-        r2 = _ring_solve(op, 2.0 * 4, 8, _momentum_matrix(op))
-        assert r1.raw.size == 8 and np.array_equal(r1.raw, r2.raw)
+        (r1, c1), (r2, c2) = _ring_solve(op, 2.0 * 4), _ring_solve(op, 2.0 * 4)
+        assert c1 == c2 == r1.raw.size == 8 and np.array_equal(r1.raw, r2.raw)
         assert r1.residual_norms == r2.residual_norms
 
 
