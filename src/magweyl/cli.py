@@ -435,6 +435,14 @@ def _torus_jobs(cfg: dict) -> list[TorusJob]:
     levels = tcfg["cluster_levels"]
     if tcfg["cluster_pairs"] and not (levels and min(levels) >= 0):
         raise ConfigError(f"torus: cluster_levels {levels} must name one or more levels m >= 0")
+    if tcfg["weyl_pairs"] and not tcfg["weyl_lambda"] > 0:
+        raise ConfigError(f"torus: weyl_lambda {tcfg['weyl_lambda']} must be positive")
+    if pot is not None and tcfg["band_pairs"]:
+        # a cutoff at or below the lowest band leaves the band verdicts no eigenvalue
+        bottom = sigma_bands(model, pot, 0)[0][0]
+        if not tcfg["band_cutoff"] > bottom:
+            raise ConfigError(f"torus: band_cutoff {tcfg['band_cutoff']} must lie above "
+                              f"{bottom:.6g}, the bottom b/2 + min V of the lowest band")
     top = max(levels, default=0) + 1
     reads = [("clusters", None, tcfg["cluster_pairs"], lambda k: top * model.field * k),
              ("weyl", None, tcfg["weyl_pairs"], lambda k: tcfg["weyl_lambda"] * k ** 2)]
@@ -467,8 +475,8 @@ def _run_jobs(jobs: list[TorusJob], n_workers: int, cache: Path) -> dict:
     worker process per job.
 
     The jobs run largest first: by decreasing N, and at equal N an operator
-    with a potential (its Rayleigh-Ritz solve holds the coupled momentum
-    matrix and the ring blocks) before V = 0.  So the largest solve starts
+    with a potential (its Rayleigh-Ritz solve holds the ring blocks and
+    the projected matrix) before V = 0.  So the largest solve starts
     on the smallest resident set, and the later, smaller jobs reuse the
     heap it frees.
     """
@@ -617,6 +625,8 @@ class Stage:
 
 def _star_plan(cfg: dict, _jobs) -> list[str]:
     scfg = cfg["star"]
+    if scfg["instances"] < 1:
+        raise ConfigError(f"star: instances {scfg['instances']} must be an integer >= 1")
     if scfg["max_dim"] < 2 or scfg["max_degree"] < 0:
         raise ConfigError("star: max_dim must be an integer >= 2 and max_degree one >= 0")
     return [f"{scfg['instances']} random star-product property instances"]

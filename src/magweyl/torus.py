@@ -36,9 +36,10 @@ rings only through its few y-modes, and a smooth one couples a Landau
 level only to nearby ones, so its operator is solved by Rayleigh-Ritz on
 the ring eigenvectors below a cutoff that doubles until the Ritz pairs
 converge: O(L) work per ring eigenpair, and one small dense eigenproblem
-per round.  Its count is Haynsworth's formula again, on the block of the
-ring eigenvectors above the cutoff, which the cutoff's spectral gap makes
-positive definite (`_ring_solve`).
+per round, whose Ritz pairs are checked on the site matrix.  Its count
+is Haynsworth's formula again, on the block of the ring eigenvectors
+above the cutoff, which the cutoff's spectral gap makes positive definite
+(`_ring_solve`).
 """
 
 from __future__ import annotations
@@ -66,8 +67,6 @@ SECTOR_SAMPLES = 8
 _BRACKET_TOL = 1e-7
 # Ring eigenvalues closer than this share of the Gershgorin bound are a cluster.
 _CLUSTER_GAP = 1e-6
-# Site residuals are formed in column blocks of about this many entries.
-_RESIDUAL_BLOCK = 1 << 16
 # Inverse-iteration steps of a ring eigenvector.
 _INVERSE_STEPS = 3
 
@@ -298,7 +297,8 @@ def _y_couplings(op: MagneticLatticeOperator) -> dict:
     coefficient is (c_s + conj c_{-s}) / 2; that is what is returned, so
     the couplings are Hermitian to the last bit.  When V is even in y
     (`PotentialSpec.is_even_in_y`) they are real, and returned as real
-    arrays: the one place that decides the momentum basis's dtype.
+    arrays: the one place that decides the dtype of the projected matrix
+    and of the Ritz vectors (`_ring_solve`).
     """
     N = op.npoints
     phase = 2j * np.pi * op.spacing * np.arange(N) / op.model.side
@@ -310,50 +310,21 @@ def _y_couplings(op: MagneticLatticeOperator) -> dict:
     return {s: c.real for s, c in couplings.items()} if op.potential.is_even_in_y else couplings
 
 
-def _momentum_matrix(op: MagneticLatticeOperator) -> sp.csc_matrix:
-    """The lattice operator in the y-momentum basis, row n N + i holding
-    momentum n at column x_i, in CSC.
+def _site_residual(op: MagneticLatticeOperator, v: np.ndarray, lam: float) -> float:
+    """The residual norm ||H psi - lam psi|| on the site matrix of a
+    y-momentum vector v (row n N + i at momentum n and column x_i).
 
-    The rings of `_sector_rings` at their rows (`_ring_matrix`), plus the
-    couplings of `_y_couplings` from row r to (r + s N) mod N^2, real when
-    V is even in y and complex otherwise (`_y_couplings`), in one COO to
-    CSC build: the site matrix conjugated by the unitary map
-    psi[j, i] = N^{-1/2} sum_n e^{2 pi i n j / N} v[n N + i].  Only a
-    y-dependent solve builds it, for the Gershgorin bound of its first
-    cutoff and the Ritz residuals (`_ring_solve`); nothing factors it.
-    """
-    N, dim = op.npoints, op.dim
-    rings = _ring_matrix(list(_sector_rings(op)), dim)
-    couplings = {} if op.potential is None else _y_couplings(op)
-    if couplings:
-        rows = np.concatenate([(np.arange(dim) + s * N) % dim for s in couplings])
-        vals = np.concatenate([np.tile(c, N) for c in couplings.values()])
-        cols = np.tile(np.arange(dim), len(couplings))
-        rings = sp.coo_matrix((np.concatenate([rings.data, vals]),
-                               (np.concatenate([rings.row, rows]),
-                                np.concatenate([rings.col, cols]))), shape=rings.shape)
-    return rings.tocsc()
-
-
-def _site_residuals(op: MagneticLatticeOperator, vecs: np.ndarray, vals: np.ndarray) -> tuple:
-    """Residual norms ||H psi - lambda psi|| on the site matrix of
-    y-momentum vectors (the columns of `vecs`, row n N + i at momentum n
-    and column x_i).
-
-    Each column is lifted to the sites by a unitary FFT along the
-    momentum axis, psi[j, i] = sqrt(N) ifft(v.reshape(N, N), axis=0)[j, i]
-    at site i + N j, in blocks of columns, and checked against
-    `op.matrix`, which is assembled apart from the momentum basis: a wrong
-    coupling there shows as a residual.
+    v is lifted to the sites by a unitary FFT along the momentum axis,
+    psi[j, i] = sqrt(N) ifft(v.reshape(N, N), axis=0)[j, i] at site
+    i + N j, and checked against `op.matrix`, which is assembled apart
+    from the rings and the couplings: a wrong coupling there shows as a
+    residual.  The norm goes through `einsum`, not BLAS (see
+    `_Ring._vector`).
     """
     N = op.npoints
-    norms = []
-    step = max(1, _RESIDUAL_BLOCK // op.dim)
-    for lo in range(0, vals.size, step):
-        psi = np.fft.ifft(vecs[:, lo:lo + step].reshape(N, N, -1), axis=0,
-                          norm="ortho").reshape(op.dim, -1)
-        norms.extend(np.linalg.norm(op.matrix @ psi - psi * vals[lo:lo + step], axis=0))
-    return tuple(float(x) for x in norms)
+    psi = np.fft.ifft(v.reshape(N, N), axis=0, norm="ortho").ravel()
+    res = op.matrix @ psi - lam * psi
+    return math.sqrt(np.einsum("i,i", res.conj(), res).real)
 
 
 def _sector_chains(op: MagneticLatticeOperator) -> list:
@@ -376,7 +347,8 @@ def _ring_count(op: MagneticLatticeOperator, level: float) -> int:
 
 def _coupling_norm(op: MagneticLatticeOperator) -> float:
     """sum_s max_i |c_s(x_i)| over the couplings of `_y_couplings`: a bound
-    on the 2-norm of the y-part of the momentum matrix, which is the sum
+    on ||Y||, Y the y-part of the operator (on the sites, multiplication by
+    k V less its x-only part), which in the y-momentum basis is the sum
     over s of a diagonal (c_s at each row's column) times the shift of
     momentum by s, a permutation."""
     return sum(float(np.abs(c).max()) for c in _y_couplings(op).values())
@@ -644,18 +616,18 @@ def _ring_solve(op: MagneticLatticeOperator, below: float) -> tuple[EigenResult,
     residual on the operator, block-diagonal over the rings up to a
     permutation), one ring block held at a time, and SECTOR_SAMPLES of
     them, evenly spaced in rank, also on the site matrix
-    (`_site_residuals`), which is built apart from the rings.
+    (`_site_residual`), which is built apart from the rings.
 
     Otherwise ('sparse') Rayleigh-Ritz runs on the ring eigenvectors below
     a cutoff Lambda: the projected matrix P is diag(ring eigenvalues) +
     Psi^H Y Psi, Y the couplings of `_y_couplings` (`_projected_matrix`),
-    real when V is even in y and complex Hermitian otherwise.  Lambda
-    starts at `below` + (`below` - g), g the Gershgorin lower bound
-    min_i (h_ii - sum_{j != i} |h_ij|) of the momentum matrix H
-    (`_momentum_matrix`), and each round doubles Lambda - `below`,
-    extending the ring blocks.  The basis must hold as many vectors as
-    `_ring_count` counts below Lambda, and no more than RITZ_MAX_DIM;
-    otherwise the solve is a SolverError.
+    real when V is even in y and complex Hermitian otherwise (the dtype
+    of the couplings).  Lambda starts at `below` + (`below` - g), g the
+    rings' Gershgorin lower bound min_r (min diag_r - 2 |hop_r|) less
+    ||Y|| (`_coupling_norm`), a lower bound on the operator H, and each
+    round doubles Lambda - `below`, extending the ring blocks.  The basis
+    must hold as many vectors as `_ring_count` counts below Lambda, and no
+    more than RITZ_MAX_DIM; otherwise the solve is a SolverError.
 
     Each round certifies the count at lambda = `below` by Haynsworth's
     formula on H - lambda in the basis [Q, W]: Q the basis orthonormalized
@@ -681,10 +653,12 @@ def _ring_solve(op: MagneticLatticeOperator, below: float) -> tuple[EigenResult,
     round whose certificate fails grows the cutoff; once the basis holds
     every ring eigenvector that is a SolverError: the level lies within
     eta of an eigenvalue.  Growth stops when the Ritz pairs of the
-    certified count have residuals on H at most RESIDUAL_TOL / 2, or when
-    the basis holds every ring eigenvector (the Ritz pairs are exact).
-    Each Ritz pair below `below` is lifted to the sites and checked on
-    the site matrix once the ring blocks are freed.
+    certified count have residual norms on the site matrix
+    (`_site_residual`) at most RESIDUAL_TOL / 2, or when the basis holds
+    every ring eigenvector (the Ritz pairs are exact).  The pairs are
+    lifted one at a time, the highest first, and a round's pass stops at
+    the first pair above that bound; the norms of the last pass, which
+    took every pair, are the result's.
     """
     rings = [_Ring(rows, diag, hop) for rows, diag, hop in _sector_chains(op)]
     links = _ring_links(op, rings)
@@ -695,24 +669,22 @@ def _ring_solve(op: MagneticLatticeOperator, below: float) -> tuple[EigenResult,
         order = np.argsort(theta, kind="stable")
         ranks = np.linspace(0, theta.size - 1, min(SECTOR_SAMPLES, theta.size)).round()
         picked = np.isin(np.arange(theta.size), order[ranks.astype(int)])
-        residuals, lifted, first = [], (), 0
+        residuals, lifted, first = [], [], 0
         for ring in rings:
             ring.extend_block()
             residuals.extend(float(x) for x in ring.residuals())
             for j in np.flatnonzero(picked[first:first + ring.values.size]):
-                v = np.zeros((op.dim, 1))
-                v[ring.rows, 0] = ring.block[:, j]
-                lifted += _site_residuals(op, v, ring.values[j:j + 1])
+                v = np.zeros(op.dim)
+                v[ring.rows] = ring.block[:, j]
+                lifted.append(_site_residual(op, v, ring.values[j]))
             first += ring.values.size
             ring.block = None
         return EigenResult(power=op.power, raw=theta[order], method="sectors",
-                           residual_norms=tuple(residuals) + lifted), count
-    matrix = _momentum_matrix(op)
-    diag = matrix.diagonal().real
-    # the column sums of |matrix|, Hermitian: its row sums, in the order of a row
-    radius = np.asarray(abs(matrix).sum(axis=0)).ravel() - np.abs(diag)
-    width = below - float(np.min(diag - radius))
+                           residual_norms=tuple(residuals + lifted)), count
     y_norm = _coupling_norm(op)
+    dtype = np.result_type(*_y_couplings(op).values())
+    # the rings' Gershgorin lower bound less ||Y||: a lower bound on the spectrum
+    width = below - min(ring.diag.min() - 2.0 * abs(ring.hop) for ring in rings) + y_norm
     h_norm = max(ring.scale for ring in rings) + y_norm  # h, at least ||H||
     longest = max(ring.diag.size for ring in rings)
     while True:
@@ -743,7 +715,7 @@ def _ring_solve(op: MagneticLatticeOperator, below: float) -> tuple[EigenResult,
         wanted = sum(int(np.count_nonzero(ring.values < top + y_norm + eta)) for ring in rings)
         theta = np.empty(0)
         if wanted:
-            theta, coef = scipy.linalg.eigh(_projected_matrix(rings, links, matrix.dtype),
+            theta, coef = scipy.linalg.eigh(_projected_matrix(rings, links, dtype),
                                             overwrite_a=True, subset_by_index=(0, wanted - 1))
         if np.any((theta >= below - eta) & (theta < top)):
             if done:
@@ -754,17 +726,22 @@ def _ring_solve(op: MagneticLatticeOperator, below: float) -> tuple[EigenResult,
         if count == 0:
             return EigenResult(power=op.power, raw=np.empty(0), method="sparse"), 0
         theta = theta[:count]
-        vecs = np.zeros((op.dim, count), dtype=coef.dtype)
-        lo = 0
-        for ring in rings:
-            vecs[ring.rows] = ring.block @ coef[lo:lo + ring.values.size, :count]
-            lo += ring.values.size
-        if done or _momentum_converged(matrix, vecs, theta, RESIDUAL_TOL / 2):
-            break
-        del vecs
-    del rings, links, coef, matrix  # the ring blocks are freed before the site residuals
-    return EigenResult(power=op.power, raw=theta, method="sparse",
-                       residual_norms=_site_residuals(op, vecs, theta)), count
+        norms = []
+        # one pair lifted at a time, beside the ring blocks; the highest
+        # first, the slowest to converge
+        for j in range(count - 1, -1, -1):
+            v = np.zeros(op.dim, dtype=coef.dtype)
+            lo = 0
+            for ring in rings:
+                v[ring.rows] = ring.block @ coef[lo:lo + ring.values.size, j]
+                lo += ring.values.size
+            norms.append(_site_residual(op, v, theta[j]))
+            # written so that a NaN grows the basis
+            if not (done or norms[-1] <= RESIDUAL_TOL / 2):
+                break
+        else:
+            return EigenResult(power=op.power, raw=theta, method="sparse",
+                               residual_norms=tuple(reversed(norms))), count
 
 
 def _ring_links(op: MagneticLatticeOperator, rings: list) -> list:
@@ -806,33 +783,6 @@ def _projected_matrix(rings: list, links: list, dtype) -> np.ndarray:
         proj[offsets[r2]:offsets[r2 + 1], offsets[r]:offsets[r + 1]] += (
             rings[r2].block[where].T @ (coef[:, None] * rings[r].block))
     return proj
-
-
-def _momentum_converged(matrix: sp.csc_matrix, vecs: np.ndarray, vals: np.ndarray,
-                        bound: float) -> bool:
-    """Whether every residual norm ||M v - lambda v|| in the momentum basis
-    is at most `bound`, in column blocks from the highest Ritz value down
-    (the slowest to converge), stopping at the first block over it."""
-    step = max(1, _RESIDUAL_BLOCK // matrix.shape[0])
-    for hi in range(vals.size, 0, -step):
-        lo = max(0, hi - step)
-        res = matrix @ vecs[:, lo:hi]
-        res -= vecs[:, lo:hi] * vals[lo:hi]
-        if not np.sqrt(np.einsum("ij,ij->j", res.conj(), res).real).max() <= bound:
-            return False
-    return True
-
-
-def _ring_matrix(chains: list, dim: int) -> sp.coo_matrix:
-    """Periodic chains (rows, diagonal, hop) at their rows of a dim x dim
-    matrix, in COO: site p of a chain links both ways to site p + 1
-    (mod L), and a two-site ring's doubled link is two entries."""
-    here = np.concatenate([rows for rows, _, _ in chains])
-    ahead = np.concatenate([np.roll(rows, -1) for rows, _, _ in chains])
-    hops = np.repeat([hop for _, _, hop in chains], [rows.size for rows, _, _ in chains])
-    vals = np.concatenate([np.concatenate([diag for _, diag, _ in chains]), hops, hops])
-    return sp.coo_matrix((vals, (np.concatenate([here, here, ahead]),
-                                 np.concatenate([here, ahead, here]))), shape=(dim, dim))
 
 
 def _check_quarter(op: MagneticLatticeOperator, count: int, below: float):

@@ -385,6 +385,11 @@ def test_config_round_trip(tmp_path):
     ({"out_dir": 5}, "config field 'out_dir' must be a string, not 5"),
     # tolerances are fixed beside their checks, not config fields
     ({"torus": {"gap_minimum": 0.0}}, "unknown config field 'torus.gap_minimum'"),
+    # values that would divide by zero, or leave a verdict no data to read
+    ({"torus": {"weyl_lambda": 0}}, "torus: weyl_lambda 0.0 must be positive"),
+    ({"torus": {"weyl_lambda": -1}}, "torus: weyl_lambda -1.0 must be positive"),
+    ({"star": {"instances": 0}}, "star: instances 0 must be an integer >= 1"),
+    ({"torus": {"band_cutoff": -1.0}}, "torus: band_cutoff -1.0 must lie above 0.4, the bottom"),
 ])
 def test_bad_config_value_is_config_error_in_dry_run(tmp_path, capsys, override, message):
     cfg = write_config(tmp_path, override)

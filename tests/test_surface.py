@@ -1,8 +1,8 @@
 """The library's public surface: every function it defines is reached by the CLI.
 
 `test_every_function_feeds_a_stage` runs `all` on the small test config
-and `torus` on a potential even in y and on one that is not (the real and
-the complex momentum basis), with a profile hook that records each code
+and `torus` on a potential even in y and on one that is not (a real and a
+complex Rayleigh-Ritz solve), with a profile hook that records each code
 object called.  Every function and class member of `src/magweyl` must be
 reached by some run.  `test_no_unused_imports` keeps deletions from
 leaving imports behind.

@@ -14,9 +14,9 @@ import scipy.sparse.linalg as spla
 import magweyl.torus
 from magweyl import (EigenResult, PotentialSpec, SolverError, TorusModel,
                      build_magnetic_laplacian, solve)
-from magweyl.torus import (RESIDUAL_TOL, SECTOR_SAMPLES, _coupling_norm, _momentum_matrix,
-                           _Ring, _ring_count, _ring_matrix, _ring_solve, _sector_chains,
-                           _sector_rings)
+from magweyl.torus import (RESIDUAL_TOL, SECTOR_SAMPLES, _coupling_norm, _projected_matrix,
+                           _Ring, _ring_count, _ring_links, _ring_solve, _sector_chains,
+                           _sector_rings, _y_couplings)
 
 
 def test_model_prequantization():
@@ -373,29 +373,40 @@ def test_sparse_shift_lies_below_the_spectrum():
     assert len(res.residual_norms) == 8 and max(res.residual_norms) < 1e-8
 
 
+def _recorded_ritz_pairs(monkeypatch, op, below, count):
+    """The solve of `op` below `below`, and the Ritz values and vectors of
+    the last `count` calls of `_site_residual`, the highest pair first:
+    the pass whose norms the result holds, in ascending order."""
+    calls = []
+    site_residual = magweyl.torus._site_residual
+
+    def recording_site_residual(op, v, lam):
+        calls.append((lam, v))
+        return site_residual(op, v, lam)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(magweyl.torus, "_site_residual", recording_site_residual)
+        res = solve(op, below)
+    last = calls[::-1][:count]
+    return (res, np.array([lam for lam, _ in last]),
+            np.column_stack([v for _, v in last]))
+
+
 def test_sparse_ritz_vectors_are_orthonormal(monkeypatch):
-    # a mode (1,1) is not even in y, so the momentum matrix and the
-    # projected matrix are complex; at (16, 96) 32 eigenvalues lie below
-    # 2 b k, the two lowest Landau bands, each 16-fold near-degenerate
+    # a mode (1,1) is not even in y, so the projected matrix and the Ritz
+    # vectors are complex; at (16, 96) 32 eigenvalues lie below 2 b k, the
+    # two lowest Landau bands, each 16-fold near-degenerate
     op = build_magnetic_laplacian(TorusModel.compatible(1), 16, 96, _MIXED)
-    assert _momentum_matrix(op).dtype == np.complex128
-    seen = {}
-    site_residuals = magweyl.torus._site_residuals
-
-    def recording_site_residuals(op, vecs, vals):
-        seen["pairs"] = vals, vecs
-        return site_residuals(op, vecs, vals)
-
-    monkeypatch.setattr(magweyl.torus, "_site_residuals", recording_site_residuals)
-    res = solve(op, 2.0 * 16)
-    vals, vecs = seen["pairs"]
+    res, vals, vecs = _recorded_ritz_pairs(monkeypatch, op, 2.0 * 16, 32)
+    assert vecs.dtype == np.complex128 and vecs.shape == (op.dim, 32)
     assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(32))) < 1e-10
     assert res.method == "sparse" and np.array_equal(res.raw, vals)
     assert len(res.residual_norms) == 32 and max(res.residual_norms) < 1e-8
     assert np.max(np.abs(res.raw - _arpack_lowest(op, 32))) < 1e-9
-    # a potential even in y gives a real momentum matrix
-    even = build_magnetic_laplacian(TorusModel.compatible(1), 16, 96, _Y_DEPENDENT)
-    assert _momentum_matrix(even).dtype == np.float64
+    # a potential even in y gives real Ritz vectors
+    even = build_magnetic_laplacian(TorusModel.compatible(1), 4, 32, _Y_DEPENDENT)
+    res, vals, vecs = _recorded_ritz_pairs(monkeypatch, even, 2.0 * 4, 8)
+    assert vecs.dtype == np.float64 and np.array_equal(res.raw, vals)
 
 
 def test_basis_over_the_limit_is_an_error(monkeypatch):
@@ -415,32 +426,40 @@ def test_basis_over_the_limit_is_an_error(monkeypatch):
         solve(op, 16.0)
 
 
-@pytest.mark.parametrize("k, npts, potential, dtype", [
-    (3, 24, PotentialSpec.cosine_x(0.1), np.float64),
-    (3, 24, _Y_DEPENDENT, np.float64),
-    (3, 24, _MIXED, np.complex128),
-    (4, 32, _MIXED, np.complex128),
+@pytest.mark.parametrize("k, npts, potential", [
+    (3, 24, PotentialSpec.cosine_x(0.1)),
+    (3, 24, _Y_DEPENDENT),
+    (3, 24, _MIXED),
+    (4, 32, _MIXED),
 ], ids=["x-only", "even-in-y", "mixed", "mixed-four-rings"])
-def test_momentum_matrix_is_the_site_operator(k, npts, potential, dtype):
+def test_projected_matrix_is_the_site_operator(k, npts, potential):
+    # the whole ring basis, lifted to the sites by the FFT, projects the
+    # site matrix onto what the solve builds from the ring eigenvalues and
+    # the couplings, in the couplings' dtype: real exactly when V is even
+    # in y (no couplings at all for V of x only)
     op = build_magnetic_laplacian(TorusModel.compatible(1), k, npts, potential)
-    matrix = _momentum_matrix(op)
-    assert matrix.dtype == dtype
+    rings = [_Ring(rows, diag, hop) for rows, diag, hop in _sector_chains(op)]
+    basis = np.zeros((op.dim, op.dim))
+    lo = 0
+    for ring in rings:
+        ring.grow(np.inf)
+        ring.extend_block()
+        basis[ring.rows, lo:lo + ring.values.size] = ring.block
+        lo += ring.values.size
+    assert lo == op.dim
+    dtype = np.result_type(float, *_y_couplings(op).values())
     assert (dtype == np.float64) == potential.is_even_in_y
-
-    def lift(v):
-        return (np.sqrt(npts) * np.fft.ifft(v.reshape(npts, npts, -1), axis=0)).reshape(op.dim, -1)
-
-    rng = np.random.default_rng(0)
-    u = rng.standard_normal((op.dim, 3)) + 1j * rng.standard_normal((op.dim, 3))
-    expect = op.matrix @ lift(u)
-    assert np.abs(expect - lift(matrix @ u)).max() < 1e-12 * np.abs(expect).max()
-    dense = np.linalg.eigvalsh(op.matrix.toarray())
-    assert np.max(np.abs(np.linalg.eigvalsh(matrix.toarray()) - dense)) < 1e-10
+    proj = _projected_matrix(rings, _ring_links(op, rings), dtype)
+    psi = np.fft.ifft(basis.reshape(npts, npts, -1), axis=0, norm="ortho").reshape(op.dim, -1)
+    expect = psi.conj().T @ (op.matrix @ psi)
+    assert proj.dtype == dtype
+    assert np.linalg.norm(proj - expect) < 1e-12 * np.linalg.norm(expect)
 
 
 def test_wrong_coupling_fails_the_site_residuals(monkeypatch):
-    # the momentum matrix counts and solves, but every residual is taken on
-    # the site matrix, so a 1% error in the y couplings cannot certify itself
+    # the rings and the couplings count and solve, but every residual is
+    # taken on the site matrix, so a 1% error in the y couplings cannot
+    # certify itself
     op = build_magnetic_laplacian(TorusModel.compatible(1), 4, 32, _Y_DEPENDENT)
     assert max(solve(op, 2.0 * 4).residual_norms) < 1e-8
     couplings = magweyl.torus._y_couplings
@@ -521,15 +540,20 @@ _STRONG = PotentialSpec((((0, 1), 1.0), ((0, -1), 1.0)))
 @pytest.mark.parametrize("potential", [_Y_DEPENDENT, _MIXED, _STRONG],
                          ids=["y-dependent", "mixed", "amplitude-1.0"])
 def test_coupling_norm_bounds_the_y_part(potential):
-    # the certificate's bound on ||Y||, Y the momentum matrix less its
-    # rings; each of these potentials has one y-mode pair whose coupling
-    # has constant modulus, so the bound is its exact norm and may exceed
-    # the dense one only by the rounding of the dense eigenvalues
-    op = build_magnetic_laplacian(TorusModel.compatible(1), 8, 40, potential)
-    rings = _ring_matrix(list(_sector_rings(op)), op.dim)
-    y_part = (_momentum_matrix(op) - rings).toarray()
-    dense = np.abs(np.linalg.eigvalsh(y_part)).max()
-    assert dense > 0.0 and _coupling_norm(op) >= dense * (1.0 - 1e-13)
+    # the certificate's bound on ||Y||, Y the y-part of the operator: on
+    # the sites the diagonal k (V - V_x-only), the diagonal of the site
+    # matrix less that of the x-only operator.  Each of these potentials
+    # has one y-mode pair whose coupling has constant modulus, reached at a
+    # site, so the bound is the exact norm, up to the rounding of the
+    # diagonal entries (about 2/a^2)
+    model = TorusModel.compatible(1)
+    op = build_magnetic_laplacian(model, 8, 40, potential)
+    x_only = PotentialSpec(tuple(m for m in potential.modes if m[0][1] == 0))
+    bare = build_magnetic_laplacian(model, 8, 40, x_only)
+    diag = op.matrix.diagonal().real
+    y_norm = np.abs(diag - bare.matrix.diagonal().real).max()
+    rounding = 4.0 * np.finfo(float).eps * np.abs(diag).max()
+    assert y_norm > 0.0 and abs(_coupling_norm(op) - y_norm) <= rounding
 
 
 def test_level_on_an_eigenvalue_fails_the_count_certificate():
@@ -603,6 +627,16 @@ def test_single_sector_lowest_is_banded():
     assert peak < 64 * 2 ** 20
 
 
+def _dense_ring(diag, hop):
+    """The ring as a dense matrix: site p links both ways to site p + 1
+    (mod L), so the two links of a two-site ring add up to 2 hop."""
+    dense = np.diag(diag)
+    for p in range(diag.size):
+        dense[p, (p + 1) % diag.size] += hop
+        dense[(p + 1) % diag.size, p] += hop
+    return dense
+
+
 def _dense_ring_case(name):
     """(diag, hop) of one ring case for the ring-solve tests."""
     if name == "two-site":
@@ -628,7 +662,7 @@ def _dense_ring_case(name):
 def test_ring_eigenvalues_match_dense(name):
     diag, hop = _dense_ring_case(name)
     rows = np.arange(diag.size)
-    dense = np.linalg.eigvalsh(_ring_matrix([(rows, diag, hop)], diag.size).toarray())
+    dense = np.linalg.eigvalsh(_dense_ring(diag, hop))
     # every eigenvalue, and the levels midway in each gap of the lower half
     assert np.max(np.abs(_Ring(rows, diag, hop).grow(np.inf) - dense)) < 1e-10
     gaps = np.flatnonzero(np.diff(dense) > 1e-6)
@@ -666,7 +700,7 @@ def test_fallback_vectors_of_random_rings(size):
     ring.deflated[:] = True
     ring.extend_block()
     # in the ring's site order
-    dense = _ring_matrix([(np.arange(size), ring.diag, ring.hop)], size).toarray()
+    dense = _dense_ring(ring.diag, ring.hop)
     block = ring.block
     assert block.shape == (size, size)
     residuals = np.linalg.norm(dense @ block - block * np.linalg.eigvalsh(dense), axis=0)
@@ -746,13 +780,12 @@ def test_shifted_ring_eigenvalue_fails_the_ring_residuals(monkeypatch):
 
 
 def test_sparse_solve_memory():
-    # count 48 at (16, 64): the momentum basis solve once held the Lanczos
-    # basis and its Ritz vectors, under 4 blocks of n x count real.  The
-    # Rayleigh-Ritz solve builds the momentum matrix, for its first cutoff
-    # and the Ritz residuals, and holds it with the ring blocks, the
-    # projected matrix and the Ritz vectors; it frees the blocks and the
-    # matrix before the site residuals.  Its count, on the rings and the
-    # projected matrix, adds no factorization: the peak is 3.2 blocks.
+    # count 48 at (16, 64): the Lanczos solve the ring basis replaced held
+    # its basis and Ritz vectors, under 4 blocks of n x count real.  The
+    # Rayleigh-Ritz solve holds the ring blocks and the projected matrix,
+    # and lifts one Ritz pair at a time to the sites for its residual on
+    # the site matrix.  Its count, on the rings and the projected matrix,
+    # adds no factorization: the peak is 2.4 blocks.
     op = build_magnetic_laplacian(TorusModel.compatible(1), 16, 64, _Y_DEPENDENT)
     tracemalloc.start()
     try:
