@@ -25,7 +25,7 @@ import math
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +38,10 @@ from .models import (ProjectorQuery, ResolventQuery,
                      projector_symbol, residue_projector, resolvent_at,
                      resolvent_symbol, sharp_inverse)
 from .quantize import HermiteBasisSpec, _axis_map, block_compare, weyl_quantize
-from .star import AntisymmetricForm, moyal_product, sharp_power, symmetrized_product
-from .symbols import PolySymbol, _derivative_table, _pair_index
+from .star import (AntisymmetricForm, _chunks, _ordered_power, moyal_product, sharp_power,
+                   symmetrized_product)
+from .symbols import (PolySymbol, _derivative_table, _pair_index, monomial_rank,
+                      monomial_values)
 from .torus import (EigenResult, PotentialSpec, SolverError, TorusModel,
                     build_magnetic_laplacian, solve)
 from .verify import (CLUSTER_GAP, band_containment, band_gaps, check_cluster_law,
@@ -231,14 +233,58 @@ def _potential_from_config(spec) -> PotentialSpec | None:
 # ---------------------------------------------------------------------------
 # star-check
 
-def _random_poly(rng, dim, max_degree) -> PolySymbol:
-    terms = {}
-    for _ in range(rng.integers(2, 6)):
-        idx = tuple(int(v) for v in rng.integers(0, max_degree + 1, size=dim))
-        while sum(idx) > max_degree:
-            idx = tuple(int(v) for v in rng.integers(0, max_degree + 1, size=dim))
-        terms[idx] = complex(rng.standard_normal(), rng.standard_normal())
-    return PolySymbol(dim, terms)
+@dataclass
+class _StarGroup:
+    """The star-check instances of one dimension, in draw order: the forms,
+    the three factors as {exponent: coefficient} maps (a repeated exponent
+    keeps its last coefficient), the zero-form check's points, the
+    symmetrization covectors and the sharp-power multi-indices."""
+
+    dim: int
+    forms: list = field(default_factory=list)
+    factors: tuple = field(default_factory=lambda: ([], [], []))
+    points: list = field(default_factory=list)
+    covectors: list = field(default_factory=list)
+    alphas: list = field(default_factory=list)
+
+    def degree(self) -> int:
+        return max(sum(e) for terms in self.factors for t in terms for e in t)
+
+    def coefficients(self, which: int, degree: int) -> np.ndarray:
+        """One factor of every instance as coefficient rows over the basis of `degree`."""
+        terms = self.factors[which]
+        out = np.zeros((len(terms), math.comb(degree + self.dim, self.dim)), dtype=complex)
+        rows = np.repeat(np.arange(len(terms)), [len(t) for t in terms])
+        out[rows, monomial_rank([e for t in terms for e in t])] = [
+            c for t in terms for c in t.values()]
+        return out
+
+
+def _draw_star_instances(scfg: dict, seed: int) -> list[_StarGroup]:
+    """The seeded star-check instances, grouped by dimension."""
+    rng = np.random.default_rng(seed)
+    # the evaluation points of the zero-form check have their own stream,
+    # so that they leave every other instance unchanged
+    points = np.random.default_rng([seed, 1])
+    top = scfg["max_degree"]
+    groups = {}
+    for _ in range(scfg["instances"]):
+        dim = int(rng.integers(2, scfg["max_dim"] + 1))
+        group = groups.setdefault(dim, _StarGroup(dim))
+        m = rng.standard_normal((dim, dim))
+        group.forms.append(m - m.T)
+        for factor in group.factors:
+            terms = {}
+            for _ in range(rng.integers(2, 6)):
+                idx = tuple(rng.integers(0, top + 1, size=dim).tolist())
+                while sum(idx) > top:
+                    idx = tuple(rng.integers(0, top + 1, size=dim).tolist())
+                terms[idx] = complex(rng.standard_normal(), rng.standard_normal())
+            factor.append(terms)
+        group.points.append(points.standard_normal((4, dim)))
+        group.covectors.append([rng.standard_normal(dim) for _ in range(int(rng.integers(1, 4)))])
+        group.alphas.append(rng.integers(0, 3, size=dim))
+    return sorted(groups.values(), key=lambda g: g.dim)
 
 
 def _moduli(p: PolySymbol) -> PolySymbol:
@@ -246,55 +292,85 @@ def _moduli(p: PolySymbol) -> PolySymbol:
     return PolySymbol.from_coeffs(p.dim, np.abs(p.coeffs))
 
 
-def _random_antisymmetric(rng, dim) -> AntisymmetricForm:
-    m = rng.standard_normal((dim, dim))
-    return AntisymmetricForm(dim, m - m.T)
+def _values(p: PolySymbol, monomials: np.ndarray) -> np.ndarray:
+    """Each polynomial of the stack p at its own points, from the values there
+    of the monomials of a basis at least as large as p's (`monomial_values`;
+    the basis of a degree is a prefix of every larger one)."""
+    return np.einsum("kpm,km->kp", monomials[..., :p.coeffs.shape[-1]], p.coeffs)
 
 
-def run_star_checks(cfg: dict, seed: int) -> list[Check]:
-    scfg = cfg["star"]
-    rng = np.random.default_rng(seed)
-    # the evaluation points of the zero-form check have their own stream,
-    # so that they leave every other instance unchanged
-    points = np.random.default_rng([seed, 1])
-    worst_assoc = 0.0
-    worst_zero = 0.0
-    worst_symm = 0.0
-    worst_power = 0.0
-    for _ in range(scfg["instances"]):
-        dim = int(rng.integers(2, scfg["max_dim"] + 1))
-        A = _random_antisymmetric(rng, dim)
-        f, g, h = (_random_poly(rng, dim, scfg["max_degree"]) for _ in range(3))
-        scale = max(1.0, f.max_abs_coeff() * g.max_abs_coeff() * h.max_abs_coeff())
+def _associativity_and_zero_form(group: _StarGroup) -> tuple[float, float]:
+    """The worst associativity defect, relative to the coefficient scale, and
+    the worst zero-form defect of a dimension group, a chunk of stacked
+    triples at a time."""
+    dim, degree = group.dim, group.degree()
+    stacks = [group.coefficients(i, degree) for i in range(3)]
+    forms, points = np.array(group.forms), np.array(group.points)
+    worst_assoc = worst_zero = 0.0
+    for part in _chunks(len(forms), dim, 2 * degree, degree):
+        A = AntisymmetricForm(dim, forms[part])
+        f, g, h = (PolySymbol.from_coeffs(dim, c[part]) for c in stacks)
+        scale = np.maximum(1.0, f.max_abs_coeff() * g.max_abs_coeff() * h.max_abs_coeff())
         lhs = moyal_product(moyal_product(f, g, A), h, A)
         rhs = moyal_product(f, moyal_product(g, h, A), A)
-        worst_assoc = max(worst_assoc, lhs.distance(rhs) / scale)
+        worst_assoc = max(worst_assoc, float(np.max(lhs.distance(rhs) / scale)))
         # A = 0 must be the plain pointwise product, compared by value at
         # random points, relative to the sum of the terms' moduli there: the
         # coefficients of both products come from one scatter, so comparing
         # them could not fail
-        xi = points.standard_normal((4, dim))
-        pointwise = moyal_product(f, g, AntisymmetricForm.zero(dim))(xi)
-        envelope = _moduli(f)(np.abs(xi)).real * _moduli(g)(np.abs(xi)).real
-        worst_zero = max(worst_zero, float(np.max(np.abs(pointwise - f(xi) * g(xi))
-                                                  / np.maximum(1.0, envelope))))
-        # symmetrization collapses to the plain monomial
-        vs = [rng.standard_normal(dim) for _ in range(int(rng.integers(1, 4)))]
-        sym = symmetrized_product(vs, A)
-        mono = PolySymbol.constant(dim, 1.0)
-        for v in vs:
-            mono = mono * PolySymbol.from_covector(v)
-        worst_symm = max(worst_symm, sym.distance(mono) / max(1.0, mono.max_abs_coeff()))
-        # ordered sharp powers against explicit left multiplications
-        alpha = tuple(int(v) for v in rng.integers(0, 3, size=dim))
-        p = sharp_power(alpha, A)
-        q = PolySymbol.constant(dim, 1.0)
-        for axis in range(dim, 0, -1):
-            for _ in range(alpha[axis - 1]):
-                q = moyal_product(PolySymbol.coordinate(dim, axis), q, A)
-        worst_power = max(worst_power, p.distance(q))
-    # the scatter and derivative tables of the random triples (about 5 MB in
-    # 150 entries) serve no later stage: free them before the model stage
+        pointwise = moyal_product(f, g, AntisymmetricForm.zero(dim))
+        mono = monomial_values(dim, max(pointwise.degree, f.degree, g.degree), points[part])
+        defect = np.abs(_values(pointwise, mono) - _values(f, mono) * _values(g, mono))
+        envelope = (_values(_moduli(f), np.abs(mono)).real
+                    * _values(_moduli(g), np.abs(mono)).real)
+        worst_zero = max(worst_zero, float(np.max(defect / np.maximum(1.0, envelope))))
+    return worst_assoc, worst_zero
+
+
+def _symmetrization(group: _StarGroup) -> float:
+    """The worst distance of a symmetrized product from the plain monomial,
+    relative to the monomial's scale, over the stacks of instances with
+    one number of covectors."""
+    dim, forms = group.dim, np.array(group.forms)
+    worst = 0.0
+    for factors in sorted({len(vs) for vs in group.covectors}):
+        rows = [k for k, vs in enumerate(group.covectors) if len(vs) == factors]
+        covectors = np.array([group.covectors[k] for k in rows]).transpose(1, 0, 2)
+        for part in _chunks(len(rows), dim, 1, factors):
+            vs = list(covectors[:, part])
+            sym = symmetrized_product(vs, AntisymmetricForm(dim, forms[rows][part]))
+            mono = PolySymbol.constant(dim, 1.0)
+            for v in vs:
+                mono = mono * PolySymbol.from_covector(v)
+            worst = max(worst, float(np.max(sym.distance(mono)
+                                            / np.maximum(1.0, mono.max_abs_coeff()))))
+    return worst
+
+
+def _sharp_power_consistency(group: _StarGroup) -> float:
+    """The worst distance of the ordered sharp powers from explicit left
+    Moyal multiplications by the coordinates."""
+    dim, forms, alphas = group.dim, np.array(group.forms), np.array(group.alphas)
+    worst = 0.0
+    for part in _chunks(len(alphas), dim, 1, int(alphas.sum(axis=1).max())):
+        A = AntisymmetricForm(dim, forms[part])
+        p = sharp_power(alphas[part], A)
+        q = _ordered_power(alphas[part], dim, lambda axis, q: moyal_product(
+            PolySymbol.coordinate(dim, axis), q, A))
+        worst = max(worst, float(np.max(p.distance(q))))
+    return worst
+
+
+def run_star_checks(cfg: dict, seed: int) -> list[Check]:
+    scfg = cfg["star"]
+    worst_assoc = worst_zero = worst_symm = worst_power = 0.0
+    for group in _draw_star_instances(scfg, seed):
+        assoc, zero = _associativity_and_zero_form(group)
+        worst_assoc, worst_zero = max(worst_assoc, assoc), max(worst_zero, zero)
+        worst_symm = max(worst_symm, _symmetrization(group))
+        worst_power = max(worst_power, _sharp_power_consistency(group))
+    # the scatter and derivative tables of the stacks (about 2 MB) serve no
+    # later stage: free them before the model stage
     _pair_index.cache_clear()
     _derivative_table.cache_clear()
     return [
@@ -565,9 +641,10 @@ def run_torus_checks(cfg: dict, spectra: dict) -> tuple[list[Check], dict]:
         finest = max(eps_by_n, key=lambda t: t[1])
         checks.append(_leq("torus.band_containment", eps_by_n[finest], 0.05,
                            f"margin at N={finest[1]}"))
-        shrinking = all(eps_by_n[a] >= eps_by_n[b] - 1e-12
-                        for a in eps_by_n for b in eps_by_n
-                        if a[0] == b[0] and b[1] > a[1])
+        # an empty spectrum (an infinite margin) shrinks nothing
+        shrinking = all(map(math.isfinite, eps_by_n.values())) and all(
+            eps_by_n[a] >= eps_by_n[b] - 1e-12
+            for a in eps_by_n for b in eps_by_n if a[0] == b[0] and b[1] > a[1])
         checks.append(Check("torus.band_margin_shrinks", float(shrinking), 1.0,
                             shrinking, "containment margin non-increasing under refinement"))
     return checks, extras

@@ -86,9 +86,21 @@ def monomial_rank(exponents) -> np.ndarray:
     return pos
 
 
+def monomial_values(dim: int, degree: int, points: np.ndarray) -> np.ndarray:
+    """x^e for every e of `monomial_basis(dim, degree)` (last axis) at each
+    point (coordinates along the last axis of `points`), from one table of
+    powers per coordinate."""
+    powers = np.asarray(points, dtype=float)[..., None] ** np.arange(degree + 1)
+    basis = monomial_basis(dim, degree)
+    out = powers[..., 0, basis[:, 0]]
+    for j in range(1, dim):
+        out = out * powers[..., j, basis[:, j]]
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def _derivative_table(dim: int, degree: int, order: int):
-    """Gather index, factor and block shapes of `PolySymbol.derivatives`.
+    """Gather index, factor and block shapes of `derivatives`.
 
     Block r pairs m over the basis of degree max(degree - r, 0) with the
     alpha of |alpha| = r, flattened in turn.  Entry (m, alpha) reads
@@ -97,8 +109,8 @@ def _derivative_table(dim: int, degree: int, order: int):
     multiplies it by (m + alpha)! / m!, the falling factorial of
     d^alpha x^(m + alpha).
     """
-    index, factor, shapes = [], [], []
-    for r in range(order + 1):
+    index, factor, shapes = [np.zeros(0, dtype=np.int64)], [np.zeros(0)], []
+    for r in range(1, order + 1):
         m = monomial_basis(dim, max(degree - r, 0))[:, None, :]
         alpha = monomial_basis(dim, r)[_size(dim, r - 1):][None, :, :]
         inside = (m + alpha).sum(axis=-1) <= degree
@@ -118,29 +130,58 @@ def _derivative_table(dim: int, degree: int, order: int):
 def _pair_index(dim: int, p: int, q: int) -> np.ndarray:
     """`product_sum`'s scatter index: the position of x^(m + m') in the
     basis of degree p + q, for the real and the imaginary part of each
-    (m, m') pair, in the order of a C-contiguous complex table's float view."""
+    (m, m') pair, in the order of a C-contiguous complex table's float view
+    (32-bit: the cache holds one index per pair of degrees)."""
     pos = monomial_rank(monomial_basis(dim, p)[:, None, :] + monomial_basis(dim, q)[None, :, :])
-    out = (2 * pos[..., None] + np.arange(2)).ravel()
+    out = (2 * pos[..., None] + np.arange(2)).astype(np.int32).ravel()
     out.setflags(write=False)
     return out
 
 
-def product_sum(dim: int, table: np.ndarray, p: int, q: int) -> "PolySymbol":
-    """sum_{m, m'} table[m, m'] x^(m + m') for rows over `monomial_basis(dim, p)`
-    and columns over `monomial_basis(dim, q)`: one bincount of the table's
-    real and imaginary parts."""
-    parts = np.ascontiguousarray(table, dtype=complex).view(float).ravel()
-    out = np.bincount(_pair_index(dim, p, q), weights=parts, minlength=2 * _size(dim, p + q))
-    return PolySymbol.from_coeffs(dim, out.view(complex))
+def product_sum(dim: int, tables: np.ndarray, p: int, q: int) -> np.ndarray:
+    """The coefficients of sum_{m, m'} table[m, m'] x^(m + m') for each table of
+    `tables` (any leading axes), with rows over `monomial_basis(dim, p)` and
+    columns over `monomial_basis(dim, q)`: one bincount of the tables' real
+    and imaginary parts, each table's scatter index offset past the previous
+    table's product.  The result keeps the leading axes, with one row over
+    the basis of degree p + q per table."""
+    lead, size = tables.shape[:-2], 2 * _size(dim, p + q)
+    count = math.prod(lead)
+    parts = np.ascontiguousarray(tables, dtype=complex).view(float).ravel()
+    index = _pair_index(dim, p, q) + np.arange(0, count * size, size)[:, None]
+    out = np.bincount(index.ravel(), weights=parts, minlength=count * size)
+    return out.view(complex).reshape(lead + (-1,))
+
+
+def derivatives(dim: int, coeffs: np.ndarray, degree: int, order: int) -> list[np.ndarray]:
+    """The blocks D_r[..., m, alpha] = coefficient of xi^m in d^alpha of the
+    polynomial with the coefficients `coeffs[...]` over the basis of
+    `degree` (any leading axes), for r = 1..order, with alpha over the
+    monomials of degree r and m over `monomial_basis(dim, degree - r)`
+    (d^alpha has no higher terms; one zero row when r > degree): one gather
+    of the coefficients and one product with a cached table."""
+    index, factor, shapes = _derivative_table(dim, degree, order)
+    lead = coeffs.shape[:-1]
+    flat = np.concatenate((coeffs, np.zeros(lead + (1,))), axis=-1).take(index, axis=-1)
+    flat *= factor
+    blocks, start = [], 0
+    for rows, cols in shapes:
+        blocks.append(flat[..., start:start + rows * cols].reshape(lead + (rows, cols)))
+        start += rows * cols
+    return blocks
 
 
 @dataclass(frozen=True, init=False, eq=False)
 class PolySymbol:
-    """Exact complex polynomial on phase space R^n.
+    """Exact complex polynomial on phase space R^n, or a stack of them.
 
     `coeffs` holds the coefficients over `monomial_basis(dim, degree)`,
     where `degree` is the largest |e| with a nonzero coefficient (0 for
-    the zero polynomial); the array is read-only.
+    the zero polynomial); the array is read-only.  A stack has one row of
+    coefficients per polynomial, all over the basis of the largest degree
+    among them; sums, products, the star products of `star` and the
+    distances broadcast over the rows, while `terms`, evaluation and
+    `on_grid` read a single polynomial.
     """
 
     dim: int
@@ -159,12 +200,13 @@ class PolySymbol:
         self._assign(dim, coeffs)
 
     def _assign(self, dim: int, coeffs: np.ndarray):
-        """Keep a read-only copy of `coeffs` cut to the degree of its last nonzero entry."""
+        """Keep a read-only copy of `coeffs` cut to the degree of the last
+        column with a nonzero entry."""
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        nonzero = coeffs.nonzero()[0]
+        nonzero = np.flatnonzero(coeffs.reshape(-1, coeffs.shape[-1]).any(axis=0))
         degree = _degree_at(dim, int(nonzero[-1])) if nonzero.size else 0
-        kept = np.array(coeffs[:_size(dim, degree)], dtype=complex)
+        kept = np.array(coeffs[..., :_size(dim, degree)], dtype=complex)
         kept.setflags(write=False)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "degree", degree)
@@ -173,9 +215,11 @@ class PolySymbol:
     @classmethod
     def from_coeffs(cls, dim: int, coeffs) -> "PolySymbol":
         """The polynomial with coefficient vector `coeffs` over `monomial_basis(dim, D)`,
-        for the D whose basis has len(coeffs) entries."""
+        for the D whose basis has len(coeffs) entries; a matrix of such rows
+        is a stack."""
         coeffs = np.asarray(coeffs)
-        if coeffs.ndim != 1 or coeffs.size != _size(dim, _degree_at(dim, coeffs.size - 1)):
+        size = coeffs.shape[-1] if coeffs.ndim else 0
+        if coeffs.ndim not in (1, 2) or size != _size(dim, _degree_at(dim, size - 1)):
             raise ValueError(f"{coeffs.shape} is not the shape of a graded basis in dim {dim}")
         out = cls.__new__(cls)
         out._assign(dim, coeffs)
@@ -194,27 +238,30 @@ class PolySymbol:
 
     @classmethod
     def from_covector(cls, v) -> "PolySymbol":
-        """Linear form xi -> v . xi."""
+        """Linear form xi -> v . xi (a stack for a matrix of covector rows)."""
         v = np.asarray(v, dtype=float)
-        return cls.from_coeffs(v.size, np.concatenate([[0.0], v]))
+        constant = np.zeros(v.shape[:-1] + (1,))
+        return cls.from_coeffs(v.shape[-1], np.concatenate((constant, v), axis=-1))
 
     @property
     def terms(self) -> dict:
         """{exponent tuple: coefficient} of the nonzero coefficients, in basis order."""
+        if self.coeffs.ndim != 1:
+            raise ValueError("terms, evaluation and on_grid read a single polynomial, not a stack")
         nonzero = np.flatnonzero(self.coeffs)
         exps = monomial_basis(self.dim, self.degree)[nonzero].tolist()
         return dict(zip(map(tuple, exps), self.coeffs[nonzero].tolist()))
 
     def _aligned(self, other: "PolySymbol") -> tuple[np.ndarray, np.ndarray]:
-        """Both coefficient vectors over the basis of the larger degree."""
+        """Both coefficient arrays over the basis of the larger degree."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        a, b = self.coeffs, other.coeffs
-        if a.size < b.size:
-            a = np.concatenate([a, np.zeros(b.size - a.size, dtype=complex)])
-        elif b.size < a.size:
-            b = np.concatenate([b, np.zeros(a.size - b.size, dtype=complex)])
-        return a, b
+        size = max(self.coeffs.shape[-1], other.coeffs.shape[-1])
+
+        def padded(c: np.ndarray) -> np.ndarray:
+            return np.concatenate((c, np.zeros(c.shape[:-1] + (size - c.shape[-1],))), axis=-1)
+
+        return padded(self.coeffs), padded(other.coeffs)
 
     def __add__(self, other):
         if isinstance(other, Number):
@@ -238,24 +285,11 @@ class PolySymbol:
             return PolySymbol.from_coeffs(self.dim, other * self.coeffs)
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        return product_sum(self.dim, np.outer(self.coeffs, other.coeffs),
-                           self.degree, other.degree)
+        table = self.coeffs[..., :, None] * other.coeffs[..., None, :]
+        return PolySymbol.from_coeffs(
+            self.dim, product_sum(self.dim, table, self.degree, other.degree))
 
     __rmul__ = __mul__
-
-    def derivatives(self, order: int) -> list[np.ndarray]:
-        """The blocks D_r[m, alpha] = coefficient of xi^m in d^alpha self
-        for r = 0..order, with alpha over the monomials of degree r and m
-        over `monomial_basis(dim, degree - r)` (d^alpha self has no higher
-        terms; one zero row when r > degree): one gather of the
-        coefficients and one product with a cached table."""
-        index, factor, shapes = _derivative_table(self.dim, self.degree, order)
-        flat = np.concatenate((self.coeffs, [0.0])).take(index) * factor
-        blocks, start = [], 0
-        for rows, cols in shapes:
-            blocks.append(flat[start:start + rows * cols].reshape(rows, cols))
-            start += rows * cols
-        return blocks
 
     def __call__(self, xi) -> np.ndarray:
         """Evaluate at points with coordinates along the last axis.
@@ -273,13 +307,15 @@ class PolySymbol:
             out += c * mono
         return out
 
-    def max_abs_coeff(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
+    def max_abs_coeff(self):
+        """Largest coefficient modulus (one per polynomial of a stack)."""
+        return np.max(np.abs(self.coeffs), axis=-1)
 
-    def distance(self, other: "PolySymbol") -> float:
-        """Max coefficient difference, for exact-algebra comparisons."""
+    def distance(self, other: "PolySymbol"):
+        """Max coefficient difference, for exact-algebra comparisons (one per
+        polynomial of a stack)."""
         a, b = self._aligned(other)
-        return float(np.max(np.abs(a - b)))
+        return np.max(np.abs(a - b), axis=-1)
 
     def on_grid(self, grid: "PhaseGrid") -> "GridSymbol":
         if grid.dim != self.dim:

@@ -9,6 +9,7 @@ containment for scalar potentials.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,10 +188,11 @@ def band_gaps(bands) -> list[tuple[float, float]]:
 
 
 def band_containment(eigs, bands) -> float:
-    """Largest distance of any eigenvalue to the union of bands."""
+    """Largest distance of any eigenvalue to the union of bands; infinite for
+    no eigenvalue, so that an empty spectrum never reads as contained."""
     eigs = np.asarray(list(eigs), dtype=float)
     if eigs.size == 0:
-        return 0.0
+        return math.inf
     dist = np.full(eigs.shape, np.inf)
     for lo, hi in bands:
         d = np.where(eigs < lo, lo - eigs, np.where(eigs > hi, eigs - hi, 0.0))

@@ -1,4 +1,6 @@
 import json
+import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +81,82 @@ def test_star_check_passes(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
     files = report_bytes(out, cfg)
     assert set(files) == {"report.csv", "report.json"}
+
+
+def _reference_poly(rng, dim, max_degree) -> PolySymbol:
+    """The star-check factor draw with one PolySymbol per factor, kept as the
+    reference stream."""
+    terms = {}
+    for _ in range(rng.integers(2, 6)):
+        idx = tuple(int(v) for v in rng.integers(0, max_degree + 1, size=dim))
+        while sum(idx) > max_degree:
+            idx = tuple(int(v) for v in rng.integers(0, max_degree + 1, size=dim))
+        terms[idx] = complex(rng.standard_normal(), rng.standard_normal())
+    return PolySymbol(dim, terms)
+
+
+def _reference_star_instances(scfg, seed) -> list:
+    """(dim, form, (f, g, h), points, covectors, alpha) per instance, drawn one
+    instance at a time in the star-check's order."""
+    rng = np.random.default_rng(seed)
+    points = np.random.default_rng([seed, 1])
+    out = []
+    for _ in range(scfg["instances"]):
+        dim = int(rng.integers(2, scfg["max_dim"] + 1))
+        m = rng.standard_normal((dim, dim))
+        form = AntisymmetricForm(dim, m - m.T)
+        factors = tuple(_reference_poly(rng, dim, scfg["max_degree"]) for _ in range(3))
+        xi = points.standard_normal((4, dim))
+        vs = [rng.standard_normal(dim) for _ in range(int(rng.integers(1, 4)))]
+        alpha = tuple(int(v) for v in rng.integers(0, 3, size=dim))
+        out.append((dim, form, factors, xi, vs, alpha))
+    return out
+
+
+@pytest.mark.parametrize("seed, star_cfg", [
+    (0, {}), (21, {}), (3, {"instances": 1}), (5, {"max_degree": 0}), (7, {"max_dim": 2}),
+], ids=["seed0", "seed21", "one-instance", "degree0", "dim2"])
+def test_star_instances_are_the_reference_draws(seed, star_cfg):
+    # the stacked draw keeps the stream: every exponent, coefficient, form,
+    # point, covector and multi-index of each instance is bit-identical to
+    # the per-instance draw, in draw order within its dimension group
+    scfg = {**cli.DEFAULT_CONFIG["star"], **star_cfg}
+    reference = _reference_star_instances(scfg, seed)
+    groups = cli._draw_star_instances(scfg, seed)
+    assert [g.dim for g in groups] == sorted({r[0] for r in reference})
+    for group in groups:
+        mine = [r for r in reference if r[0] == group.dim]
+        degree = group.degree()
+        assert degree == max(p.degree for r in mine for p in r[2])
+        for i in range(3):
+            rows = group.coefficients(i, degree)
+            assert rows.shape == (len(mine), math.comb(degree + group.dim, group.dim))
+            for row, r in zip(rows, mine):
+                assert np.array_equal(row[:r[2][i].coeffs.size], r[2][i].coeffs)
+                assert not row[r[2][i].coeffs.size:].any()
+        for k, (_, form, _, xi, vs, alpha) in enumerate(mine):
+            assert np.array_equal(group.forms[k], form.entries)
+            assert np.array_equal(group.points[k], xi)
+            assert len(group.covectors[k]) == len(vs)
+            assert all(np.array_equal(a, b) for a, b in zip(group.covectors[k], vs))
+            assert tuple(group.alphas[k].tolist()) == alpha
+    cfg = {"star": scfg}
+    assert all(c.passed for c in cli.run_star_checks(cfg, seed))
+
+
+def test_star_checks_memory():
+    # the stacks run in chunks of a byte budget: the star stage stays a few
+    # MiB, counted from cold scatter and derivative caches
+    cfg = load_config(None)
+    symbols._pair_index.cache_clear()
+    symbols._derivative_table.cache_clear()
+    tracemalloc.start()
+    try:
+        cli.run_star_checks(cfg, int(cfg["seed"]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_dry_run_no_compute(tmp_path, capsys):
@@ -536,9 +614,8 @@ def test_first_order_star_product_fails_associativity(tmp_path, capsys, monkeypa
     # not associative on the degree <= 4 triples, so the verdict must fail
     full = star._moyal_weights
 
-    def first_order(entries, dim, order):
-        return tuple(w if r < 2 else np.zeros_like(w)
-                     for r, w in enumerate(full(entries, dim, order)))
+    def first_order(a, order):
+        return [w if r < 2 else np.zeros_like(w) for r, w in enumerate(full(a, order))]
     monkeypatch.setattr(star, "_moyal_weights", first_order)
     cfg = load_config(write_config(tmp_path))
     checks = {c.name: c for c in cli.run_star_checks(cfg, int(cfg["seed"]))}
@@ -563,6 +640,22 @@ def test_band_cutoff_above_the_third_band_sees_every_band(tmp_path, capsys):
     assert main(["--config", cfg, "--out", str(out), "torus"]) == EXIT_PASS
     report = json.loads(report_bytes(out, cfg)["report.json"])
     assert [len(b["observed_gaps"]) for b in report["details"]["bands"]] == [5, 5]
+
+
+def test_empty_band_spectrum_fails_both_band_verdicts(tmp_path, capsys):
+    # cos_x 0.1 puts the lowest scaled eigenvalue at (16,64) at 0.4077, above
+    # the cutoff 0.405: both band spectra are empty, so nothing was checked
+    cfg = write_config(tmp_path, {"torus": {"band_cutoff": 0.405, "cluster_pairs": [],
+                                            "weyl_pairs": [],
+                                            "band_pairs": [[16, 64], [16, 128]]}})
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "torus"]) == EXIT_TOLERANCE
+    stdout = capsys.readouterr().out
+    assert _verdict(stdout, "torus.band_containment").startswith(
+        "FAIL  torus.band_containment: value=inf")
+    assert _verdict(stdout, "torus.band_margin_shrinks").startswith("FAIL")
+    details = json.loads(report_bytes(out, cfg)["report.json"])["details"]["bands"]
+    assert [b["containment"] for b in details] == [math.inf, math.inf]
 
 
 def test_potential_that_closes_a_predicted_gap_fails_the_gap_verdict(tmp_path, capsys,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -217,3 +219,59 @@ def test_symmetrized_random_triples(rng):
         for v in vs:
             mono = mono * PolySymbol.from_covector(v)
         assert sym.distance(mono) / max(1.0, mono.max_abs_coeff()) < 1e-12
+
+
+def _stack(polys, dim, degree=4):
+    """One stacked PolySymbol of `polys`, padded to `degree`."""
+    rows = np.zeros((len(polys), math.comb(degree + dim, dim)), dtype=complex)
+    for row, p in zip(rows, polys):
+        row[:p.coeffs.size] = p.coeffs
+    return PolySymbol.from_coeffs(dim, rows)
+
+
+def _row(stack, k):
+    return PolySymbol.from_coeffs(stack.dim, stack.coeffs[k])
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_stacked_products_match_each_instance_alone(rng, dim):
+    # degrees 0..4 on either side, zero forms and a repeated form in one
+    # stack: a mis-offset scatter or a padding leak between rows shows as a
+    # row that differs from its instance computed alone
+    forms = [random_form(rng, dim) for _ in range(3)]
+    forms += [AntisymmetricForm.zero(dim), forms[0], AntisymmetricForm.zero(dim), forms[0],
+              random_form(rng, dim)]
+    fs = [poly_of_degree(rng, dim, p) for p in (0, 1, 2, 3, 4, 4, 2, 0)]
+    gs = [poly_of_degree(rng, dim, q) for q in (4, 0, 3, 1, 2, 4, 0, 0)]
+    A = AntisymmetricForm(dim, np.array([a.entries for a in forms]))
+    f, g = _stack(fs, dim), _stack(gs, dim)
+
+    def close(stack, alone):
+        for k, single in enumerate(alone):
+            assert _row(stack, k).distance(single) <= 1e-13 * max(1.0, single.max_abs_coeff())
+
+    close(moyal_product(f, g, A), [moyal_product(*t) for t in zip(fs, gs, forms)])
+    close(left_xi(dim, f, A), [left_xi(dim, fk, a) for fk, a in zip(fs, forms)])
+    alphas = rng.integers(0, 3, size=(len(forms), dim))
+    alphas[1] = 0
+    close(sharp_power(alphas, A), [sharp_power(tuple(al), a) for al, a in zip(alphas, forms)])
+    vs = rng.standard_normal((3, len(forms), dim))
+    close(symmetrized_product(list(vs), A),
+          [symmetrized_product(list(vs[:, k]), a) for k, a in enumerate(forms)])
+    # a single factor or form broadcasts over the stack
+    one = PolySymbol.coordinate(dim, 1)
+    close(moyal_product(one, g, A), [moyal_product(one, gk, a) for gk, a in zip(gs, forms)])
+    zero = AntisymmetricForm.zero(dim)
+    close(moyal_product(f, g, zero), [fk * gk for fk, gk in zip(fs, gs)])
+    # terms and evaluation read one polynomial, and refuse a stack
+    with pytest.raises(ValueError, match="single polynomial"):
+        f(np.zeros(dim))
+
+
+def test_stacked_forms_are_validated():
+    m = np.zeros((3, 2, 2))
+    m[1] = [[0.0, 1.0], [1.0, 0.0]]
+    with pytest.raises(ValueError, match="antisymmetric"):
+        AntisymmetricForm(2, m)
+    with pytest.raises(ValueError):
+        AntisymmetricForm(2, np.zeros((2, 2, 2, 2)))
