@@ -386,8 +386,8 @@ def run_star_checks(cfg: dict, seed: int) -> list[Check]:
 # model symbols
 
 def _model_specs(cfg: dict) -> tuple[HermiteBasisSpec, HermiteBasisSpec,
-                                      ResolventQuery, ResolventQuery]:
-    """The d = 1 and d = 2 bases, and the anchor and oracle resolvent queries."""
+                                      ResolventQuery, ResolventQuery, int]:
+    """The d = 1 and d = 2 bases, the anchor and oracle resolvent queries, and the block size."""
     mcfg = cfg["models"]
     levels = mcfg["hermite_levels"]
     cap = cfg["caps"]["max_hermite_levels"]
@@ -399,13 +399,18 @@ def _model_specs(cfg: dict) -> tuple[HermiteBasisSpec, HermiteBasisSpec,
                                 npoints=mcfg["npoints"])
         spec2 = HermiteBasisSpec(d=2, levels=mcfg["d2_levels"],
                                  halfwidth=mcfg["d2_halfwidth"], npoints=mcfg["d2_npoints"])
-        return spec, spec2, ResolventQuery(d=1, z=z_anchor), ResolventQuery(d=1, z=z_oracle)
+        q0, rq = ResolventQuery(d=1, z=z_anchor), ResolventQuery(d=1, z=z_oracle)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"models: {exc}") from exc
+    block = mcfg["block_size"]
+    if not 1 <= block <= levels:
+        raise ConfigError(f"models: block_size {block} must lie in 1..{levels}")
+    return spec, spec2, q0, rq, block
 
 
-def run_model_checks(cfg: dict) -> list[Check]:
-    spec, spec2, q0, rq = _model_specs(cfg)
+def run_model_checks(spec: HermiteBasisSpec, spec2: HermiteBasisSpec, q0: ResolventQuery,
+                     rq: ResolventQuery, block: int) -> list[Check]:
+    """The model-symbol checks on the bases and queries of `_model_specs`."""
     grid = spec.grid()
     checks = []
 
@@ -420,7 +425,7 @@ def run_model_checks(cfg: dict) -> list[Check]:
     rsym = resolvent_symbol(rq, grid)
     qr = weyl_quantize(rsym, spec)
     target = np.diag(1.0 / (np.arange(spec.levels) + 0.5 - z))
-    comp = block_compare(qr, target, spec, margin=spec.levels - cfg["models"]["block_size"])
+    comp = block_compare(qr, target, spec, margin=spec.levels - block)
     checks.append(_leq("models.resolvent_matrix_oracle", comp.max_abs_error, 1e-4,
                        f"block {comp.block_levels}, z={z}"))
 
@@ -490,7 +495,7 @@ def _solve_job(job: TorusJob, cache: Path) -> EigenResult:
     return EigenResult(**_cached(cache, job, compute))
 
 
-def _torus_jobs(cfg: dict) -> list[TorusJob]:
+def _torus_jobs(cfg: dict, model: TorusModel, pot: PotentialSpec | None) -> list[TorusJob]:
     """The solves of the torus stage: one per operator (potential or none,
     k, N), below the highest level a verdict reads of it.  A (k, N) pair
     with k < 1 or one the lattice rejects is a ConfigError here, before
@@ -503,11 +508,6 @@ def _torus_jobs(cfg: dict) -> list[TorusJob]:
     at or above it gives the exact count.
     """
     tcfg = cfg["torus"]
-    try:
-        model = TorusModel.compatible(tcfg["chern"], tcfg["field"])
-        pot = _potential_from_config(tcfg["potential"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"torus: {exc}") from exc
     levels = tcfg["cluster_levels"]
     if tcfg["cluster_pairs"] and not (levels and min(levels) >= 0):
         raise ConfigError(f"torus: cluster_levels {levels} must name one or more levels m >= 0")
@@ -568,12 +568,23 @@ def _run_jobs(jobs: list[TorusJob], n_workers: int, cache: Path) -> dict:
     return {job.key: by_key[job.key] for job in jobs}
 
 
-def run_torus_checks(cfg: dict, spectra: dict) -> tuple[list[Check], dict]:
+def _never_grows(name: str, groups: dict, note: str) -> list[Check]:
+    """The verdict that every value of {group: {x: value}} is finite and none
+    exceeds one at a smaller x of its group by over 1e-12; none when no
+    group holds two points to compare."""
+    pairs = [(d[a], d[b]) for d in groups.values() for a in d for b in d if a < b]
+    if not pairs:
+        return []
+    ok = (all(math.isfinite(v) for d in groups.values() for v in d.values())
+          and all(before >= after - 1e-12 for before, after in pairs))
+    return [Check(name, float(ok), 1.0, ok, note)]
+
+
+def run_torus_checks(cfg: dict, model: TorusModel, pot: PotentialSpec | None,
+                     spectra: dict) -> tuple[list[Check], dict]:
     """The torus verdicts from `spectra`, which maps each operator
     (potential or None, k, N) to its EigenResult."""
     tcfg = cfg["torus"]
-    model = TorusModel.compatible(tcfg["chern"], tcfg["field"])
-    pot = _potential_from_config(tcfg["potential"])
     checks = []
     extras = {"clusters": [], "weyl": [], "bands": []}
 
@@ -590,11 +601,8 @@ def run_torus_checks(cfg: dict, spectra: dict) -> tuple[list[Check], dict]:
         by_k = {}
         for r in rows:
             by_k.setdefault((r.power, r.level), {})[r.npoints] = r.relative_drift
-        improving = all(d[n] >= d[n2] - 1e-12
-                        for d in by_k.values()
-                        for n in d for n2 in d if n2 > n)
-        checks.append(Check("torus.cluster_drift_improves_with_N", float(improving),
-                            1.0, improving, "N-doubling reduces drift"))
+        checks += _never_grows("torus.cluster_drift_improves_with_N", by_k,
+                               "N-doubling reduces drift")
         extras["clusters"] = [r.__dict__ for r in rows]
 
     if tcfg["weyl_pairs"]:
@@ -605,10 +613,10 @@ def run_torus_checks(cfg: dict, spectra: dict) -> tuple[list[Check], dict]:
         mid = records[len(records) // 2]
         checks.append(_leq("torus.weyl_ratio_mid_k", abs(mid.ratio - 1.0), 0.1,
                            f"k={mid.power}"))
-        devs = [abs(r.ratio - 1.0) for r in records]
-        monotone = all(devs[i + 1] <= devs[i] + 1e-12 for i in range(len(devs) - 1))
-        checks.append(Check("torus.weyl_ratio_converges", float(monotone), 1.0,
-                            monotone, "deviation non-increasing in k"))
+        # one group: the deviations over the sorted (k, N) pairs the records follow
+        devs = dict(zip(sorted(counts), (abs(r.ratio - 1.0) for r in records)))
+        checks += _never_grows("torus.weyl_ratio_converges", {lam: devs},
+                               "deviation non-increasing in k")
         extras["weyl"] = [r.__dict__ for r in records]
 
     if pot is not None and tcfg["band_pairs"]:
@@ -616,15 +624,15 @@ def run_torus_checks(cfg: dict, spectra: dict) -> tuple[list[Check], dict]:
         # them that open below band_cutoff, where every solve sees both sides
         bands = sigma_bands(model, pot, math.floor(tcfg["band_cutoff"]) + 1)
         predicted = [g for g in band_gaps(bands) if g[1] < tcfg["band_cutoff"]]
-        eps_by_n = {}
+        margins = {}  # {k: {N: containment margin}}
         for k, npts in tcfg["band_pairs"]:
             below = spectra[(pot, k, npts)].scaled()
-            eps_by_n[(k, npts)] = band_containment(below, bands)
+            margins.setdefault(k, {})[npts] = band_containment(below, bands)
             cl = detect_clusters(below, CLUSTER_GAP * model.field)
             gaps = [cl.clusters[i + 1].lo - cl.clusters[i].hi
                     for i in range(len(cl.clusters) - 1)]
             extras["bands"].append({"k": k, "npoints": npts,
-                                    "containment": eps_by_n[(k, npts)],
+                                    "containment": margins[k][npts],
                                     "observed_gaps": gaps,
                                     "predicted_bands": bands,
                                     "predicted_gaps": band_gaps(bands)})
@@ -638,15 +646,11 @@ def run_torus_checks(cfg: dict, spectra: dict) -> tuple[list[Check], dict]:
             if ratios:
                 checks.append(_geq(f"torus.gap_width_k{k}_N{npts}", min(ratios), 0.75,
                                    "spacing across a predicted gap / its width"))
-        finest = max(eps_by_n, key=lambda t: t[1])
-        checks.append(_leq("torus.band_containment", eps_by_n[finest], 0.05,
-                           f"margin at N={finest[1]}"))
-        # an empty spectrum (an infinite margin) shrinks nothing
-        shrinking = all(map(math.isfinite, eps_by_n.values())) and all(
-            eps_by_n[a] >= eps_by_n[b] - 1e-12
-            for a in eps_by_n for b in eps_by_n if a[0] == b[0] and b[1] > a[1])
-        checks.append(Check("torus.band_margin_shrinks", float(shrinking), 1.0,
-                            shrinking, "containment margin non-increasing under refinement"))
+        k, npts = max(tcfg["band_pairs"], key=lambda pair: pair[1])
+        checks.append(_leq("torus.band_containment", margins[k][npts], 0.05,
+                           f"margin at N={npts}"))
+        checks += _never_grows("torus.band_margin_shrinks", margins,
+                               "containment margin non-increasing under refinement")
     return checks, extras
 
 
@@ -670,12 +674,6 @@ def _emit(cfg: dict, command: str, checks: list[Check], out_dir: Path,
                         svg=_weyl_svg(extras) if extras is not None else None)
 
 
-def _print_checks(checks: list[Check]):
-    for c in checks:
-        status = "PASS" if c.passed else "FAIL"
-        print(f"{status}  {c.name}: value={c.value:.6g} tolerance={c.tolerance:.6g} {c.note}")
-
-
 def _weyl_svg(extras: dict) -> str:
     series = []
     if extras["weyl"]:
@@ -687,80 +685,81 @@ def _weyl_svg(extras: dict) -> str:
 
 
 @dataclass(frozen=True)
-class Stage:
-    """A CLI stage: its plan lines, and its checks with report details.
+class Runtime:
+    """A stage runner's resources: worker processes and the result cache."""
 
-    `plan(cfg, torus_jobs)` builds the stage's inputs from the config, so
-    a bad value raises ConfigError before any stage computes, dry run or
-    not.  `run(cfg, torus_jobs, n_workers, cache)` returns (checks,
-    details or None).
-    """
-
-    plan: Callable[[dict, list[TorusJob]], list[str]]
-    run: Callable[[dict, list[TorusJob], int, Path], tuple[list[Check], dict | None]]
+    workers: int
+    cache: Path
 
 
-def _star_plan(cfg: dict, _jobs) -> list[str]:
-    scfg = cfg["star"]
+# A stage checks the config values it reads (a bad one is a ConfigError), builds
+# its inputs once and returns its plan lines and a runner over them, which
+# returns (checks, details or None) and calls run_*_checks by module name.
+
+def _star_stage(cfg: dict) -> tuple[list[str], Callable]:
+    scfg, seed = cfg["star"], cfg["seed"]
+    if seed < 0:
+        raise ConfigError(f"star: seed {seed} must be an integer >= 0")
     if scfg["instances"] < 1:
         raise ConfigError(f"star: instances {scfg['instances']} must be an integer >= 1")
     if scfg["max_dim"] < 2 or scfg["max_degree"] < 0:
         raise ConfigError("star: max_dim must be an integer >= 2 and max_degree one >= 0")
-    return [f"{scfg['instances']} random star-product property instances"]
+
+    def run(rt: Runtime):
+        return _cached_checks(rt.cache, ["star-check", seed, scfg],
+                              lambda: run_star_checks(cfg, seed)), None
+    return [f"{scfg['instances']} random star-product property instances"], run
 
 
-def _model_plan(cfg: dict, _jobs) -> list[str]:
-    spec = _model_specs(cfg)[0]
-    return [f"resolvent/projector/residue/inverse checks at N={spec.levels}"]
+def _model_stage(cfg: dict) -> tuple[list[str], Callable]:
+    specs = _model_specs(cfg)
+
+    def run(rt: Runtime):
+        return _cached_checks(rt.cache, ["model-symbols", cfg["models"], cfg["caps"]],
+                              lambda: run_model_checks(*specs)), None
+    return [f"resolvent/projector/residue/inverse checks at N={specs[0].levels}"], run
 
 
-def _torus_plan(cfg: dict, jobs: list[TorusJob]) -> list[str]:
+def _torus_stage(cfg: dict) -> tuple[list[str], Callable]:
+    tcfg = cfg["torus"]
+    try:
+        model = TorusModel.compatible(tcfg["chern"], tcfg["field"])
+        pot = _potential_from_config(tcfg["potential"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"torus: {exc}") from exc
+    jobs = _torus_jobs(cfg, model, pot)
+
+    def run(rt: Runtime):
+        return run_torus_checks(cfg, model, pot, _run_jobs(jobs, rt.workers, rt.cache))
     return [f"solve {'V = 0' if j.potential is None else 'V'} eigenvalues below "
-            f"{j.below:.6g} at k={j.k}, N={j.npoints}" for j in jobs]
+            f"{j.below:.6g} at k={j.k}, N={j.npoints}" for j in jobs], run
 
 
-STAGES = {
-    "star-check": Stage(
-        plan=_star_plan,
-        run=lambda cfg, _jobs, _workers, cache: (_cached_checks(
-            cache, ["star-check", cfg["seed"], cfg["star"]],
-            lambda: run_star_checks(cfg, cfg["seed"])), None)),
-    "model-symbols": Stage(
-        plan=_model_plan,
-        run=lambda cfg, _jobs, _workers, cache: (_cached_checks(
-            cache, ["model-symbols", cfg["models"], cfg["caps"]],
-            lambda: run_model_checks(cfg)), None)),
-    "torus": Stage(
-        plan=_torus_plan,
-        run=lambda cfg, jobs, n_workers, cache: run_torus_checks(
-            cfg, _run_jobs(jobs, n_workers, cache))),
-}
+STAGES = {"star-check": _star_stage, "model-symbols": _model_stage, "torus": _torus_stage}
 COMMANDS = {**{name: (name,) for name in STAGES}, "all": tuple(STAGES)}
 
 
 def run_command(cfg: dict, command: str, n_workers: int, dry_run: bool) -> int:
     """Run (or with dry_run only plan) the stages of `command` into one report."""
-    stages = COMMANDS[command]
     out = Path(cfg["out_dir"]) / config_hash(cfg)
-    cache = Path(cfg["out_dir"]) / "cache"
-    jobs = _torus_jobs(cfg) if "torus" in stages else []
-    plans = {name: STAGES[name].plan(cfg, jobs) for name in stages}
+    # every stage plans before any runs: a bad value is an error before compute
+    plans = {name: STAGES[name](cfg) for name in COMMANDS[command]}
     if dry_run:
-        for name in stages:
-            for line in plans[name]:
+        for name, (lines, _) in plans.items():
+            for line in lines:
                 print(f"plan: {name}: {line}")
         print(f"plan: reports -> {out}")
         return EXIT_PASS
-    checks, extras = [], None
-    for name in stages:
-        stage_checks, details = STAGES[name].run(cfg, jobs, n_workers, cache)
-        checks += stage_checks
-        if details is not None:
-            extras = details
+    rt = Runtime(n_workers, Path(cfg["out_dir"]) / "cache")
+    results = [run(rt) for _, run in plans.values()]
+    checks = [c for stage_checks, _ in results for c in stage_checks]
+    extras = next((details for _, details in results if details is not None), None)
     out.mkdir(parents=True, exist_ok=True)
     reports.write_json(out / "inputs.json", cfg)
     _emit(cfg, command, checks, out, extras)
-    _print_checks(checks)
+    for c in checks:
+        print(f"{'PASS' if c.passed else 'FAIL'}  {c.name}: value={c.value:.6g} "
+              f"tolerance={c.tolerance:.6g} {c.note}")
     n_fail = sum(not c.passed for c in checks)
     print(f"summary: {len(checks) - n_fail}/{len(checks)} checks passed")
     return EXIT_PASS if n_fail == 0 else EXIT_TOLERANCE

@@ -10,7 +10,7 @@ import magweyl.torus
 from magweyl import AntisymmetricForm, PolySymbol, cli, moyal_product, star, symbols
 from magweyl.cli import (EXIT_CONFIG, EXIT_INTERNAL, EXIT_PASS, EXIT_RESOURCE,
                          EXIT_TOLERANCE, config_hash, load_config, main)
-from magweyl.torus import RESIDUAL_TOL, EigenResult, PotentialSpec, solve
+from magweyl.torus import RESIDUAL_TOL, EigenResult, PotentialSpec, TorusModel, solve
 
 SMALL = {
     "seed": 1,
@@ -468,6 +468,10 @@ def test_config_round_trip(tmp_path):
     ({"torus": {"weyl_lambda": -1}}, "torus: weyl_lambda -1.0 must be positive"),
     ({"star": {"instances": 0}}, "star: instances 0 must be an integer >= 1"),
     ({"torus": {"band_cutoff": -1.0}}, "torus: band_cutoff -1.0 must lie above 0.4, the bottom"),
+    # the star draws need a non-negative seed; the oracle's block lies in the basis
+    ({"seed": -1}, "star: seed -1 must be an integer >= 0"),
+    ({"models": {"block_size": 0}}, "models: block_size 0 must lie in 1..16"),
+    ({"models": {"block_size": 17}}, "models: block_size 17 must lie in 1..16"),
 ])
 def test_bad_config_value_is_config_error_in_dry_run(tmp_path, capsys, override, message):
     cfg = write_config(tmp_path, override)
@@ -542,7 +546,8 @@ def test_torus_jobs_run_largest_first(tmp_path, capsys, monkeypatch):
     # resident set; the spectra map and the plan keep the config's order
     path = tmp_path / "sparse.json"
     path.write_text(json.dumps({"torus": SPARSE_TORUS}))
-    jobs = cli._torus_jobs(load_config(str(path)))
+    jobs = cli._torus_jobs(load_config(str(path)), TorusModel.compatible(1, 1.0),
+                           cli._potential_from_config(SPARSE_TORUS["potential"]))
     solved = []
 
     def recording(op, below):
@@ -656,6 +661,36 @@ def test_empty_band_spectrum_fails_both_band_verdicts(tmp_path, capsys):
     assert _verdict(stdout, "torus.band_margin_shrinks").startswith("FAIL")
     details = json.loads(report_bytes(out, cfg)["report.json"])["details"]["bands"]
     assert [b["containment"] for b in details] == [math.inf, math.inf]
+
+
+def test_single_pair_configs_report_no_trend_verdict(tmp_path, capsys):
+    # one (k, N) pair per verdict compares nothing: the drift, Weyl and
+    # band-margin trends report no row, and the other verdicts still do
+    cfg = write_config(tmp_path, {"torus": {"cluster_pairs": [[2, 16]], "weyl_pairs": [[2, 16]],
+                                            "band_pairs": [[16, 64]],
+                                            "potential": {"cos_x": 0.3}}})
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "torus"]) == EXIT_PASS
+    rows = json.loads(report_bytes(out, cfg)["report.json"])["checks"]
+    assert [row["name"] for row in rows] == [
+        "torus.cluster_center_drift", "torus.cluster_counts_exact", "torus.weyl_ratio_mid_k",
+        "torus.gap_width_k16_N64", "torus.band_containment"]
+    assert capsys.readouterr().out.endswith("summary: 5/5 checks passed\n")
+
+
+def test_trend_verdicts_compare_every_pair(tmp_path, capsys):
+    # the Weyl deviation is read over every pair of k, not only neighbours,
+    # and the band margin by k: (4, 32) and (8, 32) share no k
+    cfg = write_config(tmp_path, {"torus": {"cluster_pairs": [], "weyl_pairs": [],
+                                            "band_pairs": [[4, 32], [8, 32]]}})
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), "torus"]) == EXIT_PASS
+    assert "band_margin_shrinks" not in capsys.readouterr().out
+    # each step grows by less than the 1e-12 slack, the whole run by more
+    checks = cli._never_grows("t", {1.0: {(2, 16): 0.3, (3, 24): 0.3 + 0.8e-12,
+                                          (4, 32): 0.3 + 1.6e-12}}, "")
+    assert [c.passed for c in checks] == [False]
+    assert cli._never_grows("t", {2: {16: 0.1}, 3: {16: 0.2}}, "") == []
+    assert not cli._never_grows("t", {2: {16: math.inf, 32: math.inf}}, "")[0].passed
 
 
 def test_potential_that_closes_a_predicted_gap_fails_the_gap_verdict(tmp_path, capsys,

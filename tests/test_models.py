@@ -212,7 +212,8 @@ def test_model_checks_memory():
     # when each d = 1 grid map held its whole slab, DFT and kernel, 38.6 MiB
     # before the stage's steps were bounded); bound 21.5 MiB, a 16% margin
     cfg = cli.load_config(None)
-    assert _traced_peak(lambda: cli.run_model_checks(cfg)) < 21.5 * 2 ** 20
+    specs = cli._model_specs(cfg)
+    assert _traced_peak(lambda: cli.run_model_checks(*specs)) < 21.5 * 2 ** 20
 
 
 def test_eval_combination_is_chunk_invariant(monkeypatch):
