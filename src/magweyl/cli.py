@@ -786,12 +786,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_PASS
     try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs {args.jobs} must be an integer >= 1")
         cfg = load_config(args.config)
         if args.out is not None:
             cfg["out_dir"] = args.out
         if args.seed is not None:
             cfg["seed"] = args.seed
-        return run_command(cfg, args.command, max(1, args.jobs), args.dry_run)
+        return run_command(cfg, args.command, args.jobs, args.dry_run)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

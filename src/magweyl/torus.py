@@ -7,10 +7,12 @@ Every plaquette then encloses the same flux phi = 2 pi k c / N^2, and
 the twist is single-valued exactly because k c is an integer (the
 prequantization condition).
 
-The assembled matrix is Delta_k + k V, so that spectrum(matrix)/k is
-the spectrum of k^{-1} Delta_k + V (the energy scale at which the
-scalar potential enters the cluster and band statements) and, for
-V = 0, spectrum(matrix)/k^2 is the spectrum of k^{-2} Delta_k.
+The operator is Delta_k + k V, held as its 5-point stencil and applied
+by slices of the site array (`MagneticLatticeOperator.apply`), with no
+matrix assembled, so that spectrum/k is the spectrum of
+k^{-1} Delta_k + V (the energy scale at which the scalar potential
+enters the cluster and band statements) and, for V = 0, spectrum/k^2 is
+the spectrum of k^{-2} Delta_k.
 
 A Fourier transform in y (the magnetic Bloch reduction) writes the
 operator in the y-momentum basis: the kinetic part and the x-only part
@@ -36,7 +38,7 @@ rings only through its few y-modes, and a smooth one couples a Landau
 level only to nearby ones, so its operator is solved by Rayleigh-Ritz on
 the ring eigenvectors below a cutoff that doubles until the Ritz pairs
 converge: O(L) work per ring eigenpair, and one small dense eigenproblem
-per round, whose Ritz pairs are checked on the site matrix.  Its count
+per round, whose Ritz pairs are checked on the site stencil.  Its count
 is Haynsworth's formula again, on the block of the ring eigenvectors
 above the cutoff, which the cutoff's spectral gap makes positive definite
 (`_ring_solve`).
@@ -49,7 +51,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 
 # Every residual norm a solve returns must stay at or below this.
@@ -60,7 +61,7 @@ RITZ_RANK_TOL = 1e-6
 # A Rayleigh-Ritz basis of more ring eigenvectors than this is a SolverError.
 RITZ_MAX_DIM = 4096
 # Exact ring solves (no y-modes) also lift this many eigenvectors, evenly
-# spaced in rank, to the sites and check them on the site matrix.
+# spaced in rank, to the sites and check them on the site stencil.
 SECTOR_SAMPLES = 8
 # Path eigenvalues are bisected to this share of the ring's Gershgorin bound,
 # until a ring root lands beside one.
@@ -179,12 +180,23 @@ class PotentialSpec:
 
 @dataclass(frozen=True)
 class MagneticLatticeOperator:
-    """Sparse Hermitian Peierls operator on the N^2-site torus lattice."""
+    """Hermitian Peierls operator Delta_k + k V on the N^2-site torus lattice,
+    held as the coefficients of its 5-point stencil (`apply`).
+
+    A site vector is laid out as psi[j, i] at the site (x_i, y_j) = (i a, j a).
+    `diagonal` broadcasts over that layout: 2/a^2 + k V per column (shape
+    (N,)) for V = 0 or V of x only, and per site (shape (N, N)) otherwise.
+    `y_phase[i]` = exp(i k b a x_i) is the phase of the +y hop from column
+    i, and `twist[j]` = exp(-i k b L y_j) that of the +x hop across the wrap
+    from column N - 1 of row j; every other +x hop has phase 1.
+    """
 
     npoints: int
     power: int
     spacing: float
-    matrix: sp.csr_matrix = field(repr=False, compare=False)
+    diagonal: np.ndarray = field(repr=False, compare=False)
+    y_phase: np.ndarray = field(repr=False, compare=False)
+    twist: np.ndarray = field(repr=False, compare=False)
     model: TorusModel = None
     potential: PotentialSpec | None = None
 
@@ -192,43 +204,52 @@ class MagneticLatticeOperator:
     def dim(self) -> int:
         return self.npoints ** 2
 
+    def apply(self, psi: np.ndarray) -> np.ndarray:
+        """H psi of a site vector psi[j, i]: the diagonal, then the hop
+        -1/(2 a^2) times each of the four neighbours, added by slices of
+        psi, each with the phase of its hop."""
+        psi = np.asarray(psi, dtype=complex)
+        hop = -1.0 / (2.0 * self.spacing * self.spacing)
+        out = self.diagonal * psi
+        # from -x and +x: phase 1, except the twist across the wrap
+        out[:, 1:] += hop * psi[:, :-1]
+        out[:, :-1] += hop * psi[:, 1:]
+        out[:, 0] += hop * self.twist * psi[:, -1]
+        out[:, -1] += hop * self.twist.conj() * psi[:, 0]
+        # from -y and +y: the phase of the +y hop from the column
+        y_hop = hop * self.y_phase
+        out[1:] += y_hop * psi[:-1]
+        out[0] += y_hop * psi[-1]
+        out[:-1] += y_hop.conj() * psi[1:]
+        out[-1] += y_hop.conj() * psi[0]
+        return out
+
 
 def build_magnetic_laplacian(model: TorusModel, k: int, npoints: int,
                              potential: PotentialSpec | None = None) -> MagneticLatticeOperator:
-    """Assemble the Peierls-discretized operator Delta_k + k V.
+    """The stencil coefficients of the Peierls-discretized operator Delta_k + k V.
 
     5-point stencil: diagonal 2/a^2 (+ k V sampled at sites), off-diagonal
     -phase/(2 a^2).  Requires N^2 >= 20 k c so the flux per plaquette
-    stays in the continuum-fidelity regime.
+    stays in the continuum-fidelity regime.  The coefficients are sampled
+    here, apart from the rings (`_sector_rings`) and the couplings
+    (`_y_couplings`), so that the site residuals check those against an
+    operator built without them.
     """
     model.check_lattice(k, npoints)
     N = npoints
     L = model.side
     a = L / N
     kb = k * model.field
-    t = -1.0 / (2.0 * a * a)
-
-    diag = np.full(N * N, 2.0 / (a * a), dtype=complex)
+    xs = a * np.arange(N)
+    diag = np.full(N, 2.0 / (a * a))
     if potential is not None:
-        xs = a * np.arange(N)
-        vsamp = potential.sample(xs[:, None], xs[None, :], L)  # [i, j]
-        diag += float(k) * vsamp.reshape(N * N, order="F")
-
-    # site s = i + N j in order; per site the +x hop, then the +y hop,
-    # each as the (to, from) entry followed by its conjugate
-    i = np.tile(np.arange(N), N)
-    j = np.repeat(np.arange(N), N)
-    s0 = i + N * j
-    sx = (i + 1) % N + N * j
-    sy = i + N * ((j + 1) % N)
-    phx = np.where(i == N - 1, np.exp(-1j * kb * L * (j * a)), 1.0 + 0.0j)
-    phy = np.exp(1j * kb * a * (i * a))
-    rows = np.stack([sx, s0, sy, s0], axis=1).ravel()
-    cols = np.stack([s0, sx, s0, sy], axis=1).ravel()
-    vals = np.stack([t * phx, t * np.conj(phx), t * phy, t * np.conj(phy)], axis=1).ravel()
-    H = sp.coo_matrix((vals, (rows, cols)), shape=(N * N, N * N)).tocsr()
-    H = (H + sp.diags(diag)).tocsr()
-    return MagneticLatticeOperator(npoints=N, power=k, spacing=a, matrix=H, model=model,
+        # [j, i]: y_j = xs[j] down the rows, unless V has no y-modes
+        ys = 0.0 if potential.is_x_only else xs[:, None]
+        diag = diag + float(k) * potential.sample(xs, ys, L)
+    return MagneticLatticeOperator(npoints=N, power=k, spacing=a, diagonal=diag,
+                                   y_phase=np.exp(1j * kb * a * xs),
+                                   twist=np.exp(-1j * kb * L * xs), model=model,
                                    potential=potential)
 
 
@@ -293,7 +314,7 @@ def _y_couplings(op: MagneticLatticeOperator) -> dict:
     column i to n + s at column i with coefficient c_s(x_i), k times the
     sum of amp e^{2 pi i p x_i / L} over the modes (p, q) with q = s
     (mod N).
-    The site matrix samples the real part of the mode sum, whose
+    The site stencil samples the real part of the mode sum, whose
     coefficient is (c_s + conj c_{-s}) / 2; that is what is returned, so
     the couplings are Hermitian to the last bit.  When V is even in y
     (`PotentialSpec.is_even_in_y`) they are real, and returned as real
@@ -311,20 +332,21 @@ def _y_couplings(op: MagneticLatticeOperator) -> dict:
 
 
 def _site_residual(op: MagneticLatticeOperator, v: np.ndarray, lam: float) -> float:
-    """The residual norm ||H psi - lam psi|| on the site matrix of a
+    """The residual norm ||H psi - lam psi|| on the site stencil of a
     y-momentum vector v (row n N + i at momentum n and column x_i).
 
     v is lifted to the sites by a unitary FFT along the momentum axis,
-    psi[j, i] = sqrt(N) ifft(v.reshape(N, N), axis=0)[j, i] at site
-    i + N j, and checked against `op.matrix`, which is assembled apart
-    from the rings and the couplings: a wrong coupling there shows as a
-    residual.  The norm goes through `einsum`, not BLAS (see
-    `_Ring._vector`).
+    psi[j, i] = sqrt(N) ifft(v.reshape(N, N), axis=0)[j, i] at the site
+    (x_i, y_j), and checked against the stencil (`op.apply`), whose
+    coefficients are sampled apart from the rings and the couplings: a
+    wrong coupling there shows as a residual.  The norm goes through
+    `einsum`, not BLAS (see `_Ring._vector`).
     """
     N = op.npoints
-    psi = np.fft.ifft(v.reshape(N, N), axis=0, norm="ortho").ravel()
-    res = op.matrix @ psi - lam * psi
-    return math.sqrt(np.einsum("i,i", res.conj(), res).real)
+    psi = np.fft.ifft(v.reshape(N, N), axis=0, norm="ortho")
+    res = op.apply(psi)
+    res -= lam * psi
+    return math.sqrt(np.einsum("ij,ij", res.conj(), res).real)
 
 
 def _sector_chains(op: MagneticLatticeOperator) -> list:
@@ -615,7 +637,7 @@ def _ring_solve(op: MagneticLatticeOperator, below: float) -> tuple[EigenResult,
     final, each is residual-checked on its ring (`_Ring.residuals`, its
     residual on the operator, block-diagonal over the rings up to a
     permutation), one ring block held at a time, and SECTOR_SAMPLES of
-    them, evenly spaced in rank, also on the site matrix
+    them, evenly spaced in rank, also on the site stencil
     (`_site_residual`), which is built apart from the rings.
 
     Otherwise ('sparse') Rayleigh-Ritz runs on the ring eigenvectors below
@@ -653,7 +675,7 @@ def _ring_solve(op: MagneticLatticeOperator, below: float) -> tuple[EigenResult,
     round whose certificate fails grows the cutoff; once the basis holds
     every ring eigenvector that is a SolverError: the level lies within
     eta of an eigenvalue.  Growth stops when the Ritz pairs of the
-    certified count have residual norms on the site matrix
+    certified count have residual norms on the site stencil
     (`_site_residual`) at most RESIDUAL_TOL / 2, or when the basis holds
     every ring eigenvector (the Ritz pairs are exact).  The pairs are
     lifted one at a time, the highest first, and a round's pass stops at

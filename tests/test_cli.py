@@ -482,6 +482,15 @@ def test_bad_config_value_is_config_error_in_dry_run(tmp_path, capsys, override,
         assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("dry_run", [["--dry-run"], []], ids=["dry-run", "run"])
+def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs, dry_run):
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "--jobs", jobs, *dry_run, "torus"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: --jobs {jobs} must be an integer >= 1\n"
+    assert not out.exists()
+
+
 def _config_leaves(section: dict, path=""):
     """The dotted path of every field of a config section, potential as one."""
     for key, val in section.items():

@@ -16,7 +16,7 @@ from magweyl import (EigenResult, PotentialSpec, SolverError, TorusModel,
                      build_magnetic_laplacian, solve)
 from magweyl.torus import (RESIDUAL_TOL, SECTOR_SAMPLES, _coupling_norm, _projected_matrix,
                            _Ring, _ring_count, _ring_links, _ring_solve, _sector_chains,
-                           _sector_rings, _y_couplings)
+                           _sector_rings, _site_residual, _y_couplings)
 
 
 def test_model_prequantization():
@@ -57,8 +57,7 @@ def test_zero_flux_limit():
     model = TorusModel.compatible(1)
     op = build_magnetic_laplacian(model, 0, 8)
     # constant vector is the zero mode
-    ones = np.ones(64)
-    assert np.max(np.abs(op.matrix @ ones)) < 1e-12
+    assert np.max(np.abs(op.apply(np.ones((8, 8))))) < 1e-12
     raw = _ring_solve(op, 1.0)[0].raw
     assert abs(raw[0]) < 1e-8
     res = solve(op, 1.0)  # the next eigenvalue is 2.98
@@ -68,13 +67,13 @@ def test_zero_flux_limit():
     theta = 2.0 * np.pi * np.arange(8) / 8.0
     expect = np.sort([(2.0 - np.cos(tp) - np.cos(tq)) / a ** 2
                       for tp in theta for tq in theta])
-    dense = np.sort(np.linalg.eigvalsh(op.matrix.toarray()))
+    dense = np.sort(np.linalg.eigvalsh(_assembled(op).toarray()))
     assert np.max(np.abs(dense - expect)) < 1e-10
 
 
 def _reference_laplacian(model, k, N, potential=None):
-    """Site-by-site assembly of the Peierls operator, in the order the
-    vectorized builder emits its entries."""
+    """Site-by-site assembly of the Peierls operator, in the order
+    `_assembled` emits its entries."""
     L = model.side
     a = L / N
     kb = k * model.field
@@ -104,15 +103,82 @@ def _reference_laplacian(model, k, N, potential=None):
     return (H + sp.diags(diag)).tocsr()
 
 
+def _assembled(op):
+    """The site matrix of `op` on the sites i + N j, assembled through COO
+    from its model, k, N and potential, apart from its stencil: the
+    reference that `MagneticLatticeOperator.apply` is checked against."""
+    model, k, N, potential = op.model, op.power, op.npoints, op.potential
+    L = model.side
+    a = L / N
+    kb = k * model.field
+    t = -1.0 / (2.0 * a * a)
+
+    diag = np.full(N * N, 2.0 / (a * a), dtype=complex)
+    if potential is not None:
+        xs = a * np.arange(N)
+        vsamp = potential.sample(xs[:, None], xs[None, :], L)  # [i, j]
+        diag += float(k) * vsamp.reshape(N * N, order="F")
+
+    # site s = i + N j in order; per site the +x hop, then the +y hop,
+    # each as the (to, from) entry followed by its conjugate
+    i = np.tile(np.arange(N), N)
+    j = np.repeat(np.arange(N), N)
+    s0 = i + N * j
+    sx = (i + 1) % N + N * j
+    sy = i + N * ((j + 1) % N)
+    phx = np.where(i == N - 1, np.exp(-1j * kb * L * (j * a)), 1.0 + 0.0j)
+    phy = np.exp(1j * kb * a * (i * a))
+    rows = np.stack([sx, s0, sy, s0], axis=1).ravel()
+    cols = np.stack([s0, sx, s0, sy], axis=1).ravel()
+    vals = np.stack([t * phx, t * np.conj(phx), t * phy, t * np.conj(phy)], axis=1).ravel()
+    H = sp.coo_matrix((vals, (rows, cols)), shape=(N * N, N * N)).tocsr()
+    return (H + sp.diags(diag)).tocsr()
+
+
 @pytest.mark.parametrize("k, npts, cos_x", [
     (16, 96, None), (12, 96, 0.1), (0, 2, None), (3, 16, None), (4, 128, None)])
 def test_vectorized_assembly_is_exact(k, npts, cos_x):
     model = TorusModel.compatible(1)
     pot = PotentialSpec.cosine_x(cos_x) if cos_x is not None else None
-    got = build_magnetic_laplacian(model, k, npts, pot).matrix
+    got = _assembled(build_magnetic_laplacian(model, k, npts, pot))
     ref = _reference_laplacian(model, k, npts, pot)
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, part), getattr(ref, part)), part
+
+
+_COMPLEX_Y_MODES = PotentialSpec((((1, 0), 0.025), ((-1, 0), 0.025),
+                                  ((1, 1), 0.03 + 0.01j), ((-1, -1), 0.03 - 0.01j)))
+
+
+@pytest.mark.parametrize("k, npts, potential", [
+    (4, 32, None), (16, 128, _COMPLEX_Y_MODES), (64, 512, PotentialSpec.cosine_x(0.1)),
+    (0, 8, None), (8, 40, PotentialSpec((((0, 1), 0.025), ((0, -1), 0.025))))],
+    ids=["V=0", "complex-y-modes", "cap-cos_x", "k=0", "even-in-y"])
+def test_stencil_matches_assembled_matrix(k, npts, potential):
+    # the stencil sums the five terms of a row in another order than the
+    # CSR product, so the two agree to rounding
+    op = build_magnetic_laplacian(TorusModel.compatible(1), k, npts, potential)
+    rng = np.random.default_rng(npts)
+    psi = rng.standard_normal((npts, npts)) + 1j * rng.standard_normal((npts, npts))
+    expect = (_assembled(op) @ psi.ravel()).reshape(npts, npts)
+    assert np.linalg.norm(op.apply(psi) - expect) <= 1e-14 * np.linalg.norm(expect)
+
+
+def test_stencil_memory():
+    # at the lattice cap (64, 512) the x-only operator holds O(N)
+    # coefficients, where a CSR matrix of its 262,144 sites took 26 MiB,
+    # and a site residual holds a few site arrays of 4 MiB at a time
+    tracemalloc.start()
+    try:
+        op = build_magnetic_laplacian(TorusModel.compatible(1), 64, 512,
+                                      PotentialSpec.cosine_x(0.1))
+        held, _ = tracemalloc.get_traced_memory()
+        _site_residual(op, np.random.default_rng(0).standard_normal(op.dim), 32.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 2 ** 20
+    assert peak < 48 * 2 ** 20
 
 
 def plaquette_phase_products(op):
@@ -123,7 +189,7 @@ def plaquette_phase_products(op):
     """
     N = op.npoints
     t = -1.0 / (2.0 * op.spacing ** 2)
-    M = op.matrix.tocsr()
+    M = _assembled(op)
     i, j = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
     i2, j2 = (i + 1) % N, (j + 1) % N
     corners = [i + N * j, i + N * j2, i2 + N * j2, i2 + N * j, i + N * j]
@@ -142,7 +208,7 @@ def _reference_plaquettes(op):
     """
     N = op.npoints
     t = -1.0 / (2.0 * op.spacing ** 2)
-    M = op.matrix.tocsr()
+    M = _assembled(op)
     site = lambda i, j: i + N * j
     out = np.empty((N, N), dtype=complex)
     for j in range(N):
@@ -160,7 +226,8 @@ def test_plaquette_phases():
     # the flux per plaquette is 2 pi k c / N^2
     target = np.exp(-2j * np.pi * 3 / 8 ** 2)
     assert np.max(np.abs(plaquette_phase_products(op) - target)) < 1e-12
-    assert abs(op.matrix - op.matrix.conj().T).max() < 1e-12
+    H = _assembled(op)
+    assert abs(H - H.conj().T).max() < 1e-12
     ulps = 8 * np.finfo(float).eps
     assert np.max(np.abs(plaquette_phase_products(op) - _reference_plaquettes(op))) <= ulps
     # a larger lattice, and a potential (which only touches the diagonal)
@@ -205,7 +272,7 @@ def test_sector_solver_matches_sparse_and_dense(k, npts, cos_x):
     model = TorusModel.compatible(1)
     pot = PotentialSpec.cosine_x(cos_x) if cos_x is not None else None
     op = build_magnetic_laplacian(model, k, npts, pot)
-    dense = np.sort(np.linalg.eigvalsh(op.matrix.toarray()))
+    dense = np.sort(np.linalg.eigvalsh(_assembled(op).toarray()))
     every = np.sort(np.concatenate([_Ring(rows, diag, hop).grow(np.inf)
                                     for rows, diag, hop in _sector_chains(op)]))
     assert np.max(np.abs(every - dense)) < 1e-10
@@ -225,7 +292,7 @@ def _arpack_lowest(op, count):
     """The lowest `count` eigenvalues of the site matrix by shift-invert
     Lanczos (ARPACK) below its Gershgorin bound: a reference apart from
     the ring solves."""
-    H = op.matrix
+    H = _assembled(op)
     diag = H.diagonal().real
     radius = np.asarray(abs(H).sum(axis=1)).ravel() - np.abs(diag)
     sigma = float(np.min(diag - radius)) - 1.0
@@ -301,7 +368,7 @@ def test_count_below_matches_ring_eigenvalue_counts(k, npts, cos_x):
         scipy.linalg.eigvals_banded(_zigzag_band(diag, hop), select="v",
                                     select_range=(-np.inf, top))
         for _, diag, hop in _sector_chains(op)]))
-    norm = abs(op.matrix).sum(axis=1).max()  # a bound on ||H||
+    norm = abs(_assembled(op)).sum(axis=1).max()  # a bound on ||H||
     levels = _levels_off_spectrum(spectrum, top, norm, np.random.default_rng(k), 12)
     # and one in each of the gaps below the Landau clusters m = 1, 2, 3, 4
     levels = np.concatenate([levels, (np.arange(4) + 1.0) * k])
@@ -311,7 +378,7 @@ def test_count_below_matches_ring_eigenvalue_counts(k, npts, cos_x):
 
 def test_count_below_matches_site_matrix_eigenvalue_counts():
     op = build_magnetic_laplacian(TorusModel.compatible(1), 8, 40, _Y_DEPENDENT)
-    spectrum = np.linalg.eigvalsh(op.matrix.toarray())
+    spectrum = np.linalg.eigvalsh(_assembled(op).toarray())
     norm = np.abs(spectrum).max()
     for level in _levels_off_spectrum(spectrum, spectrum[-1] + 1.0, norm,
                                       np.random.default_rng(1), 12):
@@ -352,7 +419,7 @@ def test_zero_diagonal_level_is_counted():
 def test_solve_dispatch_y_dependent(k, npts, count, method):
     model = TorusModel.compatible(1)
     op = build_magnetic_laplacian(model, k, npts, _Y_DEPENDENT)
-    dense = np.linalg.eigvalsh(op.matrix.toarray())
+    dense = np.linalg.eigvalsh(_assembled(op).toarray())
     res = solve(op, _level_above(dense, count))
     assert res.method == method
     assert res.raw.size == count
@@ -366,7 +433,7 @@ def test_sparse_shift_lies_below_the_spectrum():
     # over several rounds, to about two thirds of the 1024 dimensions
     pot = PotentialSpec((((1, 0), 1.0), ((-1, 0), 1.0), ((0, 1), 1.0), ((0, -1), 1.0)))
     op = build_magnetic_laplacian(TorusModel.compatible(1), 4, 32, pot)
-    dense = np.linalg.eigvalsh(op.matrix.toarray())
+    dense = np.linalg.eigvalsh(_assembled(op).toarray())
     res = solve(op, _level_above(dense, 8))
     assert res.method == "sparse" and dense[0] < -9.0
     assert np.max(np.abs(res.raw - dense[:8])) < 1e-10
@@ -451,7 +518,7 @@ def test_projected_matrix_is_the_site_operator(k, npts, potential):
     assert (dtype == np.float64) == potential.is_even_in_y
     proj = _projected_matrix(rings, _ring_links(op, rings), dtype)
     psi = np.fft.ifft(basis.reshape(npts, npts, -1), axis=0, norm="ortho").reshape(op.dim, -1)
-    expect = psi.conj().T @ (op.matrix @ psi)
+    expect = psi.conj().T @ (_assembled(op) @ psi)
     assert proj.dtype == dtype
     assert np.linalg.norm(proj - expect) < 1e-12 * np.linalg.norm(expect)
 
@@ -550,8 +617,8 @@ def test_coupling_norm_bounds_the_y_part(potential):
     op = build_magnetic_laplacian(model, 8, 40, potential)
     x_only = PotentialSpec(tuple(m for m in potential.modes if m[0][1] == 0))
     bare = build_magnetic_laplacian(model, 8, 40, x_only)
-    diag = op.matrix.diagonal().real
-    y_norm = np.abs(diag - bare.matrix.diagonal().real).max()
+    diag = np.broadcast_to(op.diagonal, (40, 40))
+    y_norm = np.abs(diag - bare.diagonal).max()
     rounding = 4.0 * np.finfo(float).eps * np.abs(diag).max()
     assert y_norm > 0.0 and abs(_coupling_norm(op) - y_norm) <= rounding
 
@@ -561,7 +628,7 @@ def test_level_on_an_eigenvalue_fails_the_count_certificate():
     # certificate's margin of it in every round, so the cutoff grows until
     # the basis holds every ring eigenvector, and then no count is returned
     op = build_magnetic_laplacian(TorusModel.compatible(1), 2, 16, _Y_DEPENDENT)
-    dense = np.linalg.eigvalsh(op.matrix.toarray())
+    dense = np.linalg.eigvalsh(_assembled(op).toarray())
     assert solve(op, _level_above(dense, 6)).raw.size == 6
     with pytest.raises(SolverError, match=r"a Ritz value of the whole ring basis lies within "
                                           r"\S+ of the level"):
@@ -575,7 +642,7 @@ def test_level_just_above_an_eigenvalue_waits_for_the_basis(monkeypatch):
     # on the coupling to the ring eigenvectors above the cutoff, keeps that
     # round from certifying a count of 0
     op = build_magnetic_laplacian(TorusModel.compatible(1), 2, 16, _Y_DEPENDENT)
-    dense = np.linalg.eigvalsh(op.matrix.toarray())
+    dense = np.linalg.eigvalsh(_assembled(op).toarray())
     level = dense[0] + 1e-4
     assert dense[1] > level
     lowest = []
@@ -592,9 +659,10 @@ def test_level_just_above_an_eigenvalue_waits_for_the_basis(monkeypatch):
     assert res.raw.size == 1 and abs(res.raw[0] - dense[0]) < 1e-10
 
 
-def test_solve_imports_no_sparse_factorization():
-    # every count comes from the rings, so the CLI and a y-dependent solve
-    # import no SuperLU or ARPACK (scipy.sparse.linalg), in a fresh process
+def test_solve_imports_no_scipy_sparse():
+    # every count comes from the rings and every residual from the stencil,
+    # so the CLI and a y-dependent solve import no scipy.sparse module at
+    # all (no SuperLU, ARPACK or sparse matrix), in a fresh process
     script = "\n".join([
         "import sys",
         "import magweyl.cli",
@@ -602,7 +670,7 @@ def test_solve_imports_no_sparse_factorization():
         "pot = PotentialSpec((((1, 0), 0.025), ((-1, 0), 0.025), ((0, 1), 0.025), ((0, -1), 0.025)))",
         "res = solve(build_magnetic_laplacian(TorusModel.compatible(1), 4, 32, pot), 8.0)",
         "assert res.method == 'sparse' and res.raw.size == 8",
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse.linalg')))"])
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"])
     paths = [os.path.dirname(os.path.dirname(magweyl.torus.__file__)), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
@@ -810,8 +878,9 @@ def test_gauge_invariance():
     op = build_magnetic_laplacian(model, 2, 16)
     # conjugate by a random site-dependent phase
     phases = sp.diags(np.exp(2j * np.pi * np.random.default_rng(0).random(op.dim)))
-    gauged = phases.conj().T @ (op.matrix @ phases)
-    e1 = np.sort(np.linalg.eigvalsh(op.matrix.toarray()))
+    H = _assembled(op)
+    gauged = phases.conj().T @ (H @ phases)
+    e1 = np.sort(np.linalg.eigvalsh(H.toarray()))
     e2 = np.sort(np.linalg.eigvalsh(gauged.toarray()))
     assert np.max(np.abs(e1 - e2)) < 1e-10
 
@@ -844,7 +913,7 @@ def test_count_guard():
     # a level with more than dim/4 = 64 eigenvalues below it
     model = TorusModel.compatible(1)
     op = build_magnetic_laplacian(model, 2, 16)
-    dense = np.linalg.eigvalsh(op.matrix.toarray())
+    dense = np.linalg.eigvalsh(_assembled(op).toarray())
     assert solve(op, _level_above(dense, 64)).raw.size == 64
     with pytest.raises(SolverError, match="exceed dim/4"):
         solve(op, _level_above(dense, 66))
