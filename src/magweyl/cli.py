@@ -189,34 +189,36 @@ def _source_digest() -> str:
     return _sha256({"files": files, "numpy": np.__version__, "scipy": scipy.__version__})
 
 
-def _cached(cache_dir: Path, inputs, compute: Callable):
-    """The JSON-decoded value of compute(), from the cache entry of `inputs`.
+def _cached(cache_dir: Path, inputs, compute: Callable, build: Callable):
+    """build(value), value the JSON-decoded compute(), from the cache entry
+    of `inputs`.
 
     An entry is cache_dir/<key>.json holding {"inputs", "value"}; the
     key hashes `inputs` with `_source_digest()`, so an entry written by
-    other sources is never read.  A missing entry is a miss, an
-    unreadable one a miss noted on stderr; a miss writes the entry to a
-    temporary file and renames it into place, so a killed run never
-    leaves a truncated entry.  Hit and miss both return the value read
-    back from JSON, so they build identical results.
+    other sources is never read.  A missing entry is a miss; an
+    unreadable one, or one whose value does not build, a miss noted on
+    stderr.  A miss writes the entry to a temporary file and renames it
+    into place, so a killed run never leaves a truncated entry.  Hit and
+    miss both build from the value read back from JSON, so they build
+    identical results.
     """
     path = Path(cache_dir) / f"{_sha256({'source': _source_digest(), 'inputs': inputs})}.json"
     try:
-        return json.loads(path.read_text())["value"]
+        return build(json.loads(path.read_text())["value"])
     except FileNotFoundError:
         pass
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"note: {path} is unreadable ({type(exc).__name__}); recomputing",
               file=sys.stderr)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     reports.write_json(tmp, {"inputs": inputs, "value": compute()})
     os.replace(tmp, path)
-    return json.loads(path.read_text())["value"]
+    return build(json.loads(path.read_text())["value"])
 
 
 def _cached_checks(cache_dir: Path, inputs, compute: Callable) -> list[Check]:
-    return [Check(**row) for row in _cached(cache_dir, inputs, compute)]
+    return _cached(cache_dir, inputs, compute, lambda rows: [Check(**row) for row in rows])
 
 
 def _potential_from_config(spec) -> PotentialSpec | None:
@@ -492,7 +494,7 @@ def _solve_job(job: TorusJob, cache: Path) -> EigenResult:
     def compute():
         op = build_magnetic_laplacian(job.model, job.k, job.npoints, job.potential)
         return solve(op, job.below)
-    return EigenResult(**_cached(cache, job, compute))
+    return _cached(cache, job, compute, lambda value: EigenResult(**value))
 
 
 def _torus_jobs(cfg: dict, model: TorusModel, pot: PotentialSpec | None) -> list[TorusJob]:

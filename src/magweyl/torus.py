@@ -30,7 +30,8 @@ and locates each one in its bracket.  The same solve gives each one's
 eigenvector: the bordered vector (1, -x), or, for a root it cannot
 resolve, inverse iteration through the same path.
 
-Every operator is solved and counted from its rings; no matrix of the
+Every operator is solved and counted from its rings, built once per
+solve, whose rows must partition the momentum rows; no matrix of the
 lattice's size is factored.  With no y-modes the rings are the operator:
 their pairs below the level are exact, and the sum of their Haynsworth
 counts is the operator's count.  A y-dependent potential couples the
@@ -41,7 +42,7 @@ converge: O(L) work per ring eigenpair, and one small dense eigenproblem
 per round, whose Ritz pairs are checked on the site stencil.  Its count
 is Haynsworth's formula again, on the block of the ring eigenvectors
 above the cutoff, which the cutoff's spectral gap makes positive definite
-(`_ring_solve`).
+(`solve`).
 """
 
 from __future__ import annotations
@@ -98,11 +99,13 @@ class TorusModel:
     def check_lattice(self, k: int, npoints: int):
         """Raise ValueError unless Delta_k fits an N x N lattice.
 
-        N^2 >= 20 k c keeps the flux per plaquette in the continuum-fidelity
-        regime.
+        N must be at least 1, and N^2 >= 20 k c keeps the flux per plaquette
+        in the continuum-fidelity regime.
         """
         if k < 0:
             raise ValueError("tensor power k must be nonnegative")
+        if npoints < 1:
+            raise ValueError(f"lattice side N = {npoints} must be at least 1")
         kc = k * self.chern
         if k > 0 and npoints * npoints < 20 * kc:
             raise ValueError(f"lattice too coarse: N^2 = {npoints * npoints} < 20 k c = {20 * kc}")
@@ -319,8 +322,10 @@ def _y_couplings(op: MagneticLatticeOperator) -> dict:
     the couplings are Hermitian to the last bit.  When V is even in y
     (`PotentialSpec.is_even_in_y`) they are real, and returned as real
     arrays: the one place that decides the dtype of the projected matrix
-    and of the Ritz vectors (`_ring_solve`).
+    and of the Ritz vectors (`solve`).  V = 0 and V of x only have none.
     """
+    if op.potential is None:
+        return {}
     N = op.npoints
     phase = 2j * np.pi * op.spacing * np.arange(N) / op.model.side
     sums = {}
@@ -347,33 +352,6 @@ def _site_residual(op: MagneticLatticeOperator, v: np.ndarray, lam: float) -> fl
     res = op.apply(psi)
     res -= lam * psi
     return math.sqrt(np.einsum("ij,ij", res.conj(), res).real)
-
-
-def _sector_chains(op: MagneticLatticeOperator) -> list:
-    """The rings of `_sector_rings` as one list of (rows, diagonal, hop).
-
-    `_ring_solve` reads this one list; the counts (`_ring_count`) build
-    their rings from `_sector_rings` apart from it, so a ring the solve
-    misses is still counted.
-    """
-    return list(_sector_rings(op))
-
-
-def _ring_count(op: MagneticLatticeOperator, level: float) -> int:
-    """The eigenvalues below `level` of the rings of `_sector_rings`, the
-    sum of their `_Ring.count`, one ring held at a time: the count of an
-    operator with no y-modes, and the size a Rayleigh-Ritz basis of ring
-    eigenvectors below a cutoff must have."""
-    return sum(_Ring(rows, diag, hop).count(level) for rows, diag, hop in _sector_rings(op))
-
-
-def _coupling_norm(op: MagneticLatticeOperator) -> float:
-    """sum_s max_i |c_s(x_i)| over the couplings of `_y_couplings`: a bound
-    on ||Y||, Y the y-part of the operator (on the sites, multiplication by
-    k V less its x-only part), which in the y-momentum basis is the sum
-    over s of a diagonal (c_s at each row's column) times the shift of
-    momentum by s, a permutation."""
-    return sum(float(np.abs(c).max()) for c in _y_couplings(op).values())
 
 
 class _Ring:
@@ -624,32 +602,79 @@ def _secular_root(schur, lo: float, hi: float, pole_lo: float, pole_hi: float,
     return 0.5 * (lo + hi)
 
 
-def _ring_solve(op: MagneticLatticeOperator, below: float) -> tuple[EigenResult, int]:
-    """The eigenvalues below `below` from the eigenpairs of the rings of
-    `_sector_chains` (the x-only operator), with residual norms that
-    check every one, and the count of the operator's eigenvalues below
-    `below` that certifies them.
+def _ring_links(op: MagneticLatticeOperator, rings: list, couplings: dict) -> list:
+    """The couplings of `_y_couplings` between rings, each `_Ring` at its
+    `rows` of the momentum basis (in its own site order).
 
-    With no y couplings (`_ring_links` empty) the rings are the operator
-    ('sectors').  The count is `_ring_count`, on rings built apart from
-    the solve's, and one above dim/4 is a SolverError before any
-    eigenpair is formed.  The ring pairs below `below` are exact and
-    final, each is residual-checked on its ring (`_Ring.residuals`, its
-    residual on the operator, block-diagonal over the rings up to a
-    permutation), one ring block held at a time, and SECTOR_SAMPLES of
-    them, evenly spaced in rank, also on the site stencil
-    (`_site_residual`), which is built apart from the rings.
+    Row n N + i (momentum n, column x_i) goes to row (n + s) N + i, so the
+    shift n -> n + s carries a whole ring onto the rows of one other ring.
+    Returns (r2, r, where, coef): site p of ring r goes to site where[p] of
+    ring r2 with coefficient coef[p], c_s at the column of p.  The rings'
+    rows partition the momentum rows (`solve` checks that first), so every
+    row has its ring.
+    """
+    N, dim = op.npoints, op.dim
+    owner = np.empty(dim, dtype=np.intp)
+    local = np.empty(dim, dtype=np.intp)
+    for r, ring in enumerate(rings):
+        owner[ring.rows] = r
+        local[ring.rows] = np.arange(ring.rows.size)
+    links = []
+    for s, c in couplings.items():
+        for r, ring in enumerate(rings):
+            dest = (ring.rows + s * N) % dim
+            links.append((owner[dest[0]], r, local[dest], c[ring.rows % N]))
+    return links
+
+
+def _projected_matrix(rings: list, links: list, dtype) -> np.ndarray:
+    """diag(ring eigenvalues) + Psi^H Y Psi on the ring blocks, the block
+    (r2, r) of each link of `_ring_links` as B_r2[where]^T (coef B_r)."""
+    values = np.concatenate([ring.values for ring in rings])
+    offsets = np.cumsum([0] + [ring.values.size for ring in rings])
+    # Fortran order: LAPACK factors it in place
+    proj = np.zeros((values.size, values.size), dtype=dtype, order="F")
+    proj[np.diag_indices(values.size)] = values
+    for r2, r, where, coef in links:
+        proj[offsets[r2]:offsets[r2 + 1], offsets[r]:offsets[r + 1]] += (
+            rings[r2].block[where].T @ (coef[:, None] * rings[r].block))
+    return proj
+
+
+def solve(op: MagneticLatticeOperator, below: float) -> EigenResult:
+    """Every eigenvalue below the level `below`, certified by a count and
+    by a residual norm for each one.
+
+    The operator's rings (`_sector_rings`) are built once, and their rows
+    must partition the N^2 rows of the y-momentum basis: a missing ring,
+    or a row held twice, is a SolverError before anything is solved.
+    Each ring is solved for its eigenpairs below a level in O(L) per pair,
+    and counted there by Haynsworth's inertia formula, with no
+    factorization (`_Ring`, `_Ring.count`).
+
+    With no y couplings (`_y_couplings` empty) the rings are the operator
+    ('sectors').  The count is the sum of their counts at `below`.  Their
+    pairs below `below` are exact and final, each is residual-checked on
+    its ring (`_Ring.residuals`, its residual on the operator,
+    block-diagonal over the rings up to a permutation), one ring block
+    held at a time, and SECTOR_SAMPLES of them, evenly spaced in rank,
+    also on the site stencil (`_site_residual`), which is built apart from
+    the rings.
 
     Otherwise ('sparse') Rayleigh-Ritz runs on the ring eigenvectors below
     a cutoff Lambda: the projected matrix P is diag(ring eigenvalues) +
-    Psi^H Y Psi, Y the couplings of `_y_couplings` (`_projected_matrix`),
-    real when V is even in y and complex Hermitian otherwise (the dtype
-    of the couplings).  Lambda starts at `below` + (`below` - g), g the
-    rings' Gershgorin lower bound min_r (min diag_r - 2 |hop_r|) less
-    ||Y|| (`_coupling_norm`), a lower bound on the operator H, and each
-    round doubles Lambda - `below`, extending the ring blocks.  The basis
-    must hold as many vectors as `_ring_count` counts below Lambda, and no
-    more than RITZ_MAX_DIM; otherwise the solve is a SolverError.
+    Psi^H Y Psi, Y the couplings (`_projected_matrix`), real when V is
+    even in y and complex Hermitian otherwise (the dtype of the
+    couplings).  On the sites Y is multiplication by k V less its x-only
+    part; in the y-momentum basis it is the sum over the shifts s of a
+    diagonal (c_s at each row's column) times the shift of momentum by s,
+    a permutation, so ||Y|| <= sum_s max_i |c_s(x_i)|.  Lambda starts at
+    `below` + (`below` - g), g the rings' Gershgorin lower bound
+    min_r (min diag_r - 2 |hop_r|) less that bound on ||Y||, a lower
+    bound on the operator H, and each round doubles Lambda - `below`,
+    extending the ring blocks.  The basis must hold as many vectors as the
+    rings count below Lambda, and no more than RITZ_MAX_DIM; otherwise the
+    solve is a SolverError.
 
     Each round certifies the count at lambda = `below` by Haynsworth's
     formula on H - lambda in the basis [Q, W]: Q the basis orthonormalized
@@ -657,7 +682,7 @@ def _ring_solve(op: MagneticLatticeOperator, below: float) -> tuple[EigenResult,
     C of W lies above lambda, the count is the number of negative
     eigenvalues of S = A - lambda - B (C - lambda)^{-1} B^H, A the block
     of Q and B the one between them.  With
-      ||Y|| <= `_coupling_norm`, h = max_r scale_r + ||Y|| >= ||H||,
+      ||Y|| bounded as above, h = max_r scale_r + ||Y|| >= ||H||,
       rho = 4 max_r (||R_r Psi_r - Psi_r Theta_r||_F + ||Psi_r^T Psi_r - I||_F h)
         over the ring blocks Psi_r (`_Ring.residuals`, `_Ring.defect`): at
         least twice ||R Q - Q Theta||, R the rings, and at least ||A - P||,
@@ -681,12 +706,92 @@ def _ring_solve(op: MagneticLatticeOperator, below: float) -> tuple[EigenResult,
     lifted one at a time, the highest first, and a round's pass stops at
     the first pair above that bound; the norms of the last pass, which
     took every pair, are the result's.
+
+    The result must hold exactly `count` values, all below the level.  A
+    count above dim/4 (for 'sectors', before any eigenpair is formed), a
+    result that misses the count, and a residual above RESIDUAL_TOL are
+    SolverErrors, as are a rank-deficient ring block, a basis over
+    RITZ_MAX_DIM or of another size than the rings count, and a level
+    within the margin of a Ritz value of the whole ring basis.
     """
-    rings = [_Ring(rows, diag, hop) for rows, diag, hop in _sector_chains(op)]
-    links = _ring_links(op, rings)
-    if not links:
-        count = _ring_count(op, below)
-        _check_quarter(op, count, below)
+    rings = [_Ring(rows, diag, hop) for rows, diag, hop in _sector_rings(op)]
+    held = np.bincount(np.concatenate([np.empty(0, dtype=np.intp)]
+                                      + [ring.rows for ring in rings]), minlength=op.dim)
+    if not np.array_equal(held, np.ones(op.dim)):
+        raise SolverError(f"the rings' rows do not partition the {op.dim} momentum rows: "
+                          f"{np.count_nonzero(held == 1)} are held once, "
+                          f"{np.count_nonzero(held > 1)} more than once")
+    couplings = _y_couplings(op)
+    method = "sparse" if couplings else "sectors"
+    if couplings:
+        links = _ring_links(op, rings, couplings)
+        y_norm = sum(float(np.abs(c).max()) for c in couplings.values())
+        dtype = np.result_type(*couplings.values())
+        # the rings' Gershgorin lower bound less ||Y||: a lower bound on the spectrum
+        width = below - min(ring.diag.min() - 2.0 * abs(ring.hop) for ring in rings) + y_norm
+        h_norm = max(ring.scale for ring in rings) + y_norm  # h, at least ||H||
+        longest = max(ring.diag.size for ring in rings)
+        while True:
+            cutoff = below + width
+            width *= 2.0
+            for ring in rings:
+                ring.grow(cutoff)
+            size = sum(ring.values.size for ring in rings)
+            if size > RITZ_MAX_DIM:
+                raise SolverError(f"Rayleigh-Ritz basis of {size} ring eigenvectors exceeds "
+                                  f"RITZ_MAX_DIM = {RITZ_MAX_DIM}")
+            counted = sum(ring.count(cutoff) for ring in rings)
+            if size != counted:
+                raise SolverError(f"Rayleigh-Ritz basis holds {size} ring eigenvectors below "
+                                  f"{cutoff:.6g}, where the rings count {counted}")
+            for ring in rings:
+                ring.extend_block()
+            done = all(ring.values.size == ring.diag.size for ring in rings)
+            rho = 4.0 * max(math.hypot(*ring.residuals()) + ring.defect * h_norm
+                            for ring in rings)
+            eta = rho + size * longest * np.finfo(float).eps * h_norm
+            delta = cutoff - below - y_norm - rho
+            highest = max((ring.values[-1] for ring in rings if ring.values.size),
+                          default=-np.inf)
+            if not (done or (delta > 0.0 and highest < cutoff - rho)):
+                continue
+            top = below + eta + (0.0 if done else (y_norm + rho) ** 2 / delta)
+            # by Weyl's inequality every Ritz value below `top` is among the
+            # lowest `wanted`, as many as ring eigenvalues below top + ||Y|| + eta
+            wanted = sum(int(np.count_nonzero(ring.values < top + y_norm + eta))
+                         for ring in rings)
+            theta = np.empty(0)
+            if wanted:
+                theta, coef = scipy.linalg.eigh(_projected_matrix(rings, links, dtype),
+                                                overwrite_a=True, subset_by_index=(0, wanted - 1))
+            if np.any((theta >= below - eta) & (theta < top)):
+                if done:
+                    raise SolverError(f"a Ritz value of the whole ring basis lies within "
+                                      f"{eta:.1e} of the level {below:.6g}")
+                continue
+            count = int(np.count_nonzero(theta < below))
+            theta, residuals = theta[:count], []
+            # one pair lifted at a time, beside the ring blocks; the highest
+            # first, the slowest to converge
+            for j in range(count - 1, -1, -1):
+                v = np.zeros(op.dim, dtype=coef.dtype)
+                lo = 0
+                for ring in rings:
+                    v[ring.rows] = ring.block @ coef[lo:lo + ring.values.size, j]
+                    lo += ring.values.size
+                residuals.append(_site_residual(op, v, theta[j]))
+                # written so that a NaN grows the basis
+                if not (done or residuals[-1] <= RESIDUAL_TOL / 2):
+                    break
+            else:
+                residuals.reverse()
+                break
+    else:
+        count = sum(ring.count(below) for ring in rings)
+    if count > op.dim // 4:
+        raise SolverError(f"{count} eigenvalues below {below:.6g} exceed dim/4 = "
+                          f"{op.dim // 4}")
+    if not couplings:
         theta = np.concatenate([ring.grow(below) for ring in rings])
         order = np.argsort(theta, kind="stable")
         ranks = np.linspace(0, theta.size - 1, min(SECTOR_SAMPLES, theta.size)).round()
@@ -701,149 +806,13 @@ def _ring_solve(op: MagneticLatticeOperator, below: float) -> tuple[EigenResult,
                 lifted.append(_site_residual(op, v, ring.values[j]))
             first += ring.values.size
             ring.block = None
-        return EigenResult(power=op.power, raw=theta[order], method="sectors",
-                           residual_norms=tuple(residuals + lifted)), count
-    y_norm = _coupling_norm(op)
-    dtype = np.result_type(*_y_couplings(op).values())
-    # the rings' Gershgorin lower bound less ||Y||: a lower bound on the spectrum
-    width = below - min(ring.diag.min() - 2.0 * abs(ring.hop) for ring in rings) + y_norm
-    h_norm = max(ring.scale for ring in rings) + y_norm  # h, at least ||H||
-    longest = max(ring.diag.size for ring in rings)
-    while True:
-        cutoff = below + width
-        width *= 2.0
-        for ring in rings:
-            ring.grow(cutoff)
-        size = sum(ring.values.size for ring in rings)
-        if size > RITZ_MAX_DIM:
-            raise SolverError(f"Rayleigh-Ritz basis of {size} ring eigenvectors exceeds "
-                              f"RITZ_MAX_DIM = {RITZ_MAX_DIM}")
-        counted = _ring_count(op, cutoff)
-        if size != counted:
-            raise SolverError(f"Rayleigh-Ritz basis holds {size} ring eigenvectors below "
-                              f"{cutoff:.6g}, where the rings count {counted}")
-        for ring in rings:
-            ring.extend_block()
-        done = all(ring.values.size == ring.diag.size for ring in rings)
-        rho = 4.0 * max(math.hypot(*ring.residuals()) + ring.defect * h_norm for ring in rings)
-        eta = rho + size * longest * np.finfo(float).eps * h_norm
-        delta = cutoff - below - y_norm - rho
-        highest = max((ring.values[-1] for ring in rings if ring.values.size), default=-np.inf)
-        if not (done or (delta > 0.0 and highest < cutoff - rho)):
-            continue
-        top = below + eta + (0.0 if done else (y_norm + rho) ** 2 / delta)
-        # by Weyl's inequality every Ritz value below `top` is among the
-        # lowest `wanted`, as many as ring eigenvalues below top + ||Y|| + eta
-        wanted = sum(int(np.count_nonzero(ring.values < top + y_norm + eta)) for ring in rings)
-        theta = np.empty(0)
-        if wanted:
-            theta, coef = scipy.linalg.eigh(_projected_matrix(rings, links, dtype),
-                                            overwrite_a=True, subset_by_index=(0, wanted - 1))
-        if np.any((theta >= below - eta) & (theta < top)):
-            if done:
-                raise SolverError(f"a Ritz value of the whole ring basis lies within {eta:.1e} "
-                                  f"of the level {below:.6g}")
-            continue
-        count = int(np.count_nonzero(theta < below))
-        if count == 0:
-            return EigenResult(power=op.power, raw=np.empty(0), method="sparse"), 0
-        theta = theta[:count]
-        norms = []
-        # one pair lifted at a time, beside the ring blocks; the highest
-        # first, the slowest to converge
-        for j in range(count - 1, -1, -1):
-            v = np.zeros(op.dim, dtype=coef.dtype)
-            lo = 0
-            for ring in rings:
-                v[ring.rows] = ring.block @ coef[lo:lo + ring.values.size, j]
-                lo += ring.values.size
-            norms.append(_site_residual(op, v, theta[j]))
-            # written so that a NaN grows the basis
-            if not (done or norms[-1] <= RESIDUAL_TOL / 2):
-                break
-        else:
-            return EigenResult(power=op.power, raw=theta, method="sparse",
-                               residual_norms=tuple(reversed(norms))), count
-
-
-def _ring_links(op: MagneticLatticeOperator, rings: list) -> list:
-    """The couplings of `_y_couplings` between rings, each `_Ring` at its
-    `rows` of the momentum basis (in its own site order).
-
-    Row n N + i (momentum n, column x_i) goes to row (n + s) N + i, so the
-    shift n -> n + s carries a whole ring onto the rows of one other ring.
-    Returns (r2, r, where, coef): site p of ring r goes to site where[p] of
-    ring r2 with coefficient coef[p], c_s at the column of p.  Rows outside
-    every ring receive nothing.
-    """
-    if op.potential is None:
-        return []
-    N, dim = op.npoints, op.dim
-    owner = np.full(dim, -1)
-    local = np.empty(dim, dtype=np.intp)
-    for r, ring in enumerate(rings):
-        owner[ring.rows] = r
-        local[ring.rows] = np.arange(ring.rows.size)
-    links = []
-    for s, c in _y_couplings(op).items():
-        for r, ring in enumerate(rings):
-            dest = (ring.rows + s * N) % dim
-            if owner[dest[0]] >= 0:
-                links.append((owner[dest[0]], r, local[dest], c[ring.rows % N]))
-    return links
-
-
-def _projected_matrix(rings: list, links: list, dtype) -> np.ndarray:
-    """diag(ring eigenvalues) + Psi^H Y Psi on the ring blocks, the block
-    (r2, r) of each link of `_ring_links` as B_r2[where]^T (coef B_r)."""
-    values = np.concatenate([ring.values for ring in rings])
-    offsets = np.cumsum([0] + [ring.values.size for ring in rings])
-    # Fortran order: LAPACK factors it in place
-    proj = np.zeros((values.size, values.size), dtype=dtype, order="F")
-    proj[np.diag_indices(values.size)] = values
-    for r2, r, where, coef in links:
-        proj[offsets[r2]:offsets[r2 + 1], offsets[r]:offsets[r + 1]] += (
-            rings[r2].block[where].T @ (coef[:, None] * rings[r].block))
-    return proj
-
-
-def _check_quarter(op: MagneticLatticeOperator, count: int, below: float):
-    """A SolverError if `count` eigenvalues below `below` exceed dim/4."""
-    if count > op.dim // 4:
-        raise SolverError(f"{count} eigenvalues below {below:.6g} exceed dim/4 = "
-                          f"{op.dim // 4}")
-
-
-def solve(op: MagneticLatticeOperator, below: float) -> EigenResult:
-    """Every eigenvalue below the level `below`, certified by a count and
-    by a residual norm for each one.
-
-    Every operator takes `_ring_solve`, on the real periodic chains
-    (rings) of its magnetic Bloch reduction, each solved for its
-    eigenpairs below a level in O(L) per pair (`_Ring`): exact for a
-    potential of x only, or none ('sectors'), and the basis of
-    Rayleigh-Ritz for a y-dependent one ('sparse').
-
-    The level carries a count certificate, taken from the rings by
-    Haynsworth's inertia formula, with no factorization: for a potential
-    of x only the sum of the rings' Sturm counts (`_ring_count`, on rings
-    built apart from the ring list the solve reads), for a y-dependent
-    one the count `_ring_solve` certifies on its Rayleigh-Ritz basis,
-    whose margin keeps rounding and the ring residuals from moving it.
-    The result must hold exactly that many values, all below the level.
-    A count above dim/4, a result that misses the count, a residual above
-    RESIDUAL_TOL, a rank-deficient ring block, a basis over RITZ_MAX_DIM
-    or of another size than the rings count, and a level within the
-    margin of a Ritz value of the whole ring basis are SolverErrors.
-    """
-    res, count = _ring_solve(op, below)
-    _check_quarter(op, count, below)
-    raw, residuals = res.raw, res.residual_norms
-    if raw.size != count or not np.all(raw < below):
-        raise SolverError(f"{res.method} solve returned {raw.size} eigenvalues, "
-                          f"{int(np.count_nonzero(raw < below))} of them below {below:.6g}, "
+        theta, residuals = theta[order], residuals + lifted
+    if theta.size != count or not np.all(theta < below):
+        raise SolverError(f"{method} solve returned {theta.size} eigenvalues, "
+                          f"{int(np.count_nonzero(theta < below))} of them below {below:.6g}, "
                           f"where the count is {count}")
     # written so that a NaN fails both checks
     if residuals and not np.max(residuals) <= RESIDUAL_TOL:
         raise SolverError(f"residual norm {np.max(residuals):.2e} exceeds {RESIDUAL_TOL:.0e}")
-    return res
+    return EigenResult(power=op.power, raw=theta, method=method,
+                       residual_norms=tuple(residuals))

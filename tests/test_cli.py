@@ -316,14 +316,41 @@ def test_truncated_spectra_cache_is_rewritten(tmp_path, capsys, monkeypatch):
     cold = report_bytes(out, cfg)
     [entry] = (out / "cache").iterdir()
     text = entry.read_text()
-    entry.write_text(text[: len(text) // 2])
+    # a truncated entry, and one that parses but whose value builds no EigenResult
+    broken = json.loads(text)
+    broken["value"] = {"raw": [1.0]}
     calls = _count_solves(monkeypatch)
-    assert main(["--config", cfg, "--out", str(out), "torus"]) == EXIT_PASS
-    assert "unreadable" in capsys.readouterr().err
+    for corrupt in (text[: len(text) // 2], json.dumps(broken)):
+        entry.write_text(corrupt)
+        calls.clear()
+        assert main(["--config", cfg, "--out", str(out), "torus"]) == EXIT_PASS
+        assert "unreadable" in capsys.readouterr().err
+        assert len(calls) == 1
+        assert json.loads(entry.read_text()) == json.loads(text)
+        assert report_bytes(out, cfg) == cold
+        assert [p.name for p in entry.parent.iterdir() if p.name.endswith(".tmp")] == []
+
+
+def test_check_rows_that_build_no_check_are_recomputed(tmp_path, capsys, monkeypatch):
+    # a star-check entry that parses, but one of whose rows lacks a field
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path)
+    assert main(["--config", cfg, "--out", str(out), "star-check"]) == EXIT_PASS
+    cold = report_bytes(out, cfg)
+    [entry] = (out / "cache").iterdir()
+    text = entry.read_text()
+    broken = json.loads(text)
+    del broken["value"][0]["passed"]
+    entry.write_text(json.dumps(broken))
+    calls = []
+    run_star_checks = cli.run_star_checks
+    monkeypatch.setattr(cli, "run_star_checks",
+                        lambda *args: calls.append(args) or run_star_checks(*args))
+    assert main(["--config", cfg, "--out", str(out), "star-check"]) == EXIT_PASS
+    assert "unreadable (TypeError); recomputing" in capsys.readouterr().err
     assert len(calls) == 1
     assert json.loads(entry.read_text()) == json.loads(text)
     assert report_bytes(out, cfg) == cold
-    assert [p.name for p in entry.parent.iterdir() if p.name.endswith(".tmp")] == []
 
 
 def test_verdict_only_change_runs_no_solves(tmp_path, capsys, monkeypatch):
@@ -472,6 +499,9 @@ def test_config_round_trip(tmp_path):
     ({"seed": -1}, "star: seed -1 must be an integer >= 0"),
     ({"models": {"block_size": 0}}, "models: block_size 0 must lie in 1..16"),
     ({"models": {"block_size": 17}}, "models: block_size 17 must lie in 1..16"),
+    # a negative side squares past the coarseness bound
+    ({"torus": {"cluster_pairs": [[1, -8]]}},
+     "torus clusters pair k=1, N=-8: lattice side N = -8 must be at least 1"),
 ])
 def test_bad_config_value_is_config_error_in_dry_run(tmp_path, capsys, override, message):
     cfg = write_config(tmp_path, override)
@@ -762,34 +792,34 @@ def test_inertia_count_over_a_quarter_is_a_resource_error(tmp_path, capsys):
     assert "exceed dim/4 = 16" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("pairs, returned", [
-    ({"band_pairs": [[4, 32]]}, 9),   # 12 eigenvalues below band_cutoff k = 12
-    ({"weyl_pairs": [[4, 32]]}, 12),  # 16 eigenvalues below weyl_lambda k^2 = 16
+@pytest.mark.parametrize("pairs", [
+    {"band_pairs": [[4, 32]]},   # 12 eigenvalues below band_cutoff k = 12
+    {"weyl_pairs": [[4, 32]]},   # 16 eigenvalues below weyl_lambda k^2 = 16
 ], ids=["bands", "weyl"])
-def test_dropped_sector_in_a_level_job_exits_3(tmp_path, capsys, monkeypatch, pairs, returned):
-    # k = 4, N = 32: four sector chains; without one the residuals of the
-    # pairs returned stay small, but the count of the rings, built apart
-    # from the solve's, sees the missing values
-    chains = magweyl.torus._sector_chains
-    monkeypatch.setattr(magweyl.torus, "_sector_chains", lambda op: list(chains(op))[1:])
+def test_dropped_sector_in_a_level_job_exits_3(tmp_path, capsys, monkeypatch, pairs):
+    # k = 4, N = 32: four sector rings; without one the rings' rows no
+    # longer partition the momentum rows
+    rings = magweyl.torus._sector_rings
+    monkeypatch.setattr(magweyl.torus, "_sector_rings", lambda op: list(rings(op))[1:])
     cfg = write_config(tmp_path, {"torus": {"cluster_pairs": [], "weyl_pairs": [],
                                             "band_pairs": [], **pairs}})
     assert main(["--config", cfg, "--out", str(tmp_path / "out"), "torus"]) == EXIT_RESOURCE
-    assert f"sectors solve returned {returned} eigenvalues" in capsys.readouterr().err
+    assert ("the rings' rows do not partition the 1024 momentum rows: 768 are held once"
+            in capsys.readouterr().err)
 
 
 def test_dropped_ring_block_exits_3(tmp_path, capsys, monkeypatch):
     # k = 4, N = 32 with a y-dependent potential: the Rayleigh-Ritz basis
-    # misses one of the four rings, so it holds fewer ring eigenvectors
-    # below its cutoff than the rings, built apart from the solve's, count
-    chains = magweyl.torus._sector_chains
-    monkeypatch.setattr(magweyl.torus, "_sector_chains", lambda op: list(chains(op))[1:])
+    # would miss one of the four rings; the partition of the momentum rows
+    # fails first
+    rings = magweyl.torus._sector_rings
+    monkeypatch.setattr(magweyl.torus, "_sector_rings", lambda op: list(rings(op))[1:])
     cfg = write_config(tmp_path, {"torus": {"cluster_pairs": [], "weyl_pairs": [],
                                             "potential": _Y_DEPENDENT,
                                             "band_pairs": [[4, 32]]}})
     assert main(["--config", cfg, "--out", str(tmp_path / "out"), "torus"]) == EXIT_RESOURCE
-    err = capsys.readouterr().err
-    assert "basis holds 18 ring eigenvectors below 24.4" in err and "where the rings count 24" in err
+    assert ("the rings' rows do not partition the 1024 momentum rows: 768 are held once"
+            in capsys.readouterr().err)
 
 
 def test_corrupt_product_scatter_fails_the_zero_form_check(tmp_path, monkeypatch):

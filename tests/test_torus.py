@@ -14,8 +14,7 @@ import scipy.sparse.linalg as spla
 import magweyl.torus
 from magweyl import (EigenResult, PotentialSpec, SolverError, TorusModel,
                      build_magnetic_laplacian, solve)
-from magweyl.torus import (RESIDUAL_TOL, SECTOR_SAMPLES, _coupling_norm, _projected_matrix,
-                           _Ring, _ring_count, _ring_links, _ring_solve, _sector_chains,
+from magweyl.torus import (RESIDUAL_TOL, SECTOR_SAMPLES, _projected_matrix, _Ring, _ring_links,
                            _sector_rings, _site_residual, _y_couplings)
 
 
@@ -58,8 +57,6 @@ def test_zero_flux_limit():
     op = build_magnetic_laplacian(model, 0, 8)
     # constant vector is the zero mode
     assert np.max(np.abs(op.apply(np.ones((8, 8))))) < 1e-12
-    raw = _ring_solve(op, 1.0)[0].raw
-    assert abs(raw[0]) < 1e-8
     res = solve(op, 1.0)  # the next eigenvalue is 2.98
     assert res.raw.size == 1 and abs(res.raw[0]) < 1e-8
     # discrete Laplacian dispersion
@@ -245,6 +242,9 @@ def test_lattice_too_coarse():
     model = TorusModel.compatible(1)
     with pytest.raises(ValueError):
         build_magnetic_laplacian(model, 60, 16)  # 256 < 20*60
+    for k, npoints in ((1, -8), (0, 0)):  # (-8)^2 >= 20 k c
+        with pytest.raises(ValueError, match="must be at least 1"):
+            model.check_lattice(k, npoints)
 
 
 def test_landau_clusters_small():
@@ -274,7 +274,7 @@ def test_sector_solver_matches_sparse_and_dense(k, npts, cos_x):
     op = build_magnetic_laplacian(model, k, npts, pot)
     dense = np.sort(np.linalg.eigvalsh(_assembled(op).toarray()))
     every = np.sort(np.concatenate([_Ring(rows, diag, hop).grow(np.inf)
-                                    for rows, diag, hop in _sector_chains(op)]))
+                                    for rows, diag, hop in _sector_rings(op)]))
     assert np.max(np.abs(every - dense)) < 1e-10
     count = min(12, op.dim // 4)
     level = _level_above(dense, count)
@@ -319,10 +319,11 @@ def _level_above(spectrum, count):
 def count_below(op, level):
     """The count `solve` takes of the eigenvalues below the level: with no
     y-modes the sum of the rings' Haynsworth counts, and for a y-dependent
-    potential the count the Rayleigh-Ritz solve certifies."""
+    potential the count the Rayleigh-Ritz solve certifies, the size of its
+    result."""
     if op.potential is None or op.potential.is_x_only:
-        return _ring_count(op, level)
-    return _ring_solve(op, level)[1]
+        return sum(_Ring(rows, diag, hop).count(level) for rows, diag, hop in _sector_rings(op))
+    return solve(op, level).raw.size
 
 
 def _zigzag_band(diag, hop):
@@ -367,7 +368,7 @@ def test_count_below_matches_ring_eigenvalue_counts(k, npts, cos_x):
     spectrum = np.sort(np.concatenate([
         scipy.linalg.eigvals_banded(_zigzag_band(diag, hop), select="v",
                                     select_range=(-np.inf, top))
-        for _, diag, hop in _sector_chains(op)]))
+        for _, diag, hop in _sector_rings(op)]))
     norm = abs(_assembled(op)).sum(axis=1).max()  # a bound on ||H||
     levels = _levels_off_spectrum(spectrum, top, norm, np.random.default_rng(k), 12)
     # and one in each of the gaps below the Landau clusters m = 1, 2, 3, 4
@@ -377,10 +378,12 @@ def test_count_below_matches_ring_eigenvalue_counts(k, npts, cos_x):
 
 
 def test_count_below_matches_site_matrix_eigenvalue_counts():
+    # levels from below the spectrum to its (dim/4 + 1)-th eigenvalue: every
+    # count up to dim/4 = 400, the range `solve` accepts
     op = build_magnetic_laplacian(TorusModel.compatible(1), 8, 40, _Y_DEPENDENT)
     spectrum = np.linalg.eigvalsh(_assembled(op).toarray())
     norm = np.abs(spectrum).max()
-    for level in _levels_off_spectrum(spectrum, spectrum[-1] + 1.0, norm,
+    for level in _levels_off_spectrum(spectrum, spectrum[op.dim // 4], norm,
                                       np.random.default_rng(1), 12):
         assert count_below(op, level) == np.count_nonzero(spectrum < level), level
 
@@ -505,7 +508,7 @@ def test_projected_matrix_is_the_site_operator(k, npts, potential):
     # the couplings, in the couplings' dtype: real exactly when V is even
     # in y (no couplings at all for V of x only)
     op = build_magnetic_laplacian(TorusModel.compatible(1), k, npts, potential)
-    rings = [_Ring(rows, diag, hop) for rows, diag, hop in _sector_chains(op)]
+    rings = [_Ring(rows, diag, hop) for rows, diag, hop in _sector_rings(op)]
     basis = np.zeros((op.dim, op.dim))
     lo = 0
     for ring in rings:
@@ -516,7 +519,7 @@ def test_projected_matrix_is_the_site_operator(k, npts, potential):
     assert lo == op.dim
     dtype = np.result_type(float, *_y_couplings(op).values())
     assert (dtype == np.float64) == potential.is_even_in_y
-    proj = _projected_matrix(rings, _ring_links(op, rings), dtype)
+    proj = _projected_matrix(rings, _ring_links(op, rings, _y_couplings(op)), dtype)
     psi = np.fft.ifft(basis.reshape(npts, npts, -1), axis=0, norm="ortho").reshape(op.dim, -1)
     expect = psi.conj().T @ (_assembled(op) @ psi)
     assert proj.dtype == dtype
@@ -573,32 +576,75 @@ def test_solve_enforces_residuals(monkeypatch):
         solve(op, 3.0 * 3)
 
 
+def _dropping_first_ring(monkeypatch):
+    """`_sector_rings` without its first ring."""
+    rings = magweyl.torus._sector_rings
+    monkeypatch.setattr(magweyl.torus, "_sector_rings", lambda op: list(rings(op))[1:])
+
+
 def test_dropped_sector_fails_the_inertia_count(monkeypatch):
-    # k=4, N=32: gcd(4, 32) = 4 sector chains; without one the residuals
-    # of the pairs the solve returns stay small, but the rings' Haynsworth
-    # counts, on rings built apart from the solve's, still count all 16
-    # eigenvalues below k^2 (the level of a Weyl job at lambda = 1)
+    # k=4, N=32: gcd(4, 32) = 4 sector rings; without one the residuals of
+    # the 12 pairs the solve would return stay small, and the Haynsworth
+    # counts of the same rings agree with them, but the rings' rows no
+    # longer partition the momentum rows
     op = build_magnetic_laplacian(TorusModel.compatible(1), 4, 32)
     assert solve(op, 4.0 ** 2).raw.size == 16
-    chains = magweyl.torus._sector_chains
-    monkeypatch.setattr(magweyl.torus, "_sector_chains", lambda op: list(chains(op))[1:])
-    with pytest.raises(SolverError, match="returned 12 eigenvalues, 12 of them below 16, "
-                                          "where the count is 16"):
+    _dropping_first_ring(monkeypatch)
+    with pytest.raises(SolverError, match="the rings' rows do not partition the 1024 momentum "
+                                          "rows: 768 are held once, 0 more than once"):
         solve(op, 4.0 ** 2)
 
 
 def test_dropped_ring_block_fails_the_basis_count(monkeypatch):
     # k=4, N=32 with a y-dependent potential: without one of the four rings
-    # the Rayleigh-Ritz basis holds 3/4 of the ring eigenvectors below the
-    # first cutoff that the rings of `_sector_rings` count there, so no
-    # count is certified on it
+    # the Rayleigh-Ritz basis would miss 1/4 of the ring eigenvectors below
+    # every cutoff, and the rings would count only the ones it holds; the
+    # partition of the momentum rows fails before any ring is solved
     op = build_magnetic_laplacian(TorusModel.compatible(1), 4, 32, _Y_DEPENDENT)
     assert solve(op, 3.0 * 4).raw.size == 12
-    chains = magweyl.torus._sector_chains
-    monkeypatch.setattr(magweyl.torus, "_sector_chains", lambda op: list(chains(op))[1:])
-    with pytest.raises(SolverError, match=r"basis holds 18 ring eigenvectors below 24\.4, "
-                                          r"where the rings count 24"):
+    _dropping_first_ring(monkeypatch)
+    monkeypatch.setattr(magweyl.torus._Ring, "grow",
+                        lambda ring, level: pytest.fail("a ring was solved"))
+    with pytest.raises(SolverError, match="the rings' rows do not partition the 1024 momentum "
+                                          "rows: 768 are held once"):
         solve(op, 3.0 * 4)
+
+
+def test_repeated_ring_fails_the_partition(monkeypatch):
+    # a ring held twice doubles its eigenvalues in the solve and in its
+    # counts alike; only the partition of the momentum rows sees it
+    op = build_magnetic_laplacian(TorusModel.compatible(1), 4, 32)
+    rings = magweyl.torus._sector_rings
+    monkeypatch.setattr(magweyl.torus, "_sector_rings",
+                        lambda op: [*rings(op), next(rings(op))])
+    with pytest.raises(SolverError, match="1024 momentum rows: 768 are held once, "
+                                          "256 more than once"):
+        solve(op, 4.0 ** 2)
+
+
+@pytest.mark.parametrize("potential, message", [
+    (None, "sectors solve returned 15 eigenvalues, 15 of them below 16, where the count is 16"),
+    (_Y_DEPENDENT, r"basis holds 23 ring eigenvectors below 24\.4, where the rings count 24"),
+], ids=["sectors", "sparse"])
+def test_missed_ring_root_fails_the_count(monkeypatch, potential, message):
+    # k=4, N=32: `_Ring.grow` misses the last root it finds on the first
+    # ring, and `_Ring.count`, the Sturm count of the same ring, does not:
+    # below 16 the x-only count has 16, and the first cutoff of the
+    # Rayleigh-Ritz solve below 12 has 24 ring eigenvalues
+    op = build_magnetic_laplacian(TorusModel.compatible(1), 4, 32, potential)
+    grow, missed = _Ring.grow, []
+
+    def missing_grow(ring, level):
+        new = grow(ring, level)
+        if new.size and not missed:
+            missed.append(new[-1])
+            ring.values, ring.deflated = ring.values[:-1], ring.deflated[:-1]
+            return new[:-1]
+        return new
+
+    monkeypatch.setattr(magweyl.torus._Ring, "grow", missing_grow)
+    with pytest.raises(SolverError, match=message):
+        solve(op, 4.0 ** 2 if potential is None else 3.0 * 4)
 
 
 _STRONG = PotentialSpec((((0, 1), 1.0), ((0, -1), 1.0)))
@@ -620,7 +666,8 @@ def test_coupling_norm_bounds_the_y_part(potential):
     diag = np.broadcast_to(op.diagonal, (40, 40))
     y_norm = np.abs(diag - bare.diagonal).max()
     rounding = 4.0 * np.finfo(float).eps * np.abs(diag).max()
-    assert y_norm > 0.0 and abs(_coupling_norm(op) - y_norm) <= rounding
+    bound = sum(float(np.abs(c).max()) for c in _y_couplings(op).values())
+    assert y_norm > 0.0 and abs(bound - y_norm) <= rounding
 
 
 def test_level_on_an_eigenvalue_fails_the_count_certificate():
@@ -748,7 +795,7 @@ def test_single_ring_matches_banded_bisection():
     # eigenvalues; with V = 0 and with cos_x
     for pot, level in ((None, 4.0 * 7), (PotentialSpec.cosine_x(0.1), 3.0 * 7)):
         op = build_magnetic_laplacian(TorusModel.compatible(1), 7, 128, pot)
-        (rows, diag, hop), = _sector_chains(op)
+        (rows, diag, hop), = _sector_rings(op)
         banded = scipy.linalg.eigvals_banded(_zigzag_band(diag, hop), select="v",
                                              select_range=(-np.inf, level))
         got = _Ring(rows, diag, hop).grow(level)
@@ -857,19 +904,19 @@ def test_sparse_solve_memory():
     op = build_magnetic_laplacian(TorusModel.compatible(1), 16, 64, _Y_DEPENDENT)
     tracemalloc.start()
     try:
-        res, count = _ring_solve(op, 3.0 * 16)
+        res = solve(op, 3.0 * 16)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert count == res.raw.size == 48 and max(res.residual_norms) < 1e-8
+    assert res.raw.size == 48 and max(res.residual_norms) < 1e-8
     assert peak < 3.5 * op.dim * 48 * 8
 
 
 def test_solver_determinism():
     for potential in (_Y_DEPENDENT, _MIXED):
         op = build_magnetic_laplacian(TorusModel.compatible(1), 4, 32, potential)
-        (r1, c1), (r2, c2) = _ring_solve(op, 2.0 * 4), _ring_solve(op, 2.0 * 4)
-        assert c1 == c2 == r1.raw.size == 8 and np.array_equal(r1.raw, r2.raw)
+        r1, r2 = solve(op, 2.0 * 4), solve(op, 2.0 * 4)
+        assert r1.raw.size == 8 and np.array_equal(r1.raw, r2.raw)
         assert r1.residual_norms == r2.residual_norms
 
 
