@@ -42,8 +42,7 @@ pts = grid.points()
 sym = GridSymbol(2, grid.halfwidth, grid.npoints,
                  (1.0 + 0.5 * pts[..., 0]) * np.exp(-np.sum(pts ** 2, -1) / 2.0))
 back = wigner_symbol(weyl_quantize(sym, spec), spec)
-mask = grid.radius2() <= (grid.halfwidth / 2.0) ** 2
-print("sup error inside |xi| <= R/2:", back.sup_distance(sym, mask=mask))
+print("sup error inside |xi| <= R/2:", back.sup_distance(sym, radius=grid.halfwidth / 2.0))
 
 print("\n== ground-state projector has symbol 2 exp(-|xi|^2) ==")
 mat = np.zeros((spec.levels, spec.levels), dtype=complex)

@@ -42,9 +42,8 @@ print("empty contour around z=0:", np.max(np.abs(
 print("\n== sharp inverse ==")
 H = harmonic_hamiltonian(1)
 inv = sharp_inverse(H - z, spec)
-mask = grid.radius2() <= (grid.halfwidth / 2.0) ** 2
 print("sharp_inverse(H+1) vs Mehler inside |xi| <= R/2:",
-      inv.sup_distance(rsym, mask=mask))
+      inv.sup_distance(rsym, radius=grid.halfwidth / 2.0))
 
 print("\n== projector symbols quantize to projectors ==")
 for energy in (0.5, 1.5):

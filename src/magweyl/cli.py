@@ -40,8 +40,8 @@ from .models import (ProjectorQuery, ResolventQuery,
 from .quantize import HermiteBasisSpec, _axis_map, block_compare, weyl_quantize
 from .star import (AntisymmetricForm, _chunks, _ordered_power, moyal_product, sharp_power,
                    symmetrized_product)
-from .symbols import (PolySymbol, _derivative_table, _pair_index, monomial_rank,
-                      monomial_values)
+from .symbols import (GridSymbol, PolySymbol, _derivative_table, _pair_index,
+                      monomial_rank, monomial_values)
 from .torus import (EigenResult, PotentialSpec, SolverError, TorusModel,
                     build_magnetic_laplacian, solve)
 from .verify import (CLUSTER_GAP, band_containment, band_gaps, check_cluster_law,
@@ -450,14 +450,13 @@ def run_model_checks(spec: HermiteBasisSpec, spec2: HermiteBasisSpec, q0: Resolv
     checks.append(_leq("models.residue_identity", res.sup_distance(ref), 1e-6,
                        "contour r=0.2, 64 nodes"))
     empty = residue_projector(1, 0.0, 0.2, 64, grid)
-    checks.append(_leq("models.residue_empty_contour",
-                       float(np.max(np.abs(empty.values))), 1e-8))
+    zero = GridSymbol.from_radial(grid, np.zeros(grid.radial_index()[0].size))
+    checks.append(_leq("models.residue_empty_contour", empty.sup_distance(zero), 1e-8))
 
     # sharp inverse vs the Mehler symbol
     H = harmonic_hamiltonian(1)
-    inner = grid.radius2() <= (grid.halfwidth / 2.0) ** 2
     inv = sharp_inverse(H - z, spec)
-    err = inv.sup_distance(rsym, mask=inner)
+    err = inv.sup_distance(rsym, radius=grid.halfwidth / 2.0)
     checks.append(_leq("models.sharp_inverse_vs_mehler", err, 1e-4, f"|xi| <= R/2, z={z}"))
     try:
         sharp_inverse(H - 0.5, spec)

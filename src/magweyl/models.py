@@ -233,14 +233,6 @@ def residue_projector(d: int, energy: float, radius: float, contour_points: int,
 # ---------------------------------------------------------------------------
 # sharp inverse
 
-def _grid_values(a, grid: PhaseGrid) -> np.ndarray:
-    if isinstance(a, PolySymbol):
-        return a.on_grid(grid).values
-    if isinstance(a, GridSymbol):
-        return a.values
-    raise TypeError(f"unsupported symbol type {type(a).__name__}")
-
-
 def sharp_inverse(a, spec: HermiteBasisSpec) -> GridSymbol:
     """Inverse of an elliptic symbol under the Weyl product.
 
@@ -250,8 +242,11 @@ def sharp_inverse(a, spec: HermiteBasisSpec) -> GridSymbol:
     de-quantized.  Fails when the quantization is numerically singular
     on the trusted block, which signals 0 in the symbol spectrum.
 
-    Each grid array is dropped once it is read, and the arrays handed to
-    GridSymbol are owned and read-only, so it keeps them without a copy.
+    The samples of a and of 1/a are computed one slab of grid rows at a
+    time, at each pass that reads them (`GridSymbol.from_rows`: the range
+    of |a|, the quantization of 1/a, and every read of the result, which
+    adds 1/a to the de-quantized correction), so the correction is the
+    one array of the whole grid that the inverse forms and keeps.
     """
     op = weyl_quantize(a, spec)
     sel = trusted_block_indices(spec)
@@ -262,20 +257,17 @@ def sharp_inverse(a, spec: HermiteBasisSpec) -> GridSymbol:
             "(0 in the symbol spectrum)")
     inv = np.linalg.inv(op.entries)
     grid = spec.grid()
-    avals = _grid_values(a, grid)
-    mags = np.abs(avals)
-    if not float(np.min(mags)) > 1e-8 * float(np.max(mags)):
+    # weyl_quantize accepted a: a polynomial, or a grid symbol on the spec grid
+    rows = (a.on_grid(grid) if isinstance(a, PolySymbol) else a).rows
+    ends = np.array([(mags.min(), mags.max())
+                     for mags in (np.abs(rows(lo, hi)) for lo, hi in grid.slabs())])
+    if not float(np.min(ends[:, 0])) > 1e-8 * float(np.max(ends[:, 1])):
         return wigner_symbol(OperatorMatrix(spec.d, spec.levels, inv), spec)
-    del mags
-    b0 = 1.0 / avals
-    del avals
-    b0.setflags(write=False)
+    b0 = GridSymbol.from_rows(grid, lambda lo, hi, order: 1.0 / rows(lo, hi, order))
     with warnings.catch_warnings():
         # 1/a decays polynomially; its trusted-block elements are fine
         warnings.simplefilter("ignore")
-        q0 = weyl_quantize(GridSymbol(grid.dim, grid.halfwidth, grid.npoints, b0), spec)
-    corr = wigner_symbol(OperatorMatrix(spec.d, spec.levels, inv - q0.entries), spec).values
-    vals = b0 + corr
-    del b0, corr
-    vals.setflags(write=False)
-    return GridSymbol(grid.dim, grid.halfwidth, grid.npoints, vals)
+        q0 = weyl_quantize(b0, spec)
+    corr = wigner_symbol(OperatorMatrix(spec.d, spec.levels, inv - q0.entries), spec)
+    return GridSymbol.from_rows(
+        grid, lambda lo, hi, order: b0.rows(lo, hi, order) + corr.rows(lo, hi, order))

@@ -50,8 +50,8 @@ class HermiteBasisSpec:
 
     Construction fails if the top basis function has more than `MASS_TOL`
     of its L^2 mass outside [-R, R]; everything downstream assumes the
-    basis is resolved by the grid.  A d >= 2 grid of more than 64 points
-    per axis is a ResourceLimitError.
+    basis is resolved by the grid.  A d = 1 grid of more than 2048 points
+    per axis, or a d >= 2 grid of more than 64, is a ResourceLimitError.
     """
 
     d: int
@@ -62,6 +62,8 @@ class HermiteBasisSpec:
     def __post_init__(self):
         if self.d < 1 or self.levels < 1 or self.npoints < 4 or self.halfwidth <= 0:
             raise ValueError("invalid basis spec")
+        if self.d == 1 and self.npoints > 2048:
+            raise ResourceLimitError("d = 1 grids are capped at 2048 points per axis")
         if self.d >= 2 and self.npoints > 64:
             raise ResourceLimitError("d >= 2 grids are capped at 64 points per axis")
         x = self.axis()

@@ -23,6 +23,10 @@ import numpy as np
 
 MultiIndex = tuple[int, ...]
 
+# grid points per slab of a pass over a whole grid (`PhaseGrid.slabs`): 512 KiB
+# of complex samples, 64 rows of the d = 1 grid at M = 512
+_SLAB = 1 << 15
+
 
 def multi_index(entries, dim: int) -> MultiIndex:
     """Validate a multi-index against the ambient dimension."""
@@ -318,11 +322,13 @@ class PolySymbol:
         return np.max(np.abs(a - b), axis=-1)
 
     def on_grid(self, grid: "PhaseGrid") -> "GridSymbol":
+        """The polynomial on the grid, evaluated afresh at each read of a slab
+        (`GridSymbol.from_rows`), so its samples are never kept whole."""
         if grid.dim != self.dim:
             raise ValueError("dimension mismatch")
-        values = self(grid.points())
-        values.setflags(write=False)   # owned and fresh: GridSymbol keeps it
-        return GridSymbol(self.dim, grid.halfwidth, grid.npoints, values)
+        self.terms   # a stack has no grid symbol: raise now, not at the first read
+        return GridSymbol.from_rows(
+            grid, lambda lo, hi, order: np.transpose(self(grid.points(lo, hi)), order))
 
 
 @functools.lru_cache(maxsize=8)
@@ -373,19 +379,29 @@ class PhaseGrid:
     def axis(self) -> np.ndarray:
         return (np.arange(self.npoints) - self.npoints // 2) * self.spacing
 
-    def points(self) -> np.ndarray:
-        """All grid points, coordinates along the last axis."""
-        axes = np.meshgrid(*([self.axis()] * self.dim), indexing="ij")
+    def points(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """The grid points whose first index lies in [lo, hi) (every point by
+        default), coordinates along the last axis."""
+        x = self.axis()
+        axes = np.meshgrid(x[lo:hi], *([x] * (self.dim - 1)), indexing="ij")
         return np.stack(axes, axis=-1)
 
-    def radius2(self) -> np.ndarray:
+    def radius2(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """|xi|^2 at the grid points whose first index lies in [lo, hi) (every
+        point by default)."""
         x = self.axis()
-        r2 = np.zeros((self.npoints,) * self.dim)
+        r2 = np.zeros((x[lo:hi].size,) + (self.npoints,) * (self.dim - 1))
         for k in range(self.dim):
             shape = [1] * self.dim
-            shape[k] = self.npoints
-            r2 = r2 + (x ** 2).reshape(shape)
+            shape[k] = -1
+            r2 = r2 + ((x[lo:hi] if k == 0 else x) ** 2).reshape(shape)
         return r2
+
+    def slabs(self) -> list[tuple[int, int]]:
+        """The slabs [lo, hi) of the first axis that a pass over the whole grid
+        takes one at a time: `_SLAB` points each, one row at the least."""
+        step = max(1, _SLAB // self.npoints ** (self.dim - 1))
+        return [(lo, min(lo + step, self.npoints)) for lo in range(0, self.npoints, step)]
 
     def radial_index(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct |xi|^2 of the grid, ascending, and the position among
@@ -418,6 +434,9 @@ class GridSymbol:
     (ordered as `PhaseGrid.radial_index`): `rows` gathers a slab of samples from
     that table, `boundary_decay` reads the table, and `values` builds the
     whole array, afresh at every read, only for a caller that reads points.
+    A computed symbol (`from_rows`) keeps no samples: `rows` computes each
+    slab afresh, and so does every pass of `boundary_decay`, `sup_distance`
+    and the grid quantizer.
     """
 
     dim: int
@@ -425,6 +444,7 @@ class GridSymbol:
     npoints: int
     radial: np.ndarray | None = field(default=None, repr=False)
     _dense: np.ndarray | None = field(default=None, repr=False)
+    _reader: object = field(default=None, repr=False)
 
     def __init__(self, dim: int, halfwidth: float, npoints: int, values):
         """A dense symbol: validate the values and keep a read-only copy of them.
@@ -441,11 +461,11 @@ class GridSymbol:
         if v.flags.writeable or not v.flags.owndata:
             v = v.copy()
             v.setflags(write=False)
-        self._assign(dim, halfwidth, npoints, None, v)
+        self._assign(dim, halfwidth, npoints, dense=v)
 
-    def _assign(self, dim, halfwidth, npoints, radial, dense):
+    def _assign(self, dim, halfwidth, npoints, radial=None, dense=None, reader=None):
         for name, value in (("dim", dim), ("halfwidth", halfwidth), ("npoints", npoints),
-                            ("radial", radial), ("_dense", dense)):
+                            ("radial", radial), ("_dense", dense), ("_reader", reader)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -460,13 +480,22 @@ class GridSymbol:
             raise ValueError("values must be finite")
         r.setflags(write=False)
         out = cls.__new__(cls)
-        out._assign(grid.dim, grid.halfwidth, grid.npoints, r, None)
+        out._assign(grid.dim, grid.halfwidth, grid.npoints, radial=r)
+        return out
+
+    @classmethod
+    def from_rows(cls, grid: PhaseGrid, reader) -> "GridSymbol":
+        """The computed symbol whose slab values[lo:hi], with the axes in
+        `order`, is reader(lo, hi, order): a fresh complex array of finite
+        values, the same at every call."""
+        out = cls.__new__(cls)
+        out._assign(grid.dim, grid.halfwidth, grid.npoints, reader=reader)
         return out
 
     @property
     def values(self) -> np.ndarray:
         """Every sample, read-only."""
-        if self.radial is None:
+        if self._dense is not None:
             return self._dense
         out = self.rows(0, self.npoints)
         out.setflags(write=False)
@@ -476,14 +505,18 @@ class GridSymbol:
         """values[lo:hi], with the axes in `order` (a permutation of the axes;
         as they are by default).
 
-        A dense symbol gives a view.  A radial symbol's slab depends on its
-        points only through their radius labels, so it is gathered,
-        contiguous in that order, from its values at the labels: through a
-        table over every label when that is smaller than the slab (d = 2
-        rows), else through the position of each label (d = 1 row chunks).
+        A dense symbol gives a view, and a computed one its reader's slab.  A
+        radial symbol's slab depends on its points only through their radius
+        labels, so it is gathered, contiguous in that order, from its values
+        at the labels: through a table over every label when that is smaller
+        than the slab (d = 2 rows), else through the position of each label
+        (d = 1 row chunks).
         """
-        if self.radial is None:
-            return np.transpose(self._dense[lo:hi], order or range(self.dim))
+        order = tuple(order or range(self.dim))
+        if self._dense is not None:
+            return np.transpose(self.values[lo:hi], order)
+        if self._reader is not None:
+            return self._reader(lo, hi, order)
         position = _label_table(self.dim, self.npoints)[2]
         labels = self.grid.radius_labels(lo, hi, order)
         if position.size < labels.size:
@@ -494,28 +527,39 @@ class GridSymbol:
     def grid(self) -> PhaseGrid:
         return PhaseGrid(self.dim, self.halfwidth, self.npoints)
 
-    def sup_distance(self, other: "GridSymbol", mask: np.ndarray | None = None) -> float:
+    def sup_distance(self, other: "GridSymbol", radius: float | None = None) -> float:
+        """max |self - other| over the grid points with |xi|^2 <= radius^2
+        (`PhaseGrid.radius2`; every point by default), 0 over no point.
+
+        The samples are compared one slab of the first axis at a time
+        (`PhaseGrid.slabs`), so no array of the whole grid is formed.  Two
+        radial symbols compared over every point are compared through their
+        tables: each holds the values at the radii that occur on the grid,
+        so the samples differ by the same set of values as the tables.
+        """
         if (self.dim, self.halfwidth, self.npoints) != (other.dim, other.halfwidth, other.npoints):
             raise ValueError("grid mismatch")
-        if mask is None and self.radial is not None and other.radial is not None:
-            # each table holds the values at the radii that occur on the grid,
-            # so the samples differ by the same set of values as the tables
-            diff = np.abs(self.radial - other.radial)
-        else:
-            diff = np.abs(self.values - other.values)
-            if mask is not None:
-                diff = diff[mask]
-        return float(np.max(diff)) if diff.size else 0.0
+        if radius is None and self.radial is not None and other.radial is not None:
+            return float(np.max(np.abs(self.radial - other.radial)))
+        grid, peaks = self.grid, []
+        for lo, hi in grid.slabs():
+            diff = np.abs(self.rows(lo, hi) - other.rows(lo, hi))
+            if radius is not None:
+                diff = diff[grid.radius2(lo, hi) <= radius ** 2]
+            if diff.size:
+                peaks.append(diff.max())
+        return float(np.max(peaks)) if peaks else 0.0
 
     def boundary_decay(self) -> float:
         """Largest magnitude on the grid boundary, relative to the peak.
 
-        No |values| array of the whole grid is formed.  For a dense symbol
-        the peak is a maximum over slices of the first axis and the edge
-        one over the 2 * dim boundary faces.  A radial symbol reads its
-        table: a boundary point has the first or last axis label n^2 on
-        some axis, so the boundary radii are those labels plus the labels
-        that occur on dim - 1 axes.
+        No |values| array of the whole grid is formed.  For a dense or a
+        computed symbol the peak and the edge are maxima over the slabs of
+        the first axis (`PhaseGrid.slabs`), the edge over each slab's part
+        of the 2 * dim boundary faces.  A radial symbol reads its table: a
+        boundary point has the first or last axis label n^2 on some axis, so
+        the boundary radii are those labels plus the labels that occur on
+        dim - 1 axes.
         """
         if self.radial is not None:
             sq, _, position = _label_table(self.dim, self.npoints)
@@ -524,7 +568,12 @@ class GridSymbol:
             peak = float(np.max(mags))
             edge = float(np.max(mags[position[np.concatenate([sq[0] + rest, sq[-1] + rest])]]))
         else:
-            peak = max(float(np.max(np.abs(s))) for s in self._dense)
-            edge = max(float(np.max(np.abs(np.take(self._dense, i, axis=k))))
-                       for k in range(self.dim) for i in (0, self.npoints - 1))
+            peak = edge = 0.0
+            for lo, hi in self.grid.slabs():
+                mags = np.abs(self.rows(lo, hi))
+                faces = [mags.take(i, axis=k) for k in range(1, self.dim) for i in (0, -1)]
+                faces += [mags[i] for i, on_edge in ((0, lo == 0), (-1, hi == self.npoints))
+                          if on_edge]
+                peak = max(peak, float(mags.max()))
+                edge = max([edge] + [float(face.max()) for face in faces])
         return 0.0 if peak == 0.0 else edge / peak

@@ -380,8 +380,10 @@ class _Ring:
     eigenvalue (where a pole of s may lie just inside the bracket, and
     where the endpoint rule acts) has the ring switch to full precision
     for good: its path eigenvalues are bisected again, and the root is
-    searched again.  Growing the level keeps the path eigenvalues and
-    roots already found and bisects only the new range.
+    searched again.  A ring of several wells (`wells`, the periods of its
+    diagonal) has roots beside most path eigenvalues, so it would always
+    switch: it starts at full precision.  Growing the level keeps the path
+    eigenvalues and roots already found and bisects only the new range.
 
     Site 0, the bordering site, is the one after the least diagonal entry
     (the ring is rotated so): an eigenvector of the bottom of the well
@@ -391,7 +393,7 @@ class _Ring:
     basis), in `diag` and in `block`.
     """
 
-    def __init__(self, rows: np.ndarray, diag: np.ndarray, hop: float):
+    def __init__(self, rows: np.ndarray, diag: np.ndarray, hop: float, wells: int = 1):
         size = diag.size
         start = (int(np.argmin(diag)) + 1) % size
         diag = np.roll(diag, -start)
@@ -405,7 +407,8 @@ class _Ring:
         self.border[0] += hop
         self.border[-1] += hop
         self.level = -np.inf
-        self.bracket = _BRACKET_TOL * self.scale  # `stebz` tolerance; 0 is full precision
+        # `stebz` tolerance; 0 is full precision
+        self.bracket = 0.0 if wells > 1 else _BRACKET_TOL * self.scale
         self.mu = np.empty(0)                  # path eigenvalues below the level
         self.values = np.empty(0)              # ring eigenvalues below the level
         self.deflated = np.empty(0, dtype=bool)
@@ -714,7 +717,10 @@ def solve(op: MagneticLatticeOperator, below: float) -> EigenResult:
     RITZ_MAX_DIM or of another size than the rings count, and a level
     within the margin of a Ritz value of the whole ring basis.
     """
-    rings = [_Ring(rows, diag, hop) for rows, diag, hop in _sector_rings(op)]
+    kc = op.power * op.model.chern
+    # the diagonal of each ring has k c / gcd(k c, N) periods (`_sector_rings`)
+    wells = kc // math.gcd(kc, op.npoints)
+    rings = [_Ring(rows, diag, hop, wells) for rows, diag, hop in _sector_rings(op)]
     held = np.bincount(np.concatenate([np.empty(0, dtype=np.intp)]
                                       + [ring.rows for ring in rings]), minlength=op.dim)
     if not np.array_equal(held, np.ones(op.dim)):

@@ -451,6 +451,17 @@ def test_grid_cap_is_a_resource_error(tmp_path, capsys):
     assert "capped at 64 points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("models, cap", [({"npoints": 2049}, 2048), ({"npoints": 100000}, 2048),
+                                         ({"d2_npoints": 96}, 64)])
+def test_grid_caps_are_resource_errors_in_dry_run(tmp_path, capsys, models, cap):
+    # the plan builds the bases, so a grid over its cap exits 3 before any compute
+    cfg = write_config(tmp_path, {"models": models})
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--dry-run", "all"]) == EXIT_RESOURCE
+    assert f"capped at {cap} points" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_round_trip(tmp_path):
     cfg = load_config(write_config(tmp_path))
     text = json.dumps(cfg, sort_keys=True)

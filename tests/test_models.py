@@ -1,10 +1,11 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from magweyl import (FormulaDomainError, GridSymbol, OperatorMatrix, PhaseGrid,
-                     PoleProximityError, ProjectorQuery, ResolventQuery,
+                     PolySymbol, PoleProximityError, ProjectorQuery, ResolventQuery,
                      SymbolNotInvertibleError, projector_symbol,
                      residue_projector, resolvent_at, resolvent_symbol,
                      sharp_inverse, weyl_quantize, wigner_symbol)
@@ -192,28 +193,29 @@ def test_residue_projector_memory():
 
 def test_sharp_inverse_memory():
     # at the d = 1 spec of the CLI, with the axis map built inside the call
-    # (2 MiB kept), the inverse drops each grid array once read and hands
-    # GridSymbol owned read-only arrays, and each grid map holds two parity
-    # blocks and one chunk of midpoint rows: 14.4 MiB peak (24.4 MiB when a
-    # map held its whole slab, DFT and kernel, and the axis map 8 MiB; 36.4
-    # MiB when the inverse also kept its arrays and the symbols copied them);
-    # bound 16.5 MiB, a 15% margin
+    # (2 MiB kept), the inverse computes a and 1/a one slab of rows at a
+    # time and keeps only the de-quantized correction, so its peak is that
+    # de-quantization's: 10.4 MiB (14.4 MiB with the samples of a and 1/a
+    # formed whole, 24.4 MiB when a grid map held its whole slab, DFT and
+    # kernel); bound 12 MiB, a 16% margin
     spec = HermiteBasisSpec(d=1, levels=40, halfwidth=12.0, npoints=512)
     _axis_map.cache_clear()
     try:
         peak = _traced_peak(lambda: sharp_inverse(harmonic_hamiltonian(1) + 1.0, spec))
     finally:
         _axis_map.cache_clear()
-    assert peak < 16.5 * 2 ** 20
+    assert peak < 12 * 2 ** 20
 
 
 def test_model_checks_memory():
-    # the whole model stage of the default config: 18.5 MiB peak (26.4 MiB
-    # when each d = 1 grid map held its whole slab, DFT and kernel, 38.6 MiB
-    # before the stage's steps were bounded); bound 21.5 MiB, a 16% margin
+    # the whole model stage of the default config: 12.7 MiB peak, in the
+    # d = 2 projector quantization (18.5 MiB when the inverse, its |xi| <=
+    # R/2 mask and distance and the empty-contour check formed whole d = 1
+    # grid arrays, 26.4 MiB when each d = 1 grid map held its whole slab,
+    # DFT and kernel); bound 15 MiB, an 18% margin
     cfg = cli.load_config(None)
     specs = cli._model_specs(cfg)
-    assert _traced_peak(lambda: cli.run_model_checks(*specs)) < 21.5 * 2 ** 20
+    assert _traced_peak(lambda: cli.run_model_checks(*specs)) < 15 * 2 ** 20
 
 
 def test_eval_combination_is_chunk_invariant(monkeypatch):
@@ -250,6 +252,26 @@ def test_radial_sup_distance_matches_the_samples(d, halfwidth, npoints):
     for a, b in ((res, ref), (ref, other), (other, res), (res, res)):
         assert a.radial is not None and b.radial is not None
         assert a.sup_distance(b) == _slab_sup_distance(a, b)
+
+
+@pytest.mark.parametrize("d, halfwidth, npoints", [(1, 12.0, 600), (2, 6.0, 25)])
+@pytest.mark.parametrize("radius", [None, "R/2"])
+def test_sup_distance_matches_the_whole_grid(d, halfwidth, npoints, radius):
+    # the samples are compared one slab of rows at a time, over slabs that
+    # do not divide the grid evenly; the maximum is exact, so it equals the
+    # whole-grid one bit for bit, for every pair of dense and radial symbols
+    grid = PhaseGrid(2 * d, halfwidth, npoints)
+    assert len(grid.slabs()) > 1 and npoints % (grid.slabs()[0][1]) != 0
+    pts, r2 = grid.points(), grid.radius2()
+    dense = GridSymbol(2 * d, halfwidth, npoints,
+                       np.exp(-r2 / 4.0) * (1.0 + 0.3 * pts[..., 0] - 0.2j * pts[..., -1]))
+    radial = resolvent_symbol(ResolventQuery(d, -0.7), grid)
+    other = projector_symbol(ProjectorQuery(d, d / 2.0), grid)
+    radius = None if radius is None else halfwidth / 2.0
+    mask = np.ones(r2.shape, dtype=bool) if radius is None else r2 <= radius ** 2
+    dense_other = GridSymbol(2 * d, halfwidth, npoints, other.values)
+    for a, b in ((dense, radial), (radial, dense), (radial, other), (dense, dense_other)):
+        assert a.sup_distance(b, radius=radius) == np.max(np.abs(a.values - b.values)[mask])
 
 
 def test_projector_quantization_spectrum(spec16):
@@ -299,8 +321,46 @@ def test_residue_domain_errors(spec16):
         residue_projector(1, 0.5, 0.8, 64, grid)  # encloses two poles
 
 
+def _whole_grid_sharp_inverse(a, spec):
+    """The reference inverse: sharp_inverse with every grid array formed whole."""
+    op = weyl_quantize(a, spec)
+    inv = np.linalg.inv(op.entries)
+    grid = spec.grid()
+    avals = a(grid.points()) if isinstance(a, PolySymbol) else a.values
+    mags = np.abs(avals)
+    if not float(np.min(mags)) > 1e-8 * float(np.max(mags)):
+        return wigner_symbol(OperatorMatrix(spec.d, spec.levels, inv), spec)
+    b0 = 1.0 / avals
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        q0 = weyl_quantize(GridSymbol(grid.dim, grid.halfwidth, grid.npoints, b0), spec)
+    corr = wigner_symbol(OperatorMatrix(spec.d, spec.levels, inv - q0.entries), spec)
+    return GridSymbol(grid.dim, grid.halfwidth, grid.npoints, b0 + corr.values)
+
+
+@pytest.mark.filterwarnings("ignore::magweyl.QuantizationWarning")
+@pytest.mark.parametrize("case", ["cli", "spec24", "constant", "zero", "dense", "radial"])
+def test_sharp_inverse_matches_the_whole_grid(case, spec16, spec24):
+    # a and 1/a are read one slab of rows at a time, each point with the
+    # arithmetic of the whole-grid inverse: the same samples, bit for bit
+    H = harmonic_hamiltonian(1)
+    cli_spec = HermiteBasisSpec(d=1, levels=40, halfwidth=12.0, npoints=512)
+    spec, a = {
+        "cli": (cli_spec, H + 1.0),
+        "spec24": (spec24, H + 1.0),
+        "constant": (spec16, PolySymbol.constant(2, 2.0)),
+        # a zero on the grid: the plain de-quantized inverse
+        "zero": (spec16, PolySymbol.coordinate(2, 1)),
+        "dense": (spec24, GridSymbol(2, spec24.halfwidth, spec24.npoints,
+                                     (H + 0.7 - 0.2j)(spec24.grid().points()))),
+        "radial": (spec24, GridSymbol.from_radial(
+            spec24.grid(), 0.5 * spec24.grid().radial_index()[0] + 1.0)),
+    }[case]
+    got, ref = sharp_inverse(a, spec).values, _whole_grid_sharp_inverse(a, spec).values
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
 def test_sharp_inverse_constant(spec16):
-    from magweyl import PolySymbol
     inv = sharp_inverse(PolySymbol.constant(2, 2.0), spec16)
     assert np.max(np.abs(inv.values - 0.5)) < 1e-8
 
@@ -310,8 +370,7 @@ def test_sharp_inverse_matches_resolvent(spec24):
     H = harmonic_hamiltonian(1)
     inv = sharp_inverse(H - z, spec24)
     ref = resolvent_symbol(ResolventQuery(1, z), spec24.grid())
-    mask = spec24.grid().radius2() <= (spec24.halfwidth / 2.0) ** 2
-    assert inv.sup_distance(ref, mask=mask) < 1e-4
+    assert inv.sup_distance(ref, radius=spec24.halfwidth / 2.0) < 1e-4
 
 
 def test_sharp_inverse_left_inverse_property(spec24):

@@ -11,6 +11,7 @@ from magweyl import (GridSymbol, HermiteBasisSpec, OperatorMatrix, PhaseGrid,
                      quantize, weyl_quantize, wigner_symbol)
 from magweyl.models import (ProjectorQuery, ResolventQuery, harmonic_hamiltonian,
                             projector_symbol, residue_projector, resolvent_symbol)
+from magweyl.errors import ResourceLimitError
 from magweyl.quantize import _hermite_rows, trusted_block_indices
 
 from conftest import standard_form
@@ -32,6 +33,15 @@ def test_spec_rejects_small_halfwidth():
     with pytest.raises(ValueError):
         HermiteBasisSpec(d=1, levels=40, halfwidth=10.0, npoints=512)
     HermiteBasisSpec(d=1, levels=40, halfwidth=12.0, npoints=512)
+
+
+@pytest.mark.parametrize("d, cap, over", [(1, 2048, 2049), (1, 2048, 100000), (2, 64, 65)])
+def test_grid_caps_are_resource_errors(d, cap, over):
+    # raised before any grid is built: a d = 1 grid of 100,000 points would
+    # take an 80 GB phase table and a label table of several GB
+    with pytest.raises(ResourceLimitError, match=f"capped at {cap} points"):
+        HermiteBasisSpec(d=d, levels=12, halfwidth=7.5, npoints=over)
+    assert HermiteBasisSpec(d=d, levels=12, halfwidth=7.5, npoints=cap).npoints == cap
 
 
 def test_hermite_table_closed_forms(spec16):
@@ -137,8 +147,7 @@ def test_round_trip_gaussian_windowed(spec24):
                                                        + 0.2 * pts[..., 0] * pts[..., 1])
     sym = GridSymbol(2, grid.halfwidth, grid.npoints, vals)
     back = wigner_symbol(weyl_quantize(sym, spec24), spec24)
-    mask = grid.radius2() <= (grid.halfwidth / 2.0) ** 2
-    assert back.sup_distance(sym, mask=mask) < 1e-5
+    assert back.sup_distance(sym, radius=grid.halfwidth / 2.0) < 1e-5
 
 
 def test_wigner_of_identity_needs_window(spec24):
@@ -243,8 +252,7 @@ def test_weyl_product_grid_constant(spec16):
                    np.exp(-grid.radius2() / 2.0))
     with pytest.warns(QuantizationWarning):
         prod = _weyl_product(_constant(grid, 1.0), g, spec16)
-    mask = grid.radius2() <= 4.0
-    assert prod.sup_distance(g, mask=mask) < 1e-3
+    assert prod.sup_distance(g, radius=2.0) < 1e-3
 
 
 def test_boundary_decay_warning(spec16):

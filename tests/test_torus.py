@@ -803,6 +803,30 @@ def test_single_ring_matches_banded_bisection():
         assert np.max(np.abs(got - banded)) < 1e-10
 
 
+@pytest.mark.parametrize("k, npts, wells", [(7, 128, 7), (4, 32, 1)])
+def test_rings_of_several_wells_start_at_full_precision(monkeypatch, k, npts, wells):
+    # a ring of k c / gcd(k c, N) > 1 wells bisects its path eigenvalues to
+    # full precision from the start, with no loose pass to redo; a ring of
+    # one well keeps the loose pass.  Either way the eigenvalues are those
+    # of a ring that starts loose
+    op = build_magnetic_laplacian(TorusModel.compatible(1), k, npts, None)
+    tolerances = []
+    bisect = _Ring._path_eigenvalues
+
+    def spy(ring, lo, hi, tol):
+        if tol < ring.scale:   # not a count, which bisects no further
+            tolerances.append(tol)
+        return bisect(ring, lo, hi, tol)
+
+    monkeypatch.setattr(_Ring, "_path_eigenvalues", spy)
+    result = solve(op, 4.0 * k)
+    assert tolerances and all((tol == 0.0) == (wells > 1) for tol in tolerances)
+    monkeypatch.setattr(_Ring, "_path_eigenvalues", bisect)
+    loose = np.sort(np.concatenate([_Ring(rows, diag, hop).grow(4.0 * k)
+                                    for rows, diag, hop in _sector_rings(op)]))
+    assert np.array_equal(np.sort(result.raw), loose)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("size", [2, 3, 4, 7, 50])
 def test_fallback_vectors_of_random_rings(size):
