@@ -25,22 +25,21 @@ print("\n== anchors ==")
 H = harmonic_hamiltonian(1)
 q = weyl_quantize(H, spec)
 print("quantize(H) diagonal head:", np.diag(q.entries).real[:5])
-one = weyl_quantize(GridSymbol(2, grid.halfwidth, grid.npoints,
-                               np.ones((grid.npoints,) * 2)), spec)  # warns: no decay
+one = weyl_quantize(GridSymbol.from_values(grid, np.ones((grid.npoints,) * 2)),
+                    spec)  # warns: no decay
 print("quantize(1) vs identity (trusted 20x20):",
       np.max(np.abs(one.entries - np.eye(spec.levels))[:20, :20]))
 
 print("\n== trace rule ==")
 vals = np.exp(-grid.radius2() / 2.0)
-gauss = GridSymbol(2, grid.halfwidth, grid.npoints, vals)
+gauss = GridSymbol.from_values(grid, vals)
 tr = np.trace(weyl_quantize(gauss, spec).entries).real
 print("trace:", tr, " vs (2 pi)^{-1} integral:",
       vals.sum().real * grid.spacing ** 2 / (2 * np.pi))
 
 print("\n== round trip on a decaying symbol ==")
 pts = grid.points()
-sym = GridSymbol(2, grid.halfwidth, grid.npoints,
-                 (1.0 + 0.5 * pts[..., 0]) * np.exp(-np.sum(pts ** 2, -1) / 2.0))
+sym = GridSymbol.from_values(grid, (1.0 + 0.5 * pts[..., 0]) * np.exp(-np.sum(pts ** 2, -1) / 2.0))
 back = wigner_symbol(weyl_quantize(sym, spec), spec)
 print("sup error inside |xi| <= R/2:", back.sup_distance(sym, radius=grid.halfwidth / 2.0))
 
@@ -48,4 +47,4 @@ print("\n== ground-state projector has symbol 2 exp(-|xi|^2) ==")
 mat = np.zeros((spec.levels, spec.levels), dtype=complex)
 mat[0, 0] = 1.0
 sym0 = wigner_symbol(OperatorMatrix(1, spec.levels, mat), spec)
-print("sup error:", np.max(np.abs(sym0.values - 2.0 * np.exp(-grid.radius2()))))
+print("sup error:", np.max(np.abs(sym0.rows(0, grid.npoints) - 2.0 * np.exp(-grid.radius2()))))

@@ -37,7 +37,7 @@ res = residue_projector(1, 0.5, 0.2, 64, grid)
 ref = projector_symbol(ProjectorQuery(1, 0.5), grid)
 print("contour around E=1/2 vs 2 exp(-|xi|^2):", res.sup_distance(ref))
 print("empty contour around z=0:", np.max(np.abs(
-    residue_projector(1, 0.0, 0.2, 64, grid).values)))
+    residue_projector(1, 0.0, 0.2, 64, grid).rows(0, grid.npoints))))
 
 print("\n== sharp inverse ==")
 H = harmonic_hamiltonian(1)
@@ -55,10 +55,10 @@ for energy in (0.5, 1.5):
 mid = grid.npoints // 2
 r = grid.axis()[mid:]
 series = [
-    {"label": "resolvent z=-1", "x": r, "y": rsym.values[mid:, mid].real},
-    {"label": "projector E=1/2", "x": r, "y": ref.values[mid:, mid].real},
+    {"label": "resolvent z=-1", "x": r, "y": rsym.rows(0, grid.npoints)[mid:, mid].real},
+    {"label": "projector E=1/2", "x": r, "y": ref.rows(0, grid.npoints)[mid:, mid].real},
     {"label": "projector E=3/2", "x": r,
-     "y": projector_symbol(ProjectorQuery(1, 1.5), grid).values[mid:, mid].real},
+     "y": projector_symbol(ProjectorQuery(1, 1.5), grid).rows(0, grid.npoints)[mid:, mid].real},
 ]
 write_svg("model_symbols.svg", svg_plot(series, "model symbols, radial profile",
                                         "|xi|", "value"))

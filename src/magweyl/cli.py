@@ -450,7 +450,7 @@ def run_model_checks(spec: HermiteBasisSpec, spec2: HermiteBasisSpec, q0: Resolv
     checks.append(_leq("models.residue_identity", res.sup_distance(ref), 1e-6,
                        "contour r=0.2, 64 nodes"))
     empty = residue_projector(1, 0.0, 0.2, 64, grid)
-    zero = GridSymbol.from_radial(grid, np.zeros(grid.radial_index()[0].size))
+    zero = GridSymbol.from_radial(grid, np.zeros_like)
     checks.append(_leq("models.residue_empty_contour", empty.sup_distance(zero), 1e-8))
 
     # sharp inverse vs the Mehler symbol

@@ -158,22 +158,12 @@ def _eval_combination(H: np.ndarray, d: int, zs: np.ndarray, coeffs: np.ndarray)
     return out.reshape(H.shape)
 
 
-def _radial_symbol(grid: PhaseGrid, profile) -> GridSymbol:
-    """The symbol profile(|xi|^2) on the grid, as a radial GridSymbol.
-
-    `profile` maps a 1-D array of squared radii to values; it runs once,
-    on the distinct grid radii (`PhaseGrid.radial_index`), and the symbol
-    keeps just those values: the quantizer gathers each slab of samples
-    from them, so the samples of the whole grid are never formed.
-    """
-    return GridSymbol.from_radial(grid, profile(grid.radial_index()[0]))
-
-
 def resolvent_symbol(query: ResolventQuery, grid: PhaseGrid) -> GridSymbol:
     """Radial resolvent symbol R_{d,z} sampled on the phase-space grid."""
     if grid.dim != 2 * query.d:
         raise ValueError(f"grid dim {grid.dim} != 2d = {2 * query.d}")
-    return _radial_symbol(grid, lambda r2: _eval_combination(0.5 * r2, query.d, [query.z], [1.0]))
+    return GridSymbol.from_radial(
+        grid, lambda r2: _eval_combination(0.5 * r2, query.d, [query.z], [1.0]))
 
 
 def resolvent_at(query: ResolventQuery, radius2: float) -> complex:
@@ -196,7 +186,7 @@ def projector_symbol(query: ProjectorQuery, grid: PhaseGrid) -> GridSymbol:
     """pi_{d,E} = 2^d (-1)^m e^{-|xi|^2} L_m^{d-1}(2 |xi|^2) on the grid."""
     if grid.dim != 2 * query.d:
         raise ValueError(f"grid dim {grid.dim} != 2d = {2 * query.d}")
-    return _radial_symbol(
+    return GridSymbol.from_radial(
         grid, lambda r2: ((2.0 ** query.d) * ((-1.0) ** query.m) * np.exp(-r2)
                           * _genlaguerre(query.m, query.d - 1, 2.0 * r2)))
 
@@ -227,7 +217,7 @@ def residue_projector(d: int, energy: float, radius: float, contour_points: int,
     zs = energy + radius * np.exp(1j * theta)
     # -(2 pi i)^{-1} * sum R(z_t) * (i r e^{i th} 2 pi / Q)
     coeffs = -(radius * np.exp(1j * theta)) / contour_points
-    return _radial_symbol(grid, lambda r2: _eval_combination(0.5 * r2, d, zs, coeffs))
+    return GridSymbol.from_radial(grid, lambda r2: _eval_combination(0.5 * r2, d, zs, coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +233,7 @@ def sharp_inverse(a, spec: HermiteBasisSpec) -> GridSymbol:
     on the trusted block, which signals 0 in the symbol spectrum.
 
     The samples of a and of 1/a are computed one slab of grid rows at a
-    time, at each pass that reads them (`GridSymbol.from_rows`: the range
+    time, at each pass that reads them (a computed `GridSymbol`: the range
     of |a|, the quantization of 1/a, and every read of the result, which
     adds 1/a to the de-quantized correction), so the correction is the
     one array of the whole grid that the inverse forms and keeps.
@@ -263,11 +253,11 @@ def sharp_inverse(a, spec: HermiteBasisSpec) -> GridSymbol:
                      for mags in (np.abs(rows(lo, hi)) for lo, hi in grid.slabs())])
     if not float(np.min(ends[:, 0])) > 1e-8 * float(np.max(ends[:, 1])):
         return wigner_symbol(OperatorMatrix(spec.d, spec.levels, inv), spec)
-    b0 = GridSymbol.from_rows(grid, lambda lo, hi, order: 1.0 / rows(lo, hi, order))
+    b0 = GridSymbol(grid, lambda lo, hi, order: 1.0 / rows(lo, hi, order))
     with warnings.catch_warnings():
         # 1/a decays polynomially; its trusted-block elements are fine
         warnings.simplefilter("ignore")
         q0 = weyl_quantize(b0, spec)
     corr = wigner_symbol(OperatorMatrix(spec.d, spec.levels, inv - q0.entries), spec)
-    return GridSymbol.from_rows(
+    return GridSymbol(
         grid, lambda lo, hi, order: b0.rows(lo, hi, order) + corr.rows(lo, hi, order))

@@ -60,7 +60,8 @@ class HermiteBasisSpec:
     npoints: int
 
     def __post_init__(self):
-        if self.d < 1 or self.levels < 1 or self.npoints < 4 or self.halfwidth <= 0:
+        if (self.d < 1 or self.levels < 1 or self.npoints < 4
+                or not 0 < self.halfwidth < math.inf):
             raise ValueError("invalid basis spec")
         if self.d == 1 and self.npoints > 2048:
             raise ResourceLimitError("d = 1 grids are capped at 2048 points per axis")
@@ -69,21 +70,21 @@ class HermiteBasisSpec:
         x = self.axis()
         top = _hermite_rows(self.levels, x)[-1]
         defect = abs(1.0 - self.spacing * float(np.sum(top * top)))
-        if defect > MASS_TOL:
+        if not defect <= MASS_TOL:   # NaN fails too
             raise ValueError(
                 f"halfwidth {self.halfwidth} too small for {self.levels} levels: "
                 f"boundary mass defect {defect:.2e} > {MASS_TOL:.0e}")
 
     @property
     def spacing(self) -> float:
-        return 2.0 * self.halfwidth / self.npoints
+        return self.grid().spacing
 
     @property
     def size(self) -> int:
         return self.levels ** self.d
 
     def axis(self) -> np.ndarray:
-        return (np.arange(self.npoints) - self.npoints // 2) * self.spacing
+        return self.grid().axis()
 
     def grid(self) -> PhaseGrid:
         return PhaseGrid(2 * self.d, self.halfwidth, self.npoints)
@@ -290,10 +291,8 @@ def _each_axis(rows, shape: tuple, one_axis, size: int) -> np.ndarray:
 
 
 def _quantize_grid(a: GridSymbol, spec: HermiteBasisSpec) -> np.ndarray:
-    if a.dim != 2 * spec.d:
-        raise ValueError(f"symbol dim {a.dim} != 2d = {2 * spec.d}")
-    if a.npoints != spec.npoints or a.halfwidth != spec.halfwidth:
-        raise ValueError("grid symbol geometry must match the basis spec")
+    if a.grid != spec.grid():
+        raise ValueError(f"grid symbol on {a.grid}, not on the basis grid {spec.grid()}")
     N, M = spec.levels, spec.npoints
     T, E = _axis_map(spec)
     scale = spec.spacing ** 3 / np.pi   # h^2 for the sums over s, t; 2h / 2pi for dp
@@ -315,7 +314,7 @@ def _quantize_grid(a: GridSymbol, spec: HermiteBasisSpec) -> np.ndarray:
             acc = acc + (Tr @ TK).view(complex)   # [level, level', pair]
         out[...] = scale * acc
 
-    return _each_axis(a.rows, (M,) * a.dim, one_axis, N).reshape(spec.size, spec.size)
+    return _each_axis(a.rows, (M,) * a.grid.dim, one_axis, N).reshape(spec.size, spec.size)
 
 
 def weyl_quantize(a, spec: HermiteBasisSpec) -> OperatorMatrix:
@@ -398,7 +397,7 @@ def wigner_symbol(op: OperatorMatrix, spec: HermiteBasisSpec,
     vals = np.ascontiguousarray(_each_axis(
         lambda lo, hi, order: np.transpose(B[lo:hi], order), B.shape, one_axis, M))
     vals.setflags(write=False)
-    return GridSymbol(2 * spec.d, spec.halfwidth, spec.npoints, vals)
+    return GridSymbol.from_values(spec.grid(), vals)
 
 
 # ---------------------------------------------------------------------------

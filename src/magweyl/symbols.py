@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from numbers import Number
 
@@ -322,12 +323,12 @@ class PolySymbol:
         return np.max(np.abs(a - b), axis=-1)
 
     def on_grid(self, grid: "PhaseGrid") -> "GridSymbol":
-        """The polynomial on the grid, evaluated afresh at each read of a slab
-        (`GridSymbol.from_rows`), so its samples are never kept whole."""
+        """The polynomial on the grid, evaluated afresh at each read of a slab,
+        so its samples are never kept whole."""
         if grid.dim != self.dim:
             raise ValueError("dimension mismatch")
         self.terms   # a stack has no grid symbol: raise now, not at the first read
-        return GridSymbol.from_rows(
+        return GridSymbol(
             grid, lambda lo, hi, order: np.transpose(self(grid.points(lo, hi)), order))
 
 
@@ -369,7 +370,7 @@ class PhaseGrid:
     npoints: int
 
     def __post_init__(self):
-        if self.dim < 1 or self.npoints < 2 or self.halfwidth <= 0:
+        if self.dim < 1 or self.npoints < 2 or not 0 < self.halfwidth < math.inf:
             raise ValueError("invalid grid")
 
     @property
@@ -403,17 +404,15 @@ class PhaseGrid:
         step = max(1, _SLAB // self.npoints ** (self.dim - 1))
         return [(lo, min(lo + step, self.npoints)) for lo in range(0, self.npoints, step)]
 
-    def radial_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct |xi|^2 of the grid, ascending, and the position among
-        them of each integer radius label (`_label_table`, `radius_labels`).
+    def radial_index(self) -> np.ndarray:
+        """The distinct |xi|^2 of the grid, ascending.
 
         The axis is n h with integer n, so |xi|^2 = h^2 s for the label
-        s = n_1^2 + ... + n_dim^2, and the label names a radius exactly:
-        the radii are h^2 times the labels that occur, and a point's
-        position among them is position[s].
+        s = n_1^2 + ... + n_dim^2 (`radius_labels`), and the label names a
+        radius exactly: the radii are h^2 times the labels that occur, and
+        a point's position among them is `_label_table`'s position[s].
         """
-        _, present, position = _label_table(self.dim, self.npoints)
-        return self.spacing ** 2 * np.flatnonzero(present), position
+        return self.spacing ** 2 * np.flatnonzero(_label_table(self.dim, self.npoints)[1])
 
     def radius_labels(self, lo: int = 0, hi: int | None = None,
                       order: tuple | None = None) -> np.ndarray:
@@ -425,28 +424,27 @@ class PhaseGrid:
                                                for axis in order or range(self.dim)])
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class GridSymbol:
-    """Complex samples of a symbol on a PhaseGrid.
+    """Complex samples of a symbol on a PhaseGrid, read one slab at a time.
 
-    A dense symbol keeps every sample.  A radial symbol (`from_radial`)
-    keeps only its value at each distinct |xi|^2 of the grid, in `radial`
-    (ordered as `PhaseGrid.radial_index`): `rows` gathers a slab of samples from
-    that table, `boundary_decay` reads the table, and `values` builds the
-    whole array, afresh at every read, only for a caller that reads points.
-    A computed symbol (`from_rows`) keeps no samples: `rows` computes each
-    slab afresh, and so does every pass of `boundary_decay`, `sup_distance`
-    and the grid quantizer.
+    `reader(lo, hi, order)` gives the samples values[lo:hi] (first index in
+    [lo, hi)) with the axes in `order`: a complex array of finite values,
+    the same at every call, that the caller may not write.  A dense symbol
+    (`from_values`) reads views of its kept samples; a computed one (for
+    instance `PolySymbol.on_grid`) computes each slab afresh, at every pass
+    that reads it.  A radial symbol (`from_radial`) also keeps `radial`,
+    its value at each distinct |xi|^2 of the grid (ordered as
+    `PhaseGrid.radial_index`): its reader gathers a slab from that table,
+    and `sup_distance` and `boundary_decay` read the table itself.
     """
 
-    dim: int
-    halfwidth: float
-    npoints: int
+    grid: PhaseGrid
+    reader: Callable = field(repr=False)
     radial: np.ndarray | None = field(default=None, repr=False)
-    _dense: np.ndarray | None = field(default=None, repr=False)
-    _reader: object = field(default=None, repr=False)
 
-    def __init__(self, dim: int, halfwidth: float, npoints: int, values):
+    @classmethod
+    def from_values(cls, grid: PhaseGrid, values) -> "GridSymbol":
         """A dense symbol: validate the values and keep a read-only copy of them.
 
         A read-only array that owns its data is kept without a copy: it is
@@ -454,78 +452,47 @@ class GridSymbol:
         left behind.
         """
         v = np.asarray(values, dtype=complex)
-        if v.shape != (npoints,) * dim:
-            raise ValueError(f"values must have shape {(npoints,) * dim}")
+        if v.shape != (grid.npoints,) * grid.dim:
+            raise ValueError(f"values must have shape {(grid.npoints,) * grid.dim}")
         if not np.all(np.isfinite(v)):
             raise ValueError("values must be finite")
         if v.flags.writeable or not v.flags.owndata:
             v = v.copy()
             v.setflags(write=False)
-        self._assign(dim, halfwidth, npoints, dense=v)
-
-    def _assign(self, dim, halfwidth, npoints, radial=None, dense=None, reader=None):
-        for name, value in (("dim", dim), ("halfwidth", halfwidth), ("npoints", npoints),
-                            ("radial", radial), ("_dense", dense), ("_reader", reader)):
-            object.__setattr__(self, name, value)
+        return cls(grid, lambda lo, hi, order: np.transpose(v[lo:hi], order))
 
     @classmethod
-    def from_radial(cls, grid: PhaseGrid, radial) -> "GridSymbol":
-        """The radial symbol with value radial[i] at the i-th distinct |xi|^2
-        of the grid (`PhaseGrid.radial_index`)."""
-        r = np.array(radial, dtype=complex)
-        radii = grid.radial_index()[0].size
-        if r.shape != (radii,):
-            raise ValueError(f"radial values must have shape {(radii,)}")
+    def from_radial(cls, grid: PhaseGrid, profile) -> "GridSymbol":
+        """The radial symbol profile(|xi|^2) on the grid.
+
+        `profile` maps a 1-D array of squared radii to values; it runs once,
+        on the distinct radii of the grid (`PhaseGrid.radial_index`), and the
+        symbol keeps just those values.  A slab depends on its points only
+        through their radius labels, so it is gathered, contiguous in the
+        order asked for, from the values at the labels: through a table over
+        every label when that is smaller than the slab (d = 2 rows), else
+        through the position of each label (d = 1 row chunks).
+        """
+        radii = grid.radial_index()
+        r = np.array(profile(radii), dtype=complex)
+        if r.shape != radii.shape:
+            raise ValueError(f"radial values must have shape {radii.shape}")
         if not np.all(np.isfinite(r)):
             raise ValueError("values must be finite")
         r.setflags(write=False)
-        out = cls.__new__(cls)
-        out._assign(grid.dim, grid.halfwidth, grid.npoints, radial=r)
-        return out
+        position = _label_table(grid.dim, grid.npoints)[2]
 
-    @classmethod
-    def from_rows(cls, grid: PhaseGrid, reader) -> "GridSymbol":
-        """The computed symbol whose slab values[lo:hi], with the axes in
-        `order`, is reader(lo, hi, order): a fresh complex array of finite
-        values, the same at every call."""
-        out = cls.__new__(cls)
-        out._assign(grid.dim, grid.halfwidth, grid.npoints, reader=reader)
-        return out
-
-    @property
-    def values(self) -> np.ndarray:
-        """Every sample, read-only."""
-        if self._dense is not None:
-            return self._dense
-        out = self.rows(0, self.npoints)
-        out.setflags(write=False)
-        return out
+        def reader(lo, hi, order):
+            labels = grid.radius_labels(lo, hi, order)
+            if position.size < labels.size:
+                return r[position].take(labels)
+            return r.take(position.take(labels))
+        return cls(grid, reader, r)
 
     def rows(self, lo: int, hi: int, order: tuple | None = None) -> np.ndarray:
         """values[lo:hi], with the axes in `order` (a permutation of the axes;
-        as they are by default).
-
-        A dense symbol gives a view, and a computed one its reader's slab.  A
-        radial symbol's slab depends on its points only through their radius
-        labels, so it is gathered, contiguous in that order, from its values
-        at the labels: through a table over every label when that is smaller
-        than the slab (d = 2 rows), else through the position of each label
-        (d = 1 row chunks).
-        """
-        order = tuple(order or range(self.dim))
-        if self._dense is not None:
-            return np.transpose(self.values[lo:hi], order)
-        if self._reader is not None:
-            return self._reader(lo, hi, order)
-        position = _label_table(self.dim, self.npoints)[2]
-        labels = self.grid.radius_labels(lo, hi, order)
-        if position.size < labels.size:
-            return self.radial[position].take(labels)
-        return self.radial.take(position.take(labels))
-
-    @property
-    def grid(self) -> PhaseGrid:
-        return PhaseGrid(self.dim, self.halfwidth, self.npoints)
+        as they are by default)."""
+        return self.reader(lo, hi, tuple(order or range(self.grid.dim)))
 
     def sup_distance(self, other: "GridSymbol", radius: float | None = None) -> float:
         """max |self - other| over the grid points with |xi|^2 <= radius^2
@@ -537,7 +504,7 @@ class GridSymbol:
         tables: each holds the values at the radii that occur on the grid,
         so the samples differ by the same set of values as the tables.
         """
-        if (self.dim, self.halfwidth, self.npoints) != (other.dim, other.halfwidth, other.npoints):
+        if self.grid != other.grid:
             raise ValueError("grid mismatch")
         if radius is None and self.radial is not None and other.radial is not None:
             return float(np.max(np.abs(self.radial - other.radial)))
@@ -553,17 +520,17 @@ class GridSymbol:
     def boundary_decay(self) -> float:
         """Largest magnitude on the grid boundary, relative to the peak.
 
-        No |values| array of the whole grid is formed.  For a dense or a
-        computed symbol the peak and the edge are maxima over the slabs of
-        the first axis (`PhaseGrid.slabs`), the edge over each slab's part
-        of the 2 * dim boundary faces.  A radial symbol reads its table: a
-        boundary point has the first or last axis label n^2 on some axis, so
-        the boundary radii are those labels plus the labels that occur on
-        dim - 1 axes.
+        No |values| array of the whole grid is formed.  A radial symbol
+        reads its table: a boundary point has the first or last axis label
+        n^2 on some axis, so the boundary radii are those labels plus the
+        labels that occur on dim - 1 axes.  Otherwise the peak and the edge
+        are maxima over the slabs of the first axis (`PhaseGrid.slabs`), the
+        edge over each slab's part of the 2 * dim boundary faces.
         """
+        dim, npoints = self.grid.dim, self.grid.npoints
         if self.radial is not None:
-            sq, _, position = _label_table(self.dim, self.npoints)
-            rest = np.flatnonzero(_label_table(self.dim - 1, self.npoints)[1])
+            sq, _, position = _label_table(dim, npoints)
+            rest = np.flatnonzero(_label_table(dim - 1, npoints)[1])
             mags = np.abs(self.radial)
             peak = float(np.max(mags))
             edge = float(np.max(mags[position[np.concatenate([sq[0] + rest, sq[-1] + rest])]]))
@@ -571,8 +538,8 @@ class GridSymbol:
             peak = edge = 0.0
             for lo, hi in self.grid.slabs():
                 mags = np.abs(self.rows(lo, hi))
-                faces = [mags.take(i, axis=k) for k in range(1, self.dim) for i in (0, -1)]
-                faces += [mags[i] for i, on_edge in ((0, lo == 0), (-1, hi == self.npoints))
+                faces = [mags.take(i, axis=k) for k in range(1, dim) for i in (0, -1)]
+                faces += [mags[i] for i, on_edge in ((0, lo == 0), (-1, hi == npoints))
                           if on_edge]
                 peak = max(peak, float(mags.max()))
                 edge = max([edge] + [float(face.max()) for face in faces])

@@ -133,6 +133,8 @@ class PotentialSpec:
             key = (int(p), int(q))
             amps[key] = amps.get(key, 0.0 + 0.0j) + complex(amp)
         for (p, q), amp in amps.items():
+            if not np.isfinite(amp):
+                raise ValueError(f"mode ({p},{q}) amplitude {amp} is not finite")
             partner = amps.get((-p, -q), 0.0 + 0.0j)
             if abs(np.conj(amp) - partner) > 1e-12 * max(1.0, abs(amp)):
                 raise ValueError(f"mode ({p},{q}) breaks realness: needs conjugate partner")

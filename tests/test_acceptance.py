@@ -92,7 +92,7 @@ def test_criterion_02_quantization_anchors(capsys, spec40):
     pts = grid.points()
     vals = np.exp(-np.sum(pts ** 2, axis=-1) / 2.0) * (1.0 + 0.3 * pts[..., 0]
                                                        + 0.2 * pts[..., 0] * pts[..., 1])
-    sym = GridSymbol(2, grid.halfwidth, grid.npoints, vals)
+    sym = GridSymbol.from_values(grid, vals)
     back = wigner_symbol(weyl_quantize(sym, spec40), spec40)
     rt_err = back.sup_distance(sym, radius=grid.halfwidth / 2.0)
     elapsed = time.perf_counter() - t0

@@ -513,6 +513,15 @@ def test_config_round_trip(tmp_path):
     # a negative side squares past the coarseness bound
     ({"torus": {"cluster_pairs": [[1, -8]]}},
      "torus clusters pair k=1, N=-8: lattice side N = -8 must be at least 1"),
+    # NaN fails no comparison, so a non-finite value is refused by name
+    ({"models": {"halfwidth": float("nan")}}, "models: invalid basis spec"),
+    ({"models": {"halfwidth": float("inf")}}, "models: invalid basis spec"),
+    ({"models": {"d2_halfwidth": float("nan")}}, "models: invalid basis spec"),
+    ({"models": {"d2_halfwidth": float("inf")}}, "models: invalid basis spec"),
+    ({"torus": {"potential": {"cos_x": float("nan")}}},
+     "torus: mode (1,0) amplitude (nan+0j) is not finite"),
+    ({"torus": {"potential": {"modes": [[[0, 1], [float("nan"), 0]], [[0, -1], [1.0, 0]]]}}},
+     "torus: mode (0,1) amplitude (nan+0j) is not finite"),
 ])
 def test_bad_config_value_is_config_error_in_dry_run(tmp_path, capsys, override, message):
     cfg = write_config(tmp_path, override)

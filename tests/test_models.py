@@ -108,7 +108,7 @@ def test_resolvent_identity_on_block(spec24):
 
 def test_resolvent_radial_invariance(spec16):
     sym = resolvent_symbol(ResolventQuery(d=1, z=-0.7), spec16.grid())
-    v = sym.values
+    v = sym.rows(0, spec16.npoints)
     # swap and parity generate the grid rotations; -R has no mirror image
     assert np.max(np.abs(v - v.T)) < 1e-10
     assert np.max(np.abs(v[1:, 1:] - v[1:, 1:][::-1, ::-1])) < 1e-10
@@ -117,17 +117,17 @@ def test_resolvent_radial_invariance(spec16):
 def test_projector_closed_forms(spec16):
     grid = spec16.grid()
     p0 = projector_symbol(ProjectorQuery(1, 0.5), grid)
-    assert np.max(np.abs(p0.values - 2.0 * np.exp(-grid.radius2()))) < 1e-13
-    p1 = projector_symbol(ProjectorQuery(1, 2.5), grid).values
+    assert np.max(np.abs(p0.rows(0, grid.npoints) - 2.0 * np.exp(-grid.radius2()))) < 1e-13
+    p1 = projector_symbol(ProjectorQuery(1, 2.5), grid).rows(0, grid.npoints)
     assert np.max(np.abs(p1 - p1.T)) < 1e-12  # radial
     assert np.max(np.abs(p1[1:, 1:] - p1[1:, 1:][::-1, ::-1])) < 1e-12
     g2 = PhaseGrid(4, 6.0, 16)
     p2 = projector_symbol(ProjectorQuery(2, 1.0), g2)
-    assert np.max(np.abs(p2.values - 4.0 * np.exp(-g2.radius2()))) < 1e-13
+    assert np.max(np.abs(p2.rows(0, g2.npoints) - 4.0 * np.exp(-g2.radius2()))) < 1e-13
     g_odd = PhaseGrid(2, 8.0, 127)   # odd M: the axis is symmetric about 0
-    p_odd = projector_symbol(ProjectorQuery(1, 0.5), g_odd)
-    assert np.max(np.abs(p_odd.values - 2.0 * np.exp(-g_odd.radius2()))) < 1e-13
-    assert np.max(np.abs(p_odd.values - p_odd.values[::-1, ::-1])) == 0.0
+    p_odd = projector_symbol(ProjectorQuery(1, 0.5), g_odd).rows(0, g_odd.npoints)
+    assert np.max(np.abs(p_odd - 2.0 * np.exp(-g_odd.radius2()))) < 1e-13
+    assert np.max(np.abs(p_odd - p_odd[::-1, ::-1])) == 0.0
 
 
 @pytest.mark.parametrize("dim, halfwidth, npoints", [(2, 8.0, 128), (2, 8.0, 127),
@@ -149,7 +149,7 @@ def test_radial_symbols_match_direct_evaluation(dim, halfwidth, npoints):
          -(2.0 ** d) * np.exp(-r2) * eval_genlaguerre(1, d - 1, 2.0 * r2)),
     ]
     for sym, direct in cases:
-        assert np.max(np.abs(sym.values - direct)) <= 1e-14 * np.max(np.abs(direct))
+        assert np.max(np.abs(sym.rows(0, npoints) - direct)) <= 1e-14 * np.max(np.abs(direct))
 
 
 def test_radial_symbols_memory():
@@ -221,7 +221,7 @@ def test_model_checks_memory():
 def test_eval_combination_is_chunk_invariant(monkeypatch):
     # 22,026 radii: five full chunks of 2^12 and a partial one, against one
     # chunk of 2^17; each value is a sum over the same terms in the same order
-    radii = PhaseGrid(2, 12.0, 512).radial_index()[0]
+    radii = PhaseGrid(2, 12.0, 512).radial_index()
     assert radii.size % 2 ** 12
     theta = 2.0 * np.pi * (np.arange(64) + 0.5) / 64
     cases = [([-0.7], [1.0]), (0.5 + 0.2 * np.exp(1j * theta), -0.2 * np.exp(1j * theta) / 64)]
@@ -238,7 +238,7 @@ def test_eval_combination_is_chunk_invariant(monkeypatch):
 def _slab_sup_distance(a, b) -> float:
     """max |a - b| over every grid sample, one slab of the first axis at a time."""
     return max(float(np.max(np.abs(a.rows(i, i + 1) - b.rows(i, i + 1))))
-               for i in range(a.npoints))
+               for i in range(a.grid.npoints))
 
 
 @pytest.mark.parametrize("d, halfwidth, npoints", [(1, 12.0, 512), (2, 7.5, 48)])
@@ -263,15 +263,16 @@ def test_sup_distance_matches_the_whole_grid(d, halfwidth, npoints, radius):
     grid = PhaseGrid(2 * d, halfwidth, npoints)
     assert len(grid.slabs()) > 1 and npoints % (grid.slabs()[0][1]) != 0
     pts, r2 = grid.points(), grid.radius2()
-    dense = GridSymbol(2 * d, halfwidth, npoints,
-                       np.exp(-r2 / 4.0) * (1.0 + 0.3 * pts[..., 0] - 0.2j * pts[..., -1]))
+    dense = GridSymbol.from_values(
+        grid, np.exp(-r2 / 4.0) * (1.0 + 0.3 * pts[..., 0] - 0.2j * pts[..., -1]))
     radial = resolvent_symbol(ResolventQuery(d, -0.7), grid)
     other = projector_symbol(ProjectorQuery(d, d / 2.0), grid)
     radius = None if radius is None else halfwidth / 2.0
     mask = np.ones(r2.shape, dtype=bool) if radius is None else r2 <= radius ** 2
-    dense_other = GridSymbol(2 * d, halfwidth, npoints, other.values)
+    dense_other = GridSymbol.from_values(grid, other.rows(0, npoints))
     for a, b in ((dense, radial), (radial, dense), (radial, other), (dense, dense_other)):
-        assert a.sup_distance(b, radius=radius) == np.max(np.abs(a.values - b.values)[mask])
+        whole = np.abs(a.rows(0, npoints) - b.rows(0, npoints))
+        assert a.sup_distance(b, radius=radius) == np.max(whole[mask])
 
 
 def test_projector_quantization_spectrum(spec16):
@@ -308,7 +309,7 @@ def test_residue_d2(spec_d2):
 
 def test_residue_empty_contour(spec16):
     out = residue_projector(1, 0.0, 0.2, 64, spec16.grid())
-    assert np.max(np.abs(out.values)) < 1e-8
+    assert np.max(np.abs(out.rows(0, spec16.npoints))) < 1e-8
 
 
 def test_residue_domain_errors(spec16):
@@ -326,16 +327,16 @@ def _whole_grid_sharp_inverse(a, spec):
     op = weyl_quantize(a, spec)
     inv = np.linalg.inv(op.entries)
     grid = spec.grid()
-    avals = a(grid.points()) if isinstance(a, PolySymbol) else a.values
+    avals = a(grid.points()) if isinstance(a, PolySymbol) else a.rows(0, grid.npoints)
     mags = np.abs(avals)
     if not float(np.min(mags)) > 1e-8 * float(np.max(mags)):
         return wigner_symbol(OperatorMatrix(spec.d, spec.levels, inv), spec)
     b0 = 1.0 / avals
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        q0 = weyl_quantize(GridSymbol(grid.dim, grid.halfwidth, grid.npoints, b0), spec)
+        q0 = weyl_quantize(GridSymbol.from_values(grid, b0), spec)
     corr = wigner_symbol(OperatorMatrix(spec.d, spec.levels, inv - q0.entries), spec)
-    return GridSymbol(grid.dim, grid.halfwidth, grid.npoints, b0 + corr.values)
+    return GridSymbol.from_values(grid, b0 + corr.rows(0, grid.npoints))
 
 
 @pytest.mark.filterwarnings("ignore::magweyl.QuantizationWarning")
@@ -351,18 +352,18 @@ def test_sharp_inverse_matches_the_whole_grid(case, spec16, spec24):
         "constant": (spec16, PolySymbol.constant(2, 2.0)),
         # a zero on the grid: the plain de-quantized inverse
         "zero": (spec16, PolySymbol.coordinate(2, 1)),
-        "dense": (spec24, GridSymbol(2, spec24.halfwidth, spec24.npoints,
-                                     (H + 0.7 - 0.2j)(spec24.grid().points()))),
-        "radial": (spec24, GridSymbol.from_radial(
-            spec24.grid(), 0.5 * spec24.grid().radial_index()[0] + 1.0)),
+        "dense": (spec24, GridSymbol.from_values(spec24.grid(),
+                                                 (H + 0.7 - 0.2j)(spec24.grid().points()))),
+        "radial": (spec24, GridSymbol.from_radial(spec24.grid(), lambda r2: 0.5 * r2 + 1.0)),
     }[case]
-    got, ref = sharp_inverse(a, spec).values, _whole_grid_sharp_inverse(a, spec).values
+    got = sharp_inverse(a, spec).rows(0, spec.npoints)
+    ref = _whole_grid_sharp_inverse(a, spec).rows(0, spec.npoints)
     assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 def test_sharp_inverse_constant(spec16):
     inv = sharp_inverse(PolySymbol.constant(2, 2.0), spec16)
-    assert np.max(np.abs(inv.values - 0.5)) < 1e-8
+    assert np.max(np.abs(inv.rows(0, spec16.npoints) - 0.5)) < 1e-8
 
 
 def test_sharp_inverse_matches_resolvent(spec24):
@@ -380,7 +381,7 @@ def test_sharp_inverse_left_inverse_property(spec24):
     with pytest.warns(Warning):
         prod = _weyl_product((H + 1.0).on_grid(grid), inv, spec24)
     mask = grid.radius2() <= 9.0  # window-flat part of the resolved region
-    assert np.max(np.abs(prod.values - 1.0)[mask]) < 1e-2
+    assert np.max(np.abs(prod.rows(0, grid.npoints) - 1.0)[mask]) < 1e-2
 
 
 def test_sharp_inverse_detects_pole(spec16):
@@ -392,21 +393,21 @@ def test_sharp_inverse_detects_pole(spec16):
 def test_spectral_window_ground_state(spec16):
     sym, rank = _window_symbol(spec16, 0.0, 1.0)
     expect = 2.0 * np.exp(-spec16.grid().radius2())
-    assert np.max(np.abs(sym.values - expect)) < 1e-10
+    assert np.max(np.abs(sym.rows(0, spec16.npoints) - expect)) < 1e-10
     assert rank == 1
 
 
 def test_spectral_window_additive(spec16):
     grid = spec16.grid()
     sym, _ = _window_symbol(spec16, 0.0, 2.0)
-    ref = (projector_symbol(ProjectorQuery(1, 0.5), grid).values
-           + projector_symbol(ProjectorQuery(1, 1.5), grid).values)
-    assert np.max(np.abs(sym.values - ref)) < 1e-10
+    ref = (projector_symbol(ProjectorQuery(1, 0.5), grid).rows(0, grid.npoints)
+           + projector_symbol(ProjectorQuery(1, 1.5), grid).rows(0, grid.npoints))
+    assert np.max(np.abs(sym.rows(0, grid.npoints) - ref)) < 1e-10
 
 
 def test_spectral_window_empty(spec16):
     sym, rank = _window_symbol(spec16, -2.0, -1.0)
-    assert np.max(np.abs(sym.values)) < 1e-12
+    assert np.max(np.abs(sym.rows(0, spec16.npoints))) < 1e-12
     assert rank == 0
 
 

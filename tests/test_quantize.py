@@ -24,8 +24,7 @@ def _weyl_product(a, b, spec):
 
 
 def _constant(grid, value):
-    return GridSymbol(grid.dim, grid.halfwidth, grid.npoints,
-                      np.full((grid.npoints,) * grid.dim, complex(value)))
+    return GridSymbol.from_values(grid, np.full((grid.npoints,) * grid.dim, complex(value)))
 
 
 def test_spec_rejects_small_halfwidth():
@@ -96,7 +95,7 @@ def test_grid_path_matches_ladder(spec24):
     # grid-sampled H: the DFT path must reproduce diag(m + 1/2) on the
     # trusted block (this anchor pins the cross-Wigner normalization)
     grid = spec24.grid()
-    sym = GridSymbol(2, grid.halfwidth, grid.npoints, 0.5 * grid.radius2())
+    sym = GridSymbol.from_values(grid, 0.5 * grid.radius2())
     with pytest.warns(QuantizationWarning):
         q = weyl_quantize(sym, spec24)
     target = np.diag(np.arange(spec24.levels) + 0.5)
@@ -108,7 +107,7 @@ def test_grid_path_matches_ladder(spec24):
 def test_grid_quantize_gaussian_projector(spec16):
     grid = spec16.grid()
     vals = 2.0 * np.exp(-grid.radius2())
-    q = weyl_quantize(GridSymbol(2, grid.halfwidth, grid.npoints, vals), spec16)
+    q = weyl_quantize(GridSymbol.from_values(grid, vals), spec16)
     expect = np.zeros((spec16.levels, spec16.levels))
     expect[0, 0] = 1.0
     assert np.max(np.abs(q.entries - expect)) < 1e-10
@@ -117,8 +116,7 @@ def test_grid_quantize_gaussian_projector(spec16):
 def test_trace_rule(spec24):
     grid = spec24.grid()
     vals = np.exp(-grid.radius2() / 2.0)
-    tr = np.trace(weyl_quantize(GridSymbol(2, grid.halfwidth, grid.npoints, vals),
-                                spec24).entries).real
+    tr = np.trace(weyl_quantize(GridSymbol.from_values(grid, vals), spec24).entries).real
     integral = vals.sum() * grid.spacing ** 2 / (2.0 * np.pi)
     assert abs(tr - integral) / abs(integral) < 1e-4
 
@@ -126,8 +124,7 @@ def test_trace_rule(spec24):
 def test_trace_rule_d2(spec_d2):
     grid = spec_d2.grid()
     vals = np.exp(-grid.radius2() / 2.0)
-    tr = np.trace(weyl_quantize(GridSymbol(4, grid.halfwidth, grid.npoints, vals),
-                                spec_d2).entries).real
+    tr = np.trace(weyl_quantize(GridSymbol.from_values(grid, vals), spec_d2).entries).real
     integral = vals.sum() * grid.spacing ** 4 / (2.0 * np.pi) ** 2
     assert abs(tr - integral) / abs(integral) < 1e-4
 
@@ -137,7 +134,7 @@ def test_wigner_rank_one_projector(spec16):
     mat[0, 0] = 1.0
     sym = wigner_symbol(OperatorMatrix(1, spec16.levels, mat), spec16)
     expect = 2.0 * np.exp(-spec16.grid().radius2())
-    assert np.max(np.abs(sym.values - expect)) < 1e-10
+    assert np.max(np.abs(sym.rows(0, spec16.npoints) - expect)) < 1e-10
 
 
 def test_round_trip_gaussian_windowed(spec24):
@@ -145,7 +142,7 @@ def test_round_trip_gaussian_windowed(spec24):
     pts = grid.points()
     vals = np.exp(-np.sum(pts ** 2, axis=-1) / 2.0) * (1.0 + 0.3 * pts[..., 0]
                                                        + 0.2 * pts[..., 0] * pts[..., 1])
-    sym = GridSymbol(2, grid.halfwidth, grid.npoints, vals)
+    sym = GridSymbol.from_values(grid, vals)
     back = wigner_symbol(weyl_quantize(sym, spec24), spec24)
     assert back.sup_distance(sym, radius=grid.halfwidth / 2.0) < 1e-5
 
@@ -157,8 +154,8 @@ def test_wigner_of_identity_needs_window(spec24):
     raw = wigner_symbol(identity, spec24, level_window=None)
     win = wigner_symbol(identity, spec24)
     mask = spec24.grid().radius2() <= 9.0
-    assert np.max(np.abs(raw.values - 1.0)[mask]) > 0.5
-    assert np.max(np.abs(win.values - 1.0)[mask]) < 2e-2
+    assert np.max(np.abs(raw.rows(0, spec24.npoints) - 1.0)[mask]) > 0.5
+    assert np.max(np.abs(win.rows(0, spec24.npoints) - 1.0)[mask]) < 2e-2
 
 
 def test_wigner_of_number_operator(spec24):
@@ -169,11 +166,11 @@ def test_wigner_of_number_operator(spec24):
     sym = wigner_symbol(OperatorMatrix(1, spec24.levels, mat), spec24)
     grid = spec24.grid()
     mask = grid.radius2() <= 9.0
-    err = np.abs(sym.values - 0.5 * grid.radius2())
+    err = np.abs(sym.rows(0, grid.npoints) - 0.5 * grid.radius2())
     assert np.max(err[mask]) < 0.1
     raw = wigner_symbol(OperatorMatrix(1, spec24.levels, mat), spec24,
                         level_window=None)
-    assert np.max(np.abs(raw.values - 0.5 * grid.radius2())[mask]) > 1.0
+    assert np.max(np.abs(raw.rows(0, grid.npoints) - 0.5 * grid.radius2())[mask]) > 1.0
 
 
 def test_weyl_product_matches_star_product_on_polynomials(spec24, rng):
@@ -241,15 +238,14 @@ def test_moyal_closed_form_for_hamiltonian_square():
 
 def test_weyl_product_grid_projector_idempotent(spec24):
     grid = spec24.grid()
-    pi = GridSymbol(2, grid.halfwidth, grid.npoints, 2.0 * np.exp(-grid.radius2()))
+    pi = GridSymbol.from_values(grid, 2.0 * np.exp(-grid.radius2()))
     prod = _weyl_product(pi, pi, spec24)
     assert prod.sup_distance(pi) < 1e-10
 
 
 def test_weyl_product_grid_constant(spec16):
     grid = spec16.grid()
-    g = GridSymbol(2, grid.halfwidth, grid.npoints,
-                   np.exp(-grid.radius2() / 2.0))
+    g = GridSymbol.from_values(grid, np.exp(-grid.radius2() / 2.0))
     with pytest.warns(QuantizationWarning):
         prod = _weyl_product(_constant(grid, 1.0), g, spec16)
     assert prod.sup_distance(g, radius=2.0) < 1e-3
@@ -269,8 +265,8 @@ def test_trusted_block_indices_d2(spec_d2):
 
 
 def test_geometry_mismatch_raises(spec16):
-    bad = GridSymbol(2, 4.0, spec16.npoints,
-                     np.zeros((spec16.npoints, spec16.npoints)))
+    bad = GridSymbol.from_values(PhaseGrid(2, 4.0, spec16.npoints),
+                                 np.zeros((spec16.npoints, spec16.npoints)))
     with pytest.raises(ValueError):
         weyl_quantize(bad, spec16)
     with pytest.raises(ValueError):
@@ -332,12 +328,12 @@ def _check_grid_path(d, levels, halfwidth, npoints):
     shape = (npoints,) * (2 * d)
     vals = np.exp(-grid.radius2() / 4.0) * (rng.standard_normal(shape)
                                            + 1j * rng.standard_normal(shape))
-    q = weyl_quantize(GridSymbol(2 * d, halfwidth, npoints, vals), spec)
+    q = weyl_quantize(GridSymbol.from_values(grid, vals), spec)
     assert _rel(q.entries, _reference_quantize(vals, spec)) < 1e-13
     mat = rng.standard_normal((spec.size, spec.size)) + 1j * rng.standard_normal(
         (spec.size, spec.size))
     back = wigner_symbol(OperatorMatrix(d, levels, mat), spec, level_window=None)
-    assert _rel(back.values, _reference_wigner(mat, spec)) < 1e-13
+    assert _rel(back.rows(0, npoints), _reference_wigner(mat, spec)) < 1e-13
 
 
 @pytest.mark.parametrize("d, levels, halfwidth, npoints", [
@@ -378,17 +374,18 @@ def test_grid_path_factorizes_over_axes(d, monkeypatch):
                for _ in range(d)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", QuantizationWarning)
-        q = weyl_quantize(GridSymbol(2 * d, 3.0, M, functools.reduce(_axis_product, factors)),
-                          spec)
-        q1 = [weyl_quantize(GridSymbol(2, 3.0, M, f), spec1).entries for f in factors]
+        q = weyl_quantize(
+            GridSymbol.from_values(spec.grid(), functools.reduce(_axis_product, factors)), spec)
+        q1 = [weyl_quantize(GridSymbol.from_values(spec1.grid(), f), spec1).entries
+              for f in factors]
     assert _rel(q.entries, functools.reduce(np.kron, q1)) < 1e-13
 
     mats = [rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)) for _ in range(d)]
     back = wigner_symbol(OperatorMatrix(d, N, functools.reduce(np.kron, mats)), spec,
                          level_window=None)
-    w1 = [wigner_symbol(OperatorMatrix(1, N, m), spec1, level_window=None).values
+    w1 = [wigner_symbol(OperatorMatrix(1, N, m), spec1, level_window=None).rows(0, M)
           for m in mats]
-    assert _rel(back.values, functools.reduce(_axis_product, w1)) < 1e-13
+    assert _rel(back.rows(0, M), functools.reduce(_axis_product, w1)) < 1e-13
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -401,10 +398,10 @@ def test_wigner_symbol_is_adjoint_of_quantize(d, spec16, spec_d2):
     B = rng.standard_normal((spec.size, spec.size)) + 1j * rng.standard_normal(
         (spec.size, spec.size))
     with pytest.warns(QuantizationWarning):
-        qa = weyl_quantize(GridSymbol(2 * d, spec.halfwidth, spec.npoints, a), spec)
+        qa = weyl_quantize(GridSymbol.from_values(spec.grid(), a), spec)
     wb = wigner_symbol(OperatorMatrix(d, spec.levels, B), spec, level_window=None)
     lhs = np.vdot(B, qa.entries)
-    rhs = (spec.spacing ** 2 / (2.0 * np.pi)) ** d * np.vdot(wb.values, a)
+    rhs = (spec.spacing ** 2 / (2.0 * np.pi)) ** d * np.vdot(wb.rows(0, spec.npoints), a)
     assert abs(lhs - rhs) <= 1e-11 * abs(lhs)
 
 
@@ -429,7 +426,7 @@ def test_grid_round_trip_memory():
     # an 18% margin
     spec = HermiteBasisSpec(d=1, levels=40, halfwidth=12.0, npoints=512)
     grid = spec.grid()
-    sym = GridSymbol(2, grid.halfwidth, grid.npoints, 2.0 * np.exp(-grid.radius2()))
+    sym = GridSymbol.from_values(grid, 2.0 * np.exp(-grid.radius2()))
     assert _traced_peak(lambda: wigner_symbol(weyl_quantize(sym, spec), spec)) < 12 * 2 ** 20
 
 
@@ -457,7 +454,7 @@ def test_radial_symbols_quantize_like_their_samples(d, levels, halfwidth, npoint
                 residue_projector(d, d / 2.0, 0.2, 64, grid),
                 projector_symbol(ProjectorQuery(d, d / 2.0 + 1), grid)):
         assert sym.radial is not None
-        dense = GridSymbol(2 * d, halfwidth, npoints, sym.values)
+        dense = GridSymbol.from_values(grid, sym.rows(0, npoints))
         assert dense.radial is None
         assert _rel(weyl_quantize(sym, spec).entries, weyl_quantize(dense, spec).entries) <= 1e-15
         assert sym.boundary_decay() == dense.boundary_decay()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from magweyl import GridSymbol, PhaseGrid, PolySymbol
-from magweyl.symbols import derivatives, monomial_basis, monomial_rank
+from magweyl.symbols import _label_table, derivatives, monomial_basis, monomial_rank
 
 
 def test_poly_zero_pruning():
@@ -78,10 +78,17 @@ def test_grid_geometry():
     assert r2.shape == (128, 128) and np.isclose(r2[64, 64], 0.0)
 
 
+@pytest.mark.parametrize("halfwidth", [0.0, -1.0, np.nan, np.inf])
+def test_grid_rejects_a_bad_halfwidth(halfwidth):
+    # NaN fails every comparison, so the test is for a finite positive value
+    with pytest.raises(ValueError):
+        PhaseGrid(2, halfwidth, 16)
+
+
 @pytest.mark.parametrize("dim, npoints", [(2, 512), (2, 127), (4, 24)])
 def test_radial_index(dim, npoints):
     g = PhaseGrid(dim, 6.0, npoints)
-    r2, position = g.radial_index()
+    r2, position = g.radial_index(), _label_table(dim, npoints)[2]
     index = position[g.radius_labels()]
     assert np.all(np.diff(r2) > 0.0) and r2[0] == 0.0
     assert index.shape == (npoints,) * dim and index.dtype.kind == "u"
@@ -96,45 +103,47 @@ def test_radial_index(dim, npoints):
 
 
 def test_grid_symbol_validation():
+    g = PhaseGrid(2, 4.0, 16)
     with pytest.raises(ValueError):
-        GridSymbol(2, 4.0, 16, np.zeros((16, 8)))
+        GridSymbol.from_values(g, np.zeros((16, 8)))
     with pytest.raises(ValueError):
-        GridSymbol(2, 4.0, 16, np.full((16, 16), np.nan))
-    s = GridSymbol(2, 4.0, 16, np.full((16, 16), 2.0))
-    assert not s.values.flags.writeable
+        GridSymbol.from_values(g, np.full((16, 16), np.nan))
+    s = GridSymbol.from_values(g, np.full((16, 16), 2.0))
+    assert not s.rows(0, 16).flags.writeable
     # a fresh read-only array is kept; a writable one or a view is copied
     fresh = np.ones((16, 16), dtype=complex)
-    assert GridSymbol(2, 4.0, 16, fresh).values is not fresh
+    assert not np.shares_memory(GridSymbol.from_values(g, fresh).rows(0, 16), fresh)
     fresh.setflags(write=False)
-    assert GridSymbol(2, 4.0, 16, fresh).values is fresh
+    assert np.shares_memory(GridSymbol.from_values(g, fresh).rows(0, 16), fresh)
     base = np.ones((16, 32), dtype=complex)
     view = base[:, :16]
     view.setflags(write=False)
-    kept = GridSymbol(2, 4.0, 16, view).values
+    kept = GridSymbol.from_values(g, view).rows(0, 16)
     base[:] = 2.0
-    assert kept is not view and np.all(kept == 1.0) and not kept.flags.writeable
+    assert not np.shares_memory(kept, view) and np.all(kept == 1.0)
+    assert not kept.flags.writeable
 
 
 def test_poly_on_grid_matches_eval():
     g = PhaseGrid(2, 4.0, 32)
     p = PolySymbol(2, {(2, 0): 1.0, (0, 1): -0.5j})
     s = p.on_grid(g)
-    assert np.allclose(s.values, p(g.points()))
+    assert np.allclose(s.rows(0, g.npoints), p(g.points()))
 
 
 def test_boundary_decay():
     g = PhaseGrid(2, 6.0, 64)
-    gauss = GridSymbol(2, 6.0, 64, np.exp(-g.radius2()))
+    gauss = GridSymbol.from_values(g, np.exp(-g.radius2()))
     assert gauss.boundary_decay() < 1e-12
-    flat = GridSymbol(2, 6.0, 64, np.ones((64, 64)))
+    flat = GridSymbol.from_values(g, np.ones((64, 64)))
     assert flat.boundary_decay() == 1.0
 
 
 def test_boundary_decay_streams_the_grid():
     # d = 2, M = 48: |values| of the whole grid would be a 42 MB copy
     g = PhaseGrid(4, 3.0, 48)
-    sym = GridSymbol(4, 3.0, 48, np.exp(-g.radius2() / 4.0) * (1.0 - 0.5j))
-    v = np.abs(sym.values)
+    sym = GridSymbol.from_values(g, np.exp(-g.radius2() / 4.0) * (1.0 - 0.5j))
+    v = np.abs(sym.rows(0, g.npoints))
     edge = max(float(np.max(np.take(v, i, axis=k))) for k in range(4) for i in (0, 47))
     expect = edge / float(np.max(v))
     del v
