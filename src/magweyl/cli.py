@@ -37,7 +37,8 @@ from .models import (ProjectorQuery, ResolventQuery,
                      SymbolNotInvertibleError, harmonic_hamiltonian,
                      projector_symbol, residue_projector, resolvent_at,
                      resolvent_symbol, sharp_inverse)
-from .quantize import HermiteBasisSpec, _axis_map, block_compare, weyl_quantize
+from .quantize import (HermiteBasisSpec, _axis_map, _row_chunks, block_compare,
+                       weyl_quantize)
 from .star import (AntisymmetricForm, _chunks, _ordered_power, moyal_product, sharp_power,
                    symmetrized_product)
 from .symbols import (GridSymbol, PolySymbol, _derivative_table, _pair_index,
@@ -466,8 +467,9 @@ def run_model_checks(spec: HermiteBasisSpec, spec2: HermiteBasisSpec, q0: Resolv
         checks.append(Check("models.sharp_inverse_pole_detected", 1.0, 1.0, True,
                             "H - 1/2 flagged singular"))
     # no later stage quantizes on a grid: free the cached axis maps and
-    # the heap they pin before the torus stage builds on it
+    # chunk plans, and the heap they pin, before the torus stage builds on it
     _axis_map.cache_clear()
+    _row_chunks.cache_clear()
     return checks
 
 
@@ -514,12 +516,6 @@ def _torus_jobs(cfg: dict, model: TorusModel, pot: PotentialSpec | None) -> list
         raise ConfigError(f"torus: cluster_levels {levels} must name one or more levels m >= 0")
     if tcfg["weyl_pairs"] and not tcfg["weyl_lambda"] > 0:
         raise ConfigError(f"torus: weyl_lambda {tcfg['weyl_lambda']} must be positive")
-    if pot is not None and tcfg["band_pairs"]:
-        # a cutoff at or below the lowest band leaves the band verdicts no eigenvalue
-        bottom = sigma_bands(model, pot, 0)[0][0]
-        if not tcfg["band_cutoff"] > bottom:
-            raise ConfigError(f"torus: band_cutoff {tcfg['band_cutoff']} must lie above "
-                              f"{bottom:.6g}, the bottom b/2 + min V of the lowest band")
     top = max(levels, default=0) + 1
     reads = [("clusters", None, tcfg["cluster_pairs"], lambda k: top * model.field * k),
              ("weyl", None, tcfg["weyl_pairs"], lambda k: tcfg["weyl_lambda"] * k ** 2)]
@@ -581,10 +577,29 @@ def _never_grows(name: str, groups: dict, note: str) -> list[Check]:
     return [Check(name, float(ok), 1.0, ok, note)]
 
 
+def _predicted_bands(cfg: dict, model: TorusModel, pot: PotentialSpec | None) -> list | None:
+    """The bands m = 0, ..., floor(band_cutoff) + 1 that the band verdicts
+    read, from one oscillation of the potential; None when no verdict
+    reads them.  A cutoff at or below the lowest band leaves the band
+    verdicts no eigenvalue, and an infinite one no top band: each is a
+    ConfigError."""
+    tcfg = cfg["torus"]
+    if pot is None or not tcfg["band_pairs"]:
+        return None
+    cutoff = tcfg["band_cutoff"]
+    bands = sigma_bands(model, pot, max(0, math.floor(cutoff) + 1)
+                        if math.isfinite(cutoff) else 0)
+    if not bands[0][0] < cutoff < math.inf:
+        raise ConfigError(f"torus: band_cutoff {cutoff} must lie above {bands[0][0]:.6g}, "
+                          "the bottom b/2 + min V of the lowest band, and be finite")
+    return bands
+
+
 def run_torus_checks(cfg: dict, model: TorusModel, pot: PotentialSpec | None,
-                     spectra: dict) -> tuple[list[Check], dict]:
+                     bands: list | None, spectra: dict) -> tuple[list[Check], dict]:
     """The torus verdicts from `spectra`, which maps each operator
-    (potential or None, k, N) to its EigenResult."""
+    (potential or None, k, N) to its EigenResult, and the `bands` of
+    `_predicted_bands`."""
     tcfg = cfg["torus"]
     checks = []
     extras = {"clusters": [], "weyl": [], "bands": []}
@@ -620,10 +635,9 @@ def run_torus_checks(cfg: dict, model: TorusModel, pot: PotentialSpec | None,
                                "deviation non-increasing in k")
         extras["weyl"] = [r.__dict__ for r in records]
 
-    if pot is not None and tcfg["band_pairs"]:
-        # the bands m = 0, ..., floor(band_cutoff) + 1, and the gaps between
-        # them that open below band_cutoff, where every solve sees both sides
-        bands = sigma_bands(model, pot, math.floor(tcfg["band_cutoff"]) + 1)
+    if bands is not None:
+        # the gaps between the bands that open below band_cutoff, where
+        # every solve sees both sides
         predicted = [g for g in band_gaps(bands) if g[1] < tcfg["band_cutoff"]]
         margins = {}  # {k: {N: containment margin}}
         for k, npts in tcfg["band_pairs"]:
@@ -728,10 +742,11 @@ def _torus_stage(cfg: dict) -> tuple[list[str], Callable]:
         pot = _potential_from_config(tcfg["potential"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"torus: {exc}") from exc
+    bands = _predicted_bands(cfg, model, pot)
     jobs = _torus_jobs(cfg, model, pot)
 
     def run(rt: Runtime):
-        return run_torus_checks(cfg, model, pot, _run_jobs(jobs, rt.workers, rt.cache))
+        return run_torus_checks(cfg, model, pot, bands, _run_jobs(jobs, rt.workers, rt.cache))
     return [f"solve {'V = 0' if j.potential is None else 'V'} eigenvalues below "
             f"{j.below:.6g} at k={j.k}, N={j.npoints}" for j in jobs], run
 

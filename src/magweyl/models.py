@@ -21,13 +21,12 @@ pi_{d,E} = 2^d (-1)^m e^{-|xi|^2} L_m^{d-1}(2|xi|^2), m = E - d/2.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quantize import (HermiteBasisSpec, OperatorMatrix, trusted_block_indices,
-                       weyl_quantize, wigner_symbol)
+from .quantize import (HermiteBasisSpec, OperatorMatrix, _quantize_grid,
+                       trusted_block_indices, weyl_quantize, wigner_symbol)
 from .symbols import GridSymbol, PhaseGrid, PolySymbol
 
 
@@ -112,8 +111,8 @@ class ProjectorQuery:
 
 _W0 = 0.5          # split point of the w-integral
 _SERIES_TERMS = 48  # Taylor terms on [0, w0]; tail < (w0)^J relative
-# H values per Taylor table: 48 planes of 2^12 floats (1.5 MiB, 3 MiB as the
-# complex operand of its contraction)
+# H values per chunk of the series sum, which holds two Taylor coefficient
+# planes and its complex sum (128 KiB at 2^12)
 _CHUNK = 1 << 12
 
 
@@ -121,21 +120,14 @@ def _phi(w, H, d: int):
     return (2.0 ** d) * (1.0 + w) ** (-d) * np.exp(-2.0 * H * (1.0 - w) / (1.0 + w))
 
 
-def _phi_series(H: np.ndarray, d: int, terms: int) -> np.ndarray:
-    """Taylor coefficients c_j of phi(., H) at w = 0, by the recurrence
-    (j+1) c_{j+1} = (4H - d - 2j) c_j - (d + j - 1) c_{j-1}."""
-    c = np.empty((terms,) + H.shape)
-    slope = 4.0 * H - d
-    c[0] = (2.0 ** d) * np.exp(-2.0 * H)
-    if terms > 1:
-        c[1] = slope * c[0]
-    for j in range(1, terms - 1):
-        c[j + 1] = ((slope - 2.0 * j) * c[j] - (d + j - 1.0) * c[j - 1]) / (j + 1.0)
-    return c
-
-
 def _eval_combination(H: np.ndarray, d: int, zs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_t coeffs[t] * R_{d, zs[t]} evaluated at H = |xi|^2/2 values."""
+    """sum_t coeffs[t] * R_{d, zs[t]} evaluated at H = |xi|^2/2 values.
+
+    On [0, w0] the sum is sum_j pole_coef[j] c_j(H) over the Taylor
+    coefficients c_j of phi(., H) at w = 0, added term by term as the
+    recurrence (j+1) c_{j+1} = (4H - d - 2j) c_j - (d + j - 1) c_{j-1}
+    makes them, so one chunk of H holds two coefficient planes, not all.
+    """
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=complex))
     s = d / 2.0 - zs
@@ -153,8 +145,14 @@ def _eval_combination(H: np.ndarray, d: int, zs: np.ndarray, coeffs: np.ndarray)
     for k in range(QUAD_NODES):   # temporaries the size of H, one node at a time
         out += gl_coef[k] * _phi(wn[k], flat, d)
     for lo in range(0, flat.size, _CHUNK):
-        cs = _phi_series(flat[lo:lo + _CHUNK], d, _SERIES_TERMS)
-        out[lo:lo + _CHUNK] += np.tensordot(pole_coef, cs, axes=(0, 0))
+        h = flat[lo:lo + _CHUNK]
+        slope = 4.0 * h - d
+        prev, cur = 0.0, (2.0 ** d) * np.exp(-2.0 * h)   # c_{-1}, c_0
+        series = pole_coef[0] * cur
+        for j in range(1, _SERIES_TERMS):
+            prev, cur = cur, ((slope - 2.0 * (j - 1)) * cur - (d + j - 2.0) * prev) / j
+            series += pole_coef[j] * cur
+        out[lo:lo + _CHUNK] += series
     return out.reshape(H.shape)
 
 
@@ -235,8 +233,9 @@ def sharp_inverse(a, spec: HermiteBasisSpec) -> GridSymbol:
     The samples of a and of 1/a are computed one slab of grid rows at a
     time, at each pass that reads them (a computed `GridSymbol`: the range
     of |a|, the quantization of 1/a, and every read of the result, which
-    adds 1/a to the de-quantized correction), so the correction is the
-    one array of the whole grid that the inverse forms and keeps.
+    adds 1/a to the de-quantized correction).  The correction is computed
+    too (`wigner_symbol`), so the inverse keeps the two parity blocks of
+    its kernel, not an array of the whole grid.
     """
     op = weyl_quantize(a, spec)
     sel = trusted_block_indices(spec)
@@ -254,10 +253,9 @@ def sharp_inverse(a, spec: HermiteBasisSpec) -> GridSymbol:
     if not float(np.min(ends[:, 0])) > 1e-8 * float(np.max(ends[:, 1])):
         return wigner_symbol(OperatorMatrix(spec.d, spec.levels, inv), spec)
     b0 = GridSymbol(grid, lambda lo, hi, order: 1.0 / rows(lo, hi, order))
-    with warnings.catch_warnings():
-        # 1/a decays polynomially; its trusted-block elements are fine
-        warnings.simplefilter("ignore")
-        q0 = weyl_quantize(b0, spec)
-    corr = wigner_symbol(OperatorMatrix(spec.d, spec.levels, inv - q0.entries), spec)
+    # 1/a decays polynomially, so the grid path, not weyl_quantize and its
+    # boundary check: the trusted-block elements of its quantization are fine
+    corr = wigner_symbol(OperatorMatrix(spec.d, spec.levels, inv - _quantize_grid(b0, spec)),
+                         spec)
     return GridSymbol(
         grid, lambda lo, hi, order: b0.rows(lo, hi, order) + corr.rows(lo, hi, order))

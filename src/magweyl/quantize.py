@@ -11,7 +11,10 @@ rows strided slices place into the kernel's two parity blocks (a grid
 midpoint pairs positions of equal parity), and the Hermite rows of each
 parity on both sides, applied once per phase-space axis for every d.
 The working set of a map is its output, the cached phases, the two
-parity blocks and one row chunk.  The normalization is pinned by the
+parity blocks and one row chunk.  A radial symbol at d >= 2 runs its
+first pass once per distinct radius of the pass's batch axes, and the
+second pass gathers its rows from that output, so no pass output of
+N^2 M^2 entries is formed.  The normalization is pinned by the
 quantize(1) = identity and quantize(H) = diag(m + d/2) anchors, not by
 convention.
 
@@ -21,7 +24,10 @@ flat-top window over the level index (unless disabled).  A hard
 basis cutoff leaves O(1) oscillatory artifacts for slowly decaying
 operators (the Weyl symbol of the truncated identity oscillates
 between 0 and 2 at the origin); the smooth cutoff suppresses them
-superalgebraically in the resolved region.
+superalgebraically in the resolved region.  Its symbol is computed:
+every pass but the last runs at once, the last stops at its two parity
+blocks (half a grid at d = 1), and each read of a slab of grid rows
+runs the inverse DFT of the midpoint rows it holds.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ResourceLimitError
-from .symbols import GridSymbol, PhaseGrid, PolySymbol
+from .symbols import GridSymbol, PhaseGrid, PolySymbol, _label_table
 
 # The most L^2 mass the top basis function may have outside [-R, R].
 MASS_TOL = 1e-10
@@ -178,13 +184,15 @@ def _axis_map(spec: HermiteBasisSpec):
     conjugate of E(b, off).  Beside them a map call holds its output, the
     two parity blocks of ceil(M/2)^2 and floor(M/2)^2 entries per pair of
     its batch, and one chunk of midpoint rows (`_CHUNK` entries, and its
-    DFT).
+    DFT); the last pass of a de-quantization holds no output, and keeps
+    its parity blocks in the symbol it returns.
     """
     M, h, x = spec.npoints, spec.spacing, spec.axis()
     off = np.arange((M + 1) // 2)
     return _hermite_rows(spec.levels, x), np.exp(1j * np.outer(x, 2.0 * h * off))
 
 
+@functools.lru_cache(maxsize=16)
 def _row_chunks(M: int, batch: int) -> tuple:
     """The chunks of midpoint rows of a map call on `batch` pairs, and where
     each row meets the two parity blocks.
@@ -197,7 +205,8 @@ def _row_chunks(M: int, batch: int) -> tuple:
     rho is the strided slice [k0::n_rho - 1] of the flat block (n_rho =
     ceil(M/2), floor(M/2)) and [q0::2] of the row's window.  Returns
     (lo, hi, r, places) for each chunk, `places` holding (a - lo, rho,
-    block slice, window slice) for each row and block it meets.
+    block slice, window slice) for each row and block it meets.  Cached:
+    every map call on the same M and batch follows one plan.
     """
     step = max(1, _CHUNK // (batch * M))
     chunks = []
@@ -215,7 +224,7 @@ def _row_chunks(M: int, batch: int) -> tuple:
                 k0 = (a + off - rho) // 2 * n + (a - off - rho) // 2
                 places.append((a - lo, rho, slice(k0, k0 + (count - 1) * (n - 1) + 1, n - 1),
                                slice(off + r, off + r + 2 * count - 1, 2)))
-        chunks.append((lo, hi, r, places))
+        chunks.append((lo, hi, r, tuple(places)))
     return tuple(chunks)
 
 
@@ -248,60 +257,104 @@ def _window_adjoint(Y: np.ndarray, E: np.ndarray, r: int) -> np.ndarray:
     return (E[:, :r + 1].view(float) @ Z.view(float)).view(complex)
 
 
-def _each_axis(rows, shape: tuple, one_axis, size: int) -> np.ndarray:
-    """Apply a one-axis map to each axis pair of an array.
+def _chunked(take, out: np.ndarray, per_index: int, one_axis) -> None:
+    """Run a one-axis map over the first batch axis of `out` [size, size,
+    batch...] in chunks of at most `_CHUNK` entries, `per_index` per index
+    of that axis (one index at the least).  `take(lo, hi)` gives the input
+    of indices [lo:hi], [v, u, hi - lo, ...]."""
+    size, step = out.shape[0], max(1, _CHUNK // per_index)
+    for c in range(0, out.shape[2], step):
+        part = np.ascontiguousarray(take(c, c + step))
+        part = part.reshape(part.shape[:2] + (-1,))
+        one_axis(lambda lo, hi: part[:, lo:hi], out[:, :, c:c + step].reshape(size, size, -1))
+
+
+def _each_axis(take, shape: tuple, one_axis, size: int, passes) -> np.ndarray:
+    """Apply a one-axis map to the axis pairs `passes` (one or more) of an
+    array, in turn.
 
     The array has axes (u_1..u_d, v_1..v_d) and shape `shape`, and axis k
     pairs u_k with v_k.  A pass maps pair k with the other axes as its
     batch, last: `one_axis(read, out)` maps a batch of B pairs into `out`
     [size, size, B] (u, v), and `read(lo, hi)` gives their rows [lo:hi]
     along u_k, v first: [v, hi - lo, B].  The pass runs in chunks over its
-    first batch axis (a lone pair is one chunk), so no temporary grows with
-    the whole array.  The first pass reads the array only through
-    `rows(lo, hi, order)`, its slab [lo:hi] along u_1 with the axes in
-    `order`, (v_k, u_k, batch): u_1 is the first batch axis of that pass,
-    or (d = 1) the pair's own u, whose slabs the map reads as its rows.  A
-    radial GridSymbol gathers each slab in that order from its table, so
-    its samples never exist whole.  Later passes read the output of the
-    pass before.  A lone pair's result is the map's output array itself,
-    not a view.
+    first batch axis (`_chunked`; a lone pair is one chunk), so no
+    temporary grows with the whole array.  The first pass reads the array
+    only through `take(order, lo, hi)`, the array with its axes in `order`,
+    (v_k, u_k, batch), sliced [lo:hi] along the first batch axis, or (a
+    lone pair) along u_k, whose slabs the map reads as its rows.  Later
+    passes read the output of the pass before.  Returns the last output
+    with each pair's axes in place; a lone pair's result is the map's
+    output array itself, not a view.
     """
     d = len(shape) // 2
-    X = None
-    for k in reversed(range(d)):   # the last pair first: u_1 is a batch axis to chunk
+    for k in passes:
         pair = (k, d + k)
         order = (d + k, k) + tuple(i for i in range(2 * d) if i not in pair)
         batch = tuple(shape[i] for i in order[2:])
         out = np.empty((size, size) + batch, dtype=complex)
         if not batch:
-            one_axis(lambda lo, hi: np.ascontiguousarray(rows(lo, hi, order))[..., None],
+            one_axis(lambda lo, hi: np.ascontiguousarray(take(order, lo, hi))[..., None],
                      out[..., None])
             return out
-        step = max(1, _CHUNK * batch[0] // max(math.prod(shape), out.size))
-        for c in range(0, batch[0], step):
-            if X is None:
-                part = rows(c, c + step, order)
-            else:
-                part = np.transpose(X, order)[:, :, c:c + step]
-            part = np.ascontiguousarray(part).reshape(part.shape[:2] + (-1,))
-            one_axis(lambda lo, hi: part[:, lo:hi], out[:, :, c:c + step].reshape(size, size, -1))
+        _chunked(lambda lo, hi: take(order, lo, hi), out,
+                 max(math.prod(shape), out.size) // batch[0], one_axis)
         X = np.moveaxis(out, (0, 1), pair)
+
+        def take(order, lo, hi, X=X):
+            return np.transpose(X, order)[:, :, lo:hi]
         shape = X.shape
     return X
 
 
+def _radial_first_pass(a: GridSymbol, one_axis, size: int):
+    """The first pass of a radial symbol at d >= 2, run once per distinct
+    radius label of its batch axes: the `take` and shape of its output,
+    for `_each_axis` to run the later passes on.
+
+    The first pass maps pair d, (u_d, v_d).  At a point of its batch axes
+    the samples over (u_d, v_d) depend on the batch axes only through
+    their label s, the sum of n^2 over them (`PhaseGrid.radius_labels`):
+    the input of label s is radial[position[s + n_v^2 + n_u^2]].  So the
+    pass maps one column per distinct s into D [size, size, labels] (u_d,
+    v_d), and each entry of its output (axes u_1..u_d, v_1..v_d, pair d
+    in levels) is gathered from D through the label of its grid axes, one
+    chunk at a time: the whole output is never formed.
+    """
+    dim, M = a.grid.dim, a.grid.npoints
+    d = dim // 2
+    sq, _, position = _label_table(dim, M)
+    _, present, index = _label_table(dim - 2, M)
+    labels = np.flatnonzero(present)
+    own = np.add.outer(sq, sq)[:, :, None]   # [v, u]: the label of the pair's own axes
+    D = np.empty((size, size, labels.size), dtype=complex)
+    _chunked(lambda lo, hi: a.radial.take(position.take(own + labels[lo:hi])), D,
+             max(M * M, size * size), one_axis)
+    shape = tuple(size if i % d == d - 1 else M for i in range(dim))
+
+    def take(order, lo, hi):
+        mesh = np.ix_(*[np.arange(shape[i])[lo:hi] if n == 2 else np.arange(shape[i])
+                        for n, i in enumerate(order)])
+        label = sum(sq[m] for i, m in zip(order, mesh) if i % d != d - 1)
+        u, v = mesh[order.index(d - 1)], mesh[order.index(dim - 1)]
+        return D.take((u * size + v) * labels.size + index.take(label))
+    return take, shape
+
+
 def _quantize_grid(a: GridSymbol, spec: HermiteBasisSpec) -> np.ndarray:
+    """The grid path.  A radial symbol at d >= 2 runs its first pass over the
+    distinct radius labels of the batch (`_radial_first_pass`); every other
+    symbol is read one slab at a time by each chunk of the first pass."""
     if a.grid != spec.grid():
         raise ValueError(f"grid symbol on {a.grid}, not on the basis grid {spec.grid()}")
-    N, M = spec.levels, spec.npoints
+    N, M, d = spec.levels, spec.npoints, spec.d
     T, E = _axis_map(spec)
     scale = spec.spacing ** 3 / np.pi   # h^2 for the sums over s, t; 2h / 2pi for dp
-    chunks = functools.cache(lambda nb: _row_chunks(M, nb))
 
     def one_axis(read, out):   # DFT over p by chunks of midpoint rows into K_rho, then T K T^T
         nb = out.shape[-1]   # batch last: each slice copy moves whole rows of it
         K = [np.empty((n * n, nb), dtype=complex) for n in ((M + 1) // 2, M // 2)]
-        for lo, hi, r, places in chunks(nb):
+        for lo, hi, r, places in _row_chunks(M, nb):
             Y = _window_dft(read(lo, hi).reshape(M, -1), E, r)
             Y = Y.reshape(2 * r + 1, hi - lo, nb)
             for row, rho, block, slots in places:
@@ -314,7 +367,13 @@ def _quantize_grid(a: GridSymbol, spec: HermiteBasisSpec) -> np.ndarray:
             acc = acc + (Tr @ TK).view(complex)   # [level, level', pair]
         out[...] = scale * acc
 
-    return _each_axis(a.rows, (M,) * a.grid.dim, one_axis, N).reshape(spec.size, spec.size)
+    if a.radial is None or d == 1:
+        out = _each_axis(lambda order, lo, hi: a.rows(lo, hi, order), (M,) * (2 * d),
+                         one_axis, N, reversed(range(d)))
+    else:
+        out = _each_axis(*_radial_first_pass(a, one_axis, N), one_axis, N,
+                         reversed(range(d - 1)))
+    return out.reshape(spec.size, spec.size)
 
 
 def weyl_quantize(a, spec: HermiteBasisSpec) -> OperatorMatrix:
@@ -364,40 +423,71 @@ def wigner_symbol(op: OperatorMatrix, spec: HermiteBasisSpec,
     applied before the transform (None disables it).  Values are
     trustworthy inside the resolved region |xi| <= R/2 for operators
     whose entries vary smoothly with the level index.
+
+    The symbol is computed, not kept as samples.  Every pass but the last
+    (pair 1's) runs here, and the last stops at its two parity blocks,
+    over the whole batch: ceil(M/2)^2 + floor(M/2)^2 entries per batch
+    pair, about half the grid.  Each read of a slab runs the inverse DFT
+    of the chunks of midpoint rows (`_row_chunks`) that meet its rows.
+    A row is always made by its own chunk, so it reads the same, bit for
+    bit, whatever slab holds it.
     """
     if (op.d, op.levels) != (spec.d, spec.levels):
         raise ValueError("operator does not match the basis spec")
-    N, M, h = spec.levels, spec.npoints, spec.spacing
+    N, M, h, d = spec.levels, spec.npoints, spec.spacing, spec.d
     mat = op.entries
     if level_window is not None:
         w = level_weights(spec, level_window)
         mat = (w[:, None] * mat) * w[None, :]
     T, E = _axis_map(spec)
-    chunks = functools.cache(lambda nb: _row_chunks(M, nb))
 
-    def one_axis(read, out):   # adjoint: T_rho^T B T_rho, K_rho -> midpoint rows, inverse DFT
-        nb = out.shape[-1]   # the batch axis is last in the map, as in the quantize map
+    def blocks(X):   # adjoint: T_rho^T B T_rho, [v, u, batch] -> K_rho [n_rho^2, batch]
+        nb = X.shape[-1]   # the batch axis is last in the map, as in the quantize map
         # 2h: the quantize scale h^3 / pi over the pairing factor h^2 / 2pi; u first
-        X = np.ascontiguousarray(((2.0 * h) * read(0, N)).transpose(1, 0, 2)).reshape(N, -1)
+        X = np.ascontiguousarray(((2.0 * h) * X).transpose(1, 0, 2)).reshape(N, -1)
         K = []
         for rho in (0, 1):   # real T on the float views of B and of T^T B
             Tr = np.ascontiguousarray(T[:, rho::2].T)
             TB = (Tr @ X.view(float)).reshape(len(Tr), N, -1)
             K.append((Tr @ TB).view(complex).reshape(len(Tr) ** 2, nb))
-        for lo, hi, r, places in chunks(nb):
-            Y = np.zeros((2 * r + 1, hi - lo, nb), dtype=complex)
-            for row, rho, block, slots in places:
-                Y[slots, row] = K[rho][block]
-            Y = _window_adjoint(Y.reshape(2 * r + 1, -1), E, r)
-            out[lo:hi] = Y.reshape(M, hi - lo, nb).transpose(1, 0, 2)
-            del Y   # before the next chunk is allocated
+        return K
 
-    B = mat.reshape((N,) * (2 * spec.d))
-    # owned and read-only (at d = 1 the output of the map itself): GridSymbol keeps it
-    vals = np.ascontiguousarray(_each_axis(
-        lambda lo, hi, order: np.transpose(B[lo:hi], order), B.shape, one_axis, M))
-    vals.setflags(write=False)
-    return GridSymbol.from_values(spec.grid(), vals)
+    def midpoint_rows(K, chunk):   # K_rho -> a chunk's midpoint rows [row, v, batch], inverse DFT
+        lo, hi, r, places = chunk
+        nb = K[0].shape[-1]
+        Y = np.zeros((2 * r + 1, hi - lo, nb), dtype=complex)
+        for row, rho, block, slots in places:
+            Y[slots, row] = K[rho][block]
+        Y = _window_adjoint(Y.reshape(2 * r + 1, -1), E, r)
+        return Y.reshape(M, hi - lo, nb).transpose(1, 0, 2)
+
+    def one_axis(read, out):
+        K = blocks(read(0, N))
+        for chunk in _row_chunks(M, out.shape[-1]):
+            out[chunk[0]:chunk[1]] = midpoint_rows(K, chunk)
+
+    B = mat.reshape((N,) * (2 * d))
+    X = B if d == 1 else _each_axis(   # every pass but the last, pair 1's
+        lambda order, lo, hi: np.transpose(B[lo:hi], order), B.shape, one_axis, M,
+        range(d - 1, 0, -1))
+    last = (d, 0) + tuple(range(1, d)) + tuple(range(d + 1, 2 * d))
+    K = blocks(np.transpose(X, last).reshape(N, N, -1))
+    nb = K[0].shape[-1]
+    chunks = _row_chunks(M, nb)
+    # a slab's axes (u_1, v_1, u_2..u_d, v_2..v_d), as the grid's axes
+    grid_axes = (0,) + tuple(range(2, d + 1)) + (1,) + tuple(range(d + 1, 2 * d))
+
+    def reader(lo, hi, order):
+        lo, hi, _ = slice(lo, hi).indices(M)
+        vals = np.empty((max(hi - lo, 0), M, nb), dtype=complex)
+        for chunk in chunks:   # each row from its own chunk, whatever slab holds it
+            start, stop = max(lo, chunk[0]), min(hi, chunk[1])
+            if start < stop:
+                vals[start - lo:stop - lo] = midpoint_rows(K, chunk)[start - chunk[0]:
+                                                                     stop - chunk[0]]
+        vals = vals.reshape(vals.shape[:2] + (M,) * (2 * d - 2))
+        return vals.transpose([grid_axes[i] for i in order])
+    return GridSymbol(spec.grid(), reader)
 
 
 # ---------------------------------------------------------------------------

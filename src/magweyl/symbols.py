@@ -430,36 +430,18 @@ class GridSymbol:
 
     `reader(lo, hi, order)` gives the samples values[lo:hi] (first index in
     [lo, hi)) with the axes in `order`: a complex array of finite values,
-    the same at every call, that the caller may not write.  A dense symbol
-    (`from_values`) reads views of its kept samples; a computed one (for
-    instance `PolySymbol.on_grid`) computes each slab afresh, at every pass
-    that reads it.  A radial symbol (`from_radial`) also keeps `radial`,
-    its value at each distinct |xi|^2 of the grid (ordered as
-    `PhaseGrid.radial_index`): its reader gathers a slab from that table,
-    and `sup_distance` and `boundary_decay` read the table itself.
+    the same at every call, that the caller may not write.  A computed
+    symbol (`PolySymbol.on_grid`, `wigner_symbol`) computes each slab
+    afresh, at every pass that reads it.  A radial symbol (`from_radial`)
+    also keeps `radial`, its value at each distinct |xi|^2 of the grid
+    (ordered as `PhaseGrid.radial_index`): its reader gathers a slab from
+    that table, and `sup_distance` and `boundary_decay` read the table
+    itself.
     """
 
     grid: PhaseGrid
     reader: Callable = field(repr=False)
     radial: np.ndarray | None = field(default=None, repr=False)
-
-    @classmethod
-    def from_values(cls, grid: PhaseGrid, values) -> "GridSymbol":
-        """A dense symbol: validate the values and keep a read-only copy of them.
-
-        A read-only array that owns its data is kept without a copy: it is
-        taken to be freshly built and handed over, with no writable view
-        left behind.
-        """
-        v = np.asarray(values, dtype=complex)
-        if v.shape != (grid.npoints,) * grid.dim:
-            raise ValueError(f"values must have shape {(grid.npoints,) * grid.dim}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("values must be finite")
-        if v.flags.writeable or not v.flags.owndata:
-            v = v.copy()
-            v.setflags(write=False)
-        return cls(grid, lambda lo, hi, order: np.transpose(v[lo:hi], order))
 
     @classmethod
     def from_radial(cls, grid: PhaseGrid, profile) -> "GridSymbol":

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from magweyl import AntisymmetricForm, HermiteBasisSpec
+from magweyl import AntisymmetricForm, GridSymbol, HermiteBasisSpec, PhaseGrid
 
 
 @pytest.fixture(scope="session")
@@ -32,3 +32,12 @@ def standard_form(d: int) -> AntisymmetricForm:
 @pytest.fixture
 def J2():
     return standard_form(1)
+
+
+def dense_symbol(grid: PhaseGrid, values) -> GridSymbol:
+    """The symbol of the samples `values` on `grid`, kept whole as a
+    read-only copy and read one view of a slab at a time."""
+    v = np.array(values, dtype=complex)
+    assert v.shape == (grid.npoints,) * grid.dim and np.all(np.isfinite(v))
+    v.setflags(write=False)
+    return GridSymbol(grid, lambda lo, hi, order: np.transpose(v[lo:hi], order))

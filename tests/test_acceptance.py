@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from magweyl import (AntisymmetricForm, GridSymbol, HermiteBasisSpec,
+from magweyl import (AntisymmetricForm, HermiteBasisSpec,
                      PolySymbol, ProjectorQuery, ResolventQuery, TorusModel,
                      build_magnetic_laplacian, check_cluster_law,
                      check_weyl_law, moyal_product, projector_symbol,
@@ -23,6 +23,8 @@ from magweyl.cli import config_hash, load_config, main
 from magweyl.models import harmonic_hamiltonian
 from magweyl.quantize import block_compare
 from magweyl.verify import band_containment, detect_clusters
+
+from conftest import dense_symbol
 
 
 def _verdict(capsys, num, passed, detail):
@@ -92,7 +94,7 @@ def test_criterion_02_quantization_anchors(capsys, spec40):
     pts = grid.points()
     vals = np.exp(-np.sum(pts ** 2, axis=-1) / 2.0) * (1.0 + 0.3 * pts[..., 0]
                                                        + 0.2 * pts[..., 0] * pts[..., 1])
-    sym = GridSymbol.from_values(grid, vals)
+    sym = dense_symbol(grid, vals)
     back = wigner_symbol(weyl_quantize(sym, spec40), spec40)
     rt_err = back.sup_distance(sym, radius=grid.halfwidth / 2.0)
     elapsed = time.perf_counter() - t0

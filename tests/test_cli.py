@@ -522,6 +522,10 @@ def test_config_round_trip(tmp_path):
      "torus: mode (1,0) amplitude (nan+0j) is not finite"),
     ({"torus": {"potential": {"modes": [[[0, 1], [float("nan"), 0]], [[0, -1], [1.0, 0]]]}}},
      "torus: mode (0,1) amplitude (nan+0j) is not finite"),
+    # NaN fails the comparison with the lowest band; no top band lies above
+    # an infinite cutoff
+    ({"torus": {"band_cutoff": float("nan")}}, "torus: band_cutoff nan must lie above 0.4"),
+    ({"torus": {"band_cutoff": float("inf")}}, "torus: band_cutoff inf must lie above 0.4"),
 ])
 def test_bad_config_value_is_config_error_in_dry_run(tmp_path, capsys, override, message):
     cfg = write_config(tmp_path, override)
@@ -704,6 +708,26 @@ def test_band_cutoff_above_the_third_band_sees_every_band(tmp_path, capsys):
     assert main(["--config", cfg, "--out", str(out), "torus"]) == EXIT_PASS
     report = json.loads(report_bytes(out, cfg)["report.json"])
     assert [len(b["observed_gaps"]) for b in report["details"]["bands"]] == [5, 5]
+
+
+def test_torus_stage_takes_the_potential_range_once(tmp_path, capsys, monkeypatch):
+    # the cutoff check and the band verdicts read one (min V, max V): a
+    # y-dependent potential builds its 512 x 512 mesh once per stage
+    calls = []
+    oscillation = PotentialSpec.oscillation
+
+    def counted(self, side):
+        calls.append(side)
+        return oscillation(self, side)
+    monkeypatch.setattr(PotentialSpec, "oscillation", counted)
+    cfg = write_config(tmp_path, {"torus": {"cluster_pairs": [], "weyl_pairs": [],
+                                            "band_pairs": [[8, 32], [8, 64]],
+                                            "potential": _Y_DEPENDENT}})
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--dry-run", "torus"]) == EXIT_PASS
+    assert len(calls) == 1
+    assert main(["--config", cfg, "--out", str(out), "torus"]) == EXIT_PASS
+    assert len(calls) == 2
 
 
 def test_empty_band_spectrum_fails_both_band_verdicts(tmp_path, capsys):

@@ -14,6 +14,8 @@ from magweyl import cli
 from magweyl.models import _eval_combination, _genlaguerre, harmonic_hamiltonian
 from magweyl.quantize import HermiteBasisSpec, _axis_map, block_compare
 
+from conftest import dense_symbol
+
 
 def _weyl_product(a, b, spec):
     """Weyl symbol of Op(a) Op(b): the quantized product, de-quantized."""
@@ -158,9 +160,10 @@ def test_radial_symbols_memory():
     # gathering the values onto the d = 2 grid would take 81 MiB.  At d = 1,
     # M = 512 it peaked at 154 MiB with Taylor tables of 2^17 points; with
     # tables of 2^12 points, evaluating every point peaks at 12.1 MiB and
-    # every distinct radius at 5.6 MiB, so the bound is 8 MiB
+    # every distinct radius at 5.6 MiB, 1.3 MiB with the Taylor series
+    # summed term by term, so the bound is 4 MiB
     cases = [(lambda: resolvent_symbol(ResolventQuery(1, -1.0), PhaseGrid(2, 12.0, 512)),
-              8 * 2 ** 20),
+              4 * 2 ** 20),
              (lambda: projector_symbol(ProjectorQuery(2, 2.0), PhaseGrid(4, 7.5, 48)),
               24 * 2 ** 20)]
     for build, bound in cases:
@@ -185,37 +188,41 @@ def _traced_peak(build) -> int:
 
 def test_residue_projector_memory():
     # the residue symbol on the d = 1 grid of the CLI (22,026 radii): with
-    # the Taylor table of 2^12 radii at a time it peaks at 5.6 MiB (25.6 MiB
-    # with 2^17); bound 7 MiB, a 24% margin
+    # the Taylor series summed term by term, two coefficient planes of 2^12
+    # radii at a time, it peaks at 1.3 MiB (5.6 MiB with the whole table of
+    # 48 planes, 25.6 MiB with 2^17 radii at a time); bound 2 MiB, a 52%
+    # margin
     grid = PhaseGrid(2, 12.0, 512)
-    assert _traced_peak(lambda: residue_projector(1, 0.5, 0.2, 64, grid)) < 7 * 2 ** 20
+    assert _traced_peak(lambda: residue_projector(1, 0.5, 0.2, 64, grid)) < 2 * 2 ** 20
 
 
 def test_sharp_inverse_memory():
     # at the d = 1 spec of the CLI, with the axis map built inside the call
     # (2 MiB kept), the inverse computes a and 1/a one slab of rows at a
-    # time and keeps only the de-quantized correction, so its peak is that
-    # de-quantization's: 10.4 MiB (14.4 MiB with the samples of a and 1/a
-    # formed whole, 24.4 MiB when a grid map held its whole slab, DFT and
-    # kernel); bound 12 MiB, a 16% margin
+    # time and keeps only the parity blocks of its de-quantized correction:
+    # 6.2 MiB peak (10.4 MiB when it kept the correction as a grid, 14.4
+    # MiB with the samples of a and 1/a formed whole, 24.4 MiB when a grid
+    # map held its whole slab, DFT and kernel); bound 8 MiB, a 29% margin
     spec = HermiteBasisSpec(d=1, levels=40, halfwidth=12.0, npoints=512)
     _axis_map.cache_clear()
     try:
         peak = _traced_peak(lambda: sharp_inverse(harmonic_hamiltonian(1) + 1.0, spec))
     finally:
         _axis_map.cache_clear()
-    assert peak < 12 * 2 ** 20
+    assert peak < 8 * 2 ** 20
 
 
 def test_model_checks_memory():
-    # the whole model stage of the default config: 12.7 MiB peak, in the
-    # d = 2 projector quantization (18.5 MiB when the inverse, its |xi| <=
-    # R/2 mask and distance and the empty-contour check formed whole d = 1
-    # grid arrays, 26.4 MiB when each d = 1 grid map held its whole slab,
-    # DFT and kernel); bound 15 MiB, an 18% margin
+    # the whole model stage of the default config: 8.9 MiB peak, at the
+    # inverse and its distance from the Mehler symbol (12.7 MiB in the
+    # d = 2 projector quantization when its first pass mapped every
+    # column, 18.5 MiB when the inverse, its |xi| <= R/2 mask and distance
+    # and the empty-contour check formed whole d = 1 grid arrays, 26.4 MiB
+    # when each d = 1 grid map held its whole slab, DFT and kernel); bound
+    # 11 MiB, a 24% margin
     cfg = cli.load_config(None)
     specs = cli._model_specs(cfg)
-    assert _traced_peak(lambda: cli.run_model_checks(*specs)) < 15 * 2 ** 20
+    assert _traced_peak(lambda: cli.run_model_checks(*specs)) < 11 * 2 ** 20
 
 
 def test_eval_combination_is_chunk_invariant(monkeypatch):
@@ -233,6 +240,51 @@ def test_eval_combination_is_chunk_invariant(monkeypatch):
         # at most 2 ulp of the largest value, for a BLAS whose contraction
         # kernel sums the tail of a chunk in another order; bit-identical here
         assert np.max(np.abs(chunked - whole)) <= 2 * np.finfo(float).eps * np.max(np.abs(whole))
+
+
+def _table_combination(H, d, zs, coeffs):
+    """The Mehler sum with the Taylor series on [0, w0] contracted from the
+    whole table of its 48 coefficient planes at once."""
+    s = d / 2.0 - np.asarray(zs, dtype=complex)
+    coeffs = np.asarray(coeffs, dtype=complex)
+    xg, wg = np.polynomial.legendre.leggauss(magweyl.models.QUAD_NODES)
+    wn = 0.5 + 0.25 * (xg + 1.0)
+    gl_coef = (0.25 * wg[:, None] * wn[:, None] ** (s - 1.0)) @ coeffs
+    jj = np.arange(48)[:, None]
+    pole_coef = (0.5 ** (jj + s) / (jj + s)) @ coeffs
+    c = np.empty((48,) + H.shape)
+    c[0] = 2.0 ** d * np.exp(-2.0 * H)
+    c[1] = (4.0 * H - d) * c[0]
+    for j in range(1, 47):
+        c[j + 1] = ((4.0 * H - d - 2.0 * j) * c[j] - (d + j - 1.0) * c[j - 1]) / (j + 1.0)
+    gl = sum(g * 2.0 ** d * (1.0 + w) ** -d * np.exp(-2.0 * H * (1.0 - w) / (1.0 + w))
+             for g, w in zip(gl_coef, wn))
+    return gl + np.tensordot(pole_coef, c, axes=(0, 0))
+
+
+@pytest.mark.parametrize("d, halfwidth, npoints", [(1, 12.0, 512), (2, 7.5, 48)])
+def test_term_wise_series_matches_the_table(d, halfwidth, npoints):
+    # the series is summed term by term inside the Taylor recurrence, two
+    # coefficient planes at a time, on the default radii and on a residue
+    # contour around the first pole
+    radii = PhaseGrid(2 * d, halfwidth, npoints).radial_index()
+    theta = 2.0 * np.pi * (np.arange(64) + 0.5) / 64
+    for zs, coeffs in [([-0.7], [1.0]),
+                       (d / 2.0 + 0.2 * np.exp(1j * theta), -0.2 * np.exp(1j * theta) / 64)]:
+        got = _eval_combination(0.5 * radii, d, zs, coeffs)
+        ref = _table_combination(0.5 * radii, d, zs, coeffs)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_sharp_inverse_checks_no_boundary(spec24, monkeypatch):
+    # 1/a decays polynomially, so its quantization skips the boundary check
+    # of weyl_quantize: no pass over its slabs for a warning nobody reads
+    monkeypatch.setattr(GridSymbol, "boundary_decay",
+                        lambda self: pytest.fail("boundary read"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inv = sharp_inverse(harmonic_hamiltonian(1) + 1.0, spec24)
+    assert inv.rows(0, spec24.npoints).shape == (spec24.npoints,) * 2
 
 
 def _slab_sup_distance(a, b) -> float:
@@ -263,13 +315,13 @@ def test_sup_distance_matches_the_whole_grid(d, halfwidth, npoints, radius):
     grid = PhaseGrid(2 * d, halfwidth, npoints)
     assert len(grid.slabs()) > 1 and npoints % (grid.slabs()[0][1]) != 0
     pts, r2 = grid.points(), grid.radius2()
-    dense = GridSymbol.from_values(
+    dense = dense_symbol(
         grid, np.exp(-r2 / 4.0) * (1.0 + 0.3 * pts[..., 0] - 0.2j * pts[..., -1]))
     radial = resolvent_symbol(ResolventQuery(d, -0.7), grid)
     other = projector_symbol(ProjectorQuery(d, d / 2.0), grid)
     radius = None if radius is None else halfwidth / 2.0
     mask = np.ones(r2.shape, dtype=bool) if radius is None else r2 <= radius ** 2
-    dense_other = GridSymbol.from_values(grid, other.rows(0, npoints))
+    dense_other = dense_symbol(grid, other.rows(0, npoints))
     for a, b in ((dense, radial), (radial, dense), (radial, other), (dense, dense_other)):
         whole = np.abs(a.rows(0, npoints) - b.rows(0, npoints))
         assert a.sup_distance(b, radius=radius) == np.max(whole[mask])
@@ -334,9 +386,9 @@ def _whole_grid_sharp_inverse(a, spec):
     b0 = 1.0 / avals
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        q0 = weyl_quantize(GridSymbol.from_values(grid, b0), spec)
+        q0 = weyl_quantize(dense_symbol(grid, b0), spec)
     corr = wigner_symbol(OperatorMatrix(spec.d, spec.levels, inv - q0.entries), spec)
-    return GridSymbol.from_values(grid, b0 + corr.rows(0, grid.npoints))
+    return dense_symbol(grid, b0 + corr.rows(0, grid.npoints))
 
 
 @pytest.mark.filterwarnings("ignore::magweyl.QuantizationWarning")
@@ -352,7 +404,7 @@ def test_sharp_inverse_matches_the_whole_grid(case, spec16, spec24):
         "constant": (spec16, PolySymbol.constant(2, 2.0)),
         # a zero on the grid: the plain de-quantized inverse
         "zero": (spec16, PolySymbol.coordinate(2, 1)),
-        "dense": (spec24, GridSymbol.from_values(spec24.grid(),
+        "dense": (spec24, dense_symbol(spec24.grid(),
                                                  (H + 0.7 - 0.2j)(spec24.grid().points()))),
         "radial": (spec24, GridSymbol.from_radial(spec24.grid(), lambda r2: 0.5 * r2 + 1.0)),
     }[case]

@@ -6,15 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
-from magweyl import (GridSymbol, HermiteBasisSpec, OperatorMatrix, PhaseGrid,
-                     PolySymbol, QuantizationWarning, block_compare, moyal_product,
+from magweyl import (GridSymbol, HermiteBasisSpec, OperatorMatrix, PhaseGrid, PolySymbol,
+                     QuantizationWarning, block_compare, moyal_product,
                      quantize, weyl_quantize, wigner_symbol)
 from magweyl.models import (ProjectorQuery, ResolventQuery, harmonic_hamiltonian,
                             projector_symbol, residue_projector, resolvent_symbol)
 from magweyl.errors import ResourceLimitError
 from magweyl.quantize import _hermite_rows, trusted_block_indices
 
-from conftest import standard_form
+from conftest import dense_symbol, standard_form
 
 
 def _weyl_product(a, b, spec):
@@ -24,7 +24,7 @@ def _weyl_product(a, b, spec):
 
 
 def _constant(grid, value):
-    return GridSymbol.from_values(grid, np.full((grid.npoints,) * grid.dim, complex(value)))
+    return dense_symbol(grid, np.full((grid.npoints,) * grid.dim, complex(value)))
 
 
 def test_spec_rejects_small_halfwidth():
@@ -95,7 +95,7 @@ def test_grid_path_matches_ladder(spec24):
     # grid-sampled H: the DFT path must reproduce diag(m + 1/2) on the
     # trusted block (this anchor pins the cross-Wigner normalization)
     grid = spec24.grid()
-    sym = GridSymbol.from_values(grid, 0.5 * grid.radius2())
+    sym = dense_symbol(grid, 0.5 * grid.radius2())
     with pytest.warns(QuantizationWarning):
         q = weyl_quantize(sym, spec24)
     target = np.diag(np.arange(spec24.levels) + 0.5)
@@ -107,7 +107,7 @@ def test_grid_path_matches_ladder(spec24):
 def test_grid_quantize_gaussian_projector(spec16):
     grid = spec16.grid()
     vals = 2.0 * np.exp(-grid.radius2())
-    q = weyl_quantize(GridSymbol.from_values(grid, vals), spec16)
+    q = weyl_quantize(dense_symbol(grid, vals), spec16)
     expect = np.zeros((spec16.levels, spec16.levels))
     expect[0, 0] = 1.0
     assert np.max(np.abs(q.entries - expect)) < 1e-10
@@ -116,7 +116,7 @@ def test_grid_quantize_gaussian_projector(spec16):
 def test_trace_rule(spec24):
     grid = spec24.grid()
     vals = np.exp(-grid.radius2() / 2.0)
-    tr = np.trace(weyl_quantize(GridSymbol.from_values(grid, vals), spec24).entries).real
+    tr = np.trace(weyl_quantize(dense_symbol(grid, vals), spec24).entries).real
     integral = vals.sum() * grid.spacing ** 2 / (2.0 * np.pi)
     assert abs(tr - integral) / abs(integral) < 1e-4
 
@@ -124,7 +124,7 @@ def test_trace_rule(spec24):
 def test_trace_rule_d2(spec_d2):
     grid = spec_d2.grid()
     vals = np.exp(-grid.radius2() / 2.0)
-    tr = np.trace(weyl_quantize(GridSymbol.from_values(grid, vals), spec_d2).entries).real
+    tr = np.trace(weyl_quantize(dense_symbol(grid, vals), spec_d2).entries).real
     integral = vals.sum() * grid.spacing ** 4 / (2.0 * np.pi) ** 2
     assert abs(tr - integral) / abs(integral) < 1e-4
 
@@ -142,7 +142,7 @@ def test_round_trip_gaussian_windowed(spec24):
     pts = grid.points()
     vals = np.exp(-np.sum(pts ** 2, axis=-1) / 2.0) * (1.0 + 0.3 * pts[..., 0]
                                                        + 0.2 * pts[..., 0] * pts[..., 1])
-    sym = GridSymbol.from_values(grid, vals)
+    sym = dense_symbol(grid, vals)
     back = wigner_symbol(weyl_quantize(sym, spec24), spec24)
     assert back.sup_distance(sym, radius=grid.halfwidth / 2.0) < 1e-5
 
@@ -238,14 +238,14 @@ def test_moyal_closed_form_for_hamiltonian_square():
 
 def test_weyl_product_grid_projector_idempotent(spec24):
     grid = spec24.grid()
-    pi = GridSymbol.from_values(grid, 2.0 * np.exp(-grid.radius2()))
+    pi = dense_symbol(grid, 2.0 * np.exp(-grid.radius2()))
     prod = _weyl_product(pi, pi, spec24)
     assert prod.sup_distance(pi) < 1e-10
 
 
 def test_weyl_product_grid_constant(spec16):
     grid = spec16.grid()
-    g = GridSymbol.from_values(grid, np.exp(-grid.radius2() / 2.0))
+    g = dense_symbol(grid, np.exp(-grid.radius2() / 2.0))
     with pytest.warns(QuantizationWarning):
         prod = _weyl_product(_constant(grid, 1.0), g, spec16)
     assert prod.sup_distance(g, radius=2.0) < 1e-3
@@ -265,7 +265,7 @@ def test_trusted_block_indices_d2(spec_d2):
 
 
 def test_geometry_mismatch_raises(spec16):
-    bad = GridSymbol.from_values(PhaseGrid(2, 4.0, spec16.npoints),
+    bad = dense_symbol(PhaseGrid(2, 4.0, spec16.npoints),
                                  np.zeros((spec16.npoints, spec16.npoints)))
     with pytest.raises(ValueError):
         weyl_quantize(bad, spec16)
@@ -328,7 +328,7 @@ def _check_grid_path(d, levels, halfwidth, npoints):
     shape = (npoints,) * (2 * d)
     vals = np.exp(-grid.radius2() / 4.0) * (rng.standard_normal(shape)
                                            + 1j * rng.standard_normal(shape))
-    q = weyl_quantize(GridSymbol.from_values(grid, vals), spec)
+    q = weyl_quantize(dense_symbol(grid, vals), spec)
     assert _rel(q.entries, _reference_quantize(vals, spec)) < 1e-13
     mat = rng.standard_normal((spec.size, spec.size)) + 1j * rng.standard_normal(
         (spec.size, spec.size))
@@ -345,11 +345,19 @@ def test_grid_path_matches_shifted_tables(d, levels, halfwidth, npoints):
     _check_grid_path(d, levels, halfwidth, npoints)
 
 
+def _set_chunk(monkeypatch, entries):
+    """Map in chunks of `entries`, on chunk plans made for them and kept
+    only for the test."""
+    monkeypatch.setattr(quantize, "_CHUNK", entries)
+    monkeypatch.setattr(quantize, "_row_chunks",
+                        functools.lru_cache(maxsize=16)(quantize._row_chunks.__wrapped__))
+
+
 @pytest.mark.parametrize("npoints", [64, 62])
 def test_grid_path_matches_shifted_tables_in_row_chunks(npoints, monkeypatch):
     # midpoint rows in chunks of 10 (the last of 4 at M = 64, of 2 at M = 62),
     # so each chunk has its own offset window
-    monkeypatch.setattr(quantize, "_CHUNK", 10 * npoints)
+    _set_chunk(monkeypatch, 10 * npoints)
     _check_grid_path(1, 12, 7.5, npoints)
 
 
@@ -375,8 +383,8 @@ def test_grid_path_factorizes_over_axes(d, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", QuantizationWarning)
         q = weyl_quantize(
-            GridSymbol.from_values(spec.grid(), functools.reduce(_axis_product, factors)), spec)
-        q1 = [weyl_quantize(GridSymbol.from_values(spec1.grid(), f), spec1).entries
+            dense_symbol(spec.grid(), functools.reduce(_axis_product, factors)), spec)
+        q1 = [weyl_quantize(dense_symbol(spec1.grid(), f), spec1).entries
               for f in factors]
     assert _rel(q.entries, functools.reduce(np.kron, q1)) < 1e-13
 
@@ -398,7 +406,7 @@ def test_wigner_symbol_is_adjoint_of_quantize(d, spec16, spec_d2):
     B = rng.standard_normal((spec.size, spec.size)) + 1j * rng.standard_normal(
         (spec.size, spec.size))
     with pytest.warns(QuantizationWarning):
-        qa = weyl_quantize(GridSymbol.from_values(spec.grid(), a), spec)
+        qa = weyl_quantize(dense_symbol(spec.grid(), a), spec)
     wb = wigner_symbol(OperatorMatrix(d, spec.levels, B), spec, level_window=None)
     lhs = np.vdot(B, qa.entries)
     rhs = (spec.spacing ** 2 / (2.0 * np.pi)) ** d * np.vdot(wb.rows(0, spec.npoints), a)
@@ -420,27 +428,29 @@ def _traced_peak(build) -> int:
 
 def test_grid_round_trip_memory():
     # quantizing and de-quantizing a dense symbol at N = 40, M = 512, with
-    # the axis map built inside the call (2 MiB kept): 10.1 MiB peak, the
-    # de-quantization's (20.3 MiB when the map held E and two int64 index
-    # tables, and each call a whole slab, DFT and kernel); bound 12 MiB,
-    # an 18% margin
+    # the axis map built inside the call (2 MiB kept): 6.5 MiB peak, the
+    # quantization's (10.1 MiB when the de-quantization formed its 4 MiB
+    # output grid, 20.3 MiB when the map held E and two int64 index
+    # tables, and each call a whole slab, DFT and kernel); bound 8 MiB, a
+    # 23% margin
     spec = HermiteBasisSpec(d=1, levels=40, halfwidth=12.0, npoints=512)
     grid = spec.grid()
-    sym = GridSymbol.from_values(grid, 2.0 * np.exp(-grid.radius2()))
-    assert _traced_peak(lambda: wigner_symbol(weyl_quantize(sym, spec), spec)) < 12 * 2 ** 20
+    sym = dense_symbol(grid, 2.0 * np.exp(-grid.radius2()))
+    assert _traced_peak(lambda: wigner_symbol(weyl_quantize(sym, spec), spec)) < 8 * 2 ** 20
 
 
 def test_d1_grid_maps_memory():
     # the d = 1 maps of the CLI (N = 40, M = 512), each with the axis map
     # built inside the call: the quantization holds the phases, two parity
-    # blocks and one chunk of midpoint rows (6.2 MiB peak), the
-    # de-quantization its 4 MiB output beside them (10.1 MiB); both peaked
-    # at 20.2 MiB when a call held the whole slab, its DFT and the kernel
+    # blocks and one chunk of midpoint rows (6.5 MiB peak), and the
+    # de-quantization keeps its parity blocks (4.4 MiB; 10.1 MiB when it
+    # formed its 4 MiB output grid); both peaked at 20.2 MiB when a call
+    # held the whole slab, its DFT and the kernel
     spec = HermiteBasisSpec(d=1, levels=40, halfwidth=12.0, npoints=512)
     sym = resolvent_symbol(ResolventQuery(1, -1.0), spec.grid())
     op = OperatorMatrix(1, 40, np.diag(1.0 / (np.arange(40) + 1.5)))
     assert _traced_peak(lambda: weyl_quantize(sym, spec)) < 12 * 2 ** 20
-    assert _traced_peak(lambda: wigner_symbol(op, spec)) < 12 * 2 ** 20
+    assert _traced_peak(lambda: wigner_symbol(op, spec)) < 6 * 2 ** 20
 
 
 @pytest.mark.parametrize("d, levels, halfwidth, npoints", [
@@ -454,7 +464,7 @@ def test_radial_symbols_quantize_like_their_samples(d, levels, halfwidth, npoint
                 residue_projector(d, d / 2.0, 0.2, 64, grid),
                 projector_symbol(ProjectorQuery(d, d / 2.0 + 1), grid)):
         assert sym.radial is not None
-        dense = GridSymbol.from_values(grid, sym.rows(0, npoints))
+        dense = dense_symbol(grid, sym.rows(0, npoints))
         assert dense.radial is None
         assert _rel(weyl_quantize(sym, spec).entries, weyl_quantize(dense, spec).entries) <= 1e-15
         assert sym.boundary_decay() == dense.boundary_decay()
@@ -471,3 +481,81 @@ def test_radial_quantization_memory(spec_d2):
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2 ** 20
+
+
+@pytest.mark.parametrize("d, levels, halfwidth, npoints", [
+    (2, 12, 7.5, 48), (2, 12, 7.5, 47), (3, 3, 3.0, 10)])
+def test_radial_first_pass_matches_the_dense_path(d, levels, halfwidth, npoints, monkeypatch):
+    # a radial symbol at d >= 2 maps one first-pass column per distinct
+    # radius label of its batch axes and gathers the later passes' rows
+    # from them, without reading a slab; the dense symbol of its samples
+    # maps every column.  The identity is algebraic, so the d = 3 grid
+    # need not resolve the basis
+    monkeypatch.setattr(quantize, "MASS_TOL", 1.0)
+    spec = HermiteBasisSpec(d=d, levels=levels, halfwidth=halfwidth, npoints=npoints)
+    grid = spec.grid()
+    for sym in (resolvent_symbol(ResolventQuery(d, -0.7), grid),
+                projector_symbol(ProjectorQuery(d, d / 2.0 + 1), grid)):
+        dense = dense_symbol(grid, sym.rows(0, npoints))
+        unread = GridSymbol(grid, lambda lo, hi, order: pytest.fail("slab read"), sym.radial)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QuantizationWarning)   # the coarse d = 3 grid
+            got, ref = weyl_quantize(unread, spec).entries, weyl_quantize(dense, spec).entries
+        assert _rel(got, ref) <= 1e-14
+
+
+def test_radial_d2_quantization_memory(spec_d2):
+    # the d = 2 projector of the CLI (N = 12, M = 48), its symbol built
+    # before and the axis map inside the call: the first pass over the
+    # 273 distinct labels of its batch, and the second pass gathering its
+    # rows from their output, peak at 2.8 MiB; over all 2,304 columns the
+    # first pass held its whole (144, 2304) output beside its chunk
+    # buffers, 9.5 MiB; bound 4 MiB, a 45% margin
+    sym = projector_symbol(ProjectorQuery(2, 2.0), spec_d2.grid())
+    assert _traced_peak(lambda: weyl_quantize(sym, spec_d2)) < 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("d, levels, halfwidth, npoints", [
+    (1, 12, 7.5, 64), (1, 12, 7.5, 63), (2, 10, 7.5, 35)])
+def test_wigner_slabs_match_the_eager_map(d, levels, halfwidth, npoints, monkeypatch):
+    # the symbol keeps the last pass's parity blocks and maps the midpoint
+    # rows of a slab at each read, each row in its own chunk (of 10 rows at
+    # d = 1): every slab, in any axis order, is the slab of the eager
+    # whole-grid reference, and the same at every read
+    _set_chunk(monkeypatch, 10 * npoints)
+    spec = HermiteBasisSpec(d=d, levels=levels, halfwidth=halfwidth, npoints=npoints)
+    rng = np.random.default_rng(13)
+    mat = rng.standard_normal((spec.size, spec.size)) + 1j * rng.standard_normal(
+        (spec.size, spec.size))
+    sym = wigner_symbol(OperatorMatrix(d, levels, mat), spec, level_window=None)
+    whole = sym.rows(0, npoints)
+    assert _rel(whole, _reference_wigner(mat, spec)) < 1e-13
+    flipped = tuple(reversed(range(2 * d)))
+    for lo, hi in [(0, 1), (5, 17), (npoints - 3, npoints), (npoints - 2, npoints + 4),
+                   *spec.grid().slabs()]:
+        assert np.array_equal(sym.rows(lo, hi), whole[lo:hi])
+        assert np.array_equal(sym.rows(lo, hi, flipped), np.transpose(whole[lo:hi], flipped))
+    assert np.array_equal(sym.rows(0, npoints), whole)
+
+
+def test_wigner_slab_read_memory():
+    # at the d = 1 spec of the CLI (N = 40, M = 512) the symbol keeps its
+    # two parity blocks (2 MiB, half a grid), and reading one slab of 64
+    # rows maps one chunk of midpoint rows: 2.0 MiB peak, under the 4 MiB
+    # of one grid
+    spec = HermiteBasisSpec(d=1, levels=40, halfwidth=12.0, npoints=512)
+    sym = wigner_symbol(OperatorMatrix(1, 40, np.diag(1.0 / (np.arange(40) + 1.5))), spec)
+    for lo, hi in spec.grid().slabs():
+        assert _traced_peak(lambda: sym.rows(lo, hi)) < spec.npoints ** 2 * 16
+
+
+def test_chunk_plans_are_cached(spec16):
+    # one plan per (M, batch): both quantizations and the de-quantization
+    # of a d = 1 symbol follow the plan of the first
+    quantize._row_chunks.cache_clear()
+    grid = spec16.grid()
+    sym = dense_symbol(grid, np.exp(-grid.radius2()))
+    weyl_quantize(sym, spec16)
+    wigner_symbol(weyl_quantize(sym, spec16), spec16).rows(0, grid.npoints)
+    info = quantize._row_chunks.cache_info()
+    assert (info.misses, info.hits) == (1, 2)

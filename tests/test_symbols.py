@@ -6,6 +6,8 @@ import pytest
 from magweyl import GridSymbol, PhaseGrid, PolySymbol
 from magweyl.symbols import _label_table, derivatives, monomial_basis, monomial_rank
 
+from conftest import dense_symbol
+
 
 def test_poly_zero_pruning():
     p = PolySymbol(2, {(0, 0): 1.0, (1, 0): 0.0})
@@ -103,25 +105,16 @@ def test_radial_index(dim, npoints):
 
 
 def test_grid_symbol_validation():
+    # a radial profile must give one finite value per distinct radius,
+    # and the symbol keeps them read-only
     g = PhaseGrid(2, 4.0, 16)
-    with pytest.raises(ValueError):
-        GridSymbol.from_values(g, np.zeros((16, 8)))
-    with pytest.raises(ValueError):
-        GridSymbol.from_values(g, np.full((16, 16), np.nan))
-    s = GridSymbol.from_values(g, np.full((16, 16), 2.0))
-    assert not s.rows(0, 16).flags.writeable
-    # a fresh read-only array is kept; a writable one or a view is copied
-    fresh = np.ones((16, 16), dtype=complex)
-    assert not np.shares_memory(GridSymbol.from_values(g, fresh).rows(0, 16), fresh)
-    fresh.setflags(write=False)
-    assert np.shares_memory(GridSymbol.from_values(g, fresh).rows(0, 16), fresh)
-    base = np.ones((16, 32), dtype=complex)
-    view = base[:, :16]
-    view.setflags(write=False)
-    kept = GridSymbol.from_values(g, view).rows(0, 16)
-    base[:] = 2.0
-    assert not np.shares_memory(kept, view) and np.all(kept == 1.0)
-    assert not kept.flags.writeable
+    with pytest.raises(ValueError, match="radial values must have shape"):
+        GridSymbol.from_radial(g, lambda r2: r2[:-1])
+    with pytest.raises(ValueError, match="values must be finite"):
+        GridSymbol.from_radial(g, lambda r2: np.full(r2.shape, np.nan))
+    s = GridSymbol.from_radial(g, lambda r2: 2.0 + 0.0 * r2)
+    assert not s.radial.flags.writeable
+    assert np.all(s.rows(0, 16) == 2.0)
 
 
 def test_poly_on_grid_matches_eval():
@@ -133,16 +126,16 @@ def test_poly_on_grid_matches_eval():
 
 def test_boundary_decay():
     g = PhaseGrid(2, 6.0, 64)
-    gauss = GridSymbol.from_values(g, np.exp(-g.radius2()))
+    gauss = dense_symbol(g, np.exp(-g.radius2()))
     assert gauss.boundary_decay() < 1e-12
-    flat = GridSymbol.from_values(g, np.ones((64, 64)))
+    flat = dense_symbol(g, np.ones((64, 64)))
     assert flat.boundary_decay() == 1.0
 
 
 def test_boundary_decay_streams_the_grid():
     # d = 2, M = 48: |values| of the whole grid would be a 42 MB copy
     g = PhaseGrid(4, 3.0, 48)
-    sym = GridSymbol.from_values(g, np.exp(-g.radius2() / 4.0) * (1.0 - 0.5j))
+    sym = dense_symbol(g, np.exp(-g.radius2() / 4.0) * (1.0 - 0.5j))
     v = np.abs(sym.rows(0, g.npoints))
     edge = max(float(np.max(np.take(v, i, axis=k))) for k in range(4) for i in (0, 47))
     expect = edge / float(np.max(v))
