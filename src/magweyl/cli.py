@@ -194,18 +194,24 @@ def _cached(cache_dir: Path, inputs, compute: Callable, build: Callable):
     """build(value), value the JSON-decoded compute(), from the cache entry
     of `inputs`.
 
-    An entry is cache_dir/<key>.json holding {"inputs", "value"}; the
-    key hashes `inputs` with `_source_digest()`, so an entry written by
-    other sources is never read.  A missing entry is a miss; an
-    unreadable one, or one whose value does not build, a miss noted on
-    stderr.  A miss writes the entry to a temporary file and renames it
-    into place, so a killed run never leaves a truncated entry.  Hit and
-    miss both build from the value read back from JSON, so they build
-    identical results.
+    An entry is cache_dir/<key>.json holding {"inputs", "value",
+    "digest"}; the key hashes `inputs` with `_source_digest()`, so an
+    entry written by other sources is never read, and the digest hashes
+    the value, so an entry whose value was changed after it was written
+    is never trusted.  A missing entry is a miss; an unreadable one, one
+    whose value does not build, or one whose value does not match its
+    digest, a miss noted on stderr.  A miss writes the entry to a temporary
+    file and renames it into place, so a killed run never leaves a
+    truncated entry.  Hit and miss both build from the value read back
+    from JSON, so they build identical results.
     """
     path = Path(cache_dir) / f"{_sha256({'source': _source_digest(), 'inputs': inputs})}.json"
     try:
-        return build(json.loads(path.read_text())["value"])
+        entry = json.loads(path.read_text())
+        result = build(entry["value"])
+        if _sha256(entry["value"]) == entry["digest"]:
+            return result
+        print(f"note: {path} does not match its digest; recomputing", file=sys.stderr)
     except FileNotFoundError:
         pass
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -213,7 +219,8 @@ def _cached(cache_dir: Path, inputs, compute: Callable, build: Callable):
               file=sys.stderr)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    reports.write_json(tmp, {"inputs": inputs, "value": compute()})
+    value = json.loads(reports.canonical_json(compute()))
+    reports.write_json(tmp, {"inputs": inputs, "value": value, "digest": _sha256(value)})
     os.replace(tmp, path)
     return build(json.loads(path.read_text())["value"])
 

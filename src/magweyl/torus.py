@@ -43,6 +43,17 @@ per round, whose Ritz pairs are checked on the site stencil.  Its count
 is Haynsworth's formula again, on the block of the ring eigenvectors
 above the cutoff, which the cutoff's spectral gap makes positive definite
 (`solve`).
+
+The operator commutes with the magnetic translations, and the rings show
+it: ring n0 has the diagonal 2/a^2 + 2t cos(2 pi (n0 N - k c s) / N^2) +
+k V_0(x_i) at site s = q N + i, so with V_0 constant ring n0 is a
+rotation of ring n0 mod gcd(k c, N^2) / gcd(k c, N) (of ring 0 on every
+default and benchmark lattice), and with V_0 even in x ring n0 is ring
+-n0 read backwards.  Rings so related
+form a class (`_ring_classes`) that is solved once, on its
+representative; every other ring of the class takes the
+representative's eigenpairs through an exact site map, checked against
+its own diagonal, and is still counted and residual-checked on its own.
 """
 
 from __future__ import annotations
@@ -155,6 +166,12 @@ class PotentialSpec:
         """V(x, -y) = V(x, y): amp(p, q) == amp(p, -q) for every mode."""
         amps = dict(self.modes)
         return all(amps.get((p, -q)) == amp for (p, q), amp in self.modes)
+
+    @property
+    def is_even_in_x(self) -> bool:
+        """V(-x, y) = V(x, y): amp(p, q) == amp(-p, q) for every mode."""
+        amps = dict(self.modes)
+        return all(amps.get((-p, q)) == amp for (p, q), amp in self.modes)
 
     def sample(self, x, y, side: float) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -301,14 +318,81 @@ def _sector_rings(op: MagneticLatticeOperator):
     t = -1.0 / (2.0 * a * a)
     vx = 0.0
     if op.potential is not None:
-        x_part = PotentialSpec(tuple(m for m in op.potential.modes if m[0][1] % N == 0))
-        vx = float(k) * x_part.sample(a * np.arange(N), 0.0, op.model.side)
+        vx = float(k) * _x_part(op).sample(a * np.arange(N), 0.0, op.model.side)
     flux_phase = kb * a * (np.arange(N) * a)
     for n0 in range(nsectors):
         orbit = (n0 - kc * np.arange(N // nsectors)) % N
         theta = 2.0 * np.pi * orbit / N
         diag = 2.0 / (a * a) + 2.0 * t * np.cos(theta[:, None] - flux_phase) + vx
         yield (orbit[:, None] * N + np.arange(N)).ravel(), diag.ravel(), t
+
+
+def _x_part(op: MagneticLatticeOperator) -> PotentialSpec:
+    """V_0, the modes of V whose q is 0 on the lattice (q = 0 mod N)."""
+    modes = () if op.potential is None else op.potential.modes
+    return PotentialSpec(tuple(m for m in modes if m[0][1] % op.npoints == 0))
+
+
+def _solve_mod(a: int, b: int, n: int) -> int | None:
+    """The least x >= 0 with a x = b (mod n), or None if there is none."""
+    d = math.gcd(a, n)
+    if b % d:
+        return None
+    return (b // d) * pow(a // d, -1, n // d) % (n // d)
+
+
+def _ring_classes(op: MagneticLatticeOperator, rings: list) -> list:
+    """The rings of `_sector_rings` grouped into classes that share their
+    eigenpairs: [(rep, [(r, perm), ...]), ...], a representative and its
+    other rings, site j of ring r being site perm[j] of the representative,
+    both `_Ring`s in their own rotated site order.
+
+    Ring n0 (0 <= n0 < g = gcd(k c, N), of length L = N^2 / g) has at site
+    s = q N + i the diagonal 2/a^2 + 2t cos(2 pi (n0 N - k c s) / N^2) +
+    k V_0(x_i), with period L in s.  So
+      rotation: when V_0 is constant, ring n0 read at s is ring n1 read at
+        s - sigma, where k c sigma = (n0 - n1) N (mod N^2), which has a
+        solution exactly when n0 = n1 modulo m = gcd(k c, N^2) / g;
+      reflection: when V_0 is even in x, ring n0 read at s is ring
+        n0' = -n0 (mod g) read at sigma' - s, where sigma' = N j with
+        k c j = n0 + n0' (mod N).
+    Each ring links to a lower ring by one of these maps (or to a ring
+    that rotates to a lower one), and a ring with no link is its own
+    class: a potential whose x-part is not even has a class per ring.  The
+    maps are affine on the sites modulo L, and compose with each ring's
+    start (`_Ring.start`) into the site map `perm`.
+    """
+    N = op.npoints
+    kc = op.power * op.model.chern
+    g = math.gcd(kc, N)
+    size = N * N // g
+    x_part = _x_part(op)
+    flat = all(p == 0 for (p, _), _ in x_part.modes)
+    even = x_part.is_even_in_x
+    m = math.gcd(kc, N * N) // g
+
+    def link(n0: int):
+        """(n1, e, c): ring n0 at s is ring n1 at e s + c, or None."""
+        if flat and n0 >= m:
+            sigma = _solve_mod(kc, (n0 - n0 % m) * N, N * N)
+            return None if sigma is None else (n0 % m, 1, -sigma)
+        mirror = -n0 % g
+        if even and (mirror < n0 or (flat and -n0 % m < n0)):
+            j = _solve_mod(kc, n0 + mirror, N)
+            return None if j is None else (mirror, -1, N * j)
+        return None
+
+    classes = {}
+    for n0 in range(g):
+        rep, e, c = n0, 1, 0
+        while (step := link(rep)) is not None:
+            rep, e1, c1 = step
+            e, c = e1 * e, e1 * c + c1
+        members = classes.setdefault(rep, [])
+        if rep != n0:
+            sites = np.arange(size)
+            members.append((n0, (e * (sites + rings[n0].start) + c - rings[rep].start) % size))
+    return list(classes.items())
 
 
 def _y_couplings(op: MagneticLatticeOperator) -> dict:
@@ -397,9 +481,9 @@ class _Ring:
 
     def __init__(self, rows: np.ndarray, diag: np.ndarray, hop: float, wells: int = 1):
         size = diag.size
-        start = (int(np.argmin(diag)) + 1) % size
-        diag = np.roll(diag, -start)
-        self.rows, self.diag, self.hop = np.roll(rows, -start), diag, hop
+        self.start = (int(np.argmin(diag)) + 1) % size
+        diag = np.roll(diag, -self.start)
+        self.rows, self.diag, self.hop = np.roll(rows, -self.start), diag, hop
         self.scale = np.abs(diag).max() + 2.0 * abs(hop)
         self.tol = 4.0 * np.finfo(float).eps * self.scale
         self.path = diag[1:]
@@ -505,6 +589,15 @@ class _Ring:
         self.defect = math.sqrt(self.defect ** 2 + 2.0 * np.einsum("ij,ij", gram[:old], gram[:old])
                                 + np.einsum("ij,ij", gram[old:], gram[old:]))
         self.block = block
+
+    def follow(self, rep: "_Ring", perm: np.ndarray | None = None):
+        """Take the eigenvalues of `rep`, a ring of this one's class
+        (`_ring_classes`), and, given the site map perm (site j of this
+        ring is site perm[j] of `rep`), its eigenvectors, read in this
+        ring's site order; their Gram defect is `rep`'s."""
+        self.values, self.deflated = rep.values, rep.deflated
+        if perm is not None:
+            self.block, self.defect = rep.block[perm], rep.defect
 
     def residuals(self) -> np.ndarray:
         """Residual norms ||R v - lam v|| of the pairs in `block`, R the ring."""
@@ -657,12 +750,22 @@ def solve(op: MagneticLatticeOperator, below: float) -> EigenResult:
     and counted there by Haynsworth's inertia formula, with no
     factorization (`_Ring`, `_Ring.count`).
 
+    Only one ring of each class (`_ring_classes`) is solved: the others
+    take its eigenvalues and its eigenvectors read through the class's site
+    map perm (`_Ring.follow`).  Before anything is solved, each member's
+    diagonal must equal the representative's read through perm to 16 ulps
+    of its Gershgorin bound; a member that does not is a SolverError that
+    names the class.  Every ring is still counted on its own, and every
+    pair is residual-checked on every ring's own diagonal, so a shared pair
+    carries the same certificate as one solved on its ring.
+
     With no y couplings (`_y_couplings` empty) the rings are the operator
     ('sectors').  The count is the sum of their counts at `below`.  Their
     pairs below `below` are exact and final, each is residual-checked on
     its ring (`_Ring.residuals`, its residual on the operator,
-    block-diagonal over the rings up to a permutation), one ring block
-    held at a time, and SECTOR_SAMPLES of them, evenly spaced in rank,
+    block-diagonal over the rings up to a permutation), one class's blocks
+    held at a time (the representative's, and one member's read through
+    its map), and SECTOR_SAMPLES of them, evenly spaced in rank,
     also on the site stencil (`_site_residual`), which is built apart from
     the rings.
 
@@ -729,6 +832,16 @@ def solve(op: MagneticLatticeOperator, below: float) -> EigenResult:
         raise SolverError(f"the rings' rows do not partition the {op.dim} momentum rows: "
                           f"{np.count_nonzero(held == 1)} are held once, "
                           f"{np.count_nonzero(held > 1)} more than once")
+    classes = _ring_classes(op, rings)
+    for r0, members in classes:
+        for r, perm in members:
+            # a few ulps of the Gershgorin bound: the two rings sample the
+            # same cosine at arguments that differ by a multiple of 2 pi
+            tol = 16.0 * np.finfo(float).eps * rings[r].scale
+            err = float(np.abs(rings[r].diag - rings[r0].diag[perm]).max())
+            if not err <= tol:
+                raise SolverError(f"ring {r} of the class of ring {r0} differs from its map "
+                                  f"of ring {r0} by {err:.1e}, above {tol:.1e}")
     couplings = _y_couplings(op)
     method = "sparse" if couplings else "sectors"
     if couplings:
@@ -742,8 +855,10 @@ def solve(op: MagneticLatticeOperator, below: float) -> EigenResult:
         while True:
             cutoff = below + width
             width *= 2.0
-            for ring in rings:
-                ring.grow(cutoff)
+            for r0, members in classes:
+                rings[r0].grow(cutoff)
+                for r, _ in members:
+                    rings[r].follow(rings[r0])
             size = sum(ring.values.size for ring in rings)
             if size > RITZ_MAX_DIM:
                 raise SolverError(f"Rayleigh-Ritz basis of {size} ring eigenvectors exceeds "
@@ -752,8 +867,10 @@ def solve(op: MagneticLatticeOperator, below: float) -> EigenResult:
             if size != counted:
                 raise SolverError(f"Rayleigh-Ritz basis holds {size} ring eigenvectors below "
                                   f"{cutoff:.6g}, where the rings count {counted}")
-            for ring in rings:
-                ring.extend_block()
+            for r0, members in classes:
+                rings[r0].extend_block()
+                for r, perm in members:
+                    rings[r].follow(rings[r0], perm)
             done = all(ring.values.size == ring.diag.size for ring in rings)
             rho = 4.0 * max(math.hypot(*ring.residuals()) + ring.defect * h_norm
                             for ring in rings)
@@ -800,20 +917,34 @@ def solve(op: MagneticLatticeOperator, below: float) -> EigenResult:
         raise SolverError(f"{count} eigenvalues below {below:.6g} exceed dim/4 = "
                           f"{op.dim // 4}")
     if not couplings:
-        theta = np.concatenate([ring.grow(below) for ring in rings])
+        for r0, members in classes:
+            rings[r0].grow(below)
+            for r, _ in members:
+                rings[r].follow(rings[r0])
+        theta = np.concatenate([ring.values for ring in rings])
         order = np.argsort(theta, kind="stable")
         ranks = np.linspace(0, theta.size - 1, min(SECTOR_SAMPLES, theta.size)).round()
         picked = np.isin(np.arange(theta.size), order[ranks.astype(int)])
-        residuals, lifted, first = [], [], 0
-        for ring in rings:
-            ring.extend_block()
+        first = np.cumsum([0] + [ring.values.size for ring in rings])
+        residuals, lifted = [], []
+
+        def check(r: int):
+            ring = rings[r]
             residuals.extend(float(x) for x in ring.residuals())
-            for j in np.flatnonzero(picked[first:first + ring.values.size]):
+            for j in np.flatnonzero(picked[first[r]:first[r + 1]]):
                 v = np.zeros(op.dim)
                 v[ring.rows] = ring.block[:, j]
                 lifted.append(_site_residual(op, v, ring.values[j]))
-            first += ring.values.size
             ring.block = None
+
+        # one class's blocks held at a time: the representative's, and each
+        # member's in turn, the representative checked last
+        for r0, members in classes:
+            rings[r0].extend_block()
+            for r, perm in members:
+                rings[r].follow(rings[r0], perm)
+                check(r)
+            check(r0)
         theta, residuals = theta[order], residuals + lifted
     if theta.size != count or not np.all(theta < below):
         raise SolverError(f"{method} solve returned {theta.size} eigenvalues, "

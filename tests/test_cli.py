@@ -268,7 +268,8 @@ def test_spectra_cache_schema(tmp_path, capsys, monkeypatch):
     # the V = 0 operator at (2, 16) serves the cluster and the Weyl verdicts
     assert len(entries) == 5 + 2
     assert all(len(name) == 64 + len(".json") for name in entries)
-    assert all(set(payload) == {"inputs", "value"} for payload in entries.values())
+    assert all(set(payload) == {"inputs", "value", "digest"} for payload in entries.values())
+    assert all(payload["digest"] == cli._sha256(payload["value"]) for payload in entries.values())
     stages = {p["inputs"][0]: p for p in entries.values() if isinstance(p["inputs"], list)}
     assert stages["star-check"]["inputs"] == ["star-check", 1, cfgdict["star"]]
     assert stages["model-symbols"]["inputs"] == ["model-symbols", cfgdict["models"],
@@ -329,6 +330,26 @@ def test_truncated_spectra_cache_is_rewritten(tmp_path, capsys, monkeypatch):
         assert json.loads(entry.read_text()) == json.loads(text)
         assert report_bytes(out, cfg) == cold
         assert [p.name for p in entry.parent.iterdir() if p.name.endswith(".tmp")] == []
+
+
+def test_entry_that_misses_its_digest_is_recomputed(tmp_path, capsys, monkeypatch):
+    # an entry that parses and builds, but one of whose eigenvalues was
+    # scaled after it was written: only the digest of its value sees it
+    out = tmp_path / "out"
+    cfg = _one_job_config(tmp_path)
+    assert main(["--config", cfg, "--out", str(out), "torus"]) == EXIT_PASS
+    cold = report_bytes(out, cfg)
+    [entry] = (out / "cache").iterdir()
+    text = entry.read_text()
+    corrupt = json.loads(text)
+    corrupt["value"]["raw"][-1] *= 1.5
+    entry.write_text(json.dumps(corrupt))
+    calls = _count_solves(monkeypatch)
+    assert main(["--config", cfg, "--out", str(out), "torus"]) == EXIT_PASS
+    assert f"note: {entry} does not match its digest; recomputing" in capsys.readouterr().err
+    assert len(calls) == 1
+    assert json.loads(entry.read_text()) == json.loads(text)
+    assert report_bytes(out, cfg) == cold
 
 
 def test_check_rows_that_build_no_check_are_recomputed(tmp_path, capsys, monkeypatch):

@@ -1,9 +1,11 @@
 import inspect
+import json
 import os
 import subprocess
 import sys
 import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +16,9 @@ import scipy.sparse.linalg as spla
 import magweyl.torus
 from magweyl import (EigenResult, PotentialSpec, SolverError, TorusModel,
                      build_magnetic_laplacian, solve)
-from magweyl.torus import (RESIDUAL_TOL, SECTOR_SAMPLES, _projected_matrix, _Ring, _ring_links,
-                           _sector_rings, _site_residual, _y_couplings)
+from magweyl.torus import (RESIDUAL_TOL, SECTOR_SAMPLES, _projected_matrix, _Ring,
+                           _ring_classes, _ring_links, _sector_rings, _site_residual,
+                           _y_couplings)
 
 
 def test_model_prequantization():
@@ -623,14 +626,17 @@ def test_repeated_ring_fails_the_partition(monkeypatch):
 
 
 @pytest.mark.parametrize("potential, message", [
-    (None, "sectors solve returned 15 eigenvalues, 15 of them below 16, where the count is 16"),
+    (None, "sectors solve returned 12 eigenvalues, 12 of them below 16, where the count is 16"),
     (_Y_DEPENDENT, r"basis holds 23 ring eigenvectors below 24\.4, where the rings count 24"),
 ], ids=["sectors", "sparse"])
 def test_missed_ring_root_fails_the_count(monkeypatch, potential, message):
     # k=4, N=32: `_Ring.grow` misses the last root it finds on the first
     # ring, and `_Ring.count`, the Sturm count of the same ring, does not:
     # below 16 the x-only count has 16, and the first cutoff of the
-    # Rayleigh-Ritz solve below 12 has 24 ring eigenvalues
+    # Rayleigh-Ritz solve below 12 has 24 ring eigenvalues.  At V = 0 the
+    # four rings are one class (`_ring_classes`), so the root is missed on
+    # all four; the y-dependent potential's x-part is cos_x, whose first
+    # ring is a class of its own
     op = build_magnetic_laplacian(TorusModel.compatible(1), 4, 32, potential)
     grow, missed = _Ring.grow, []
 
@@ -808,7 +814,7 @@ def test_rings_of_several_wells_start_at_full_precision(monkeypatch, k, npts, we
     # a ring of k c / gcd(k c, N) > 1 wells bisects its path eigenvalues to
     # full precision from the start, with no loose pass to redo; a ring of
     # one well keeps the loose pass.  Either way the eigenvalues are those
-    # of a ring that starts loose
+    # of a ring that starts loose, shared over its class as in `solve`
     op = build_magnetic_laplacian(TorusModel.compatible(1), k, npts, None)
     tolerances = []
     bisect = _Ring._path_eigenvalues
@@ -822,9 +828,85 @@ def test_rings_of_several_wells_start_at_full_precision(monkeypatch, k, npts, we
     result = solve(op, 4.0 * k)
     assert tolerances and all((tol == 0.0) == (wells > 1) for tol in tolerances)
     monkeypatch.setattr(_Ring, "_path_eigenvalues", bisect)
-    loose = np.sort(np.concatenate([_Ring(rows, diag, hop).grow(4.0 * k)
-                                    for rows, diag, hop in _sector_rings(op)]))
+    rings = [_Ring(rows, diag, hop) for rows, diag, hop in _sector_rings(op)]
+    loose = np.sort(np.concatenate([np.tile(rings[r0].grow(4.0 * k), 1 + len(members))
+                                    for r0, members in _ring_classes(op, rings)]))
     assert np.array_equal(np.sort(result.raw), loose)
+
+
+_SIN_X = PotentialSpec((((1, 0), -0.025j), ((-1, 0), 0.025j)))   # 0.05 sin x
+
+
+@pytest.mark.parametrize("potential, classes", [
+    (None, 1), (PotentialSpec.cosine_x(0.1), 9), (_SIN_X, 16)], ids=["V=0", "cos_x", "sin_x"])
+def test_one_ring_grows_per_class(monkeypatch, potential, classes):
+    # (16, 64): gcd(16, 64) = 16 rings of 256 sites.  At V = 0 every ring
+    # is a rotation of ring 0; cos_x, even in x, pairs ring n0 with ring
+    # 16 - n0 and leaves rings 0 and 8 alone; sin x shares nothing
+    op = build_magnetic_laplacian(TorusModel.compatible(1), 16, 64, potential)
+    grown, grow = set(), _Ring.grow
+
+    def spy(ring, level):
+        grown.add(id(ring))
+        return grow(ring, level)
+
+    monkeypatch.setattr(_Ring, "grow", spy)
+    result = solve(op, 4.0 * 16)
+    assert len(grown) == classes
+    assert result.raw.size == 4 * 16   # four clusters of k c
+    assert len(result.residual_norms) == result.raw.size + SECTOR_SAMPLES
+
+
+def _config_cases():
+    """(k, N, potential, level) of the band pairs of tests/configs, below 3 k."""
+    for name in ("y-dependent", "mixed"):
+        cfg = json.loads((Path(__file__).resolve().parent / "configs" / f"{name}.json").read_text())
+        modes = tuple(((p, q), complex(re, im))
+                      for (p, q), (re, im) in cfg["torus"]["potential"]["modes"])
+        for k, npts in cfg["torus"]["band_pairs"]:
+            yield pytest.param(k, npts, PotentialSpec(modes), 3.0 * k, id=f"{name}-{k}-{npts}")
+
+
+@pytest.mark.parametrize("k, npts, potential, level", [
+    pytest.param(16, 64, None, 4.0 * 16, id="V=0"),
+    pytest.param(16, 64, PotentialSpec.cosine_x(0.1), 4.0 * 16, id="cos_x"),
+    pytest.param(16, 64, _SIN_X, 4.0 * 16, id="sin_x"),
+    pytest.param(6, 64, None, 4.0 * 6, id="several-wells"),
+    pytest.param(9, 15, PotentialSpec.cosine_x(0.1), 2.0 * 9, id="rotation-and-reflection"),
+    *_config_cases()])
+def test_shared_classes_match_per_ring_solves(monkeypatch, k, npts, potential, level):
+    # every eigenvalue within 1e-10 of a solve whose every ring is its own
+    # class, with as many residual norms, all within RESIDUAL_TOL.  At
+    # (9, 15) rotations alone leave rings 1 and 2 apart (k c = 9 does not
+    # divide N = 15); the reflection joins them
+    op = build_magnetic_laplacian(TorusModel.compatible(1), k, npts, potential)
+    shared = solve(op, level)
+    monkeypatch.setattr(magweyl.torus, "_ring_classes",
+                        lambda op, rings: [(r, []) for r in range(len(rings))])
+    alone = solve(op, level)
+    assert shared.method == alone.method
+    assert shared.raw.size == alone.raw.size > 0
+    assert np.max(np.abs(shared.raw - alone.raw)) < 1e-10
+    assert len(shared.residual_norms) == len(alone.residual_norms)
+    assert max(shared.residual_norms) <= RESIDUAL_TOL
+
+
+def test_shifted_member_map_fails_before_any_solve(monkeypatch):
+    # a member's site map shifted by one site reads the representative's
+    # diagonal one site off: a SolverError naming the class, raised before
+    # any ring is solved
+    op = build_magnetic_laplacian(TorusModel.compatible(1), 16, 64)
+    classes = magweyl.torus._ring_classes
+
+    def shifted(op, rings):
+        [(r0, [(r, perm), *rest])] = classes(op, rings)
+        return [(r0, [(r, np.roll(perm, 1)), *rest])]
+
+    monkeypatch.setattr(magweyl.torus, "_ring_classes", shifted)
+    monkeypatch.setattr(_Ring, "grow", lambda ring, level: pytest.fail("a ring was solved"))
+    with pytest.raises(SolverError, match="ring 1 of the class of ring 0 differs from its map "
+                                          "of ring 0 by"):
+        solve(op, 4.0 * 16)
 
 
 @pytest.mark.filterwarnings("error")
