@@ -438,6 +438,9 @@ def run_model_checks(spec: HermiteBasisSpec, spec2: HermiteBasisSpec, q0: Resolv
     comp = block_compare(qr, target, spec, margin=spec.levels - block)
     checks.append(_leq("models.resolvent_matrix_oracle", comp.max_abs_error, 1e-4,
                        f"block {comp.block_levels}, z={z}"))
+    # each check's matrices and symbols die before the next check builds
+    # its own, so the stage peaks at its largest check, not at their sum
+    del qr, target, comp
 
     # projector checks (d = 1 on the main spec, d = 2 on its own spec)
     for (d, m) in ((1, 0), (1, 1), (1, 2), (2, 0), (2, 1)):
@@ -451,6 +454,7 @@ def run_model_checks(spec: HermiteBasisSpec, spec2: HermiteBasisSpec, q0: Resolv
         checks.append(_leq(f"models.projector_idempotent_d{d}_m{m}", idem, 1e-6))
         checks.append(Check(f"models.projector_rank_d{d}_m{m}", rank, pq.rank,
                             rank == pq.rank, f"expected C(m+d-1,m) = {pq.rank}"))
+    del qp, evals
 
     # residue identity at the first pole
     res = residue_projector(1, 0.5, 0.2, 64, grid)
@@ -460,6 +464,7 @@ def run_model_checks(spec: HermiteBasisSpec, spec2: HermiteBasisSpec, q0: Resolv
     empty = residue_projector(1, 0.0, 0.2, 64, grid)
     zero = GridSymbol.from_radial(grid, np.zeros_like)
     checks.append(_leq("models.residue_empty_contour", empty.sup_distance(zero), 1e-8))
+    del res, ref, empty, zero
 
     # sharp inverse vs the Mehler symbol
     H = harmonic_hamiltonian(1)

@@ -500,6 +500,7 @@ class _Ring:
         self.deflated = np.empty(0, dtype=bool)
         self.block = np.empty((size, 0))       # unit eigenvectors, by `extend_block`
         self.defect = 0.0                      # ||B^T B - I||_F of `block`
+        self.rep, self.perm = None, None       # a member's class, by `follow`
 
     def path_solve(self, lam: float, rhs: np.ndarray) -> np.ndarray:
         """(P - lam)^{-1} rhs, of one column or of each column of rhs."""
@@ -590,18 +591,31 @@ class _Ring:
                                 + np.einsum("ij,ij", gram[old:], gram[old:]))
         self.block = block
 
-    def follow(self, rep: "_Ring", perm: np.ndarray | None = None):
-        """Take the eigenvalues of `rep`, a ring of this one's class
-        (`_ring_classes`), and, given the site map perm (site j of this
-        ring is site perm[j] of `rep`), its eigenvectors, read in this
-        ring's site order; their Gram defect is `rep`'s."""
-        self.values, self.deflated = rep.values, rep.deflated
-        if perm is not None:
-            self.block, self.defect = rep.block[perm], rep.defect
+    def follow(self, rep: "_Ring", perm: np.ndarray):
+        """Take the eigenpairs of `rep`, a ring of this one's class
+        (`_ring_classes`), site j of this ring being site perm[j] of `rep`.
+        The ring holds no block of its own: `vectors` and `combine` read
+        rep's through perm, and its Gram defect is rep's."""
+        self.values, self.deflated, self.defect = rep.values, rep.deflated, rep.defect
+        self.rep, self.perm = rep, perm
+
+    def vectors(self, where=slice(None), j=slice(None)) -> np.ndarray:
+        """Eigenvectors j of the block at the sites `where`, in this ring's
+        site order: a member's are read from its representative's block
+        through perm, a new array."""
+        if self.rep is None:
+            return self.block[where, j]
+        return self.rep.block[self.perm[where], j]
+
+    def combine(self, c: np.ndarray) -> np.ndarray:
+        """The block times the coefficients c, in this ring's site order."""
+        if self.rep is None:
+            return self.block @ c
+        return (self.rep.block @ c)[self.perm]
 
     def residuals(self) -> np.ndarray:
-        """Residual norms ||R v - lam v|| of the pairs in `block`, R the ring."""
-        block = self.block
+        """Residual norms ||R v - lam v|| of the pairs of the block, R the ring."""
+        block = self.vectors()
         res = self.diag[:, None] * block - block * self.values
         res += self.hop * (np.roll(block, 1, axis=0) + np.roll(block, -1, axis=0))
         return np.sqrt(np.einsum("ij,ij->j", res, res))
@@ -735,7 +749,7 @@ def _projected_matrix(rings: list, links: list, dtype) -> np.ndarray:
     proj[np.diag_indices(values.size)] = values
     for r2, r, where, coef in links:
         proj[offsets[r2]:offsets[r2 + 1], offsets[r]:offsets[r + 1]] += (
-            rings[r2].block[where].T @ (coef[:, None] * rings[r].block))
+            rings[r2].vectors(where).T @ (coef[:, None] * rings[r].vectors()))
     return proj
 
 
@@ -750,9 +764,10 @@ def solve(op: MagneticLatticeOperator, below: float) -> EigenResult:
     and counted there by Haynsworth's inertia formula, with no
     factorization (`_Ring`, `_Ring.count`).
 
-    Only one ring of each class (`_ring_classes`) is solved: the others
-    take its eigenvalues and its eigenvectors read through the class's site
-    map perm (`_Ring.follow`).  Before anything is solved, each member's
+    Only one ring of each class (`_ring_classes`) is solved and holds an
+    eigenvector block: the others take its eigenvalues and read its block
+    through the class's site map perm (`_Ring.follow`), so both paths hold
+    one block per class.  Before anything is solved, each member's
     diagonal must equal the representative's read through perm to 16 ulps
     of its Gershgorin bound; a member that does not is a SolverError that
     names the class.  Every ring is still counted on its own, and every
@@ -763,9 +778,8 @@ def solve(op: MagneticLatticeOperator, below: float) -> EigenResult:
     ('sectors').  The count is the sum of their counts at `below`.  Their
     pairs below `below` are exact and final, each is residual-checked on
     its ring (`_Ring.residuals`, its residual on the operator,
-    block-diagonal over the rings up to a permutation), one class's blocks
-    held at a time (the representative's, and one member's read through
-    its map), and SECTOR_SAMPLES of them, evenly spaced in rank,
+    block-diagonal over the rings up to a permutation), one class's block
+    held at a time, and SECTOR_SAMPLES of them, evenly spaced in rank,
     also on the site stencil (`_site_residual`), which is built apart from
     the rings.
 
@@ -857,8 +871,8 @@ def solve(op: MagneticLatticeOperator, below: float) -> EigenResult:
             width *= 2.0
             for r0, members in classes:
                 rings[r0].grow(cutoff)
-                for r, _ in members:
-                    rings[r].follow(rings[r0])
+                for r, perm in members:
+                    rings[r].follow(rings[r0], perm)
             size = sum(ring.values.size for ring in rings)
             if size > RITZ_MAX_DIM:
                 raise SolverError(f"Rayleigh-Ritz basis of {size} ring eigenvectors exceeds "
@@ -902,7 +916,7 @@ def solve(op: MagneticLatticeOperator, below: float) -> EigenResult:
                 v = np.zeros(op.dim, dtype=coef.dtype)
                 lo = 0
                 for ring in rings:
-                    v[ring.rows] = ring.block @ coef[lo:lo + ring.values.size, j]
+                    v[ring.rows] = ring.combine(coef[lo:lo + ring.values.size, j])
                     lo += ring.values.size
                 residuals.append(_site_residual(op, v, theta[j]))
                 # written so that a NaN grows the basis
@@ -919,32 +933,26 @@ def solve(op: MagneticLatticeOperator, below: float) -> EigenResult:
     if not couplings:
         for r0, members in classes:
             rings[r0].grow(below)
-            for r, _ in members:
-                rings[r].follow(rings[r0])
+            for r, perm in members:
+                rings[r].follow(rings[r0], perm)
         theta = np.concatenate([ring.values for ring in rings])
         order = np.argsort(theta, kind="stable")
         ranks = np.linspace(0, theta.size - 1, min(SECTOR_SAMPLES, theta.size)).round()
         picked = np.isin(np.arange(theta.size), order[ranks.astype(int)])
         first = np.cumsum([0] + [ring.values.size for ring in rings])
         residuals, lifted = [], []
-
-        def check(r: int):
-            ring = rings[r]
-            residuals.extend(float(x) for x in ring.residuals())
-            for j in np.flatnonzero(picked[first[r]:first[r + 1]]):
-                v = np.zeros(op.dim)
-                v[ring.rows] = ring.block[:, j]
-                lifted.append(_site_residual(op, v, ring.values[j]))
-            ring.block = None
-
-        # one class's blocks held at a time: the representative's, and each
-        # member's in turn, the representative checked last
+        # one block held at a time, the representative's, which each member
+        # reads through its map
         for r0, members in classes:
             rings[r0].extend_block()
-            for r, perm in members:
-                rings[r].follow(rings[r0], perm)
-                check(r)
-            check(r0)
+            for r in [r for r, _ in members] + [r0]:
+                ring = rings[r]
+                residuals.extend(float(x) for x in ring.residuals())
+                for j in np.flatnonzero(picked[first[r]:first[r + 1]]):
+                    v = np.zeros(op.dim)
+                    v[ring.rows] = ring.vectors(j=j)
+                    lifted.append(_site_residual(op, v, ring.values[j]))
+            rings[r0].block = None
         theta, residuals = theta[order], residuals + lifted
     if theta.size != count or not np.all(theta < below):
         raise SolverError(f"{method} solve returned {theta.size} eigenvalues, "

@@ -1006,7 +1006,8 @@ def test_sparse_solve_memory():
     # Rayleigh-Ritz solve holds the ring blocks and the projected matrix,
     # and lifts one Ritz pair at a time to the sites for its residual on
     # the site matrix.  Its count, on the rings and the projected matrix,
-    # adds no factorization: the peak is 2.4 blocks.
+    # adds no factorization: the peak is 2.1 blocks (2.4 when each member
+    # ring of a class held its own copy of the block).
     op = build_magnetic_laplacian(TorusModel.compatible(1), 16, 64, _Y_DEPENDENT)
     tracemalloc.start()
     try:
@@ -1016,6 +1017,23 @@ def test_sparse_solve_memory():
         tracemalloc.stop()
     assert res.raw.size == 48 and max(res.residual_norms) < 1e-8
     assert peak < 3.5 * op.dim * 48 * 8
+
+
+def test_sparse_solve_holds_one_block_per_class():
+    # the potential of the symbols-sparse benchmark at (16, 128) below 48:
+    # 9 ring classes of 16 rings (V_0 is even in x), and a member ring
+    # reads its representative's block through its site map.  Peak 5.7 MiB
+    # (7.0 MiB when each member held its own copy); bound 6.3 MiB, an 11%
+    # margin
+    op = build_magnetic_laplacian(TorusModel.compatible(1), 16, 128, _Y_DEPENDENT)
+    tracemalloc.start()
+    try:
+        res = solve(op, 3.0 * 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.raw.size == 48 and max(res.residual_norms) < 1e-8
+    assert peak < 6.3 * 2 ** 20
 
 
 def test_solver_determinism():
