@@ -44,16 +44,12 @@ is Haynsworth's formula again, on the block of the ring eigenvectors
 above the cutoff, which the cutoff's spectral gap makes positive definite
 (`solve`).
 
-The operator commutes with the magnetic translations, and the rings show
-it: ring n0 has the diagonal 2/a^2 + 2t cos(2 pi (n0 N - k c s) / N^2) +
-k V_0(x_i) at site s = q N + i, so with V_0 constant ring n0 is a
-rotation of ring n0 mod gcd(k c, N^2) / gcd(k c, N) (of ring 0 on every
-default and benchmark lattice), and with V_0 even in x ring n0 is ring
--n0 read backwards.  Rings so related
-form a class (`_ring_classes`) that is solved once, on its
-representative; every other ring of the class takes the
-representative's eigenpairs through an exact site map, checked against
-its own diagonal, and is still counted and residual-checked on its own.
+The operator commutes with the magnetic translations, so many rings are
+copies of one another, site by site or read backwards.  Rings whose
+diagonals agree so form a class (`_ring_classes`) that is solved once,
+on its representative; every other ring of the class takes the
+representative's eigenpairs through the site map, and is still counted
+and residual-checked on its own.
 """
 
 from __future__ import annotations
@@ -166,12 +162,6 @@ class PotentialSpec:
         """V(x, -y) = V(x, y): amp(p, q) == amp(p, -q) for every mode."""
         amps = dict(self.modes)
         return all(amps.get((p, -q)) == amp for (p, q), amp in self.modes)
-
-    @property
-    def is_even_in_x(self) -> bool:
-        """V(-x, y) = V(x, y): amp(p, q) == amp(-p, q) for every mode."""
-        amps = dict(self.modes)
-        return all(amps.get((-p, q)) == amp for (p, q), amp in self.modes)
 
     def sample(self, x, y, side: float) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -333,66 +323,40 @@ def _x_part(op: MagneticLatticeOperator) -> PotentialSpec:
     return PotentialSpec(tuple(m for m in modes if m[0][1] % op.npoints == 0))
 
 
-def _solve_mod(a: int, b: int, n: int) -> int | None:
-    """The least x >= 0 with a x = b (mod n), or None if there is none."""
-    d = math.gcd(a, n)
-    if b % d:
-        return None
-    return (b // d) * pow(a // d, -1, n // d) % (n // d)
+def _ring_classes(rings: list) -> list:
+    """The `_Ring`s of `_sector_rings` grouped into classes that share their
+    eigenpairs: [(rep, [(r, perm), ...]), ...], the index of a
+    representative and of its other rings, site j of ring r being site
+    perm[j] of the representative.
 
-
-def _ring_classes(op: MagneticLatticeOperator, rings: list) -> list:
-    """The rings of `_sector_rings` grouped into classes that share their
-    eigenpairs: [(rep, [(r, perm), ...]), ...], a representative and its
-    other rings, site j of ring r being site perm[j] of the representative,
-    both `_Ring`s in their own rotated site order.
-
-    Ring n0 (0 <= n0 < g = gcd(k c, N), of length L = N^2 / g) has at site
-    s = q N + i the diagonal 2/a^2 + 2t cos(2 pi (n0 N - k c s) / N^2) +
-    k V_0(x_i), with period L in s.  So
-      rotation: when V_0 is constant, ring n0 read at s is ring n1 read at
-        s - sigma, where k c sigma = (n0 - n1) N (mod N^2), which has a
-        solution exactly when n0 = n1 modulo m = gcd(k c, N^2) / g;
-      reflection: when V_0 is even in x, ring n0 read at s is ring
-        n0' = -n0 (mod g) read at sigma' - s, where sigma' = N j with
-        k c j = n0 + n0' (mod N).
-    Each ring links to a lower ring by one of these maps (or to a ring
-    that rotates to a lower one), and a ring with no link is its own
-    class: a potential whose x-part is not even has a class per ring.  The
-    maps are affine on the sites modulo L, and compose with each ring's
-    start (`_Ring.start`) into the site map `perm`.
+    A ring joins the first class whose representative has its length and
+    hop and whose diagonal, read through a site map, is its own to 16 ulps
+    of its Gershgorin bound (copies sample one cosine at arguments that
+    differ in sign or by a multiple of 2 pi).  Two maps are tried: site by
+    site, and backwards, j -> L - 2 - j (mod L).  Both keep the ring's
+    links and fix its last site, where its least diagonal entry sits
+    (`_Ring`), so the least entries are compared first, and whole rings
+    only when those agree.  A ring that matches no class is a class of its
+    own.
     """
-    N = op.npoints
-    kc = op.power * op.model.chern
-    g = math.gcd(kc, N)
-    size = N * N // g
-    x_part = _x_part(op)
-    flat = all(p == 0 for (p, _), _ in x_part.modes)
-    even = x_part.is_even_in_x
-    m = math.gcd(kc, N * N) // g
-
-    def link(n0: int):
-        """(n1, e, c): ring n0 at s is ring n1 at e s + c, or None."""
-        if flat and n0 >= m:
-            sigma = _solve_mod(kc, (n0 - n0 % m) * N, N * N)
-            return None if sigma is None else (n0 % m, 1, -sigma)
-        mirror = -n0 % g
-        if even and (mirror < n0 or (flat and -n0 % m < n0)):
-            j = _solve_mod(kc, n0 + mirror, N)
-            return None if j is None else (mirror, -1, N * j)
-        return None
-
-    classes = {}
-    for n0 in range(g):
-        rep, e, c = n0, 1, 0
-        while (step := link(rep)) is not None:
-            rep, e1, c1 = step
-            e, c = e1 * e, e1 * c + c1
-        members = classes.setdefault(rep, [])
-        if rep != n0:
-            sites = np.arange(size)
-            members.append((n0, (e * (sites + rings[n0].start) + c - rings[rep].start) % size))
-    return list(classes.items())
+    classes = []
+    for r, ring in enumerate(rings):
+        size = ring.diag.size
+        tol = 16.0 * np.finfo(float).eps * ring.scale
+        sites = np.arange(size)
+        for r0, members in classes:
+            rep = rings[r0]
+            if (rep.diag.size != size or rep.hop != ring.hop
+                    or not abs(rep.diag[-1] - ring.diag[-1]) <= tol):
+                continue
+            perm = next((perm for perm in (sites, (size - 2 - sites) % size)
+                         if np.abs(ring.diag - rep.diag[perm]).max() <= tol), None)
+            if perm is not None:
+                members.append((r, perm))
+                break
+        else:
+            classes.append((r, []))
+    return classes
 
 
 def _y_couplings(op: MagneticLatticeOperator) -> dict:
@@ -481,9 +445,9 @@ class _Ring:
 
     def __init__(self, rows: np.ndarray, diag: np.ndarray, hop: float, wells: int = 1):
         size = diag.size
-        self.start = (int(np.argmin(diag)) + 1) % size
-        diag = np.roll(diag, -self.start)
-        self.rows, self.diag, self.hop = np.roll(rows, -self.start), diag, hop
+        start = (int(np.argmin(diag)) + 1) % size
+        diag = np.roll(diag, -start)
+        self.rows, self.diag, self.hop = np.roll(rows, -start), diag, hop
         self.scale = np.abs(diag).max() + 2.0 * abs(hop)
         self.tol = 4.0 * np.finfo(float).eps * self.scale
         self.path = diag[1:]
@@ -764,15 +728,14 @@ def solve(op: MagneticLatticeOperator, below: float) -> EigenResult:
     and counted there by Haynsworth's inertia formula, with no
     factorization (`_Ring`, `_Ring.count`).
 
-    Only one ring of each class (`_ring_classes`) is solved and holds an
-    eigenvector block: the others take its eigenvalues and read its block
-    through the class's site map perm (`_Ring.follow`), so both paths hold
-    one block per class.  Before anything is solved, each member's
-    diagonal must equal the representative's read through perm to 16 ulps
-    of its Gershgorin bound; a member that does not is a SolverError that
-    names the class.  Every ring is still counted on its own, and every
-    pair is residual-checked on every ring's own diagonal, so a shared pair
-    carries the same certificate as one solved on its ring.
+    Only one ring of each class (`_ring_classes`, whose members' diagonals
+    match the representative's to 16 ulps of their Gershgorin bound) is
+    solved and holds an eigenvector block: the others take its eigenvalues
+    and read its block through the class's site map perm (`_Ring.follow`),
+    so both paths hold one block per class.  Every ring is still counted
+    on its own, and every pair is residual-checked on every ring's own
+    diagonal, so a shared pair carries the same certificate as one solved
+    on its ring.
 
     With no y couplings (`_y_couplings` empty) the rings are the operator
     ('sectors').  The count is the sum of their counts at `below`.  Their
@@ -846,16 +809,7 @@ def solve(op: MagneticLatticeOperator, below: float) -> EigenResult:
         raise SolverError(f"the rings' rows do not partition the {op.dim} momentum rows: "
                           f"{np.count_nonzero(held == 1)} are held once, "
                           f"{np.count_nonzero(held > 1)} more than once")
-    classes = _ring_classes(op, rings)
-    for r0, members in classes:
-        for r, perm in members:
-            # a few ulps of the Gershgorin bound: the two rings sample the
-            # same cosine at arguments that differ by a multiple of 2 pi
-            tol = 16.0 * np.finfo(float).eps * rings[r].scale
-            err = float(np.abs(rings[r].diag - rings[r0].diag[perm]).max())
-            if not err <= tol:
-                raise SolverError(f"ring {r} of the class of ring {r0} differs from its map "
-                                  f"of ring {r0} by {err:.1e}, above {tol:.1e}")
+    classes = _ring_classes(rings)
     couplings = _y_couplings(op)
     method = "sparse" if couplings else "sectors"
     if couplings:

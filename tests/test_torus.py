@@ -16,6 +16,7 @@ import scipy.sparse.linalg as spla
 import magweyl.torus
 from magweyl import (EigenResult, PotentialSpec, SolverError, TorusModel,
                      build_magnetic_laplacian, solve)
+from magweyl.cli import DEFAULT_CONFIG
 from magweyl.torus import (RESIDUAL_TOL, SECTOR_SAMPLES, _projected_matrix, _Ring,
                            _ring_classes, _ring_links, _sector_rings, _site_residual,
                            _y_couplings)
@@ -830,19 +831,25 @@ def test_rings_of_several_wells_start_at_full_precision(monkeypatch, k, npts, we
     monkeypatch.setattr(_Ring, "_path_eigenvalues", bisect)
     rings = [_Ring(rows, diag, hop) for rows, diag, hop in _sector_rings(op)]
     loose = np.sort(np.concatenate([np.tile(rings[r0].grow(4.0 * k), 1 + len(members))
-                                    for r0, members in _ring_classes(op, rings)]))
+                                    for r0, members in _ring_classes(rings)]))
     assert np.array_equal(np.sort(result.raw), loose)
 
 
 _SIN_X = PotentialSpec((((1, 0), -0.025j), ((-1, 0), 0.025j)))   # 0.05 sin x
+# 0.05 cos x + 0.05 sin 2x, a mirror image of itself about no point
+_COS_SIN_2X = PotentialSpec((((1, 0), 0.025), ((-1, 0), 0.025),
+                             ((2, 0), -0.025j), ((-2, 0), 0.025j)))
 
 
 @pytest.mark.parametrize("potential, classes", [
-    (None, 1), (PotentialSpec.cosine_x(0.1), 9), (_SIN_X, 16)], ids=["V=0", "cos_x", "sin_x"])
+    (None, 1), (PotentialSpec.cosine_x(0.1), 9), (_SIN_X, 9), (_COS_SIN_2X, 16)],
+    ids=["V=0", "cos_x", "sin_x", "cos_x+sin_2x"])
 def test_one_ring_grows_per_class(monkeypatch, potential, classes):
     # (16, 64): gcd(16, 64) = 16 rings of 256 sites.  At V = 0 every ring
-    # is a rotation of ring 0; cos_x, even in x, pairs ring n0 with ring
-    # 16 - n0 and leaves rings 0 and 8 alone; sin x shares nothing
+    # is a copy of ring 0; cos_x, a mirror image of itself about x = 0,
+    # pairs ring n0 with ring 16 - n0 and leaves rings 0 and 8 alone, and
+    # sin x, one about x = L/4, forms as many classes; cos x + sin 2x
+    # shares nothing
     op = build_magnetic_laplacian(TorusModel.compatible(1), 16, 64, potential)
     grown, grow = set(), _Ring.grow
 
@@ -855,6 +862,26 @@ def test_one_ring_grows_per_class(monkeypatch, potential, classes):
     assert len(grown) == classes
     assert result.raw.size == 4 * 16   # four clusters of k c
     assert len(result.residual_norms) == result.raw.size + SECTOR_SAMPLES
+
+
+# the (k, N) pairs of the default config and of the two benchmark workloads
+_DEFAULT_AND_BENCHMARK_PAIRS = sorted(
+    {tuple(pair) for key in ("cluster_pairs", "weyl_pairs", "band_pairs")
+     for pair in DEFAULT_CONFIG["torus"][key]} | {(4, 32), (12, 96), (16, 96)})
+
+
+@pytest.mark.parametrize("k, npts", _DEFAULT_AND_BENCHMARK_PAIRS)
+def test_ring_classes_of_default_and_benchmark_pairs(k, npts):
+    # with no solve: at V = 0 the g = gcd(k c, N) rings are one class, and
+    # cos_x pairs ring n0 with ring g - n0, floor(g/2) + 1 classes.  A tie
+    # in a ring's least entry that split a class would show here, before
+    # it slowed a run
+    g = np.gcd(k, npts)
+    for potential, expected in ((None, 1), (PotentialSpec.cosine_x(0.1), g // 2 + 1)):
+        op = build_magnetic_laplacian(TorusModel.compatible(1), k, npts, potential)
+        rings = [_Ring(rows, diag, hop) for rows, diag, hop in _sector_rings(op)]
+        assert len(rings) == g
+        assert len(_ring_classes(rings)) == expected
 
 
 def _config_cases():
@@ -871,18 +898,18 @@ def _config_cases():
     pytest.param(16, 64, None, 4.0 * 16, id="V=0"),
     pytest.param(16, 64, PotentialSpec.cosine_x(0.1), 4.0 * 16, id="cos_x"),
     pytest.param(16, 64, _SIN_X, 4.0 * 16, id="sin_x"),
+    pytest.param(16, 64, _COS_SIN_2X, 4.0 * 16, id="cos_x+sin_2x"),
     pytest.param(6, 64, None, 4.0 * 6, id="several-wells"),
     pytest.param(9, 15, PotentialSpec.cosine_x(0.1), 2.0 * 9, id="rotation-and-reflection"),
     *_config_cases()])
 def test_shared_classes_match_per_ring_solves(monkeypatch, k, npts, potential, level):
     # every eigenvalue within 1e-10 of a solve whose every ring is its own
     # class, with as many residual norms, all within RESIDUAL_TOL.  At
-    # (9, 15) rotations alone leave rings 1 and 2 apart (k c = 9 does not
-    # divide N = 15); the reflection joins them
+    # (9, 15) rings 1 and 2 are copies read backwards
     op = build_magnetic_laplacian(TorusModel.compatible(1), k, npts, potential)
     shared = solve(op, level)
     monkeypatch.setattr(magweyl.torus, "_ring_classes",
-                        lambda op, rings: [(r, []) for r in range(len(rings))])
+                        lambda rings: [(r, []) for r in range(len(rings))])
     alone = solve(op, level)
     assert shared.method == alone.method
     assert shared.raw.size == alone.raw.size > 0
@@ -891,22 +918,52 @@ def test_shared_classes_match_per_ring_solves(monkeypatch, k, npts, potential, l
     assert max(shared.residual_norms) <= RESIDUAL_TOL
 
 
-def test_shifted_member_map_fails_before_any_solve(monkeypatch):
-    # a member's site map shifted by one site reads the representative's
-    # diagonal one site off: a SolverError naming the class, raised before
-    # any ring is solved
+def test_moved_diagonal_leaves_its_class(monkeypatch):
+    # (16, 64), V = 0: the 16 rings are one class.  Ring 3 moved at one
+    # site by 64 ulps of its Gershgorin bound is a class of its own, and
+    # moved by 1 ulp it stays; a ring with another hop never joins.  The
+    # operator with the moved ring grows two rings and matches a
+    # ring-by-ring solve
     op = build_magnetic_laplacian(TorusModel.compatible(1), 16, 64)
-    classes = magweyl.torus._ring_classes
+    eps = np.finfo(float).eps
 
-    def shifted(op, rings):
-        [(r0, [(r, perm), *rest])] = classes(op, rings)
-        return [(r0, [(r, np.roll(perm, 1)), *rest])]
+    def classes(ulps=0, hop_ulps=0):
+        rings = [_Ring(rows, diag, hop) for rows, diag, hop in _sector_rings(op)]
+        rings[3].diag[100] += ulps * eps * rings[3].scale
+        if hop_ulps:
+            rings[3] = _Ring(rings[3].rows, rings[3].diag, rings[3].hop * (1 + hop_ulps * eps))
+        return [[r0] + [r for r, _ in members] for r0, members in _ring_classes(rings)]
 
-    monkeypatch.setattr(magweyl.torus, "_ring_classes", shifted)
-    monkeypatch.setattr(_Ring, "grow", lambda ring, level: pytest.fail("a ring was solved"))
-    with pytest.raises(SolverError, match="ring 1 of the class of ring 0 differs from its map "
-                                          "of ring 0 by"):
-        solve(op, 4.0 * 16)
+    assert classes() == classes(ulps=1) == [list(range(16))]
+    apart = [[0, 1, 2, *range(4, 16)], [3]]
+    assert classes(ulps=64) == classes(hop_ulps=1) == apart
+
+    sector_rings = magweyl.torus._sector_rings
+
+    def moved(op):
+        for r, (rows, diag, hop) in enumerate(sector_rings(op)):
+            if r == 3:
+                diag = diag.copy()
+                diag[(np.argmin(diag) + diag.size // 2) % diag.size] += (
+                    64 * eps * (np.abs(diag).max() + 2.0 * abs(hop)))
+            yield rows, diag, hop
+
+    monkeypatch.setattr(magweyl.torus, "_sector_rings", moved)
+    grown, grow = set(), _Ring.grow
+
+    def spy(ring, level):
+        grown.add(id(ring))
+        return grow(ring, level)
+
+    monkeypatch.setattr(_Ring, "grow", spy)
+    shared = solve(op, 4.0 * 16)
+    assert len(grown) == 2
+    monkeypatch.setattr(magweyl.torus, "_ring_classes",
+                        lambda rings: [(r, []) for r in range(len(rings))])
+    alone = solve(op, 4.0 * 16)
+    assert shared.raw.size == alone.raw.size == 4 * 16
+    assert np.max(np.abs(shared.raw - alone.raw)) < 1e-10
+    assert len(shared.residual_norms) == len(alone.residual_norms)
 
 
 @pytest.mark.filterwarnings("error")
